@@ -22,6 +22,10 @@ Key conventions:
   image exactly when its backward trajectory blows up).  Direct interval
   coverage of the probe window is unreliable for contracting complete flows,
   so the reverse-run identity is what the classifier reports.
+
+SciPy is needed only by ``integrate_flow`` and ``straighten`` (and their
+helper ``_tail_time``), which import it when called; classification,
+transport and the CLI run on numpy alone.
 """
 
 import enum
@@ -31,7 +35,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad, solve_ivp
 
 from .errors import (InconclusiveClassification, NotComplete, NotPluggable,
                      OutOfDomain, RoughInput, ZeroFieldValue)
@@ -174,6 +177,8 @@ def _tail_time(field: VectorField1D, x_from: float, direction: int,
     Integrates dxi / (direction * X(xi)) over doubling (or halving) segments;
     returns None when the integral diverges, i.e. the point is never reached.
     """
+    from scipy.integrate import IntegrationWarning, quad
+
     def integrand(xi):
         with np.errstate(divide="ignore", invalid="ignore"):
             return 1.0 / (direction * field.func(xi))
@@ -206,6 +211,8 @@ def integrate_flow(field: VectorField1D, x0: float, t: float,
     time t, the result is flagged escaped and the blow-up time is estimated
     by adding the residual travel time beyond the crossing point.
     """
+    from scipy.integrate import solve_ivp
+
     if not field.contains(x0):
         raise OutOfDomain(f"x0 = {x0} outside the domain of field {field.label!r}")
     if escape_radius <= abs(x0):
@@ -599,6 +606,9 @@ def straighten(field: VectorField1D, x_ref: float,
     resolution.  ``global_chart`` is True when s maps the component onto all
     of R, i.e. the cumulative time integral diverges toward both ends.
     """
+    from scipy.integrate import IntegrationWarning, quad
+    from scipy.optimize import brentq
+
     comp = field.component_of(x_ref)
     if span is None:
         lo = max(comp[0], x_ref - 20.0) if math.isfinite(comp[0]) else x_ref - 20.0
@@ -657,7 +667,6 @@ def straighten(field: VectorField1D, x_ref: float,
             if not (ts[0] <= q <= ts[-1]):
                 raise ValueError(f"{ss} outside the tabulated chart range")
             j = int(np.clip(np.searchsorted(ts, q) - 1, 0, table_points - 2))
-            from scipy.optimize import brentq
             lo_x, hi_x = nodes[j], nodes[j + 1]
             f_lo = s_of_x(lo_x) - ss
             if f_lo == 0.0:

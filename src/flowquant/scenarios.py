@@ -7,6 +7,7 @@ configs stay diff-able and reproducible.
 
 import json
 import math
+from functools import cache
 from importlib import resources
 
 import jsonschema
@@ -21,10 +22,13 @@ from .flows import (ProbeSpec, VectorField1D, arrival_field, constant_field,
 from .grids import Grid1D, PhysicalParams, WaveFunction, gaussian_packet
 
 
-def _schema() -> dict:
+@cache
+def _validator() -> jsonschema.Draft202012Validator:
+    """Validator for the published schema, built once: checking the schema
+    itself on every load would cost more than the check of the scenario."""
     text = resources.files("flowquant").joinpath(
         "schema/scenario.schema.json").read_text(encoding="utf-8")
-    return json.loads(text)
+    return jsonschema.Draft202012Validator(json.loads(text))
 
 
 def load_scenario(path: str) -> dict:
@@ -34,9 +38,9 @@ def load_scenario(path: str) -> dict:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario {path!r}: {exc}") from exc
-    try:
-        jsonschema.validate(cfg, _schema())
-    except jsonschema.ValidationError as exc:
+    # best_match picks the error jsonschema.validate would raise.
+    exc = jsonschema.exceptions.best_match(_validator().iter_errors(cfg))
+    if exc is not None:
         raise ScenarioError(
             f"scenario {path!r} is invalid: {exc.message} "
             f"(at {'/'.join(str(p) for p in exc.absolute_path) or '<root>'})"

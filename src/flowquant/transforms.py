@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import czt
 
 from .errors import GridMismatch, LowMomentumMass
 from .grids import Grid1D, Representation, WaveFunction, norm_squared
@@ -86,6 +85,40 @@ def _continuum_dft(values: np.ndarray, grid_in: Grid1D, grid_out: Grid1D,
     return (grid_in.step / math.sqrt(2.0 * math.pi * hbar)) * post * core
 
 
+def _fft_size(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n.
+
+    Power-of-two s-grids plus a T-grid land just above a power of two, which
+    power-of-two padding would nearly double.
+    """
+    best = 1 << (n - 1).bit_length()
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            best = min(best, f35 << ((n + f35 - 1) // f35 - 1).bit_length())
+            f35 *= 3
+        f5 *= 5
+    return best
+
+
+def _chirp_z(x: np.ndarray, m: int, theta: float) -> np.ndarray:
+    """sum_n x_n exp(i theta n k) for k < m, by Bluestein's chirp-z algorithm.
+
+    With n k = (n^2 + k^2 - (k - n)^2) / 2 the sum is a convolution with the
+    chirp c_j = exp(i theta j^2 / 2), j = -(n-1) .. m-1, done by zero-padded
+    FFTs (Bluestein 1970; Rabiner, Schafer & Rader 1969).
+    """
+    n = len(x)
+    size = _fft_size(n + m - 1)
+    j = np.arange(1 - n, m, dtype=np.float64)
+    chirp = np.exp(0.5j * theta * j * j)
+    a = np.fft.fft(x * chirp[n - 1::-1], size)  # c_{-n} = c_n, n < N
+    kernel = np.concatenate((chirp[n - 1:], np.zeros(size - m - n + 1),
+                             chirp[:n - 1])).conj()  # j = 0..m-1, then j < 0
+    return np.fft.ifft(a * np.fft.fft(kernel))[:m] * chirp[n - 1:]
+
+
 def fourier_eval(values: np.ndarray, grid_in: Grid1D, grid_out: Grid1D,
                  sign: int, hbar: float) -> np.ndarray:
     """Same Riemann sum evaluated on an arbitrary uniform output grid.
@@ -97,8 +130,7 @@ def fourier_eval(values: np.ndarray, grid_in: Grid1D, grid_out: Grid1D,
     u0, du = grid_in.origin, grid_in.step
     w0, dw = grid_out.origin, grid_out.step
     y = values * np.exp(sign * 1j * grid_in.points * w0 / hbar)
-    w = np.exp(sign * 1j * du * dw / hbar)
-    core = czt(y, m=grid_out.count, w=w, a=1.0 + 0.0j)
+    core = _chirp_z(y, grid_out.count, sign * du * dw / hbar)
     k = np.arange(grid_out.count)
     post = np.exp(sign * 1j * u0 * k * dw / hbar)
     return (du / math.sqrt(2.0 * math.pi * hbar)) * post * core
@@ -153,22 +185,25 @@ def default_oriented_grid(psi_tilde: WaveFunction, p_min: float | None = None,
     the inner support edge (ds = |p| dp / m there), which also guarantees the
     arrival-time content of any packet that fits the position box is below
     Nyquist.  Depends on |psi~| only, so phase changes (free evolution) leave
-    the default grid unchanged.
+    the default grid unchanged.  An all-zero input has no support and gets the
+    1024-point minimum grid over the momentum box.
     """
     m = psi_tilde.params.mass
     p = psi_tilde.points
     amp = np.abs(psi_tilde.values)
-    if p_min is None:
-        p_min = default_momentum_floor(psi_tilde.grid)
-    support = amp >= _SUPPORT_CUT * amp.max()
-    p_sup = np.abs(p[support])
-    p_hi = float(p_sup.max())
-    p_lo = max(float(p_sup.min()), p_min)
-    s_max = margin * p_hi**2 / (2.0 * m)
-    s_max = min(s_max, float(np.abs(p).max()) ** 2 / (2.0 * m) * margin)
-    ds_target = 0.5 * p_lo * psi_tilde.grid.step / m
-    count = 2 ** int(math.ceil(math.log2(2.0 * s_max / ds_target)))
-    count = min(max(count, 1024), max_count)
+    s_box = float(np.abs(p).max()) ** 2 / (2.0 * m) * margin
+    peak = amp.max()
+    if peak == 0.0:  # nothing to resolve: the minimum grid over the box
+        s_max, count = s_box, 1024
+    else:
+        if p_min is None:
+            p_min = default_momentum_floor(psi_tilde.grid)
+        p_sup = np.abs(p[amp >= _SUPPORT_CUT * peak])
+        p_lo = max(float(p_sup.min()), p_min)
+        s_max = min(margin * float(p_sup.max()) ** 2 / (2.0 * m), s_box)
+        ds_target = 0.5 * p_lo * psi_tilde.grid.step / m
+        count = 2 ** int(math.ceil(math.log2(2.0 * s_max / ds_target)))
+        count = min(max(count, 1024), max_count)
     ds = 2.0 * s_max / count
     return Grid1D(-(count // 2) * ds, ds, count)
 

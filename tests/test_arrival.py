@@ -100,6 +100,7 @@ def test_fast_path_parseval(reference_momentum, arrival_grid):
 
 def test_fast_path_zero_input(reference_momentum, arrival_grid):
     zero = reference_momentum.with_values(np.zeros_like(reference_momentum.values))
+    assert fq.default_oriented_grid(zero).count == 1024  # not the 2**22 cap
     out = fq.arrival_amplitude_fast(zero, arrival_grid)
     assert np.all(out.values == 0.0)
 

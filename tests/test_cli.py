@@ -1,9 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+from importlib import resources
+from pathlib import Path
 
+import jsonschema
 import pytest
 
+import flowquant
 from flowquant.cli import main
 from flowquant.scenarios import list_scenarios, load_scenario, scenario_path
 
@@ -22,6 +27,24 @@ def test_shipped_scenarios_validate():
     assert "reference_rightmover.json" in names
     for name in names:
         load_scenario(scenario_path(name))
+
+
+def test_published_schema_is_valid():
+    # loads validate against a cached validator that skips this check
+    text = resources.files("flowquant").joinpath(
+        "schema/scenario.schema.json").read_text(encoding="utf-8")
+    jsonschema.Draft202012Validator.check_schema(json.loads(text))
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(flowquant.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    probe = ("import sys, flowquant.cli; print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_scenario_rejects_unknown_keys(tmp_path):

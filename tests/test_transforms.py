@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import flowquant as fq
-from flowquant.transforms import fourier_eval
+from flowquant.transforms import _fft_size, fourier_eval
 
 
 def test_gaussian_self_transform(centered_packet):
@@ -205,3 +205,26 @@ def test_fourier_eval_matches_conjugate_path(reference_packet):
     direct = fourier_eval(reference_packet.values, reference_packet.grid, probe,
                           -1, reference_packet.params.hbar)
     assert np.abs(direct - pt.values).max() <= 1e-9  # chirp-z rounding floor
+
+
+@pytest.mark.parametrize("n_in,n_out", [(40, 17), (17, 40), (32, 32), (33, 21),
+                                        (9, 125)])
+def test_fourier_eval_matches_direct_sum(n_in, n_out):
+    # n_in > n_out needs the input chirp beyond the output range
+    rng = np.random.default_rng(n_in * 1000 + n_out)
+    hbar = 0.7
+    grid_in = fq.Grid1D(-1.3, 0.11, n_in)
+    grid_out = fq.Grid1D(0.4, 0.173, n_out)
+    values = rng.normal(size=n_in) + 1j * rng.normal(size=n_in)
+    for sign in (-1, 1):
+        kern = np.exp(sign * 1j * np.outer(grid_out.points, grid_in.points) / hbar)
+        direct = grid_in.step / math.sqrt(2.0 * math.pi * hbar) * (kern @ values)
+        fast = fourier_eval(values, grid_in, grid_out, sign, hbar)
+        assert np.abs(fast - direct).max() <= 1e-13 * np.abs(direct).max()
+
+
+def test_fft_size_is_the_smallest_5_smooth_length():
+    smooth = sorted(2**a * 3**b * 5**c for a in range(24) for b in range(15)
+                    for c in range(11))
+    for n in list(range(1, 3000)) + [66559, 132095, 4195327]:
+        assert _fft_size(n) == next(s for s in smooth if s >= n)
