@@ -33,7 +33,7 @@ from .classical import (ArrivalStats, Histogram, Marginals,
                         quantum_momentum_limit)
 from .errors import (BinRangeTooSmall, BoxOverflow, FlowQuantError,
                      GridMismatch, GridTooSmall, InconclusiveClassification,
-                     IntervalOutOfRange, LowMomentumMass,
+                     IntervalOutOfRange, InvalidParameter, LowMomentumMass,
                      MomentumFloorViolated, NegativeMomentumLeak,
                      NonPositiveWidth, NotComplete, NotPluggable, OutOfDomain,
                      QuadratureNonConvergence, RepMismatch, RoughInput,

@@ -24,13 +24,13 @@ term integrates to zero while remaining visible pointwise.
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (IntervalOutOfRange, LowMomentumMass, NegativeMomentumLeak,
-                     QuadratureNonConvergence, RepMismatch, ZeroWeightComponent)
+from .errors import (IntervalOutOfRange, InvalidParameter, LowMomentumMass,
+                     NegativeMomentumLeak, QuadratureNonConvergence,
+                     RepMismatch, ZeroWeightComponent)
 from .grids import (Grid1D, PhysicalParams, Representation, WaveFunction,
                     moments, norm_squared)
 from .transforms import (default_momentum_floor, default_oriented_grid,
@@ -141,25 +141,16 @@ def arrival_amplitude_fast(psi_tilde: WaveFunction, grid_T: Grid1D | None = None
 
 
 def _momentum_at(psi_x: WaveFunction, p_nodes: np.ndarray,
-                 chunk: int = 512, threads: int = 1) -> np.ndarray:
+                 chunk: int = 512) -> np.ndarray:
     """Trigonometric evaluation of psi~ at arbitrary momenta from x-samples."""
     x = psi_x.grid.points
     hbar = psi_x.params.hbar
     pref = psi_x.grid.step / math.sqrt(2.0 * math.pi * hbar)
     out = np.empty(len(p_nodes), dtype=np.complex128)
-
-    def work(lo):
-        hi = min(lo + chunk, len(p_nodes))
-        kern = np.exp(-1j * np.outer(p_nodes[lo:hi], x) / hbar)
-        out[lo:hi] = pref * (kern @ psi_x.values)
-
-    starts = range(0, len(p_nodes), chunk)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(work, starts))
-    else:
-        for lo in starts:
-            work(lo)
+    for lo in range(0, len(p_nodes), chunk):
+        # No name holds a chunk's kernel, so it is freed before the next is built.
+        out[lo:lo + chunk] = pref * (
+            np.exp(-1j * np.outer(p_nodes[lo:lo + chunk], x) / hbar) @ psi_x.values)
     return out
 
 
@@ -185,8 +176,7 @@ _ORACLE_SUPPORT_CUT = 1e-12
 def arrival_amplitude_quadrature(psi_tilde: WaveFunction, grid_T: Grid1D,
                                  rel_tol: float = 1e-8,
                                  start_nodes: int = 256,
-                                 max_nodes: int = 2**17,
-                                 threads: int = 1) -> WaveFunction:
+                                 max_nodes: int = 2**17) -> WaveFunction:
     """Arrival amplitude by direct oscillatory quadrature (the oracle).
 
     Composite Gauss-Legendre quadrature of the momentum integral, with the
@@ -221,22 +211,12 @@ def arrival_amplitude_quadrature(psi_tilde: WaveFunction, grid_T: Grid1D,
         phi = np.zeros(len(T), dtype=np.complex128)
         for sgn, lo, hi in branches:
             nodes, weights = _gauss_panels(lo, hi, n_nodes)
-            vals = _momentum_at(psi_x, sgn * nodes, threads=threads)
+            vals = _momentum_at(psi_x, sgn * nodes)
             base = weights * vals * np.sqrt(nodes / m) / math.sqrt(2.0 * math.pi * hbar)
             s_nodes = sgn * nodes**2 / (2.0 * m)
-
-            def work(lo_t):
-                hi_t = min(lo_t + 64, len(T))
-                kern = np.exp(-1j * np.outer(T[lo_t:hi_t], s_nodes) / hbar)
-                phi[lo_t:hi_t] += kern @ base
-
-            starts = range(0, len(T), 64)
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as ex:
-                    list(ex.map(work, starts))
-            else:
-                for lo_t in starts:
-                    work(lo_t)
+            for lo_t in range(0, len(T), 64):
+                phi[lo_t:lo_t + 64] += np.exp(
+                    -1j * np.outer(T[lo_t:lo_t + 64], s_nodes) / hbar) @ base
         return phi
 
     n = start_nodes
@@ -359,7 +339,9 @@ def make_backflow_packet(grid_p: Grid1D, params: PhysicalParams,
     packet develops regions of negative probability current at later times.
     """
     if not (spec.sigma > 0.0 and min(spec.p1, spec.p2) > 4.0 * spec.sigma):
-        raise ValueError("need p1, p2 > 4 sigma > 0 for a positive-momentum packet")
+        raise InvalidParameter(
+            f"backflow packet needs p1, p2 > 4 sigma > 0 to carry positive momenta "
+            f"only, got p1={spec.p1:g}, p2={spec.p2:g}, sigma={spec.sigma:g}")
     p = grid_p.points
     g1 = np.exp(-((p - spec.p1) ** 2) / (4.0 * spec.sigma**2))
     g2 = np.exp(-((p - spec.p2) ** 2) / (4.0 * spec.sigma**2))

@@ -102,30 +102,30 @@ def cmd_arrival(cfg: dict, out_dir: str, args) -> int:
                ["T", "total", "plus", "minus", "interference"],
                zip(T, dist.total, dist.plus, dist.minus, dist.interference))
 
-    plus_moments = arrival_moments(dist, Component.PLUS)
     summary = {
         "w_plus": dist.w_plus,
         "w_minus": dist.w_minus,
-        "mean_T_plus": plus_moments.mean,
-        "var_T_plus": plus_moments.variance,
         "norm_defect": abs(float(np.trapezoid(dist.total, T))
                            - norm_squared(psi_tilde)),
     }
-    if dist.w_minus > 1e-6:
-        minus_moments = arrival_moments(dist, Component.MINUS)
-        summary["mean_T_minus"] = minus_moments.mean
-        summary["var_T_minus"] = minus_moments.variance
+    for name, component in (("plus", Component.PLUS), ("minus", Component.MINUS)):
+        if summary[f"w_{name}"] > 1e-6:
+            mover = arrival_moments(dist, component)
+            summary[f"mean_T_{name}"] = mover.mean
+            summary[f"var_T_{name}"] = mover.variance
+    if "mean_T_minus" in summary:
         # left movers arrive physically at -T
-        summary["mean_arrival_minus"] = -minus_moments.mean
+        summary["mean_arrival_minus"] = -summary["mean_T_minus"]
     if args.oracle:
-        oracle = arrival_amplitude_quadrature(psi_tilde, dist.grid_T,
-                                              threads=args.threads)
+        oracle = arrival_amplitude_quadrature(psi_tilde, dist.grid_T)
         fast = arrival_amplitude_fast(psi_tilde, dist.grid_T, s_grid=s_grid)
         scale = float(np.abs(oracle.values).max())
         summary["oracle_l_inf"] = float(
             np.abs(oracle.values - fast.values).max() / scale)
     _write_json(os.path.join(out_dir, "arrival_summary.json"), summary)
-    print(f"w_plus={summary['w_plus']:.6f} mean_T_plus={summary['mean_T_plus']:.4f}")
+    lead = "plus" if "mean_T_plus" in summary else "minus"
+    print(f"w_{lead}={summary[f'w_{lead}']:.6f} "
+          f"mean_T_{lead}={summary[f'mean_T_{lead}']:.4f}")
     return 0
 
 
@@ -231,16 +231,12 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="scenario JSON file")
         p.add_argument("--out", default=os.environ.get("FLOWQUANT_OUT", "out"),
                        help="output directory (env FLOWQUANT_OUT overrides the default)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap for parallel kernels; output independent of N")
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
         if name == "arrival":
             p.add_argument("--oracle", action="store_true",
                            help="also run the oscillatory-quadrature oracle")
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
 
     try:
         cfg = load_scenario(args.config)

@@ -5,6 +5,10 @@ class FlowQuantError(Exception):
     """Base class for all errors raised by flowquant."""
 
 
+class InvalidParameter(FlowQuantError, ValueError):
+    """A grid, constant or packet parameter is outside its valid range."""
+
+
 class GridMismatch(FlowQuantError):
     """Two wave functions live on different grids."""
 

@@ -18,7 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatch, GridTooSmall, NonPositiveWidth, RepMismatch
+from .errors import (GridMismatch, GridTooSmall, InvalidParameter,
+                     NonPositiveWidth, RepMismatch)
 
 
 class Representation(enum.Enum):
@@ -38,11 +39,11 @@ class Grid1D:
 
     def __post_init__(self):
         if not (math.isfinite(self.origin) and math.isfinite(self.step)):
-            raise ValueError("grid origin and step must be finite")
+            raise InvalidParameter("grid origin and step must be finite")
         if self.step <= 0.0:
-            raise ValueError(f"grid step must be positive, got {self.step}")
+            raise InvalidParameter(f"grid step must be positive, got {self.step}")
         if self.count < 8:
-            raise ValueError(f"grid needs at least 8 points, got {self.count}")
+            raise InvalidParameter(f"grid needs at least 8 points, got {self.count}")
 
     @cached_property
     def points(self) -> np.ndarray:
@@ -70,6 +71,9 @@ class Grid1D:
     @classmethod
     def from_bounds(cls, lo: float, hi: float, count: int) -> "Grid1D":
         """Grid covering [lo, hi) with the usual half-open FFT layout."""
+        if not hi > lo:
+            raise InvalidParameter(
+                f"grid bounds must increase, got min {lo:g}, max {hi:g}")
         return cls(lo, (hi - lo) / count, count)
 
 
@@ -82,9 +86,9 @@ class PhysicalParams:
 
     def __post_init__(self):
         if not (self.hbar > 0.0 and math.isfinite(self.hbar)):
-            raise ValueError("hbar must be positive")
+            raise InvalidParameter("hbar must be positive")
         if not (self.mass > 0.0 and math.isfinite(self.mass)):
-            raise ValueError("mass must be positive")
+            raise InvalidParameter("mass must be positive")
 
 
 @dataclass(frozen=True, eq=False)

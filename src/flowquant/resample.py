@@ -109,10 +109,10 @@ def resample_complex(nodes: np.ndarray, values: np.ndarray,
     # the safer choice.
     jumps = np.abs(np.diff(packed.imag)) >= _PHASE_JUMP_LIMIT
     if np.any(jumps):
-        linear = np.interp(q, nodes, values.real) + \
-            1j * np.interp(q, nodes, values.imag)
         bad = jumps[np.clip(np.floor(t).astype(np.intp), 0, len(nodes) - 2)]
-        interp[bad] = linear[bad]
+        q_bad = q[bad]
+        interp[bad] = np.interp(q_bad, nodes, values.real) + \
+            1j * np.interp(q_bad, nodes, values.imag)
 
     out[inside] = interp
     return out, residual

@@ -19,7 +19,8 @@ from .flows import (ProbeSpec, VectorField1D, arrival_field, constant_field,
                     cubic_field, expression_field, linear_field,
                     oriented_arrival_field, quadratic_field,
                     straightened_oriented_field)
-from .grids import Grid1D, PhysicalParams, WaveFunction, gaussian_packet
+from .grids import (Grid1D, PhysicalParams, Representation, WaveFunction,
+                    gaussian_packet)
 
 
 @cache
@@ -114,7 +115,9 @@ def build_packet(cfg: dict, params: PhysicalParams, x_grid: Grid1D) -> WaveFunct
             amp = comp.get("amplitude", 1.0) * np.exp(1j * comp.get("phase", 0.0))
             total = total + amp * part.values
         nrm = math.sqrt(float(np.sum(np.abs(total) ** 2) * x_grid.step))
-        from .grids import Representation
+        if not (nrm > 0.0 and math.isfinite(nrm)):
+            raise ScenarioError(
+                f"superposition components sum to a state of norm {nrm:g}")
         return WaveFunction(x_grid, total / nrm, Representation.POSITION, params)
     if kind == "backflow":
         spec = BackflowSpec(

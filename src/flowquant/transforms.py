@@ -126,10 +126,19 @@ def fourier_eval(values: np.ndarray, grid_in: Grid1D, grid_out: Grid1D,
     Uses the chirp-z transform, so the output grid is free to have any origin,
     spacing and count.  Unlike the conjugate-grid path this is not exactly
     norm-preserving; it is the trigonometric evaluation of the input samples.
+    Runs of exact zeros at either end of the input add nothing to the sum and
+    are skipped, so the cost scales with the nonzero span: a single mover's
+    oriented-energy samples, zero on the other sign of s, cost half a grid.
     """
-    u0, du = grid_in.origin, grid_in.step
+    # argmax on the mask finds each end without an index array.
+    nonzero = values != 0.0
+    lo = int(nonzero.argmax())
+    if not nonzero[lo]:
+        return np.zeros(grid_out.count, dtype=np.complex128)
+    hi = len(values) - int(nonzero[::-1].argmax())
+    u0, du = grid_in.point(lo), grid_in.step
     w0, dw = grid_out.origin, grid_out.step
-    y = values * np.exp(sign * 1j * grid_in.points * w0 / hbar)
+    y = values[lo:hi] * np.exp(sign * 1j * grid_in.points[lo:hi] * w0 / hbar)
     core = _chirp_z(y, grid_out.count, sign * du * dw / hbar)
     k = np.arange(grid_out.count)
     post = np.exp(sign * 1j * u0 * k * dw / hbar)

@@ -118,6 +118,62 @@ def test_arrival_mixed_beam_interference(tmp_path):
     assert abs(summary["w_minus"] - 0.5) <= 1e-6
 
 
+def test_arrival_left_mover_only(tmp_path, capsys):
+    cfg = json.loads(open(scenario_path("reference_rightmover.json"),
+                          encoding="utf-8").read())
+    cfg["packet"].update(center_x=50.0, center_p=-2.0)
+    cfg["grids"].pop("T", None)
+    path = tmp_path / "left.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("arrival", "--config", str(path), "--out", str(out)) == 0
+    summary = read_json(out / "arrival_summary.json")
+    assert summary["w_plus"] <= 1e-6
+    assert "mean_T_plus" not in summary
+    # T = -m x / |p| = -25; a left-mover arrives physically at -T
+    assert abs(summary["mean_T_minus"] + 25.0) <= 0.02 * 25.0
+    assert summary["mean_arrival_minus"] == -summary["mean_T_minus"]
+    assert "mean_T_minus=" in capsys.readouterr().out
+
+
+def _refusal(tmp_path, capsys, command, cfg):
+    path = tmp_path / "refused.json"
+    path.write_text(json.dumps({"name": "refused", **cfg}), encoding="utf-8")
+    capsys.readouterr()
+    rc = run_cli(command, "--config", str(path), "--out", str(tmp_path / "out"))
+    err = capsys.readouterr().err.strip().splitlines()
+    return rc, err
+
+
+def test_refuses_reversed_grid_bounds(tmp_path, capsys):
+    rc, err = _refusal(tmp_path, capsys, "arrival", {
+        "packet": {"type": "gaussian", "center_x": -50.0, "center_p": 2.0,
+                   "sigma_p": 0.2},
+        "grids": {"x": {"min": 200.0, "max": -200.0, "count": 4096}}})
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
+    assert "bounds" in err[0]
+
+
+def test_refuses_slow_backflow_packet(tmp_path, capsys):
+    rc, err = _refusal(tmp_path, capsys, "backflow", {
+        "packet": {"type": "backflow", "p1": 0.3, "p2": 3.0, "sigma": 0.1},
+        "grids": {"x": {"min": -128.0, "max": 128.0, "count": 4096}},
+        "backflow_scan": {"x_range": [-20.0, 20.0], "x_count": 11,
+                          "t_range": [0.0, 10.0], "t_count": 11}})
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
+    assert "4 sigma" in err[0]
+
+
+def test_refuses_zero_norm_superposition(tmp_path, capsys):
+    part = {"center_x": -50.0, "center_p": 2.0, "sigma_p": 0.2}
+    rc, err = _refusal(tmp_path, capsys, "arrival", {
+        "packet": {"type": "superposition", "components": [
+            {**part, "amplitude": 1.0}, {**part, "amplitude": -1.0}]},
+        "grids": {"x": {"min": -200.0, "max": 200.0, "count": 4096}}})
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
+    assert "norm" in err[0]
+
+
 def test_classical_limit_command(tmp_path):
     out = tmp_path / "out"
     assert run_cli("classical-limit", "--config",

@@ -223,6 +223,32 @@ def test_fourier_eval_matches_direct_sum(n_in, n_out):
         assert np.abs(fast - direct).max() <= 1e-13 * np.abs(direct).max()
 
 
+@pytest.mark.parametrize("zeros", [
+    {"start": 30},
+    {"end": 25},
+    {"start": 12, "end": 40},
+    {"start": 7, "end": 3, "interior": (20, 31)},
+    {"start": 50, "end": 13},  # a single nonzero sample
+    {"start": 64},  # all zeros: the bound below then demands exact zeros
+], ids=["start", "end", "both", "interior", "single", "all"])
+def test_fourier_eval_skips_zero_ends(zeros):
+    rng = np.random.default_rng(len(zeros))
+    hbar = 0.7
+    grid_in = fq.Grid1D(-1.3, 0.11, 64)
+    grid_out = fq.Grid1D(0.4, 0.173, 37)
+    values = rng.normal(size=64) + 1j * rng.normal(size=64)
+    values[:zeros.get("start", 0)] = 0.0
+    values[64 - zeros.get("end", 0):] = 0.0
+    lo, hi = zeros.get("interior", (0, 0))
+    values[lo:hi] = 0.0  # interior zeros stay inside the transformed span
+    for sign in (-1, 1):
+        kern = np.exp(sign * 1j * np.outer(grid_out.points, grid_in.points) / hbar)
+        direct = grid_in.step / math.sqrt(2.0 * math.pi * hbar) * (kern @ values)
+        fast = fourier_eval(values, grid_in, grid_out, sign, hbar)
+        assert fast.shape == direct.shape
+        assert np.abs(fast - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
 def test_fft_size_is_the_smallest_5_smooth_length():
     smooth = sorted(2**a * 3**b * 5**c for a in range(24) for b in range(15)
                     for c in range(11))
