@@ -33,18 +33,19 @@ from .classical import (ArrivalStats, Histogram, Marginals,
                         quantum_momentum_limit)
 from .errors import (BinRangeTooSmall, BoxOverflow, FlowQuantError,
                      GridMismatch, GridTooSmall, InconclusiveClassification,
-                     IntervalOutOfRange, InvalidParameter, LowMomentumMass,
-                     MomentumFloorViolated, NegativeMomentumLeak,
-                     NonPositiveWidth, NotComplete, NotPluggable, OutOfDomain,
-                     QuadratureNonConvergence, RepMismatch, RoughInput,
-                     ScenarioError, ZeroFieldValue, ZeroWeightComponent)
+                     IntegrationFailure, IntervalOutOfRange, InvalidParameter,
+                     LowMomentumMass, MomentumFloorViolated,
+                     NegativeMomentumLeak, NonPositiveWidth, NotComplete,
+                     NotPluggable, OutOfDomain, QuadratureNonConvergence,
+                     RepMismatch, RoughInput, ScenarioError, ZeroFieldValue,
+                     ZeroWeightComponent)
 from .flows import (EscapeSample, FlowClass, FlowResult, FlowVerdict,
                     ProbeSpec, VectorField1D, apply_generator, arrival_field,
                     classify_flow, constant_field, cubic_field,
-                    expression_field, integrate_flow, lie_derivative,
-                    linear_field, oriented_arrival_field,
-                    pluggable_transport, quadratic_field, straighten,
-                    straightened_oriented_field, transport)
+                    integrate_flow, lie_derivative, linear_field,
+                    oriented_arrival_field, pluggable_transport,
+                    quadratic_field, straighten, straightened_oriented_field,
+                    transport)
 from .grids import (CurrentField, Grid1D, PhysicalParams, Representation,
                     WaveFunction, gaussian_packet, inner_product, moments,
                     norm_squared, packet_fits_box, probability_current,

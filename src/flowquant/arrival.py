@@ -32,7 +32,7 @@ from .errors import (IntervalOutOfRange, InvalidParameter, LowMomentumMass,
                      NegativeMomentumLeak, QuadratureNonConvergence,
                      RepMismatch, ZeroWeightComponent)
 from .grids import (Grid1D, PhysicalParams, Representation, WaveFunction,
-                    moments, norm_squared)
+                    gauss_panels, moments, norm_squared)
 from .transforms import (default_momentum_floor, default_oriented_grid,
                          from_oriented_energy, low_momentum_mass,
                          to_arrival_time, to_momentum, to_oriented_energy,
@@ -154,20 +154,6 @@ def _momentum_at(psi_x: WaveFunction, p_nodes: np.ndarray,
     return out
 
 
-def _gauss_panels(lo: float, hi: float, n_target: int,
-                  order: int = 32) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes/weights over [lo, hi]."""
-    from numpy.polynomial.legendre import leggauss
-    xg, wg = leggauss(order)
-    n_panels = max(4, int(math.ceil(n_target / order)))
-    edges = np.linspace(lo, hi, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    weights = (half[:, None] * wg[None, :]).ravel()
-    return nodes, weights
-
-
 # Above the trigonometric-evaluation noise floor (~1e-15 of the peak); the
 # truncated tail contributes O(1e-11) of the amplitude.
 _ORACLE_SUPPORT_CUT = 1e-12
@@ -210,7 +196,8 @@ def arrival_amplitude_quadrature(psi_tilde: WaveFunction, grid_T: Grid1D,
     def level(n_nodes: int) -> np.ndarray:
         phi = np.zeros(len(T), dtype=np.complex128)
         for sgn, lo, hi in branches:
-            nodes, weights = _gauss_panels(lo, hi, n_nodes)
+            edges = np.linspace(lo, hi, max(4, math.ceil(n_nodes / 32)) + 1)
+            nodes, weights = (a.ravel() for a in gauss_panels(edges[:-1], edges[1:]))
             vals = _momentum_at(psi_x, sgn * nodes)
             base = weights * vals * np.sqrt(nodes / m) / math.sqrt(2.0 * math.pi * hbar)
             s_nodes = sgn * nodes**2 / (2.0 * m)

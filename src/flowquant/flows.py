@@ -23,22 +23,22 @@ Key conventions:
   coverage of the probe window is unreliable for contracting complete flows,
   so the reverse-run identity is what the classifier reports.
 
-SciPy is needed only by ``integrate_flow`` and ``straighten`` (and their
-helper ``_tail_time``), which import it when called; classification,
-transport and the CLI run on numpy alone.
+Every flow runs on one numpy Dormand-Prince stepper (``integrate_ensemble``),
+and every travel-time integral of 1/X on composite Gauss-Legendre panels.
 """
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import (InconclusiveClassification, NotComplete, NotPluggable,
-                     OutOfDomain, RoughInput, ZeroFieldValue)
-from .grids import WaveFunction, norm_squared, spectral_derivative
+from .errors import (InconclusiveClassification, IntegrationFailure,
+                     InvalidParameter, NotComplete, NotPluggable, OutOfDomain,
+                     RoughInput, ZeroFieldValue)
+from .grids import (WaveFunction, gauss_panels, norm_squared,
+                    spectral_derivative)
 from .resample import resample_complex
 from .transforms import TransformReport
 
@@ -142,19 +142,6 @@ def straightened_oriented_field() -> VectorField1D:
     return VectorField1D(f.func, f.deriv, label="m/|p| straightened")
 
 
-def expression_field(expression: str) -> VectorField1D:
-    """Field from a sympy-parsable expression in the symbol x."""
-    import sympy
-
-    x = sympy.Symbol("x")
-    expr = sympy.sympify(expression)
-    func = sympy.lambdify(x, expr, modules="numpy")
-    deriv = sympy.lambdify(x, sympy.diff(expr, x), modules="numpy")
-    return VectorField1D(lambda u: np.asarray(func(u), dtype=float),
-                         lambda u: np.asarray(deriv(u), dtype=float),
-                         label=expression)
-
-
 # --------------------------------------------------------------------------
 # Single-trajectory integration
 
@@ -170,111 +157,117 @@ class FlowResult:
     escape_time_estimate: float | None = None
 
 
+def _panel_time(field: VectorField1D, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Travel time, the integral of 1/X, across each panel [lo, hi]."""
+    nodes, weights = gauss_panels(lo, hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.sum(weights / field(nodes), axis=-1)
+
+
+_SPLIT_TOL = 1e-14   # relative agreement of a panel with its two halves
+_MAX_PANELS = 256    # live panels per integral before they are taken as is
+_TRAVEL_CHUNK = 4096  # integrals per pass, to bound the memory
+
+
+def _travel_time(field: VectorField1D, a, b) -> np.ndarray:
+    """Integral of 1/X from a to b, elementwise, on Gauss-Legendre panels
+    halved until their halves agree: a 1/X that blows up just beyond an end
+    or peaks between the ends is resolved to rounding.  Non-finite panels
+    are not split; they make the result non-finite."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
+                               np.asarray(b, dtype=float))
+    shape, a, b = a.shape, a.ravel(), b.ravel()
+    out = np.zeros(a.size)
+    for start in range(0, a.size, _TRAVEL_CHUNK):
+        lo, hi = a[start:start + _TRAVEL_CHUNK], b[start:start + _TRAVEL_CHUNK]
+        owner = np.arange(start, start + lo.size)
+        whole = _panel_time(field, lo, hi)
+        while owner.size:
+            mid = 0.5 * (lo + hi)
+            left, right = _panel_time(field, lo, mid), _panel_time(field, mid, hi)
+            halves = left + right
+            crowded = np.bincount(owner)[owner] > _MAX_PANELS
+            done = (~np.isfinite(halves) | crowded
+                    | (np.abs(whole - halves) <= _SPLIT_TOL * np.abs(halves)))
+            np.add.at(out, owner[done], halves[done])
+            split = ~done
+            owner = np.concatenate([owner[split], owner[split]])
+            lo, hi = (np.concatenate([lo[split], mid[split]]),
+                      np.concatenate([mid[split], hi[split]]))
+            whole = np.concatenate([left[split], right[split]])
+    return out.reshape(shape)
+
+
+_TAIL_SEGMENTS = 200
+
+
 def _tail_time(field: VectorField1D, x_from: float, direction: int,
                target: float) -> float | None:
     """Remaining travel time from x_from to target (may be +-inf) along the flow.
 
-    Integrates dxi / (direction * X(xi)) over doubling (or halving) segments;
-    returns None when the integral diverges, i.e. the point is never reached.
+    Integrates dxi / (direction * X(xi)) over doubling segments (halving ones
+    toward a finite target) and stops at the first segment that no longer
+    adds to the total; returns None when the integral diverges, i.e. the
+    point is never reached.  Halving segments that round onto the target
+    sample 1/X there, so a zero of X at the target counts as divergence.
     """
-    from scipy.integrate import IntegrationWarning, quad
+    if math.isinf(target):
+        edges = [x_from]
+        for _ in range(_TAIL_SEGMENTS):
+            edges.append(edges[-1] + math.copysign(max(1.0, abs(edges[-1])), target))
+        edges = np.array(edges)
+    else:
+        edges = target + (x_from - target) * 0.5 ** np.arange(_TAIL_SEGMENTS + 1)
+    seg = direction * _travel_time(field, edges[:-1], edges[1:])
+    total = np.cumsum(seg)
+    diverged = ~np.isfinite(total) | (np.abs(total) > 1e9)
+    settled = np.abs(seg) < 1e-13 * (1.0 + np.abs(total))
+    stop = np.flatnonzero(diverged | settled)
+    if stop.size == 0 or diverged[stop[0]]:
+        return None
+    return abs(float(total[stop[0]]))
 
-    def integrand(xi):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return 1.0 / (direction * field.func(xi))
 
-    total = 0.0
-    prev = x_from
-    for k in range(200):
-        if math.isinf(target):
-            nxt = prev * 2.0 if abs(prev) > 1.0 else prev + math.copysign(1.0, target)
-        else:
-            nxt = prev + 0.5 * (target - prev)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            seg, _ = quad(integrand, prev, nxt, limit=200)
-        total += seg
-        if not math.isfinite(total) or abs(total) > 1e9:
-            return None
-        if abs(seg) < 1e-13 * (1.0 + abs(total)):
-            return abs(total)
-        prev = nxt
-    return None
+def _flow_rhs(field: VectorField1D, direction: int) -> Callable:
+    """dx/dt = direction * X(x) on integrate_ensemble's (m, 1) states."""
+    return lambda y: direction * np.asarray(field(y[:, 0]), dtype=float)[:, None]
+
+
+_FLOW_RTOL, _FLOW_ATOL = 1e-10, 1e-12  # tighter than the classifier's
 
 
 def integrate_flow(field: VectorField1D, x0: float, t: float,
                    escape_radius: float = 1e6) -> FlowResult:
     """Adaptive integration of the flow with escape detection.
 
-    Embedded Runge-Kutta at relative tolerance 1e-10.  If |x| crosses the
-    escape radius (or the trajectory reaches a finite domain boundary) before
-    time t, the result is flagged escaped and the blow-up time is estimated
-    by adding the residual travel time beyond the crossing point.
+    One probe of ``integrate_ensemble`` at relative tolerance 1e-10.  If |x|
+    crosses the escape radius before time t, the result is flagged escaped
+    and the blow-up time is estimated by adding the residual travel time
+    beyond the last step; a trajectory that reaches a finite domain boundary
+    is flagged escaped at the time it gets there.
     """
-    from scipy.integrate import solve_ivp
-
     if not field.contains(x0):
         raise OutOfDomain(f"x0 = {x0} outside the domain of field {field.label!r}")
     if escape_radius <= abs(x0):
-        raise ValueError("escape_radius must exceed |x0|")
+        raise InvalidParameter("escape_radius must exceed |x0|")
     if t == 0.0:
         return FlowResult(x0, 0.0, 0.0, x0, False)
 
     direction = 1 if t > 0 else -1
-    tau_end = abs(t)
-    comp = field.component_of(x0)
-
-    def rhs(_tau, y):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return [direction * float(field.func(y[0]))]
-
-    events = []
-
-    def esc_hi(_tau, y):
-        return y[0] - escape_radius
-    esc_hi.terminal = True
-
-    def esc_lo(_tau, y):
-        return y[0] + escape_radius
-    esc_lo.terminal = True
-    events += [esc_hi, esc_lo]
-
-    boundaries = [b for b in comp if math.isfinite(b)]
-    for b in boundaries:
-        def hit(_tau, y, b=b):
-            return y[0] - b
-        hit.terminal = True
-        events.append(hit)
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sol = solve_ivp(rhs, (0.0, tau_end), [x0], method="RK45",
-                        rtol=1e-10, atol=1e-12, events=events)
-
-    hit_idx = [i for i, te in enumerate(sol.t_events) if len(te)]
-    if hit_idx:
-        i = hit_idx[0]
-        tau_ev = float(sol.t_events[i][0])
-        x_ev = float(sol.y_events[i][0][0])
-        if i < 2:  # escape through the radius
-            target = math.copysign(math.inf, x_ev)
-        else:      # reached a finite domain boundary
-            target = boundaries[i - 2]
-        tail = _tail_time(field, x_ev, direction, target)
-        estimate = None if tail is None else direction * (tau_ev + tail)
-        return FlowResult(x0, t, direction * tau_ev, None, True, estimate)
-
-    if sol.status == -1:
-        # Step-size underflow: the trajectory ground to a halt against a
-        # domain boundary where X diverges.
-        x_last = float(sol.y[0, -1])
-        near = [b for b in boundaries if abs(x_last - b) <= 1e-3 * (1.0 + abs(b))]
-        if near:
-            tau_ev = float(sol.t[-1])
-            return FlowResult(x0, t, direction * tau_ev, None, True,
-                              direction * tau_ev)
-        raise RuntimeError(f"flow integration failed: {sol.message}")
-
-    return FlowResult(x0, t, t, float(sol.y[0, -1]), False)
+    bounds = tuple(b for b in field.component_of(x0) if math.isfinite(b))
+    res = integrate_ensemble(_flow_rhs(field, direction), np.array([x0]),
+                             abs(t), escape_radius, bounds,
+                             rtol=_FLOW_RTOL, atol=_FLOW_ATOL)
+    if res.status[0] == DONE:
+        return FlowResult(x0, t, t, float(res.state[0, 0]), False)
+    tau = float(res.t_event[0])
+    if res.status[0] == ESCAPED:
+        x_last = float(res.state[0, 0])
+        tail = _tail_time(field, x_last, direction, math.copysign(math.inf, x_last))
+        estimate = None if tail is None else direction * (float(res.t_reached[0]) + tail)
+    else:
+        estimate = direction * tau
+    return FlowResult(x0, t, direction * tau, None, True, estimate)
 
 
 # --------------------------------------------------------------------------
@@ -400,10 +393,11 @@ def integrate_ensemble(f: Callable, y0: np.ndarray, t_end: float,
                 status[i] = BOUNDARY
                 t_event[i] = t[i]
             else:
-                raise RuntimeError(
+                raise IntegrationFailure(
                     f"ensemble integration stalled at x = {y[i, 0]} away from any boundary")
     else:
-        raise RuntimeError("ensemble integration exceeded the iteration budget")
+        raise IntegrationFailure(
+            f"ensemble integration exceeded its budget of {max_iter} iterations")
 
     return EnsembleResult(y, t, status, t_event)
 
@@ -474,6 +468,10 @@ def classify_flow(field: VectorField1D, probes: ProbeSpec = ProbeSpec()) -> Flow
     ProbeSpec.
     """
     a, b = probes.interval
+    if probes.escape_radius <= max(abs(a), abs(b)):
+        raise InvalidParameter(
+            f"escape_radius {probes.escape_radius:g} must exceed |x| on the "
+            f"probe interval [{a:g}, {b:g}]")
     step = (b - a) / probes.count
     grid = a + step * (np.arange(probes.count) + 0.5)
     keep = np.fromiter((field.contains(x) for x in grid), dtype=bool,
@@ -497,9 +495,7 @@ def classify_flow(field: VectorField1D, probes: ProbeSpec = ProbeSpec()) -> Flow
     images = np.full((2, n_total), np.nan)
 
     for di, direction in enumerate((+1, -1)):
-        def rhs(y, _dir=direction):
-            return _dir * np.asarray(field(y[:, 0]), dtype=float)[:, None]
-
+        rhs = _flow_rhs(field, direction)
         for ci, comp in enumerate(comp_keys):
             sel = np.flatnonzero(comp_of_probe == ci)
             bounds = tuple(x for x in comp if math.isfinite(x))
@@ -598,17 +594,15 @@ class StraightenResult:
 def straighten(field: VectorField1D, x_ref: float,
                span: tuple[float, float] | None = None,
                table_points: int = 1025) -> StraightenResult:
-    """Solve ds/dx = 1/X by adaptive quadrature from x_ref.
+    """Solve ds/dx = 1/X by adaptive Gauss-Legendre quadrature from x_ref.
 
     The chart is tabulated on ``span`` (default: the domain component clipped
-    to x_ref +- 20) and refined by local quadrature on evaluation, so
-    s_of_x is accurate to the quadrature tolerance rather than the table
-    resolution.  ``global_chart`` is True when s maps the component onto all
-    of R, i.e. the cumulative time integral diverges toward both ends.
+    to x_ref +- 20) and refined by quadrature from a table node on
+    evaluation, so s_of_x is accurate to rounding rather than to the table
+    resolution; x_of_s takes Newton steps inside the bracketing table cell.
+    ``global_chart`` is True when s maps the component onto all of R, i.e.
+    the cumulative time integral diverges toward both ends.
     """
-    from scipy.integrate import IntegrationWarning, quad
-    from scipy.optimize import brentq
-
     comp = field.component_of(x_ref)
     if span is None:
         lo = max(comp[0], x_ref - 20.0) if math.isfinite(comp[0]) else x_ref - 20.0
@@ -628,58 +622,51 @@ def straighten(field: VectorField1D, x_ref: float,
         raise ZeroFieldValue(
             f"field {field.label!r} vanishes or changes sign inside the span")
 
-    def inv(x):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return 1.0 / field.func(x)
+    seg = _travel_time(field, nodes[:-1], nodes[1:])
 
-    ref_idx = int(np.argmin(np.abs(nodes - x_ref)))
-    seg = np.zeros(table_points)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for i in range(table_points - 1):
-            seg[i + 1], _ = quad(inv, nodes[i], nodes[i + 1],
-                                 epsrel=1e-12, epsabs=1e-14, limit=200)
-        cum = np.cumsum(seg)
-        offset, _ = quad(inv, nodes[ref_idx], x_ref, epsrel=1e-12, epsabs=1e-14)
-    table_s = cum - cum[ref_idx] - offset
+    def start_node(x):
+        return np.clip(np.searchsorted(nodes, x) - 1, 0, table_points - 2)
+
+    # Summed outward from x_ref, so that a long end cell (1/X blowing up at
+    # the boundary) does not swamp the rest of the table in rounding.
+    r = int(start_node(x_ref))
+    table_s = np.concatenate([-np.cumsum(seg[:r][::-1])[::-1], [0.0],
+                              np.cumsum(seg[r:])])
+    table_s -= _travel_time(field, nodes[r], x_ref)
 
     def s_of_x(x):
-        def one(xx):
-            if not (span[0] <= xx <= span[1]):
-                raise ValueError(f"{xx} outside the tabulated span {span}")
-            i = min(int(np.searchsorted(nodes, xx)), table_points - 1)
-            i = max(i - 1, 0)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", IntegrationWarning)
-                val, _ = quad(inv, nodes[i], xx, epsrel=1e-12, epsabs=1e-14,
-                              limit=200)
-            return table_s[i] + val
-        if np.isscalar(x):
-            return one(x)
-        return np.array([one(float(xx)) for xx in np.asarray(x).ravel()])
+        xs = np.asarray(x, dtype=float)
+        outside = (xs < span[0]) | (xs > span[1])
+        if np.any(outside):
+            raise ValueError(f"{xs[outside][0]} outside the tabulated span {span}")
+        j = start_node(xs)
+        s = table_s[j] + _travel_time(field, nodes[j], xs)
+        return float(s) if s.ndim == 0 else s
 
     increasing = table_s[-1] > table_s[0]
     ts = table_s if increasing else -table_s
 
     def x_of_s(s):
-        def one(ss):
-            q = ss if increasing else -ss
-            if not (ts[0] <= q <= ts[-1]):
-                raise ValueError(f"{ss} outside the tabulated chart range")
-            j = int(np.clip(np.searchsorted(ts, q) - 1, 0, table_points - 2))
-            lo_x, hi_x = nodes[j], nodes[j + 1]
-            f_lo = s_of_x(lo_x) - ss
-            if f_lo == 0.0:
-                return lo_x
-            return brentq(lambda xx: s_of_x(xx) - ss, lo_x, hi_x, xtol=1e-13)
-        if np.isscalar(s):
-            return one(s)
-        return np.array([one(float(ss)) for ss in np.asarray(s).ravel()])
+        ss = np.asarray(s, dtype=float)
+        q = ss if increasing else -ss
+        outside = (q < ts[0]) | (q > ts[-1])
+        if np.any(outside):
+            raise ValueError(f"{ss[outside][0]} outside the tabulated chart range")
+        j = np.clip(np.searchsorted(ts, q) - 1, 0, table_points - 2)
+        lo_x, hi_x = nodes[j], nodes[j + 1]
+        x = lo_x + (hi_x - lo_x) * (q - ts[j]) / (ts[j + 1] - ts[j])
+        for _ in range(60):
+            resid = s_of_x(x) - ss
+            # Newton's error e contracts to (X'/2X) e^2 with e = resid * X,
+            # so below |resid X'| = 1e-8 this step lands at rounding.
+            last = np.all(np.abs(resid * field.derivative(x)) <= 1e-8)
+            x = np.clip(x - resid * field(x), lo_x, hi_x)
+            if last:
+                break
+        return float(x) if x.ndim == 0 else x
 
-    def side_diverges(from_x, endpoint):
-        return _tail_time(field, from_x, 1, endpoint) is None
-
-    global_chart = side_diverges(span[0], comp[0]) and side_diverges(span[1], comp[1])
+    global_chart = all(_tail_time(field, x, 1, end) is None
+                       for x, end in zip(span, comp))
     return StraightenResult(s_of_x, x_of_s, global_chart, nodes, table_s)
 
 

@@ -14,7 +14,7 @@ Conventions used throughout the package (natural units unless stated):
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -219,6 +219,24 @@ def spectral_derivative(values: np.ndarray, step: float) -> np.ndarray:
     if n % 2 == 0:
         k[n // 2] = 0.0
     return np.fft.ifft(1j * k * np.fft.fft(values))
+
+
+@cache
+def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    from numpy.polynomial.legendre import leggauss
+    return leggauss(order)
+
+
+def gauss_panels(lo, hi, order: int = 32) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on the panels [lo, hi] (broadcast),
+    with a trailing axis of ``order`` points: summing ``weights * f(nodes)``
+    over it integrates f over each panel."""
+    xg, wg = _legendre_rule(order)
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
+                                 np.asarray(hi, dtype=float))
+    mid = (0.5 * (lo + hi))[..., None]
+    half = (0.5 * (hi - lo))[..., None]
+    return mid + half * xg, half * wg
 
 
 def probability_current(psi: WaveFunction) -> CurrentField:

@@ -16,9 +16,8 @@ import numpy as np
 from .arrival import BackflowSpec, make_backflow_packet
 from .errors import ScenarioError
 from .flows import (ProbeSpec, VectorField1D, arrival_field, constant_field,
-                    cubic_field, expression_field, linear_field,
-                    oriented_arrival_field, quadratic_field,
-                    straightened_oriented_field)
+                    cubic_field, linear_field, oriented_arrival_field,
+                    quadratic_field, straightened_oriented_field)
 from .grids import (Grid1D, PhysicalParams, Representation, WaveFunction,
                     gaussian_packet)
 
@@ -143,13 +142,7 @@ _FIELD_BUILDERS = {
 def build_field(cfg: dict, params: PhysicalParams) -> VectorField1D:
     if "field" not in cfg:
         raise ScenarioError("scenario needs a field section for this command")
-    section = cfg["field"]
-    kind = section["kind"]
-    if kind == "expression":
-        if "expression" not in section:
-            raise ScenarioError("field kind 'expression' needs an expression")
-        return expression_field(section["expression"])
-    return _FIELD_BUILDERS[kind](params.mass)
+    return _FIELD_BUILDERS[cfg["field"]["kind"]](params.mass)
 
 
 def build_probe_spec(cfg: dict) -> ProbeSpec:

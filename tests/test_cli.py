@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import jsonschema
 import pytest
 
 import flowquant
+from flowquant import flows
 from flowquant.cli import main
 from flowquant.scenarios import list_scenarios, load_scenario, scenario_path
 
@@ -40,7 +42,12 @@ def test_cli_import_loads_no_scipy():
     src = str(Path(flowquant.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")])}
-    probe = ("import sys, flowquant.cli; print(sorted(m for m in sys.modules "
+    probe = ("import sys, flowquant.cli\n"
+             "from flowquant import (integrate_flow, oriented_arrival_field,\n"
+             "                       quadratic_field, straighten)\n"
+             "integrate_flow(quadratic_field(), 0.5, 3.0)\n"
+             "straighten(oriented_arrival_field(), 1e-9)\n"
+             "print(sorted(m for m in sys.modules "
              "if m == 'scipy' or m.startswith('scipy.')))")
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
@@ -172,6 +179,44 @@ def test_refuses_zero_norm_superposition(tmp_path, capsys):
         "grids": {"x": {"min": -200.0, "max": 200.0, "count": 4096}}})
     assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
     assert "norm" in err[0]
+
+
+def test_refuses_expression_field(tmp_path, capsys):
+    # The removed "expression" kind was evaluated by sympy.sympify, which
+    # runs arbitrary code; the payload would create the marker file.
+    marker = tmp_path / "payload-ran"
+    payload = f"__import__('pathlib').Path({str(marker)!r}).touch() or x"
+    rc, err = _refusal(tmp_path, capsys, "flow-classify", {
+        "field": {"kind": "expression", "expression": payload}})
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
+    assert not marker.exists()
+
+
+def test_refuses_exhausted_integration_budget(tmp_path, capsys, monkeypatch):
+    # Backward in time X = x contracts, and the explicit stepper's stability
+    # limit keeps its steps near 3, so t_probe = 1e6 needs ~3e5 of them.  The
+    # default budget of 1e5 iterations takes about a minute to run out; a
+    # smaller one fails the same way.
+    monkeypatch.setattr(flows, "integrate_ensemble",
+                        functools.partial(flows.integrate_ensemble, max_iter=500))
+    rc, err = _refusal(tmp_path, capsys, "flow-classify", {
+        "field": {"kind": "x"},
+        "probe_spec": {"t_probe": 1e6, "escape_radius": 1e300}})
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
+    assert "budget" in err[0]
+
+
+def test_refuses_escape_radius_inside_probe_window(tmp_path, capsys):
+    # Every probe would "escape" at once and the constant field would come
+    # out PluggableIncomplete.
+    with pytest.raises(flowquant.InvalidParameter):
+        flowquant.classify_flow(flowquant.constant_field(), flowquant.ProbeSpec(
+            t_probe=1e300, escape_radius=1e-300))
+    rc, err = _refusal(tmp_path, capsys, "flow-classify", {
+        "field": {"kind": "const"},
+        "probe_spec": {"t_probe": 1e300, "escape_radius": 1e-300}})
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
+    assert "escape_radius" in err[0]
 
 
 def test_classical_limit_command(tmp_path):

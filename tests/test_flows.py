@@ -120,10 +120,12 @@ def test_straighten_homothety_half_line():
                              lambda x: np.ones_like(np.asarray(x, dtype=float)),
                              domain=((0.0, math.inf),), label="x on (0,inf)")
     st = fq.straighten(field, 1.0)
-    for xv in (0.5, 2.0, 10.0):
+    for xv in (2e-9, 1e-6, 0.5, 2.0, 10.0):
         assert abs(st.s_of_x(xv) - math.log(xv)) <= 1e-9
     assert st.global_chart
     assert abs(st.x_of_s(math.log(2.0)) - 2.0) <= 1e-9
+    # next to the fixed point x = 0, where 1/X blows up
+    assert abs(st.x_of_s(math.log(2e-9)) / 2e-9 - 1.0) <= 1e-9
 
 
 def test_straighten_constant_field():
@@ -142,6 +144,14 @@ def test_straighten_oriented_arrival_both_branches():
         assert abs(left.s_of_x(pv) - (-(pv**2) / 2.0)) <= 1e-9
     # each branch covers only a half-line of s
     assert not right.global_chart
+
+
+def test_straighten_nearly_vanishing_field():
+    # 1/X peaks 1e6-fold within 1e-3 of x = 0, inside one table cell
+    field = fq.VectorField1D(lambda x: np.asarray(x, dtype=float) ** 2 + 1e-6)
+    st = fq.straighten(field, 0.0)
+    for xv in (-3.0, 0.5, 7.0):
+        assert abs(st.s_of_x(xv) - 1e3 * math.atan(1e3 * xv)) <= 1e-9
 
 
 def test_straighten_quadratic_not_global():
