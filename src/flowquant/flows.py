@@ -71,9 +71,6 @@ class VectorField1D:
         with np.errstate(divide="ignore", invalid="ignore"):
             return (self.func(x + h) - self.func(x - h)) / (2.0 * h)
 
-    def contains(self, x: float) -> bool:
-        return any(a < x < b for a, b in self.domain)
-
     def component_of(self, x: float) -> tuple[float, float]:
         for a, b in self.domain:
             if a < x < b:
@@ -246,15 +243,14 @@ def integrate_flow(field: VectorField1D, x0: float, t: float,
     beyond the last step; a trajectory that reaches a finite domain boundary
     is flagged escaped at the time it gets there.
     """
-    if not field.contains(x0):
-        raise OutOfDomain(f"x0 = {x0} outside the domain of field {field.label!r}")
+    comp = field.component_of(x0)
     if escape_radius <= abs(x0):
         raise InvalidParameter("escape_radius must exceed |x0|")
     if t == 0.0:
         return FlowResult(x0, 0.0, 0.0, x0, False)
 
     direction = 1 if t > 0 else -1
-    bounds = tuple(b for b in field.component_of(x0) if math.isfinite(b))
+    bounds = tuple(b for b in comp if math.isfinite(b))
     res = integrate_ensemble(_flow_rhs(field, direction), np.array([x0]),
                              abs(t), escape_radius, bounds,
                              rtol=_FLOW_RTOL, atol=_FLOW_ATOL)
@@ -437,7 +433,8 @@ class FlowClass:
     ``lost_mass_fraction`` is the larger of the two directional escape
     fractions and ``gap_measure`` the smaller; by the coverage duality of 1-D
     flows the reverse-direction escape fraction is exactly the fraction of
-    the probe window missed by the forward image.
+    the probe window missed by the forward image.  ``invariant_components``
+    counts the domain components that hold probes.
     """
 
     verdict: FlowVerdict
@@ -474,66 +471,39 @@ def classify_flow(field: VectorField1D, probes: ProbeSpec = ProbeSpec()) -> Flow
             f"probe interval [{a:g}, {b:g}]")
     step = (b - a) / probes.count
     grid = a + step * (np.arange(probes.count) + 0.5)
-    keep = np.fromiter((field.contains(x) for x in grid), dtype=bool,
-                       count=len(grid))
+    # A probe within rounding of a domain edge is dropped like one on it; it
+    # would escape through the edge at once.
+    lo, hi = np.array(field.domain, dtype=float).T
+    slack = 4.0 * np.spacing(max(abs(a), abs(b)))
+    inside = (grid[:, None] > lo + slack) & (grid[:, None] < hi - slack)
+    keep = inside.any(axis=1)
     grid = grid[keep]
     if grid.size == 0:
         raise OutOfDomain("no probe points fall inside the field's domain")
-
-    comp_keys = []
-    comp_of_probe = np.empty(grid.size, dtype=int)
-    for i, x in enumerate(grid):
-        c = field.component_of(float(x))
-        if c not in comp_keys:
-            comp_keys.append(c)
-        comp_of_probe[i] = comp_keys.index(c)
-    n_comp = len(comp_keys)
+    held, comp_of_probe = np.unique(inside[keep].argmax(axis=1),
+                                    return_inverse=True)
+    # Every finite edge absorbs the trajectories that reach it, so a probe
+    # that survives stays in its component: each component holding probes is
+    # invariant.
+    invariant_components = held.size
     n_total = grid.size
 
-    esc = np.zeros((2, n_total), dtype=bool)      # [direction, probe]
-    t_esc = np.full((2, n_total), np.nan)
-    images = np.full((2, n_total), np.nan)
-
-    for di, direction in enumerate((+1, -1)):
-        rhs = _flow_rhs(field, direction)
-        for ci, comp in enumerate(comp_keys):
-            sel = np.flatnonzero(comp_of_probe == ci)
-            bounds = tuple(x for x in comp if math.isfinite(x))
-            res = integrate_ensemble(rhs, grid[sel][:, None], probes.t_probe,
-                                     probes.escape_radius, boundaries=bounds)
-            gone = res.status != DONE
-            esc[di, sel] = gone
-            t_esc[di, sel[gone]] = res.t_event[gone]
-            images[di, sel[~gone]] = res.state[~gone, 0]
-
-    # Components merge if any surviving probe image lands in a different one.
-    parent = list(range(n_comp))
-
-    def find(i):
-        while parent[i] != i:
-            i = parent[i]
-        return i
-
-    for di in range(2):
-        for i in range(n_total):
-            img = images[di, i]
-            if np.isnan(img):
-                continue
-            for cj, comp in enumerate(comp_keys):
-                if comp[0] < img < comp[1] and cj != comp_of_probe[i]:
-                    parent[find(comp_of_probe[i])] = find(cj)
-    invariant_components = len({find(i) for i in range(n_comp)})
+    edges = np.unique(field.domain)
+    edges = tuple(edges[np.isfinite(edges)])
+    runs = [integrate_ensemble(_flow_rhs(field, direction), grid[:, None],
+                               probes.t_probe, probes.escape_radius,
+                               boundaries=edges) for direction in (+1, -1)]
+    esc = np.array([res.status != DONE for res in runs])   # [direction, probe]
+    t_esc = np.array([res.t_event for res in runs])
 
     esc_f = float(np.count_nonzero(esc[0]) / n_total)
     esc_b = float(np.count_nonzero(esc[1]) / n_total)
     lost = max(esc_f, esc_b)
     gap = min(esc_f, esc_b)
 
-    samples = []
-    for di, direction in enumerate((+1, -1)):
-        for i in np.flatnonzero(esc[di])[:8]:
-            samples.append(EscapeSample(float(grid[i]), direction,
-                                        float(t_esc[di, i])))
+    samples = tuple(EscapeSample(float(grid[i]), direction, float(t_esc[di, i]))
+                    for di, direction in enumerate((+1, -1))
+                    for i in np.flatnonzero(esc[di])[:8])
 
     diagnostics = {
         "forward_escape_fraction": esc_f,
@@ -544,7 +514,7 @@ def classify_flow(field: VectorField1D, probes: ProbeSpec = ProbeSpec()) -> Flow
 
     def build(verdict):
         return FlowClass(verdict, lost, gap, invariant_components,
-                         esc_f, esc_b, tuple(samples))
+                         esc_f, esc_b, samples)
 
     any_f = _band_guarded_above(esc_f, probes.tol, diagnostics, "forward escape fraction")
     any_b = _band_guarded_above(esc_b, probes.tol, diagnostics, "backward escape fraction")
@@ -552,17 +522,15 @@ def classify_flow(field: VectorField1D, probes: ProbeSpec = ProbeSpec()) -> Flow
         return build(FlowVerdict.COMPLETE)
 
     if invariant_components >= 2:
-        one_sided = []
-        for ci in range(n_comp):
-            sel = comp_of_probe == ci
-            nc = np.count_nonzero(sel)
-            f_c = float(np.count_nonzero(esc[0, sel]) / nc)
-            b_c = float(np.count_nonzero(esc[1, sel]) / nc)
-            above_f = _band_guarded_above(f_c, probes.tol, diagnostics,
-                                          f"component {ci} forward escapes")
-            above_b = _band_guarded_above(b_c, probes.tol, diagnostics,
-                                          f"component {ci} backward escapes")
-            one_sided.append(above_f != above_b)
+        per_comp = np.bincount(comp_of_probe)
+        f_c = np.bincount(comp_of_probe, weights=esc[0]) / per_comp
+        b_c = np.bincount(comp_of_probe, weights=esc[1]) / per_comp
+        one_sided = [
+            _band_guarded_above(float(f_c[ci]), probes.tol, diagnostics,
+                                f"component {ci} forward escapes")
+            != _band_guarded_above(float(b_c[ci]), probes.tol, diagnostics,
+                                   f"component {ci} backward escapes")
+            for ci in range(invariant_components)]
         if all(one_sided):
             return build(FlowVerdict.HALF_LINE_INCOMPLETE)
 
@@ -648,22 +616,27 @@ def straighten(field: VectorField1D, x_ref: float,
 
     def x_of_s(s):
         ss = np.asarray(s, dtype=float)
-        q = ss if increasing else -ss
+        flat = ss.ravel()
+        q = flat if increasing else -flat
         outside = (q < ts[0]) | (q > ts[-1])
         if np.any(outside):
-            raise ValueError(f"{ss[outside][0]} outside the tabulated chart range")
+            raise ValueError(f"{flat[outside][0]} outside the tabulated chart range")
         j = np.clip(np.searchsorted(ts, q) - 1, 0, table_points - 2)
         lo_x, hi_x = nodes[j], nodes[j + 1]
         x = lo_x + (hi_x - lo_x) * (q - ts[j]) / (ts[j + 1] - ts[j])
+        todo = np.arange(x.size)
         for _ in range(60):
-            resid = s_of_x(x) - ss
+            xt = x[todo]
+            resid = s_of_x(xt) - flat[todo]
             # Newton's error e contracts to (X'/2X) e^2 with e = resid * X,
-            # so below |resid X'| = 1e-8 this step lands at rounding.
-            last = np.all(np.abs(resid * field.derivative(x)) <= 1e-8)
-            x = np.clip(x - resid * field(x), lo_x, hi_x)
-            if last:
+            # so below |resid X'| = 1e-8 this step lands at rounding and is
+            # the point's last.
+            settled = np.abs(resid * field.derivative(xt)) <= 1e-8
+            x[todo] = np.clip(xt - resid * field(xt), lo_x[todo], hi_x[todo])
+            todo = todo[~settled]
+            if todo.size == 0:
                 break
-        return float(x) if x.ndim == 0 else x
+        return float(x[0]) if ss.ndim == 0 else x.reshape(ss.shape)
 
     global_chart = all(_tail_time(field, x, 1, end) is None
                        for x, end in zip(span, comp))

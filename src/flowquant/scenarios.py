@@ -31,12 +31,22 @@ def _validator() -> jsonschema.Draft202012Validator:
     return jsonschema.Draft202012Validator(json.loads(text))
 
 
+def _finite_number(text: str) -> float:
+    """JSON number hook: NaN, Infinity and overflowing literals such as 1e400
+    are not numbers any schema check can bound, so they are refused."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
 def load_scenario(path: str) -> dict:
     """Read and validate a scenario file; raises ScenarioError on any defect."""
     try:
         with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            cfg = json.load(fh, parse_float=_finite_number,
+                            parse_constant=_finite_number)
+    except (OSError, ValueError) as exc:
         raise ScenarioError(f"cannot read scenario {path!r}: {exc}") from exc
     # best_match picks the error jsonschema.validate would raise.
     exc = jsonschema.exceptions.best_match(_validator().iter_errors(cfg))

@@ -12,7 +12,8 @@ import pytest
 import flowquant
 from flowquant import flows
 from flowquant.cli import main
-from flowquant.scenarios import list_scenarios, load_scenario, scenario_path
+from flowquant.scenarios import (_FIELD_BUILDERS, list_scenarios, load_scenario,
+                                 scenario_path)
 
 
 def run_cli(*argv):
@@ -36,6 +37,14 @@ def test_published_schema_is_valid():
     text = resources.files("flowquant").joinpath(
         "schema/scenario.schema.json").read_text(encoding="utf-8")
     jsonschema.Draft202012Validator.check_schema(json.loads(text))
+
+
+def test_schema_field_kinds_match_builders():
+    # the field list lives in the schema and in the builder table
+    text = resources.files("flowquant").joinpath(
+        "schema/scenario.schema.json").read_text(encoding="utf-8")
+    kinds = json.loads(text)["properties"]["field"]["properties"]["kind"]["enum"]
+    assert sorted(kinds) == sorted(_FIELD_BUILDERS)
 
 
 def test_cli_import_loads_no_scipy():
@@ -96,6 +105,19 @@ def test_flow_classify_inconclusive_exit_code(tmp_path):
     report = read_json(out / "flow_classification.json")
     assert report["class"] == "Inconclusive"
     assert report["diagnostics"]
+
+
+def test_flow_classify_odd_count_on_symmetric_window(tmp_path):
+    # the middle probe lands within rounding of p = 0 and is dropped
+    cfg = tmp_path / "odd.json"
+    cfg.write_text(json.dumps({
+        "name": "odd probe count",
+        "field": {"kind": "arrival"},
+        "probe_spec": {"interval": [-12.9, 12.9], "count": 279},
+    }), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("flow-classify", "--config", str(cfg), "--out", str(out)) == 0
+    assert read_json(out / "flow_classification.json")["class"] == "HalfLineIncomplete"
 
 
 def test_arrival_command(tmp_path):
@@ -217,6 +239,44 @@ def test_refuses_escape_radius_inside_probe_window(tmp_path, capsys):
         "probe_spec": {"t_probe": 1e300, "escape_radius": 1e-300}})
     assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
     assert "escape_radius" in err[0]
+
+
+def test_refuses_non_finite_backflow_range(tmp_path, capsys):
+    # would write "min_current": Infinity
+    rc, err = _refusal(tmp_path, capsys, "backflow", {
+        "packet": {"type": "backflow"},
+        "grids": {"x": {"min": -128.0, "max": 128.0, "count": 4096}},
+        "backflow_scan": {"x_range": [-20.0, float("nan")], "x_count": 11,
+                          "t_range": [0.0, 10.0], "t_count": 11}})
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
+    assert "non-finite" in err[0]
+
+
+def test_refuses_infinite_probe_time(tmp_path, capsys):
+    # would integrate for more than a minute
+    rc, err = _refusal(tmp_path, capsys, "flow-classify", {
+        "field": {"kind": "x"}, "probe_spec": {"t_probe": float("inf")}})
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
+    assert "non-finite" in err[0]
+
+
+def test_refuses_nan_packet_center(tmp_path, capsys):
+    # would fail deep in the transforms, after RuntimeWarnings
+    rc, err = _refusal(tmp_path, capsys, "arrival", {
+        "packet": {"type": "gaussian", "center_x": float("nan"),
+                   "center_p": 2.0, "sigma_p": 0.2},
+        "grids": {"x": {"min": -200.0, "max": 200.0, "count": 4096}}})
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
+    assert "non-finite" in err[0]
+
+
+@pytest.mark.parametrize("literal", ["-Infinity", "1e400"])
+def test_scenario_rejects_non_finite_literals(tmp_path, literal):
+    path = tmp_path / "bad.json"
+    path.write_text('{"name": "x", "params": {"mass": %s}}' % literal,
+                    encoding="utf-8")
+    with pytest.raises(flowquant.ScenarioError, match="non-finite"):
+        load_scenario(str(path))
 
 
 def test_classical_limit_command(tmp_path):

@@ -98,6 +98,22 @@ def test_classification_invariants():
     assert complete.gap_measure <= 1e-3
 
 
+def test_classification_component_count():
+    # one invariant component per half-line holding probes
+    both = fq.classify_flow(fq.arrival_field(), fq.ProbeSpec(interval=(-10.0, 10.0)))
+    assert both.invariant_components == 2
+    right = fq.classify_flow(fq.arrival_field(), fq.ProbeSpec(interval=(0.5, 10.0)))
+    assert right.invariant_components == 1
+
+
+def test_classification_drops_probe_within_rounding_of_edge():
+    # An odd count puts the middle probe ~1e-15 from p = 0; it would escape
+    # at once and make the verdict inconclusive.
+    probes = fq.ProbeSpec(interval=(-12.9, 12.9), count=279)
+    fc = fq.classify_flow(fq.arrival_field(), probes)
+    assert fc.verdict is fq.FlowVerdict.HALF_LINE_INCOMPLETE
+
+
 def test_classification_deterministic():
     a = fq.classify_flow(fq.quadratic_field())
     b = fq.classify_flow(fq.quadratic_field())
@@ -126,6 +142,30 @@ def test_straighten_homothety_half_line():
     assert abs(st.x_of_s(math.log(2.0)) - 2.0) <= 1e-9
     # next to the fixed point x = 0, where 1/X blows up
     assert abs(st.x_of_s(math.log(2e-9)) / 2e-9 - 1.0) <= 1e-9
+
+
+def test_straighten_x_of_s_array_matches_scalar():
+    # Each point of an array call takes the Newton steps it would take alone:
+    # points deep in the end cell (1e-9, 0.02) start clamped at its lower
+    # edge and need about ten, the others two or three.
+    calls = []
+
+    def deriv(x):
+        calls.append(np.size(x))
+        return np.ones_like(np.asarray(x, dtype=float))
+
+    field = fq.VectorField1D(lambda x: np.asarray(x, dtype=float), deriv,
+                             domain=((0.0, math.inf),), label="x on (0,inf)")
+    st = fq.straighten(field, 1.0)
+    s = np.log([2e-9, 1e-7, 1e-5, 1e-3, 0.01, 0.3, 1.0, 2.0, 7.5, 19.0])
+    calls.clear()
+    together = st.x_of_s(s)
+    steps_together = sum(calls)
+    calls.clear()
+    alone = np.array([st.x_of_s(v) for v in s])
+    assert steps_together == sum(calls)
+    assert np.allclose(together, alone, rtol=1e-14, atol=0.0)
+    assert np.allclose(together, np.exp(s), rtol=1e-13, atol=0.0)
 
 
 def test_straighten_constant_field():
