@@ -33,12 +33,11 @@ from .classical import (ArrivalStats, Histogram, Marginals,
                         quantum_momentum_limit)
 from .errors import (BinRangeTooSmall, BoxOverflow, FlowQuantError,
                      GridMismatch, GridTooSmall, InconclusiveClassification,
-                     IntegrationFailure, IntervalOutOfRange, InvalidParameter,
-                     LowMomentumMass, MomentumFloorViolated,
-                     NegativeMomentumLeak, NonPositiveWidth, NotComplete,
-                     NotPluggable, OutOfDomain, QuadratureNonConvergence,
-                     RepMismatch, RoughInput, ScenarioError, ZeroFieldValue,
-                     ZeroWeightComponent)
+                     IntervalOutOfRange, InvalidParameter, LowMomentumMass,
+                     MomentumFloorViolated, NegativeMomentumLeak,
+                     NonPositiveWidth, NotComplete, NotPluggable, OutOfDomain,
+                     QuadratureNonConvergence, RepMismatch, RoughInput,
+                     ScenarioError, ZeroFieldValue, ZeroWeightComponent)
 from .flows import (EscapeSample, FlowClass, FlowResult, FlowVerdict,
                     ProbeSpec, VectorField1D, apply_generator, arrival_field,
                     classify_flow, constant_field, cubic_field,

@@ -147,10 +147,16 @@ def _momentum_at(psi_x: WaveFunction, p_nodes: np.ndarray,
     hbar = psi_x.params.hbar
     pref = psi_x.grid.step / math.sqrt(2.0 * math.pi * hbar)
     out = np.empty(len(p_nodes), dtype=np.complex128)
+    # One kernel buffer, formed in place chunk by chunk: no full-size
+    # temporaries beside it.
+    kernel = np.empty((min(chunk, len(p_nodes)), len(x)), dtype=np.complex128)
     for lo in range(0, len(p_nodes), chunk):
-        # No name holds a chunk's kernel, so it is freed before the next is built.
-        out[lo:lo + chunk] = pref * (
-            np.exp(-1j * np.outer(p_nodes[lo:lo + chunk], x) / hbar) @ psi_x.values)
+        p = p_nodes[lo:lo + chunk]
+        k = kernel[:len(p)]
+        np.multiply.outer(p * (-1.0 / hbar), x, out=k)
+        k *= 1j
+        np.exp(k, out=k)
+        out[lo:lo + chunk] = pref * (k @ psi_x.values)
     return out
 
 

@@ -37,10 +37,6 @@ class ZeroFieldValue(FlowQuantError):
     """The field vanishes inside a range where 1/X must be integrated."""
 
 
-class IntegrationFailure(FlowQuantError, RuntimeError):
-    """The flow stepper stalled away from any boundary or ran out of steps."""
-
-
 class NotComplete(FlowQuantError):
     """Transport requested for a field whose flow is not complete."""
 

@@ -23,8 +23,13 @@ Key conventions:
   coverage of the probe window is unreliable for contracting complete flows,
   so the reverse-run identity is what the classifier reports.
 
-Every flow runs on one numpy Dormand-Prince stepper (``integrate_ensemble``),
-and every travel-time integral of 1/X on composite Gauss-Legendre panels.
+No flow is stepped in time.  The zeros of X and the domain edges cut the line
+into orbits on which X keeps one sign, and the time to travel from x to y is
+the integral of 1/X from x to y.  A trajectory blows up in finite time
+exactly when that integral converges to the end of its orbit (a finite
+domain edge or +-inf; a zero of X is never reached).  Every travel time is
+computed on composite Gauss-Legendre panels, and G_t(x) is the point whose
+travel time from x is t, found by Newton steps.
 """
 
 import enum
@@ -34,9 +39,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (InconclusiveClassification, IntegrationFailure,
-                     InvalidParameter, NotComplete, NotPluggable, OutOfDomain,
-                     RoughInput, ZeroFieldValue)
+from .errors import (InconclusiveClassification, InvalidParameter,
+                     NotComplete, NotPluggable, OutOfDomain, RoughInput,
+                     ZeroFieldValue)
 from .grids import (WaveFunction, gauss_panels, norm_squared,
                     spectral_derivative)
 from .resample import resample_complex
@@ -50,25 +55,29 @@ class VectorField1D:
     """Scalar field X over one coordinate, the object being quantized.
 
     ``domain`` is a tuple of open intervals; trajectories cannot cross the
-    gaps between them.  ``deriv`` is the closed-form derivative when known,
-    otherwise a central difference is used.
+    gaps between them.  ``zeros`` lists every point of the domain where X
+    vanishes: flows are computed orbit by orbit between these fixed points,
+    so a hand-built field must declare all of them (the factories below do).
+    ``deriv`` is the closed-form derivative when known, otherwise a central
+    difference is used.
     """
 
     func: Callable
     deriv: Callable | None = None
     domain: tuple[tuple[float, float], ...] = _FULL_LINE
+    zeros: tuple[float, ...] = ()
     label: str = ""
 
     def __call__(self, x):
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return self.func(x)
 
     def derivative(self, x):
         if self.deriv is not None:
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 return self.deriv(x)
         h = 1e-6 * (1.0 + np.abs(x))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return (self.func(x + h) - self.func(x - h)) / (2.0 * h)
 
     def component_of(self, x: float) -> tuple[float, float]:
@@ -88,21 +97,21 @@ def linear_field() -> VectorField1D:
     """X(x) = x, the generator of homotheties."""
     return VectorField1D(lambda x: np.asarray(x, dtype=float),
                          lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                         label="x")
+                         zeros=(0.0,), label="x")
 
 
 def quadratic_field() -> VectorField1D:
     """X(x) = x^2; trajectories blow up in finite time 1/x0."""
     return VectorField1D(lambda x: np.asarray(x, dtype=float) ** 2,
                          lambda x: 2.0 * np.asarray(x, dtype=float),
-                         label="x^2")
+                         zeros=(0.0,), label="x^2")
 
 
 def cubic_field() -> VectorField1D:
     """X(x) = x^3; blow-up with no matching starved region."""
     return VectorField1D(lambda x: np.asarray(x, dtype=float) ** 3,
                          lambda x: 3.0 * np.asarray(x, dtype=float) ** 2,
-                         label="x^3")
+                         zeros=(0.0,), label="x^3")
 
 
 _HALF_LINES = ((-math.inf, 0.0), (0.0, math.inf))
@@ -140,7 +149,7 @@ def straightened_oriented_field() -> VectorField1D:
 
 
 # --------------------------------------------------------------------------
-# Single-trajectory integration
+# Travel times and the flow map
 
 @dataclass(frozen=True)
 class FlowResult:
@@ -175,227 +184,158 @@ def _travel_time(field: VectorField1D, a, b) -> np.ndarray:
                                np.asarray(b, dtype=float))
     shape, a, b = a.shape, a.ravel(), b.ravel()
     out = np.zeros(a.size)
-    for start in range(0, a.size, _TRAVEL_CHUNK):
-        lo, hi = a[start:start + _TRAVEL_CHUNK], b[start:start + _TRAVEL_CHUNK]
-        owner = np.arange(start, start + lo.size)
-        whole = _panel_time(field, lo, hi)
-        while owner.size:
-            mid = 0.5 * (lo + hi)
-            left, right = _panel_time(field, lo, mid), _panel_time(field, mid, hi)
-            halves = left + right
-            crowded = np.bincount(owner)[owner] > _MAX_PANELS
-            done = (~np.isfinite(halves) | crowded
-                    | (np.abs(whole - halves) <= _SPLIT_TOL * np.abs(halves)))
-            np.add.at(out, owner[done], halves[done])
-            split = ~done
-            owner = np.concatenate([owner[split], owner[split]])
-            lo, hi = (np.concatenate([lo[split], mid[split]]),
-                      np.concatenate([mid[split], hi[split]]))
-            whole = np.concatenate([left[split], right[split]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, a.size, _TRAVEL_CHUNK):
+            lo, hi = a[start:start + _TRAVEL_CHUNK], b[start:start + _TRAVEL_CHUNK]
+            owner = np.arange(start, start + lo.size)
+            whole = _panel_time(field, lo, hi)
+            while owner.size:
+                mid = 0.5 * (lo + hi)
+                left, right = _panel_time(field, lo, mid), _panel_time(field, mid, hi)
+                halves = left + right
+                crowded = np.bincount(owner)[owner] > _MAX_PANELS
+                done = (~np.isfinite(halves) | crowded
+                        | (np.abs(whole - halves) <= _SPLIT_TOL * np.abs(halves)))
+                np.add.at(out, owner[done], halves[done])
+                split = ~done
+                owner = np.concatenate([owner[split], owner[split]])
+                lo, hi = (np.concatenate([lo[split], mid[split]]),
+                          np.concatenate([mid[split], hi[split]]))
+                whole = np.concatenate([left[split], right[split]])
     return out.reshape(shape)
 
 
 _TAIL_SEGMENTS = 200
 
 
-def _tail_time(field: VectorField1D, x_from: float, direction: int,
-               target: float) -> float | None:
-    """Remaining travel time from x_from to target (may be +-inf) along the flow.
+def _tail(field: VectorField1D, x_from: float, target: float):
+    """Travel times from x_from toward target, the end of its orbit.
 
-    Integrates dxi / (direction * X(xi)) over doubling segments (halving ones
-    toward a finite target) and stops at the first segment that no longer
-    adds to the total; returns None when the integral diverges, i.e. the
-    point is never reached.  Halving segments that round onto the target
-    sample 1/X there, so a zero of X at the target counts as divergence.
+    The segments double in length toward an infinite target, starting at
+    max(1, |x_from|), and halve toward a finite one.  Returns the edges after
+    x_from, the integral of 1/X from x_from to each, and that integral's
+    limit at the target: the total once a segment no longer adds to it, or
+    +-inf when the target is a zero of X or the integral diverges (is not
+    finite, or has not settled after the last segment).
     """
-    if math.isinf(target):
-        edges = [x_from]
-        for _ in range(_TAIL_SEGMENTS):
-            edges.append(edges[-1] + math.copysign(max(1.0, abs(edges[-1])), target))
-        edges = np.array(edges)
-    else:
-        edges = target + (x_from - target) * 0.5 ** np.arange(_TAIL_SEGMENTS + 1)
-    seg = direction * _travel_time(field, edges[:-1], edges[1:])
-    total = np.cumsum(seg)
-    diverged = ~np.isfinite(total) | (np.abs(total) > 1e9)
-    settled = np.abs(seg) < 1e-13 * (1.0 + np.abs(total))
+    k = np.arange(_TAIL_SEGMENTS + 1)
+    with np.errstate(over="ignore"):
+        if math.isinf(target):
+            edges = x_from + math.copysign(max(1.0, abs(x_from)), target) * (2.0**k - 1.0)
+        else:
+            edges = target + (x_from - target) * 0.5**k
+    seg = _travel_time(field, edges[:-1], edges[1:])
+    clock = np.cumsum(seg)
+    diverged = ~np.isfinite(clock)
+    settled = np.concatenate([[False], clock[1:] == clock[:-1]])
     stop = np.flatnonzero(diverged | settled)
-    if stop.size == 0 or diverged[stop[0]]:
-        return None
-    return abs(float(total[stop[0]]))
+    if target in field.zeros or stop.size == 0 or diverged[stop[0]]:
+        return edges[1:], clock, math.copysign(math.inf, seg[0])
+    return edges[1:], clock, float(clock[stop[0]])
 
 
-def _flow_rhs(field: VectorField1D, direction: int) -> Callable:
-    """dx/dt = direction * X(x) on integrate_ensemble's (m, 1) states."""
-    return lambda y: direction * np.asarray(field(y[:, 0]), dtype=float)[:, None]
+def _orbit_tables(field: VectorField1D, x: np.ndarray):
+    """Travel-time tables of the orbits holding some of the increasing points x.
 
-
-_FLOW_RTOL, _FLOW_ATOL = 1e-10, 1e-12  # tighter than the classifier's
-
-
-def integrate_flow(field: VectorField1D, x0: float, t: float,
-                   escape_radius: float = 1e6) -> FlowResult:
-    """Adaptive integration of the flow with escape detection.
-
-    One probe of ``integrate_ensemble`` at relative tolerance 1e-10.  If |x|
-    crosses the escape radius before time t, the result is flagged escaped
-    and the blow-up time is estimated by adding the residual travel time
-    beyond the last step; a trajectory that reaches a finite domain boundary
-    is flagged escaped at the time it gets there.
+    The orbits are the open intervals between consecutive domain edges and
+    zeros of X; on each, X keeps one sign.  Per orbit this yields the indices
+    of its points, increasing table nodes (tail edges toward the lower end,
+    the points, tail edges toward the upper end), the clock at the nodes and
+    at the points (the integral of 1/X from the first point, which the flow
+    advances at unit rate), and each point's travel time to the end of its
+    orbit forward and backward in time, inf when that end is never reached.
+    Each travel time is a sum of terms of one sign, so it is accurate to
+    rounding relative to itself.
     """
-    comp = field.component_of(x0)
-    if escape_radius <= abs(x0):
-        raise InvalidParameter("escape_radius must exceed |x0|")
+    for a, b in field.domain:
+        cuts = [a, *sorted(z for z in field.zeros if a < z < b), b]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            idx = np.flatnonzero((x > lo) & (x < hi))
+            if idx.size == 0:
+                continue
+            p = x[idx]
+            left, clock_lo, reach_lo = _tail(field, p[0], lo)
+            right, clock_hi, reach_hi = _tail(field, p[-1], hi)
+            gaps = _travel_time(field, p[:-1], p[1:])
+            s = np.concatenate([[0.0], np.cumsum(gaps)])
+            to_lo = abs(reach_lo) + np.abs(s)
+            to_hi = abs(reach_hi) + np.abs(np.append(np.cumsum(gaps[::-1])[::-1], 0.0))
+            nodes = np.concatenate([left[::-1], p, right])
+            clock = np.concatenate([clock_lo[::-1], s, s[-1] + clock_hi])
+            if field(p[0]) > 0:
+                yield idx, nodes, clock, s, to_hi, to_lo
+            else:
+                yield idx, nodes, clock, s, to_lo, to_hi
+
+
+def _invert(field: VectorField1D, nodes: np.ndarray, clock: np.ndarray,
+            target: np.ndarray) -> np.ndarray:
+    """Points x with clock(x) = target, where the clock is the integral of
+    1/X tabulated at the increasing nodes: Newton steps on d clock/dx = 1/X,
+    clamped to the bracketing cell, from a first guess linear in the clock.
+    Targets outside the table give nan."""
+    sign = 1.0 if clock[-1] > clock[0] else -1.0
+    q = sign * target
+    j = np.clip(np.searchsorted(sign * clock, q) - 1, 0, nodes.size - 2)
+    lo, hi = nodes[j], nodes[j + 1]
+    rel = target - clock[j]
+    x = lo + (hi - lo) * (rel / (clock[j + 1] - clock[j]))
+    inside = (q >= sign * clock[0]) & (q <= sign * clock[-1])
+    x[~inside] = np.nan
+    todo = np.flatnonzero(inside)
+    for _ in range(60):
+        if todo.size == 0:
+            break
+        xt = x[todo]
+        resid = _travel_time(field, lo[todo], xt) - rel[todo]
+        # Newton's error e contracts to (X'/2X) e^2 with e = resid * X,
+        # so below |resid X'| = 1e-8 this step lands at rounding and is
+        # the point's last.
+        settled = np.abs(resid * field.derivative(xt)) <= 1e-8
+        x[todo] = np.clip(xt - resid * field(xt), lo[todo], hi[todo])
+        todo = todo[~settled]
+    return x
+
+
+def _flow_map(field: VectorField1D, x: np.ndarray, t: float):
+    """G_t at the increasing points x, its derivative dG_t/dx, and each
+    point's travel time to the end of its orbit in the direction of t.
+
+    G_t(x) is the point whose travel time from x is t, and its derivative is
+    X(G_t(x))/X(x), or exp(t X'(x)) at a zero of X.  G_t is nan where the
+    trajectory ends before |t|, and outside the domain.
+    """
+    fixed = field(x) == 0.0
+    y = np.where(fixed, x, np.nan)
+    t_end = np.full(x.size, math.inf)
+    for idx, nodes, clock, s, t_fwd, t_bwd in _orbit_tables(field, x):
+        t_end[idx] = t_fwd if t > 0 else t_bwd
+        go = t_end[idx] > abs(t)
+        y[idx[go]] = _invert(field, nodes, clock, s[go] + t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        jac = field(y) / field(x)
+    jac[fixed] = np.exp(t * field.derivative(x[fixed]))
+    return y, jac, t_end
+
+
+def integrate_flow(field: VectorField1D, x0: float, t: float) -> FlowResult:
+    """The flow from x0 for time t, from travel times (see the module notes).
+
+    A trajectory whose travel time to the end of its orbit is at most |t|
+    is flagged escaped, with that time as its exact blow-up time (to
+    rounding); a finite domain edge ends the orbit like +-inf does.
+    """
+    field.component_of(x0)
     if t == 0.0:
         return FlowResult(x0, 0.0, 0.0, x0, False)
-
-    direction = 1 if t > 0 else -1
-    bounds = tuple(b for b in comp if math.isfinite(b))
-    res = integrate_ensemble(_flow_rhs(field, direction), np.array([x0]),
-                             abs(t), escape_radius, bounds,
-                             rtol=_FLOW_RTOL, atol=_FLOW_ATOL)
-    if res.status[0] == DONE:
-        return FlowResult(x0, t, t, float(res.state[0, 0]), False)
-    tau = float(res.t_event[0])
-    if res.status[0] == ESCAPED:
-        x_last = float(res.state[0, 0])
-        tail = _tail_time(field, x_last, direction, math.copysign(math.inf, x_last))
-        estimate = None if tail is None else direction * (float(res.t_reached[0]) + tail)
-    else:
-        estimate = direction * tau
-    return FlowResult(x0, t, direction * tau, None, True, estimate)
-
-
-# --------------------------------------------------------------------------
-# Vectorized ensemble integrator (Dormand-Prince 5(4), per-probe step control)
-
-_DP_A = (
-    (),
-    (1.0 / 5.0,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
-     -5103.0 / 18656.0),
-    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
-     11.0 / 84.0),
-)
-_DP_B5 = np.array([35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0,
-                   -2187.0 / 6784.0, 11.0 / 84.0, 0.0])
-_DP_B4 = np.array([5179.0 / 57600.0, 0.0, 7571.0 / 16695.0, 393.0 / 640.0,
-                   -92097.0 / 339200.0, 187.0 / 2100.0, 1.0 / 40.0])
-
-RUNNING, DONE, ESCAPED, BOUNDARY = 0, 1, 2, 3
-
-
-@dataclass
-class EnsembleResult:
-    state: np.ndarray     # (n, d) final states
-    t_reached: np.ndarray  # (n,)
-    status: np.ndarray    # (n,) DONE / ESCAPED / BOUNDARY
-    t_event: np.ndarray   # (n,) event times, nan where none
-
-
-def integrate_ensemble(f: Callable, y0: np.ndarray, t_end: float,
-                       escape_radius: float,
-                       boundaries: tuple[float, ...] = (),
-                       rtol: float = 1e-8, atol: float = 1e-11,
-                       h_floor: float = 1e-14,
-                       max_iter: int = 100_000) -> EnsembleResult:
-    """Integrate independent trajectories with individual adaptive steps.
-
-    ``f`` maps states (m, d) -> derivatives (m, d); escape and boundary
-    crossings are detected on component 0.  Trajectories whose step size
-    underflows against a finite boundary (fields diverging there) are
-    absorbed as boundary hits.  Pure numpy, deterministic.
-    """
-    y = np.array(y0, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
-    n, d = y.shape
-    t = np.zeros(n)
-    status = np.full(n, RUNNING, dtype=np.int8)
-    t_event = np.full(n, np.nan)
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        f0 = np.asarray(f(y), dtype=float)
-    scale0 = atol + rtol * np.abs(y[:, 0])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = np.minimum(t_end / 100.0, 0.1 * scale0 / (np.abs(f0[:, 0]) + 1e-300))
-    h = np.clip(np.where(np.isfinite(h), h, t_end / 100.0), h_floor, t_end)
-
-    bnds = np.array(boundaries, dtype=float)
-
-    for _ in range(max_iter):
-        act = np.flatnonzero(status == RUNNING)
-        if act.size == 0:
-            break
-        ya = y[act]
-        ha = np.minimum(h[act], t_end - t[act])
-
-        k = np.empty((7, act.size, d))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            k[0] = f(ya)
-            for i in range(1, 7):
-                incr = sum(aij * k[j] for j, aij in enumerate(_DP_A[i]))
-                k[i] = f(ya + ha[:, None] * incr)
-            y5 = ya + ha[:, None] * np.tensordot(_DP_B5, k, axes=(0, 0))
-            y4 = ya + ha[:, None] * np.tensordot(_DP_B4, k, axes=(0, 0))
-            scale = atol + rtol * np.maximum(np.abs(ya), np.abs(y5))
-            enorm = np.max(np.abs(y5 - y4) / scale, axis=1)
-        enorm = np.where(np.isfinite(enorm) & np.all(np.isfinite(y5), axis=1),
-                         enorm, np.inf)
-
-        accept = enorm <= 1.0
-        with np.errstate(divide="ignore"):
-            factor = np.clip(0.9 * enorm**-0.2, 0.2, 5.0)
-        factor = np.where(np.isfinite(factor), factor, 0.2)
-
-        idx_acc = act[accept]
-        if idx_acc.size:
-            x_prev = y[idx_acc, 0]
-            t_prev = t[idx_acc]
-            h_used = ha[accept]
-            y[idx_acc] = y5[accept]
-            t[idx_acc] = t_prev + h_used
-            x_new = y[idx_acc, 0]
-
-            esc = np.abs(x_new) >= escape_radius
-            if np.any(esc):
-                sub = idx_acc[esc]
-                frac = (escape_radius - np.abs(x_prev[esc])) / (
-                    np.abs(x_new[esc]) - np.abs(x_prev[esc]))
-                t_event[sub] = t_prev[esc] + np.clip(frac, 0.0, 1.0) * h_used[esc]
-                status[sub] = ESCAPED
-            for b in bnds:
-                crossed = ((x_prev - b) * (x_new - b) <= 0.0) & (status[idx_acc] == RUNNING)
-                if np.any(crossed):
-                    sub = idx_acc[crossed]
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        frac = (b - x_prev[crossed]) / (x_new[crossed] - x_prev[crossed])
-                    frac = np.where(np.isfinite(frac), frac, 0.5)
-                    t_event[sub] = t_prev[crossed] + np.clip(frac, 0.0, 1.0) * h_used[crossed]
-                    status[sub] = BOUNDARY
-            done = (t[idx_acc] >= t_end * (1.0 - 1e-15)) & (status[idx_acc] == RUNNING)
-            status[idx_acc[done]] = DONE
-
-        h[act] = np.maximum(ha * factor, h_floor)
-
-        stalled = act[(~accept) & (ha <= h_floor * 1.001)]
-        for i in stalled:
-            near = bnds[np.abs(y[i, 0] - bnds) <= 1e-3 * (1.0 + np.abs(bnds))] \
-                if bnds.size else np.array([])
-            if near.size:
-                status[i] = BOUNDARY
-                t_event[i] = t[i]
-            else:
-                raise IntegrationFailure(
-                    f"ensemble integration stalled at x = {y[i, 0]} away from any boundary")
-    else:
-        raise IntegrationFailure(
-            f"ensemble integration exceeded its budget of {max_iter} iterations")
-
-    return EnsembleResult(y, t, status, t_event)
+    y, _, t_end = _flow_map(field, np.array([float(x0)]), t)
+    if t_end[0] <= abs(t):
+        tau = math.copysign(float(t_end[0]), t)
+        return FlowResult(x0, t, tau, None, True, tau)
+    if math.isnan(y[0]):
+        raise InvalidParameter(
+            f"G_t({x0:g}) for t = {t:g} lies beyond the travel-time table")
+    return FlowResult(x0, t, t, float(y[0]), False)
 
 
 # --------------------------------------------------------------------------
@@ -415,7 +355,6 @@ class ProbeSpec:
     interval: tuple[float, float] = (-10.0, 10.0)
     count: int = 2048
     t_probe: float = 4.0
-    escape_radius: float = 1e6
     tol: float = 1e-3
 
 
@@ -458,17 +397,13 @@ def _band_guarded_above(value: float, tol: float, diagnostics: dict,
 def classify_flow(field: VectorField1D, probes: ProbeSpec = ProbeSpec()) -> FlowClass:
     """Classify the completeness of a field from probe trajectories.
 
-    Probes on a midpoint grid over the probe interval are integrated forward
-    and backward for t_probe.  Escapes (through the radius or into a finite
-    domain boundary) measure the lost mass per direction; the reverse
-    direction's escapes measure the coverage gap.  Deterministic for a fixed
-    ProbeSpec.
+    A probe on a midpoint grid over the probe interval escapes in a direction
+    of time when its travel time to the end of its orbit (to +-inf or into a
+    finite domain edge) is below t_probe.  Escapes measure the lost mass per
+    direction; the reverse direction's escapes measure the coverage gap.
+    Deterministic for a fixed ProbeSpec.
     """
-    a, b = probes.interval
-    if probes.escape_radius <= max(abs(a), abs(b)):
-        raise InvalidParameter(
-            f"escape_radius {probes.escape_radius:g} must exceed |x| on the "
-            f"probe interval [{a:g}, {b:g}]")
+    a, b = sorted(probes.interval)
     step = (b - a) / probes.count
     grid = a + step * (np.arange(probes.count) + 0.5)
     # A probe within rounding of a domain edge is dropped like one on it; it
@@ -482,19 +417,16 @@ def classify_flow(field: VectorField1D, probes: ProbeSpec = ProbeSpec()) -> Flow
         raise OutOfDomain("no probe points fall inside the field's domain")
     held, comp_of_probe = np.unique(inside[keep].argmax(axis=1),
                                     return_inverse=True)
-    # Every finite edge absorbs the trajectories that reach it, so a probe
-    # that survives stays in its component: each component holding probes is
+    # A trajectory that reaches a finite edge has escaped, so a probe that
+    # survives stays in its component: each component holding probes is
     # invariant.
     invariant_components = held.size
     n_total = grid.size
 
-    edges = np.unique(field.domain)
-    edges = tuple(edges[np.isfinite(edges)])
-    runs = [integrate_ensemble(_flow_rhs(field, direction), grid[:, None],
-                               probes.t_probe, probes.escape_radius,
-                               boundaries=edges) for direction in (+1, -1)]
-    esc = np.array([res.status != DONE for res in runs])   # [direction, probe]
-    t_esc = np.array([res.t_event for res in runs])
+    t_esc = np.full((2, n_total), math.inf)   # [direction, probe]
+    for idx, _, _, _, t_fwd, t_bwd in _orbit_tables(field, grid):
+        t_esc[:, idx] = t_fwd, t_bwd
+    esc = t_esc < probes.t_probe
 
     esc_f = float(np.count_nonzero(esc[0]) / n_total)
     esc_b = float(np.count_nonzero(esc[1]) / n_total)
@@ -548,6 +480,9 @@ def classify_flow(field: VectorField1D, probes: ProbeSpec = ProbeSpec()) -> Flow
 # --------------------------------------------------------------------------
 # Straightening coordinate
 
+_END_NODES = 64  # log-spaced nodes in an end cell at a finite domain edge
+
+
 @dataclass(frozen=True)
 class StraightenResult:
     """Monotone chart s(x) in which the field becomes d/ds."""
@@ -584,6 +519,15 @@ def straighten(field: VectorField1D, x_ref: float,
         raise ValueError("x_ref must lie inside the tabulation span")
 
     nodes = np.linspace(span[0], span[1], table_points)
+    # 1/X may blow up at a finite domain edge: cells next to one get nodes
+    # log-spaced in the distance to it, so a first guess of x_of_s linear in
+    # s is not off by decades there.
+    for edge, end, inner in ((comp[0], nodes[0], nodes[1]),
+                             (comp[1], nodes[-1], nodes[-2])):
+        if math.isfinite(edge) and end != edge:
+            ratio = (inner - edge) / (end - edge)
+            nodes = np.union1d(nodes, edge + (end - edge) * np.geomspace(
+                1.0, ratio, _END_NODES)[1:-1])
     xvals = np.asarray(field(nodes), dtype=float)
     if np.any(~np.isfinite(xvals)) or np.any(xvals == 0.0) or \
             np.any(np.sign(xvals) != np.sign(xvals[0])):
@@ -593,7 +537,7 @@ def straighten(field: VectorField1D, x_ref: float,
     seg = _travel_time(field, nodes[:-1], nodes[1:])
 
     def start_node(x):
-        return np.clip(np.searchsorted(nodes, x) - 1, 0, table_points - 2)
+        return np.clip(np.searchsorted(nodes, x) - 1, 0, nodes.size - 2)
 
     # Summed outward from x_ref, so that a long end cell (1/X blowing up at
     # the boundary) does not swamp the rest of the table in rounding.
@@ -611,34 +555,18 @@ def straighten(field: VectorField1D, x_ref: float,
         s = table_s[j] + _travel_time(field, nodes[j], xs)
         return float(s) if s.ndim == 0 else s
 
-    increasing = table_s[-1] > table_s[0]
-    ts = table_s if increasing else -table_s
+    s_min, s_max = sorted((table_s[0], table_s[-1]))
 
     def x_of_s(s):
         ss = np.asarray(s, dtype=float)
         flat = ss.ravel()
-        q = flat if increasing else -flat
-        outside = (q < ts[0]) | (q > ts[-1])
+        outside = (flat < s_min) | (flat > s_max)
         if np.any(outside):
             raise ValueError(f"{flat[outside][0]} outside the tabulated chart range")
-        j = np.clip(np.searchsorted(ts, q) - 1, 0, table_points - 2)
-        lo_x, hi_x = nodes[j], nodes[j + 1]
-        x = lo_x + (hi_x - lo_x) * (q - ts[j]) / (ts[j + 1] - ts[j])
-        todo = np.arange(x.size)
-        for _ in range(60):
-            xt = x[todo]
-            resid = s_of_x(xt) - flat[todo]
-            # Newton's error e contracts to (X'/2X) e^2 with e = resid * X,
-            # so below |resid X'| = 1e-8 this step lands at rounding and is
-            # the point's last.
-            settled = np.abs(resid * field.derivative(xt)) <= 1e-8
-            x[todo] = np.clip(xt - resid * field(xt), lo_x[todo], hi_x[todo])
-            todo = todo[~settled]
-            if todo.size == 0:
-                break
+        x = _invert(field, nodes, table_s, flat)
         return float(x[0]) if ss.ndim == 0 else x.reshape(ss.shape)
 
-    global_chart = all(_tail_time(field, x, 1, end) is None
+    global_chart = all(math.isinf(_tail(field, x, end)[2])
                        for x, end in zip(span, comp))
     return StraightenResult(s_of_x, x_of_s, global_chart, nodes, table_s)
 
@@ -652,9 +580,9 @@ def transport(psi: WaveFunction, field: VectorField1D, t: float,
               ) -> tuple[WaveFunction, TransformReport]:
     """Unitary drag of a wave function along the flow of a complete field.
 
-    (G_t psi)(x) = psi(G_{-t}(x)) sqrt|G'_{-t}(x)|: the pull-back point and
-    its Jacobian come from the flow and its variational equation integrated
-    together.  A bump at x0 ends up at G_t(x0).
+    (G_t psi)(x) = psi(G_{-t}(x)) sqrt|G'_{-t}(x)|: the pull-back point
+    inverts the travel time, and its Jacobian is X(G_{-t}(x))/X(x).  A bump
+    at x0 ends up at G_t(x0).
     """
     if flow_class is None:
         flow_class = classify_flow(field, probe_spec or ProbeSpec())
@@ -666,26 +594,12 @@ def transport(psi: WaveFunction, field: VectorField1D, t: float,
     if t == 0.0:
         return psi.with_values(psi.values), TransformReport.from_norms(norm_in, norm_in)
 
-    direction = -1.0 if t > 0 else 1.0
-    tau = abs(t)
-
-    def rhs(state):
-        yy = state[:, 0]
-        jj = state[:, 1]
-        fx = np.asarray(field(yy), dtype=float)
-        dfx = np.asarray(field.derivative(yy), dtype=float)
-        return np.stack([direction * fx, direction * dfx * jj], axis=1)
-
     x = psi.grid.points
-    state0 = np.stack([x, np.ones_like(x)], axis=1)
-    radius = 10.0 * (abs(psi.grid.origin) + psi.grid.span) + 10.0
-    res = integrate_ensemble(rhs, state0, tau, radius,
-                             rtol=1e-11, atol=1e-13)
-
+    pullback, jac, _ = _flow_map(field, x, -t)
     vals = np.zeros(len(x), dtype=np.complex128)
-    ok = res.status == DONE
-    pulled, residual = resample_complex(x, psi.values, res.state[ok, 0])
-    vals[ok] = pulled * np.sqrt(np.abs(res.state[ok, 1]))
+    ok = np.isfinite(pullback)
+    pulled, residual = resample_complex(x, psi.values, pullback[ok])
+    vals[ok] = pulled * np.sqrt(np.abs(jac[ok]))
     out = psi.with_values(vals)
     report = TransformReport.from_norms(norm_in, math.sqrt(norm_squared(out)), residual)
     return out, report

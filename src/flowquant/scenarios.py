@@ -162,6 +162,4 @@ def build_probe_spec(cfg: dict) -> ProbeSpec:
     return ProbeSpec(interval=(float(interval[0]), float(interval[1])),
                      count=section.get("count", defaults.count),
                      t_probe=section.get("t_probe", defaults.t_probe),
-                     escape_radius=section.get("escape_radius",
-                                               defaults.escape_radius),
                      tol=section.get("tol", defaults.tol))

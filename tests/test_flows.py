@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import flowquant as fq
 
@@ -51,8 +53,6 @@ def test_flow_backward_time():
 def test_flow_domain_errors():
     with pytest.raises(fq.OutOfDomain):
         fq.integrate_flow(fq.arrival_field(), 0.0, 1.0)
-    with pytest.raises(ValueError):
-        fq.integrate_flow(fq.constant_field(), 5.0, 1.0, escape_radius=2.0)
 
 
 def test_arrival_field_boundary_escape():
@@ -114,6 +114,54 @@ def test_classification_drops_probe_within_rounding_of_edge():
     assert fc.verdict is fq.FlowVerdict.HALF_LINE_INCOMPLETE
 
 
+# Closed-form escape times of probes started at x0, forward and backward in
+# time (inf where the orbit end is never reached): x^2 blows up at 1/|x0|
+# toward +inf forward and -inf backward; x^3 at 1/(2 x0^2) forward; m/p
+# reaches p = 0 at x0^2/2m backward.
+CLOSED_FORM_ESCAPES = [
+    (fq.quadratic_field,
+     lambda x0: (np.where(x0 > 0, 1.0 / x0, np.inf),
+                 np.where(x0 < 0, -1.0 / x0, np.inf))),
+    (fq.cubic_field,
+     lambda x0: (np.where(x0 != 0, 0.5 / x0**2, np.inf), np.full(x0.size, np.inf))),
+    (fq.arrival_field,
+     lambda x0: (np.full(x0.size, np.inf), 0.5 * x0**2)),
+]
+
+
+@pytest.mark.parametrize("factory,closed_form", CLOSED_FORM_ESCAPES,
+                         ids=[f[0].__name__ for f in CLOSED_FORM_ESCAPES])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(a=st.floats(-20.0, 20.0), width=st.floats(0.5, 30.0),
+       half_count=st.integers(8, 1024), t_probe=st.floats(0.01, 50.0))
+def test_classification_matches_closed_form(factory, closed_form, a, width,
+                                            half_count, t_probe):
+    count = 2 * half_count
+    b = a + width
+    x0 = a + (b - a) / count * (np.arange(count) + 0.5)
+    if factory is fq.arrival_field:   # probes within rounding of p = 0 are dropped
+        x0 = x0[np.abs(x0) > 4.0 * np.spacing(max(abs(a), abs(b)))]
+    times = closed_form(x0)
+    for t in times:
+        assume(not np.any(np.abs(t - t_probe) <= 1e-9 * t_probe))
+    expected = [np.count_nonzero(t < t_probe) / x0.size for t in times]
+
+    try:
+        fc = fq.classify_flow(factory(), fq.ProbeSpec(interval=(a, b), count=count,
+                                                      t_probe=t_probe))
+    except fq.InconclusiveClassification as exc:
+        found = [exc.diagnostics["forward_escape_fraction"],
+                 exc.diagnostics["backward_escape_fraction"]]
+        samples = ()
+    else:
+        found = [fc.forward_escape_fraction, fc.backward_escape_fraction]
+        samples = fc.escape_samples
+    assert found == expected
+    for sample in samples:
+        t = closed_form(np.array([sample.start]))[0 if sample.direction > 0 else 1][0]
+        assert abs(sample.t_escape - t) <= 1e-11 * t
+
+
 def test_classification_deterministic():
     a = fq.classify_flow(fq.quadratic_field())
     b = fq.classify_flow(fq.quadratic_field())
@@ -145,9 +193,9 @@ def test_straighten_homothety_half_line():
 
 
 def test_straighten_x_of_s_array_matches_scalar():
-    # Each point of an array call takes the Newton steps it would take alone:
-    # points deep in the end cell (1e-9, 0.02) start clamped at its lower
-    # edge and need about ten, the others two or three.
+    # Each point of an array call takes the Newton steps it would take alone,
+    # and few of them: the end cell (1e-9, 0.02), across which s = log x
+    # spans seven decades, has log-spaced nodes for the first guess.
     calls = []
 
     def deriv(x):
@@ -164,6 +212,7 @@ def test_straighten_x_of_s_array_matches_scalar():
     calls.clear()
     alone = np.array([st.x_of_s(v) for v in s])
     assert steps_together == sum(calls)
+    assert steps_together <= 4 * s.size
     assert np.allclose(together, alone, rtol=1e-14, atol=0.0)
     assert np.allclose(together, np.exp(s), rtol=1e-13, atol=0.0)
 
