@@ -415,6 +415,15 @@ def classify_flow(field: VectorField1D, probes: ProbeSpec = ProbeSpec()) -> Flow
     grid = grid[keep]
     if grid.size == 0:
         raise OutOfDomain("no probe points fall inside the field's domain")
+    # Where X underflows to 0 or overflows, the orbit tables would take a
+    # probe for a fixed point or a blow-up and give a wrong verdict.
+    xv = field(grid)
+    bad = ((xv == 0.0) | ~np.isfinite(xv)) & ~np.isin(grid, field.zeros)
+    if bad.any():
+        raise InvalidParameter(
+            f"field {field.label!r} is {xv[bad][0]:g} at the probe "
+            f"{grid[bad][0]:g}, which is not a declared zero: X is not "
+            "representable in float64 on this probe window")
     held, comp_of_probe = np.unique(inside[keep].argmax(axis=1),
                                     return_inverse=True)
     # A trajectory that reaches a finite edge has escaped, so a probe that
@@ -499,31 +508,38 @@ def straighten(field: VectorField1D, x_ref: float,
                table_points: int = 1025) -> StraightenResult:
     """Solve ds/dx = 1/X by adaptive Gauss-Legendre quadrature from x_ref.
 
-    The chart is tabulated on ``span`` (default: the domain component clipped
-    to x_ref +- 20) and refined by quadrature from a table node on
-    evaluation, so s_of_x is accurate to rounding rather than to the table
-    resolution; x_of_s takes Newton steps inside the bracketing table cell.
-    ``global_chart`` is True when s maps the component onto all of R, i.e.
-    the cumulative time integral diverges toward both ends.
+    The chart lives on the orbit of x_ref: the interval between the declared
+    zeros of X and domain edges next to it.  It is tabulated on ``span``
+    (default: the orbit clipped to x_ref +- 20; an explicit span holding a
+    declared zero raises ZeroFieldValue) and refined by quadrature from a
+    table node on evaluation, so s_of_x is accurate to rounding rather than
+    to the table resolution; x_of_s takes Newton steps inside the bracketing
+    table cell.  ``global_chart`` is True when s maps the orbit onto all of
+    R, i.e. the cumulative time integral diverges toward both ends.
     """
     comp = field.component_of(x_ref)
+    orbit = (max([comp[0], *(z for z in field.zeros if z < x_ref)]),
+             min([comp[1], *(z for z in field.zeros if z > x_ref)]))
     if span is None:
-        lo = max(comp[0], x_ref - 20.0) if math.isfinite(comp[0]) else x_ref - 20.0
-        hi = min(comp[1], x_ref + 20.0) if math.isfinite(comp[1]) else x_ref + 20.0
-        if math.isfinite(comp[0]) and lo <= comp[0]:
-            lo = comp[0] + 1e-9 * (1.0 + abs(comp[0]))
-        if math.isfinite(comp[1]) and hi >= comp[1]:
-            hi = comp[1] - 1e-9 * (1.0 + abs(comp[1]))
+        lo = max(orbit[0], x_ref - 20.0)
+        hi = min(orbit[1], x_ref + 20.0)
+        if lo <= orbit[0]:
+            lo = orbit[0] + 1e-9 * (1.0 + abs(orbit[0]))
+        if hi >= orbit[1]:
+            hi = orbit[1] - 1e-9 * (1.0 + abs(orbit[1]))
         span = (lo, hi)
     if not (span[0] <= x_ref <= span[1]):
         raise ValueError("x_ref must lie inside the tabulation span")
+    if any(span[0] <= z <= span[1] for z in field.zeros):
+        raise ZeroFieldValue(
+            f"field {field.label!r} has a declared zero inside the span {span}")
 
     nodes = np.linspace(span[0], span[1], table_points)
-    # 1/X may blow up at a finite domain edge: cells next to one get nodes
+    # 1/X may blow up at a finite orbit end: cells next to one get nodes
     # log-spaced in the distance to it, so a first guess of x_of_s linear in
     # s is not off by decades there.
-    for edge, end, inner in ((comp[0], nodes[0], nodes[1]),
-                             (comp[1], nodes[-1], nodes[-2])):
+    for edge, end, inner in ((orbit[0], nodes[0], nodes[1]),
+                             (orbit[1], nodes[-1], nodes[-2])):
         if math.isfinite(edge) and end != edge:
             ratio = (inner - edge) / (end - edge)
             nodes = np.union1d(nodes, edge + (end - edge) * np.geomspace(
@@ -567,7 +583,7 @@ def straighten(field: VectorField1D, x_ref: float,
         return float(x[0]) if ss.ndim == 0 else x.reshape(ss.shape)
 
     global_chart = all(math.isinf(_tail(field, x, end)[2])
-                       for x, end in zip(span, comp))
+                       for x, end in zip(span, orbit))
     return StraightenResult(s_of_x, x_of_s, global_chart, nodes, table_s)
 
 

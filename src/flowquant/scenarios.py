@@ -2,7 +2,9 @@
 
 A scenario is a single JSON file validated against the published schema
 (``flowquant/schema/scenario.schema.json``); unknown keys are rejected so
-configs stay diff-able and reproducible.
+configs stay diff-able and reproducible.  The check is this module's own
+interpreter of the few JSON Schema 2020-12 keywords the schema uses; the
+tests hold it to the jsonschema package.
 """
 
 import json
@@ -10,7 +12,6 @@ import math
 from functools import cache
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from .arrival import BackflowSpec, make_backflow_packet
@@ -22,13 +23,100 @@ from .grids import (Grid1D, PhysicalParams, Representation, WaveFunction,
                     gaussian_packet)
 
 
+# The schema keywords the checker below interprets, JSON Schema 2020-12
+# (Validation §6); $schema, title and $defs carry no rule.
+_KEYWORDS = frozenset({
+    "$schema", "title", "$defs", "$ref", "type", "properties",
+    "additionalProperties", "required", "enum", "minimum", "exclusiveMinimum",
+    "items", "minItems", "maxItems", "minLength"})
+
+# A bool is not a number, and an integer is any number without a fraction.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
+
+
+def _walk(node, defs: dict) -> None:
+    """Refuse a schema node that ``_check`` would not apply in full."""
+    if not isinstance(node, dict):
+        raise ValueError(f"schema node {node!r} is not an object")
+    unknown = sorted(set(node) - _KEYWORDS)
+    if unknown:
+        raise ValueError(f"schema keyword {unknown[0]!r} is not interpreted")
+    if "$ref" in node and (len(node) > 1 or node["$ref"] not in
+                           {f"#/$defs/{name}" for name in defs}):
+        raise ValueError(f"schema $ref {node['$ref']!r} is not a bare local one")
+    if node.get("additionalProperties", False) is not False:
+        raise ValueError("schema additionalProperties other than false")
+    if node.get("type", "object") not in tuple(_TYPES):  # nor a list of types
+        raise ValueError(f"schema type {node['type']!r} is not interpreted")
+    subs = [*node.get("properties", {}).values(), *node.get("$defs", {}).values()]
+    if "items" in node:
+        subs.append(node["items"])
+    for sub in subs:
+        _walk(sub, defs)
+
+
 @cache
-def _validator() -> jsonschema.Draft202012Validator:
-    """Validator for the published schema, built once: checking the schema
-    itself on every load would cost more than the check of the scenario."""
+def _schema() -> dict:
+    """The published schema, walked once so a keyword this module does not
+    interpret fails loudly instead of being ignored."""
     text = resources.files("flowquant").joinpath(
         "schema/scenario.schema.json").read_text(encoding="utf-8")
-    return jsonschema.Draft202012Validator(json.loads(text))
+    schema = json.loads(text)
+    _walk(schema, schema.get("$defs", {}))
+    return schema
+
+
+def _check(value, node: dict, at: tuple = ()):
+    """Check value against a schema node; the first violation raises
+    ScenarioError.  A node's own keywords are checked before its members,
+    and members in document order.  Returns value with every number typed
+    integer as an int."""
+    if "$ref" in node:
+        node = _schema()["$defs"][node["$ref"].removeprefix("#/$defs/")]
+
+    def fail(message):
+        raise ScenarioError(f"{message} (at {'/'.join(map(str, at)) or '<root>'})")
+
+    kind = node.get("type")
+    if kind is not None and not _TYPES[kind](value):
+        fail(f"{value!r} is not of type {kind!r}")
+    if "enum" in node and value not in node["enum"]:
+        fail(f"{value!r} is not one of {node['enum']!r}")
+    if _TYPES["number"](value):
+        if value < node.get("minimum", -math.inf):
+            fail(f"{value!r} is less than the minimum of {node['minimum']!r}")
+        if value <= node.get("exclusiveMinimum", -math.inf):
+            fail(f"{value!r} is less than or equal to the minimum of "
+                 f"{node['exclusiveMinimum']!r}")
+        return int(value) if kind == "integer" else value
+    least = node.get("minLength" if isinstance(value, str) else "minItems", 0)
+    if isinstance(value, (str, list)) and len(value) < least:
+        fail(f"{value!r} " + ("should be non-empty" if least == 1 else "is too short"))
+    if isinstance(value, list):
+        if len(value) > node.get("maxItems", math.inf):
+            fail(f"{value!r} is too long")
+        if "items" in node:
+            value[:] = [_check(v, node["items"], (*at, i)) for i, v in enumerate(value)]
+    if isinstance(value, dict):
+        props = node.get("properties", {})
+        for key in node.get("required", ()):
+            if key not in value:
+                fail(f"{key!r} is a required property")
+        extra = sorted(key for key in value if key not in props)
+        if extra and node.get("additionalProperties") is False:
+            fail(f"Additional properties are not allowed ({', '.join(map(repr, extra))} "
+                 f"{'was' if len(extra) == 1 else 'were'} unexpected)")
+        for key in value:
+            if key in props:
+                value[key] = _check(value[key], props[key], (*at, key))
+    return value
 
 
 def _finite_number(text: str) -> float:
@@ -48,14 +136,10 @@ def load_scenario(path: str) -> dict:
                             parse_constant=_finite_number)
     except (OSError, ValueError) as exc:
         raise ScenarioError(f"cannot read scenario {path!r}: {exc}") from exc
-    # best_match picks the error jsonschema.validate would raise.
-    exc = jsonschema.exceptions.best_match(_validator().iter_errors(cfg))
-    if exc is not None:
-        raise ScenarioError(
-            f"scenario {path!r} is invalid: {exc.message} "
-            f"(at {'/'.join(str(p) for p in exc.absolute_path) or '<root>'})"
-        ) from exc
-    return cfg
+    try:
+        return _check(cfg, _schema())
+    except ScenarioError as exc:
+        raise ScenarioError(f"scenario {path!r} is invalid: {exc}") from None
 
 
 def scenario_path(name: str) -> str:
@@ -93,10 +177,7 @@ def build_s_grid(cfg: dict) -> Grid1D | None:
     grids = cfg.get("grids", {})
     if "s" not in grids:
         return None
-    section = grids["s"]
-    if "count" not in section or "max" not in section:
-        raise ScenarioError("grids.s needs both count and max")
-    count, s_max = section["count"], section["max"]
+    count, s_max = grids["s"]["count"], grids["s"]["max"]
     ds = 2.0 * s_max / count
     return Grid1D(-(count // 2) * ds, ds, count)
 

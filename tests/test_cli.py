@@ -46,20 +46,47 @@ def test_schema_field_kinds_match_builders():
     assert sorted(kinds) == sorted(_FIELD_BUILDERS)
 
 
-def test_cli_import_loads_no_scipy():
+def _python(probe: str) -> str:
+    """Run probe in a fresh interpreter that imports this checkout; its stdout."""
     src = str(Path(flowquant.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_import_loads_no_scipy():
+    # nor jsonschema and the packages it pulls in
     probe = ("import sys, flowquant.cli\n"
              "from flowquant import (integrate_flow, oriented_arrival_field,\n"
              "                       quadratic_field, straighten)\n"
              "integrate_flow(quadratic_field(), 0.5, 3.0)\n"
              "straighten(oriented_arrival_field(), 1e-9)\n"
-             "print(sorted(m for m in sys.modules "
-             "if m == 'scipy' or m.startswith('scipy.')))")
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
-                            capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+             "print(sorted(m for m in sys.modules if m.partition('.')[0] in\n"
+             "             {'scipy', 'jsonschema', 'referencing', 'rpds', 'attrs', 'attr'}))")
+    assert _python(probe).strip() == "[]"
+
+
+def test_cli_runs_without_jsonschema(tmp_path):
+    probe = ("import sys\n"
+             "class Block:\n"
+             "    def find_spec(self, name, path=None, target=None):\n"
+             "        if name.partition('.')[0] == 'jsonschema':\n"
+             "            raise ImportError(f'{name} is blocked')\n"
+             "sys.meta_path.insert(0, Block())\n"
+             "from flowquant.cli import main\n"
+             "from flowquant.scenarios import scenario_path\n"
+             "for command, name in [('flow-classify', 'flow_x2.json'),\n"
+             "                      ('arrival', 'reference_rightmover.json'),\n"
+             "                      ('classical-limit', 'classical_limit_reference.json'),\n"
+             "                      ('backflow', 'backflow_default.json')]:\n"
+             "    out = %r + '/' + command\n"
+             "    assert main([command, '--config', scenario_path(name), '--out', out]) == 0\n"
+             "try:\n"
+             "    import jsonschema\n"
+             "except ImportError:\n"
+             "    print('blocked')\n" % str(tmp_path))
+    assert _python(probe).splitlines()[-1] == "blocked"
 
 
 def test_scenario_rejects_unknown_keys(tmp_path):
@@ -235,6 +262,53 @@ def test_refuses_escape_radius(tmp_path, capsys):
         "field": {"kind": "const"}, "probe_spec": {"escape_radius": 1e6}})
     assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
     assert "escape_radius" in err[0]
+
+
+def test_refuses_s_grid_without_max(tmp_path, capsys):
+    rc, err = _refusal(tmp_path, capsys, "arrival", {
+        "packet": {"type": "gaussian", "center_x": -50.0, "center_p": 2.0,
+                   "sigma_p": 0.2},
+        "grids": {"x": {"min": -200.0, "max": 200.0, "count": 4096},
+                  "s": {"count": 4096}}})
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
+    assert err[0].endswith("'max' is a required property (at grids/s)")
+
+
+def test_refuses_bool_seed(tmp_path, capsys):
+    # a bool is not an integer, although Python's bool is an int
+    rc, err = _refusal(tmp_path, capsys, "classical-limit", {"seed": True})
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
+    assert err[0].endswith("True is not of type 'integer' (at seed)")
+
+
+def test_refuses_unrepresentable_probe_window(tmp_path, capsys):
+    # x^2 underflows to 0 on the window; the verdict would be Incurable
+    rc, err = _refusal(tmp_path, capsys, "flow-classify", {
+        "field": {"kind": "x2"},
+        "probe_spec": {"interval": [1e-300, 2e-300], "count": 16,
+                       "t_probe": 1e300}})
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
+    assert "not representable" in err[0]
+
+
+@pytest.mark.parametrize("command,scenario,section,key,literal", [
+    ("backflow", "backflow_default.json", "backflow_scan", "t_count", "11.0"),
+    ("classical-limit", "classical_limit_reference.json", "classical_limit",
+     "samples", "1e4"),
+])
+def test_whole_number_float_counts(tmp_path, command, scenario, section, key,
+                                   literal):
+    # JSON Schema counts 11.0 and 1e4 as integers; they run as 11 and 10000
+    cfg = read_json(scenario_path(scenario))
+    outputs = []
+    for value in (str(int(float(literal))), literal):
+        cfg[section][key] = "@"
+        path = tmp_path / f"{value}.json"
+        path.write_text(json.dumps(cfg).replace('"@"', value), encoding="utf-8")
+        out = tmp_path / f"out-{value}"
+        assert run_cli(command, "--config", str(path), "--out", str(out)) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def test_refuses_non_finite_backflow_range(tmp_path, capsys):

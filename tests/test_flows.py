@@ -162,6 +162,21 @@ def test_classification_matches_closed_form(factory, closed_form, a, width,
         assert abs(sample.t_escape - t) <= 1e-11 * t
 
 
+def test_classification_refuses_unrepresentable_field_values():
+    # x^2 underflows to 0 on this window: the probes would pass for fixed
+    # points, and the verdict for Incurable although every probe blows up
+    # forward at 1/x0 < t_probe.
+    tiny = fq.ProbeSpec(interval=(1e-300, 2e-300), count=16, t_probe=1e300)
+    with pytest.raises(fq.InvalidParameter, match="not representable"):
+        fq.classify_flow(fq.quadratic_field(), tiny)
+    with pytest.raises(fq.InvalidParameter, match="not representable"):
+        fq.classify_flow(fq.quadratic_field(), fq.ProbeSpec(interval=(1e200, 2e200)))
+    # a probe on the declared zero is a fixed point, not a refusal
+    on_zero = fq.classify_flow(fq.quadratic_field(),
+                               fq.ProbeSpec(interval=(-1.0, 1.0), count=17))
+    assert on_zero.verdict is fq.FlowVerdict.PLUGGABLE_INCOMPLETE
+
+
 def test_classification_deterministic():
     a = fq.classify_flow(fq.quadratic_field())
     b = fq.classify_flow(fq.quadratic_field())
@@ -254,6 +269,29 @@ def test_straighten_quadratic_not_global():
 def test_straighten_rejects_zero_field():
     with pytest.raises(fq.ZeroFieldValue):
         fq.straighten(fq.linear_field(), 1.0, span=(-2.0, 2.0))
+
+
+def test_straighten_default_span_stops_at_declared_zeros():
+    # the orbit of 1 under X = x is (0, inf), with the global chart log x
+    st = fq.straighten(fq.linear_field(), 1.0)
+    assert st.global_chart
+    for xv in (2e-9, 0.5, 2.0, 10.0):
+        assert abs(st.s_of_x(xv) - math.log(xv)) <= 1e-9
+    assert abs(st.x_of_s(math.log(3.0)) - 3.0) <= 1e-12
+    # the orbit of -1 under X = x^2 is (-inf, 0), with s = -1/x - 1
+    st = fq.straighten(fq.quadratic_field(), -1.0)
+    assert not st.global_chart
+    assert abs(st.s_of_x(-0.5) - 1.0) <= 1e-12
+    assert abs(st.s_of_x(-10.0) + 0.9) <= 1e-12
+    with pytest.raises(ValueError, match="outside the tabulated span"):
+        st.s_of_x(0.5)
+
+
+@pytest.mark.parametrize("span", [(-1.0, 0.0), (-1.0, 3.0), (-2.0, 2.0)])
+def test_straighten_rejects_span_holding_declared_zero(span):
+    # (-1, 3) has no table node on the zero; the declaration decides
+    with pytest.raises(fq.ZeroFieldValue):
+        fq.straighten(fq.quadratic_field(), -1.0, span=span, table_points=64)
 
 
 # -------------------------------------------------------------- transport
