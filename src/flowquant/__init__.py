@@ -30,7 +30,7 @@ from .classical import (ArrivalStats, Histogram, Marginals,
                         ensemble_from_packet, evolve_ensemble,
                         exact_momentum_histogram, gaussian_ensemble,
                         l1_distance, marginals, momentum_from_position_limit,
-                        quantum_momentum_limit)
+                        momentum_histogram, quantum_momentum_limit)
 from .errors import (BinRangeTooSmall, BoxOverflow, FlowQuantError,
                      GridMismatch, GridTooSmall, InconclusiveClassification,
                      IntervalOutOfRange, InvalidParameter, LowMomentumMass,
@@ -51,7 +51,7 @@ from .grids import (CurrentField, Grid1D, PhysicalParams, Representation,
                     spectral_derivative)
 from .transforms import (TransformReport, default_momentum_floor,
                          default_oriented_grid, evolve_free, fourier_eval,
-                         from_oriented_energy, low_momentum_mass,
+                         free_current, from_oriented_energy, low_momentum_mass,
                          to_arrival_time, to_momentum, to_oriented_energy,
                          to_position)
 

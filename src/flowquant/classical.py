@@ -123,14 +123,52 @@ class Marginals:
     mu: Histogram
 
 
+#: Samples per block of _bin_masses, so its index and mask arrays stay small.
+_BIN_BLOCK = 1 << 16
+
+
+def _bin_masses(values: np.ndarray, weights: np.ndarray,
+                edges: np.ndarray) -> np.ndarray:
+    """Weight of the values in each bin [edges[i], edges[i+1]), the last bin
+    closed: the bins np.histogram gives for explicit edges, without sorting.
+
+    Each value's bin is first guessed from the uniform-edge formula, then
+    stepped until the bin's actual edges hold the value, so non-uniform
+    edges are exact too, only slower.  Values outside the edges (and NaN)
+    are left out; the weights are summed per bin by np.bincount.
+    """
+    if not (len(edges) > 1 and np.all(np.isfinite(edges))
+            and np.all(edges[:-1] < edges[1:])):
+        raise ValueError("bin edges must be finite and increasing")
+    n_bins = len(edges) - 1
+    lo, hi = edges[0], edges[-1]
+    upper = np.append(edges[1:-1], np.inf)  # bin i: edges[i] <= v < upper[i]
+    scale = n_bins / (hi - lo)
+    masses = np.zeros(n_bins)
+    for start in range(0, len(values), _BIN_BLOCK):
+        v = values[start:start + _BIN_BLOCK]
+        w = weights[start:start + _BIN_BLOCK]
+        inside = (v >= lo) & (v <= hi)
+        if not inside.all():
+            v, w = v[inside], w[inside]
+        i = np.clip(((v - lo) * scale).astype(np.intp), 0, n_bins - 1)
+        wrong = np.flatnonzero((v < edges[i]) | (v >= upper[i]))
+        while wrong.size:
+            vw, iw = v[wrong], i[wrong]
+            iw = iw + (vw >= upper[iw]) - (vw < edges[iw])
+            i[wrong] = iw
+            wrong = wrong[(vw < edges[iw]) | (vw >= upper[iw])]
+        masses += np.bincount(i, w, minlength=n_bins)
+    return masses
+
+
 def _histogram(values: np.ndarray, weights: np.ndarray, edges: np.ndarray,
                strict: bool = True) -> Histogram:
     if strict and (values.min() < edges[0] or values.max() > edges[-1]):
         raise BinRangeTooSmall(
             f"samples span [{values.min():g}, {values.max():g}] but bins cover "
             f"[{edges[0]:g}, {edges[-1]:g}]")
-    masses, _ = np.histogram(values, bins=edges, weights=weights)
-    return Histogram(edges, masses)
+    return Histogram(edges, _bin_masses(values, weights, edges))
 
 
 def marginals(e: PhaseSpaceEnsemble, x_edges: np.ndarray,
@@ -138,6 +176,13 @@ def marginals(e: PhaseSpaceEnsemble, x_edges: np.ndarray,
     """Position and momentum histograms; each sums to the total weight (one)."""
     return Marginals(_histogram(e.x, e.w, np.asarray(x_edges, dtype=float)),
                      _histogram(e.p, e.w, np.asarray(p_edges, dtype=float)))
+
+
+def momentum_histogram(e: PhaseSpaceEnsemble, p_edges: np.ndarray) -> Histogram:
+    """Momentum histogram of the samples themselves, the reference that
+    momentum_from_position_limit converges to.  Samples outside the edges
+    are left out."""
+    return _histogram(e.p, e.w, np.asarray(p_edges, dtype=float), strict=False)
 
 
 def l1_distance(h1: Histogram, h2: Histogram) -> float:
@@ -150,18 +195,17 @@ def momentum_from_position_limit(e: PhaseSpaceEnsemble, x0: float, t: float,
                                  p_edges: np.ndarray) -> Histogram:
     """Momentum density recovered from the position density at time t.
 
-    Evolves the ensemble and reads (t/m) rho(t, x0 + (t/m) p) as bin masses:
-    the mass in the p-bin is the evolved-position mass in the mapped x-bin.
-    Comparing against the direct momentum histogram of the same samples
-    isolates the finite-t systematic error.  Samples drifting outside the
-    mapped window are excluded (part of that error).
+    Bins the evolved positions x + (t/m) p and reads (t/m) rho(t, x0 + (t/m) p)
+    as bin masses: the mass in the p-bin is the evolved-position mass in the
+    mapped x-bin.  Comparing against the direct momentum histogram of the
+    same samples isolates the finite-t systematic error.  Samples drifting
+    outside the mapped window are excluded (part of that error).
     """
     if t <= 0.0:
         raise ValueError("the limit formula needs t > 0")
-    evolved = evolve_ensemble(e, t)
     p_edges = np.asarray(p_edges, dtype=float)
-    x_edges = x0 + (t / e.params.mass) * p_edges
-    masses, _ = np.histogram(evolved.x, bins=x_edges, weights=evolved.w)
+    speed = t / e.params.mass
+    masses = _bin_masses(e.x + speed * e.p, e.w, x0 + speed * p_edges)
     return Histogram(p_edges, masses)
 
 

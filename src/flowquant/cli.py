@@ -15,7 +15,6 @@ significant digits, LF endings, UTF-8; JSON is sorted and indented.
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -27,26 +26,25 @@ from .arrival import (Component, arrival_amplitude_fast,
                       arrival_moments)
 from .classical import (ensemble_from_packet, exact_momentum_histogram,
                         l1_distance, momentum_from_position_limit,
-                        quantum_momentum_limit)
+                        momentum_histogram, quantum_momentum_limit)
 from .errors import (FlowQuantError, InconclusiveClassification,
                      NegativeMomentumLeak, ScenarioError)
 from .flows import classify_flow
-from .grids import Representation, norm_squared, probability_current
+from .grids import Representation, norm_squared
 from .scenarios import (build_field, build_packet, build_params,
                         build_probe_spec, build_s_grid, build_time_grid,
                         build_x_grid, load_scenario)
-from .transforms import evolve_free, to_momentum, to_position
+from .transforms import free_current, to_momentum
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_csv(path: str, header: list[str], *columns) -> None:
+    """One row per index of the equal-length columns.  Each column becomes a
+    list of Python floats once, so every value takes float.__format__, as a
+    float64 scalar would."""
+    row = ",".join(["{:.17g}"] * len(columns)) + "\n"
+    body = "".join(map(row.format, *(np.ravel(c).tolist() for c in columns)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(",".join(header) + "\n" + body)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -100,7 +98,7 @@ def cmd_arrival(cfg: dict, out_dir: str, args) -> int:
     T = dist.grid_T.points
     _write_csv(os.path.join(out_dir, "arrival_density.csv"),
                ["T", "total", "plus", "minus", "interference"],
-               zip(T, dist.total, dist.plus, dist.minus, dist.interference))
+               T, dist.total, dist.plus, dist.minus, dist.interference)
 
     summary = {
         "w_plus": dist.w_plus,
@@ -145,7 +143,7 @@ def cmd_classical_limit(cfg: dict, out_dir: str, args) -> int:
     widths = np.diff(p_edges)
 
     ensemble = ensemble_from_packet(packet, samples, seed)
-    mu_ens = np.histogram(ensemble.p, bins=p_edges, weights=ensemble.w)[0]
+    mu_ens = momentum_histogram(ensemble, p_edges).masses
     exact_q = exact_momentum_histogram(packet, p_edges)
 
     results = []
@@ -154,14 +152,14 @@ def cmd_classical_limit(cfg: dict, out_dir: str, args) -> int:
         l1_ens = float(np.sum(np.abs(h_ens.masses - mu_ens)))
         _write_csv(os.path.join(out_dir, f"classical_limit_ensemble_t{t:g}.csv"),
                    ["p", "mu_exact", "mu_limit", "abs_err"],
-                   zip(centers, mu_ens / widths, h_ens.masses / widths,
-                       np.abs(mu_ens - h_ens.masses) / widths))
+                   centers, mu_ens / widths, h_ens.masses / widths,
+                   np.abs(mu_ens - h_ens.masses) / widths)
         h_q = quantum_momentum_limit(packet, x0, t, p_edges)
         l1_q = l1_distance(h_q, exact_q)
         _write_csv(os.path.join(out_dir, f"classical_limit_quantum_t{t:g}.csv"),
                    ["p", "mu_exact", "mu_limit", "abs_err"],
-                   zip(centers, exact_q.masses / widths, h_q.masses / widths,
-                       np.abs(exact_q.masses - h_q.masses) / widths))
+                   centers, exact_q.masses / widths, h_q.masses / widths,
+                   np.abs(exact_q.masses - h_q.masses) / widths)
         results.append({"t": t, "l1_error_ensemble": l1_ens,
                         "l1_error_quantum": l1_q})
         print(f"t={t:g}: L1 ensemble={l1_ens:.5f} quantum={l1_q:.6f}")
@@ -186,22 +184,14 @@ def cmd_backflow(cfg: dict, out_dir: str, args) -> int:
     ts = np.linspace(scan["t_range"][0], scan["t_range"][1], scan["t_count"])
     xs = np.linspace(scan["x_range"][0], scan["x_range"][1], scan["x_count"])
 
-    rows = []
-    min_current = math.inf
-    argmin = (0.0, 0.0)
-    for t in ts:
-        psi_t = to_position(evolve_free(psi_tilde, float(t)))
-        j = probability_current(psi_t)
-        j_scan = np.interp(xs, j.grid.points, j.values)
-        for x, jj in zip(xs, j_scan):
-            rows.append((t, x, jj))
-        k = int(np.argmin(j_scan))
-        if j_scan[k] < min_current:
-            min_current = float(j_scan[k])
-            argmin = (float(xs[k]), float(t))
+    current = free_current(psi_tilde, ts)
+    j = np.array([np.interp(xs, current.grid.points, row) for row in current.values])
+    k_t, k_x = np.unravel_index(np.argmin(j), j.shape)
+    min_current = float(j[k_t, k_x])
+    argmin = (float(xs[k_x]), float(ts[k_t]))
 
-    _write_csv(os.path.join(out_dir, "backflow_current.csv"),
-               ["t", "x", "j"], rows)
+    _write_csv(os.path.join(out_dir, "backflow_current.csv"), ["t", "x", "j"],
+               np.repeat(ts, len(xs)), np.tile(xs, len(ts)), j)
     _write_json(os.path.join(out_dir, "backflow_summary.json"), {
         "min_current": min_current,
         "argmin_x": argmin[0],
@@ -239,6 +229,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.seed is not None and args.seed < 0:
+            # the bound the schema puts on a scenario's seed
+            raise ScenarioError(f"--seed {args.seed} is less than the minimum of 0")
         cfg = load_scenario(args.config)
         os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.command](cfg, args.out, args)

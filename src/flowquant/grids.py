@@ -128,7 +128,8 @@ class WaveFunction:
 
 @dataclass(frozen=True, eq=False)
 class CurrentField:
-    """Probability current j(x) sampled on a position grid at fixed time."""
+    """Probability current j(x) sampled on a position grid at fixed time, or
+    j(t, x) with one row per time."""
 
     grid: Grid1D
     values: np.ndarray
@@ -209,12 +210,13 @@ def gaussian_packet(grid: Grid1D, params: PhysicalParams, center_x: float,
 
 
 def spectral_derivative(values: np.ndarray, step: float) -> np.ndarray:
-    """d/du of periodic samples via the FFT; the Nyquist mode is dropped.
+    """d/du of periodic samples via the FFT, along the last axis; the Nyquist
+    mode is dropped.
 
     Zeroing the Nyquist multiplier keeps the derivative matrix exactly
     anti-Hermitian on even-length grids.
     """
-    n = len(values)
+    n = values.shape[-1]
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=step)
     if n % 2 == 0:
         k[n // 2] = 0.0

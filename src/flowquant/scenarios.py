@@ -28,7 +28,7 @@ from .grids import (Grid1D, PhysicalParams, Representation, WaveFunction,
 _KEYWORDS = frozenset({
     "$schema", "title", "$defs", "$ref", "type", "properties",
     "additionalProperties", "required", "enum", "minimum", "exclusiveMinimum",
-    "items", "minItems", "maxItems", "minLength"})
+    "maximum", "items", "minItems", "maxItems", "minLength"})
 
 # A bool is not a number, and an integer is any number without a fraction.
 _TYPES = {
@@ -95,6 +95,8 @@ def _check(value, node: dict, at: tuple = ()):
         if value <= node.get("exclusiveMinimum", -math.inf):
             fail(f"{value!r} is less than or equal to the minimum of "
                  f"{node['exclusiveMinimum']!r}")
+        if value > node.get("maximum", math.inf):
+            fail(f"{value!r} is greater than the maximum of {node['maximum']!r}")
         return int(value) if kind == "integer" else value
     least = node.get("minLength" if isinstance(value, str) else "minItems", 0)
     if isinstance(value, (str, list)) and len(value) < least:

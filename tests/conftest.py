@@ -43,3 +43,40 @@ def centered_packet(params, tight_grid):
 def arrival_grid():
     """T-window wide enough that the reference packet's tails are < 1e-9."""
     return fq.Grid1D(0.0, 60.0 / 1024, 1024)
+
+
+def _shipped_command(cfg: dict) -> str:
+    if "field" in cfg:
+        return "flow-classify"
+    if "backflow_scan" in cfg:
+        return "backflow"
+    if "classical_limit" in cfg:
+        return "classical-limit"
+    return "arrival"
+
+
+@pytest.fixture(scope="session")
+def run_shipped(tmp_path_factory):
+    """run_shipped() runs every shipped scenario under its subcommand, the
+    arrival ones also with --oracle, in a fresh directory and returns
+    {"<scenario>[ --oracle]/<file>": bytes} over all files written."""
+    from flowquant.cli import main
+    from flowquant.scenarios import list_scenarios, load_scenario, scenario_path
+
+    def run() -> dict[str, bytes]:
+        root = tmp_path_factory.mktemp("shipped")
+        for name in list_scenarios():
+            path = scenario_path(name)
+            command = _shipped_command(load_scenario(path))
+            for extra in ([], ["--oracle"]) if command == "arrival" else ([],):
+                out = root / " ".join([name, *extra])
+                assert main([command, "--config", path, "--out", str(out), *extra]) == 0
+        return {f"{p.parent.name}/{p.name}": p.read_bytes()
+                for p in sorted(root.glob("*/*"))}
+    return run
+
+
+@pytest.fixture(scope="session")
+def shipped_outputs(run_shipped):
+    """One run_shipped() result, shared by the tests that compare against it."""
+    return run_shipped()

@@ -1,7 +1,13 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import flowquant as fq
+from flowquant import classical
 
 
 @pytest.fixture(scope="module")
@@ -182,3 +188,68 @@ def test_ensemble_from_packet_matches_moments(limit_packet, params):
     assert abs(np.mean(e.p) - 1.0) <= 3.0 * 0.5 / np.sqrt(400_000)
     assert abs(np.std(e.x) - 1.0) <= 0.01
     assert abs(np.std(e.p) - 0.5) <= 0.01
+
+
+# ------------------------------------------------------- sort-free binning
+
+@st.composite
+def binning_inputs(draw):
+    """Increasing edges, uniform or not, and values on the edges, one ulp
+    beside them, inside and outside the range, with positive weights."""
+    n_bins = draw(st.integers(1, 24))
+    lo = draw(st.floats(-1e3, 1e3))
+    width = draw(st.floats(1e-3, 1e3))
+    if draw(st.booleans()):
+        edges = np.linspace(lo, lo + width, n_bins + 1)
+    else:
+        cuts = draw(st.lists(st.floats(lo, lo + width), min_size=n_bins + 1,
+                             max_size=n_bins + 1))
+        edges = np.unique(cuts + [lo, lo + width])
+    edge = st.sampled_from(edges.tolist())
+    value = (edge | edge.map(lambda e: np.nextafter(e, -np.inf))
+             | edge.map(lambda e: np.nextafter(e, np.inf))
+             | st.floats(lo - width, lo + 2.0 * width))
+    values = np.array(draw(st.lists(value, max_size=60)), dtype=float)
+    weights = np.array(draw(st.lists(st.floats(1e-6, 1.0), min_size=len(values),
+                                     max_size=len(values))))
+    return values, weights / max(weights.sum(), 1.0), edges
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=binning_inputs(), block=st.sampled_from([3, 7, classical._BIN_BLOCK]))
+@example(case=(np.array([0.0, 0.25, 0.5, 1.0, 1.0, -1e-300, 1.0 + 1e-16, np.nan]),
+               np.full(8, 0.125), np.array([0.0, 0.25, 0.5, 1.0])),
+         block=classical._BIN_BLOCK)
+@example(case=(np.array([1e-9, 2.5e-9, 3.0, 999.0, 1000.0]), np.full(5, 0.2),
+               np.array([0.0, 1e-9, 2e-9, 3e-9, 1.0, 1000.0])), block=2)
+def test_bin_masses_match_np_histogram(case, block):
+    values, weights, edges = case
+    with mock.patch.object(classical, "_BIN_BLOCK", block):
+        counts = classical._bin_masses(values, np.ones(len(values)), edges)
+        masses = classical._bin_masses(values, weights, edges)
+    assert np.array_equal(counts, np.histogram(values, bins=edges)[0])
+    reference = np.histogram(values, bins=edges, weights=weights)[0]
+    assert np.abs(masses - reference).max() <= 1e-13
+    # each mass is its bin's weights summed, to a few roundings
+    bins = np.searchsorted(edges, values, side="right") - 1
+    bins[values == edges[-1]] = len(edges) - 2
+    for k, mass in enumerate(masses):
+        assert abs(mass - math.fsum(weights[bins == k])) <= 1e-15
+
+
+def test_bin_masses_refuse_unordered_edges():
+    for edges in ([0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [0.0, np.nan], [0.0]):
+        with pytest.raises(ValueError, match="edges"):
+            classical._bin_masses(np.zeros(3), np.ones(3), np.array(edges))
+
+
+def test_momentum_histogram_is_exact(limit_ensemble):
+    # unit-weight samples: each mass is its count times the weight, to the
+    # roundings of a sum within the bin, not of a cumulative sum
+    h = fq.momentum_histogram(limit_ensemble, P_EDGES)
+    counts = np.histogram(limit_ensemble.p, bins=P_EDGES)[0]
+    w = limit_ensemble.w[0]
+    assert np.abs(h.masses - counts * w).max() <= 1e-14
+    assert np.abs(h.masses - counts * w).max() < \
+        np.abs(np.histogram(limit_ensemble.p, bins=P_EDGES,
+                            weights=limit_ensemble.w)[0] - counts * w).max()

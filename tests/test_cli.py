@@ -7,9 +7,11 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import flowquant
+from flowquant import cli
 from flowquant.cli import main
 from flowquant.scenarios import (_FIELD_BUILDERS, list_scenarios, load_scenario,
                                  scenario_path)
@@ -393,16 +395,71 @@ def test_backflow_leak_exit_code(tmp_path):
                    "--out", str(tmp_path / "out")) == 2
 
 
-def test_outputs_are_byte_stable(tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    for out in (out1, out2):
-        assert run_cli("classical-limit", "--config",
-                       scenario_path("classical_limit_reference.json"),
-                       "--out", str(out)) == 0
-    for name in ("classical_limit_summary.json",
-                 "classical_limit_ensemble_t200.csv",
-                 "classical_limit_quantum_t200.csv"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+def test_outputs_are_byte_stable(run_shipped, shipped_outputs):
+    written = {key.rpartition("/")[2] for key in shipped_outputs}
+    assert {"arrival_density.csv", "backflow_current.csv",
+            "classical_limit_ensemble_t200.csv", "classical_limit_quantum_t200.csv",
+            "classical_limit_summary.json", "flow_classification.json"} <= written
+    assert run_shipped() == shipped_outputs
+
+
+def _reference_write_csv(path, header, *columns):
+    """The CSV writer the CLI had before it formatted whole rows: one value
+    at a time, as float64 scalars, rows from zip."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in zip(*(np.ravel(c) for c in columns)):
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def test_write_csv_matches_per_value_writer(tmp_path):
+    rng = np.random.default_rng(5)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                        1e-300, -1e300, 1.7976931348623157e308, 1.0, -3.0,
+                        1e16, 2.0**53, 123456789.0, 0.1, 1 / 3])
+    columns = [np.concatenate([special, rng.standard_normal(200),
+                               rng.uniform(-1, 1, 200) * 10.0 ** rng.integers(-300, 300, 200),
+                               np.round(rng.standard_normal(200) * 1e6)])
+               for _ in range(3)]
+    columns[1] = columns[1][::-1]
+    for count in (1, 3):
+        header = ["a", "b", "c"][:count]
+        cli._write_csv(tmp_path / "new.csv", header, *columns[:count])
+        _reference_write_csv(tmp_path / "old.csv", header, *columns[:count])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_shipped_csvs_match_reference_writer(monkeypatch, run_shipped, shipped_outputs):
+    monkeypatch.setattr(cli, "_write_csv", _reference_write_csv)
+    reference = run_shipped()
+    assert sum(key.endswith(".csv") for key in reference) >= 10
+    assert reference == shipped_outputs
+
+
+def test_refuses_negative_seed_flag(tmp_path, capsys):
+    capsys.readouterr()
+    rc = run_cli("classical-limit", "--config",
+                 scenario_path("classical_limit_reference.json"),
+                 "--out", str(tmp_path / "out"), "--seed", "-1")
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
+    assert "--seed -1" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("classical_limit", "samples", 1e300),
+    ("classical_limit", "samples", 10_000_001),
+    ("grids", "x", {"min": -30.0, "max": 30.0, "count": 2**22 + 1}),
+])
+def test_refuses_counts_above_the_schema_maximum(tmp_path, capsys, section, key,
+                                                 value):
+    cfg = read_json(scenario_path("classical_limit_reference.json"))
+    cfg[section][key] = value
+    cfg.pop("name")
+    rc, err = _refusal(tmp_path, capsys, "classical-limit", cfg)
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
+    assert "is greater than the maximum of" in err[0]
 
 
 def test_console_script_entry_point(tmp_path):

@@ -28,9 +28,12 @@ def _property_names(node):
 
 KEYS = sorted(set(_property_names(_schema()))) + ["bogus"]
 # Values at and around the schema's bounds, of every JSON type: bools and
-# null, whole-number floats, zeros and negatives, the enum strings.
+# null, whole-number floats, zeros and negatives, the enum strings; the
+# maxima of the counts, 2^16, 2^20, 2^22 and 10^7, and one above each.
 NUMBERS = [0, 0.0, -0.0, 1e-300, 0.5, 1, 1.5, 2, 2.0, 7, 8, 8.0, 11.0, 15, 16,
-           16.0, 99, 100, 100.0, 1e4, 1e300, -1, -2.5]
+           16.0, 99, 100, 100.0, 1e4, 1e300, -1, -2.5,
+           65536, 65537, 65536.5, 1048576, 1048577.0, 4194304, 4194304.0,
+           4194305, 10_000_000, 1e7, 10_000_001, 1.0000001e7]
 LEAVES = [None, True, False, *NUMBERS, "", "x", "gaussian", "superposition",
           "backflow", "x2", "oriented_arrival_s"]
 JSON_VALUES = st.recursive(
@@ -99,6 +102,7 @@ def mutated_scenarios(draw):
 @example(cfg={"name": "one item too many", "probe_spec": {"interval": [0.0, 1.0, 2.0]}})
 @example(cfg={"name": "bool for a number", "params": {"hbar": True}})
 @example(cfg={"name": "whole-number float", "probe_spec": {"count": 16.0}})
+@example(cfg={"name": "above the maximum", "grids": {"s": {"count": 4194305.0, "max": 1}}})
 def test_checker_agrees_with_jsonschema(cfg):
     expected = {f"{e.message} (at {'/'.join(map(str, e.absolute_path)) or '<root>'})"
                 for e in REFERENCE.iter_errors(cfg)}
@@ -135,7 +139,7 @@ def test_checker_returns_integers_as_int():
 
 @pytest.mark.parametrize("node", [
     {"type": "string", "pattern": "^a"},
-    {"type": "array", "items": {"type": "number", "maximum": 1}},
+    {"type": "array", "items": {"type": "number", "exclusiveMaximum": 1}},
     {"$ref": "https://example.com/axis.json"},
     {"$ref": "#/$defs/missing"},
     {"$ref": "#/$defs/axis", "minimum": 1},

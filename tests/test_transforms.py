@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import flowquant as fq
-from flowquant.transforms import _fft_size, fourier_eval
+from flowquant.transforms import _CURRENT_BLOCK, _fft_size, fourier_eval
 
 
 def test_gaussian_self_transform(centered_packet):
@@ -254,3 +254,19 @@ def test_fft_size_is_the_smallest_5_smooth_length():
                     for c in range(11))
     for n in list(range(1, 3000)) + [66559, 132095, 4195327]:
         assert _fft_size(n) == next(s for s in smooth if s >= n)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_free_current_rows_match_single_steps(extra):
+    # t_count one below, at and one above a block of rows; hbar and m that
+    # are not powers of two, so reordered roundings show
+    params = fq.PhysicalParams(hbar=0.7, mass=1.3)
+    grid = fq.Grid1D(-60.0, 120.0 / 2048, 2048)
+    psi_tilde = fq.to_momentum(fq.gaussian_packet(grid, params, -10.0, 1.5, 0.4))
+    ts = np.linspace(-3.0, 12.0, _CURRENT_BLOCK // grid.count + extra)
+    current = fq.free_current(psi_tilde, ts)
+    assert current.values.shape == (len(ts), grid.count)
+    for t, row in zip(ts, current.values):
+        step = fq.probability_current(fq.to_position(fq.evolve_free(psi_tilde, float(t))))
+        assert current.grid == step.grid
+        assert row.tobytes() == step.values.tobytes()
