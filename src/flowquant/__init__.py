@@ -31,8 +31,8 @@ from .classical import (ArrivalStats, Histogram, Marginals,
                         exact_momentum_histogram, gaussian_ensemble,
                         l1_distance, marginals, momentum_from_position_limit,
                         momentum_histogram, quantum_momentum_limit)
-from .errors import (BinRangeTooSmall, BoxOverflow, FlowQuantError,
-                     GridMismatch, GridTooSmall, InconclusiveClassification,
+from .errors import (BinRangeTooSmall, FlowQuantError, GridMismatch,
+                     GridTooSmall, InconclusiveClassification,
                      IntervalOutOfRange, InvalidParameter, LowMomentumMass,
                      MomentumFloorViolated, NegativeMomentumLeak,
                      NonPositiveWidth, NotComplete, NotPluggable, OutOfDomain,

@@ -9,9 +9,13 @@ momentum density,
     mu(p) = lim (t/m) rho(t, x0 + (t/m) p)            (1-D exponent),
 
 which also holds verbatim for |psi(t,x)|^2 of a freely evolving packet and
-fixes the quantum momentum density as |psi~(p)|^2.  The module also provides
-the Monte Carlo oriented-arrival-time oracle used to validate the quantum
-distribution's quasiclassical mean.
+fixes the quantum momentum density as |psi~(p)|^2.  For a packet, exactly,
+(t/m) |psi(t, x)|^2 = |F[psi(y) exp(i m y^2 / (2 hbar t))](m x / t)|^2 with F
+the position -> momentum transform (Dollard 1964), which the packet's grid
+resolves while the chirped spectrum and the window fit in one momentum
+period 2 pi hbar / dx.  The module also provides the Monte Carlo
+oriented-arrival-time oracle used to validate the quantum distribution's
+quasiclassical mean.
 
 All stochastic constructors take explicit seeds; reductions are plain numpy
 (pairwise) sums, so results are reproducible bit-for-bit.
@@ -23,36 +27,49 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrival import oriented_arrival_time
-from .errors import (BinRangeTooSmall, BoxOverflow, MomentumFloorViolated,
-                     RepMismatch)
+from .errors import (BinRangeTooSmall, InvalidParameter,
+                     MomentumFloorViolated, RepMismatch)
 from .grids import (Grid1D, PhysicalParams, Representation, WaveFunction,
                     moments)
-from .transforms import evolve_free, fourier_eval, to_momentum
+from .transforms import _SUPPORT_CUT, fourier_eval, to_momentum
 
 
 @dataclass(frozen=True, eq=False)
 class PhaseSpaceEnsemble:
-    """Weighted samples (x_i, p_i, w_i) of a classical phase-space density."""
+    """Weighted samples (x_i, p_i, w_i) of a classical phase-space density,
+    kept as read-only float64 copies of the caller's arrays; the module's
+    constructors hand over the arrays they have just built, uncopied."""
 
     x: np.ndarray
     p: np.ndarray
     w: np.ndarray
     params: PhysicalParams
 
-    def __post_init__(self):
+    def __post_init__(self, copy: bool = True):
         for name in ("x", "p", "w"):
-            arr = np.array(getattr(self, name), dtype=np.float64, copy=True)
+            arr = getattr(self, name)
+            arr = np.array(arr, dtype=np.float64, copy=True) if copy else arr
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if not (len(self.x) == len(self.p) == len(self.w)):
             raise ValueError("sample arrays must have equal lengths")
-        if np.any(self.w < 0.0):
+        if self.w.min(initial=0.0) < 0.0:
             raise ValueError("weights must be nonnegative")
         if abs(float(np.sum(self.w)) - 1.0) > 1e-12:
             raise ValueError("weights must sum to one")
-        second = float(np.sum(self.w * (self.x**2 + self.p**2)))
-        if not math.isfinite(second):
+        second = np.square(self.x)
+        second += np.square(self.p)
+        second *= self.w  # w (x^2 + p^2), in place
+        if not math.isfinite(float(np.sum(second))):
             raise ValueError("ensemble must have finite second moments")
+
+    @classmethod
+    def _owning(cls, x, p, w, params: PhysicalParams) -> "PhaseSpaceEnsemble":
+        e = object.__new__(cls)
+        for name, value in (("x", x), ("p", p), ("w", w), ("params", params)):
+            object.__setattr__(e, name, value)
+        e.__post_init__(copy=False)
+        return e
 
     @property
     def size(self) -> int:
@@ -64,10 +81,8 @@ def gaussian_ensemble(params: PhysicalParams, mean_x: float, sigma_x: float,
                       seed: int) -> PhaseSpaceEnsemble:
     """Product-Gaussian ensemble with independent x and p marginals."""
     rng = np.random.default_rng(seed)
-    x = rng.normal(mean_x, sigma_x, count)
-    p = rng.normal(mean_p, sigma_p, count)
-    w = np.full(count, 1.0 / count)
-    return PhaseSpaceEnsemble(x, p, w, params)
+    x, p = rng.normal(mean_x, sigma_x, count), rng.normal(mean_p, sigma_p, count)
+    return PhaseSpaceEnsemble._owning(x, p, np.full(count, 1.0 / count), params)
 
 
 def ensemble_from_packet(psi: WaveFunction, count: int,
@@ -88,7 +103,7 @@ def ensemble_from_packet(psi: WaveFunction, count: int,
 
 def evolve_ensemble(e: PhaseSpaceEnsemble, t: float) -> PhaseSpaceEnsemble:
     """Free motion: positions advance by (t/m) p, momenta are constants."""
-    return PhaseSpaceEnsemble(e.x + (t / e.params.mass) * e.p, e.p, e.w, e.params)
+    return PhaseSpaceEnsemble._owning(e.x + (t / e.params.mass) * e.p, e.p, e.w, e.params)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,77 +225,61 @@ def momentum_from_position_limit(e: PhaseSpaceEnsemble, x0: float, t: float,
 
 
 def quantum_momentum_limit(psi: WaveFunction, x0: float, t: float,
-                           p_edges: np.ndarray,
-                           box: Grid1D | None = None) -> Histogram:
+                           p_edges: np.ndarray) -> Histogram:
     """Quantum version: (t/m) |psi(t, x0 + (t/m) p)|^2 as bin masses.
 
-    The packet is zero-padded into an enlarged position box (the evolved
-    packet must still fit it, else BoxOverflow), evolved in the momentum
-    representation, and evaluated directly at the mapped bin centers.
+    By the exact factorisation U(t) = M D F M of the free propagator
+    (Dollard, J. Math. Phys. 5, 729 (1964)), M the chirp exp(i m y^2 /
+    (2 hbar t)), the masses are |F[M psi](p + m x0 / t)|^2 dp: one
+    fourier_eval on the packet's grid, whose Riemann sum has the momentum
+    period 2 pi hbar / dx.  InvalidParameter names the smallest t at which
+    the chirped spectrum and the window fit in one period.
     """
     psi.require_rep(Representation.POSITION)
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError("the limit formula needs t > 0")
-    m = psi.params.mass
-    hbar = psi.params.hbar
+    m, hbar = psi.params.mass, psi.params.hbar
     p_edges = np.asarray(p_edges, dtype=float)
-
-    mx, sx = moments(psi)
-    psi_p0 = to_momentum(psi)
-    mp, sp = moments(psi_p0)
-    center_t = mx + mp * t / m
-    spread_t = math.sqrt(sx**2 + (sp * t / m) ** 2)
-
-    if box is None:
-        half = max(abs(center_t) + 8.0 * spread_t,
-                   abs(psi.grid.origin) + psi.grid.span)
-        factor = int(math.ceil(2.0 * half / psi.grid.span))
-        factor = 2 ** int(math.ceil(math.log2(max(factor, 1))))
-        box = _embedding_grid(psi.grid, factor)
-    lo_box, hi_box = box.origin, box.last
-    if center_t - 6.0 * spread_t < lo_box or center_t + 6.0 * spread_t > hi_box:
-        raise BoxOverflow(
-            f"evolved packet (center {center_t:g}, spread {spread_t:g}) leaves "
-            f"the box [{lo_box:g}, {hi_box:g}]")
-
-    big = _embed(psi, box)
-    big_p = evolve_free(to_momentum(big), t)
-
-    centers = 0.5 * (p_edges[:-1] + p_edges[1:])
-    x_eval = Grid1D(x0 + (t / m) * centers[0], (t / m) * (centers[1] - centers[0]),
-                    len(centers))
-    psi_at = fourier_eval(big_p.values, big_p.grid, x_eval, +1, hbar)
-    masses = (t / m) * np.abs(psi_at) ** 2 * np.diff(p_edges)
-    return Histogram(p_edges, masses)
+    t_min = _min_resolved_time(psi, x0, 0.5 * (p_edges[:-1] + p_edges[1:]))
+    if t < t_min:
+        raise InvalidParameter(
+            f"classical limit at t = {t:g}: the x grid (step {psi.grid.step:g}) "
+            f"resolves only t >= {t_min:.3g} for these p bins")
+    chirp = np.exp(1j * (m / t) * psi.points**2 / (2.0 * hbar))
+    return _spectrum_masses(psi.values * chirp, psi, p_edges, m * x0 / t)
 
 
-def exact_momentum_histogram(psi: WaveFunction,
-                             p_edges: np.ndarray) -> Histogram:
+def exact_momentum_histogram(psi: WaveFunction, p_edges: np.ndarray) -> Histogram:
     """|psi~(p)|^2 evaluated at bin centers, as bin masses."""
     psi.require_rep(Representation.POSITION)
-    p_edges = np.asarray(p_edges, dtype=float)
+    return _spectrum_masses(psi.values, psi, np.asarray(p_edges, dtype=float), 0.0)
+
+
+def _spectrum_masses(values: np.ndarray, psi: WaveFunction, p_edges: np.ndarray,
+                     shift: float) -> Histogram:
+    """|F[values](p + shift)|^2 dp over the bins, values on psi's grid."""
     centers = 0.5 * (p_edges[:-1] + p_edges[1:])
-    p_eval = Grid1D(centers[0], centers[1] - centers[0], len(centers))
-    vals = fourier_eval(psi.values, psi.grid, p_eval, -1, psi.params.hbar)
-    return Histogram(p_edges, np.abs(vals) ** 2 * np.diff(p_edges))
+    p_eval = Grid1D(centers[0] + shift, centers[1] - centers[0], len(centers))
+    amp = fourier_eval(values, psi.grid, p_eval, -1, psi.params.hbar)
+    return Histogram(p_edges, np.abs(amp) ** 2 * np.diff(p_edges))
 
 
-def _embedding_grid(grid: Grid1D, factor: int) -> Grid1D:
-    count = factor * grid.count
-    extra = (count - grid.count) // 2
-    return Grid1D(grid.origin - extra * grid.step, grid.step, count)
-
-
-def _embed(psi: WaveFunction, box: Grid1D) -> WaveFunction:
-    if not math.isclose(box.step, psi.grid.step, rel_tol=1e-12):
-        raise ValueError("embedding box must share the grid step")
-    offset = (psi.grid.origin - box.origin) / box.step
-    k = round(offset)
-    if abs(offset - k) > 1e-9 or k < 0 or k + psi.grid.count > box.count:
-        raise ValueError("embedding box must contain the original grid on-node")
-    values = np.zeros(box.count, dtype=np.complex128)
-    values[k:k + psi.grid.count] = psi.values
-    return WaveFunction(box, values, Representation.POSITION, psi.params)
+def _min_resolved_time(psi: WaveFunction, x0: float, centers: np.ndarray) -> float:
+    """Smallest t at which the chirped spectrum, within [p_lo + u y_lo,
+    p_hi + u y_hi] for u = m / t on the 1e-13 amplitude supports, and the
+    window centers + u x0 fit in one momentum period; inf if none."""
+    ends = []
+    for wave in (psi, to_momentum(psi)):
+        amp = np.abs(wave.values)
+        ends += wave.points[amp >= _SUPPORT_CUT * amp.max()][[0, -1]].tolist()
+    y_lo, y_hi, p_lo, p_hi = ends
+    period = 2.0 * math.pi * psi.params.hbar / psi.grid.step
+    rooms = [(period - (top - bottom), top_slope - bottom_slope)
+             for top, top_slope in ((p_hi, y_hi), (centers[-1], x0))
+             for bottom, bottom_slope in ((p_lo, y_lo), (centers[0], x0))]
+    if min(room for room, _ in rooms) <= 0.0:
+        return math.inf
+    return psi.params.mass * max(0.0, *(slope / room for room, slope in rooms))
 
 
 @dataclass(frozen=True)

@@ -81,10 +81,6 @@ class BinRangeTooSmall(FlowQuantError):
     """Histogram bins do not cover the sample range."""
 
 
-class BoxOverflow(FlowQuantError):
-    """Evolved packet no longer fits the position box."""
-
-
 class MomentumFloorViolated(FlowQuantError):
     """Ensemble contains samples with |p| below the arrival-time floor."""
 

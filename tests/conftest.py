@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import flowquant as fq
@@ -43,6 +44,51 @@ def centered_packet(params, tight_grid):
 def arrival_grid():
     """T-window wide enough that the reference packet's tails are < 1e-9."""
     return fq.Grid1D(0.0, 60.0 / 1024, 1024)
+
+
+def _evolved_gaussian_density(t, x, components, params):
+    """Closed-form |psi(t, x)|^2 of the normalized superposition
+    sum a_k gaussian_packet(center_x_k, center_p_k, sigma_p_k) after free
+    evolution for a time t > 0; components are (a_k, center_x_k, center_p_k,
+    sigma_p_k).
+
+    A component is exp(-A y^2 + B y + C).  The free propagator
+    (beta / (i pi))^(1/2) exp(i beta (x - y)^2), beta = m / (2 hbar t), makes
+    the evolved amplitude a Gaussian integral, and the norm is the sum of
+    the components' Gaussian overlaps: int exp(-a y^2 + b y + c) dy =
+    (pi / a)^(1/2) exp(b^2 / (4 a) + c).
+    """
+    hbar, mass = params.hbar, params.mass
+    x = np.asarray(x, dtype=float)
+    terms = []
+    for amplitude, center_x, center_p, sigma_p in components:
+        sigma_x = hbar / (2.0 * sigma_p)
+        a = 1.0 / (4.0 * sigma_x**2)
+        b = 2.0 * a * center_x + 1j * center_p / hbar
+        c = (-a * center_x**2 - 1j * center_p * center_x / hbar
+             - 0.25 * math.log(2.0 * math.pi * sigma_x**2))
+        terms.append((amplitude, a, b, c))
+    beta = mass / (2.0 * hbar * t)
+    psi = np.zeros(x.shape, dtype=np.complex128)
+    for amplitude, a, b, c in terms:
+        shifted = b - 2j * beta * x
+        psi += (amplitude * np.sqrt(beta / (beta + 1j * a))
+                * np.exp(shifted**2 / (4.0 * (a - 1j * beta))
+                         + 1j * beta * x**2 + c))
+    norm = 0.0
+    for amp_k, a_k, b_k, c_k in terms:
+        for amp_l, a_l, b_l, c_l in terms:
+            a, b = np.conj(a_k) + a_l, np.conj(b_k) + b_l
+            norm += (np.conj(amp_k) * amp_l * np.sqrt(np.pi / a)
+                     * np.exp(b**2 / (4.0 * a) + np.conj(c_k) + c_l)).real
+    return np.abs(psi) ** 2 / norm
+
+
+@pytest.fixture(scope="session")
+def evolved_gaussian_density():
+    """_evolved_gaussian_density(t, x, components, params), the closed-form
+    density of a freely evolved Gaussian superposition."""
+    return _evolved_gaussian_density
 
 
 def _shipped_command(cfg: dict) -> str:

@@ -238,30 +238,36 @@ def test_criterion_07_interference():
 # ---------------------------------------------------------------------------
 # 8. classical limit
 
-def test_criterion_08_classical_limit():
+def test_criterion_08_classical_limit(evolved_gaussian_density):
     params = fq.PhysicalParams()
     grid = fq.Grid1D(-30.0, 60.0 / 2048, 2048)
     psi = fq.gaussian_packet(grid, params, 0.0, 1.0, 0.5)
     ensemble = fq.gaussian_ensemble(params, 0.0, 1.0, 1.0, 0.5, 1_000_000,
                                     seed=20240601)
     p_edges = np.linspace(-2.0, 4.0, 97)
+    centers = 0.5 * (p_edges[:-1] + p_edges[1:])
     mu = np.histogram(ensemble.p, bins=p_edges, weights=ensemble.w)[0]
     exact = fq.exact_momentum_histogram(psi, p_edges)
 
-    ens_errors, q_errors = [], []
+    ens_errors, q_errors, closed_errors = [], [], []
     for t in (20.0, 50.0, 100.0, 200.0):
         h = fq.momentum_from_position_limit(ensemble, 0.0, t, p_edges)
         ens_errors.append(float(np.sum(np.abs(h.masses - mu))))
         hq = fq.quantum_momentum_limit(psi, 0.0, t, p_edges)
         q_errors.append(fq.l1_distance(hq, exact))
+        closed = (t * evolved_gaussian_density(t, t * centers, [(1.0, 0.0, 1.0, 0.5)],
+                                               params) * np.diff(p_edges))
+        closed_errors.append(float(np.abs(hq.masses - closed).max()))
 
     monotone = (all(ens_errors[i + 1] <= ens_errors[i] for i in range(3))
                 and all(q_errors[i + 1] <= q_errors[i] for i in range(3)))
-    ok = ens_errors[-1] <= 0.02 and q_errors[-1] <= 0.02 and monotone
+    closed_ok = max(closed_errors) <= 1e-12
+    ok = ens_errors[-1] <= 0.02 and q_errors[-1] <= 0.02 and monotone and closed_ok
     report(8, ok, "momentum density from position measurements (t ladder)",
            f"ensemble L1={['%.4f' % e for e in ens_errors]}, "
            f"quantum L1={['%.5f' % e for e in q_errors]}, "
-           f"final <= 0.02, monotone={monotone}")
+           f"final <= 0.02, monotone={monotone}, "
+           f"max|quantum - closed form|={max(closed_errors):.1e} <= 1e-12")
 
 
 # ---------------------------------------------------------------------------

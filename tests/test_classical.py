@@ -32,6 +32,46 @@ def test_ensemble_validation(params):
         fq.PhaseSpaceEnsemble(np.zeros(4), np.zeros(3), np.full(4, 0.25), params)
 
 
+def test_ensemble_keeps_its_own_copies(params):
+    x, p, w = np.zeros(4), np.ones(4), np.full(4, 0.25)
+    e = fq.PhaseSpaceEnsemble(x, p, w, params)
+    x[0], p[0], w[:] = 5.0, -5.0, 0.0
+    assert np.array_equal(e.x, np.zeros(4))
+    assert np.array_equal(e.p, np.ones(4))
+    assert np.array_equal(e.w, np.full(4, 0.25))
+    assert not (e.x.flags.writeable or e.p.flags.writeable or e.w.flags.writeable)
+
+
+def test_gaussian_ensemble_draws_unchanged(params):
+    # the draws and weights of the seeded generator, bit for bit
+    rng = np.random.default_rng(11)
+    e = fq.gaussian_ensemble(params, 0.5, 1.5, -1.0, 0.25, 10_000, seed=11)
+    assert np.array_equal(e.x, rng.normal(0.5, 1.5, 10_000))
+    assert np.array_equal(e.p, rng.normal(-1.0, 0.25, 10_000))
+    assert np.array_equal(e.w, np.full(10_000, 1e-4))
+    moved = fq.evolve_ensemble(e, 3.0)
+    assert np.array_equal(moved.x, e.x + 3.0 * e.p)
+    assert not moved.x.flags.writeable
+
+
+@pytest.mark.parametrize("x,p,w", [
+    ([1e155, 0.0], [0.0, 0.0], [0.5, 0.5]),   # x^2 overflows
+    ([0.0, np.nan], [0.0, 0.0], [0.5, 0.5]),
+    ([0.0, 0.0], [0.0, 0.0], [1.5, -0.5]),
+    ([0.0, 0.0], [0.0, 0.0], [np.nan, 0.5]),
+    ([], [], []),
+])
+def test_ensemble_refusals(params, x, p, w):
+    with pytest.raises(ValueError), np.errstate(over="ignore"):
+        fq.PhaseSpaceEnsemble(np.array(x), np.array(p), np.array(w), params)
+
+
+def test_evolve_ensemble_refuses_overflow(params):
+    e = fq.PhaseSpaceEnsemble(np.zeros(2), np.ones(2), np.full(2, 0.5), params)
+    with pytest.raises(ValueError, match="second moments"), np.errstate(over="ignore"):
+        fq.evolve_ensemble(e, 1e200)
+
+
 def test_evolve_identity(limit_ensemble):
     same = fq.evolve_ensemble(limit_ensemble, 0.0)
     assert np.array_equal(same.x, limit_ensemble.x)
@@ -131,11 +171,62 @@ def test_quantum_momentum_limit_converges(limit_packet):
     assert e400 < e200
 
 
-def test_quantum_momentum_limit_box_overflow(limit_packet):
-    small_box = fq.Grid1D(-60.0, 60.0 / 1024, 2048)
-    with pytest.raises(fq.BoxOverflow):
-        fq.quantum_momentum_limit(limit_packet, 0.0, 200.0, P_EDGES,
-                                  box=small_box)
+def test_quantum_momentum_limit_refuses_unresolved_time(limit_packet):
+    # the 2048-point grid resolves the far field from t ~ 0.11 on
+    t_min = classical._min_resolved_time(
+        limit_packet, 0.0, 0.5 * (P_EDGES[:-1] + P_EDGES[1:]))
+    assert 0.1 < t_min < 0.12
+    fq.quantum_momentum_limit(limit_packet, 0.0, 1.01 * t_min, P_EDGES)
+    with pytest.raises(fq.InvalidParameter, match=r"only t >= 0\.1"):
+        fq.quantum_momentum_limit(limit_packet, 0.0, 0.99 * t_min, P_EDGES)
+    # bins far to one side of the spectrum must fit in the same period
+    far = np.linspace(50.0, 150.0, 65)
+    t_far = classical._min_resolved_time(limit_packet, 0.0, 0.5 * (far[:-1] + far[1:]))
+    assert t_far > 1.5 * t_min
+    with pytest.raises(fq.InvalidParameter):
+        fq.quantum_momentum_limit(limit_packet, 0.0, 0.99 * t_far, far)
+
+
+@st.composite
+def far_field_cases(draw):
+    """One or two gaussian_packet components on the limit packet's grid, a
+    detector offset x0 and a fraction placing t log-uniformly in
+    [1.5 t_min, 400]."""
+    components = [(draw(st.floats(0.3, 1.0)) * np.exp(1j * draw(st.floats(0.0, 6.3))),
+                   draw(st.floats(-8.0, 8.0)), draw(st.floats(-3.0, 3.0)),
+                   draw(st.floats(0.3, 1.5)))
+                  for _ in range(draw(st.integers(1, 2)))]
+    return components, draw(st.floats(-10.0, 10.0)), draw(st.floats(0.0, 1.0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=far_field_cases())
+def test_quantum_momentum_limit_closed_form(params, evolved_gaussian_density,
+                                            case):
+    components, x0, frac = case
+    grid = fq.Grid1D(-30.0, 60.0 / 2048, 2048)
+    total = sum(a * fq.gaussian_packet(grid, params, xc, pc, sp).values
+                for a, xc, pc, sp in components)
+    nrm = math.sqrt(float(np.sum(np.abs(total) ** 2) * grid.step))
+    psi = fq.WaveFunction(grid, total / nrm, fq.Representation.POSITION, params)
+    momenta = [pc for _, _, pc, _ in components]
+    spread = max(sp for *_, sp in components)
+    p_edges = np.linspace(min(momenta) - 5.0 * spread, max(momenta) + 5.0 * spread, 65)
+    centers = 0.5 * (p_edges[:-1] + p_edges[1:])
+    t_lo = 1.5 * classical._min_resolved_time(psi, x0, centers)
+    t = t_lo * (400.0 / t_lo) ** frac
+
+    h = fq.quantum_momentum_limit(psi, x0, t, p_edges)
+    speed = t / params.mass
+    exact = (speed * evolved_gaussian_density(t, x0 + speed * centers, components, params)
+             * np.diff(p_edges))
+    # peak bin mass over the whole far field, not only the window: the grid
+    # stretched by (1 + (t/m)^2)^(1/2) holds every component's centre and
+    # samples its width finely
+    x_far = grid.points * math.sqrt(1.0 + speed**2) + speed * np.mean(momenta)
+    peak = (speed * evolved_gaussian_density(t, x_far, components, params).max()
+            * (p_edges[1] - p_edges[0]))
+    assert np.abs(h.masses - exact).max() <= 1e-12 * peak
 
 
 # ----------------------------------------------------- arrival-time oracle

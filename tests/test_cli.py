@@ -293,6 +293,14 @@ def test_refuses_unrepresentable_probe_window(tmp_path, capsys):
     assert "not representable" in err[0]
 
 
+def test_refuses_unresolved_classical_limit_time(tmp_path, capsys):
+    cfg = load_scenario(scenario_path("classical_limit_reference.json"))
+    cfg["classical_limit"]["times"] = [0.01]
+    rc, err = _refusal(tmp_path, capsys, "classical-limit", cfg)
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
+    assert "only t >= 0.107" in err[0]
+
+
 @pytest.mark.parametrize("command,scenario,section,key,literal", [
     ("backflow", "backflow_default.json", "backflow_scan", "t_count", "11.0"),
     ("classical-limit", "classical_limit_reference.json", "classical_limit",
