@@ -257,7 +257,18 @@ def exact_momentum_histogram(psi: WaveFunction, p_edges: np.ndarray) -> Histogra
 
 def _spectrum_masses(values: np.ndarray, psi: WaveFunction, p_edges: np.ndarray,
                      shift: float) -> Histogram:
-    """|F[values](p + shift)|^2 dp over the bins, values on psi's grid."""
+    """|F[values](p + shift)|^2 dp over the bins, values on psi's grid.
+
+    The bin centers are evaluated as one uniform grid, so the bins must be of
+    equal width (to the rounding of np.linspace).
+    """
+    widths = np.diff(p_edges)
+    uneven = np.flatnonzero(np.abs(widths - widths[0]) > 1e-9 * np.abs(p_edges).max())
+    if uneven.size:
+        i = uneven[0]
+        raise InvalidParameter(
+            f"p_edges must be uniformly spaced: bin [{p_edges[i]:g}, {p_edges[i + 1]:g}] "
+            f"is {widths[i]:g} wide, bin [{p_edges[0]:g}, {p_edges[1]:g}] {widths[0]:g}")
     centers = 0.5 * (p_edges[:-1] + p_edges[1:])
     p_eval = Grid1D(centers[0] + shift, centers[1] - centers[0], len(centers))
     amp = fourier_eval(values, psi.grid, p_eval, -1, psi.params.hbar)

@@ -39,10 +39,23 @@ def _stencil(values: np.ndarray, t: np.ndarray) -> np.ndarray:
     coeffs = (_TO_QUINTIC @ shifted.view(np.float64)).view(np.complex128)
     start = np.clip(np.floor(t).astype(np.intp) - 2, 0, len(values) - _STENCIL)
     v = t - start - 2.5
-    acc = coeffs[0][start]
-    for row in coeffs[1:]:
-        acc = acc * v + row[start]
+    window = coeffs.take(start, axis=1)  # one gather: a fresh array, safe to overwrite
+    acc = window[0]
+    for row in window[1:]:
+        acc *= v
+        acc += row
     return acc
+
+
+def _cis(theta: np.ndarray) -> np.ndarray:
+    """exp(i theta) for real theta: cos and sin written into the real and
+    imaginary parts of one complex array, half the work of a complex exp.
+    Forms the unit phases of resampling and of the Fourier steps; it lives
+    here, below transforms in the import order, so both can use it."""
+    out = np.empty(np.shape(theta), dtype=np.complex128)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
 
 
 def _amp_phase(values: np.ndarray) -> np.ndarray:
@@ -52,7 +65,10 @@ def _amp_phase(values: np.ndarray) -> np.ndarray:
 
 
 def _from_amp_phase(packed: np.ndarray) -> np.ndarray:
-    return packed.real * np.exp(1j * packed.imag)
+    out = _cis(packed.imag)
+    out.real *= packed.real
+    out.imag *= packed.real
+    return out
 
 
 def _cross_validation_residual(packed: np.ndarray, peak: float) -> float:

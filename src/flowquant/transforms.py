@@ -26,6 +26,7 @@ that diverges at p = 0; inputs must carry negligible probability mass below a
 momentum floor (default four momentum-grid steps).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,7 +35,7 @@ import numpy as np
 from .errors import GridMismatch, LowMomentumMass
 from .grids import (CurrentField, Grid1D, Representation, WaveFunction,
                     norm_squared, spectral_derivative)
-from .resample import resample_complex
+from .resample import _cis, resample_complex
 
 #: Wave functions with more relative mass below the momentum floor than this
 #: are rejected by the oriented-energy map.
@@ -81,13 +82,13 @@ def _continuum_dft(values: np.ndarray, grid_in: Grid1D, grid_out: Grid1D,
                         rel_tol=1e-12):
         raise GridMismatch("grids are not Fourier-conjugate for this hbar")
     u = grid_in.points
-    pre = np.exp(sign * 1j * u * grid_out.origin / hbar)
+    pre = _cis(u * grid_out.origin * (sign / hbar))
     if sign < 0:
         core = np.fft.fft(values * pre)
     else:
         core = np.fft.ifft(values * pre) * n
     k = np.arange(n)
-    post = np.exp(sign * 1j * grid_in.origin * k * grid_out.step / hbar)
+    post = _cis(grid_in.origin * k * grid_out.step * (sign / hbar))
     return (grid_in.step / math.sqrt(2.0 * math.pi * hbar)) * post * core
 
 
@@ -108,21 +109,39 @@ def _fft_size(n: int) -> int:
     return best
 
 
+@functools.lru_cache(maxsize=1)
+def _chirp_plan(size: int, m: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Chirp c_j = exp(i theta j^2 / 2) for j = m - size .. m - 1, and the FFT
+    of its conjugate laid out circularly (j >= 0 first, then j < 0).
+
+    Serves every input length n <= size - m + 1: the outputs k < m only read
+    the kernel at k - i >= 1 - n >= m - size.  The movers of one packet share
+    the s-grid and T-grid, so the last plan is kept for the next call.  Both
+    arrays are read-only, as they are shared between callers.
+    """
+    j = np.arange(m - size, m, dtype=np.float64)
+    chirp = _cis(0.5 * theta * j * j)
+    kernel_fft = np.fft.fft(np.roll(chirp.conj(), m - size))
+    for a in (chirp, kernel_fft):
+        a.setflags(write=False)
+    return chirp, kernel_fft
+
+
 def _chirp_z(x: np.ndarray, m: int, theta: float) -> np.ndarray:
     """sum_n x_n exp(i theta n k) for k < m, by Bluestein's chirp-z algorithm.
 
-    With n k = (n^2 + k^2 - (k - n)^2) / 2 the sum is a convolution with the
-    chirp c_j = exp(i theta j^2 / 2), j = -(n-1) .. m-1, done by zero-padded
-    FFTs (Bluestein 1970; Rabiner, Schafer & Rader 1969).
+    With n k = (n^2 + k^2 - (k - n)^2) / 2 the sum is a circular convolution
+    with the conjugate chirp, done by FFTs of one size (Bluestein 1970;
+    Rabiner, Schafer & Rader 1969).
     """
     n = len(x)
     size = _fft_size(n + m - 1)
-    j = np.arange(1 - n, m, dtype=np.float64)
-    chirp = np.exp(0.5j * theta * j * j)
-    a = np.fft.fft(x * chirp[n - 1::-1], size)  # c_{-n} = c_n, n < N
-    kernel = np.concatenate((chirp[n - 1:], np.zeros(size - m - n + 1),
-                             chirp[:n - 1])).conj()  # j = 0..m-1, then j < 0
-    return np.fft.ifft(a * np.fft.fft(kernel))[:m] * chirp[n - 1:]
+    chirp, kernel_fft = _chirp_plan(size, m, theta)
+    zero = size - m  # index of j = 0 in the chirp
+    a = np.fft.fft(x * chirp[zero - n + 1:zero + 1][::-1], size)  # c_{-n} = c_n
+    a *= kernel_fft
+    # norm="forward" leaves the inverse unscaled; 1/size rides on the m-point chirp.
+    return np.fft.ifft(a, norm="forward")[:m] * (chirp[zero:] * (1.0 / size))
 
 
 def fourier_eval(values: np.ndarray, grid_in: Grid1D, grid_out: Grid1D,
@@ -144,10 +163,11 @@ def fourier_eval(values: np.ndarray, grid_in: Grid1D, grid_out: Grid1D,
     hi = len(values) - int(nonzero[::-1].argmax())
     u0, du = grid_in.point(lo), grid_in.step
     w0, dw = grid_out.origin, grid_out.step
-    y = values[lo:hi] * np.exp(sign * 1j * grid_in.points[lo:hi] * w0 / hbar)
+    y = _cis(grid_in.points[lo:hi] * w0 * (sign / hbar))
+    y *= values[lo:hi]
     core = _chirp_z(y, grid_out.count, sign * du * dw / hbar)
     k = np.arange(grid_out.count)
-    post = np.exp(sign * 1j * u0 * k * dw / hbar)
+    post = _cis(u0 * k * dw * (sign / hbar))
     return (du / math.sqrt(2.0 * math.pi * hbar)) * post * core
 
 
@@ -209,9 +229,9 @@ def default_momentum_floor(p_grid: Grid1D) -> float:
 def low_momentum_mass(psi_tilde: WaveFunction, p_min: float) -> float:
     """Probability mass carried by samples with |p| < p_min."""
     psi_tilde.require_rep(Representation.MOMENTUM)
-    p = psi_tilde.points
-    mask = np.abs(p) < p_min
-    return float(np.sum(np.abs(psi_tilde.values[mask]) ** 2) * psi_tilde.grid.step)
+    p = psi_tilde.points  # increasing: |p| < p_min is one contiguous run
+    low = slice(np.searchsorted(p, -p_min, side="right"), np.searchsorted(p, p_min))
+    return float(np.sum(np.abs(psi_tilde.values[low]) ** 2) * psi_tilde.grid.step)
 
 
 def default_oriented_grid(psi_tilde: WaveFunction, p_min: float | None = None,
@@ -247,15 +267,14 @@ def default_oriented_grid(psi_tilde: WaveFunction, p_min: float | None = None,
 
 
 def _branch_nodes(psi_tilde: WaveFunction, positive: bool) -> tuple[np.ndarray, np.ndarray]:
+    """|p| (increasing) and the amplitude on one sign of p, a contiguous run
+    of the increasing momentum grid."""
     p = psi_tilde.points
-    mask = p > 0.0 if positive else p < 0.0
-    nodes = p[mask]
-    vals = psi_tilde.values[mask]
-    if not positive:
-        nodes = nodes[::-1]
-        vals = vals[::-1]
-        nodes = -nodes
-    return nodes, vals
+    if positive:
+        cut = np.searchsorted(p, 0.0, side="right")
+        return p[cut:], psi_tilde.values[cut:]
+    cut = np.searchsorted(p, 0.0)
+    return -p[:cut][::-1], psi_tilde.values[:cut][::-1]
 
 
 def to_oriented_energy(psi_tilde: WaveFunction, s_grid: Grid1D | None = None,
@@ -287,18 +306,19 @@ def to_oriented_energy(psi_tilde: WaveFunction, s_grid: Grid1D | None = None,
 
     out = np.zeros(s_grid.count, dtype=np.complex128)
     residual = 0.0
-    for positive in (True, False):
-        sel = (s >= s_min) if positive else (s <= -s_min)
-        if not np.any(sel):
+    # The s-grid increases, so each branch is one contiguous run of it.
+    branches = (slice(np.searchsorted(s, s_min), None),
+                slice(np.searchsorted(s, -s_min, side="right")))
+    for positive, sel in zip((True, False), branches):
+        if s[sel].size == 0:
             continue
         nodes, vals = _branch_nodes(psi_tilde, positive)
         branch_peak = float(np.abs(vals).max())
         if branch_peak == 0.0 or global_peak == 0.0:
             continue
-        p_query = np.sqrt(2.0 * m * np.abs(s[sel]))
-        interp, res = resample_complex(nodes, vals, p_query)
-        jac = (m / (2.0 * np.abs(s[sel]))) ** 0.25
-        out[sel] = interp * jac
+        abs_s = np.abs(s[sel])
+        interp, res = resample_complex(nodes, vals, np.sqrt(2.0 * m * abs_s))
+        np.multiply(interp, (m / (2.0 * abs_s)) ** 0.25, out=out[sel])
         residual = max(residual, res * branch_peak / global_peak)
 
     phi = WaveFunction(s_grid, out, Representation.ORIENTED_ENERGY, psi_tilde.params)
@@ -331,10 +351,13 @@ def from_oriented_energy(phi_tilde: WaveFunction, p_grid: Grid1D | None = None,
     global_peak = float(np.abs(phi_tilde.values).max())
     out = np.zeros(p_grid.count, dtype=np.complex128)
     residual = 0.0
-    for positive in (True, False):
-        node_sel = (s > 0.0) if positive else (s < 0.0)
-        q_sel = (p >= p_min) if positive else (p <= -p_min)
-        if not (np.any(node_sel) and np.any(q_sel)):
+    # Both grids increase, so each branch is one contiguous run of each.
+    branches = ((slice(np.searchsorted(s, 0.0, side="right"), None),
+                 slice(np.searchsorted(p, p_min), None)),
+                (slice(np.searchsorted(s, 0.0)),
+                 slice(np.searchsorted(p, -p_min, side="right"))))
+    for positive, (node_sel, q_sel) in zip((True, False), branches):
+        if s[node_sel].size == 0 or p[q_sel].size == 0:
             continue
         nodes = np.abs(s[node_sel])
         vals = phi_tilde.values[node_sel]
@@ -344,9 +367,9 @@ def from_oriented_energy(phi_tilde: WaveFunction, p_grid: Grid1D | None = None,
         if not positive:
             nodes = nodes[::-1]
             vals = vals[::-1]
-        s_query = p[q_sel] ** 2 / (2.0 * m)
-        interp, res = resample_complex(nodes, vals, s_query)
-        out[q_sel] = interp * np.sqrt(np.abs(p[q_sel]) / m)
+        p_q = p[q_sel]
+        interp, res = resample_complex(nodes, vals, p_q ** 2 / (2.0 * m))
+        np.multiply(interp, np.sqrt(np.abs(p_q) / m), out=out[q_sel])
         residual = max(residual, res * branch_peak / global_peak)
 
     psi = WaveFunction(p_grid, out, Representation.MOMENTUM, phi_tilde.params)

@@ -5,6 +5,7 @@ import pytest
 
 import flowquant as fq
 from flowquant.arrival import Component
+from flowquant.transforms import _chirp_plan
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +155,27 @@ def test_distribution_is_the_per_mover_chain(mixed_beam, arrival_grid, explicit_
             for part in fq.split_movers(mixed_beam)]
     assert dist.grid_T == grid_T
     assert np.array_equal(dist.total, np.abs(amps[0] + amps[1]) ** 2)
+
+
+def test_distribution_independent_of_the_chirp_plan(mixed_beam, reference_momentum,
+                                                    arrival_grid):
+    # the second mover reuses the first one's chirp-z plan; the bytes must not
+    # depend on which plan was kept from an earlier call
+    def run():
+        dist = fq.arrival_distribution(mixed_beam, grid_T=arrival_grid)
+        return b"".join(a.tobytes() for a in (dist.total, dist.plus, dist.minus,
+                                              dist.interference))
+
+    _chirp_plan.cache_clear()
+    first = run()
+    assert _chirp_plan.cache_info().hits >= 1
+    misses = _chirp_plan.cache_info().misses
+    fq.arrival_distribution(reference_momentum, grid_T=fq.Grid1D(0.0, 40.0 / 700, 700))
+    assert _chirp_plan.cache_info().misses > misses
+    after_other = run()
+    again = run()
+    _chirp_plan.cache_clear()
+    assert first == after_other == again == run()
 
 
 def test_distribution_mixed_beam(mixed_beam, arrival_grid):

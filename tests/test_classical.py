@@ -187,6 +187,18 @@ def test_quantum_momentum_limit_refuses_unresolved_time(limit_packet):
         fq.quantum_momentum_limit(limit_packet, 0.0, 0.99 * t_far, far)
 
 
+def test_spectrum_masses_refuse_uneven_bins(limit_packet):
+    # the centers are evaluated as one uniform grid: bin [0.5, 1] used to get
+    # 0.242 here, where |psi~|^2 dp at its center is 0.352
+    edges = np.array([-2.0, -1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0])
+    for limit in (lambda e: fq.exact_momentum_histogram(limit_packet, e),
+                  lambda e: fq.quantum_momentum_limit(limit_packet, 0.0, 200.0, e)):
+        with pytest.raises(fq.InvalidParameter,
+                           match=r"p_edges must be uniformly spaced: bin \[0, 0\.5\]"):
+            limit(edges)
+        limit(np.linspace(-2.0, 6.0, 9))  # np.linspace rounding is uniform enough
+
+
 @st.composite
 def far_field_cases(draw):
     """One or two gaussian_packet components on the limit packet's grid, a

@@ -48,12 +48,16 @@ def test_schema_field_kinds_match_builders():
     assert sorted(kinds) == sorted(_FIELD_BUILDERS)
 
 
+def _checkout_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout."""
+    src = str(Path(flowquant.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+
+
 def _python(probe: str) -> str:
     """Run probe in a fresh interpreter that imports this checkout; its stdout."""
-    src = str(Path(flowquant.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, "-c", probe], env=env,
+    return subprocess.run([sys.executable, "-c", probe], env=_checkout_env(),
                           capture_output=True, text=True, check=True).stdout
 
 
@@ -470,11 +474,26 @@ def test_refuses_counts_above_the_schema_maximum(tmp_path, capsys, section, key,
     assert "is greater than the maximum of" in err[0]
 
 
+@pytest.mark.parametrize("command,scenario,path,count", [
+    ("classical-limit", "classical_limit_reference.json", ("classical_limit", "p_bins"), 4),
+    ("classical-limit", "classical_limit_reference.json", ("grids", "x"), 7),
+    ("arrival", "reference_rightmover.json", ("grids", "T"), 2),
+])
+def test_refuses_axis_counts_below_the_grid_floor(tmp_path, capsys, command,
+                                                  scenario, path, count):
+    # Grid1D needs 8 points; the schema names the field that has fewer
+    cfg = read_json(scenario_path(scenario))
+    cfg[path[0]][path[1]]["count"] = count
+    rc, err = _refusal(tmp_path, capsys, command, cfg)
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
+    assert f"{count} is less than the minimum of 8 (at {path[0]}/{path[1]}/count)" in err[0]
+
+
 def test_console_script_entry_point(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "flowquant.cli", "flow-classify",
          "--config", scenario_path("flow_const.json"),
          "--out", str(tmp_path / "out")],
-        capture_output=True, text=True)
+        env=_checkout_env(), capture_output=True, text=True)
     assert result.returncode == 0
     assert "Complete" in result.stdout

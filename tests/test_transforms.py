@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import flowquant as fq
-from flowquant.transforms import _CURRENT_BLOCK, _fft_size, fourier_eval
+from flowquant.transforms import (_CURRENT_BLOCK, _chirp_plan, _cis, _fft_size,
+                                  fourier_eval)
 
 
 def test_gaussian_self_transform(centered_packet):
@@ -208,19 +209,45 @@ def test_fourier_eval_matches_conjugate_path(reference_packet):
 
 
 @pytest.mark.parametrize("n_in,n_out", [(40, 17), (17, 40), (32, 32), (33, 21),
-                                        (9, 125)])
+                                        (9, 125), (40, 25)])
 def test_fourier_eval_matches_direct_sum(n_in, n_out):
-    # n_in > n_out needs the input chirp beyond the output range
+    # n_in > n_out needs the input chirp beyond the output range; n_in and
+    # n_in - 1 inputs share one chirp-z plan (one FFT size for both here);
+    # 40 + 25 - 1 = 64 fills the FFT size, the longest input a plan serves
     rng = np.random.default_rng(n_in * 1000 + n_out)
     hbar = 0.7
-    grid_in = fq.Grid1D(-1.3, 0.11, n_in)
     grid_out = fq.Grid1D(0.4, 0.173, n_out)
-    values = rng.normal(size=n_in) + 1j * rng.normal(size=n_in)
+    all_values = rng.normal(size=n_in) + 1j * rng.normal(size=n_in)
     for sign in (-1, 1):
-        kern = np.exp(sign * 1j * np.outer(grid_out.points, grid_in.points) / hbar)
-        direct = grid_in.step / math.sqrt(2.0 * math.pi * hbar) * (kern @ values)
-        fast = fourier_eval(values, grid_in, grid_out, sign, hbar)
-        assert np.abs(fast - direct).max() <= 1e-13 * np.abs(direct).max()
+        _chirp_plan.cache_clear()
+        for n in (n_in, n_in - 1):
+            grid_in = fq.Grid1D(-1.3, 0.11, n)
+            values = all_values[:n]
+            kern = np.exp(sign * 1j * np.outer(grid_out.points, grid_in.points) / hbar)
+            direct = grid_in.step / math.sqrt(2.0 * math.pi * hbar) * (kern @ values)
+            fast = fourier_eval(values, grid_in, grid_out, sign, hbar)
+            assert np.abs(fast - direct).max() <= 1e-13 * np.abs(direct).max()
+        info = _chirp_plan.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+
+def test_chirp_plan_is_read_only():
+    for a in _chirp_plan(60, 17, 0.3):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_cis_matches_complex_exp():
+    rng = np.random.default_rng(5)
+    for scale in (1.0, 1e3, 1e8):
+        theta = rng.uniform(-scale, scale, 100_000)
+        expected = np.exp(1j * theta)
+        got = _cis(theta)
+        for part in ("real", "imag"):
+            e, g = getattr(expected, part), getattr(got, part)
+            assert np.all(np.abs(g - e) <= np.spacing(np.abs(e)))
+    assert _cis(np.zeros((2, 3))).shape == (2, 3)
 
 
 @pytest.mark.parametrize("zeros", [
