@@ -60,8 +60,9 @@ class ArrivalDistribution:
     """Arrival-time density and its mover decomposition.
 
     total = plus + minus + interference holds pointwise by construction
-    (total is the density of the summed amplitude).  w_plus and w_minus are
-    the momentum-space mover weights.
+    (total is the density of the summed amplitude, which is kept as
+    ``amplitude``).  w_plus and w_minus are the momentum-space mover weights;
+    a mover below 1e-12 of the total weight contributes a zero amplitude.
     """
 
     grid_T: Grid1D
@@ -71,10 +72,12 @@ class ArrivalDistribution:
     interference: np.ndarray
     w_plus: float
     w_minus: float
+    amplitude: np.ndarray
 
     def __post_init__(self):
-        for name in ("total", "plus", "minus", "interference"):
-            arr = np.array(getattr(self, name), dtype=np.float64, copy=True)
+        for name in ("total", "plus", "minus", "interference", "amplitude"):
+            dtype = np.complex128 if name == "amplitude" else np.float64
+            arr = np.array(getattr(self, name), dtype=dtype, copy=True)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -267,9 +270,10 @@ def arrival_distribution(psi: WaveFunction, grid_T: Grid1D | None = None,
     plus_d = np.abs(phi_plus) ** 2
     minus_d = np.abs(phi_minus) ** 2
     interference = 2.0 * np.real(phi_plus * np.conj(phi_minus))
-    total = np.abs(phi_plus + phi_minus) ** 2
+    phi = phi_plus + phi_minus
+    total = np.abs(phi) ** 2
     return ArrivalDistribution(grid_T, total, plus_d, minus_d, interference,
-                               w_plus, w_minus)
+                               w_plus, w_minus, phi)
 
 
 def probability_in_interval(dist: ArrivalDistribution, a: float, b: float,

@@ -205,36 +205,56 @@ def _travel_time(field: VectorField1D, a, b) -> np.ndarray:
     return out.reshape(shape)
 
 
+#: Tail segments per orbit end: enough for escape times (the tail integral
+#: settles or diverges well within them) and for flow maps up to about
+#: 2^200 max(1, |x|).
 _TAIL_SEGMENTS = 200
+#: Tail segments that reach the end of the float range from any start:
+#: doubling from max(1, |x|) >= 1 overflows within 1024 segments, and halving
+#: a gap of at most 2^1025 leaves the normal floats within 2048.
+_FLOAT_TAIL_SEGMENTS = 2048
+_TINY = np.finfo(np.float64).tiny
 
 
-def _tail(field: VectorField1D, x_from: float, target: float):
+def _tail(field: VectorField1D, x_from: float, target: float,
+          segments: int = _TAIL_SEGMENTS):
     """Travel times from x_from toward target, the end of its orbit.
 
     The segments double in length toward an infinite target, starting at
-    max(1, |x_from|), and halve toward a finite one.  Returns the edges after
-    x_from, the integral of 1/X from x_from to each, and that integral's
-    limit at the target: the total once a segment no longer adds to it, or
-    +-inf when the target is a zero of X or the integral diverges (is not
-    finite, or has not settled after the last segment).
+    max(1, |x_from|), until the edges overflow, and halve toward a finite
+    one until the gap to it is no longer a normal float (a panel there would
+    be split to the panel limit on rounding noise); at most ``segments`` of
+    them.  Returns the edges after x_from and the integral of 1/X from
+    x_from to each, as far as it is finite, and that integral's limit at the
+    target: the total once a segment no longer adds to it, or +-inf when the
+    target is a zero of X or the integral diverges (is not finite, or has
+    not settled after the last segment).
     """
-    k = np.arange(_TAIL_SEGMENTS + 1)
+    k = np.arange(segments + 1)
     with np.errstate(over="ignore"):
         if math.isinf(target):
             edges = x_from + math.copysign(max(1.0, abs(x_from)), target) * (2.0**k - 1.0)
+            kept = np.isfinite(edges)
         else:
-            edges = target + (x_from - target) * 0.5**k
+            gap = (x_from - target) * 0.5**k
+            edges = target + gap
+            kept = np.abs(gap) >= _TINY
+    # Both masks hold a prefix; one segment at least, as before.
+    edges = edges[:max(2, np.count_nonzero(kept))]
     seg = _travel_time(field, edges[:-1], edges[1:])
     clock = np.cumsum(seg)
-    diverged = ~np.isfinite(clock)
+    diverged = ~np.isfinite(clock)  # once not finite, the cumulative sum stays so
     settled = np.concatenate([[False], clock[1:] == clock[:-1]])
     stop = np.flatnonzero(diverged | settled)
+    table = slice(np.count_nonzero(~diverged))
+    edges, clock = edges[1:][table], clock[table]
     if target in field.zeros or stop.size == 0 or diverged[stop[0]]:
-        return edges[1:], clock, math.copysign(math.inf, seg[0])
-    return edges[1:], clock, float(clock[stop[0]])
+        return edges, clock, math.copysign(math.inf, seg[0])
+    return edges, clock, float(clock[stop[0]])
 
 
-def _orbit_tables(field: VectorField1D, x: np.ndarray):
+def _orbit_tables(field: VectorField1D, x: np.ndarray,
+                  segments: int = _TAIL_SEGMENTS):
     """Travel-time tables of the orbits holding some of the increasing points x.
 
     The orbits are the open intervals between consecutive domain edges and
@@ -254,8 +274,8 @@ def _orbit_tables(field: VectorField1D, x: np.ndarray):
             if idx.size == 0:
                 continue
             p = x[idx]
-            left, clock_lo, reach_lo = _tail(field, p[0], lo)
-            right, clock_hi, reach_hi = _tail(field, p[-1], hi)
+            left, clock_lo, reach_lo = _tail(field, p[0], lo, segments)
+            right, clock_hi, reach_hi = _tail(field, p[-1], hi, segments)
             gaps = _travel_time(field, p[:-1], p[1:])
             s = np.concatenate([[0.0], np.cumsum(gaps)])
             to_lo = abs(reach_lo) + np.abs(s)
@@ -279,7 +299,8 @@ def _invert(field: VectorField1D, nodes: np.ndarray, clock: np.ndarray,
     j = np.clip(np.searchsorted(sign * clock, q) - 1, 0, nodes.size - 2)
     lo, hi = nodes[j], nodes[j + 1]
     rel = target - clock[j]
-    x = lo + (hi - lo) * (rel / (clock[j + 1] - clock[j]))
+    with np.errstate(over="ignore"):  # targets off the table: replaced by nan
+        x = lo + (hi - lo) * (rel / (clock[j + 1] - clock[j]))
     inside = (q >= sign * clock[0]) & (q <= sign * clock[-1])
     x[~inside] = np.nan
     todo = np.flatnonzero(inside)
@@ -297,9 +318,11 @@ def _invert(field: VectorField1D, nodes: np.ndarray, clock: np.ndarray,
     return x
 
 
-def _flow_map(field: VectorField1D, x: np.ndarray, t: float):
+def _flow_map(field: VectorField1D, x: np.ndarray, t: float,
+              segments: int = _TAIL_SEGMENTS):
     """G_t at the increasing points x, its derivative dG_t/dx, and each
     point's travel time to the end of its orbit in the direction of t.
+    ``segments`` tail segments per orbit end bound how far G_t can reach.
 
     G_t(x) is the point whose travel time from x is t, and its derivative is
     X(G_t(x))/X(x), or exp(t X'(x)) at a zero of X.  G_t is nan where the
@@ -308,7 +331,7 @@ def _flow_map(field: VectorField1D, x: np.ndarray, t: float):
     fixed = field(x) == 0.0
     y = np.where(fixed, x, np.nan)
     t_end = np.full(x.size, math.inf)
-    for idx, nodes, clock, s, t_fwd, t_bwd in _orbit_tables(field, x):
+    for idx, nodes, clock, s, t_fwd, t_bwd in _orbit_tables(field, x, segments):
         t_end[idx] = t_fwd if t > 0 else t_bwd
         go = t_end[idx] > abs(t)
         y[idx[go]] = _invert(field, nodes, clock, s[go] + t)
@@ -323,19 +346,24 @@ def integrate_flow(field: VectorField1D, x0: float, t: float) -> FlowResult:
 
     A trajectory whose travel time to the end of its orbit is at most |t|
     is flagged escaped, with that time as its exact blow-up time (to
-    rounding); a finite domain edge ends the orbit like +-inf does.
+    rounding); a finite domain edge ends the orbit like +-inf does.  An
+    endpoint beyond the default travel-time table (about 2^200 max(1, |x0|)
+    from x0, or within 2^-200 of an orbit end) is looked up again on a table
+    that runs to the end of the float range, so only an endpoint that
+    float64 cannot hold is refused.
     """
     field.component_of(x0)
     if t == 0.0:
         return FlowResult(x0, 0.0, 0.0, x0, False)
-    y, _, t_end = _flow_map(field, np.array([float(x0)]), t)
-    if t_end[0] <= abs(t):
-        tau = math.copysign(float(t_end[0]), t)
-        return FlowResult(x0, t, tau, None, True, tau)
-    if math.isnan(y[0]):
-        raise InvalidParameter(
-            f"G_t({x0:g}) for t = {t:g} lies beyond the travel-time table")
-    return FlowResult(x0, t, t, float(y[0]), False)
+    for segments in (_TAIL_SEGMENTS, _FLOAT_TAIL_SEGMENTS):
+        y, _, t_end = _flow_map(field, np.array([float(x0)]), t, segments)
+        if t_end[0] <= abs(t):
+            tau = math.copysign(float(t_end[0]), t)
+            return FlowResult(x0, t, tau, None, True, tau)
+        if not math.isnan(y[0]):
+            return FlowResult(x0, t, t, float(y[0]), False)
+    raise InvalidParameter(
+        f"G_t({x0:g}) for t = {t:g} lies beyond the float64 range")
 
 
 # --------------------------------------------------------------------------

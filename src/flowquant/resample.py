@@ -15,6 +15,8 @@ rounding accuracy — the time-translation covariance of the arrival-time
 pipeline (acceptance criterion 6) relies on this.
 """
 
+import math
+
 import numpy as np
 
 # Phase steps beyond this fraction of pi make unwrapping ambiguous.
@@ -56,6 +58,18 @@ def _cis(theta: np.ndarray) -> np.ndarray:
     np.cos(theta, out=out.real)
     np.sin(theta, out=out.imag)
     return out
+
+
+def _cis_ramp(a: float, b: float, n: int) -> np.ndarray:
+    """exp(i (a + k b)) for k = 0 .. n-1, from two tables of about sqrt(n)
+    phases: with k = q L + r, the outer product of exp(i (a + q L b)) and
+    exp(i r b), so cos and sin run on 2 sqrt(n) points instead of n.  Each
+    table phase rounds like _cis of its own argument, and the product adds a
+    few ulps of unit modulus."""
+    size = math.isqrt(max(n - 1, 0)) + 1  # ceil(sqrt(n)), at least 1
+    coarse = _cis(a + b * np.arange(0, n, size, dtype=np.float64))
+    fine = _cis(b * np.arange(size, dtype=np.float64))
+    return np.multiply.outer(coarse, fine).ravel()[:n]
 
 
 def _amp_phase(values: np.ndarray) -> np.ndarray:

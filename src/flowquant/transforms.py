@@ -35,7 +35,7 @@ import numpy as np
 from .errors import GridMismatch, LowMomentumMass
 from .grids import (CurrentField, Grid1D, Representation, WaveFunction,
                     norm_squared, spectral_derivative)
-from .resample import _cis, resample_complex
+from .resample import _cis, _cis_ramp, resample_complex
 
 #: Wave functions with more relative mass below the momentum floor than this
 #: are rejected by the oriented-energy map.
@@ -48,6 +48,12 @@ _CURRENT_BLOCK = 1 << 17
 #: Amplitudes below this fraction of the peak are treated as numerically zero
 #: when locating the support of a packet.
 _SUPPORT_CUT = 1e-13
+
+#: Default s-grid: span margin over the support's largest |s|, and the
+#: smallest and largest point counts.
+_S_MARGIN = 1.3
+_MIN_S_COUNT = 1024
+_MAX_S_COUNT = 2**22
 
 
 @dataclass(frozen=True)
@@ -95,8 +101,10 @@ def _continuum_dft(values: np.ndarray, grid_in: Grid1D, grid_out: Grid1D,
 def _fft_size(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n.
 
-    Power-of-two s-grids plus a T-grid land just above a power of two, which
-    power-of-two padding would nearly double.
+    Sizes the default s-grid (above 1024 such numbers lie at most 6.7 %
+    apart, so the grid oversamples its spacing bound by less than 7 %, where
+    a power of two did by up to 2x), and pads the chirp-z FFTs, whose length
+    (input plus output count) has no special form.
     """
     best = 1 << (n - 1).bit_length()
     f5 = 1
@@ -163,11 +171,11 @@ def fourier_eval(values: np.ndarray, grid_in: Grid1D, grid_out: Grid1D,
     hi = len(values) - int(nonzero[::-1].argmax())
     u0, du = grid_in.point(lo), grid_in.step
     w0, dw = grid_out.origin, grid_out.step
-    y = _cis(grid_in.points[lo:hi] * w0 * (sign / hbar))
+    # Both phases are arithmetic progressions in the sample index.
+    y = _cis_ramp(u0 * w0 * (sign / hbar), du * w0 * (sign / hbar), hi - lo)
     y *= values[lo:hi]
     core = _chirp_z(y, grid_out.count, sign * du * dw / hbar)
-    k = np.arange(grid_out.count)
-    post = _cis(u0 * k * dw * (sign / hbar))
+    post = _cis_ramp(0.0, u0 * dw * (sign / hbar), grid_out.count)
     return (du / math.sqrt(2.0 * math.pi * hbar)) * post * core
 
 
@@ -234,34 +242,37 @@ def low_momentum_mass(psi_tilde: WaveFunction, p_min: float) -> float:
     return float(np.sum(np.abs(psi_tilde.values[low]) ** 2) * psi_tilde.grid.step)
 
 
-def default_oriented_grid(psi_tilde: WaveFunction, p_min: float | None = None,
-                          margin: float = 1.3, max_count: int = 2**22) -> Grid1D:
+def default_oriented_grid(psi_tilde: WaveFunction, p_min: float | None = None) -> Grid1D:
     """Uniform s-grid adapted to the packet's support.
 
     The span covers the signed kinetic energies of the amplitude support with
-    a margin; the spacing matches the momentum grid's information density at
-    the inner support edge (ds = |p| dp / m there), which also guarantees the
-    arrival-time content of any packet that fits the position box is below
-    Nyquist.  Depends on |psi~| only, so phase changes (free evolution) leave
-    the default grid unchanged.  An all-zero input has no support and gets the
-    1024-point minimum grid over the momentum box.
+    a 1.3x margin; the spacing is at most ds_target = p_lo dp / (2 m), half
+    the momentum grid's information density at the inner support edge p_lo
+    (ds = |p| dp / m there), which also guarantees the arrival-time content
+    of any packet that fits the position box is below Nyquist.  The count is
+    the smallest 2-3-5-smooth number that meets that spacing (between 1024
+    and 2^22 points), so the FFTs of the arrival step stay fast without the
+    up to 2x oversampling of a power of two.  Depends on |psi~| only, so
+    phase changes (free evolution) leave the default grid unchanged.  An
+    all-zero input has no support and gets the 1024-point minimum grid over
+    the momentum box.
     """
     m = psi_tilde.params.mass
     p = psi_tilde.points
     amp = np.abs(psi_tilde.values)
-    s_box = float(np.abs(p).max()) ** 2 / (2.0 * m) * margin
+    s_box = float(np.abs(p).max()) ** 2 / (2.0 * m) * _S_MARGIN
     peak = amp.max()
     if peak == 0.0:  # nothing to resolve: the minimum grid over the box
-        s_max, count = s_box, 1024
+        s_max, count = s_box, _MIN_S_COUNT
     else:
         if p_min is None:
             p_min = default_momentum_floor(psi_tilde.grid)
         p_sup = np.abs(p[amp >= _SUPPORT_CUT * peak])
         p_lo = max(float(p_sup.min()), p_min)
-        s_max = min(margin * float(p_sup.max()) ** 2 / (2.0 * m), s_box)
+        s_max = min(_S_MARGIN * float(p_sup.max()) ** 2 / (2.0 * m), s_box)
         ds_target = 0.5 * p_lo * psi_tilde.grid.step / m
-        count = 2 ** int(math.ceil(math.log2(2.0 * s_max / ds_target)))
-        count = min(max(count, 1024), max_count)
+        need = min(math.ceil(2.0 * s_max / ds_target), _MAX_S_COUNT)
+        count = max(_fft_size(need), _MIN_S_COUNT)  # 2^22 is 5-smooth: no overshoot
     ds = 2.0 * s_max / count
     return Grid1D(-(count // 2) * ds, ds, count)
 

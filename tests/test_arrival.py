@@ -19,6 +19,13 @@ def mixed_beam(params, wide_grid):
 
 
 @pytest.fixture(scope="module")
+def broad_mover(params, wide_grid):
+    """Right-mover broad in momentum (p0 / sigma_p = 6.3): its wrong-way
+    tail weighs 1.4e-10, above the 1e-12 cut of arrival_distribution."""
+    return fq.to_momentum(fq.gaussian_packet(wide_grid, params, -60.0, 2.2, 0.35))
+
+
+@pytest.fixture(scope="module")
 def reference_distribution(reference_momentum, arrival_grid):
     return fq.arrival_distribution(reference_momentum, grid_T=arrival_grid)
 
@@ -94,7 +101,11 @@ def test_fast_path_parseval(reference_momentum, arrival_grid):
 
 def test_fast_path_zero_input(reference_momentum, arrival_grid):
     zero = reference_momentum.with_values(np.zeros_like(reference_momentum.values))
-    assert fq.default_oriented_grid(zero).count == 1024  # not the 2**22 cap
+    s_grid = fq.default_oriented_grid(zero)
+    assert s_grid.count == 1024  # not the 2**22 cap
+    # the minimum grid spans the momentum box with the 1.3x margin
+    s_box = 1.3 * np.abs(reference_momentum.points).max() ** 2 / 2.0
+    assert s_grid.origin == -s_box and math.isclose(s_grid.step, 2.0 * s_box / 1024)
     out = fq.arrival_amplitude_fast(zero, arrival_grid)
     assert np.all(out.values == 0.0)
 
@@ -143,18 +154,32 @@ def test_distribution_decomposition_identity(mixed_beam, arrival_grid):
     assert np.abs(dist.total - recon).max() <= 1e-12
 
 
-@pytest.mark.parametrize("explicit_T", [False, True], ids=["default", "explicit"])
-def test_distribution_is_the_per_mover_chain(mixed_beam, arrival_grid, explicit_T):
+@pytest.mark.parametrize("packet,explicit_T", [
+    ("mixed_beam", False), ("mixed_beam", True),
+    ("broad_mover", False), ("broad_mover", True),
+], ids=["default", "explicit", "broad-default", "broad-explicit"])
+def test_distribution_is_the_per_mover_chain(request, packet, arrival_grid, explicit_T):
     # bit for bit: the benchmark's traced run replays arrival_distribution so
-    grid_T = arrival_grid if explicit_T else fq.default_time_grid(mixed_beam)
-    s_grid = fq.default_oriented_grid(mixed_beam)
-    dist = fq.arrival_distribution(mixed_beam, grid_T=arrival_grid if explicit_T
+    psi_tilde = request.getfixturevalue(packet)
+    grid_T = arrival_grid if explicit_T else fq.default_time_grid(psi_tilde)
+    s_grid = fq.default_oriented_grid(psi_tilde)
+    dist = fq.arrival_distribution(psi_tilde, grid_T=arrival_grid if explicit_T
                                    else None)
     amps = [fq.to_arrival_time(fq.to_oriented_energy(part, s_grid=s_grid)[0],
                                grid_T).values
-            for part in fq.split_movers(mixed_beam)]
+            for part in fq.split_movers(psi_tilde)]
     assert dist.grid_T == grid_T
+    assert np.array_equal(dist.amplitude, amps[0] + amps[1])
     assert np.array_equal(dist.total, np.abs(amps[0] + amps[1]) ** 2)
+    if packet == "broad_mover":  # the light wrong-way mover is computed, not dropped
+        assert 1e-12 < dist.w_minus < 1e-6
+        assert dist.minus.max() > 0.0
+
+
+def test_distribution_amplitude_is_read_only(reference_distribution):
+    amplitude = reference_distribution.amplitude
+    assert amplitude.dtype == np.complex128 and not amplitude.flags.writeable
+    assert np.array_equal(np.abs(amplitude) ** 2, reference_distribution.total)
 
 
 def test_distribution_independent_of_the_chirp_plan(mixed_beam, reference_momentum,

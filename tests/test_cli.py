@@ -165,6 +165,25 @@ def test_arrival_command(tmp_path):
     assert header == "T,total,plus,minus,interference"
 
 
+def test_arrival_oracle_compares_the_distribution_amplitude(tmp_path):
+    # the summary compares the oracle with the amplitude arrival_distribution
+    # keeps; the whole-packet chain gives the same error up to the dropped
+    # wrong-way mover (weight 5e-24) and the rounding of the mover sum
+    path = scenario_path("reference_rightmover.json")
+    out = tmp_path / "out"
+    assert run_cli("arrival", "--config", path, "--out", str(out), "--oracle") == 0
+    reported = read_json(out / "arrival_summary.json")["oracle_l_inf"]
+    cfg = load_scenario(path)
+    params = cli.build_params(cfg)
+    psi_tilde = flowquant.to_momentum(
+        cli.build_packet(cfg, params, cli.build_x_grid(cfg)))
+    grid_T = cli.build_time_grid(cfg)
+    oracle = flowquant.arrival_amplitude_quadrature(psi_tilde, grid_T).values
+    fast = flowquant.arrival_amplitude_fast(psi_tilde, grid_T).values
+    expected = float(np.abs(oracle - fast).max() / np.abs(oracle).max())
+    assert abs(reported - expected) <= 1e-12
+
+
 def test_arrival_mixed_beam_interference(tmp_path):
     out = tmp_path / "out"
     assert run_cli("arrival", "--config", scenario_path("mixed_beam.json"),

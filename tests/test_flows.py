@@ -50,6 +50,24 @@ def test_flow_backward_time():
     assert abs(r.endpoint - math.exp(-1.0)) <= 1e-9
 
 
+def test_flow_endpoint_beyond_the_default_table():
+    # the default tail table reaches about 2^200 max(1, |x0|) = 1.6e60 from
+    # x0 and 2^-200 of the way to 0; t = +-200 lands at 3.6e86 and 6.9e-88
+    for t in (200.0, -200.0):
+        r = fq.integrate_flow(fq.linear_field(), 0.5, t)
+        assert not r.escaped
+        assert abs(r.endpoint / (0.5 * math.exp(t)) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("t", [800.0, -800.0])
+def test_flow_endpoint_beyond_float64_is_refused(t):
+    # 0.5 e^800 overflows and 0.5 e^-800 underflows: one-line refusal
+    with pytest.raises(fq.InvalidParameter) as err:
+        fq.integrate_flow(fq.linear_field(), 0.5, t)
+    assert "float64" in str(err.value)
+    assert "\n" not in str(err.value)
+
+
 def test_flow_domain_errors():
     with pytest.raises(fq.OutOfDomain):
         fq.integrate_flow(fq.arrival_field(), 0.0, 1.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import flowquant as fq
+from flowquant.resample import _cis_ramp
 from flowquant.transforms import (_CURRENT_BLOCK, _chirp_plan, _cis, _fft_size,
                                   fourier_eval)
 
@@ -250,6 +251,25 @@ def test_cis_matches_complex_exp():
     assert _cis(np.zeros((2, 3))).shape == (2, 3)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 4096, 65529])
+def test_cis_ramp_matches_long_double(n):
+    # arguments around 1e3, as in the pre-phases of the arrival step; the two
+    # tables must not be worse than one cos/sin per float64 argument
+    k = np.arange(n)
+    for a, b in ((987.6543210123, 0.0173), (-1234.5678, 0.031),
+                 (0.0, -700.0 / 65529)):
+        theta = np.longdouble(a) + k.astype(np.longdouble) * np.longdouble(b)
+        exact = np.cos(theta), np.sin(theta)
+
+        def error(z):
+            return max(float(np.abs(z.real - exact[0]).max()),
+                       float(np.abs(z.imag - exact[1]).max()))
+
+        got = _cis_ramp(a, b, n)
+        assert got.shape == (n,)
+        assert error(got) <= 2.0 * error(_cis(a + k * b))
+
+
 @pytest.mark.parametrize("zeros", [
     {"start": 30},
     {"end": 25},
@@ -297,3 +317,30 @@ def test_free_current_rows_match_single_steps(extra):
         step = fq.probability_current(fq.to_position(fq.evolve_free(psi_tilde, float(t))))
         assert current.grid == step.grid
         assert row.tobytes() == step.values.tobytes()
+
+
+def _spacing_bound(psi_tilde):
+    """s_max and ds_target of default_oriented_grid, from its documented rule:
+    the support cut at 1e-13 of the peak, the 4 dp floor, a 1.3x margin."""
+    m, dp = psi_tilde.params.mass, psi_tilde.grid.step
+    p = psi_tilde.points
+    amp = np.abs(psi_tilde.values)
+    sup = np.abs(p[amp >= 1e-13 * amp.max()])
+    s_max = min(1.3 * sup.max() ** 2, 1.3 * np.abs(p).max() ** 2) / (2.0 * m)
+    return s_max, 0.5 * max(sup.min(), 4.0 * dp) * dp / m
+
+
+@pytest.mark.parametrize("p0,sigma_p,count", [
+    (2.0, 0.1, 1728),    # narrow
+    (2.2, 0.35, 96000),  # broad
+    (3.0, 0.2, 5625),    # odd count
+], ids=["narrow", "broad", "odd"])
+def test_default_oriented_grid_is_the_smallest_smooth_count(params, wide_grid,
+                                                            p0, sigma_p, count):
+    psi_tilde = fq.to_momentum(fq.gaussian_packet(wide_grid, params, -50.0, p0, sigma_p))
+    s_max, ds_target = _spacing_bound(psi_tilde)
+    grid = fq.default_oriented_grid(psi_tilde)
+    assert grid.count == _fft_size(math.ceil(2.0 * s_max / ds_target)) == count
+    assert grid.step <= ds_target
+    assert math.isclose(grid.count * grid.step, 2.0 * s_max, rel_tol=1e-14)
+    assert grid.origin == -(grid.count // 2) * grid.step
