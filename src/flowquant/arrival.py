@@ -143,24 +143,64 @@ def arrival_amplitude_fast(psi_tilde: WaveFunction, grid_T: Grid1D | None = None
     return to_arrival_time(phi_s, grid_T)
 
 
-def _momentum_at(psi_x: WaveFunction, p_nodes: np.ndarray,
-                 chunk: int = 512) -> np.ndarray:
-    """Trigonometric evaluation of psi~ at arbitrary momenta from x-samples."""
-    x = psi_x.grid.points
+# Each chunk of nodes forms two phase tables and one product of about this
+# many complex entries in all (~4 MB), whatever the grid's count.
+_TABLE_ENTRIES = 2**18
+
+
+def _grid_phase_sum(u: np.ndarray, w0: float, dw: float, count: int,
+                    coef: np.ndarray, to_grid: bool) -> np.ndarray:
+    """Trigonometric sums of exp(i u_j w_k) over the uniform grid
+    w_k = w0 + k dw, 0 <= k < count:
+
+        to_grid false: out[j] = sum_k coef[k] exp(i u_j w_k), one per u_j;
+        to_grid true:  out[k] = sum_j coef[j] exp(i u_j w_k), one per w_k.
+
+    With k = a B + b and B = ceil(sqrt(count)) each phase factors into
+    E1[j, a] = exp(i u_j (w0 + a B dw)) and E2[j, b] = exp(i u_j b dw), so a
+    node costs about 2 sqrt(count) exponentials and its share of one matrix
+    product instead of count exponentials.  The tables come from numpy's exp,
+    so the sums share no code with the transform chain.
+    """
+    n_b = math.isqrt(count - 1) + 1
+    n_a = -(-count // n_b)
+    w_a = w0 + (n_b * dw) * np.arange(n_a)
+    w_b = dw * np.arange(n_b)
+    if to_grid:
+        out = np.zeros((n_a, n_b), dtype=np.complex128)
+    else:
+        out = np.empty(len(u), dtype=np.complex128)
+        padded = np.zeros(n_a * n_b, dtype=np.complex128)
+        padded[:count] = coef
+        coef_ba = padded.reshape(n_a, n_b).T
+    rows = max(1, _TABLE_ENTRIES // (2 * n_a + n_b))
+    for lo in range(0, len(u), rows):
+        iu = 1j * u[lo:lo + rows]
+        e1 = np.multiply.outer(iu, w_a)
+        np.exp(e1, out=e1)
+        e2 = np.multiply.outer(iu, w_b)
+        np.exp(e2, out=e2)
+        if to_grid:
+            e1 *= coef[lo:lo + rows, None]
+            out += e1.T @ e2
+        else:
+            inner = e2 @ coef_ba
+            inner *= e1
+            out[lo:lo + rows] = inner.sum(axis=1)
+    return out.ravel()[:count] if to_grid else out
+
+
+def _momentum_at(psi_x: WaveFunction, p_nodes: np.ndarray) -> np.ndarray:
+    """psi~ at arbitrary momenta from the x-samples: the trigonometric sum
+    (2 pi hbar)^(-1/2) dx sum_n psi(x_n) exp(-i p x_n / hbar), which is exact
+    for the sampled packet.  ``_grid_phase_sum`` evaluates it from two phase
+    tables of about sqrt(N_x) columns per node, so memory stays at a few MB
+    for any node count or N_x."""
+    grid = psi_x.grid
     hbar = psi_x.params.hbar
-    pref = psi_x.grid.step / math.sqrt(2.0 * math.pi * hbar)
-    out = np.empty(len(p_nodes), dtype=np.complex128)
-    # One kernel buffer, formed in place chunk by chunk: no full-size
-    # temporaries beside it.
-    kernel = np.empty((min(chunk, len(p_nodes)), len(x)), dtype=np.complex128)
-    for lo in range(0, len(p_nodes), chunk):
-        p = p_nodes[lo:lo + chunk]
-        k = kernel[:len(p)]
-        np.multiply.outer(p * (-1.0 / hbar), x, out=k)
-        k *= 1j
-        np.exp(k, out=k)
-        out[lo:lo + chunk] = pref * (k @ psi_x.values)
-    return out
+    pref = grid.step / math.sqrt(2.0 * math.pi * hbar)
+    return pref * _grid_phase_sum(p_nodes * (-1.0 / hbar), grid.origin, grid.step,
+                                  grid.count, psi_x.values, to_grid=False)
 
 
 # Above the trigonometric-evaluation noise floor (~1e-15 of the peak); the
@@ -174,10 +214,14 @@ def arrival_amplitude_quadrature(psi_tilde: WaveFunction, grid_T: Grid1D,
                                  max_nodes: int = 2**17) -> WaveFunction:
     """Arrival amplitude by direct oscillatory quadrature (the oracle).
 
-    Composite Gauss-Legendre quadrature of the momentum integral, with the
-    node count doubled until the amplitude changes by less than rel_tol of
-    its peak; the integrand samples psi~ exactly (trigonometric sums over the
-    position samples), independent of the interpolating transform chain.
+    Composite Gauss-Legendre quadrature of the momentum integral from p = 0
+    (the sqrt(|p|) weight is finite there), with the node count doubled until
+    the amplitude changes by less than rel_tol of its peak.  The integrand
+    samples psi~ exactly (trigonometric sums over the position samples), and
+    the quadrature sum goes to the T-grid as a second trigonometric sum.  Both
+    sums run in ``_grid_phase_sum`` (two phase tables from numpy's exp and a
+    matrix product), independent of the interpolating transform chain: the
+    two routes share nothing but the input samples.
     """
     psi_tilde.require_rep(Representation.MOMENTUM)
     m = psi_tilde.params.mass
@@ -186,7 +230,6 @@ def arrival_amplitude_quadrature(psi_tilde: WaveFunction, grid_T: Grid1D,
     p = psi_tilde.points
     amp = np.abs(psi_tilde.values)
     peak = amp.max()
-    T = grid_T.points
 
     branches = []
     for positive in (True, False):
@@ -195,7 +238,7 @@ def arrival_amplitude_quadrature(psi_tilde: WaveFunction, grid_T: Grid1D,
         if not np.any(sup):
             continue
         pa = np.abs(p[sup])
-        lo = max(pa.min() - 2.0 * psi_tilde.grid.step, 0.5 * psi_tilde.grid.step)
+        lo = max(pa.min() - 2.0 * psi_tilde.grid.step, 0.0)
         hi = pa.max() + 2.0 * psi_tilde.grid.step
         branches.append((1.0 if positive else -1.0, lo, hi))
     if not branches:
@@ -203,16 +246,14 @@ def arrival_amplitude_quadrature(psi_tilde: WaveFunction, grid_T: Grid1D,
                             Representation.ARRIVAL_TIME, psi_tilde.params)
 
     def level(n_nodes: int) -> np.ndarray:
-        phi = np.zeros(len(T), dtype=np.complex128)
+        phi = np.zeros(grid_T.count, dtype=np.complex128)
         for sgn, lo, hi in branches:
             edges = np.linspace(lo, hi, max(4, math.ceil(n_nodes / 32)) + 1)
             nodes, weights = (a.ravel() for a in gauss_panels(edges[:-1], edges[1:]))
             vals = _momentum_at(psi_x, sgn * nodes)
             base = weights * vals * np.sqrt(nodes / m) / math.sqrt(2.0 * math.pi * hbar)
-            s_nodes = sgn * nodes**2 / (2.0 * m)
-            for lo_t in range(0, len(T), 64):
-                phi[lo_t:lo_t + 64] += np.exp(
-                    -1j * np.outer(T[lo_t:lo_t + 64], s_nodes) / hbar) @ base
+            phi += _grid_phase_sum(sgn * nodes**2 / (-2.0 * m * hbar), grid_T.origin,
+                                   grid_T.step, grid_T.count, base, to_grid=True)
         return phi
 
     n = start_nodes

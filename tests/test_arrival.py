@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import flowquant as fq
+from flowquant import arrival
 from flowquant.arrival import Component
 from flowquant.transforms import _chirp_plan
 
@@ -126,6 +128,90 @@ def test_quasiclassical_mean(reference_distribution, mc_oracle):
     mean_q = fq.arrival_moments(reference_distribution, Component.PLUS).mean
     assert abs(mc_oracle.mean - 25.0) <= 0.02 * 25.0
     assert abs(mean_q - mc_oracle.mean) <= 0.02 * 25.0
+
+
+# ------------------------------------------------------- oracle phase sums
+
+def _direct_phase_sum(u, w0, dw, count, coef, to_grid):
+    """_grid_phase_sum as a direct sum in long double, 64 nodes at a time."""
+    u = np.asarray(u, dtype=np.longdouble)
+    w = np.longdouble(w0) + np.longdouble(dw) * np.arange(count, dtype=np.longdouble)
+    coef = np.asarray(coef, dtype=np.clongdouble)
+    out = np.zeros(count if to_grid else len(u), dtype=np.clongdouble)
+    for lo in range(0, len(u), 64):
+        theta = np.multiply.outer(u[lo:lo + 64], w)
+        kernel = np.cos(theta) + 1j * np.sin(theta)
+        if to_grid:
+            out += coef[lo:lo + 64] @ kernel
+        else:
+            out[lo:lo + 64] = kernel @ coef
+    return out
+
+
+def _one_chunk_plus_one(count):
+    # the node rows per chunk of _grid_phase_sum, plus one
+    n_b = math.isqrt(count - 1) + 1
+    return arrival._TABLE_ENTRIES // (2 * -(-count // n_b) + n_b) + 1
+
+
+def _momentum_case(count, n_nodes):
+    """Samples of a packet at x0 = -50 on [-200, 200) (4,096 points) or at
+    x0 = -12.5 on [-50, 50), and momentum nodes over +-3 sigma_p of its mean
+    p0 = 2."""
+    half = 200.0 if count == 4096 else 50.0
+    grid = fq.Grid1D(-half, 2.0 * half / count, count)
+    packet = fq.gaussian_packet(grid, fq.PhysicalParams(), -half / 4.0, 2.0, 0.2)
+    p = np.linspace(1.4, 2.6, n_nodes) if n_nodes > 1 else np.array([2.0])
+    return -p, grid.origin, grid.step, count, packet.values
+
+
+def _arrival_case(count, n_nodes):
+    """Gauss-like weights of a right-mover at x0 = -50 with p0 = 2 on the
+    phases -p^2 / 2, and a T-grid centered on its arrival at T = 25."""
+    step = 60.0 / 1024
+    p = np.linspace(1.4, 2.6, n_nodes) if n_nodes > 1 else np.array([2.0])
+    coef = np.sqrt(p) * np.exp(-((p - 2.0) ** 2) / 0.16 + 50j * p)
+    return -0.5 * p**2, 25.0 - step * (count // 2), step, count, coef
+
+
+@pytest.mark.parametrize("case,count", [
+    (_momentum_case, 1000), (_momentum_case, 4096),
+    (_arrival_case, 1), (_arrival_case, 7), (_arrival_case, 1024),
+], ids=["momentum-1000", "momentum-4096", "T-1", "T-7", "T-1024"])
+@pytest.mark.parametrize("nodes", ["1", "37", "chunk+1"])
+def test_grid_phase_sum_matches_long_double(case, count, nodes):
+    n_nodes = _one_chunk_plus_one(count) if nodes == "chunk+1" else int(nodes)
+    args = case(count, n_nodes)
+    to_grid = case is _arrival_case
+    got = arrival._grid_phase_sum(*args, to_grid=to_grid)
+    exact = _direct_phase_sum(*args, to_grid=to_grid)
+    assert got.shape == exact.shape == ((count,) if to_grid else (n_nodes,))
+    assert np.abs(got - exact).max() <= 1e-14 * np.abs(exact).max()
+
+
+@pytest.mark.parametrize("case,count", [(_momentum_case, 1000),
+                                        (_arrival_case, 1024)])
+def test_grid_phase_sum_chunking(monkeypatch, case, count):
+    # one node per chunk against all nodes in one chunk
+    args = case(count, 37)
+    to_grid = case is _arrival_case
+    whole = arrival._grid_phase_sum(*args, to_grid=to_grid)
+    monkeypatch.setattr(arrival, "_TABLE_ENTRIES", 1)
+    chunked = arrival._grid_phase_sum(*args, to_grid=to_grid)
+    assert np.abs(chunked - whole).max() <= 1e-15 * np.abs(whole).max()
+
+
+def test_momentum_at_memory(reference_packet):
+    # two phase tables of ~sqrt(N_x) columns per chunk of nodes; a 512-node
+    # slice of the full nodes x N_x kernel alone would take 32 MB
+    p = np.linspace(1.0, 3.0, 4096)
+    tracemalloc.start()
+    try:
+        arrival._momentum_at(reference_packet, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 # ----------------------------------------------------------- distribution
