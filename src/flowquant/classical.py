@@ -33,12 +33,17 @@ from .grids import (Grid1D, PhysicalParams, Representation, WaveFunction,
                     moments)
 from .transforms import _SUPPORT_CUT, fourier_eval, to_momentum
 
+#: Samples per block of the ensemble check and of _bin_masses, so their
+#: temporaries stay small.
+_BIN_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True, eq=False)
 class PhaseSpaceEnsemble:
     """Weighted samples (x_i, p_i, w_i) of a classical phase-space density,
-    kept as read-only float64 copies of the caller's arrays; the module's
-    constructors hand over the arrays they have just built, uncopied."""
+    kept as read-only float64 copies of the caller's arrays.  The module's
+    constructors hand over what they have just built, uncopied: possibly
+    read-only views, and equal weights as one zero-stride broadcast value."""
 
     x: np.ndarray
     p: np.ndarray
@@ -57,10 +62,14 @@ class PhaseSpaceEnsemble:
             raise ValueError("weights must be nonnegative")
         if abs(float(np.sum(self.w)) - 1.0) > 1e-12:
             raise ValueError("weights must sum to one")
-        second = np.square(self.x)
-        second += np.square(self.p)
-        second *= self.w  # w (x^2 + p^2), in place
-        if not math.isfinite(float(np.sum(second))):
+        second = 0.0  # sum of w (x^2 + p^2), one block of temporaries at a time
+        for start in range(0, self.size, _BIN_BLOCK):
+            block = slice(start, start + _BIN_BLOCK)
+            term = np.square(self.x[block])
+            term += np.square(self.p[block])
+            term *= self.w[block]
+            second += float(np.sum(term))
+        if not math.isfinite(second):
             raise ValueError("ensemble must have finite second moments")
 
     @classmethod
@@ -80,9 +89,16 @@ def gaussian_ensemble(params: PhysicalParams, mean_x: float, sigma_x: float,
                       mean_p: float, sigma_p: float, count: int,
                       seed: int) -> PhaseSpaceEnsemble:
     """Product-Gaussian ensemble with independent x and p marginals."""
-    rng = np.random.default_rng(seed)
-    x, p = rng.normal(mean_x, sigma_x, count), rng.normal(mean_p, sigma_p, count)
-    return PhaseSpaceEnsemble._owning(x, p, np.full(count, 1.0 / count), params)
+    # One draw scaled in place: the bits of normal(mean_x, sigma_x, count)
+    # followed by normal(mean_p, sigma_p, count), which form loc + scale z.
+    z = np.random.default_rng(seed).standard_normal(2 * count)
+    x, p = z[:count], z[count:]
+    x *= sigma_x
+    x += mean_x
+    p *= sigma_p
+    p += mean_p
+    w = np.broadcast_to(np.float64(1.0 / count), (count,))
+    return PhaseSpaceEnsemble._owning(x, p, w, params)
 
 
 def ensemble_from_packet(psi: WaveFunction, count: int,
@@ -138,43 +154,63 @@ class Marginals:
     mu: Histogram
 
 
-#: Samples per block of _bin_masses, so its index and mask arrays stay small.
-_BIN_BLOCK = 1 << 16
-
-
-def _bin_masses(values: np.ndarray, weights: np.ndarray,
-                edges: np.ndarray) -> np.ndarray:
+def _bin_masses(values: np.ndarray, weights: np.ndarray, edges: np.ndarray,
+                drift: np.ndarray | None = None, speed: float = 0.0) -> np.ndarray:
     """Weight of the values in each bin [edges[i], edges[i+1]), the last bin
     closed: the bins np.histogram gives for explicit edges, without sorting.
+    With a drift, the values binned are values + speed * drift, formed one
+    block at a time.
 
-    Each value's bin is first guessed from the uniform-edge formula, then
-    stepped until the bin's actual edges hold the value, so non-uniform
-    edges are exact too, only slower.  Values outside the edges (and NaN)
-    are left out; the weights are summed per bin by np.bincount.
+    Each value's bin is first guessed from the uniform-edge formula, with an
+    underflow bin below the edges and an overflow bin above, then stepped
+    until the bin's actual edges hold the value, so non-uniform edges are
+    exact too, only slower.  Values outside the edges (and NaN, guessed into
+    the underflow bin) are left out; the weights are summed per bin by
+    np.bincount.
     """
     if not (len(edges) > 1 and np.all(np.isfinite(edges))
             and np.all(edges[:-1] < edges[1:])):
         raise ValueError("bin edges must be finite and increasing")
     n_bins = len(edges) - 1
     lo, hi = edges[0], edges[-1]
-    upper = np.append(edges[1:-1], np.inf)  # bin i: edges[i] <= v < upper[i]
+    # bin i holds lower[i] <= v < upper[i]: 0 underflow, 1..n_bins the edges'
+    # bins, n_bins + 1 overflow (v >= nan never holds, so it has no top)
+    above = np.nextafter(hi, np.inf)
+    lower = np.concatenate([[-np.inf], edges[:-1], [above]])
+    upper = np.concatenate([edges[:-1], [above, np.nan]])
     scale = n_bins / (hi - lo)
-    masses = np.zeros(n_bins)
-    for start in range(0, len(values), _BIN_BLOCK):
-        v = values[start:start + _BIN_BLOCK]
-        w = weights[start:start + _BIN_BLOCK]
-        inside = (v >= lo) & (v <= hi)
-        if not inside.all():
-            v, w = v[inside], w[inside]
-        i = np.clip(((v - lo) * scale).astype(np.intp), 0, n_bins - 1)
-        wrong = np.flatnonzero((v < edges[i]) | (v >= upper[i]))
-        while wrong.size:
-            vw, iw = v[wrong], i[wrong]
-            iw = iw + (vw >= upper[iw]) - (vw < edges[iw])
-            i[wrong] = iw
-            wrong = wrong[(vw < edges[iw]) | (vw >= upper[iw])]
-        masses += np.bincount(i, w, minlength=n_bins)
-    return masses
+    masses = np.zeros(n_bins + 2)
+    # Buffers shared by the blocks: sample-sized temporaries made afresh for
+    # each block would be handed back to the system and faulted in again.
+    size = min(len(values), _BIN_BLOCK)
+    work, index = np.empty(size), np.empty(size, dtype=np.intp)
+    moved = None if drift is None else np.empty(size)
+    # values far outside the edges, or edges wider than the float range
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(values), _BIN_BLOCK):
+            block = slice(start, start + _BIN_BLOCK)
+            v = values[block]
+            if drift is not None:
+                v = np.multiply(drift[block], speed, out=moved[:len(v)])
+                v += values[block]
+            guess = np.subtract(v, lo, out=work[:len(v)])
+            guess *= scale
+            guess += 1.0
+            np.fmax(guess, 0.0, out=guess)  # also takes NaN to the underflow bin
+            np.fmin(guess, n_bins + 1, out=guess)
+            i = index[:len(v)]
+            np.copyto(i, guess, casting="unsafe")  # truncates, as astype does
+            # the indices are in range; "clip" lets take write into out unbuffered
+            wrong = v < np.take(lower, i, out=guess, mode="clip")
+            wrong |= v >= np.take(upper, i, out=guess, mode="clip")
+            wrong = np.flatnonzero(wrong)
+            while wrong.size:
+                vw, iw = v[wrong], i[wrong]
+                iw = iw + (vw >= upper[iw]) - (vw < lower[iw])
+                i[wrong] = iw
+                wrong = wrong[(vw < lower[iw]) | (vw >= upper[iw])]
+            masses += np.bincount(i, weights[block], minlength=n_bins + 2)
+    return masses[1:-1]
 
 
 def _histogram(values: np.ndarray, weights: np.ndarray, edges: np.ndarray,
@@ -220,7 +256,7 @@ def momentum_from_position_limit(e: PhaseSpaceEnsemble, x0: float, t: float,
         raise ValueError("the limit formula needs t > 0")
     p_edges = np.asarray(p_edges, dtype=float)
     speed = t / e.params.mass
-    masses = _bin_masses(e.x + speed * e.p, e.w, x0 + speed * p_edges)
+    masses = _bin_masses(e.x, e.w, x0 + speed * p_edges, e.p, speed)
     return Histogram(p_edges, masses)
 
 

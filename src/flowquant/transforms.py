@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridMismatch, LowMomentumMass
 from .grids import (CurrentField, Grid1D, Representation, WaveFunction,
@@ -117,6 +118,33 @@ def _fft_size(n: int) -> int:
     return best
 
 
+def _cis_chirp(theta: float, j0: int, n: int) -> np.ndarray:
+    """exp(i theta j^2 / 2) for j = j0 .. j0 + n - 1, from three tables of
+    about sqrt(n) phases, the quadratic counterpart of _cis_ramp.  With
+    j = j0 + q L + r and 0 <= r < L,
+
+        j^2 = [(j0 + q L)^2 - L q^2] + [2 j0 r - (L - 1) r^2] + L (q + r)^2,
+
+    a part in q, a part in r and a part in q + r, the last read through a
+    sliding window.  The brackets are formed exactly in integers, so each
+    table phase takes one rounding.  The coarse phases are at most the
+    largest theta j^2 / 2 of the range, the others of order theta n^1.5, and
+    the largest phase sets the error, as it does for the direct form.
+    """
+    size = math.isqrt(max(n - 1, 0)) + 1  # L = ceil(sqrt(n)), at least 1
+    rows = -(-n // size)
+    q = np.arange(rows, dtype=np.int64)
+    r = np.arange(size, dtype=np.int64)
+    s = np.arange(rows + size - 1, dtype=np.int64)
+    half = 0.5 * theta
+    coarse = _cis(half * ((j0 + q * size) ** 2 - size * q * q).astype(np.float64))
+    fine = _cis(half * (2 * j0 * r - (size - 1) * r * r).astype(np.float64))
+    diagonal = _cis(half * (size * s * s).astype(np.float64))
+    chirp = np.multiply.outer(coarse, fine)
+    chirp *= sliding_window_view(diagonal, size)  # [q, r] reads q + r
+    return chirp.ravel()[:n]
+
+
 @functools.lru_cache(maxsize=1)
 def _chirp_plan(size: int, m: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
     """Chirp c_j = exp(i theta j^2 / 2) for j = m - size .. m - 1, and the FFT
@@ -127,8 +155,7 @@ def _chirp_plan(size: int, m: int, theta: float) -> tuple[np.ndarray, np.ndarray
     the s-grid and T-grid, so the last plan is kept for the next call.  Both
     arrays are read-only, as they are shared between callers.
     """
-    j = np.arange(m - size, m, dtype=np.float64)
-    chirp = _cis(0.5 * theta * j * j)
+    chirp = _cis_chirp(theta, m - size, size)
     kernel_fft = np.fft.fft(np.roll(chirp.conj(), m - size))
     for a in (chirp, kernel_fft):
         a.setflags(write=False)

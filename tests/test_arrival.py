@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flowquant as fq
 from flowquant import arrival
@@ -300,6 +302,52 @@ def test_distribution_mixed_beam(mixed_beam, arrival_grid):
 def test_distribution_normalization(mixed_beam, arrival_grid):
     dist = fq.arrival_distribution(mixed_beam, grid_T=arrival_grid)
     assert abs(np.trapezoid(dist.total, arrival_grid.points) - 1.0) <= 1e-6
+
+
+@st.composite
+def two_mover_packets(draw):
+    """A Gaussian mover heading for x = 0 and its mirror in momentum coming
+    from the other side, with a relative amplitude and phase, on the
+    400-wide box: p0 / sigma_p from 6.5 (broad, the support reaches the
+    momentum floor) to 16 (narrow), and a T-grid of the program's choice or
+    one 14 spreads wide."""
+    p0 = draw(st.floats(0.6, 2.0))
+    sigma_p = p0 / draw(st.floats(6.5, 16.0))
+    sign = draw(st.sampled_from([1, -1]))
+    x_far = min(80.0, 170.0 - 10.5 / (2.0 * sigma_p))  # tails inside the box
+    movers = [(-sign * draw(st.floats(20.0, x_far)), sign * p0, 1.0),
+              (sign * draw(st.floats(20.0, x_far)), -sign * p0,
+               draw(st.floats(0.5, 1.0)) * np.exp(1j * draw(st.floats(0.0, 2 * math.pi))))]
+    explicit = draw(st.booleans())
+    return movers, sigma_p, explicit
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(case=two_mover_packets())
+def test_distribution_identities_on_two_mover_packets(params, wide_grid, case):
+    # total = plus + minus + interference to rounding, and the interference
+    # integrates to zero, as the movers' s-supports are disjoint
+    movers, sigma_p, explicit = case
+    values = sum(amp * fq.gaussian_packet(wide_grid, params, x0, p0, sigma_p).values
+                 for x0, p0, amp in movers)
+    values /= math.sqrt(np.sum(np.abs(values) ** 2) * wide_grid.step)
+    psi = fq.to_momentum(fq.WaveFunction(wide_grid, values, fq.Representation.POSITION,
+                                         params))
+    grid_T = None
+    if explicit:  # about T0 = -m x0 / |p0|, 7 spreads
+        # m (|x0| sigma_p / p0^2 + sigma_x / |p0|) either side
+        ends = [(-x0 / abs(p0), abs(x0) * sigma_p / p0**2 + 0.5 / (sigma_p * abs(p0)))
+                for x0, p0, _ in movers]
+        lo = min(T0 - 7.0 * spread for T0, spread in ends)
+        hi = max(T0 + 7.0 * spread for T0, spread in ends)
+        grid_T = fq.Grid1D(lo, (hi - lo) / 2047, 2048)
+    dist = fq.arrival_distribution(psi, grid_T=grid_T)
+    parts = (dist.total, dist.plus, dist.minus, dist.interference)
+    assert all(np.all(np.isfinite(a)) for a in parts)
+    recon = dist.plus + dist.minus + dist.interference
+    assert np.abs(dist.total - recon).max() <= 1e-12 * dist.total.max()
+    assert abs(np.trapezoid(dist.interference, dist.grid_T.points)) <= 1e-6
+    assert min(dist.w_plus, dist.w_minus) > 0.1
 
 
 # ------------------------------------------------- interval probabilities

@@ -356,3 +356,72 @@ def test_momentum_histogram_is_exact(limit_ensemble):
     assert np.abs(h.masses - counts * w).max() < \
         np.abs(np.histogram(limit_ensemble.p, bins=P_EDGES,
                             weights=limit_ensemble.w)[0] - counts * w).max()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=binning_inputs(), block=st.sampled_from([3, 7, classical._BIN_BLOCK]),
+       drift=st.lists(st.floats(-1e3, 1e3), min_size=60, max_size=60),
+       speed=st.sampled_from([0.0, 1e-3, 0.5, 3.0, 1e3]))
+def test_bin_masses_drift_matches_materialized_values(case, block, drift, speed):
+    # the fused drift bins exactly the samples that x + speed * p would hold
+    values, weights, edges = case
+    drift = np.array(drift[:len(values)])
+    with mock.patch.object(classical, "_BIN_BLOCK", block):
+        fused = classical._bin_masses(values, weights, edges, drift, speed)
+        moved = classical._bin_masses(values + speed * drift, weights, edges)
+    assert np.array_equal(fused, moved)
+    reference = np.histogram(values + speed * drift, bins=edges, weights=weights)[0]
+    assert np.abs(fused - reference).max(initial=0.0) <= 1e-13
+
+
+def test_bin_masses_leave_out_values_one_ulp_beyond_the_edges():
+    # with these edges the uniform guess for the value one ulp above the top
+    # edge rounds into the last bin; the check against the actual edges must
+    # move it on to the overflow bin
+    edges = np.linspace(-1.3, -1.3 + 3.3, 8)  # top edge 2 - 2^-52
+    values = np.array([np.nextafter(edges[-1], np.inf), edges[-1],
+                       np.nextafter(edges[0], -np.inf), edges[0]])
+    masses = classical._bin_masses(values, np.full(4, 0.25), edges)
+    assert np.array_equal(masses, [0.25, 0, 0, 0, 0, 0, 0.25])
+
+
+@pytest.mark.parametrize("block,count", [(3, 2_000), (7, 2_000),
+                                         (classical._BIN_BLOCK, 1_000_000)])
+def test_momentum_from_position_limit_bins_the_evolved_positions(params, block, count):
+    e = fq.gaussian_ensemble(params, 0.0, 1.0, 1.0, 0.5, count, seed=7)
+    with mock.patch.object(classical, "_BIN_BLOCK", block):
+        for t in (20.0, 200.0):
+            edges = 0.5 + t * P_EDGES
+            h = fq.momentum_from_position_limit(e, 0.5, t, P_EDGES)
+            moved = fq.evolve_ensemble(e, t)
+            assert np.array_equal(h.masses, classical._bin_masses(moved.x, e.w, edges))
+            direct = np.histogram(moved.x, bins=edges, weights=moved.w)[0]
+            assert np.abs(h.masses - direct).max() <= 1e-13
+
+
+@pytest.mark.parametrize("block", [3, 7, classical._BIN_BLOCK])
+def test_ensemble_refuses_overflow_in_the_last_block(params, block):
+    size = 2 * block + 1  # the last block holds one sample
+    x = np.zeros(size)
+    x[-1] = 1e155  # x^2 overflows
+    with mock.patch.object(classical, "_BIN_BLOCK", block), \
+            pytest.raises(ValueError, match="second moments"), \
+            np.errstate(over="ignore"):
+        fq.PhaseSpaceEnsemble(x, np.zeros(size), np.full(size, 1.0 / size), params)
+
+
+def test_gaussian_ensemble_shares_one_read_only_weight(params):
+    e = fq.gaussian_ensemble(params, 0.5, 1.5, -1.0, 0.25, 10_000, seed=11)
+    assert e.w.strides == (0,) and not e.w.flags.writeable
+    assert np.array_equal(e.w, np.full(10_000, 1 / 10_000))
+    assert not (e.x.flags.writeable or e.p.flags.writeable)
+
+
+def test_public_constructor_still_owns_contiguous_copies(params):
+    e = fq.gaussian_ensemble(params, 0.5, 1.5, -1.0, 0.25, 10_000, seed=11)
+    copied = fq.PhaseSpaceEnsemble(e.x, e.p, e.w, params)
+    for name in ("x", "p", "w"):
+        mine, theirs = getattr(copied, name), getattr(e, name)
+        assert mine.flags.c_contiguous and mine.flags.owndata
+        assert not mine.flags.writeable and not np.shares_memory(mine, theirs)
+        assert np.array_equal(mine, theirs)

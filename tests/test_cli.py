@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -465,6 +466,39 @@ def test_shipped_csvs_match_reference_writer(monkeypatch, run_shipped, shipped_o
     reference = run_shipped()
     assert sum(key.endswith(".csv") for key in reference) >= 10
     assert reference == shipped_outputs
+
+
+@pytest.mark.parametrize("nt,nx", [(1, 1), (1, 6), (4, 1), (101, 201)])
+def test_scan_csv_matches_the_reference_writer(tmp_path, nt, nx):
+    # backflow's t, x, j rows: each t and x formatted once, the same bytes
+    rng = np.random.default_rng(nt * nx)
+    ts = np.linspace(-1.5, 2.0, nt)
+    xs = np.linspace(-3.0, 0.1, nx)
+    ts[0], xs[-1] = -0.0, -0.0
+    j = rng.standard_normal((nt, nx)) * 10.0 ** rng.integers(-300, 300, (nt, nx))
+    j.flat[0] = -0.0
+    j.flat[-1] = 5e-324
+    cli._write_scan_csv(tmp_path / "new.csv", ["t", "x", "j"], ts, xs, j)
+    _reference_write_csv(tmp_path / "old.csv", ["t", "x", "j"],
+                         np.repeat(ts, nx), np.tile(xs, nt), j)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_classical_limit_memory_is_the_samples(tmp_path):
+    # x and p, 16 B a sample, are the only sample-sized arrays alive: the
+    # weights, the moment check and the evolved positions go block by block
+    path = scenario_path("classical_limit_reference.json")
+    samples = load_scenario(path)["classical_limit"]["samples"]
+    # a first run keeps lazy imports out of the traced one
+    assert run_cli("classical-limit", "--config", path, "--out", str(tmp_path / "a")) == 0
+    tracemalloc.start()
+    try:
+        rc = run_cli("classical-limit", "--config", path, "--out", str(tmp_path / "b"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak <= 16 * samples + 3e6
 
 
 def test_refuses_negative_seed_flag(tmp_path, capsys):

@@ -5,8 +5,8 @@ import pytest
 
 import flowquant as fq
 from flowquant.resample import _cis_ramp
-from flowquant.transforms import (_CURRENT_BLOCK, _chirp_plan, _cis, _fft_size,
-                                  fourier_eval)
+from flowquant.transforms import (_CURRENT_BLOCK, _chirp_plan, _cis, _cis_chirp,
+                                  _fft_size, fourier_eval)
 
 
 def test_gaussian_self_transform(centered_packet):
@@ -268,6 +268,29 @@ def test_cis_ramp_matches_long_double(n):
         got = _cis_ramp(a, b, n)
         assert got.shape == (n,)
         assert error(got) <= 2.0 * error(_cis(a + k * b))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4096, 102_048])
+def test_cis_chirp_matches_long_double(n):
+    # chirps as _chirp_plan makes them: theta = 2 pi c / n for c of order
+    # one, j from m - size < 0; the phases reach ~3e5 at the largest n, where
+    # rounding theta j^2 / 2 sets the error of both forms
+    for theta, j0 in ((2.0 * math.pi * 0.37 / n, -(3 * n // 5)),
+                      (-2.0 * math.pi * 0.91 / n, 1 - n), (1e-4, -3)):
+        j = np.arange(j0, j0 + n)
+        phase = np.longdouble(theta) * j.astype(np.longdouble) ** 2 / 2
+        exact = np.cos(phase), np.sin(phase)
+
+        def error(z):
+            return max(float(np.abs(z.real - exact[0]).max()),
+                       float(np.abs(z.imag - exact[1]).max()))
+
+        got = _cis_chirp(theta, j0, n)
+        assert got.shape == (n,)
+        direct = _cis(0.5 * theta * j.astype(np.float64) ** 2)
+        # within 1.2x the direct form, or a few ulps of unit modulus where
+        # the direct form is exact (n = 1, 2)
+        assert error(got) <= 1.2 * error(direct) + 4.0 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("zeros", [
