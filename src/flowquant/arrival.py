@@ -33,8 +33,7 @@ from .errors import (IntervalOutOfRange, InvalidParameter, LowMomentumMass,
                      RepMismatch, ZeroWeightComponent)
 from .grids import (Grid1D, PhysicalParams, Representation, WaveFunction,
                     gauss_panels, moments, norm_squared)
-from .transforms import (default_momentum_floor, default_oriented_grid,
-                         from_oriented_energy, low_momentum_mass,
+from .transforms import (_momentum_floor, default_oriented_grid,
                          to_arrival_time, to_momentum, to_oriented_energy,
                          to_position)
 
@@ -86,40 +85,33 @@ class ArrivalDistribution:
                 Component.MINUS: self.minus}[which]
 
 
-def split_movers(psi_tilde: WaveFunction, p_min: float | None = None,
-                 low_p_mass_tol: float = 1e-6,
-                 zero_mass_tol: float = 1e-10) -> tuple[WaveFunction, WaveFunction]:
+def split_movers(psi_tilde: WaveFunction) -> tuple[WaveFunction, WaveFunction]:
     """Right-mover / left-mover decomposition in the momentum representation.
 
     psi+ keeps the p > 0 samples, psi- the p < 0 samples; an exact p = 0
-    sample belongs to neither and must carry negligible mass.  The
-    low-momentum validator of the energy map applies here too (the split
-    feeds that map downstream).
+    sample belongs to neither and must carry at most 1e-10 of mass.  The
+    momentum floor of the energy map applies here too (the split feeds that
+    map downstream), with the same refusal.
     """
     psi_tilde.require_rep(Representation.MOMENTUM)
-    if p_min is None:
-        p_min = default_momentum_floor(psi_tilde.grid)
-    leak = low_momentum_mass(psi_tilde, p_min)
-    if leak > low_p_mass_tol:
-        raise LowMomentumMass(
-            f"mass {leak:.3e} below |p| < {p_min:.3e} exceeds {low_p_mass_tol:g}")
+    _momentum_floor(psi_tilde)
     p = psi_tilde.points
     zero = p == 0.0
     zero_mass = float(np.sum(np.abs(psi_tilde.values[zero]) ** 2) * psi_tilde.grid.step)
-    if zero_mass > zero_mass_tol:
+    if zero_mass > 1e-10:
         raise LowMomentumMass(
-            f"the p = 0 sample carries mass {zero_mass:.3e} > {zero_mass_tol:g}")
+            f"the p = 0 sample carries mass {zero_mass:.3e} > 1e-10")
     plus = psi_tilde.with_values(np.where(p > 0.0, psi_tilde.values, 0.0))
     minus = psi_tilde.with_values(np.where(p < 0.0, psi_tilde.values, 0.0))
     return plus, minus
 
 
-def default_time_grid(psi_tilde: WaveFunction, count: int = 512,
-                      span_factor: float = 8.0) -> Grid1D:
-    """T-grid centered on the classical arrival estimate -m <x> / p0.
+def default_time_grid(psi_tilde: WaveFunction) -> Grid1D:
+    """512-point T-grid centered on the classical arrival estimate -m <x> / p0.
 
-    The span is span_factor times the classical spread estimate
-    m (|<x>| sigma_p / p0^2 + sigma_x / p0), with p0 the mean of |p|.
+    The span is 8 times the classical spread estimate
+    m (|<x>| sigma_p / p0^2 + sigma_x / p0), with p0 the mean of |p|, and at
+    least 16 m sigma_x / p0.
     """
     psi_tilde.require_rep(Representation.MOMENTUM)
     m = psi_tilde.params.mass
@@ -130,16 +122,15 @@ def default_time_grid(psi_tilde: WaveFunction, count: int = 512,
     p0 = float(np.sum(np.abs(p) * w) / w_total)
     p_std = float(math.sqrt(np.sum((np.abs(p) - p0) ** 2 * w) / w_total))
     center = -m * x_mean / p0
-    span = span_factor * m * (abs(x_mean) * p_std / p0**2 + x_std / p0)
+    span = 8.0 * m * (abs(x_mean) * p_std / p0**2 + x_std / p0)
     span = max(span, 16.0 * m * x_std / p0)
-    return Grid1D(center - span / 2.0, span / count, count)
+    return Grid1D(center - span / 2.0, span / 512, 512)
 
 
 def arrival_amplitude_fast(psi_tilde: WaveFunction, grid_T: Grid1D | None = None,
-                           s_grid: Grid1D | None = None,
-                           p_min: float | None = None) -> WaveFunction:
+                           s_grid: Grid1D | None = None) -> WaveFunction:
     """Arrival amplitude via the transform chain (the production path)."""
-    phi_s, _ = to_oriented_energy(psi_tilde, s_grid=s_grid, p_min=p_min)
+    phi_s, _ = to_oriented_energy(psi_tilde, s_grid=s_grid)
     return to_arrival_time(phi_s, grid_T)
 
 
@@ -206,17 +197,17 @@ def _momentum_at(psi_x: WaveFunction, p_nodes: np.ndarray) -> np.ndarray:
 # Above the trigonometric-evaluation noise floor (~1e-15 of the peak); the
 # truncated tail contributes O(1e-11) of the amplitude.
 _ORACLE_SUPPORT_CUT = 1e-12
+_ORACLE_REL_TOL = 1e-8  # target of the oracle's node doubling
+_ORACLE_MAX_NODES = 2**17  # the node count at which it gives up
 
 
-def arrival_amplitude_quadrature(psi_tilde: WaveFunction, grid_T: Grid1D,
-                                 rel_tol: float = 1e-8,
-                                 start_nodes: int = 256,
-                                 max_nodes: int = 2**17) -> WaveFunction:
+def arrival_amplitude_quadrature(psi_tilde: WaveFunction, grid_T: Grid1D) -> WaveFunction:
     """Arrival amplitude by direct oscillatory quadrature (the oracle).
 
     Composite Gauss-Legendre quadrature of the momentum integral from p = 0
-    (the sqrt(|p|) weight is finite there), with the node count doubled until
-    the amplitude changes by less than rel_tol of its peak.  The integrand
+    (the sqrt(|p|) weight is finite there), with the node count doubled from
+    256 until the amplitude changes by less than 1e-8 of its peak; past 2^17
+    nodes it raises QuadratureNonConvergence.  The integrand
     samples psi~ exactly (trigonometric sums over the position samples), and
     the quadrature sum goes to the T-grid as a second trigonometric sum.  Both
     sums run in ``_grid_phase_sum`` (two phase tables from numpy's exp and a
@@ -256,54 +247,52 @@ def arrival_amplitude_quadrature(psi_tilde: WaveFunction, grid_T: Grid1D,
                                    grid_T.step, grid_T.count, base, to_grid=True)
         return phi
 
-    n = start_nodes
+    n = 256
     prev = level(n)
     while True:
         n *= 2
         cur = level(n)
         scale = max(float(np.abs(cur).max()), 1e-300)
         err = float(np.abs(cur - prev).max() / scale)
-        if err <= rel_tol:
+        if err <= _ORACLE_REL_TOL:
             return WaveFunction(grid_T, cur, Representation.ARRIVAL_TIME,
                                 psi_tilde.params)
-        if n >= max_nodes:
+        if n >= _ORACLE_MAX_NODES:
             raise QuadratureNonConvergence(
                 f"oscillatory quadrature stuck at relative error {err:.3e} "
-                f"with {n} nodes (target {rel_tol:g})")
+                f"with {n} nodes (target {_ORACLE_REL_TOL:g})")
         prev = cur
 
 
 def arrival_distribution(psi: WaveFunction, grid_T: Grid1D | None = None,
-                         s_grid: Grid1D | None = None,
-                         p_min: float | None = None) -> ArrivalDistribution:
+                         s_grid: Grid1D | None = None) -> ArrivalDistribution:
     """Arrival-time distribution with right/left-mover decomposition.
 
-    Accepts position, momentum or oriented-energy input (converted to the
-    momentum representation first).  Both mover amplitudes are computed on a
-    common s-grid and T-grid so the decomposition identities hold exactly.
+    Accepts position or momentum input (position is converted to momentum
+    first); any other representation raises RepMismatch.  Both mover
+    amplitudes are computed on a common s-grid and T-grid so the
+    decomposition identities hold exactly.
     """
     if psi.rep is Representation.POSITION:
         psi_tilde = to_momentum(psi)
     elif psi.rep is Representation.MOMENTUM:
         psi_tilde = psi
-    elif psi.rep is Representation.ORIENTED_ENERGY:
-        psi_tilde, _ = from_oriented_energy(psi)
     else:
-        raise RepMismatch("arrival-time input cannot be inverted back to momentum")
+        raise RepMismatch(
+            f"arrival_distribution needs position or momentum input, got {psi.rep.value}")
 
     plus, minus = split_movers(psi_tilde)
     w_plus = norm_squared(plus)
     w_minus = norm_squared(minus)
     if s_grid is None:
-        s_grid = default_oriented_grid(psi_tilde, p_min or
-                                       default_momentum_floor(psi_tilde.grid))
+        s_grid = default_oriented_grid(psi_tilde)
     if grid_T is None:
         grid_T = default_time_grid(psi_tilde)
 
     def amplitude(part: WaveFunction, weight: float) -> np.ndarray:
         if weight <= 1e-12 * max(w_plus + w_minus, 1e-300):
             return np.zeros(grid_T.count, dtype=np.complex128)
-        return arrival_amplitude_fast(part, grid_T, s_grid=s_grid, p_min=p_min).values
+        return arrival_amplitude_fast(part, grid_T, s_grid=s_grid).values
 
     phi_plus = amplitude(plus, w_plus)
     phi_minus = amplitude(minus, w_minus)
@@ -342,13 +331,13 @@ class ArrivalMoments:
 
 
 def arrival_moments(dist: ArrivalDistribution,
-                    component: Component = Component.TOTAL,
-                    weight_floor: float = 1e-6) -> ArrivalMoments:
-    """Mean and variance of the normalized component density."""
+                    component: Component = Component.TOTAL) -> ArrivalMoments:
+    """Mean and variance of the normalized component density; a component
+    of weight at most 1e-6 raises ZeroWeightComponent."""
     density = dist.component(component)
     T = dist.grid_T.points
     weight = float(np.trapezoid(density, T))
-    if weight <= weight_floor:
+    if weight <= 1e-6:
         raise ZeroWeightComponent(
             f"component {component.value} carries weight {weight:.3e}")
     mean = float(np.trapezoid(T * density, T) / weight)
@@ -369,12 +358,12 @@ class BackflowSpec:
 
 
 def make_backflow_packet(grid_p: Grid1D, params: PhysicalParams,
-                         spec: BackflowSpec = BackflowSpec(),
-                         leak_tol: float = 1e-10) -> WaveFunction:
+                         spec: BackflowSpec = BackflowSpec()) -> WaveFunction:
     """Normalized superposition of two positive-momentum Gaussians.
 
-    Despite containing only positive momenta (up to a checked leak), the
-    packet develops regions of negative probability current at later times.
+    Despite containing only positive momenta (up to a checked leak of at most
+    1e-10 of mass at p < 0), the packet develops regions of negative
+    probability current at later times.
     """
     if not (spec.sigma > 0.0 and min(spec.p1, spec.p2) > 4.0 * spec.sigma):
         raise InvalidParameter(
@@ -388,7 +377,7 @@ def make_backflow_packet(grid_p: Grid1D, params: PhysicalParams,
     values = values / nrm
     psi = WaveFunction(grid_p, values, Representation.MOMENTUM, params)
     neg_mass = float(np.sum(np.abs(values[p < 0.0]) ** 2) * grid_p.step)
-    if neg_mass > leak_tol:
+    if neg_mass > 1e-10:
         raise NegativeMomentumLeak(
-            f"negative-momentum mass {neg_mass:.3e} exceeds {leak_tol:g}")
+            f"negative-momentum mass {neg_mass:.3e} exceeds 1e-10")
     return psi

@@ -336,12 +336,13 @@ class ArrivalStats:
     histogram: Histogram | None = None
 
 
-def classical_arrival_oracle(e: PhaseSpaceEnsemble, p_floor: float = 1e-6,
+def classical_arrival_oracle(e: PhaseSpaceEnsemble,
                              bins: np.ndarray | None = None) -> ArrivalStats:
-    """Weighted statistics of the per-sample oriented arrival time -m x / |p|."""
-    if float(np.min(np.abs(e.p))) < p_floor:
+    """Weighted statistics of the per-sample oriented arrival time -m x / |p|;
+    an ensemble with a sample at |p| < 1e-6 raises MomentumFloorViolated."""
+    if float(np.min(np.abs(e.p))) < 1e-6:
         raise MomentumFloorViolated(
-            f"ensemble contains |p| < {p_floor:g}; arrival times diverge")
+            "ensemble contains |p| < 1e-06; arrival times diverge")
     T = oriented_arrival_time(e.x, e.p, e.params.mass)
     mean = float(np.sum(e.w * T))
     var = float(np.sum(e.w * (T - mean) ** 2))

@@ -63,6 +63,12 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _write_text(path: str, text: str) -> None:
+    """Write text to path as a new file: truncating a just-written file costs
+    tens of milliseconds on ext4, so an existing file or symlink is unlinked."""
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
@@ -260,6 +266,9 @@ def main(argv=None) -> int:
         return 2
     except FlowQuantError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # load_scenario reports its own; an output failed
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
 
 

@@ -87,10 +87,10 @@ class VectorField1D:
         raise OutOfDomain(f"{x} is not inside the domain of field {self.label!r}")
 
 
-def constant_field(value: float = 1.0) -> VectorField1D:
-    return VectorField1D(lambda x: np.full_like(np.asarray(x, dtype=float), value),
+def constant_field() -> VectorField1D:
+    return VectorField1D(lambda x: np.ones_like(np.asarray(x, dtype=float)),
                          lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                         label=f"const({value:g})")
+                         label="const(1)")
 
 
 def linear_field() -> VectorField1D:
@@ -144,7 +144,7 @@ def straightened_oriented_field() -> VectorField1D:
     momentum half-axes glue into a single line and the field becomes the unit
     translation field, which is complete.
     """
-    f = constant_field(1.0)
+    f = constant_field()
     return VectorField1D(f.func, f.deriv, label="m/|p| straightened")
 
 
@@ -620,16 +620,16 @@ def straighten(field: VectorField1D, x_ref: float,
 
 def transport(psi: WaveFunction, field: VectorField1D, t: float,
               flow_class: FlowClass | None = None,
-              probe_spec: ProbeSpec | None = None,
               ) -> tuple[WaveFunction, TransformReport]:
     """Unitary drag of a wave function along the flow of a complete field.
 
     (G_t psi)(x) = psi(G_{-t}(x)) sqrt|G'_{-t}(x)|: the pull-back point
     inverts the travel time, and its Jacobian is X(G_{-t}(x))/X(x).  A bump
-    at x0 ends up at G_t(x0).
+    at x0 ends up at G_t(x0).  Without flow_class, the field is classified
+    with the default ProbeSpec.
     """
     if flow_class is None:
-        flow_class = classify_flow(field, probe_spec or ProbeSpec())
+        flow_class = classify_flow(field)
     if flow_class.verdict is not FlowVerdict.COMPLETE:
         raise NotComplete(
             f"field {field.label!r} classified {flow_class.verdict.value}; "
@@ -652,13 +652,12 @@ def transport(psi: WaveFunction, field: VectorField1D, t: float,
 _TAIL_BAND = 0.10  # outermost fraction of spectral bins checked for roughness
 
 
-def lie_derivative(psi: WaveFunction, field: VectorField1D,
-                   tail_tol: float = 1e-8) -> WaveFunction:
+def lie_derivative(psi: WaveFunction, field: VectorField1D) -> WaveFunction:
     """Half-density Lie derivative (1/2)(X psi' + (X psi)').
 
     Derivatives are spectral.  The quantized observable acts as
     (hbar/i) times this, see ``apply_generator``.  Inputs must be smooth on
-    the grid scale; a spectral tail above ``tail_tol`` raises RoughInput.
+    the grid scale; a spectral tail above 1e-8 of the power raises RoughInput.
     """
     v = psi.values
     spec = np.fft.fft(v)
@@ -667,7 +666,7 @@ def lie_derivative(psi: WaveFunction, field: VectorField1D,
     tail = freq_idx >= 0.5 * (1.0 - _TAIL_BAND)
     power = np.abs(spec) ** 2
     total = power.sum()
-    if total > 0.0 and power[tail].sum() > tail_tol * total:
+    if total > 0.0 and power[tail].sum() > 1e-8 * total:
         raise RoughInput(
             "wave function has significant power in the outer spectral band; "
             "spectral differentiation would be unreliable")

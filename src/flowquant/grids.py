@@ -166,24 +166,16 @@ def moments(psi: WaveFunction) -> tuple[float, float]:
     return mean, math.sqrt(max(var, 0.0))
 
 
-def packet_fits_box(psi: WaveFunction, rel_tol: float = 1e-12,
-                    edge_fraction: float = 0.05) -> bool:
-    """True when |values| fall below rel_tol * max|values| near both grid edges."""
-    n_edge = max(1, int(edge_fraction * psi.grid.count))
+def packet_fits_box(psi: WaveFunction) -> bool:
+    """True when |values| fall below 1e-12 * max|values| in the outer 5 % of
+    the grid at both edges."""
+    n_edge = max(1, int(0.05 * psi.grid.count))
     amp = np.abs(psi.values)
     peak = amp.max()
     if peak == 0.0:
         return True
     edge = max(amp[:n_edge].max(), amp[-n_edge:].max())
-    return bool(edge <= rel_tol * peak)
-
-
-def require_fits_box(psi: WaveFunction, rel_tol: float = 1e-12,
-                     edge_fraction: float = 0.05) -> None:
-    if not packet_fits_box(psi, rel_tol, edge_fraction):
-        raise GridTooSmall(
-            "packet does not decay below the edge tolerance inside the grid box"
-        )
+    return bool(edge <= 1e-12 * peak)
 
 
 def gaussian_packet(grid: Grid1D, params: PhysicalParams, center_x: float,
@@ -205,7 +197,9 @@ def gaussian_packet(grid: Grid1D, params: PhysicalParams, center_x: float,
     if nrm == 0.0:
         raise GridTooSmall("packet underflows to zero on this grid")
     psi = WaveFunction(grid, values / nrm, Representation.POSITION, params)
-    require_fits_box(psi)
+    if not packet_fits_box(psi):
+        raise GridTooSmall(
+            "packet does not decay below the edge tolerance inside the grid box")
     return psi
 
 
@@ -224,16 +218,16 @@ def spectral_derivative(values: np.ndarray, step: float) -> np.ndarray:
 
 
 @cache
-def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
     from numpy.polynomial.legendre import leggauss
-    return leggauss(order)
+    return leggauss(32)
 
 
-def gauss_panels(lo, hi, order: int = 32) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on the panels [lo, hi] (broadcast),
-    with a trailing axis of ``order`` points: summing ``weights * f(nodes)``
-    over it integrates f over each panel."""
-    xg, wg = _legendre_rule(order)
+def gauss_panels(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """32-point Gauss-Legendre nodes and weights on the panels [lo, hi]
+    (broadcast), with a trailing axis of 32 points: summing
+    ``weights * f(nodes)`` over it integrates f over each panel."""
+    xg, wg = _legendre_rule()
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
                                  np.asarray(hi, dtype=float))
     mid = (0.5 * (lo + hi))[..., None]

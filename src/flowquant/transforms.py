@@ -23,7 +23,7 @@ operator convention is (hbar/i) d/dx.
 
 The oriented-energy map is a change of variables with a Jacobian square root
 that diverges at p = 0; inputs must carry negligible probability mass below a
-momentum floor (default four momentum-grid steps).
+momentum floor fixed at four momentum-grid steps.
 """
 
 import functools
@@ -38,9 +38,9 @@ from .grids import (CurrentField, Grid1D, Representation, WaveFunction,
                     norm_squared, spectral_derivative)
 from .resample import _cis, _cis_ramp, resample_complex
 
-#: Wave functions with more relative mass below the momentum floor than this
-#: are rejected by the oriented-energy map.
-DEFAULT_LOW_P_MASS_TOL = 1e-6
+#: Largest mass below the momentum floor (absolute, for unit-norm states)
+#: that the oriented-energy map and the mover split accept.
+_LOW_P_MASS_TOL = 1e-6
 
 #: Complex values per block of free_current rows (2 MB): 32 rows of a
 #: 4096-point grid, so no temporary grows with the number of times.
@@ -206,10 +206,10 @@ def fourier_eval(values: np.ndarray, grid_in: Grid1D, grid_out: Grid1D,
     return (du / math.sqrt(2.0 * math.pi * hbar)) * post * core
 
 
-def to_momentum(psi: WaveFunction, p_grid: Grid1D | None = None) -> WaveFunction:
+def to_momentum(psi: WaveFunction) -> WaveFunction:
     """Position -> momentum representation on the conjugate grid."""
     psi.require_rep(Representation.POSITION)
-    grid = p_grid or psi.grid.conjugate(psi.params.hbar)
+    grid = psi.grid.conjugate(psi.params.hbar)
     out = _continuum_dft(psi.values, psi.grid, grid, -1, psi.params.hbar)
     return WaveFunction(grid, out, Representation.MOMENTUM, psi.params)
 
@@ -269,6 +269,18 @@ def low_momentum_mass(psi_tilde: WaveFunction, p_min: float) -> float:
     return float(np.sum(np.abs(psi_tilde.values[low]) ** 2) * psi_tilde.grid.step)
 
 
+def _momentum_floor(psi_tilde: WaveFunction) -> float:
+    """default_momentum_floor(psi_tilde.grid), after refusing a wave function
+    with more than _LOW_P_MASS_TOL of mass below it."""
+    p_min = default_momentum_floor(psi_tilde.grid)
+    leak = low_momentum_mass(psi_tilde, p_min)
+    if leak > _LOW_P_MASS_TOL:
+        raise LowMomentumMass(
+            f"mass {leak:.3e} below |p| < {p_min:.3e} exceeds {_LOW_P_MASS_TOL:g}; "
+            "the Jacobian of the energy map diverges at p = 0")
+    return p_min
+
+
 def default_oriented_grid(psi_tilde: WaveFunction, p_min: float | None = None) -> Grid1D:
     """Uniform s-grid adapted to the packet's support.
 
@@ -316,26 +328,18 @@ def _branch_nodes(psi_tilde: WaveFunction, positive: bool) -> tuple[np.ndarray, 
 
 
 def to_oriented_energy(psi_tilde: WaveFunction, s_grid: Grid1D | None = None,
-                       p_min: float | None = None,
-                       low_p_mass_tol: float = DEFAULT_LOW_P_MASS_TOL,
                        ) -> tuple[WaveFunction, TransformReport]:
     """Momentum -> oriented-energy representation.
 
     phi~(s) = psi~(sgn(s) sqrt(2 m |s|)) * (m/(2|s|))^(1/4) on a uniform
     s-grid; the two momentum half-axes map to the two signs of s.  Values with
-    |s| below the floor s_min = p_min^2/(2m) are set to zero.
+    |s| below s_min = p_min^2/(2m) are set to zero, p_min = 4 dp being the
+    momentum floor; more than 1e-6 of mass below it raises LowMomentumMass.
     """
     psi_tilde.require_rep(Representation.MOMENTUM)
     m = psi_tilde.params.mass
-    if p_min is None:
-        p_min = default_momentum_floor(psi_tilde.grid)
-    leak = low_momentum_mass(psi_tilde, p_min)
+    p_min = _momentum_floor(psi_tilde)
     total = norm_squared(psi_tilde)
-    if leak > low_p_mass_tol:  # absolute mass bound, stated for unit-norm states
-        raise LowMomentumMass(
-            f"mass {leak:.3e} below |p| < {p_min:.3e} exceeds {low_p_mass_tol:g}; "
-            "the Jacobian of the energy map diverges at p = 0"
-        )
     if s_grid is None:
         s_grid = default_oriented_grid(psi_tilde, p_min)
     s = s_grid.points
@@ -366,12 +370,11 @@ def to_oriented_energy(psi_tilde: WaveFunction, s_grid: Grid1D | None = None,
 
 
 def from_oriented_energy(phi_tilde: WaveFunction, p_grid: Grid1D | None = None,
-                         p_min: float | None = None,
                          ) -> tuple[WaveFunction, TransformReport]:
     """Oriented-energy -> momentum representation (inverse change of variables).
 
     psi~(p) = phi~(sgn(p) p^2/(2m)) * sqrt(|p|/m); samples with |p| below the
-    floor are zero.
+    momentum floor of p_grid are zero.
     """
     phi_tilde.require_rep(Representation.ORIENTED_ENERGY)
     m = phi_tilde.params.mass
@@ -381,8 +384,7 @@ def from_oriented_energy(phi_tilde: WaveFunction, p_grid: Grid1D | None = None,
         count = phi_tilde.grid.count
         dp = 2.0 * p_max / count
         p_grid = Grid1D(-(count // 2) * dp, dp, count)
-    if p_min is None:
-        p_min = default_momentum_floor(p_grid)
+    p_min = default_momentum_floor(p_grid)
 
     s = phi_tilde.grid.points
     p = p_grid.points

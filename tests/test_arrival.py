@@ -66,6 +66,27 @@ def test_split_movers_zero_momentum_guard(params, wide_grid):
         fq.split_movers(slow)
 
 
+def test_one_momentum_floor_refusal(params):
+    # 1.64e-6 of mass below the 4 dp floor, 2.6e-8 below 1 dp: every entry
+    # to the energy map refuses it at the one fixed floor, in one message
+    grid = fq.Grid1D.from_bounds(-128.0, 128.0, 4096)
+    slow = fq.to_momentum(fq.gaussian_packet(grid, params, -40.0, 0.55, 0.1))
+    floor = fq.default_momentum_floor(slow.grid)
+    assert floor == 4.0 * slow.grid.step
+    assert fq.low_momentum_mass(slow, floor) > 1e-6 > fq.low_momentum_mass(slow, floor / 4)
+    messages = set()
+    for refuse in (lambda: fq.split_movers(slow),
+                   lambda: fq.to_oriented_energy(slow),
+                   lambda: fq.arrival_amplitude_fast(slow),
+                   lambda: fq.arrival_distribution(slow)):
+        with pytest.raises(fq.LowMomentumMass) as info:
+            refuse()
+        messages.add(str(info.value))
+    assert messages == {f"mass {fq.low_momentum_mass(slow, floor):.3e} below "
+                        f"|p| < {floor:.3e} exceeds 1e-06; the Jacobian of the "
+                        "energy map diverges at p = 0"}
+
+
 def test_split_movers_complementary(reference_momentum):
     plus, minus = fq.split_movers(reference_momentum)
     p = reference_momentum.points
@@ -80,6 +101,15 @@ def test_quadrature_oracle_norm(reference_momentum, arrival_grid):
     phi = fq.arrival_amplitude_quadrature(reference_momentum, arrival_grid)
     total = np.trapezoid(np.abs(phi.values) ** 2, arrival_grid.points)
     assert abs(total - 1.0) <= 1e-6
+
+
+def test_quadrature_oracle_non_convergence(monkeypatch, reference_momentum,
+                                           arrival_grid):
+    # a zero tolerance is never met: the oracle gives up at its node cap
+    monkeypatch.setattr(arrival, "_ORACLE_REL_TOL", 0.0)
+    monkeypatch.setattr(arrival, "_ORACLE_MAX_NODES", 1024)
+    with pytest.raises(fq.QuadratureNonConvergence, match="with 1024 nodes"):
+        fq.arrival_amplitude_quadrature(reference_momentum, arrival_grid)
 
 
 def test_fast_path_matches_oracle(reference_momentum, arrival_grid):
@@ -234,6 +264,9 @@ def test_distribution_rejects_arrival_rep(reference_momentum, arrival_grid):
     phi = fq.arrival_amplitude_fast(reference_momentum, arrival_grid)
     with pytest.raises(fq.RepMismatch):
         fq.arrival_distribution(phi)
+    phi_s, _ = fq.to_oriented_energy(reference_momentum)
+    with pytest.raises(fq.RepMismatch):
+        fq.arrival_distribution(phi_s)
 
 
 def test_distribution_decomposition_identity(mixed_beam, arrival_grid):

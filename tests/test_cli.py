@@ -427,6 +427,33 @@ def test_backflow_leak_exit_code(tmp_path):
                    "--out", str(tmp_path / "out")) == 2
 
 
+def test_rerun_into_one_out_matches_a_fresh_run(tmp_path):
+    config = scenario_path("reference_rightmover.json")
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    for _ in range(2):
+        assert run_cli("arrival", "--config", config, "--out", str(out)) == 0
+    assert run_cli("arrival", "--config", config, "--out", str(fresh)) == 0
+    names = sorted(p.name for p in fresh.iterdir())
+    assert sorted(p.name for p in out.iterdir()) == names
+    assert all((out / n).read_bytes() == (fresh / n).read_bytes() for n in names)
+
+
+@pytest.mark.parametrize("blocked", ["out", "out/arrival_density.csv"])
+def test_refuses_unwritable_out(tmp_path, capsys, blocked):
+    # --out names a file, or a directory sits where an output file goes
+    out = tmp_path / "out"
+    if blocked == "out":
+        out.write_text("not a directory", encoding="utf-8")
+    else:
+        (tmp_path / blocked).mkdir(parents=True)
+    capsys.readouterr()
+    rc = run_cli("arrival", "--config", scenario_path("reference_rightmover.json"),
+                 "--out", str(out))
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
+    assert str(tmp_path / blocked) in err[0]
+
+
 def test_outputs_are_byte_stable(run_shipped, shipped_outputs):
     written = {key.rpartition("/")[2] for key in shipped_outputs}
     assert {"arrival_density.csv", "backflow_current.csv",
