@@ -35,6 +35,11 @@ from .scenarios import (build_field, build_packet, build_params,
                         build_x_grid, load_scenario)
 from .transforms import free_current, to_momentum
 
+#: Current values per block of scan times: the backflow scan is computed,
+#: written and searched for its minimum one block at a time, so no array or
+#: text grows with t_count.
+_SCAN_CELLS = 1 << 15
+
 
 def _write_csv(path: str, header: list[str], *columns) -> None:
     """One row per index of the equal-length columns.  Each column becomes a
@@ -45,31 +50,50 @@ def _write_csv(path: str, header: list[str], *columns) -> None:
     _write_text(path, ",".join(header) + "\n" + body)
 
 
-def _write_scan_csv(path: str, header: list[str], ts, xs, values) -> None:
-    """Rows t, x, values[k, i] for t = ts[k] and x = xs[i], t slowest: the
-    bytes _write_csv gives for np.repeat(ts, len(xs)), np.tile(xs, len(ts))
-    and values, with each t and x formatted once, not once per row."""
-    t_text = ["{:.17g},".format(t) for t in np.ravel(ts).tolist()]
+def _write_scan_csv(path: str, header: list[str], ts, xs, blocks) -> None:
+    """Rows t, x, j[k, i] for t = ts[k] and x = xs[i], t slowest, where
+    blocks yields the rows of j a block of times at a time: the bytes
+    _write_csv gives for np.repeat(ts, len(xs)), np.tile(xs, len(ts)) and
+    the stacked blocks.  Each block's rows are formatted and written when
+    it arrives, so neither j nor the CSV text is held whole, and each t and
+    x is formatted once, not once per row."""
     x_text = ["{:.17g},".format(x) for x in np.ravel(xs).tolist()]
+    t_values = np.ravel(ts).tolist()
+    with _open_new(path) as fh:
+        fh.write(",".join(header) + "\n")
+        start = 0
+        for block in blocks:
+            fh.write(_scan_rows(t_values[start:start + len(block)], x_text, block))
+            start += len(block)
+
+
+def _scan_rows(ts: list[float], x_text: list[str], block: np.ndarray) -> str:
+    """The CSV rows of one block of the scan, t slowest."""
+    t_text = ["{:.17g},".format(t) for t in ts]
     cells = [""] * (3 * len(t_text) * len(x_text))
     cells[0::3] = [t for t in t_text for _ in x_text]
     cells[1::3] = x_text * len(t_text)
-    cells[2::3] = map("{:.17g}\n".format, np.ravel(values).tolist())
-    _write_text(path, ",".join(header) + "\n" + "".join(cells))
+    cells[2::3] = map("{:.17g}\n".format, np.ravel(block).tolist())
+    return "".join(cells)
 
 
 def _write_json(path: str, payload: dict) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write text to path as a new file: truncating a just-written file costs
-    tens of milliseconds on ext4, so an existing file or symlink is unlinked."""
+def _open_new(path: str):
+    """path opened for writing as a new file: truncating a just-written file
+    costs tens of milliseconds on ext4, so an existing file or symlink is
+    unlinked first."""
     try:
         os.unlink(path)
     except FileNotFoundError:
         pass
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
+def _write_text(path: str, text: str) -> None:
+    with _open_new(path) as fh:
         fh.write(text)
 
 
@@ -194,24 +218,40 @@ def cmd_backflow(cfg: dict, out_dir: str, args) -> int:
     scan = cfg["backflow_scan"]
     params = build_params(cfg)
     x_grid = build_x_grid(cfg)
-    psi_tilde = build_packet(cfg, params, x_grid)
-    if psi_tilde.rep is not Representation.MOMENTUM:
-        psi_tilde = to_momentum(psi_tilde)
+    packet = build_packet(cfg, params, x_grid)
+    if packet.rep is Representation.MOMENTUM:  # its position box is the conjugate grid
+        psi_tilde, box = packet, packet.grid.conjugate(params.hbar)
+    else:
+        psi_tilde, box = to_momentum(packet), packet.grid
 
     p = psi_tilde.points
     neg_mass = float(np.sum(np.abs(psi_tilde.values[p < 0.0]) ** 2)
                      * psi_tilde.grid.step)
     ts = np.linspace(scan["t_range"][0], scan["t_range"][1], scan["t_count"])
     xs = np.linspace(scan["x_range"][0], scan["x_range"][1], scan["x_count"])
+    # The exact sums are periodic: outside the box they give an image.
+    lo, hi = box.origin, box.origin + box.span
+    if not lo <= min(xs[0], xs[-1]) <= max(xs[0], xs[-1]) <= hi:
+        raise ScenarioError(
+            f"backflow_scan.x_range [{xs[0]:g}, {xs[-1]:g}] leaves the position "
+            f"box [{lo:g}, {hi:g}] of the packet")
 
-    current = free_current(psi_tilde, ts)
-    j = np.array([np.interp(xs, current.grid.points, row) for row in current.values])
-    k_t, k_x = np.unravel_index(np.argmin(j), j.shape)
-    min_current = float(j[k_t, k_x])
-    argmin = (float(xs[k_x]), float(ts[k_t]))
+    rows = max(1, _SCAN_CELLS // len(xs))
+    low = None  # (j, t index, x index): the running minimum, first occurrence
+
+    def currents():
+        nonlocal low
+        for start in range(0, len(ts), rows):
+            j = free_current(psi_tilde, ts[start:start + rows], xs)
+            k_t, k_x = np.unravel_index(np.argmin(j), j.shape)
+            if low is None or j[k_t, k_x] < low[0]:
+                low = (float(j[k_t, k_x]), start + int(k_t), int(k_x))
+            yield j
 
     _write_scan_csv(os.path.join(out_dir, "backflow_current.csv"), ["t", "x", "j"],
-                    ts, xs, j)
+                    ts, xs, currents())
+    min_current, k_t, k_x = low
+    argmin = (float(xs[k_x]), float(ts[k_t]))
     _write_json(os.path.join(out_dir, "backflow_summary.json"), {
         "min_current": min_current,
         "argmin_x": argmin[0],

@@ -224,11 +224,12 @@ def _tail(field: VectorField1D, x_from: float, target: float,
     max(1, |x_from|), until the edges overflow, and halve toward a finite
     one until the gap to it is no longer a normal float (a panel there would
     be split to the panel limit on rounding noise); at most ``segments`` of
-    them.  Returns the edges after x_from and the integral of 1/X from
-    x_from to each, as far as it is finite, and that integral's limit at the
-    target: the total once a segment no longer adds to it, or +-inf when the
-    target is a zero of X or the integral diverges (is not finite, or has
-    not settled after the last segment).
+    them, and past the default _TAIL_SEGMENTS only while X at the edges is
+    at least the smallest normal float.  Returns the edges after x_from and
+    the integral of 1/X from x_from to each, as far as it is finite, and
+    that integral's limit at the target: the total once a segment no longer
+    adds to it, or +-inf when the target is a zero of X or the integral
+    diverges (is not finite, or has not settled after the last segment).
     """
     k = np.arange(segments + 1)
     with np.errstate(over="ignore"):
@@ -239,7 +240,13 @@ def _tail(field: VectorField1D, x_from: float, target: float,
             gap = (x_from - target) * 0.5**k
             edges = target + gap
             kept = np.abs(gap) >= _TINY
-    # Both masks hold a prefix; one segment at least, as before.
+    # Past the default segments, which decide escape times, the edges also
+    # stop where X leaves the normal floats: there 1/X is rounding noise, and
+    # each panel would be split to the panel limit.
+    beyond = k > _TAIL_SEGMENTS
+    kept[beyond] &= np.abs(field(edges[beyond])) >= _TINY
+    kept = np.logical_and.accumulate(kept)
+    # A prefix; one segment at least, as before.
     edges = edges[:max(2, np.count_nonzero(kept))]
     seg = _travel_time(field, edges[:-1], edges[1:])
     clock = np.cumsum(seg)
@@ -350,7 +357,7 @@ def integrate_flow(field: VectorField1D, x0: float, t: float) -> FlowResult:
     endpoint beyond the default travel-time table (about 2^200 max(1, |x0|)
     from x0, or within 2^-200 of an orbit end) is looked up again on a table
     that runs to the end of the float range, so only an endpoint that
-    float64 cannot hold is refused.
+    float64 cannot hold, or where X is below the normal floats, is refused.
     """
     field.component_of(x0)
     if t == 0.0:
@@ -363,7 +370,8 @@ def integrate_flow(field: VectorField1D, x0: float, t: float) -> FlowResult:
         if not math.isnan(y[0]):
             return FlowResult(x0, t, t, float(y[0]), False)
     raise InvalidParameter(
-        f"G_t({x0:g}) for t = {t:g} lies beyond the float64 range")
+        f"G_t({x0:g}) for t = {t:g} lies beyond the float64 range or where "
+        "X is below the normal floats")
 
 
 # --------------------------------------------------------------------------

@@ -33,18 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import GridMismatch, LowMomentumMass
-from .grids import (CurrentField, Grid1D, Representation, WaveFunction,
-                    norm_squared, spectral_derivative)
+from .errors import GridMismatch, InvalidParameter, LowMomentumMass
+from .grids import Grid1D, Representation, WaveFunction, norm_squared
 from .resample import _cis, _cis_ramp, resample_complex
 
 #: Largest mass below the momentum floor (absolute, for unit-norm states)
 #: that the oriented-energy map and the mover split accept.
 _LOW_P_MASS_TOL = 1e-6
-
-#: Complex values per block of free_current rows (2 MB): 32 rows of a
-#: 4096-point grid, so no temporary grows with the number of times.
-_CURRENT_BLOCK = 1 << 17
 
 #: Amplitudes below this fraction of the peak are treated as numerically zero
 #: when locating the support of a packet.
@@ -163,47 +158,62 @@ def _chirp_plan(size: int, m: int, theta: float) -> tuple[np.ndarray, np.ndarray
 
 
 def _chirp_z(x: np.ndarray, m: int, theta: float) -> np.ndarray:
-    """sum_n x_n exp(i theta n k) for k < m, by Bluestein's chirp-z algorithm.
+    """sum_n x_n exp(i theta n k) for k < m, by Bluestein's chirp-z algorithm,
+    along the last axis of x.
 
     With n k = (n^2 + k^2 - (k - n)^2) / 2 the sum is a circular convolution
     with the conjugate chirp, done by FFTs of one size (Bluestein 1970;
-    Rabiner, Schafer & Rader 1969).
+    Rabiner, Schafer & Rader 1969).  Any real theta serves, zero and
+    negative included.
     """
-    n = len(x)
+    n = x.shape[-1]
     size = _fft_size(n + m - 1)
     chirp, kernel_fft = _chirp_plan(size, m, theta)
     zero = size - m  # index of j = 0 in the chirp
     a = np.fft.fft(x * chirp[zero - n + 1:zero + 1][::-1], size)  # c_{-n} = c_n
     a *= kernel_fft
     # norm="forward" leaves the inverse unscaled; 1/size rides on the m-point chirp.
-    return np.fft.ifft(a, norm="forward")[:m] * (chirp[zero:] * (1.0 / size))
+    return np.fft.ifft(a, norm="forward")[..., :m] * (chirp[zero:] * (1.0 / size))
+
+
+def _trig_sum(values: np.ndarray, u0: float, du: float, w0: float, dw: float,
+              count: int, sign: int, hbar: float) -> np.ndarray:
+    """(du / sqrt(2 pi hbar)) sum_j values[..., j] exp(sign i u_j w_k / hbar)
+    with u_j = u0 + j du and w_k = w0 + k dw for k < count, along the last
+    axis of values, by one chirp-z.  The output points need not form a
+    Grid1D: any count >= 1 and any real dw, zero and negative included."""
+    # Both phases are arithmetic progressions in the sample index.
+    y = _cis_ramp(u0 * w0 * (sign / hbar), du * w0 * (sign / hbar), values.shape[-1])
+    y = np.multiply(y, values)
+    core = _chirp_z(y, count, sign * du * dw / hbar)
+    post = _cis_ramp(0.0, u0 * dw * (sign / hbar), count)
+    return (du / math.sqrt(2.0 * math.pi * hbar)) * post * core
 
 
 def fourier_eval(values: np.ndarray, grid_in: Grid1D, grid_out: Grid1D,
                  sign: int, hbar: float) -> np.ndarray:
-    """Same Riemann sum evaluated on an arbitrary uniform output grid.
+    """Same Riemann sum evaluated on an arbitrary uniform output grid, along
+    the last axis of values.
 
     Uses the chirp-z transform, so the output grid is free to have any origin,
     spacing and count.  Unlike the conjugate-grid path this is not exactly
     norm-preserving; it is the trigonometric evaluation of the input samples.
-    Runs of exact zeros at either end of the input add nothing to the sum and
-    are skipped, so the cost scales with the nonzero span: a single mover's
-    oriented-energy samples, zero on the other sign of s, cost half a grid.
+    Runs of exact zeros at either end of the input (of every row, for a
+    stack of rows) add nothing to the sum and are skipped, so the cost scales
+    with the nonzero span: a single mover's oriented-energy samples, zero on
+    the other sign of s, cost half a grid.  Rows that share that span get
+    the bits of one-row calls.
     """
     # argmax on the mask finds each end without an index array.
     nonzero = values != 0.0
+    if nonzero.ndim > 1:
+        nonzero = nonzero.reshape(-1, nonzero.shape[-1]).any(axis=0)
     lo = int(nonzero.argmax())
     if not nonzero[lo]:
-        return np.zeros(grid_out.count, dtype=np.complex128)
-    hi = len(values) - int(nonzero[::-1].argmax())
-    u0, du = grid_in.point(lo), grid_in.step
-    w0, dw = grid_out.origin, grid_out.step
-    # Both phases are arithmetic progressions in the sample index.
-    y = _cis_ramp(u0 * w0 * (sign / hbar), du * w0 * (sign / hbar), hi - lo)
-    y *= values[lo:hi]
-    core = _chirp_z(y, grid_out.count, sign * du * dw / hbar)
-    post = _cis_ramp(0.0, u0 * dw * (sign / hbar), grid_out.count)
-    return (du / math.sqrt(2.0 * math.pi * hbar)) * post * core
+        return np.zeros(values.shape[:-1] + (grid_out.count,), dtype=np.complex128)
+    hi = len(nonzero) - int(nonzero[::-1].argmax())
+    return _trig_sum(values[..., lo:hi], grid_in.point(lo), grid_in.step,
+                     grid_out.origin, grid_out.step, grid_out.count, sign, hbar)
 
 
 def to_momentum(psi: WaveFunction) -> WaveFunction:
@@ -233,27 +243,44 @@ def evolve_free(psi_tilde: WaveFunction, t: float) -> WaveFunction:
     return psi_tilde.with_values(psi_tilde.values * phase)
 
 
-def free_current(psi_tilde: WaveFunction, ts) -> CurrentField:
-    """Probability current j(t, x) of the freely evolving packet, one row per
-    time in ts, on the position grid conjugate to psi_tilde's.
+def free_current(psi_tilde: WaveFunction, ts, xs) -> np.ndarray:
+    """Probability current j(t, x) = (hbar/m) Im(conj(psi) dpsi/dx) of the
+    freely evolving packet at the times ts and the uniform points xs, as a
+    len(ts) x len(xs) array.
 
-    Row i equals probability_current(to_position(evolve_free(psi_tilde,
-    ts[i]))) bit for bit: the same operations run on blocks of rows, with
-    the momentum phase exponent formed once per call.
+    psi(t, x) and dpsi/dx are the trigonometric sums of the momentum samples
+    psi~_j exp(-i p_j^2 t / (2 m hbar)) and (i p_j / hbar) times them, the
+    sums to_position and the spectral derivative would give on the position
+    grid, here evaluated exactly at xs: one chirp-z over the rows of all
+    times, of cost (n_p + len(xs)) log per time.  Only the contiguous run of
+    samples at or above 1e-13 of the peak amplitude enters.  xs must be
+    uniform (as np.linspace gives); the points evaluated are xs[0] + k
+    (xs[-1] - xs[0]) / (len(xs) - 1), so decreasing and repeated points are
+    fine.  The sums are periodic in x with the period 2 pi hbar / dp, the
+    span of the position box: points outside the box get a periodic image.
     """
     psi_tilde.require_rep(Representation.MOMENTUM)
     hbar, mass = psi_tilde.params.hbar, psi_tilde.params.mass
-    grid = psi_tilde.grid.conjugate(hbar)
     ts = np.asarray(ts, dtype=np.float64)
-    exponent = -1j * psi_tilde.points**2  # evolve_free's, before * t / (2 m hbar)
-    j = np.empty((len(ts), grid.count))
-    rows = max(1, _CURRENT_BLOCK // grid.count)
-    for start in range(0, len(ts), rows):
-        phase = np.exp(exponent * ts[start:start + rows, None] / (2.0 * mass * hbar))
-        psi = _continuum_dft(psi_tilde.values * phase, psi_tilde.grid, grid, +1, hbar)
-        dpsi = spectral_derivative(psi, grid.step)
-        j[start:start + rows] = (hbar / mass) * np.imag(np.conj(psi) * dpsi)
-    return CurrentField(grid, j)
+    xs = np.asarray(xs, dtype=np.float64)
+    amp = np.abs(psi_tilde.values)
+    support = amp >= _SUPPORT_CUT * amp.max()
+    lo = int(support.argmax())
+    if amp[lo] == 0.0 or ts.size == 0 or xs.size == 0:
+        return np.zeros((ts.size, xs.size))  # an all-zero packet carries no current
+    hi = amp.size - int(support[::-1].argmax())
+    dx = (xs[-1] - xs[0]) / (xs.size - 1) if xs.size > 1 else 0.0
+    scale = max(float(np.abs(xs).max()), np.finfo(np.float64).tiny)
+    if np.abs(xs - (xs[0] + dx * np.arange(xs.size))).max() > 1e-12 * scale:
+        raise InvalidParameter("free_current needs uniformly spaced points xs")
+    p = psi_tilde.points[lo:hi]
+    # [0] the amplitudes of psi at (t, p), [1] those of dpsi/dx
+    rows = np.empty((2, ts.size, p.size), dtype=np.complex128)
+    rows[0] = _cis(np.multiply.outer(ts, p**2 * (-0.5 / (mass * hbar))))
+    rows[0] *= psi_tilde.values[lo:hi]
+    np.multiply(rows[0], 1j * p / hbar, out=rows[1])
+    psi, dpsi = _trig_sum(rows, p[0], psi_tilde.grid.step, xs[0], dx, xs.size, +1, hbar)
+    return (hbar / mass) * np.imag(np.conj(psi) * dpsi)
 
 
 def default_momentum_floor(p_grid: Grid1D) -> float:

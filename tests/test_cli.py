@@ -14,7 +14,8 @@ import pytest
 import flowquant
 from flowquant import cli
 from flowquant.cli import main
-from flowquant.scenarios import (_FIELD_BUILDERS, list_scenarios, load_scenario,
+from flowquant.scenarios import (_FIELD_BUILDERS, build_packet, build_params,
+                                 build_x_grid, list_scenarios, load_scenario,
                                  scenario_path)
 
 
@@ -497,7 +498,8 @@ def test_shipped_csvs_match_reference_writer(monkeypatch, run_shipped, shipped_o
 
 @pytest.mark.parametrize("nt,nx", [(1, 1), (1, 6), (4, 1), (101, 201)])
 def test_scan_csv_matches_the_reference_writer(tmp_path, nt, nx):
-    # backflow's t, x, j rows: each t and x formatted once, the same bytes
+    # backflow's t, x, j rows: each t and x formatted once, the same bytes,
+    # whole or streamed in blocks of times of any size
     rng = np.random.default_rng(nt * nx)
     ts = np.linspace(-1.5, 2.0, nt)
     xs = np.linspace(-3.0, 0.1, nx)
@@ -505,10 +507,128 @@ def test_scan_csv_matches_the_reference_writer(tmp_path, nt, nx):
     j = rng.standard_normal((nt, nx)) * 10.0 ** rng.integers(-300, 300, (nt, nx))
     j.flat[0] = -0.0
     j.flat[-1] = 5e-324
-    cli._write_scan_csv(tmp_path / "new.csv", ["t", "x", "j"], ts, xs, j)
     _reference_write_csv(tmp_path / "old.csv", ["t", "x", "j"],
                          np.repeat(ts, nx), np.tile(xs, nt), j)
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    for rows in sorted({1, 3, nt}):
+        blocks = (j[k:k + rows] for k in range(0, nt, rows))
+        cli._write_scan_csv(tmp_path / "new.csv", ["t", "x", "j"], ts, xs, blocks)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def _backflow_scan(tmp_path, name, scan):
+    """Run backflow_default with its scan section updated by scan; returns
+    the exit code, the output directory and the scenario."""
+    cfg = load_scenario(scenario_path("backflow_default.json"))
+    cfg["backflow_scan"].update(scan)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / name
+    return run_cli("backflow", "--config", str(path), "--out", str(out)), out, cfg
+
+
+def _direct_current(cfg, ts, xs):
+    """j(t, x) from psi and dpsi/dx summed as one p x x matrix product over
+    the whole momentum grid (hbar = m = 1), no chirp-z."""
+    params = build_params(cfg)
+    psi_tilde = build_packet(cfg, params, build_x_grid(cfg))
+    p = psi_tilde.points
+    kernel = np.exp(1j * np.outer(p, xs)) * (psi_tilde.grid.step / np.sqrt(2.0 * np.pi))
+    amp = psi_tilde.values * np.exp(-0.5j * np.outer(ts, p**2))
+    return np.imag(np.conj(amp @ kernel) * ((1j * p * amp) @ kernel))
+
+
+def _check_scan(out, cfg):
+    scan = cfg["backflow_scan"]
+    ts = np.linspace(*scan["t_range"], scan["t_count"])
+    xs = np.linspace(*scan["x_range"], scan["x_count"])
+    rows = np.loadtxt(out / "backflow_current.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert rows.shape == (ts.size * xs.size, 3)
+    assert np.array_equal(rows[:, 0], np.repeat(ts, xs.size))
+    assert np.array_equal(rows[:, 1], np.tile(xs, ts.size))
+    j = rows[:, 2].reshape(ts.size, xs.size)
+    exact = _direct_current(cfg, ts, xs)
+    assert np.abs(j - exact).max() <= 1e-12 * np.abs(exact).max()
+    summary = read_json(out / "backflow_summary.json")
+    k_t, k_x = np.unravel_index(np.argmin(j), j.shape)
+    assert summary["min_current"] == j[k_t, k_x]
+    assert (summary["argmin_x"], summary["argmin_t"]) == (xs[k_x], ts[k_t])
+    return j
+
+
+@pytest.mark.parametrize("t_count,x_count", [(2, 7), (7, 2), (3, 5)])
+def test_backflow_scan_with_fewer_than_8_points(tmp_path, t_count, x_count):
+    # schema-valid counts below the 8 points a Grid1D needs
+    rc, out, cfg = _backflow_scan(tmp_path, "small", {"t_count": t_count,
+                                                      "x_count": x_count})
+    assert rc == 0
+    _check_scan(out, cfg)
+
+
+def test_backflow_scan_with_reversed_x_range(tmp_path):
+    rc, out, cfg = _backflow_scan(tmp_path, "reversed", {"x_range": [20.0, -20.0],
+                                                         "t_count": 11})
+    assert rc == 0
+    j = _check_scan(out, cfg)
+    assert _backflow_scan(tmp_path, "forward", {"t_count": 11})[0] == 0
+    forward = np.loadtxt(tmp_path / "forward" / "backflow_current.csv",
+                         delimiter=",", skiprows=1)[:, 2].reshape(j.shape)
+    assert np.abs(j - forward[:, ::-1]).max() <= 1e-13 * np.abs(forward).max()
+
+
+def test_backflow_scan_with_one_point_range(tmp_path):
+    rc, out, cfg = _backflow_scan(tmp_path, "point", {"x_range": [5.0, 5.0],
+                                                      "x_count": 4, "t_count": 11})
+    assert rc == 0
+    j = _check_scan(out, cfg)
+    assert np.all(j == j[:, :1])
+
+
+def test_refuses_backflow_scan_outside_the_box(tmp_path, capsys):
+    # the exact sums are periodic: x = 200 would give the current at -56
+    capsys.readouterr()
+    rc, out, _ = _backflow_scan(tmp_path, "outside", {"x_range": [-20.0, 200.0]})
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
+    assert "[-128, 128]" in err[0]
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_backflow_blocks_give_the_bits_of_one_call(tmp_path, extra):
+    # t_count one below, at and one above a block of times: the streamed
+    # rows, minimum and file are those of one free_current call over all
+    x_count = 4096
+    rows = cli._SCAN_CELLS // x_count
+    rc, out, cfg = _backflow_scan(tmp_path, "blocks", {"x_count": x_count,
+                                                       "t_count": rows + extra})
+    assert rc == 0
+    scan = cfg["backflow_scan"]
+    ts = np.linspace(*scan["t_range"], scan["t_count"])
+    xs = np.linspace(*scan["x_range"], scan["x_count"])
+    params = build_params(cfg)
+    j = flowquant.free_current(build_packet(cfg, params, build_x_grid(cfg)), ts, xs)
+    _reference_write_csv(tmp_path / "one.csv", ["t", "x", "j"],
+                         np.repeat(ts, xs.size), np.tile(xs, ts.size), j)
+    assert (out / "backflow_current.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+    k_t, k_x = np.unravel_index(np.argmin(j), j.shape)
+    summary = read_json(out / "backflow_summary.json")
+    assert (summary["min_current"], summary["argmin_x"], summary["argmin_t"]) == (
+        j[k_t, k_x], xs[k_x], ts[k_t])
+
+
+def test_backflow_memory_does_not_grow_with_t_count(tmp_path):
+    # computed, written and searched a block of times at a time: 163 times
+    # of 201 points, so 256 times take two blocks and 2,048 take thirteen
+    peaks = []
+    for t_count in (256, 256, 2048):  # a first run keeps lazy imports out
+        tracemalloc.start()
+        try:
+            rc, _, _ = _backflow_scan(tmp_path, f"t{t_count}", {"t_count": t_count})
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+    assert peaks[2] <= 1.2 * peaks[1]
 
 
 def test_classical_limit_memory_is_the_samples(tmp_path):

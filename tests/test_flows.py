@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -66,6 +67,26 @@ def test_flow_endpoint_beyond_float64_is_refused(t):
         fq.integrate_flow(fq.linear_field(), 0.5, t)
     assert "float64" in str(err.value)
     assert "\n" not in str(err.value)
+
+
+def test_float_range_table_stops_where_x_leaves_the_normal_floats():
+    # x^2 from 0.5 for t = -1e100 ends at 1e-100, past the default table;
+    # the float-range table stops where x^2 is below the normal floats
+    # (|x| < 1.5e-154) instead of splitting panels on subnormal X to the
+    # panel limit, which took 1.68M evaluations of X against 190k now
+    calls = []
+
+    def square(x):
+        calls.append(np.size(x))
+        return np.asarray(x, dtype=float) ** 2
+
+    field = dataclasses.replace(fq.quadratic_field(), func=square)
+    r = fq.integrate_flow(field, 0.5, -1e100)
+    assert abs(r.endpoint / 1e-100 - 1.0) <= 1e-14
+    assert sum(calls) <= 400_000
+    # an endpoint where X is subnormal is refused, not returned off by 1.5e-9
+    with pytest.raises(fq.InvalidParameter, match="normal floats"):
+        fq.integrate_flow(fq.quadratic_field(), 0.5, -1e160)
 
 
 def test_flow_domain_errors():

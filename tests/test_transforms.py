@@ -5,8 +5,10 @@ import pytest
 
 import flowquant as fq
 from flowquant.resample import _cis_ramp
-from flowquant.transforms import (_CURRENT_BLOCK, _chirp_plan, _cis, _cis_chirp,
-                                  _fft_size, fourier_eval)
+from flowquant.scenarios import (build_packet, build_params, build_x_grid,
+                                 load_scenario, scenario_path)
+from flowquant.transforms import (_chirp_plan, _cis, _cis_chirp, _fft_size,
+                                  fourier_eval)
 
 
 def test_gaussian_self_transform(centered_packet):
@@ -326,20 +328,105 @@ def test_fft_size_is_the_smallest_5_smooth_length():
         assert _fft_size(n) == next(s for s in smooth if s >= n)
 
 
-@pytest.mark.parametrize("extra", [-1, 0, 1])
-def test_free_current_rows_match_single_steps(extra):
-    # t_count one below, at and one above a block of rows; hbar and m that
-    # are not powers of two, so reordered roundings show
+@pytest.mark.parametrize("shape", [(5,), (3, 4), (2, 3, 2)])
+def test_fourier_eval_rows_match_one_row_calls(shape):
+    # rows sharing their zero ends: each row of a stacked call has the bits
+    # of a one-row call, as the arrival path's one-row calls keep theirs
+    rng = np.random.default_rng(len(shape))
+    grid_in = fq.Grid1D(-1.3, 0.11, 64)
+    grid_out = fq.Grid1D(0.4, -0.173 + 0.35, 37)
+    values = rng.normal(size=shape + (64,)) + 1j * rng.normal(size=shape + (64,))
+    values[..., :6] = 0.0
+    values[..., 50:] = 0.0
+    for sign in (-1, 1):
+        stacked = fourier_eval(values, grid_in, grid_out, sign, 0.7)
+        assert stacked.shape == shape + (37,)
+        for index in np.ndindex(*shape):
+            one = fourier_eval(values[index], grid_in, grid_out, sign, 0.7)
+            assert stacked[index].tobytes() == one.tobytes()
+
+
+def test_fourier_eval_rows_with_different_zero_ends():
+    # the skipped ends are those of every row: the sum stays exact
+    rng = np.random.default_rng(3)
+    hbar = 0.7
+    grid_in = fq.Grid1D(-1.3, 0.11, 64)
+    grid_out = fq.Grid1D(0.4, 0.173, 37)
+    values = rng.normal(size=(3, 64)) + 1j * rng.normal(size=(3, 64))
+    values[0, :20] = values[1, 40:] = values[2] = 0.0
+    kern = np.exp(1j * np.outer(grid_out.points, grid_in.points) / hbar)
+    direct = grid_in.step / math.sqrt(2.0 * math.pi * hbar) * (values @ kern.T)
+    fast = fourier_eval(values, grid_in, grid_out, 1, hbar)
+    assert np.abs(fast - direct).max() <= 1e-12 * np.abs(direct).max()
+    assert not fast[2].any()
+
+
+def _backflow_default():
+    cfg = load_scenario(scenario_path("backflow_default.json"))
+    params = build_params(cfg)
+    scan = cfg["backflow_scan"]
+    ts = np.linspace(*scan["t_range"], scan["t_count"])
+    xs = np.linspace(*scan["x_range"], scan["x_count"])
+    return build_packet(cfg, params, build_x_grid(cfg)), ts, xs
+
+
+def test_free_current_matches_a_long_double_sum():
+    # psi and dpsi/dx summed directly over the momentum samples above 1e-13
+    # of the peak, in long double: the scan of backflow_default within
+    # 1e-12 of max |j|, with its minimum in the same cell
+    psi_tilde, ts, xs = _backflow_default()
+    j = fq.free_current(psi_tilde, ts, xs)
+    amp = np.abs(psi_tilde.values)
+    keep = amp >= 1e-13 * amp.max()
+    L = np.longdouble
+    p = psi_tilde.points[keep].astype(L)[:, None]
+    re = psi_tilde.values[keep].real.astype(L)[:, None]
+    im = psi_tilde.values[keep].imag.astype(L)[:, None]
+    pre = L(psi_tilde.grid.step) / np.sqrt(2 * L(np.pi))
+    exact = np.empty_like(j)
+    for k, t in enumerate(ts.astype(L)):
+        phase = p * xs.astype(L)[None, :] - p * p * t / 2  # hbar = m = 1
+        cos, sin = np.cos(phase), np.sin(phase)
+        psi_re = pre * (re * cos - im * sin).sum(axis=0)
+        psi_im = pre * (re * sin + im * cos).sum(axis=0)
+        dpsi_re = -pre * (p * (re * sin + im * cos)).sum(axis=0)
+        dpsi_im = pre * (p * (re * cos - im * sin)).sum(axis=0)
+        exact[k] = psi_re * dpsi_im - psi_im * dpsi_re
+    assert np.abs(j - exact).max() <= 1e-12 * np.abs(exact).max()
+    assert np.argmin(j) == np.argmin(exact)
+
+
+def test_free_current_on_the_grid_is_probability_current():
+    # at the position grid's own points the exact sums are to_position and
+    # the spectral derivative; hbar and m that are not powers of two.  The
+    # bound is the spectral path's: against a long-double sum it is off by
+    # 9e-12 of max |j| at t = 12, the chirp-z sum by 2e-13.
     params = fq.PhysicalParams(hbar=0.7, mass=1.3)
     grid = fq.Grid1D(-60.0, 120.0 / 2048, 2048)
     psi_tilde = fq.to_momentum(fq.gaussian_packet(grid, params, -10.0, 1.5, 0.4))
-    ts = np.linspace(-3.0, 12.0, _CURRENT_BLOCK // grid.count + extra)
-    current = fq.free_current(psi_tilde, ts)
-    assert current.values.shape == (len(ts), grid.count)
-    for t, row in zip(ts, current.values):
-        step = fq.probability_current(fq.to_position(fq.evolve_free(psi_tilde, float(t))))
-        assert current.grid == step.grid
-        assert row.tobytes() == step.values.tobytes()
+    ts = np.linspace(-3.0, 12.0, 7)
+    j = fq.free_current(psi_tilde, ts, grid.points)
+    for t, row in zip(ts, j):
+        step = fq.probability_current(fq.to_position(fq.evolve_free(psi_tilde, float(t)),
+                                                     grid))
+        assert np.abs(row - step.values).max() <= 2e-11 * np.abs(step.values).max()
+
+
+@pytest.mark.parametrize("split", [1, 2, 3])
+def test_free_current_rows_do_not_depend_on_the_block(split):
+    # the scan's blocks of times give the bits of one call over all times
+    psi_tilde, ts, xs = _backflow_default()
+    ts = ts[:7]
+    whole = fq.free_current(psi_tilde, ts, xs)
+    parts = [fq.free_current(psi_tilde, ts[k:k + split], xs)
+             for k in range(0, len(ts), split)]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+def test_free_current_refuses_uneven_points():
+    psi_tilde, ts, _ = _backflow_default()
+    with pytest.raises(fq.InvalidParameter, match="uniformly"):
+        fq.free_current(psi_tilde, ts, [0.0, 1.0, 3.0])
 
 
 def _spacing_bound(psi_tilde):
