@@ -44,7 +44,7 @@ from .errors import (InconclusiveClassification, InvalidParameter,
                      ZeroFieldValue)
 from .grids import (WaveFunction, gauss_panels, norm_squared,
                     spectral_derivative)
-from .resample import resample_complex
+from .resample import interpolate
 from .transforms import TransformReport
 
 _FULL_LINE = ((-math.inf, math.inf),)
@@ -650,10 +650,10 @@ def transport(psi: WaveFunction, field: VectorField1D, t: float,
     pullback, jac, _ = _flow_map(field, x, -t)
     vals = np.zeros(len(x), dtype=np.complex128)
     ok = np.isfinite(pullback)
-    pulled, residual = resample_complex(x, psi.values, pullback[ok])
+    pulled = interpolate(x, psi.values, pullback[ok])
     vals[ok] = pulled * np.sqrt(np.abs(jac[ok]))
     out = psi.with_values(vals)
-    report = TransformReport.from_norms(norm_in, math.sqrt(norm_squared(out)), residual)
+    report = TransformReport.from_norms(norm_in, math.sqrt(norm_squared(out)))
     return out, report
 
 
@@ -736,11 +736,11 @@ def pluggable_transport(psi: WaveFunction, field: VectorField1D, t: float,
         denom = 1.0 + t * x
         pullback = x / denom
         jac = 1.0 / denom**2
-    pulled, residual = resample_complex(x, psi.values, pullback)
+    pulled = interpolate(x, psi.values, pullback)
     with np.errstate(invalid="ignore", over="ignore"):
         vals = np.where(pulled == 0.0, 0.0, pulled * np.sqrt(np.abs(jac)))
     replug = denom < 0.0
     vals = np.where(replug, vals * np.exp(1j * plug_phase), vals)
     out = psi.with_values(vals)
-    report = TransformReport.from_norms(norm_in, math.sqrt(norm_squared(out)), residual)
+    report = TransformReport.from_norms(norm_in, math.sqrt(norm_squared(out)))
     return out, report

@@ -128,8 +128,8 @@ class WaveFunction:
 
 @dataclass(frozen=True, eq=False)
 class CurrentField:
-    """Probability current j(x) sampled on a position grid at fixed time, or
-    j(t, x) with one row per time."""
+    """Probability current j(x) sampled on a position grid at one time, as
+    probability_current returns it."""
 
     grid: Grid1D
     values: np.ndarray

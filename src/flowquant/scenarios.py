@@ -212,6 +212,13 @@ def build_packet(cfg: dict, params: PhysicalParams, x_grid: Grid1D) -> WaveFunct
                 f"superposition components sum to a state of norm {nrm:g}")
         return WaveFunction(x_grid, total / nrm, Representation.POSITION, params)
     if kind == "backflow":
+        # The packet is built in momentum and sits at x = 0 of the conjugate
+        # box, so grids.x sets only the box's span and must be centred on 0.
+        centre = x_grid.origin + 0.5 * x_grid.count * x_grid.step
+        if abs(centre) > x_grid.step:
+            raise ScenarioError(
+                f"a backflow packet sits at x = 0, so grids.x must be centred on 0 "
+                f"to within one grid step; its centre is {centre:g}")
         spec = BackflowSpec(
             p1=pk.get("p1", 1.0), p2=pk.get("p2", 3.0),
             a1=pk.get("a1", 1.0), a2=pk.get("a2", 1.6),

@@ -29,13 +29,14 @@ momentum floor fixed at four momentum-grid steps.
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridMismatch, InvalidParameter, LowMomentumMass
 from .grids import Grid1D, Representation, WaveFunction, norm_squared
-from .resample import _cis, _cis_ramp, resample_complex
+from .resample import _cis, _cis_ramp, interpolate
 
 #: Largest mass below the momentum floor (absolute, for unit-norm states)
 #: that the oriented-energy map and the mover split accept.
@@ -54,18 +55,17 @@ _MAX_S_COUNT = 2**22
 
 @dataclass(frozen=True)
 class TransformReport:
-    """Quality telemetry for a change of representation."""
+    """Norms before and after a change of representation, and the relative
+    unitarity defect |norm_out - norm_in| / norm_in (0 for a zero input)."""
 
     norm_in: float
     norm_out: float
     unitarity_defect: float
-    interpolation_residual: float
 
     @classmethod
-    def from_norms(cls, norm_in: float, norm_out: float,
-                   interpolation_residual: float = 0.0) -> "TransformReport":
+    def from_norms(cls, norm_in: float, norm_out: float) -> "TransformReport":
         defect = abs(norm_out - norm_in) / norm_in if norm_in > 0.0 else 0.0
-        return cls(norm_in, norm_out, defect, interpolation_residual)
+        return cls(norm_in, norm_out, defect)
 
 
 def _continuum_dft(values: np.ndarray, grid_in: Grid1D, grid_out: Grid1D,
@@ -343,15 +343,29 @@ def default_oriented_grid(psi_tilde: WaveFunction, p_min: float | None = None) -
     return Grid1D(-(count // 2) * ds, ds, count)
 
 
-def _branch_nodes(psi_tilde: WaveFunction, positive: bool) -> tuple[np.ndarray, np.ndarray]:
-    """|p| (increasing) and the amplitude on one sign of p, a contiguous run
-    of the increasing momentum grid."""
-    p = psi_tilde.points
-    if positive:
-        cut = np.searchsorted(p, 0.0, side="right")
-        return p[cut:], psi_tilde.values[cut:]
-    cut = np.searchsorted(p, 0.0)
-    return -p[:cut][::-1], psi_tilde.values[:cut][::-1]
+def _pull_back(source: WaveFunction, grid: Grid1D, floor: float,
+               node: Callable[[np.ndarray], np.ndarray],
+               weight: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """source(sgn(y) node(|y|)) * weight(|y|) at the points y of grid, zero
+    where |y| < floor: each half-axis of the source, interpolated at its own
+    sign of y.
+
+    Both grids increase, so each half is one contiguous run of each; the
+    negative source half is reversed, so its nodes |u| increase as well.
+    """
+    u, y = source.points, grid.points
+    out = np.zeros(grid.count, dtype=np.complex128)
+    halves = ((slice(np.searchsorted(u, 0.0, side="right"), None),
+               slice(np.searchsorted(y, floor), None), slice(None)),
+              (slice(np.searchsorted(u, 0.0)),
+               slice(np.searchsorted(y, -floor, side="right")), slice(None, None, -1)))
+    for src, dst, order in halves:
+        values = source.values[src][order]
+        if np.any(values) and y[dst].size:  # a mover leaves the other half zero
+            abs_y = np.abs(y[dst])
+            interp = interpolate(np.abs(u[src][order]), values, node(abs_y))
+            np.multiply(interp, weight(abs_y), out=out[dst])
+    return out
 
 
 def to_oriented_energy(psi_tilde: WaveFunction, s_grid: Grid1D | None = None,
@@ -366,37 +380,17 @@ def to_oriented_energy(psi_tilde: WaveFunction, s_grid: Grid1D | None = None,
     psi_tilde.require_rep(Representation.MOMENTUM)
     m = psi_tilde.params.mass
     p_min = _momentum_floor(psi_tilde)
-    total = norm_squared(psi_tilde)
     if s_grid is None:
         s_grid = default_oriented_grid(psi_tilde, p_min)
-    s = s_grid.points
-    s_min = p_min**2 / (2.0 * m)
-    global_peak = float(np.abs(psi_tilde.values).max())
-
-    out = np.zeros(s_grid.count, dtype=np.complex128)
-    residual = 0.0
-    # The s-grid increases, so each branch is one contiguous run of it.
-    branches = (slice(np.searchsorted(s, s_min), None),
-                slice(np.searchsorted(s, -s_min, side="right")))
-    for positive, sel in zip((True, False), branches):
-        if s[sel].size == 0:
-            continue
-        nodes, vals = _branch_nodes(psi_tilde, positive)
-        branch_peak = float(np.abs(vals).max())
-        if branch_peak == 0.0 or global_peak == 0.0:
-            continue
-        abs_s = np.abs(s[sel])
-        interp, res = resample_complex(nodes, vals, np.sqrt(2.0 * m * abs_s))
-        np.multiply(interp, (m / (2.0 * abs_s)) ** 0.25, out=out[sel])
-        residual = max(residual, res * branch_peak / global_peak)
-
+    out = _pull_back(psi_tilde, s_grid, p_min**2 / (2.0 * m),
+                     lambda s: np.sqrt(2.0 * m * s), lambda s: (m / (2.0 * s)) ** 0.25)
     phi = WaveFunction(s_grid, out, Representation.ORIENTED_ENERGY, psi_tilde.params)
     report = TransformReport.from_norms(
-        math.sqrt(total), math.sqrt(norm_squared(phi)), residual)
+        math.sqrt(norm_squared(psi_tilde)), math.sqrt(norm_squared(phi)))
     return phi, report
 
 
-def from_oriented_energy(phi_tilde: WaveFunction, p_grid: Grid1D | None = None,
+def from_oriented_energy(phi_tilde: WaveFunction, p_grid: Grid1D,
                          ) -> tuple[WaveFunction, TransformReport]:
     """Oriented-energy -> momentum representation (inverse change of variables).
 
@@ -405,43 +399,11 @@ def from_oriented_energy(phi_tilde: WaveFunction, p_grid: Grid1D | None = None,
     """
     phi_tilde.require_rep(Representation.ORIENTED_ENERGY)
     m = phi_tilde.params.mass
-    if p_grid is None:
-        s_max = max(abs(phi_tilde.grid.origin), abs(phi_tilde.grid.last))
-        p_max = math.sqrt(2.0 * m * s_max)
-        count = phi_tilde.grid.count
-        dp = 2.0 * p_max / count
-        p_grid = Grid1D(-(count // 2) * dp, dp, count)
-    p_min = default_momentum_floor(p_grid)
-
-    s = phi_tilde.grid.points
-    p = p_grid.points
-    global_peak = float(np.abs(phi_tilde.values).max())
-    out = np.zeros(p_grid.count, dtype=np.complex128)
-    residual = 0.0
-    # Both grids increase, so each branch is one contiguous run of each.
-    branches = ((slice(np.searchsorted(s, 0.0, side="right"), None),
-                 slice(np.searchsorted(p, p_min), None)),
-                (slice(np.searchsorted(s, 0.0)),
-                 slice(np.searchsorted(p, -p_min, side="right"))))
-    for positive, (node_sel, q_sel) in zip((True, False), branches):
-        if s[node_sel].size == 0 or p[q_sel].size == 0:
-            continue
-        nodes = np.abs(s[node_sel])
-        vals = phi_tilde.values[node_sel]
-        branch_peak = float(np.abs(vals).max())
-        if branch_peak == 0.0 or global_peak == 0.0:
-            continue
-        if not positive:
-            nodes = nodes[::-1]
-            vals = vals[::-1]
-        p_q = p[q_sel]
-        interp, res = resample_complex(nodes, vals, p_q ** 2 / (2.0 * m))
-        np.multiply(interp, np.sqrt(np.abs(p_q) / m), out=out[q_sel])
-        residual = max(residual, res * branch_peak / global_peak)
-
+    out = _pull_back(phi_tilde, p_grid, default_momentum_floor(p_grid),
+                     lambda p: p ** 2 / (2.0 * m), lambda p: np.sqrt(p / m))
     psi = WaveFunction(p_grid, out, Representation.MOMENTUM, phi_tilde.params)
     report = TransformReport.from_norms(
-        math.sqrt(norm_squared(phi_tilde)), math.sqrt(norm_squared(psi)), residual)
+        math.sqrt(norm_squared(phi_tilde)), math.sqrt(norm_squared(psi)))
     return psi, report
 
 

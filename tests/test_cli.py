@@ -246,6 +246,26 @@ def test_refuses_slow_backflow_packet(tmp_path, capsys):
     assert "4 sigma" in err[0]
 
 
+def test_refuses_off_centre_backflow_box(tmp_path, capsys):
+    # the packet would sit at x = 0, outside the scan, which sees only its tail
+    rc, err = _refusal(tmp_path, capsys, "backflow", {
+        "packet": {"type": "backflow"},
+        "grids": {"x": {"min": 0.0, "max": 256.0, "count": 4096}},
+        "backflow_scan": {"x_range": [100.0, 120.0], "x_count": 11,
+                          "t_range": [0.0, 10.0], "t_count": 11}})
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
+    assert "centred on 0" in err[0]
+
+
+def test_backflow_box_with_odd_count_runs(tmp_path):
+    cfg = load_scenario(scenario_path("backflow_default.json"))
+    cfg["grids"]["x"]["count"] = 4095
+    cfg["backflow_scan"].update(x_count=11, t_count=11)
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert run_cli("backflow", "--config", str(path), "--out", str(tmp_path / "out")) == 0
+
+
 def test_refuses_zero_norm_superposition(tmp_path, capsys):
     part = {"center_x": -50.0, "center_p": 2.0, "sigma_p": 0.2}
     rc, err = _refusal(tmp_path, capsys, "arrival", {

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flowquant.resample import resample_complex
+from flowquant.resample import interpolate, resample_complex
 
 NODES = np.linspace(0.3, 2.2, 20)
 STEP = NODES[1] - NODES[0]
@@ -71,3 +71,18 @@ def test_residual_bounds_the_actual_error():
     out, residual = resample_complex(x, packet, queries)
     actual = np.abs(out - np.exp(-queries**2 / 2.0 + 3.0j * queries)).max()
     assert 0.0 < actual <= residual
+
+
+# a phase step of 0.95 pi between nodes 8 and 9, where unwrapping is not trusted
+PHASE_JUMP = np.exp(1j * np.where(np.arange(20) < 9, 0.0, 0.95 * np.pi)) * (1.0 + NODES)
+
+
+@pytest.mark.parametrize("nodes,values,queries", [
+    (NODES, quintic(NODES), NODES[0] + STEP * np.linspace(0.0, 19.0, 77)),
+    (NODES[:5], quintic(NODES[:5]), np.linspace(0.2, 1.2, 23)),
+    (NODES, quintic(NODES), np.array([NODES[0] - 1e-9, NODES[-1] + 1e-9, 5.0])),
+    (NODES, PHASE_JUMP, np.linspace(NODES[0], NODES[-1], 61)),
+], ids=["six or more nodes", "fewer than six nodes", "outside the nodes", "phase jump"])
+def test_resample_complex_is_the_interpolation(nodes, values, queries):
+    out, _ = resample_complex(nodes, values, queries)
+    assert np.array_equal(out, interpolate(nodes, values, queries))

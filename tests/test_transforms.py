@@ -123,6 +123,43 @@ def test_oriented_energy_right_mover_support(reference_momentum):
     assert np.all(phi.values[s < 0.0] == 0.0)
 
 
+def test_oriented_energy_left_mover_support(params, wide_grid):
+    _, minus = fq.split_movers(fq.to_momentum(
+        fq.gaussian_packet(wide_grid, params, 50.0, -2.0, 0.2)))  # strictly p < 0
+    phi, _ = fq.to_oriented_energy(minus)
+    s = phi.grid.points
+    assert np.all(phi.values[s > 0.0] == 0.0)
+    assert np.abs(phi.values[s < 0.0]).max() > 0.0
+
+
+@pytest.fixture(scope="module")
+def two_movers(params, wide_grid):
+    """A right-mover from x = -50 and a slower left-mover from x = 40."""
+    a = fq.gaussian_packet(wide_grid, params, -50.0, 2.0, 0.2)
+    b = fq.gaussian_packet(wide_grid, params, 40.0, -1.5, 0.15)
+    vals = a.values + 0.7j * b.values
+    vals /= math.sqrt(np.sum(np.abs(vals) ** 2) * wide_grid.step)
+    return fq.to_momentum(a.with_values(vals))
+
+
+def test_oriented_energy_maps_the_half_axes_independently(two_movers):
+    # The arrival chain maps each mover on its own; the map of the whole
+    # packet must be the sum of the movers' maps, to the bit.
+    s_grid = fq.default_oriented_grid(two_movers)
+    phi, _ = fq.to_oriented_energy(two_movers, s_grid)
+    parts = [fq.to_oriented_energy(part, s_grid)[0].values
+             for part in fq.split_movers(two_movers)]
+    assert np.abs(parts[0]).max() > 0.0 and np.abs(parts[1]).max() > 0.0
+    assert np.array_equal(phi.values, parts[0] + parts[1])
+
+    s = phi.grid.points
+    back, _ = fq.from_oriented_energy(phi, two_movers.grid)
+    halves = [fq.from_oriented_energy(phi.with_values(np.where(side, phi.values, 0.0)),
+                                      two_movers.grid)[0].values
+              for side in (s > 0.0, s < 0.0)]
+    assert np.array_equal(back.values, halves[0] + halves[1])
+
+
 def test_oriented_energy_reflection(params, wide_grid, reference_momentum):
     # mirror packet: psi_2(x) = psi_1(-x), hence psi~_2(p) = psi~_1(-p)
     mirror = fq.to_momentum(fq.gaussian_packet(wide_grid, params, 50.0, -2.0, 0.2))
