@@ -107,9 +107,16 @@ def quadratic_field() -> VectorField1D:
                          zeros=(0.0,), label="x^2")
 
 
+def _odd_cube(x) -> np.ndarray:
+    """x^3 as |x|^3 with the sign of x: exactly odd, as accurate as x ** 3,
+    and it keeps glibc pow off its slow path for negative bases."""
+    x = np.asarray(x, dtype=float)
+    return np.copysign(np.abs(x) ** 3, x)
+
+
 def cubic_field() -> VectorField1D:
     """X(x) = x^3; blow-up with no matching starved region."""
-    return VectorField1D(lambda x: np.asarray(x, dtype=float) ** 3,
+    return VectorField1D(_odd_cube,
                          lambda x: 3.0 * np.asarray(x, dtype=float) ** 2,
                          zeros=(0.0,), label="x^3")
 

@@ -46,9 +46,7 @@ _LOW_P_MASS_TOL = 1e-6
 #: when locating the support of a packet.
 _SUPPORT_CUT = 1e-13
 
-#: Default s-grid: span margin over the support's largest |s|, and the
-#: smallest and largest point counts.
-_S_MARGIN = 1.3
+#: Default s-grid: the smallest and largest point counts.
 _MIN_S_COUNT = 1024
 _MAX_S_COUNT = 2**22
 
@@ -309,34 +307,39 @@ def _momentum_floor(psi_tilde: WaveFunction) -> float:
 
 
 def default_oriented_grid(psi_tilde: WaveFunction, p_min: float | None = None) -> Grid1D:
-    """Uniform s-grid adapted to the packet's support.
+    """Uniform s-grid adapted to the packet's support, at the box's critical
+    spacing.
 
-    The span covers the signed kinetic energies of the amplitude support with
-    a 1.3x margin; the spacing is at most ds_target = p_lo dp / (2 m), half
-    the momentum grid's information density at the inner support edge p_lo
-    (ds = |p| dp / m there), which also guarantees the arrival-time content
-    of any packet that fits the position box is below Nyquist.  The count is
-    the smallest 2-3-5-smooth number that meets that spacing (between 1024
-    and 2^22 points), so the FFTs of the arrival step stay fast without the
-    up to 2x oversampling of a power of two.  Depends on |psi~| only, so
-    phase changes (free evolution) leave the default grid unchanged.  An
-    all-zero input has no support and gets the 1024-point minimum grid over
-    the momentum box.
+    The span is exactly the signed kinetic energies of the amplitude support,
+    with no margin: the arrival step is a chirp-z, which needs no guard band.
+    The spacing is at most ds_target = p_lo dp / m, the s-spacing of the
+    momentum samples themselves at the inner support edge p_lo.  That is the
+    critical spacing: by stationary phase a point x of the position box
+    (|x| <= L/2, L = 2 pi hbar / dp) arrives at T = -m x / p, so over p >=
+    p_lo the arrival content spans m L / p_lo, and the Riemann sum over s
+    periodizes phi(T) with period 2 pi hbar / ds, which equals m L / p_lo
+    at ds = ds_target.  A finer grid resamples the data below its own
+    finest spacing; a coarser one aliases the images of the interpolation
+    error near x0 +- L.  The count is the smallest 2-3-5-smooth number that
+    meets that spacing (between 1024 and 2^22 points), so the FFTs of the
+    arrival step stay fast without the up to 2x oversampling of a power of
+    two.  Depends on |psi~| only, so phase changes (free evolution) leave
+    the default grid unchanged.  An all-zero input has no support and gets
+    the 1024-point minimum grid over the momentum box.
     """
     m = psi_tilde.params.mass
     p = psi_tilde.points
     amp = np.abs(psi_tilde.values)
-    s_box = float(np.abs(p).max()) ** 2 / (2.0 * m) * _S_MARGIN
     peak = amp.max()
     if peak == 0.0:  # nothing to resolve: the minimum grid over the box
-        s_max, count = s_box, _MIN_S_COUNT
+        s_max, count = float(np.abs(p).max()) ** 2 / (2.0 * m), _MIN_S_COUNT
     else:
         if p_min is None:
             p_min = default_momentum_floor(psi_tilde.grid)
         p_sup = np.abs(p[amp >= _SUPPORT_CUT * peak])
         p_lo = max(float(p_sup.min()), p_min)
-        s_max = min(_S_MARGIN * float(p_sup.max()) ** 2 / (2.0 * m), s_box)
-        ds_target = 0.5 * p_lo * psi_tilde.grid.step / m
+        s_max = float(p_sup.max()) ** 2 / (2.0 * m)
+        ds_target = p_lo * psi_tilde.grid.step / m
         need = min(math.ceil(2.0 * s_max / ds_target), _MAX_S_COUNT)
         count = max(_fft_size(need), _MIN_S_COUNT)  # 2^22 is 5-smooth: no overshoot
     ds = 2.0 * s_max / count

@@ -137,8 +137,8 @@ def test_fast_path_zero_input(reference_momentum, arrival_grid):
     zero = reference_momentum.with_values(np.zeros_like(reference_momentum.values))
     s_grid = fq.default_oriented_grid(zero)
     assert s_grid.count == 1024  # not the 2**22 cap
-    # the minimum grid spans the momentum box with the 1.3x margin
-    s_box = 1.3 * np.abs(reference_momentum.points).max() ** 2 / 2.0
+    # the minimum grid spans the momentum box, with no margin
+    s_box = np.abs(reference_momentum.points).max() ** 2 / 2.0
     assert s_grid.origin == -s_box and math.isclose(s_grid.step, 2.0 * s_box / 1024)
     out = fq.arrival_amplitude_fast(zero, arrival_grid)
     assert np.all(out.values == 0.0)

@@ -39,7 +39,7 @@ def closed_form_plus(T, x0, p0, sigma, params):
 # (x0, p0, sigma_p), then the bounds of the oracle and the chain on the
 # default T-grid of the right-mover, at most 5x the measured errors: 7.4e-13
 # (oracle) and 9.9e-10 (chain) on the reference packet, 3.2e-8 / 3.6e-8
-# (oracle) and 9.3e-7 / 3.6e-6 (chain) on the broad ones (p0 / sigma_p = 6.7).
+# (oracle) and 1.0e-6 / 4.1e-6 (chain) on the broad ones (p0 / sigma_p = 6.7).
 # On the broad packets the oracle's error is that of the mover split:
 # split_movers zeroes the p < 0 samples, and the trigonometric model of what
 # is left is not the Gaussian near p = 0.

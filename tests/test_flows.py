@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,6 +37,18 @@ def test_quadratic_flow_closed_form():
     # closed form x / (1 - t x)
     r = fq.integrate_flow(fq.quadratic_field(), 0.5, 1.0)
     assert abs(r.endpoint - 1.0) <= 1e-8
+
+
+def test_cubic_field_is_odd_and_within_one_ulp():
+    rng = np.random.default_rng(17)
+    x = np.concatenate([rng.uniform(-15.0, 15.0, 2000),
+                        rng.choice([-1.0, 1.0], 1000) * 10.0 ** rng.uniform(-100, 100, 1000)])
+    X = fq.cubic_field()
+    fx = X(x)
+    assert np.array_equal((-fx).view(np.int64), X(-x).view(np.int64))
+    for v, f in zip(x.tolist(), fx.tolist()):
+        exact = Fraction(v) ** 3
+        assert abs(Fraction(f) - exact) <= math.ulp(float(exact))
 
 
 def test_quadratic_flow_escape():

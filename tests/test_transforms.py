@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flowquant as fq
 from flowquant.resample import _cis_ramp
@@ -468,19 +470,20 @@ def test_free_current_refuses_uneven_points():
 
 def _spacing_bound(psi_tilde):
     """s_max and ds_target of default_oriented_grid, from its documented rule:
-    the support cut at 1e-13 of the peak, the 4 dp floor, a 1.3x margin."""
+    the support cut at 1e-13 of the peak, the 4 dp floor, no margin, and the
+    critical spacing p_lo dp / m."""
     m, dp = psi_tilde.params.mass, psi_tilde.grid.step
     p = psi_tilde.points
     amp = np.abs(psi_tilde.values)
     sup = np.abs(p[amp >= 1e-13 * amp.max()])
-    s_max = min(1.3 * sup.max() ** 2, 1.3 * np.abs(p).max() ** 2) / (2.0 * m)
-    return s_max, 0.5 * max(sup.min(), 4.0 * dp) * dp / m
+    s_max = sup.max() ** 2 / (2.0 * m)
+    return s_max, max(sup.min(), 4.0 * dp) * dp / m
 
 
 @pytest.mark.parametrize("p0,sigma_p,count", [
-    (2.0, 0.1, 1728),    # narrow
-    (2.2, 0.35, 96000),  # broad
-    (3.0, 0.2, 5625),    # odd count
+    (3.0, 0.2, 2160),    # narrow
+    (2.2, 0.35, 36864),  # broad
+    (2.5, 0.25, 28125),  # odd count
 ], ids=["narrow", "broad", "odd"])
 def test_default_oriented_grid_is_the_smallest_smooth_count(params, wide_grid,
                                                             p0, sigma_p, count):
@@ -491,3 +494,29 @@ def test_default_oriented_grid_is_the_smallest_smooth_count(params, wide_grid,
     assert grid.step <= ds_target
     assert math.isclose(grid.count * grid.step, 2.0 * s_max, rel_tol=1e-14)
     assert grid.origin == -(grid.count // 2) * grid.step
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(p0=st.floats(1.0, 5.0), ratio=st.floats(6.5, 16.0), x0=st.floats(-80.0, -20.0))
+def test_default_oriented_grid_samples_the_box_at_its_nyquist_spacing(params, wide_grid,
+                                                                      p0, ratio, x0):
+    # A point x of the box arrives at T = -m x / p, so over p >= p_lo the
+    # arrival content spans m L / p_lo; the s-grid's Riemann sum repeats
+    # phi(T) with period 2 pi hbar / ds.
+    psi_tilde = fq.to_momentum(fq.gaussian_packet(wide_grid, params, x0, p0, p0 / ratio))
+    m, hbar, dp = params.mass, params.hbar, psi_tilde.grid.step
+    box = wide_grid.count * wide_grid.step
+    amp = np.abs(psi_tilde.values)
+    sup = np.abs(psi_tilde.points[amp >= 1e-13 * amp.max()])
+    p_lo = max(sup.min(), 4.0 * dp)
+    grid = fq.default_oriented_grid(psi_tilde)
+    # the aliasing period covers the box's arrival reach ...
+    assert 2.0 * math.pi * hbar / grid.step >= m * box / p_lo * (1.0 - 1e-12)
+    # ... and the grid is no finer than 5-smooth rounding makes it
+    if grid.count > 1024:
+        assert grid.step >= p_lo * dp / m / 1.07
+    # it reaches the largest support energy to within one step, with no margin
+    s_sup = sup.max() ** 2 / (2.0 * m)
+    tol = 1e-12 * s_sup
+    for end in (-grid.origin, grid.last):
+        assert s_sup - grid.step - tol <= end <= s_sup + tol
