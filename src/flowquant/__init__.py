@@ -27,10 +27,11 @@ from .arrival import (ArrivalDistribution, ArrivalMoments, BackflowSpec,
                       split_movers)
 from .classical import (ArrivalStats, Histogram, Marginals,
                         PhaseSpaceEnsemble, classical_arrival_oracle,
-                        ensemble_from_packet, evolve_ensemble,
-                        exact_momentum_histogram, gaussian_ensemble,
-                        l1_distance, marginals, momentum_from_position_limit,
-                        momentum_histogram, quantum_momentum_limit)
+                        ensemble_from_packet, ensemble_momentum_limits,
+                        evolve_ensemble, exact_momentum_histogram,
+                        gaussian_ensemble, l1_distance, marginals,
+                        momentum_from_position_limit, momentum_histogram,
+                        quantum_momentum_limit)
 from .errors import (BinRangeTooSmall, FlowQuantError, GridMismatch,
                      GridTooSmall, InconclusiveClassification,
                      IntervalOutOfRange, InvalidParameter, LowMomentumMass,

@@ -31,10 +31,10 @@ from .errors import (BinRangeTooSmall, InvalidParameter,
                      MomentumFloorViolated, RepMismatch)
 from .grids import (Grid1D, PhysicalParams, Representation, WaveFunction,
                     moments)
-from .transforms import _SUPPORT_CUT, fourier_eval, to_momentum
+from .transforms import _SUPPORT_CUT, fourier_eval, to_momentum, to_position
 
-#: Samples per block of the ensemble check and of _bin_masses, so their
-#: temporaries stay small.
+#: Samples per block of the draws, the ensemble check and the binning, so
+#: their temporaries stay small.
 _BIN_BLOCK = 1 << 16
 
 
@@ -62,15 +62,13 @@ class PhaseSpaceEnsemble:
             raise ValueError("weights must be nonnegative")
         if abs(float(np.sum(self.w)) - 1.0) > 1e-12:
             raise ValueError("weights must sum to one")
-        second = 0.0  # sum of w (x^2 + p^2), one block of temporaries at a time
+        second = 0.0  # sum of w (x^2 + p^2), one block of buffers at a time
+        buffers = _block_buffers(min(self.size, _BIN_BLOCK))
         for start in range(0, self.size, _BIN_BLOCK):
             block = slice(start, start + _BIN_BLOCK)
-            term = np.square(self.x[block])
-            term += np.square(self.p[block])
-            term *= self.w[block]
-            second += float(np.sum(term))
-        if not math.isfinite(second):
-            raise ValueError("ensemble must have finite second moments")
+            second += _second_moment(self.x[block], self.p[block], self.w[block],
+                                     buffers)
+        _require_finite(second)
 
     @classmethod
     def _owning(cls, x, p, w, params: PhysicalParams) -> "PhaseSpaceEnsemble":
@@ -85,36 +83,73 @@ class PhaseSpaceEnsemble:
         return len(self.x)
 
 
+def _second_moment(x: np.ndarray, p: np.ndarray, w, buffers: tuple) -> float:
+    """The sum of w (x^2 + p^2) over one block of samples, formed in the
+    work and moved buffers of _block_buffers."""
+    work, _, moved = buffers
+    term = np.square(x, out=work[:len(x)])
+    term += np.square(p, out=moved[:len(p)])
+    term *= w
+    return float(np.sum(term))
+
+
+def _require_finite(second: float) -> None:
+    if not math.isfinite(second):
+        raise ValueError("ensemble must have finite second moments")
+
+
+def _gaussian_blocks(mean_x: float, sigma_x: float, mean_p: float,
+                     sigma_p: float, count: int, seed: int,
+                     x: np.ndarray | None = None, p: np.ndarray | None = None):
+    """The pairs (x_i, p_i) = (mean_x + sigma_x z_2i, mean_p + sigma_p z_2i+1)
+    of one seeded standard-normal stream z, yielded as (x, p) blocks of
+    _BIN_BLOCK pairs.  numpy's Generator continues one stream across calls,
+    so the pairs do not depend on the block size.  The blocks are slices of
+    x and p when given, else of buffers that the next block overwrites."""
+    rng = np.random.default_rng(seed)
+    size = min(count, _BIN_BLOCK)
+    z = np.empty(2 * size)
+    x_buf, p_buf = (np.empty(size), np.empty(size)) if x is None else (x, p)
+    for start in range(0, count, _BIN_BLOCK):
+        n = min(_BIN_BLOCK, count - start)
+        at = slice(0, n) if x is None else slice(start, start + n)
+        pair = rng.standard_normal(2 * n, out=z[:2 * n])
+        xb = np.multiply(pair[0::2], sigma_x, out=x_buf[at])
+        xb += mean_x
+        pb = np.multiply(pair[1::2], sigma_p, out=p_buf[at])
+        pb += mean_p
+        yield xb, pb
+
+
 def gaussian_ensemble(params: PhysicalParams, mean_x: float, sigma_x: float,
                       mean_p: float, sigma_p: float, count: int,
                       seed: int) -> PhaseSpaceEnsemble:
-    """Product-Gaussian ensemble with independent x and p marginals."""
-    # One draw scaled in place: the bits of normal(mean_x, sigma_x, count)
-    # followed by normal(mean_p, sigma_p, count), which form loc + scale z.
-    z = np.random.default_rng(seed).standard_normal(2 * count)
-    x, p = z[:count], z[count:]
-    x *= sigma_x
-    x += mean_x
-    p *= sigma_p
-    p += mean_p
+    """Product-Gaussian ensemble with independent x and p marginals: the
+    pairs of _gaussian_blocks, which the streamed ensemble_momentum_limits
+    draws too."""
+    x, p = np.empty(count), np.empty(count)
+    for _ in _gaussian_blocks(mean_x, sigma_x, mean_p, sigma_p, count, seed, x, p):
+        pass
     w = np.broadcast_to(np.float64(1.0 / count), (count,))
     return PhaseSpaceEnsemble._owning(x, p, w, params)
+
+
+def _packet_moments(psi: WaveFunction) -> tuple[float, float, float, float]:
+    """Mean and width of the packet's position, then of its momentum."""
+    if psi.rep is Representation.POSITION:
+        psi_x, psi_p = psi, to_momentum(psi)
+    elif psi.rep is Representation.MOMENTUM:
+        psi_x, psi_p = to_position(psi), psi
+    else:
+        raise RepMismatch("need a position- or momentum-representation packet")
+    return (*moments(psi_x), *moments(psi_p))
 
 
 def ensemble_from_packet(psi: WaveFunction, count: int,
                          seed: int) -> PhaseSpaceEnsemble:
     """Classical stand-in for a quantum packet: independent Gaussian marginals
     matching the packet's position and momentum moments."""
-    if psi.rep is Representation.POSITION:
-        psi_x, psi_p = psi, to_momentum(psi)
-    elif psi.rep is Representation.MOMENTUM:
-        from .transforms import to_position
-        psi_x, psi_p = to_position(psi), psi
-    else:
-        raise RepMismatch("need a position- or momentum-representation packet")
-    mx, sx = moments(psi_x)
-    mp, sp = moments(psi_p)
-    return gaussian_ensemble(psi.params, mx, sx, mp, sp, count, seed)
+    return gaussian_ensemble(psi.params, *_packet_moments(psi), count, seed)
 
 
 def evolve_ensemble(e: PhaseSpaceEnsemble, t: float) -> PhaseSpaceEnsemble:
@@ -154,62 +189,91 @@ class Marginals:
     mu: Histogram
 
 
+@dataclass(frozen=True, eq=False)
+class _Bins:
+    """The tables _bin_block bins against.  Bin i holds lower[i] <= v <
+    upper[i]: 0 is the underflow bin, 1..n_bins the edges' bins, n_bins + 1
+    the overflow bin (v >= nan never holds, so it has no top)."""
+
+    lo: float
+    scale: float
+    n_bins: int
+    lower: np.ndarray
+    upper: np.ndarray
+
+    @classmethod
+    def of(cls, edges: np.ndarray) -> "_Bins":
+        if not (len(edges) > 1 and np.all(np.isfinite(edges))
+                and np.all(edges[:-1] < edges[1:])):
+            raise ValueError("bin edges must be finite and increasing")
+        n_bins = len(edges) - 1
+        lo, hi = edges[0], edges[-1]
+        above = np.nextafter(hi, np.inf)
+        return cls(lo, n_bins / (hi - lo), n_bins,
+                   np.concatenate([[-np.inf], edges[:-1], [above]]),
+                   np.concatenate([edges[:-1], [above, np.nan]]))
+
+
+def _block_buffers(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The work, index and moved buffers of _bin_block for blocks of up to
+    size values, shared by the blocks and the histograms: sample-sized
+    temporaries made afresh for each block would be handed back to the
+    system and faulted in again."""
+    return np.empty(size), np.empty(size, dtype=np.intp), np.empty(size)
+
+
+def _bin_block(values: np.ndarray, weights: np.ndarray, bins: _Bins,
+               masses: np.ndarray, buffers: tuple, drift: np.ndarray | None = None,
+               speed: float = 0.0) -> None:
+    """Adds the weights of one block of values, or of values + speed * drift,
+    to masses, n_bins + 2 long with the underflow and overflow bins at its
+    ends.
+
+    Each value's bin is first guessed from the uniform-edge formula, then
+    stepped until the bin's actual edges hold the value, so non-uniform
+    edges are exact too, only slower.  NaN is guessed into the underflow bin.
+    """
+    work, index, moved = buffers
+    n = len(values)
+    # values far outside the edges, or edges wider than the float range
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = values
+        if drift is not None:
+            v = np.multiply(drift, speed, out=moved[:n])
+            v += values
+        guess = np.subtract(v, bins.lo, out=work[:n])
+        guess *= bins.scale
+        guess += 1.0
+        np.fmax(guess, 0.0, out=guess)  # also takes NaN to the underflow bin
+        np.fmin(guess, bins.n_bins + 1, out=guess)
+        i = index[:n]
+        np.copyto(i, guess, casting="unsafe")  # truncates, as astype does
+        lower, upper = bins.lower, bins.upper
+        # the indices are in range; "clip" lets take write into out unbuffered
+        wrong = v < np.take(lower, i, out=guess, mode="clip")
+        wrong |= v >= np.take(upper, i, out=guess, mode="clip")
+        wrong = np.flatnonzero(wrong)
+        while wrong.size:
+            vw, iw = v[wrong], i[wrong]
+            iw = iw + (vw >= upper[iw]) - (vw < lower[iw])
+            i[wrong] = iw
+            wrong = wrong[(vw < lower[iw]) | (vw >= upper[iw])]
+    masses += np.bincount(i, weights, minlength=bins.n_bins + 2)
+
+
 def _bin_masses(values: np.ndarray, weights: np.ndarray, edges: np.ndarray,
                 drift: np.ndarray | None = None, speed: float = 0.0) -> np.ndarray:
     """Weight of the values in each bin [edges[i], edges[i+1]), the last bin
     closed: the bins np.histogram gives for explicit edges, without sorting.
     With a drift, the values binned are values + speed * drift, formed one
-    block at a time.
-
-    Each value's bin is first guessed from the uniform-edge formula, with an
-    underflow bin below the edges and an overflow bin above, then stepped
-    until the bin's actual edges hold the value, so non-uniform edges are
-    exact too, only slower.  Values outside the edges (and NaN, guessed into
-    the underflow bin) are left out; the weights are summed per bin by
-    np.bincount.
-    """
-    if not (len(edges) > 1 and np.all(np.isfinite(edges))
-            and np.all(edges[:-1] < edges[1:])):
-        raise ValueError("bin edges must be finite and increasing")
-    n_bins = len(edges) - 1
-    lo, hi = edges[0], edges[-1]
-    # bin i holds lower[i] <= v < upper[i]: 0 underflow, 1..n_bins the edges'
-    # bins, n_bins + 1 overflow (v >= nan never holds, so it has no top)
-    above = np.nextafter(hi, np.inf)
-    lower = np.concatenate([[-np.inf], edges[:-1], [above]])
-    upper = np.concatenate([edges[:-1], [above, np.nan]])
-    scale = n_bins / (hi - lo)
-    masses = np.zeros(n_bins + 2)
-    # Buffers shared by the blocks: sample-sized temporaries made afresh for
-    # each block would be handed back to the system and faulted in again.
-    size = min(len(values), _BIN_BLOCK)
-    work, index = np.empty(size), np.empty(size, dtype=np.intp)
-    moved = None if drift is None else np.empty(size)
-    # values far outside the edges, or edges wider than the float range
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(values), _BIN_BLOCK):
-            block = slice(start, start + _BIN_BLOCK)
-            v = values[block]
-            if drift is not None:
-                v = np.multiply(drift[block], speed, out=moved[:len(v)])
-                v += values[block]
-            guess = np.subtract(v, lo, out=work[:len(v)])
-            guess *= scale
-            guess += 1.0
-            np.fmax(guess, 0.0, out=guess)  # also takes NaN to the underflow bin
-            np.fmin(guess, n_bins + 1, out=guess)
-            i = index[:len(v)]
-            np.copyto(i, guess, casting="unsafe")  # truncates, as astype does
-            # the indices are in range; "clip" lets take write into out unbuffered
-            wrong = v < np.take(lower, i, out=guess, mode="clip")
-            wrong |= v >= np.take(upper, i, out=guess, mode="clip")
-            wrong = np.flatnonzero(wrong)
-            while wrong.size:
-                vw, iw = v[wrong], i[wrong]
-                iw = iw + (vw >= upper[iw]) - (vw < lower[iw])
-                i[wrong] = iw
-                wrong = wrong[(vw < lower[iw]) | (vw >= upper[iw])]
-            masses += np.bincount(i, weights[block], minlength=n_bins + 2)
+    block at a time.  Values outside the edges, and NaN, are left out."""
+    bins = _Bins.of(edges)
+    masses = np.zeros(bins.n_bins + 2)
+    buffers = _block_buffers(min(len(values), _BIN_BLOCK))
+    for start in range(0, len(values), _BIN_BLOCK):
+        block = slice(start, start + _BIN_BLOCK)
+        _bin_block(values[block], weights[block], bins, masses, buffers,
+                   None if drift is None else drift[block], speed)
     return masses[1:-1]
 
 
@@ -258,6 +322,35 @@ def momentum_from_position_limit(e: PhaseSpaceEnsemble, x0: float, t: float,
     speed = t / e.params.mass
     masses = _bin_masses(e.x, e.w, x0 + speed * p_edges, e.p, speed)
     return Histogram(p_edges, masses)
+
+
+def ensemble_momentum_limits(psi: WaveFunction, count: int, seed: int, x0: float,
+                             times, p_edges: np.ndarray) -> tuple[Histogram, list[Histogram]]:
+    """momentum_histogram and momentum_from_position_limit at each of the
+    times, over ensemble_from_packet(psi, count, seed), bit for bit, in one
+    pass: each block of pairs is drawn, checked and binned into every
+    histogram before the next, so nothing sample-sized is held."""
+    mean_x, sigma_x, mean_p, sigma_p = _packet_moments(psi)
+    if any(t <= 0.0 for t in times):
+        raise ValueError("the limit formula needs t > 0")
+    p_edges = np.asarray(p_edges, dtype=float)
+    speeds = [t / psi.params.mass for t in times]
+    tables = [_Bins.of(p_edges)] + [_Bins.of(x0 + s * p_edges) for s in speeds]
+    masses = np.zeros((len(tables), len(p_edges) + 1))
+    size = min(count, _BIN_BLOCK)
+    buffers = _block_buffers(size)
+    w = np.float64(1.0 / count)
+    weights = np.full(size, w)  # contiguous, so np.bincount takes it uncopied
+    second = 0.0
+    for x, p in _gaussian_blocks(mean_x, sigma_x, mean_p, sigma_p, count, seed):
+        second += _second_moment(x, p, w, buffers)
+        _require_finite(second)
+        n = len(x)
+        _bin_block(p, weights[:n], tables[0], masses[0], buffers)
+        for speed, bins, row in zip(speeds, tables[1:], masses[1:]):
+            _bin_block(x, weights[:n], bins, row, buffers, p, speed)
+    return (Histogram(p_edges, masses[0, 1:-1]),
+            [Histogram(p_edges, row[1:-1]) for row in masses[1:]])
 
 
 def quantum_momentum_limit(psi: WaveFunction, x0: float, t: float,

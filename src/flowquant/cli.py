@@ -23,9 +23,8 @@ import numpy as np
 from . import __version__
 from .arrival import (Component, arrival_amplitude_quadrature,
                       arrival_distribution, arrival_moments)
-from .classical import (ensemble_from_packet, exact_momentum_histogram,
-                        l1_distance, momentum_from_position_limit,
-                        momentum_histogram, quantum_momentum_limit)
+from .classical import (ensemble_momentum_limits, exact_momentum_histogram,
+                        l1_distance, quantum_momentum_limit)
 from .errors import (FlowQuantError, InconclusiveClassification,
                      NegativeMomentumLeak, ScenarioError)
 from .flows import classify_flow
@@ -42,11 +41,12 @@ _SCAN_CELLS = 1 << 15
 
 
 def _write_csv(path: str, header: list[str], *columns) -> None:
-    """One row per index of the equal-length columns.  Each column becomes a
-    list of Python floats once, so every value takes float.__format__, as a
-    float64 scalar would."""
-    row = ",".join(["{:.17g}"] * len(columns)) + "\n"
-    body = "".join(map(row.format, *(np.ravel(c).tolist() for c in columns)))
+    """One row per index of the equal-length columns: one "%.17g" template
+    for all rows, filled from the values in row order as Python floats,
+    which "%.17g" formats as float.__format__ does."""
+    values = np.column_stack([np.ravel(c) for c in columns]).ravel().tolist()
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    body = row * (len(values) // len(columns)) % tuple(values)
     _write_text(path, ",".join(header) + "\n" + body)
 
 
@@ -57,24 +57,24 @@ def _write_scan_csv(path: str, header: list[str], ts, xs, blocks) -> None:
     the stacked blocks.  Each block's rows are formatted and written when
     it arrives, so neither j nor the CSV text is held whole, and each t and
     x is formatted once, not once per row."""
-    x_text = ["{:.17g},".format(x) for x in np.ravel(xs).tolist()]
+    x_cells = ["%.17g,%%.17g\n" % x for x in np.ravel(xs).tolist()]
     t_values = np.ravel(ts).tolist()
     with _open_new(path) as fh:
         fh.write(",".join(header) + "\n")
         start = 0
         for block in blocks:
-            fh.write(_scan_rows(t_values[start:start + len(block)], x_text, block))
+            fh.write(_scan_rows(t_values[start:start + len(block)], x_cells, block))
             start += len(block)
 
 
-def _scan_rows(ts: list[float], x_text: list[str], block: np.ndarray) -> str:
-    """The CSV rows of one block of the scan, t slowest."""
-    t_text = ["{:.17g},".format(t) for t in ts]
-    cells = [""] * (3 * len(t_text) * len(x_text))
-    cells[0::3] = [t for t in t_text for _ in x_text]
-    cells[1::3] = x_text * len(t_text)
-    cells[2::3] = map("{:.17g}\n".format, np.ravel(block).tolist())
-    return "".join(cells)
+def _scan_rows(ts: list[float], x_cells: list[str], block: np.ndarray) -> str:
+    """The CSV rows of one block of the scan, t slowest: x_cells holds
+    "x," and a "%.17g" slot for j for each x.  A formatted number holds no
+    "%", so each row is the template t + t.join(x_cells) for t = "t,", and
+    one "%" fills the whole block."""
+    t_texts = ("%.17g," % t for t in ts)
+    template = "".join(t + t.join(x_cells) for t in t_texts)
+    return template % tuple(np.ravel(block).tolist())
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -186,13 +186,14 @@ def cmd_classical_limit(cfg: dict, out_dir: str, args) -> int:
     centers = 0.5 * (p_edges[:-1] + p_edges[1:])
     widths = np.diff(p_edges)
 
-    ensemble = ensemble_from_packet(packet, samples, seed)
-    mu_ens = momentum_histogram(ensemble, p_edges).masses
+    # one streamed pass over the ensemble, which is never held whole
+    mu, limits = ensemble_momentum_limits(packet, samples, seed, x0,
+                                          section["times"], p_edges)
+    mu_ens = mu.masses
     exact_q = exact_momentum_histogram(packet, p_edges)
 
     results = []
-    for t in section["times"]:
-        h_ens = momentum_from_position_limit(ensemble, x0, t, p_edges)
+    for t, h_ens in zip(section["times"], limits):
         l1_ens = float(np.sum(np.abs(h_ens.masses - mu_ens)))
         _write_csv(os.path.join(out_dir, f"classical_limit_ensemble_t{t:g}.csv"),
                    ["p", "mu_exact", "mu_limit", "abs_err"],

@@ -43,11 +43,12 @@ def test_ensemble_keeps_its_own_copies(params):
 
 
 def test_gaussian_ensemble_draws_unchanged(params):
-    # the draws and weights of the seeded generator, bit for bit
-    rng = np.random.default_rng(11)
+    # the draws and weights of the seeded generator, bit for bit: the pairs
+    # (x_i, p_i) = (mean_x + sigma_x z_2i, mean_p + sigma_p z_2i+1)
+    z = np.random.default_rng(11).standard_normal(20_000)
     e = fq.gaussian_ensemble(params, 0.5, 1.5, -1.0, 0.25, 10_000, seed=11)
-    assert np.array_equal(e.x, rng.normal(0.5, 1.5, 10_000))
-    assert np.array_equal(e.p, rng.normal(-1.0, 0.25, 10_000))
+    assert np.array_equal(e.x, 0.5 + 1.5 * z[0::2])
+    assert np.array_equal(e.p, -1.0 + 0.25 * z[1::2])
     assert np.array_equal(e.w, np.full(10_000, 1e-4))
     moved = fq.evolve_ensemble(e, 3.0)
     assert np.array_equal(moved.x, e.x + 3.0 * e.p)
@@ -397,6 +398,54 @@ def test_momentum_from_position_limit_bins_the_evolved_positions(params, block, 
             assert np.array_equal(h.masses, classical._bin_masses(moved.x, e.w, edges))
             direct = np.histogram(moved.x, bins=edges, weights=moved.w)[0]
             assert np.abs(h.masses - direct).max() <= 1e-13
+
+
+@pytest.mark.parametrize("block", [3, 7, classical._BIN_BLOCK])
+def test_gaussian_pairs_do_not_depend_on_the_block(params, block):
+    count = 2 * block + 1  # two whole blocks and one short one
+    z = np.random.default_rng(3).standard_normal(2 * count)
+    x, p = 2.0 + 0.5 * z[0::2], -1.0 + 3.0 * z[1::2]
+    with mock.patch.object(classical, "_BIN_BLOCK", block):
+        e = fq.gaussian_ensemble(params, 2.0, 0.5, -1.0, 3.0, count, seed=3)
+        # the streamed blocks share buffers: each is copied as it comes
+        blocks = [(xb.copy(), pb.copy()) for xb, pb in
+                  classical._gaussian_blocks(2.0, 0.5, -1.0, 3.0, count, 3)]
+    assert np.array_equal(e.x, x) and np.array_equal(e.p, p)
+    assert [len(xb) for xb, _ in blocks] == [block, block, 1]
+    assert np.array_equal(np.concatenate([xb for xb, _ in blocks]), x)
+    assert np.array_equal(np.concatenate([pb for _, pb in blocks]), p)
+
+
+@pytest.mark.parametrize("block,count", [(3, 2_000), (7, 2_001),
+                                         (classical._BIN_BLOCK, 1_000_000)])
+def test_streamed_limits_equal_the_ensemble_histograms(limit_packet, block, count):
+    # one pass over blocks of pairs gives the bits of the library functions
+    # over the ensemble held whole
+    times = [20.0, 50.0, 200.0]
+    with mock.patch.object(classical, "_BIN_BLOCK", block):
+        mu, limits = fq.ensemble_momentum_limits(limit_packet, count, 5, 0.5,
+                                                 times, P_EDGES)
+        e = fq.ensemble_from_packet(limit_packet, count, 5)
+        assert np.array_equal(mu.masses, fq.momentum_histogram(e, P_EDGES).masses)
+        assert len(limits) == len(times)
+        for t, h in zip(times, limits):
+            assert np.array_equal(h.edges, P_EDGES)
+            assert np.array_equal(
+                h.masses, fq.momentum_from_position_limit(e, 0.5, t, P_EDGES).masses)
+
+
+def test_streamed_limits_keep_the_ensemble_checks(params):
+    grid = fq.Grid1D(-30.0, 60.0 / 256, 256)
+    packet = fq.gaussian_packet(grid, params, 0.0, 1.0, 0.5)
+    with pytest.raises(ValueError, match="t > 0"):
+        fq.ensemble_momentum_limits(packet, 100, 1, 0.0, [10.0, 0.0], P_EDGES)
+    with pytest.raises(ValueError, match="edges"):
+        fq.ensemble_momentum_limits(packet, 100, 1, 0.0, [10.0], P_EDGES[::-1])
+    with mock.patch.object(classical, "_packet_moments",
+                           return_value=(1e155, 1.0, 0.0, 1.0)), \
+            pytest.raises(ValueError, match="second moments"), \
+            np.errstate(over="ignore"):
+        fq.ensemble_momentum_limits(packet, 100, 1, 0.0, [10.0], P_EDGES)
 
 
 @pytest.mark.parametrize("block", [3, 7, classical._BIN_BLOCK])

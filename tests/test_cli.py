@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import flowquant
 from flowquant import cli
@@ -496,7 +499,8 @@ def test_write_csv_matches_per_value_writer(tmp_path):
     rng = np.random.default_rng(5)
     special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                         1e-300, -1e300, 1.7976931348623157e308, 1.0, -3.0,
-                        1e16, 2.0**53, 123456789.0, 0.1, 1 / 3])
+                        1e16, 2.0**53, 123456789.0, 0.1, 1 / 3,
+                        np.inf, -np.inf, np.nan, 1e308, -1e308])
     columns = [np.concatenate([special, rng.standard_normal(200),
                                rng.uniform(-1, 1, 200) * 10.0 ** rng.integers(-300, 300, 200),
                                np.round(rng.standard_normal(200) * 1e6)])
@@ -516,6 +520,23 @@ def test_shipped_csvs_match_reference_writer(monkeypatch, run_shipped, shipped_o
     assert reference == shipped_outputs
 
 
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.floats(allow_nan=True, allow_infinity=True))
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-2.2250738585072009e-308)
+@example(math.inf)
+@example(-math.inf)
+@example(math.nan)
+@example(1e308)
+@example(-1e308)
+def test_percent_format_is_float_format(x):
+    # the CSV writers fill "%.17g" templates; the CLI's bytes are those of
+    # "{:.17g}".format
+    assert "%.17g" % x == "{:.17g}".format(x)
+
+
 @pytest.mark.parametrize("nt,nx", [(1, 1), (1, 6), (4, 1), (101, 201)])
 def test_scan_csv_matches_the_reference_writer(tmp_path, nt, nx):
     # backflow's t, x, j rows: each t and x formatted once, the same bytes,
@@ -525,6 +546,7 @@ def test_scan_csv_matches_the_reference_writer(tmp_path, nt, nx):
     xs = np.linspace(-3.0, 0.1, nx)
     ts[0], xs[-1] = -0.0, -0.0
     j = rng.standard_normal((nt, nx)) * 10.0 ** rng.integers(-300, 300, (nt, nx))
+    j.flat[j.size // 2] = np.nan
     j.flat[0] = -0.0
     j.flat[-1] = 5e-324
     _reference_write_csv(tmp_path / "old.csv", ["t", "x", "j"],
@@ -651,21 +673,24 @@ def test_backflow_memory_does_not_grow_with_t_count(tmp_path):
     assert peaks[2] <= 1.2 * peaks[1]
 
 
-def test_classical_limit_memory_is_the_samples(tmp_path):
-    # x and p, 16 B a sample, are the only sample-sized arrays alive: the
-    # weights, the moment check and the evolved positions go block by block
-    path = scenario_path("classical_limit_reference.json")
-    samples = load_scenario(path)["classical_limit"]["samples"]
+@pytest.mark.parametrize("samples", [1_000_000, 4_000_000])
+def test_classical_limit_memory_does_not_grow_with_samples(tmp_path, samples):
+    # the ensemble is drawn, checked and binned a block of pairs at a time,
+    # so no array grows with the sample count
+    cfg = load_scenario(scenario_path("classical_limit_reference.json"))
+    cfg["classical_limit"]["samples"] = samples
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
     # a first run keeps lazy imports out of the traced one
-    assert run_cli("classical-limit", "--config", path, "--out", str(tmp_path / "a")) == 0
+    assert run_cli("classical-limit", "--config", str(path), "--out", str(tmp_path / "a")) == 0
     tracemalloc.start()
     try:
-        rc = run_cli("classical-limit", "--config", path, "--out", str(tmp_path / "b"))
+        rc = run_cli("classical-limit", "--config", str(path), "--out", str(tmp_path / "b"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rc == 0
-    assert peak <= 16 * samples + 3e6
+    assert peak <= 6e6
 
 
 def test_refuses_negative_seed_flag(tmp_path, capsys):
