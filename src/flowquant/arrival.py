@@ -211,8 +211,12 @@ def arrival_amplitude_quadrature(psi_tilde: WaveFunction, grid_T: Grid1D) -> Wav
     samples psi~ exactly (trigonometric sums over the position samples), and
     the quadrature sum goes to the T-grid as a second trigonometric sum.  Both
     sums run in ``_grid_phase_sum`` (two phase tables from numpy's exp and a
-    matrix product), independent of the interpolating transform chain: the
-    two routes share nothing but the input samples.
+    matrix product), independent of the interpolating transform chain.  The
+    two routes share the input samples, numpy's FFT and one phase helper,
+    ``grids._cis_ramp`` (and the ``_cis`` it calls): the oracle's
+    ``to_position`` forms its pre- and post-phases with it, and the chain's
+    chirp-z forms its phase ramps with it.  They share no interpolation,
+    energy map, s-grid or chirp-z.
     """
     psi_tilde.require_rep(Representation.MOMENTUM)
     m = psi_tilde.params.mass

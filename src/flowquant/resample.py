@@ -17,9 +17,9 @@ rounding accuracy — the time-translation covariance of the arrival-time
 pipeline (acceptance criterion 6) relies on this.
 """
 
-import math
-
 import numpy as np
+
+from .grids import _cis, _cis_ramp  # noqa: F401 (_cis_ramp stays importable here)
 
 # Phase steps beyond this fraction of pi make unwrapping ambiguous.
 _PHASE_JUMP_LIMIT = 0.9 * np.pi
@@ -49,29 +49,6 @@ def _stencil(values: np.ndarray, t: np.ndarray) -> np.ndarray:
         acc *= v
         acc += row
     return acc
-
-
-def _cis(theta: np.ndarray) -> np.ndarray:
-    """exp(i theta) for real theta: cos and sin written into the real and
-    imaginary parts of one complex array, half the work of a complex exp.
-    Forms the unit phases of resampling and of the Fourier steps; it lives
-    here, below transforms in the import order, so both can use it."""
-    out = np.empty(np.shape(theta), dtype=np.complex128)
-    np.cos(theta, out=out.real)
-    np.sin(theta, out=out.imag)
-    return out
-
-
-def _cis_ramp(a: float, b: float, n: int) -> np.ndarray:
-    """exp(i (a + k b)) for k = 0 .. n-1, from two tables of about sqrt(n)
-    phases: with k = q L + r, the outer product of exp(i (a + q L b)) and
-    exp(i r b), so cos and sin run on 2 sqrt(n) points instead of n.  Each
-    table phase rounds like _cis of its own argument, and the product adds a
-    few ulps of unit modulus."""
-    size = math.isqrt(max(n - 1, 0)) + 1  # ceil(sqrt(n)), at least 1
-    coarse = _cis(a + b * np.arange(0, n, size, dtype=np.float64))
-    fine = _cis(b * np.arange(size, dtype=np.float64))
-    return np.multiply.outer(coarse, fine).ravel()[:n]
 
 
 def _amp_phase(values: np.ndarray) -> np.ndarray:

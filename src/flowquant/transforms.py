@@ -35,8 +35,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridMismatch, InvalidParameter, LowMomentumMass
-from .grids import Grid1D, Representation, WaveFunction, norm_squared
-from .resample import _cis, _cis_ramp, interpolate
+from .grids import (Grid1D, Representation, WaveFunction, _cis, _cis_ramp,
+                    norm_squared)
+from .resample import _STENCIL, interpolate
 
 #: Largest mass below the momentum floor (absolute, for unit-norm states)
 #: that the oriented-energy map and the mover split accept.
@@ -81,14 +82,14 @@ def _continuum_dft(values: np.ndarray, grid_in: Grid1D, grid_out: Grid1D,
     if not math.isclose(grid_in.step * grid_out.step * n, 2.0 * math.pi * hbar,
                         rel_tol=1e-12):
         raise GridMismatch("grids are not Fourier-conjugate for this hbar")
-    u = grid_in.points
-    pre = _cis(u * grid_out.origin * (sign / hbar))
+    # Both phases are arithmetic progressions in the sample index.
+    u0, w0 = grid_in.origin, grid_out.origin
+    pre = _cis_ramp(u0 * w0 * (sign / hbar), grid_in.step * w0 * (sign / hbar), n)
     if sign < 0:
         core = np.fft.fft(values * pre)
     else:
         core = np.fft.ifft(values * pre) * n
-    k = np.arange(n)
-    post = _cis(grid_in.origin * k * grid_out.step * (sign / hbar))
+    post = _cis_ramp(0.0, u0 * grid_out.step * (sign / hbar), n)
     return (grid_in.step / math.sqrt(2.0 * math.pi * hbar)) * post * core
 
 
@@ -355,6 +356,11 @@ def _pull_back(source: WaveFunction, grid: Grid1D, floor: float,
 
     Both grids increase, so each half is one contiguous run of each; the
     negative source half is reversed, so its nodes |u| increase as well.
+    Only the support of a half is interpolated: the run of its nodes at or
+    above _SUPPORT_CUT of that half's own peak, widened by half a stencil on
+    each side, so every query inside the run reads the stencil windows of the
+    whole half.  Queries outside the run are exact zeros.  Each half sets its
+    own run, so the map of a packet stays the sum of its movers' maps.
     """
     u, y = source.points, grid.points
     out = np.zeros(grid.count, dtype=np.complex128)
@@ -365,8 +371,12 @@ def _pull_back(source: WaveFunction, grid: Grid1D, floor: float,
     for src, dst, order in halves:
         values = source.values[src][order]
         if np.any(values) and y[dst].size:  # a mover leaves the other half zero
+            amp = np.abs(values)
+            support = amp >= _SUPPORT_CUT * amp.max()
+            lo = max(int(support.argmax()) - _STENCIL // 2, 0)
+            hi = amp.size - int(support[::-1].argmax()) + _STENCIL // 2
             abs_y = np.abs(y[dst])
-            interp = interpolate(np.abs(u[src][order]), values, node(abs_y))
+            interp = interpolate(np.abs(u[src][order][lo:hi]), values[lo:hi], node(abs_y))
             np.multiply(interp, weight(abs_y), out=out[dst])
     return out
 

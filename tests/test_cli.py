@@ -398,6 +398,19 @@ def test_refuses_nan_packet_center(tmp_path, capsys):
     assert "non-finite" in err[0]
 
 
+@pytest.mark.parametrize("command,scenario", [
+    ("arrival", "reference_rightmover.json"),
+    ("classical-limit", "classical_limit_reference.json"),
+])
+def test_refuses_packet_wider_than_the_box(tmp_path, capsys, command, scenario):
+    # sigma_p = 1e-200 is schema-valid; squaring its width overflowed
+    cfg = read_json(scenario_path(scenario))
+    cfg["packet"]["sigma_p"] = 1e-200
+    rc, err = _refusal(tmp_path, capsys, command, cfg)
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
+    assert "exceeds the grid box" in err[0] and "Traceback" not in err[0]
+
+
 @pytest.mark.parametrize("literal", ["-Infinity", "1e400"])
 def test_scenario_rejects_non_finite_literals(tmp_path, literal):
     path = tmp_path / "bad.json"

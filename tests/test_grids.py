@@ -60,6 +60,38 @@ def test_gaussian_packet_errors(params):
         fq.gaussian_packet(small, params, 0.0, 0.0, 0.1)  # sigma_x = 5 >> box
 
 
+def test_gaussian_packet_refuses_a_width_beyond_the_box(params):
+    # hbar / (2 sigma_p) is refused before it is squared: 5e199 would
+    # overflow, and 5e-324 gives an infinite width
+    grid = fq.Grid1D(-30.0, 60.0 / 1024, 1024)
+    for sigma_p in (1e-200, 5e-324):
+        with pytest.raises(fq.GridTooSmall, match="exceeds the grid box"):
+            fq.gaussian_packet(grid, params, 0.0, 1.0, sigma_p)
+
+
+@pytest.mark.parametrize("hbar,count,cx,p0,sigma_p", [
+    (0.7, 3000, -7.3, 2.9, 0.45),
+    (1.0, 4096, -50.0, 2.2, 0.35),
+    (1.0, 2000, 10.0, -4.3, 0.3),
+])
+def test_gaussian_packet_matches_long_double_closed_form(hbar, count, cx, p0, sigma_p):
+    # p0 dx / hbar is not a short binary fraction, so k times the carrier's
+    # ramp step rounds; the phases reach several hundred rad
+    params = fq.PhysicalParams(hbar=hbar)
+    grid = fq.Grid1D.from_bounds(-100.0, 100.0, count)
+    assert (p0 * grid.step / hbar * 2**20) % 1.0 != 0.0
+    psi = fq.gaussian_packet(grid, params, cx, p0, sigma_p)
+    ld = np.longdouble
+    x = ld(grid.origin) + np.arange(count).astype(ld) * ld(grid.step)
+    sigma_x = ld(hbar) / (2 * ld(sigma_p))
+    envelope = np.exp(-(x - ld(cx)) ** 2 / (4 * sigma_x * sigma_x))
+    envelope /= np.sqrt(np.sum(envelope**2) * ld(grid.step))
+    phase = ld(p0) * (x - ld(cx)) / ld(hbar)
+    err = max(float(np.abs(psi.values.real - envelope * np.cos(phase)).max()),
+              float(np.abs(psi.values.imag - envelope * np.sin(phase)).max()))
+    assert err <= 1e-13 * float(envelope.max())
+
+
 def test_norm_squared_basics(params, tight_grid, centered_packet):
     zero = fq.WaveFunction(tight_grid, np.zeros(tight_grid.count),
                            fq.Representation.POSITION, params)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowquant as fq
-from flowquant.resample import _cis_ramp
+from flowquant.resample import _cis_ramp, interpolate
 from flowquant.scenarios import (build_packet, build_params, build_x_grid,
                                  load_scenario, scenario_path)
 from flowquant.transforms import (_chirp_plan, _cis, _cis_chirp, _fft_size,
@@ -25,6 +25,54 @@ def test_gaussian_self_transform(centered_packet):
     expected = np.exp(-p[sel] ** 2 / 2.0)
     expected *= np.abs(pt.values[sel]).max() / expected.max()
     assert np.abs(np.abs(pt.values[sel]) - expected).max() <= 1e-9
+
+
+def _long_double_riemann(values, grid_in, grid_out, sign, hbar):
+    """(du / sqrt(2 pi hbar)) sum_j v_j exp(sign i u_j w_k / hbar) in long
+    double, as (real, imag), one cos/sin per (j, k) pair."""
+    ld = np.longdouble
+    u = ld(grid_in.origin) + np.arange(grid_in.count).astype(ld) * ld(grid_in.step)
+    w = ld(grid_out.origin) + np.arange(grid_out.count).astype(ld) * ld(grid_out.step)
+    phase = np.multiply.outer(w, u) * (ld(sign) / ld(hbar))
+    c, s = np.cos(phase), np.sin(phase)
+    re, im = values.real.astype(ld), values.imag.astype(ld)
+    pref = ld(grid_in.step) / np.sqrt(2 * ld(math.pi) * ld(hbar))
+    return pref * (c @ re - s @ im), pref * (s @ re + c @ im)
+
+
+def _exp_per_point_dft(values, grid_in, grid_out, sign, hbar):
+    """The same sum by one FFT between pre- and post-phases formed by one
+    complex exp per point."""
+    n = grid_in.count
+    pre = np.exp(1j * sign * grid_in.points * grid_out.origin / hbar)
+    core = np.fft.fft(values * pre) if sign < 0 else np.fft.ifft(values * pre) * n
+    post = np.exp(1j * sign * grid_in.origin * np.arange(n) * grid_out.step / hbar)
+    return grid_in.step / math.sqrt(2.0 * math.pi * hbar) * post * core
+
+
+@pytest.mark.parametrize("hbar,lo,hi,cx,p0,sigma_p", [
+    (1.0, -200.0, 200.0, -50.0, 2.0, 0.3),   # phases up to 3.2e3 rad
+    (1.3, -300.0, 100.0, -120.0, 1.1, 0.2),  # up to 4.8e3 rad
+])
+def test_fourier_pair_matches_long_double(hbar, lo, hi, cx, p0, sigma_p):
+    # The pre- and post-phases come from two-table ramps; against a
+    # long-double Riemann sum they must do as well as one exp per point.
+    params = fq.PhysicalParams(hbar=hbar)
+    grid = fq.Grid1D.from_bounds(lo, hi, 1024)
+    psi = fq.gaussian_packet(grid, params, cx, p0, sigma_p)
+    psi_tilde = fq.to_momentum(psi)
+    assert abs(grid.origin * psi_tilde.grid.origin / hbar) >= 1e3
+
+    def error(z, exact):
+        return max(float(np.abs(z.real - exact[0]).max()),
+                   float(np.abs(z.imag - exact[1]).max()))
+
+    for values, grid_in, got, sign in (
+            (psi.values, grid, psi_tilde, -1),
+            (psi_tilde.values, psi_tilde.grid, fq.to_position(psi_tilde, grid), +1)):
+        exact = _long_double_riemann(values, grid_in, got.grid, sign, hbar)
+        direct = _exp_per_point_dft(values, grid_in, got.grid, sign, hbar)
+        assert error(got.values, exact) <= 2.0 * error(direct, exact)
 
 
 def test_shift_theorem(params, tight_grid, centered_packet):
@@ -177,6 +225,36 @@ def test_oriented_energy_low_momentum_guard(params, wide_grid):
     slow = fq.gaussian_packet(wide_grid, params, 0.0, 0.0, 0.5)
     with pytest.raises(fq.LowMomentumMass):
         fq.to_oriented_energy(fq.to_momentum(slow))
+
+
+def test_oriented_energy_reads_only_the_support_of_a_narrow_mover(wide_grid):
+    # Support at 1e-13 of the peak, widened by half a stencil: zero outside
+    # it, and inside it the whole half-axis interpolated by the resampler.
+    params = fq.PhysicalParams(hbar=0.8, mass=1.7)
+    for cx, p0, sigma_p in ((-50.0, 2.0, 0.1), (40.0, -3.1, 0.15)):
+        psi_tilde = fq.to_momentum(fq.gaussian_packet(wide_grid, params, cx, p0, sigma_p))
+        mover = fq.split_movers(psi_tilde)[0 if p0 > 0.0 else 1]
+        phi, _ = fq.to_oriented_energy(mover)
+        m, sgn = params.mass, 1 if p0 > 0.0 else -1
+        p = mover.points
+        half = sgn * p > 0.0
+        nodes, values = np.abs(p[half])[::sgn], mover.values[half][::sgn]
+        amp = np.abs(values)
+        support = np.flatnonzero(amp >= 1e-13 * amp.max())
+        assert support.size < 0.2 * amp.size  # narrow
+        lo, hi = nodes[max(support[0] - 3, 0)], nodes[min(support[-1] + 3, amp.size - 1)]
+
+        s = phi.points
+        floor = fq.default_momentum_floor(mover.grid) ** 2 / (2.0 * m)
+        mapped = sgn * s >= floor
+        full = np.zeros_like(phi.values)
+        abs_s = np.abs(s[mapped])
+        full[mapped] = interpolate(nodes, values, np.sqrt(2.0 * m * abs_s)) \
+            * (m / (2.0 * abs_s)) ** 0.25
+        run = (sgn * s > 0.0) & (np.abs(s) >= lo**2 / (2.0 * m)) & \
+            (np.abs(s) <= hi**2 / (2.0 * m))
+        assert np.all(phi.values[~run] == 0.0)
+        assert np.abs(phi.values - full)[run].max() <= 1e-12 * np.abs(full).max()
 
 
 def test_oriented_energy_round_trip(reference_momentum):
@@ -482,7 +560,7 @@ def _spacing_bound(psi_tilde):
 
 @pytest.mark.parametrize("p0,sigma_p,count", [
     (3.0, 0.2, 2160),    # narrow
-    (2.2, 0.35, 36864),  # broad
+    (2.2, 0.35, 37500),  # broad
     (2.5, 0.25, 28125),  # odd count
 ], ids=["narrow", "broad", "odd"])
 def test_default_oriented_grid_is_the_smallest_smooth_count(params, wide_grid,
