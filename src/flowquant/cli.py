@@ -21,18 +21,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .arrival import (Component, arrival_amplitude_quadrature,
-                      arrival_distribution, arrival_moments)
-from .classical import (ensemble_momentum_limits, exact_momentum_histogram,
-                        l1_distance, quantum_momentum_limit)
 from .errors import (FlowQuantError, InconclusiveClassification,
                      NegativeMomentumLeak, ScenarioError)
-from .flows import classify_flow
 from .grids import Representation, norm_squared
 from .scenarios import (build_field, build_packet, build_params,
                         build_probe_spec, build_s_grid, build_time_grid,
                         build_x_grid, load_scenario)
-from .transforms import free_current, to_momentum
+
+# Each subcommand imports the modules it runs, so a process loads only those.
 
 #: Current values per block of scan times: the backflow scan is computed,
 #: written and searched for its minimum one block at a time, so no array or
@@ -98,6 +94,7 @@ def _write_text(path: str, text: str) -> None:
 
 
 def cmd_flow_classify(cfg: dict, out_dir: str, args) -> int:
+    from .flows import classify_flow
     params = build_params(cfg)
     field = build_field(cfg, params)
     probes = build_probe_spec(cfg)
@@ -131,6 +128,9 @@ def cmd_flow_classify(cfg: dict, out_dir: str, args) -> int:
 
 
 def cmd_arrival(cfg: dict, out_dir: str, args) -> int:
+    from .arrival import (Component, arrival_amplitude_quadrature,
+                          arrival_distribution, arrival_moments)
+    from .transforms import to_momentum
     params = build_params(cfg)
     x_grid = build_x_grid(cfg)
     packet = build_packet(cfg, params, x_grid)
@@ -172,6 +172,8 @@ def cmd_arrival(cfg: dict, out_dir: str, args) -> int:
 
 
 def cmd_classical_limit(cfg: dict, out_dir: str, args) -> int:
+    from .classical import (ensemble_momentum_limits, exact_momentum_histogram,
+                            l1_distance, quantum_momentum_limit)
     if "classical_limit" not in cfg:
         raise ScenarioError("scenario needs a classical_limit section")
     section = cfg["classical_limit"]
@@ -214,6 +216,7 @@ def cmd_classical_limit(cfg: dict, out_dir: str, args) -> int:
 
 
 def cmd_backflow(cfg: dict, out_dir: str, args) -> int:
+    from .transforms import free_current, to_momentum
     if "backflow_scan" not in cfg:
         raise ScenarioError("scenario needs a backflow_scan section")
     scan = cfg["backflow_scan"]

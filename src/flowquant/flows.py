@@ -35,7 +35,7 @@ travel time from x is t, found by Newton steps.
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -44,8 +44,11 @@ from .errors import (InconclusiveClassification, InvalidParameter,
                      ZeroFieldValue)
 from .grids import (WaveFunction, gauss_panels, norm_squared,
                     spectral_derivative)
-from .resample import interpolate
-from .transforms import TransformReport
+
+# transport and pluggable_transport import resample and transforms
+# themselves, so that classification loads neither.
+if TYPE_CHECKING:
+    from .transforms import TransformReport
 
 _FULL_LINE = ((-math.inf, math.inf),)
 
@@ -635,7 +638,7 @@ def straighten(field: VectorField1D, x_ref: float,
 
 def transport(psi: WaveFunction, field: VectorField1D, t: float,
               flow_class: FlowClass | None = None,
-              ) -> tuple[WaveFunction, TransformReport]:
+              ) -> "tuple[WaveFunction, TransformReport]":
     """Unitary drag of a wave function along the flow of a complete field.
 
     (G_t psi)(x) = psi(G_{-t}(x)) sqrt|G'_{-t}(x)|: the pull-back point
@@ -643,6 +646,8 @@ def transport(psi: WaveFunction, field: VectorField1D, t: float,
     at x0 ends up at G_t(x0).  Without flow_class, the field is classified
     with the default ProbeSpec.
     """
+    from .resample import interpolate
+    from .transforms import TransformReport
     if flow_class is None:
         flow_class = classify_flow(field)
     if flow_class.verdict is not FlowVerdict.COMPLETE:
@@ -713,7 +718,7 @@ _PLUG_PROBES = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
 def pluggable_transport(psi: WaveFunction, field: VectorField1D, t: float,
                         plug_phase: float,
                         flow_class: FlowClass | None = None,
-                        ) -> tuple[WaveFunction, TransformReport]:
+                        ) -> "tuple[WaveFunction, TransformReport]":
     """Norm-preserving but non-unique transport for the quadratic field.
 
     The time-t flow map x -> x/(1 - t x), read as a measurable bijection of
@@ -725,6 +730,8 @@ def pluggable_transport(psi: WaveFunction, field: VectorField1D, t: float,
     Only the quadratic form X = x^2 is supported; the loss/gap matching is
     specific to its single-pole flow.
     """
+    from .resample import interpolate
+    from .transforms import TransformReport
     probe_vals = np.asarray(field(_PLUG_PROBES), dtype=float)
     if not np.allclose(probe_vals, _PLUG_PROBES**2, rtol=1e-9, atol=1e-12):
         raise NotPluggable("plugged transport is implemented for X = x^2 only")

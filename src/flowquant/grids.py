@@ -14,7 +14,7 @@ Conventions used throughout the package (natural units unless stated):
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -245,22 +245,37 @@ def spectral_derivative(values: np.ndarray, step: float) -> np.ndarray:
     return np.fft.ifft(1j * k * np.fft.fft(values))
 
 
-@cache
-def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
-    from numpy.polynomial.legendre import leggauss
-    return leggauss(32)
+# The 32-point Gauss-Legendre rule on [-1, 1], bit for bit the one
+# numpy.polynomial.legendre.leggauss(32) gives, written out so that no process
+# pays for importing numpy.polynomial.  The rule is symmetric about 0; the
+# tables hold its positive nodes in increasing order and their weights.
+_HALF_NODES = np.array([
+    0.048307665687738324, 0.1444719615827965, 0.23928736225213706,
+    0.33186860228212767, 0.42135127613063533, 0.5068999089322294,
+    0.5877157572407623, 0.6630442669302152, 0.7321821187402897,
+    0.7944837959679424, 0.84936761373257, 0.8963211557660521,
+    0.9349060759377397, 0.9647622555875064, 0.9856115115452684,
+    0.9972638618494816])
+_HALF_WEIGHTS = np.array([
+    0.09654008851472766, 0.09563872007927471, 0.09384439908080451,
+    0.09117387869576378, 0.08765209300440378, 0.08331192422694671,
+    0.07819389578707023, 0.07234579410884834, 0.06582222277636168,
+    0.058684093478535565, 0.05099805926237609, 0.042835898022226836,
+    0.034273862913021765, 0.025392065309262024, 0.016274394730905743,
+    0.007018610009470506])
+_LEGENDRE_NODES = np.concatenate((-_HALF_NODES[::-1], _HALF_NODES))
+_LEGENDRE_WEIGHTS = np.concatenate((_HALF_WEIGHTS[::-1], _HALF_WEIGHTS))
 
 
 def gauss_panels(lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """32-point Gauss-Legendre nodes and weights on the panels [lo, hi]
     (broadcast), with a trailing axis of 32 points: summing
     ``weights * f(nodes)`` over it integrates f over each panel."""
-    xg, wg = _legendre_rule()
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
                                  np.asarray(hi, dtype=float))
     mid = (0.5 * (lo + hi))[..., None]
     half = (0.5 * (hi - lo))[..., None]
-    return mid + half * xg, half * wg
+    return mid + half * _LEGENDRE_NODES, half * _LEGENDRE_WEIGHTS
 
 
 def probability_current(psi: WaveFunction) -> CurrentField:

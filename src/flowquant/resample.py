@@ -19,7 +19,7 @@ pipeline (acceptance criterion 6) relies on this.
 
 import numpy as np
 
-from .grids import _cis, _cis_ramp  # noqa: F401 (_cis_ramp stays importable here)
+from .grids import _cis
 
 # Phase steps beyond this fraction of pi make unwrapping ambiguous.
 _PHASE_JUMP_LIMIT = 0.9 * np.pi

@@ -11,16 +11,18 @@ import json
 import math
 from functools import cache
 from importlib import resources
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .arrival import BackflowSpec, make_backflow_packet
 from .errors import ScenarioError
-from .flows import (ProbeSpec, VectorField1D, arrival_field, constant_field,
-                    cubic_field, linear_field, oriented_arrival_field,
-                    quadratic_field, straightened_oriented_field)
 from .grids import (Grid1D, PhysicalParams, Representation, WaveFunction,
                     gaussian_packet)
+
+# flows and arrival are imported by the builders that use them, so that only
+# the commands that run them load them.
+if TYPE_CHECKING:
+    from .flows import ProbeSpec, VectorField1D
 
 
 # The schema keywords the checker below interprets, JSON Schema 2020-12
@@ -212,6 +214,7 @@ def build_packet(cfg: dict, params: PhysicalParams, x_grid: Grid1D) -> WaveFunct
                 f"superposition components sum to a state of norm {nrm:g}")
         return WaveFunction(x_grid, total / nrm, Representation.POSITION, params)
     if kind == "backflow":
+        from .arrival import BackflowSpec, make_backflow_packet
         # The packet is built in momentum and sits at x = 0 of the conjugate
         # box, so grids.x sets only the box's span and must be centred on 0.
         centre = x_grid.origin + 0.5 * x_grid.count * x_grid.step
@@ -228,24 +231,27 @@ def build_packet(cfg: dict, params: PhysicalParams, x_grid: Grid1D) -> WaveFunct
     raise ScenarioError(f"unknown packet type {kind!r}")
 
 
+# Field kind -> its builder, given the flows module and the mass.
 _FIELD_BUILDERS = {
-    "const": lambda mass: constant_field(),
-    "x": lambda mass: linear_field(),
-    "x2": lambda mass: quadratic_field(),
-    "x3": lambda mass: cubic_field(),
-    "arrival": arrival_field,
-    "oriented_arrival": oriented_arrival_field,
-    "oriented_arrival_s": lambda mass: straightened_oriented_field(),
+    "const": lambda flows, mass: flows.constant_field(),
+    "x": lambda flows, mass: flows.linear_field(),
+    "x2": lambda flows, mass: flows.quadratic_field(),
+    "x3": lambda flows, mass: flows.cubic_field(),
+    "arrival": lambda flows, mass: flows.arrival_field(mass),
+    "oriented_arrival": lambda flows, mass: flows.oriented_arrival_field(mass),
+    "oriented_arrival_s": lambda flows, mass: flows.straightened_oriented_field(),
 }
 
 
-def build_field(cfg: dict, params: PhysicalParams) -> VectorField1D:
+def build_field(cfg: dict, params: PhysicalParams) -> "VectorField1D":
     if "field" not in cfg:
         raise ScenarioError("scenario needs a field section for this command")
-    return _FIELD_BUILDERS[cfg["field"]["kind"]](params.mass)
+    from . import flows
+    return _FIELD_BUILDERS[cfg["field"]["kind"]](flows, params.mass)
 
 
-def build_probe_spec(cfg: dict) -> ProbeSpec:
+def build_probe_spec(cfg: dict) -> "ProbeSpec":
+    from .flows import ProbeSpec
     section = cfg.get("probe_spec", {})
     defaults = ProbeSpec()
     interval = section.get("interval", list(defaults.interval))

@@ -1,5 +1,7 @@
 import inspect
 
+import pytest
+
 import flowquant as fq
 
 
@@ -8,9 +10,19 @@ def test_exported_functions_take_at_most_21_defaulted_parameters():
     # cover; 21 remain since the unset ones became fixed values and the
     # p-grid of from_oriented_energy, which every caller passes, became
     # required.  A new one needs a caller that sets it and a reason to raise
-    # this bound.
-    defaulted = [f"{name}({p.name})"
-                 for name, obj in vars(fq).items() if inspect.isfunction(obj)
+    # this bound.  The package is lazy, so the exports are walked through
+    # __all__, not vars(fq), which holds only those already looked up.
+    functions = [(name, obj) for name in fq.__all__
+                 if inspect.isfunction(obj := getattr(fq, name))]
+    assert len(functions) == 53
+    defaulted = [f"{name}({p.name})" for name, obj in functions
                  for p in inspect.signature(obj).parameters.values()
                  if p.default is not inspect.Parameter.empty]
     assert len(defaulted) <= 21, defaulted
+
+
+def test_every_export_resolves_from_its_module():
+    for name in fq.__all__:
+        assert getattr(fq, name).__module__ == f"flowquant.{fq._EXPORTS[name]}", name
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        fq.no_such_name

@@ -100,6 +100,46 @@ def test_cli_runs_without_jsonschema(tmp_path):
     assert _python(probe).splitlines()[-1] == "blocked"
 
 
+_LOADED = ("print(sorted(m.partition('.')[2] for m in sys.modules\n"
+           "             if m.startswith('flowquant.')))")
+
+
+def test_package_import_loads_no_module():
+    # dir() lists every export before any is looked up, and loads nothing
+    probe = ("import sys, flowquant\n"
+             "assert set(flowquant.__all__) <= set(dir(flowquant))\n")
+    assert _python(probe + _LOADED).strip() == "[]"
+    assert _python("import sys, flowquant.errors\n" + _LOADED).strip() == "['errors']"
+
+
+_COMMON = ["cli", "errors", "grids", "scenarios"]
+_ARRIVAL = [*_COMMON, "arrival", "resample", "transforms"]
+
+
+@pytest.mark.parametrize("command, name, modules", [
+    ("flow-classify", "flow_x2.json", [*_COMMON, "flows"]),
+    ("arrival", "reference_rightmover.json", _ARRIVAL),
+    ("backflow", "backflow_default.json", _ARRIVAL),
+    ("classical-limit", "classical_limit_reference.json", [*_ARRIVAL, "classical"]),
+])
+def test_each_command_loads_only_its_modules(tmp_path, command, name, modules):
+    probe = ("import sys\n"
+             "from flowquant.cli import main\n"
+             "from flowquant.scenarios import scenario_path\n"
+             f"assert main([{command!r}, '--config', scenario_path({name!r}),\n"
+             f"             '--out', {str(tmp_path)!r}]) == 0\n" + _LOADED)
+    assert _python(probe).splitlines()[-1] == repr(sorted(modules))
+
+
+def test_cli_module_runs_without_runtime_warning(tmp_path):
+    # python -m warns if importing the package had already loaded flowquant.cli
+    argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "flowquant.cli",
+            "flow-classify", "--config", scenario_path("flow_x2.json"),
+            "--out", str(tmp_path)]
+    done = subprocess.run(argv, env=_checkout_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 def test_scenario_rejects_unknown_keys(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"name": "x", "bogus": 1}), encoding="utf-8")

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 import flowquant as fq
+from flowquant.grids import gauss_panels
 
 
 def test_grid_validation():
@@ -185,3 +187,11 @@ def test_backflow_packet_has_negative_current(params):
 def test_wavefunction_immutability(centered_packet):
     with pytest.raises(ValueError):
         centered_packet.values[0] = 1.0
+
+
+def test_legendre_table_is_leggauss():
+    # on [-1, 1] the panel rule is the table itself
+    nodes, weights = gauss_panels(-1.0, 1.0)
+    reference = leggauss(32)
+    assert np.array_equal(nodes, reference[0])
+    assert np.array_equal(weights, reference[1])

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowquant as fq
-from flowquant.resample import _cis_ramp, interpolate
+from flowquant.grids import _cis_ramp
+from flowquant.resample import interpolate
 from flowquant.scenarios import (build_packet, build_params, build_x_grid,
                                  load_scenario, scenario_path)
 from flowquant.transforms import (_chirp_plan, _cis, _cis_chirp, _fft_size,
