@@ -118,6 +118,8 @@ def cmd_flow_classify(cfg: dict, out_dir: str, args) -> int:
         "invariant_components": fc.invariant_components,
         "forward_escape_fraction": fc.forward_escape_fraction,
         "backward_escape_fraction": fc.backward_escape_fraction,
+        "n_plus": fc.n_plus,
+        "n_minus": fc.n_minus,
         "escape_samples": [
             {"start": s.start, "direction": s.direction, "t_escape": s.t_escape}
             for s in fc.escape_samples

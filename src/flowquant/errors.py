@@ -50,10 +50,10 @@ class RoughInput(FlowQuantError):
 
 
 class InconclusiveClassification(FlowQuantError):
-    """Flow diagnostics land too close to a decision threshold.
+    """The travel time to an orbit end neither settles nor diverges.
 
-    Carries the raw diagnostics so the caller can inspect them instead of
-    trusting a coin-flip verdict.
+    Carries the end and its last tail segments as diagnostics, so the caller
+    can inspect them instead of trusting a guessed verdict.
     """
 
     def __init__(self, message, diagnostics=None):

@@ -5,8 +5,8 @@ dx/dt = X(x).  When every trajectory exists for all times (the field is
 complete) the induced drag of wave functions is unitary and its generator is
 the unique self-adjoint quantization of f; when trajectories blow up in
 finite time the symmetric operator (hbar/2i)(X d/dx + d/dx X) has either many
-self-adjoint extensions or none.  This module integrates the flows, measures
-completeness with probe ensembles, transports wave functions with the
+self-adjoint extensions or none.  This module integrates the flows, decides
+completeness from the orbit ends, transports wave functions with the
 half-density Jacobian factor, applies the generator, and implements the
 phase-ambiguous "plugged" transport for the quadratic field where escaping
 and starving regions happen to match.
@@ -16,12 +16,12 @@ Key conventions:
 * ``transport`` drags the packet along the field: a bump at x0 moves to
   G_t(x0).  Its time derivative at t = 0 is therefore the *negative* of
   ``lie_derivative`` (which differentiates the pull-back family).
-* completeness verdicts come from escape statistics of probe trajectories;
+* completeness verdicts count the orbit ends that trajectories reach in
+  finite time forward (n+) and backward (n-), the von Neumann deficiency
+  indices of the symmetric operator.  Probe trajectories are diagnostics:
   the coverage gap of the time-t flow map equals, in one dimension, the
   escape fraction of the reverse-time run (a point is missed by the forward
-  image exactly when its backward trajectory blows up).  Direct interval
-  coverage of the probe window is unreliable for contracting complete flows,
-  so the reverse-run identity is what the classifier reports.
+  image exactly when its backward trajectory blows up).
 
 No flow is stepped in time.  The zeros of X and the domain edges cut the line
 into orbits on which X keeps one sign, and the time to travel from x to y is
@@ -224,6 +224,7 @@ _TAIL_SEGMENTS = 200
 #: a gap of at most 2^1025 leaves the normal floats within 2048.
 _FLOAT_TAIL_SEGMENTS = 2048
 _TINY = np.finfo(np.float64).tiny
+_STALLED_SEGMENTS = 10  # last tail segments that show divergence by not shrinking
 
 
 def _tail(field: VectorField1D, x_from: float, target: float,
@@ -236,10 +237,13 @@ def _tail(field: VectorField1D, x_from: float, target: float,
     be split to the panel limit on rounding noise); at most ``segments`` of
     them, and past the default _TAIL_SEGMENTS only while X at the edges is
     at least the smallest normal float.  Returns the edges after x_from and
-    the integral of 1/X from x_from to each, as far as it is finite, and
-    that integral's limit at the target: the total once a segment no longer
-    adds to it, or +-inf when the target is a zero of X or the integral
-    diverges (is not finite, or has not settled after the last segment).
+    the integral of 1/X from x_from to each, as far as it is finite; that
+    integral's limit at the target, the reach; and the last segments if the
+    reach is undecided, else None.  The reach is settled, the total once a
+    segment no longer adds to it (the end is reached in finite time), or
+    diverged, +-inf, when the target is a zero of X, a segment is not
+    finite or the last _STALLED_SEGMENTS segments do not decrease.  Else it
+    is undecided, and also +-inf, which is how the flow maps read it.
     """
     k = np.arange(segments + 1)
     with np.errstate(over="ignore"):
@@ -265,44 +269,71 @@ def _tail(field: VectorField1D, x_from: float, target: float,
     stop = np.flatnonzero(diverged | settled)
     table = slice(np.count_nonzero(~diverged))
     edges, clock = edges[1:][table], clock[table]
-    if target in field.zeros or stop.size == 0 or diverged[stop[0]]:
-        return edges, clock, math.copysign(math.inf, seg[0])
-    return edges, clock, float(clock[stop[0]])
+    never = math.copysign(math.inf, seg[0])
+    if target in field.zeros or stop.size and diverged[stop[0]]:
+        return edges, clock, never, None
+    if stop.size:
+        return edges, clock, float(clock[stop[0]]), None
+    last = np.abs(seg[-_STALLED_SEGMENTS - 1:])
+    if last.size > _STALLED_SEGMENTS and np.all(last[1:] >= (1.0 - 1e-9) * last[:-1]):
+        return edges, clock, never, None
+    return edges, clock, never, last
+
+
+def _reached(end: float, reach: float, last) -> bool:
+    """Whether an orbit end is reached in finite time, from its _tail; an
+    undecided tail raises InconclusiveClassification."""
+    if last is not None:
+        raise InconclusiveClassification(
+            f"the travel time to the orbit end {end:g} neither settles nor "
+            f"diverges; its last segments are {last[-2]:.6g}, {last[-1]:.6g}",
+            {"end": f"{end:g}", "last_segments": last.tolist()})
+    return math.isfinite(reach)
+
+
+def _interior(lo: float, hi: float) -> float:
+    """A point inside the open interval (lo, hi)."""
+    if math.isinf(hi):
+        return 0.0 if math.isinf(lo) else lo + max(1.0, abs(lo))
+    return hi - max(1.0, abs(hi)) if math.isinf(lo) else 0.5 * lo + 0.5 * hi
 
 
 def _orbit_tables(field: VectorField1D, x: np.ndarray,
-                  segments: int = _TAIL_SEGMENTS):
+                  segments: int = _TAIL_SEGMENTS, every_orbit: bool = False):
     """Travel-time tables of the orbits holding some of the increasing points x.
 
     The orbits are the open intervals between consecutive domain edges and
-    zeros of X; on each, X keeps one sign.  Per orbit this yields the indices
-    of its points, increasing table nodes (tail edges toward the lower end,
-    the points, tail edges toward the upper end), the clock at the nodes and
-    at the points (the integral of 1/X from the first point, which the flow
-    advances at unit rate), and each point's travel time to the end of its
-    orbit forward and backward in time, inf when that end is never reached.
+    zeros of X; on each, X keeps one sign.  Per orbit this yields its domain
+    component, the indices of its points, increasing table nodes (tail edges
+    toward the lower end, the points, tail edges toward the upper end), the
+    clock at the nodes and at the points (the integral of 1/X from the first
+    point, which the flow advances at unit rate), each point's travel time
+    to the end of its orbit forward and backward in time, inf when that end
+    is never reached, and those two ends as (end, reach, last) from _tail.
     Each travel time is a sum of terms of one sign, so it is accurate to
-    rounding relative to itself.
+    rounding relative to itself.  With ``every_orbit``, an orbit that holds
+    no point is tabulated from one interior point and has no indices.
     """
-    for a, b in field.domain:
+    for component, (a, b) in enumerate(field.domain):
         cuts = [a, *sorted(z for z in field.zeros if a < z < b), b]
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             idx = np.flatnonzero((x > lo) & (x < hi))
-            if idx.size == 0:
+            if idx.size == 0 and not every_orbit:
                 continue
-            p = x[idx]
-            left, clock_lo, reach_lo = _tail(field, p[0], lo, segments)
-            right, clock_hi, reach_hi = _tail(field, p[-1], hi, segments)
+            p = x[idx] if idx.size else np.array([_interior(lo, hi)])
+            left, clock_lo, reach_lo, last_lo = _tail(field, p[0], lo, segments)
+            right, clock_hi, reach_hi, last_hi = _tail(field, p[-1], hi, segments)
             gaps = _travel_time(field, p[:-1], p[1:])
             s = np.concatenate([[0.0], np.cumsum(gaps)])
             to_lo = abs(reach_lo) + np.abs(s)
             to_hi = abs(reach_hi) + np.abs(np.append(np.cumsum(gaps[::-1])[::-1], 0.0))
             nodes = np.concatenate([left[::-1], p, right])
             clock = np.concatenate([clock_lo[::-1], s, s[-1] + clock_hi])
+            ends = (lo, reach_lo, last_lo), (hi, reach_hi, last_hi)
             if field(p[0]) > 0:
-                yield idx, nodes, clock, s, to_hi, to_lo
+                yield component, idx, nodes, clock, s, to_hi, to_lo, ends[::-1]
             else:
-                yield idx, nodes, clock, s, to_lo, to_hi
+                yield component, idx, nodes, clock, s, to_lo, to_hi, ends
 
 
 def _invert(field: VectorField1D, nodes: np.ndarray, clock: np.ndarray,
@@ -348,7 +379,7 @@ def _flow_map(field: VectorField1D, x: np.ndarray, t: float,
     fixed = field(x) == 0.0
     y = np.where(fixed, x, np.nan)
     t_end = np.full(x.size, math.inf)
-    for idx, nodes, clock, s, t_fwd, t_bwd in _orbit_tables(field, x, segments):
+    for _, idx, nodes, clock, s, t_fwd, t_bwd, _ in _orbit_tables(field, x, segments):
         t_end[idx] = t_fwd if t > 0 else t_bwd
         go = t_end[idx] > abs(t)
         y[idx[go]] = _invert(field, nodes, clock, s[go] + t)
@@ -396,12 +427,11 @@ class FlowVerdict(enum.Enum):
 
 @dataclass(frozen=True)
 class ProbeSpec:
-    """Probe ensemble for completeness classification."""
+    """Probe ensemble for the escape diagnostics of a classification."""
 
     interval: tuple[float, float] = (-10.0, 10.0)
     count: int = 2048
     t_probe: float = 4.0
-    tol: float = 1e-3
 
 
 @dataclass(frozen=True)
@@ -413,13 +443,15 @@ class EscapeSample:
 
 @dataclass(frozen=True)
 class FlowClass:
-    """Completeness verdict with its probe diagnostics.
+    """Completeness verdict with its deficiency indices and probe diagnostics.
 
+    ``n_plus`` and ``n_minus`` count the orbit ends of the domain reached in
+    finite time forward and backward; the verdict is read from them alone.
     ``lost_mass_fraction`` is the larger of the two directional escape
-    fractions and ``gap_measure`` the smaller; by the coverage duality of 1-D
-    flows the reverse-direction escape fraction is exactly the fraction of
-    the probe window missed by the forward image.  ``invariant_components``
-    counts the domain components that hold probes.
+    fractions of the probes and ``gap_measure`` the smaller; by the coverage
+    duality of 1-D flows the reverse-direction escape fraction is exactly
+    the fraction of the probe window missed by the forward image.
+    ``invariant_components`` counts the domain components that hold probes.
     """
 
     verdict: FlowVerdict
@@ -428,25 +460,23 @@ class FlowClass:
     invariant_components: int
     forward_escape_fraction: float
     backward_escape_fraction: float
+    n_plus: int
+    n_minus: int
     escape_samples: tuple[EscapeSample, ...] = ()
 
 
-def _band_guarded_above(value: float, tol: float, diagnostics: dict,
-                        what: str) -> bool:
-    if 0.5 * tol < value < 2.0 * tol:
-        raise InconclusiveClassification(
-            f"{what} = {value:.6g} lies within a factor 2 of the decision "
-            f"threshold {tol:g}; refusing to guess", diagnostics)
-    return value > tol
-
-
 def classify_flow(field: VectorField1D, probes: ProbeSpec = ProbeSpec()) -> FlowClass:
-    """Classify the completeness of a field from probe trajectories.
+    """Classify the completeness of a field from the ends of its orbits.
 
-    A probe on a midpoint grid over the probe interval escapes in a direction
-    of time when its travel time to the end of its orbit (to +-inf or into a
-    finite domain edge) is below t_probe.  Escapes measure the lost mass per
-    direction; the reverse direction's escapes measure the coverage gap.
+    An orbit end is reached in finite time when the integral of 1/X to it
+    converges (see _tail).  With n+ and n- the ends reached forward and
+    backward over the whole domain, the verdict is Complete when
+    n+ = n- = 0; HalfLineIncomplete when two or more domain components each
+    reach ends in one direction of time only; Incurable when n+ != n-; and
+    PluggableIncomplete otherwise.  An undecided end raises
+    InconclusiveClassification.  The probes, a midpoint grid over the probe
+    interval, are diagnostics only: a probe escapes in a direction of time
+    when its travel time to the end of its orbit is below t_probe.
     Deterministic for a fixed ProbeSpec.
     """
     a, b = sorted(probes.interval)
@@ -470,66 +500,34 @@ def classify_flow(field: VectorField1D, probes: ProbeSpec = ProbeSpec()) -> Flow
             f"field {field.label!r} is {xv[bad][0]:g} at the probe "
             f"{grid[bad][0]:g}, which is not a declared zero: X is not "
             "representable in float64 on this probe window")
-    held, comp_of_probe = np.unique(inside[keep].argmax(axis=1),
-                                    return_inverse=True)
     # A trajectory that reaches a finite edge has escaped, so a probe that
-    # survives stays in its component: each component holding probes is
-    # invariant.
-    invariant_components = held.size
-    n_total = grid.size
+    # survives stays in its component: each one holding probes is invariant.
+    invariant_components = int(np.count_nonzero(inside.any(axis=0)))
 
-    t_esc = np.full((2, n_total), math.inf)   # [direction, probe]
-    for idx, _, _, _, t_fwd, t_bwd in _orbit_tables(field, grid):
-        t_esc[:, idx] = t_fwd, t_bwd
+    t_esc = np.full((2, grid.size), math.inf)   # [direction, probe]
+    reached = [[0, 0] for _ in field.domain]   # [component][direction]
+    for comp, idx, _, _, _, t_fwd, t_bwd, ends in _orbit_tables(field, grid,
+                                                                  every_orbit=True):
+        t_esc[:, idx] = t_fwd[:idx.size], t_bwd[:idx.size]
+        for direction, end in enumerate(ends):
+            reached[comp][direction] += _reached(*end)
     esc = t_esc < probes.t_probe
-
-    esc_f = float(np.count_nonzero(esc[0]) / n_total)
-    esc_b = float(np.count_nonzero(esc[1]) / n_total)
-    lost = max(esc_f, esc_b)
-    gap = min(esc_f, esc_b)
-
+    esc_f, esc_b = (float(np.count_nonzero(e) / grid.size) for e in esc)
     samples = tuple(EscapeSample(float(grid[i]), direction, float(t_esc[di, i]))
                     for di, direction in enumerate((+1, -1))
                     for i in np.flatnonzero(esc[di])[:8])
 
-    diagnostics = {
-        "forward_escape_fraction": esc_f,
-        "backward_escape_fraction": esc_b,
-        "invariant_components": invariant_components,
-        "tol": probes.tol,
-    }
-
-    def build(verdict):
-        return FlowClass(verdict, lost, gap, invariant_components,
-                         esc_f, esc_b, samples)
-
-    any_f = _band_guarded_above(esc_f, probes.tol, diagnostics, "forward escape fraction")
-    any_b = _band_guarded_above(esc_b, probes.tol, diagnostics, "backward escape fraction")
-    if not any_f and not any_b:
-        return build(FlowVerdict.COMPLETE)
-
-    if invariant_components >= 2:
-        per_comp = np.bincount(comp_of_probe)
-        f_c = np.bincount(comp_of_probe, weights=esc[0]) / per_comp
-        b_c = np.bincount(comp_of_probe, weights=esc[1]) / per_comp
-        one_sided = [
-            _band_guarded_above(float(f_c[ci]), probes.tol, diagnostics,
-                                f"component {ci} forward escapes")
-            != _band_guarded_above(float(b_c[ci]), probes.tol, diagnostics,
-                                   f"component {ci} backward escapes")
-            for ci in range(invariant_components)]
-        if all(one_sided):
-            return build(FlowVerdict.HALF_LINE_INCOMPLETE)
-
-    if not _band_guarded_above(gap, probes.tol, diagnostics, "coverage gap"):
-        return build(FlowVerdict.INCURABLE)
-
-    mismatch = abs(esc_f - esc_b)
-    if mismatch <= max(0.05 * lost, 4.0 / n_total):
-        return build(FlowVerdict.PLUGGABLE_INCOMPLETE)
-    raise InconclusiveClassification(
-        f"lost mass {lost:.4g} and gap {gap:.4g} are both significant but do "
-        "not match; no verdict fits", diagnostics)
+    n_plus, n_minus = map(sum, zip(*reached))
+    if n_plus == n_minus == 0:
+        verdict = FlowVerdict.COMPLETE
+    elif len(reached) >= 2 and all((fwd > 0) != (bwd > 0) for fwd, bwd in reached):
+        verdict = FlowVerdict.HALF_LINE_INCOMPLETE
+    elif n_plus != n_minus:
+        verdict = FlowVerdict.INCURABLE
+    else:
+        verdict = FlowVerdict.PLUGGABLE_INCOMPLETE
+    return FlowClass(verdict, max(esc_f, esc_b), min(esc_f, esc_b),
+                     invariant_components, esc_f, esc_b, n_plus, n_minus, samples)
 
 
 # --------------------------------------------------------------------------
@@ -628,8 +626,8 @@ def straighten(field: VectorField1D, x_ref: float,
         x = _invert(field, nodes, table_s, flat)
         return float(x[0]) if ss.ndim == 0 else x.reshape(ss.shape)
 
-    global_chart = all(math.isinf(_tail(field, x, end)[2])
-                       for x, end in zip(span, orbit))
+    global_chart = not any(_reached(end, *_tail(field, x, end)[2:])
+                           for x, end in zip(span, orbit))
     return StraightenResult(s_of_x, x_of_s, global_chart, nodes, table_s)
 
 

@@ -257,5 +257,4 @@ def build_probe_spec(cfg: dict) -> "ProbeSpec":
     interval = section.get("interval", list(defaults.interval))
     return ProbeSpec(interval=(float(interval[0]), float(interval[1])),
                      count=section.get("count", defaults.count),
-                     t_probe=section.get("t_probe", defaults.t_probe),
-                     tol=section.get("tol", defaults.tol))
+                     t_probe=section.get("t_probe", defaults.t_probe))

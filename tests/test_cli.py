@@ -170,12 +170,19 @@ def test_flow_classify_verdicts(tmp_path, scenario, expected):
     assert "escape_samples" in report
 
 
-def test_flow_classify_inconclusive_exit_code(tmp_path):
+def test_flow_classify_inconclusive_exit_code(tmp_path, monkeypatch):
+    # X = x (1 + ln^2(1 + x^2)): the integral of 1/X toward +-inf converges,
+    # but too slowly for the tail segments to show it
+    def undecided(flows, mass):
+        return flows.VectorField1D(
+            lambda x: np.asarray(x, dtype=float) * (1.0 + np.log1p(np.square(x)) ** 2),
+            zeros=(0.0,), label="x(1+ln^2(1+x^2))")
+
+    monkeypatch.setitem(_FIELD_BUILDERS, "x", undecided)
     cfg = tmp_path / "edge.json"
     cfg.write_text(json.dumps({
-        "name": "edge-of-threshold quadratic probe",
-        "field": {"kind": "x2"},
-        "probe_spec": {"t_probe": 0.1002004008016032},
+        "name": "undecided orbit end",
+        "field": {"kind": "x"},
     }), encoding="utf-8")
     out = tmp_path / "out"
     assert run_cli("flow-classify", "--config", str(cfg), "--out", str(out)) == 2
@@ -352,6 +359,14 @@ def test_refuses_escape_radius(tmp_path, capsys):
         "field": {"kind": "const"}, "probe_spec": {"escape_radius": 1e6}})
     assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
     assert "escape_radius" in err[0]
+
+
+def test_refuses_probe_tol(tmp_path, capsys):
+    # The removed escape-fraction threshold is refused like any unknown key.
+    rc, err = _refusal(tmp_path, capsys, "flow-classify", {
+        "field": {"kind": "const"}, "probe_spec": {"tol": 1e-3}})
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
+    assert "tol" in err[0]
 
 
 def test_refuses_s_grid_without_max(tmp_path, capsys):

@@ -235,13 +235,99 @@ def test_classification_deterministic():
     assert a == b
 
 
-def test_classification_inconclusive_band():
-    # t_probe tuned so the escape fraction sits on the decision threshold
+def test_classification_ignores_probe_time_near_old_threshold():
+    # at this t_probe 2 of 2048 probes escape each way; the verdict does not
+    # depend on how many do
     probes = fq.ProbeSpec(t_probe=0.1002004008016032)
+    fc = fq.classify_flow(fq.quadratic_field(), probes)
+    assert fc.verdict is fq.FlowVerdict.PLUGGABLE_INCOMPLETE
+    assert (fc.n_plus, fc.n_minus) == (1, 1)
+
+
+def slow_field():
+    """X = 1 + (x/50)^2: every trajectory leaves the line in a finite time
+    (50 pi end to end), longer than the default t_probe."""
+    return fq.VectorField1D(lambda x: 1.0 + (np.asarray(x, dtype=float) / 50.0) ** 2,
+                            lambda x: np.asarray(x, dtype=float) / 1250.0,
+                            label="1+(x/50)^2")
+
+
+def undecided_field():
+    """X = x (1 + ln^2(1 + x^2)): from x = 1 the end +inf is reached at
+    t = 0.61605, but the tail segments still shrink by only 1 % at the
+    200th doubling."""
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        return x * (1.0 + np.log1p(x * x) ** 2)
+    return fq.VectorField1D(f, zeros=(0.0,), label="x(1+ln^2(1+x^2))")
+
+
+@pytest.mark.parametrize("probes", [
+    fq.ProbeSpec(), fq.ProbeSpec(interval=(0.5, 10.0)),
+    fq.ProbeSpec(interval=(-10.0, -0.5)),
+    fq.ProbeSpec(interval=(-100.0, 100.0), t_probe=50.0)])
+def test_classification_slow_blow_up_is_pluggable(probes):
+    fc = fq.classify_flow(slow_field(), probes)
+    assert fc.verdict is fq.FlowVerdict.PLUGGABLE_INCOMPLETE
+    assert (fc.n_plus, fc.n_minus) == (1, 1)
+
+
+def test_transport_rejects_slow_blow_up(centered_packet):
+    with pytest.raises(fq.NotComplete):
+        fq.transport(centered_packet, slow_field(), 0.1)
+
+
+@pytest.mark.parametrize("interval", [(0.5, 10.0), (-10.0, -0.5)])
+def test_classification_half_line_from_one_half_line(interval):
+    # the half-line without probes is read from one interior point
+    fc = fq.classify_flow(fq.arrival_field(), fq.ProbeSpec(interval=interval))
+    assert fc.verdict is fq.FlowVerdict.HALF_LINE_INCOMPLETE
+    assert (fc.n_plus, fc.n_minus) == (0, 2)
+    assert fc.invariant_components == 1
+
+
+def test_classification_undecided_tail_is_inconclusive():
     with pytest.raises(fq.InconclusiveClassification) as exc:
-        fq.classify_flow(fq.quadratic_field(), probes)
-    assert "threshold" in str(exc.value)
-    assert exc.value.diagnostics
+        fq.classify_flow(undecided_field())
+    assert exc.value.diagnostics["end"] in ("inf", "-inf")
+    last = exc.value.diagnostics["last_segments"]
+    assert 0.98 < last[-1] / last[-2] < 1.0
+    with pytest.raises(fq.InconclusiveClassification):
+        fq.straighten(undecided_field(), 1.0)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(k=st.one_of(st.just(1.0), st.floats(1.5, 3.0)))
+def test_power_field_indices_match_escape_times(k):
+    # X = x^k on x > 0 reaches +inf in the time 1/(k - 1) from x = 1 iff
+    # k > 1, and never reaches the zero at 0
+    field = fq.VectorField1D(lambda x: np.abs(np.asarray(x, dtype=float)) ** k,
+                             domain=((0.0, math.inf),), zeros=(0.0,),
+                             label=f"x^{k}")
+    fc = fq.classify_flow(field)
+    forward = fq.integrate_flow(field, 1.0, 10.0)
+    backward = fq.integrate_flow(field, 1.0, -10.0)
+    assert (fc.n_plus, fc.n_minus) == (int(forward.escaped), int(backward.escaped))
+    assert forward.escaped == (k > 1.0) and not backward.escaped
+    if forward.escaped:
+        assert math.isclose(forward.escape_time_estimate, 1.0 / (k - 1.0), rel_tol=1e-9)
+    expected = fq.FlowVerdict.INCURABLE if k > 1.0 else fq.FlowVerdict.COMPLETE
+    assert fc.verdict is expected
+
+
+def test_classification_reads_each_orbit_end_once(monkeypatch):
+    # the verdict reuses the probe tables' orbit ends: no extra tail pass
+    from flowquant import flows
+    calls = []
+    tail = flows._tail
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return tail(*args, **kwargs)
+
+    monkeypatch.setattr(flows, "_tail", counted)
+    fq.classify_flow(fq.quadratic_field())
+    assert len(calls) == 4
 
 
 # ------------------------------------------------------------ straighten
