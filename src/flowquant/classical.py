@@ -99,24 +99,22 @@ def _require_finite(second: float) -> None:
 
 
 def _gaussian_blocks(mean_x: float, sigma_x: float, mean_p: float,
-                     sigma_p: float, count: int, seed: int,
-                     x: np.ndarray | None = None, p: np.ndarray | None = None):
+                     sigma_p: float, count: int, seed: int):
     """The pairs (x_i, p_i) = (mean_x + sigma_x z_2i, mean_p + sigma_p z_2i+1)
     of one seeded standard-normal stream z, yielded as (x, p) blocks of
     _BIN_BLOCK pairs.  numpy's Generator continues one stream across calls,
     so the pairs do not depend on the block size.  The blocks are slices of
-    x and p when given, else of buffers that the next block overwrites."""
+    buffers that the next block overwrites."""
     rng = np.random.default_rng(seed)
     size = min(count, _BIN_BLOCK)
     z = np.empty(2 * size)
-    x_buf, p_buf = (np.empty(size), np.empty(size)) if x is None else (x, p)
+    x_buf, p_buf = np.empty(size), np.empty(size)
     for start in range(0, count, _BIN_BLOCK):
         n = min(_BIN_BLOCK, count - start)
-        at = slice(0, n) if x is None else slice(start, start + n)
         pair = rng.standard_normal(2 * n, out=z[:2 * n])
-        xb = np.multiply(pair[0::2], sigma_x, out=x_buf[at])
+        xb = np.multiply(pair[0::2], sigma_x, out=x_buf[:n])
         xb += mean_x
-        pb = np.multiply(pair[1::2], sigma_p, out=p_buf[at])
+        pb = np.multiply(pair[1::2], sigma_p, out=p_buf[:n])
         pb += mean_p
         yield xb, pb
 
@@ -128,8 +126,10 @@ def gaussian_ensemble(params: PhysicalParams, mean_x: float, sigma_x: float,
     pairs of _gaussian_blocks, which the streamed ensemble_momentum_limits
     draws too."""
     x, p = np.empty(count), np.empty(count)
-    for _ in _gaussian_blocks(mean_x, sigma_x, mean_p, sigma_p, count, seed, x, p):
-        pass
+    start = 0
+    for xb, pb in _gaussian_blocks(mean_x, sigma_x, mean_p, sigma_p, count, seed):
+        x[start:start + len(xb)], p[start:start + len(pb)] = xb, pb
+        start += len(xb)
     w = np.broadcast_to(np.float64(1.0 / count), (count,))
     return PhaseSpaceEnsemble._owning(x, p, w, params)
 

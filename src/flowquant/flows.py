@@ -533,12 +533,11 @@ def classify_flow(field: VectorField1D, probes: ProbeSpec = ProbeSpec()) -> Flow
 # --------------------------------------------------------------------------
 # Straightening coordinate
 
-_END_NODES = 64  # log-spaced nodes in an end cell at a finite domain edge
-
-
 @dataclass(frozen=True)
 class StraightenResult:
-    """Monotone chart s(x) in which the field becomes d/ds."""
+    """Monotone chart s(x) in which the field becomes d/ds, on the orbit of
+    x_ref: s is the integral of 1/X from x_ref, tabulated as ``table_s`` at
+    the increasing nodes ``table_x``."""
 
     s_of_x: Callable
     x_of_s: Callable
@@ -547,71 +546,37 @@ class StraightenResult:
     table_s: np.ndarray
 
 
-def straighten(field: VectorField1D, x_ref: float,
-               span: tuple[float, float] | None = None,
-               table_points: int = 1025) -> StraightenResult:
-    """Solve ds/dx = 1/X by adaptive Gauss-Legendre quadrature from x_ref.
+def straighten(field: VectorField1D, x_ref: float) -> StraightenResult:
+    """Solve ds/dx = 1/X with s(x_ref) = 0 on the orbit of x_ref.
 
-    The chart lives on the orbit of x_ref: the interval between the declared
-    zeros of X and domain edges next to it.  It is tabulated on ``span``
-    (default: the orbit clipped to x_ref +- 20; an explicit span holding a
-    declared zero raises ZeroFieldValue) and refined by quadrature from a
-    table node on evaluation, so s_of_x is accurate to rounding rather than
-    to the table resolution; x_of_s takes Newton steps inside the bracketing
-    table cell.  ``global_chart`` is True when s maps the orbit onto all of
-    R, i.e. the cumulative time integral diverges toward both ends.
+    The chart is that orbit's travel-time table (see _orbit_tables): x_ref
+    and the tail edges toward both orbit ends, which halve toward a finite
+    end and double toward +-inf, with s summed outward from x_ref.  s_of_x
+    adds the quadrature from the bracketing node, so it is accurate to
+    rounding rather than to the table resolution; x_of_s takes Newton steps
+    inside the bracketing cell.  ``global_chart`` is True when s maps the
+    orbit onto all of R: neither end is reached in finite time.  A zero of X
+    at x_ref or at a table node, or a sign change across the nodes where X
+    is finite, raises ZeroFieldValue: an undeclared zero gives no chart.
     """
-    comp = field.component_of(x_ref)
-    orbit = (max([comp[0], *(z for z in field.zeros if z < x_ref)]),
-             min([comp[1], *(z for z in field.zeros if z > x_ref)]))
-    if span is None:
-        lo = max(orbit[0], x_ref - 20.0)
-        hi = min(orbit[1], x_ref + 20.0)
-        if lo <= orbit[0]:
-            lo = orbit[0] + 1e-9 * (1.0 + abs(orbit[0]))
-        if hi >= orbit[1]:
-            hi = orbit[1] - 1e-9 * (1.0 + abs(orbit[1]))
-        span = (lo, hi)
-    if not (span[0] <= x_ref <= span[1]):
-        raise ValueError("x_ref must lie inside the tabulation span")
-    if any(span[0] <= z <= span[1] for z in field.zeros):
-        raise ZeroFieldValue(
-            f"field {field.label!r} has a declared zero inside the span {span}")
-
-    nodes = np.linspace(span[0], span[1], table_points)
-    # 1/X may blow up at a finite orbit end: cells next to one get nodes
-    # log-spaced in the distance to it, so a first guess of x_of_s linear in
-    # s is not off by decades there.
-    for edge, end, inner in ((orbit[0], nodes[0], nodes[1]),
-                             (orbit[1], nodes[-1], nodes[-2])):
-        if math.isfinite(edge) and end != edge:
-            ratio = (inner - edge) / (end - edge)
-            nodes = np.union1d(nodes, edge + (end - edge) * np.geomspace(
-                1.0, ratio, _END_NODES)[1:-1])
+    field.component_of(x_ref)
+    if x_ref in field.zeros:
+        raise ZeroFieldValue(f"field {field.label!r} vanishes at x_ref = {x_ref}")
+    (_, _, nodes, table_s, _, _, _, ends), = _orbit_tables(
+        field, np.array([float(x_ref)]))
     xvals = np.asarray(field(nodes), dtype=float)
-    if np.any(~np.isfinite(xvals)) or np.any(xvals == 0.0) or \
-            np.any(np.sign(xvals) != np.sign(xvals[0])):
+    finite = xvals[np.isfinite(xvals)]
+    if np.any(xvals == 0.0) or np.any(np.sign(finite) != np.sign(finite[:1])):
         raise ZeroFieldValue(
-            f"field {field.label!r} vanishes or changes sign inside the span")
-
-    seg = _travel_time(field, nodes[:-1], nodes[1:])
-
-    def start_node(x):
-        return np.clip(np.searchsorted(nodes, x) - 1, 0, nodes.size - 2)
-
-    # Summed outward from x_ref, so that a long end cell (1/X blowing up at
-    # the boundary) does not swamp the rest of the table in rounding.
-    r = int(start_node(x_ref))
-    table_s = np.concatenate([-np.cumsum(seg[:r][::-1])[::-1], [0.0],
-                              np.cumsum(seg[r:])])
-    table_s -= _travel_time(field, nodes[r], x_ref)
+            f"field {field.label!r} vanishes or changes sign on the orbit of {x_ref}")
+    span = (float(nodes[0]), float(nodes[-1]))
 
     def s_of_x(x):
         xs = np.asarray(x, dtype=float)
         outside = (xs < span[0]) | (xs > span[1])
         if np.any(outside):
             raise ValueError(f"{xs[outside][0]} outside the tabulated span {span}")
-        j = start_node(xs)
+        j = np.clip(np.searchsorted(nodes, xs) - 1, 0, nodes.size - 2)
         s = table_s[j] + _travel_time(field, nodes[j], xs)
         return float(s) if s.ndim == 0 else s
 
@@ -626,8 +591,7 @@ def straighten(field: VectorField1D, x_ref: float,
         x = _invert(field, nodes, table_s, flat)
         return float(x[0]) if ss.ndim == 0 else x.reshape(ss.shape)
 
-    global_chart = not any(_reached(end, *_tail(field, x, end)[2:])
-                           for x, end in zip(span, orbit))
+    global_chart = not any(_reached(*end) for end in ends)
     return StraightenResult(s_of_x, x_of_s, global_chart, nodes, table_s)
 
 

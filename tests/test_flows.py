@@ -405,8 +405,9 @@ def test_straighten_quadratic_not_global():
 
 
 def test_straighten_rejects_zero_field():
+    # x_ref on a declared zero has no orbit to chart
     with pytest.raises(fq.ZeroFieldValue):
-        fq.straighten(fq.linear_field(), 1.0, span=(-2.0, 2.0))
+        fq.straighten(fq.linear_field(), 0.0)
 
 
 def test_straighten_default_span_stops_at_declared_zeros():
@@ -425,11 +426,27 @@ def test_straighten_default_span_stops_at_declared_zeros():
         st.s_of_x(0.5)
 
 
-@pytest.mark.parametrize("span", [(-1.0, 0.0), (-1.0, 3.0), (-2.0, 2.0)])
-def test_straighten_rejects_span_holding_declared_zero(span):
-    # (-1, 3) has no table node on the zero; the declaration decides
+def test_straighten_rejects_undeclared_zero():
+    # X = x - 5 declares no zero: the orbit of 0 seems to be the whole line,
+    # but X changes sign across the tail nodes toward +inf
+    field = fq.VectorField1D(lambda x: np.asarray(x, dtype=float) - 5.0,
+                             label="x - 5")
     with pytest.raises(fq.ZeroFieldValue):
-        fq.straighten(fq.quadratic_field(), -1.0, span=span, table_points=64)
+        fq.straighten(field, 0.0)
+
+
+def test_straighten_chart_covers_the_orbit():
+    # the chart runs as far as the orbit's travel-time table, not a window
+    # around x_ref
+    st = fq.straighten(fq.linear_field(), 1.0)
+    assert math.isclose(st.s_of_x(1e6), math.log(1e6), rel_tol=1e-13)
+    # the relative error of x is the absolute error of s, which at s = 100
+    # is the rounding of the clock summed over 144 tail segments: 10 ulps
+    assert math.isclose(st.x_of_s(100.0), math.exp(100.0), rel_tol=2e-13)
+    st = fq.straighten(fq.quadratic_field(), -1.0)
+    assert math.isclose(st.s_of_x(-1e6), 1e-6 - 1.0, rel_tol=1e-13)
+    with pytest.raises(ValueError, match="outside the tabulated span"):
+        st.s_of_x(0.5)
 
 
 # -------------------------------------------------------------- transport
