@@ -426,6 +426,21 @@ def test_straighten_default_span_stops_at_declared_zeros():
         st.s_of_x(0.5)
 
 
+@pytest.mark.parametrize("span", [(-1.0, 0.0), (-1.0, 3.0), (-2.0, 2.0)])
+def test_straighten_rejects_span_holding_declared_zero(span):
+    # straighten takes no span: its chart is the orbit of x_ref, which ends
+    # at the declared zero, so neither the zero nor a point past it is charted
+    lo, hi = span
+    st = fq.straighten(fq.quadratic_field(), lo)
+    assert st.s_of_x(lo) == 0.0
+    with pytest.raises(ValueError, match="outside the tabulated span"):
+        st.s_of_x(hi)
+    with pytest.raises(ValueError, match="outside the tabulated span"):
+        st.s_of_x(0.0)
+    with pytest.raises(fq.ZeroFieldValue):
+        fq.straighten(fq.quadratic_field(), 0.0)
+
+
 def test_straighten_rejects_undeclared_zero():
     # X = x - 5 declares no zero: the orbit of 0 seems to be the whole line,
     # but X changes sign across the tail nodes toward +inf
