@@ -304,10 +304,7 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NegativeMomentumLeak as exc:
-        print(f"diagnostic: {exc}", file=sys.stderr)
-        return 2
-    except InconclusiveClassification as exc:
+    except (NegativeMomentumLeak, InconclusiveClassification) as exc:
         print(f"diagnostic: {exc}", file=sys.stderr)
         return 2
     except FlowQuantError as exc:

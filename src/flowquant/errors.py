@@ -10,7 +10,7 @@ class InvalidParameter(FlowQuantError, ValueError):
 
 
 class GridMismatch(FlowQuantError):
-    """Two wave functions live on different grids."""
+    """Two wave functions live on different grids (raised by inner_product)."""
 
 
 class RepMismatch(FlowQuantError):

@@ -117,9 +117,8 @@ class WaveFunction:
     def points(self) -> np.ndarray:
         return self.grid.points
 
-    def with_values(self, values: np.ndarray, rep: Representation | None = None,
-                    grid: Grid1D | None = None) -> "WaveFunction":
-        return WaveFunction(grid or self.grid, values, rep or self.rep, self.params)
+    def with_values(self, values: np.ndarray) -> "WaveFunction":
+        return WaveFunction(self.grid, values, self.rep, self.params)
 
     def require_rep(self, rep: Representation) -> None:
         if self.rep is not rep:

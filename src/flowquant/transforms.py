@@ -16,10 +16,11 @@ and free evolution acts on the amplitude as the substitution T -> T + t
 (right-movers carry forward-in-time phases exp(-i|s|t/hbar), left-movers the
 conjugate).
 
-The discrete Fourier steps evaluate the continuum kernels exactly at the grid
-points (origin-offset phase factors included), so round trips on conjugate
-grids are identities to rounding and Parseval holds to ~1e-13.  The momentum
-operator convention is (hbar/i) d/dx.
+Each Fourier step is one function, _trig_sum: the continuum kernel's Riemann
+sum evaluated exactly at the output points (origin-offset phases included),
+by one FFT on conjugate grids (round trips are identities to rounding and
+Parseval holds to ~1e-13) and one chirp-z elsewhere.  The momentum operator
+convention is (hbar/i) d/dx.
 
 The oriented-energy map is a change of variables with a Jacobian square root
 that diverges at p = 0; inputs must carry negligible probability mass below a
@@ -34,7 +35,7 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import GridMismatch, InvalidParameter, LowMomentumMass
+from .errors import InvalidParameter, LowMomentumMass
 from .grids import (Grid1D, Representation, WaveFunction, _cis, _cis_ramp,
                     norm_squared)
 from .resample import _STENCIL, interpolate
@@ -65,32 +66,6 @@ class TransformReport:
     def from_norms(cls, norm_in: float, norm_out: float) -> "TransformReport":
         defect = abs(norm_out - norm_in) / norm_in if norm_in > 0.0 else 0.0
         return cls(norm_in, norm_out, defect)
-
-
-def _continuum_dft(values: np.ndarray, grid_in: Grid1D, grid_out: Grid1D,
-                   sign: int, hbar: float) -> np.ndarray:
-    """Riemann sum (du/sqrt(2 pi hbar)) sum_j v_j exp(sign i u_j w_k / hbar),
-    over the last axis of values.
-
-    Requires conjugate grids (du * dw = 2 pi hbar / N, equal counts); then the
-    sum reduces to an FFT with origin-offset pre/post phases and is exactly
-    unitary.
-    """
-    n = grid_in.count
-    if grid_out.count != n:
-        raise GridMismatch("conjugate grids must have equal counts")
-    if not math.isclose(grid_in.step * grid_out.step * n, 2.0 * math.pi * hbar,
-                        rel_tol=1e-12):
-        raise GridMismatch("grids are not Fourier-conjugate for this hbar")
-    # Both phases are arithmetic progressions in the sample index.
-    u0, w0 = grid_in.origin, grid_out.origin
-    pre = _cis_ramp(u0 * w0 * (sign / hbar), grid_in.step * w0 * (sign / hbar), n)
-    if sign < 0:
-        core = np.fft.fft(values * pre)
-    else:
-        core = np.fft.ifft(values * pre) * n
-    post = _cis_ramp(0.0, u0 * grid_out.step * (sign / hbar), n)
-    return (grid_in.step / math.sqrt(2.0 * math.pi * hbar)) * post * core
 
 
 def _fft_size(n: int) -> int:
@@ -179,29 +154,34 @@ def _trig_sum(values: np.ndarray, u0: float, du: float, w0: float, dw: float,
               count: int, sign: int, hbar: float) -> np.ndarray:
     """(du / sqrt(2 pi hbar)) sum_j values[..., j] exp(sign i u_j w_k / hbar)
     with u_j = u0 + j du and w_k = w0 + k dw for k < count, along the last
-    axis of values, by one chirp-z.  The output points need not form a
-    Grid1D: any count >= 1 and any real dw, zero and negative included."""
+    axis of values: one FFT, exactly unitary, on conjugate points (count
+    equal to the input length n, du dw n = 2 pi hbar), one chirp-z on any
+    other count >= 1 and real dw, zero and negative included."""
+    n = values.shape[-1]
     # Both phases are arithmetic progressions in the sample index.
-    y = _cis_ramp(u0 * w0 * (sign / hbar), du * w0 * (sign / hbar), values.shape[-1])
-    y = np.multiply(y, values)
-    core = _chirp_z(y, count, sign * du * dw / hbar)
+    pre = _cis_ramp(u0 * w0 * (sign / hbar), du * w0 * (sign / hbar), n)
+    # The operand orders differ on purpose: with FMA a complex product is not
+    # bitwise commutative, and each core keeps the bits of its callers.
+    if count == n and math.isclose(du * dw * n, 2.0 * math.pi * hbar, rel_tol=1e-12):
+        core = np.fft.fft(values * pre) if sign < 0 else np.fft.ifft(values * pre) * n
+    else:
+        core = _chirp_z(np.multiply(pre, values), count, sign * du * dw / hbar)
     post = _cis_ramp(0.0, u0 * dw * (sign / hbar), count)
     return (du / math.sqrt(2.0 * math.pi * hbar)) * post * core
 
 
 def fourier_eval(values: np.ndarray, grid_in: Grid1D, grid_out: Grid1D,
                  sign: int, hbar: float) -> np.ndarray:
-    """Same Riemann sum evaluated on an arbitrary uniform output grid, along
-    the last axis of values.
+    """_trig_sum's Riemann sum of the samples on grid_in at the points of
+    grid_out, along the last axis of values.
 
-    Uses the chirp-z transform, so the output grid is free to have any origin,
-    spacing and count.  Unlike the conjugate-grid path this is not exactly
-    norm-preserving; it is the trigonometric evaluation of the input samples.
-    Runs of exact zeros at either end of the input (of every row, for a
-    stack of rows) add nothing to the sum and are skipped, so the cost scales
-    with the nonzero span: a single mover's oriented-energy samples, zero on
-    the other sign of s, cost half a grid.  Rows that share that span get
-    the bits of one-row calls.
+    The output grid may have any origin, spacing and count; only on the
+    conjugate grid is the sum norm-preserving (to rounding).  Runs of exact
+    zeros at either end of the input (of every row, for a stack of rows) add
+    nothing to the sum and are skipped, so the cost scales with the nonzero
+    span: a single mover's oriented-energy samples, zero on the other sign of
+    s, cost half a grid.  Rows that share that span get the bits of one-row
+    calls.
     """
     # argmax on the mask finds each end without an index array.
     nonzero = values != 0.0
@@ -216,18 +196,22 @@ def fourier_eval(values: np.ndarray, grid_in: Grid1D, grid_out: Grid1D,
 
 
 def to_momentum(psi: WaveFunction) -> WaveFunction:
-    """Position -> momentum representation on the conjugate grid."""
+    """Position -> momentum representation on the conjugate grid: one FFT."""
     psi.require_rep(Representation.POSITION)
-    grid = psi.grid.conjugate(psi.params.hbar)
-    out = _continuum_dft(psi.values, psi.grid, grid, -1, psi.params.hbar)
+    x, grid = psi.grid, psi.grid.conjugate(psi.params.hbar)
+    # Not fourier_eval: trimming the envelope's zero ends would leave the FFT.
+    out = _trig_sum(psi.values, x.origin, x.step, grid.origin, grid.step, grid.count,
+                    -1, psi.params.hbar)
     return WaveFunction(grid, out, Representation.MOMENTUM, psi.params)
 
 
 def to_position(psi_tilde: WaveFunction, x_grid: Grid1D | None = None) -> WaveFunction:
-    """Momentum -> position representation on the conjugate grid."""
+    """Momentum -> position representation on x_grid (default: the conjugate
+    grid): one FFT on a conjugate grid of any origin, one chirp-z on another."""
     psi_tilde.require_rep(Representation.MOMENTUM)
-    grid = x_grid or psi_tilde.grid.conjugate(psi_tilde.params.hbar)
-    out = _continuum_dft(psi_tilde.values, psi_tilde.grid, grid, +1, psi_tilde.params.hbar)
+    p, grid = psi_tilde.grid, x_grid or psi_tilde.grid.conjugate(psi_tilde.params.hbar)
+    out = _trig_sum(psi_tilde.values, p.origin, p.step, grid.origin, grid.step, grid.count,
+                    +1, psi_tilde.params.hbar)
     return WaveFunction(grid, out, Representation.POSITION, psi_tilde.params)
 
 
@@ -424,15 +408,10 @@ def to_arrival_time(phi_tilde: WaveFunction, grid_T: Grid1D | None = None) -> Wa
     """Oriented-energy -> arrival-time representation.
 
     phi(T) = (2 pi hbar)^(-1/2) integral phi~(s) exp(-i s T/hbar) ds, the
-    spectral amplitude of the generator (hbar/i) d/ds.  On the conjugate grid
-    this is a pure Fourier step (exactly unitary); on a requested grid it is
-    the trigonometric evaluation of the same sum.
+    spectral amplitude of the generator (hbar/i) d/ds, by fourier_eval on
+    grid_T (default: the s-grid's conjugate grid, unitary to rounding).
     """
     phi_tilde.require_rep(Representation.ORIENTED_ENERGY)
-    hbar = phi_tilde.params.hbar
-    if grid_T is None:
-        grid_T = phi_tilde.grid.conjugate(hbar)
-        out = _continuum_dft(phi_tilde.values, phi_tilde.grid, grid_T, -1, hbar)
-    else:
-        out = fourier_eval(phi_tilde.values, phi_tilde.grid, grid_T, -1, hbar)
+    grid_T = grid_T or phi_tilde.grid.conjugate(phi_tilde.params.hbar)
+    out = fourier_eval(phi_tilde.values, phi_tilde.grid, grid_T, -1, phi_tilde.params.hbar)
     return WaveFunction(grid_T, out, Representation.ARRIVAL_TIME, phi_tilde.params)

@@ -96,6 +96,29 @@ def test_round_trip_identity(reference_packet, wide_grid):
     assert np.abs(back.values - reference_packet.values).max() <= 1e-10
 
 
+@pytest.mark.parametrize("x_grid,conjugate", [
+    (fq.Grid1D(-87.5, 0.05, 1500), False),                  # another count
+    (fq.Grid1D(-88.8, 0.1, 777), False),                    # another step
+    (fq.Grid1D(-200.0 + 13.37, 400.0 / 4096, 4096), True),  # shifted origin
+], ids=["count", "step", "origin"])
+def test_to_position_evaluates_the_sum_on_any_grid(reference_momentum, x_grid, conjugate,
+                                                   monkeypatch):
+    # the trigonometric sum of the momentum samples at the points of x_grid;
+    # a conjugate grid of any origin takes the FFT, no chirp-z
+    if conjugate:
+        def no_chirp_z(*args):
+            raise AssertionError("conjugate grid took the chirp-z")
+        monkeypatch.setattr("flowquant.transforms._chirp_z", no_chirp_z)
+    psi = fq.to_position(reference_momentum, x_grid)
+    p, hbar = reference_momentum.points, reference_momentum.params.hbar
+    pref = reference_momentum.grid.step / math.sqrt(2.0 * math.pi * hbar)
+    direct = np.concatenate([
+        pref * (np.exp(1j * np.multiply.outer(x, p) / hbar) @ reference_momentum.values)
+        for x in np.array_split(x_grid.points, -(-x_grid.count // 256))])
+    assert psi.grid == x_grid
+    assert np.abs(psi.values - direct).max() <= 1e-11 * np.abs(direct).max()
+
+
 def test_parseval(reference_packet):
     pt = fq.to_momentum(reference_packet)
     assert abs(fq.norm_squared(pt) - fq.norm_squared(reference_packet)) <= 1e-10
@@ -279,6 +302,16 @@ def test_arrival_time_parseval(reference_momentum):
     phi_s, _ = fq.to_oriented_energy(reference_momentum)
     phi_T = fq.to_arrival_time(phi_s)  # conjugate grid: exactly unitary step
     assert abs(fq.norm_squared(phi_T) - fq.norm_squared(phi_s)) <= 1e-10
+
+
+def test_arrival_time_default_grid_is_only_a_default(reference_momentum):
+    # one evaluation path: the default T-grid gives the bits of passing it
+    phi_s, _ = fq.to_oriented_energy(reference_momentum)
+    default = fq.to_arrival_time(phi_s)
+    conjugate = phi_s.grid.conjugate(phi_s.params.hbar)
+    passed = fq.to_arrival_time(phi_s, conjugate)
+    assert default.grid == conjugate
+    assert np.array_equal(default.values, passed.values)
 
 
 def test_arrival_time_shift_theorem(reference_momentum, arrival_grid):
