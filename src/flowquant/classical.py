@@ -18,10 +18,14 @@ oriented-arrival-time oracle used to validate the quantum distribution's
 quasiclassical mean.
 
 All stochastic constructors take explicit seeds; reductions are plain numpy
-(pairwise) sums, so results are reproducible bit-for-bit.
+(pairwise) sums, so results are reproducible bit-for-bit.  That holds with
+the helper thread that draws the ensemble's next block of pairs while the
+current one is binned: the draws keep the stream's order, and every
+histogram is binned in block order on the caller's thread.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,20 +107,55 @@ def _gaussian_blocks(mean_x: float, sigma_x: float, mean_p: float,
     """The pairs (x_i, p_i) = (mean_x + sigma_x z_2i, mean_p + sigma_p z_2i+1)
     of one seeded standard-normal stream z, yielded as (x, p) blocks of
     _BIN_BLOCK pairs.  numpy's Generator continues one stream across calls,
-    so the pairs do not depend on the block size.  The blocks are slices of
-    buffers that the next block overwrites."""
+    so the pairs do not depend on the block size.
+
+    While the caller works on block k, a helper thread draws block k + 1
+    (the Generator releases the GIL while it fills an array).  The draws
+    stay in stream order, one thread at a time, into one standard-normal
+    buffer that only the drawing thread touches, so the bits are those of
+    drawing on the caller's thread.  A block is a slice of one of two
+    alternating buffer sets: it stays valid until the next block is asked
+    for, and the one after it overwrites it.  An exception raised by a
+    draw is raised here, in the caller; closing the generator early joins
+    the helper, so no thread outlives the iteration."""
     rng = np.random.default_rng(seed)
     size = min(count, _BIN_BLOCK)
     z = np.empty(2 * size)
-    x_buf, p_buf = np.empty(size), np.empty(size)
-    for start in range(0, count, _BIN_BLOCK):
+    sets = [(np.empty(size), np.empty(size)) for _ in range(2)]
+    blocks = []  # (x, p) views of the buffer sets, in stream order
+    for k, start in enumerate(range(0, count, _BIN_BLOCK)):
         n = min(_BIN_BLOCK, count - start)
-        pair = rng.standard_normal(2 * n, out=z[:2 * n])
-        xb = np.multiply(pair[0::2], sigma_x, out=x_buf[:n])
-        xb += mean_x
-        pb = np.multiply(pair[1::2], sigma_p, out=p_buf[:n])
-        pb += mean_p
-        yield xb, pb
+        blocks.append(tuple(buf[:n] for buf in sets[k % 2]))
+    failures = []
+
+    def draw(xb: np.ndarray, pb: np.ndarray) -> None:
+        try:
+            pair = rng.standard_normal(2 * len(xb), out=z[:2 * len(xb)])
+            np.multiply(pair[0::2], sigma_x, out=xb)
+            xb += mean_x
+            np.multiply(pair[1::2], sigma_p, out=pb)
+            pb += mean_p
+        except BaseException as exc:  # raised again on the caller's thread
+            failures.append(exc)
+
+    def helper_for(k: int) -> threading.Thread | None:
+        if k == len(blocks):
+            return None
+        helper = threading.Thread(target=draw, args=blocks[k])
+        helper.start()
+        return helper
+
+    helper = helper_for(0)
+    try:
+        for k, block in enumerate(blocks):
+            helper.join()
+            if failures:
+                raise failures[0]
+            helper = helper_for(k + 1)
+            yield block
+    finally:
+        if helper is not None:
+            helper.join()
 
 
 def gaussian_ensemble(params: PhysicalParams, mean_x: float, sigma_x: float,
@@ -202,10 +241,13 @@ class _Bins:
     upper: np.ndarray
 
     @classmethod
-    def of(cls, edges: np.ndarray) -> "_Bins":
+    def of(cls, edges: np.ndarray, name: str = "bin edges") -> "_Bins":
+        """The tables of the edges.  Raises InvalidParameter, which calls
+        the edges name, unless there are two or more, finite and increasing."""
         if not (len(edges) > 1 and np.all(np.isfinite(edges))
                 and np.all(edges[:-1] < edges[1:])):
-            raise ValueError("bin edges must be finite and increasing")
+            span = f", not [{edges[0]:g}, {edges[-1]:g}]" if len(edges) else ""
+            raise InvalidParameter(f"{name} must be finite and increasing{span}")
         n_bins = len(edges) - 1
         lo, hi = edges[0], edges[-1]
         above = np.nextafter(hi, np.inf)
@@ -335,20 +377,27 @@ def ensemble_momentum_limits(psi: WaveFunction, count: int, seed: int, x0: float
         raise ValueError("the limit formula needs t > 0")
     p_edges = np.asarray(p_edges, dtype=float)
     speeds = [t / psi.params.mass for t in times]
-    tables = [_Bins.of(p_edges)] + [_Bins.of(x0 + s * p_edges) for s in speeds]
+    with np.errstate(over="ignore"):  # an overflowing window is refused
+        tables = [_Bins.of(p_edges, "momentum bin edges")] + [
+            _Bins.of(x0 + s * p_edges, f"position bin edges x0 + (t/m) p at t = {t:g}")
+            for t, s in zip(times, speeds)]
     masses = np.zeros((len(tables), len(p_edges) + 1))
     size = min(count, _BIN_BLOCK)
     buffers = _block_buffers(size)
     w = np.float64(1.0 / count)
     weights = np.full(size, w)  # contiguous, so np.bincount takes it uncopied
     second = 0.0
-    for x, p in _gaussian_blocks(mean_x, sigma_x, mean_p, sigma_p, count, seed):
-        second += _second_moment(x, p, w, buffers)
-        _require_finite(second)
-        n = len(x)
-        _bin_block(p, weights[:n], tables[0], masses[0], buffers)
-        for speed, bins, row in zip(speeds, tables[1:], masses[1:]):
-            _bin_block(x, weights[:n], bins, row, buffers, p, speed)
+    blocks = _gaussian_blocks(mean_x, sigma_x, mean_p, sigma_p, count, seed)
+    try:
+        for x, p in blocks:
+            second += _second_moment(x, p, w, buffers)
+            _require_finite(second)
+            n = len(x)
+            _bin_block(p, weights[:n], tables[0], masses[0], buffers)
+            for speed, bins, row in zip(speeds, tables[1:], masses[1:]):
+                _bin_block(x, weights[:n], bins, row, buffers, p, speed)
+    finally:
+        blocks.close()  # joins the helper drawing the next block
     return (Histogram(p_edges, masses[0, 1:-1]),
             [Histogram(p_edges, row[1:-1]) for row in masses[1:]])
 

@@ -14,7 +14,9 @@ significant digits, LF endings, UTF-8; JSON is sorted and indented.
 """
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 
@@ -241,6 +243,13 @@ def cmd_backflow(cfg: dict, out_dir: str, args) -> int:
         raise ScenarioError(
             f"backflow_scan.x_range [{xs[0]:g}, {xs[-1]:g}] leaves the position "
             f"box [{lo:g}, {hi:g}] of the packet")
+    # free_current's largest phase t p^2 / (2 m hbar): past the float range
+    # the current is NaN
+    t_far, p_far = float(max(abs(ts[0]), abs(ts[-1]))), float(np.abs(p).max())
+    if not math.isfinite(t_far * p_far * p_far / (2.0 * params.mass * params.hbar)):
+        raise ScenarioError(
+            f"backflow_scan.t_range reaches |t| = {t_far:g}, where the "
+            f"free-evolution phase t p^2 / (2 m hbar) at |p| = {p_far:g} is not finite")
 
     rows = max(1, _SCAN_CELLS // len(xs))
     low = None  # (j, t index, x index): the running minimum, first occurrence
@@ -276,7 +285,10 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; --out has no default
+    here, so FLOWQUANT_OUT is read when the arguments are parsed."""
     parser = argparse.ArgumentParser(
         prog="flowquant",
         description="Flow quantization and arrival-time distributions on 1-D grids.")
@@ -285,14 +297,20 @@ def main(argv=None) -> int:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="scenario JSON file")
-        p.add_argument("--out", default=os.environ.get("FLOWQUANT_OUT", "out"),
-                       help="output directory (env FLOWQUANT_OUT overrides the default)")
+        p.add_argument("--out", help="output directory (default: env "
+                       "FLOWQUANT_OUT, else out)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
         if name == "arrival":
             p.add_argument("--oracle", action="store_true",
                            help="also run the oscillatory-quadrature oracle")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    if args.out is None:
+        args.out = os.environ.get("FLOWQUANT_OUT", "out")
 
     try:
         if args.seed is not None and args.seed < 0:

@@ -1,4 +1,8 @@
 import math
+import sys
+import threading
+import time
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -446,6 +450,87 @@ def test_streamed_limits_keep_the_ensemble_checks(params):
             pytest.raises(ValueError, match="second moments"), \
             np.errstate(over="ignore"):
         fq.ensemble_momentum_limits(packet, 100, 1, 0.0, [10.0], P_EDGES)
+
+
+def _rng_whose_second_draw(act):
+    """A stand-in for np.random.default_rng: each generator it makes calls
+    act() at the start of its second draw, and draws the real stream."""
+    real = np.random.default_rng
+
+    def make(seed):
+        rng, draws = real(seed), []
+
+        def standard_normal(*args, **kwargs):
+            draws.append(None)
+            if len(draws) == 2:
+                act()
+            return rng.standard_normal(*args, **kwargs)
+        return SimpleNamespace(standard_normal=standard_normal)
+    return make
+
+
+def _fail():
+    raise RuntimeError("the second draw failed")
+
+
+@pytest.mark.parametrize("block", [3, classical._BIN_BLOCK])
+def test_a_failing_draw_raises_in_the_caller(limit_packet, block):
+    # the second block is drawn on the helper thread while the first is binned
+    before = threading.active_count()
+    with mock.patch.object(classical, "_BIN_BLOCK", block), \
+            mock.patch.object(np.random, "default_rng", _rng_whose_second_draw(_fail)), \
+            pytest.raises(RuntimeError, match="second draw failed"):
+        fq.ensemble_momentum_limits(limit_packet, 2 * block + 1, 5, 0.5, [20.0],
+                                    P_EDGES)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("block", [3, classical._BIN_BLOCK])
+def test_an_early_stop_joins_the_helper(limit_packet, block):
+    # the helper is still drawing the second block (a slow one) when the
+    # caller stops after the first: by the finite check, or by closing
+    slow = _rng_whose_second_draw(lambda: time.sleep(0.2))
+    before = threading.active_count()
+    with mock.patch.object(classical, "_BIN_BLOCK", block), \
+            mock.patch.object(np.random, "default_rng", slow):
+        with mock.patch.object(classical, "_packet_moments",
+                               return_value=(1e155, 1.0, 0.0, 1.0)), \
+                pytest.raises(ValueError, match="second moments") as stopped, \
+                np.errstate(over="ignore"):
+            fq.ensemble_momentum_limits(limit_packet, 2 * block + 1, 5, 0.0, [10.0],
+                                        P_EDGES)
+        # the kept traceback holds the caller's frame, and the generator in it
+        assert stopped.traceback and threading.active_count() == before
+        blocks = classical._gaussian_blocks(0.0, 1.0, 0.0, 1.0, 2 * block + 1, 5)
+        next(blocks)
+        blocks.close()
+        assert threading.active_count() == before
+
+
+def test_concurrent_streams_keep_their_bits(limit_packet):
+    # three callers, each with its helper, on few cores and switching often:
+    # a block read while a helper writes it would change the histograms
+    args = (limit_packet, 600, 5, 0.5, [20.0, 200.0], P_EDGES)
+    results = {}
+    with mock.patch.object(classical, "_BIN_BLOCK", 3):
+        mu, limits = fq.ensemble_momentum_limits(*args)
+        callers = [threading.Thread(
+            target=lambda k=k: results.setdefault(k, fq.ensemble_momentum_limits(*args)))
+            for k in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert sorted(results) == [0, 1, 2]
+    for mu_k, limits_k in results.values():
+        assert np.array_equal(mu_k.masses, mu.masses)
+        assert all(np.array_equal(a.masses, b.masses) for a, b in zip(limits_k, limits))
 
 
 @pytest.mark.parametrize("block", [3, 7, classical._BIN_BLOCK])

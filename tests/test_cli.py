@@ -404,6 +404,23 @@ def test_refuses_unresolved_classical_limit_time(tmp_path, capsys):
     assert "only t >= 0.107" in err[0]
 
 
+@pytest.mark.parametrize("key,value,names", [
+    ("p_bins", {"min": 1.0, "max": 1.0, "count": 96}, "momentum bin edges"),
+    ("p_bins", {"min": 4.0, "max": -2.0, "count": 96}, "momentum bin edges"),
+    ("x0", 1e308, "at t = 20 "),
+    ("times", [1e308], "at t = 1e+308 "),
+])
+def test_refuses_classical_limit_bins_that_do_not_increase(tmp_path, capsys, key,
+                                                           value, names):
+    # empty, reversed or overflowing bins ended in a traceback
+    cfg = load_scenario(scenario_path("classical_limit_reference.json"))
+    cfg["classical_limit"][key] = value
+    rc, err = _refusal(tmp_path, capsys, "classical-limit", cfg)
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
+    assert names in err[0] and "finite and increasing" in err[0]
+    assert not any((tmp_path / "out").iterdir())
+
+
 @pytest.mark.parametrize("command,scenario,section,key,literal", [
     ("backflow", "backflow_default.json", "backflow_scan", "t_count", "11.0"),
     ("classical-limit", "classical_limit_reference.json", "classical_limit",
@@ -703,6 +720,16 @@ def test_refuses_backflow_scan_outside_the_box(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_refuses_backflow_scan_whose_phase_overflows(tmp_path, capsys):
+    # t p^2 / (2 m hbar) past the float range made every current NaN
+    capsys.readouterr()
+    rc, out, _ = _backflow_scan(tmp_path, "far", {"t_range": [0.0, 1e308]})
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
+    assert "t_range" in err[0] and "not finite" in err[0]
+    assert not (out / "backflow_current.csv").exists()
+
+
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 def test_backflow_blocks_give_the_bits_of_one_call(tmp_path, extra):
     # t_count one below, at and one above a block of times: the streamed
@@ -800,6 +827,14 @@ def test_refuses_axis_counts_below_the_grid_floor(tmp_path, capsys, command,
     rc, err = _refusal(tmp_path, capsys, command, cfg)
     assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
     assert f"{count} is less than the minimum of 8 (at {path[0]}/{path[1]}/count)" in err[0]
+
+
+def test_parser_is_built_once_and_reads_flowquant_out_per_call(tmp_path, monkeypatch):
+    for name in ("first", "second"):
+        monkeypatch.setenv("FLOWQUANT_OUT", str(tmp_path / name))
+        assert run_cli("flow-classify", "--config", scenario_path("flow_const.json")) == 0
+        assert (tmp_path / name / "flow_classification.json").exists()
+    assert cli._parser() is cli._parser()
 
 
 def test_console_script_entry_point(tmp_path):
