@@ -9,8 +9,9 @@ Subcommands (one scenario JSON in, CSV/JSON files out):
 
 Exit codes: 0 success, 1 configuration or validation error, 2 diagnostic
 outcome (inconclusive classification, negative-momentum leak).  Outputs are
-byte-stable for identical configs and seeds: CSV uses '.' decimals, 17
-significant digits, LF endings, UTF-8; JSON is sorted and indented.
+byte-stable for identical configs and seeds on one numpy build and SIMD
+dispatch level: CSV uses '.' decimals, 17 significant digits, LF endings,
+ASCII; JSON is sorted and indented.
 """
 
 import argparse
@@ -37,42 +38,245 @@ from .scenarios import (build_field, build_packet, build_params,
 #: text grows with t_count.
 _SCAN_CELLS = 1 << 15
 
+#: Values per block of CSV text: each block is formatted, compressed and
+#: written before the next, so no text grows with the row count.
+_TEXT_CELLS = 1 << 13
+
+# The CSV numbers are the bytes of "%.17g": D = round(|v| 10^(16-k)) with
+# 10^k <= |v| < 10^(k+1) holds the 17 significant digits.  10^(16-k) comes
+# from a table of exact double-doubles hi + lo for q = 16 - k in [_Q_MIN,
+# _Q_MAX]; Dekker's TwoProduct gives |v| hi = p + e exactly, so D = p +
+# floor(e + |v| lo + 0.5) with an error below 1e-14 of a unit in that sum.
+# Values whose sum lies within _NEAR of a half unit (near-ties, and exact
+# ties that "%.17g" rounds half-even), non-finite values and |v| outside
+# the table go to Python's "%.17g".  The decisions use only +, -, *, floor
+# and integer operations (log10 only guesses k, which D then corrects), so
+# the text does not depend on numpy's SIMD dispatch.
+_Q_MIN, _Q_MAX = -283, 300  # |v| < 10^(17 - _Q_MIN) keeps |v| (2^27 + 1) finite
+_K_MIN, _K_MAX = 17 - _Q_MAX, 15 - _Q_MIN  # guesses of k that stay in the table corrected
+_NEAR = 1e-9
+_E16, _E17 = 10 ** 16, 10 ** 17
+_SPLIT = float(2 ** 27 + 1)  # Veltkamp's constant: 26-bit halves
+_ZEROS = 0x3030303030303030  # eight ASCII "0"
+_LOW = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)  # low n bytes
+
+# A value's text is four uint64 words, NUL-padded: bytes 0-5 the sign and
+# the "0.000" of 1e-4 <= |v| < 1, bytes 6-23 the digits with the point
+# after the integer digits (after the first in exponent form, none after
+# "0.000"), bytes 24-28 the exponent and byte 31 the separator, which the
+# writers set.  Dropping the NULs gives the row.
+_WORDS = 4
+_COMMA, _NEWLINE = np.uint64(ord(",") << 56), np.uint64(ord("\n") << 56)
+
+
+def _word(text: bytes) -> int:
+    return int.from_bytes(text.ljust(8, b"\0"), "little")
+
+
+@functools.cache
+def _g17_tables():
+    """(hi, hi's 26-bit head and tail, lo) for each q as a (4, q) array,
+    and per k from _K_MIN - 1 to _K_MAX + 2 the byte where the fraction's
+    point goes, the "0.000" word and the exponent word.  Python's int true
+    division and int-to-float conversion round correctly, so hi is 10^q
+    rounded and lo the rest rounded."""
+    powers = []
+    for q in range(_Q_MIN, _Q_MAX + 1):
+        if q >= 0:
+            hi = float(10 ** q)
+            lo = float(10 ** q - int(hi))
+        else:
+            hi = 1 / 10 ** -q
+            num, den = hi.as_integer_ratio()
+            lo = (den - num * 10 ** -q) / (den * 10 ** -q)
+        c = hi * _SPLIT
+        head = c - (c - hi)
+        powers.append((hi, head, hi - head, lo))
+    ks = range(_K_MIN - 1, _K_MAX + 3)
+    fixed = [-4 <= k <= 16 for k in ks]
+    point = [(7 + k if k >= 0 else 6) if f else 7 for k, f in zip(ks, fixed)]
+    lead = [_word(b"\0" + b"0." + b"0" * (-1 - k)) if f and k < 0 else 0
+            for k, f in zip(ks, fixed)]
+    exp = [0 if f else _word(b"e%+03d" % k) for k, f in zip(ks, fixed)]
+    return (np.array(powers).T.copy(), np.array(point),
+            np.array(lead, dtype=np.uint64), np.array(exp, dtype=np.uint64))
+
+
+def _scaled(a, k):
+    """D = round(a 10^(16-k)) as int64, and a 10^(16-k) - D + 1/2 in
+    [0, 1): near 0 or 1 at a near-tie, below 1/2 where a 10^(16-k) < D."""
+    hi, head, tail, lo = np.take(_g17_tables()[0], 16 - _Q_MIN - k, axis=1)
+    p = a * hi
+    c = a * _SPLIT
+    ah = c - (c - a)
+    al = a - ah
+    f = ah * head
+    f -= p
+    f += ah * tail
+    f += al * head
+    f += al * tail  # f = a hi - p exactly
+    f += a * lo
+    f += 0.5
+    floor = np.floor(f)
+    f -= floor
+    return p.astype(np.int64) + floor.astype(np.int64), f
+
+
+def _k_step(d, frac):
+    """+1 where a 10^(16-k) >= 10^17, -1 where it is < 10^16, else 0."""
+    return (((d > _E17) | ((d == _E17) & (frac >= 0.5))).astype(np.int64)
+            - ((d < _E16) | ((d == _E16) & (frac < 0.5))))
+
+
+def _ascii8(x):
+    """The eight decimal digits of each x < 10^8 as ASCII bytes, first digit
+    in the low byte: halves, quarters and eighths split in parallel lanes
+    by multiply-shift division."""
+    m = (x // 10000) | ((x % 10000) << 32)
+    t = ((m * 10486) >> 20) & 0x0000007F0000007F
+    m = ((m - 100 * t) << 16) | t
+    t = ((m * 103) >> 10) & 0x000F000F000F000F
+    return (((m - 10 * t) << 8) | t) | _ZEROS
+
+
+def _last_digit(word):
+    """Index of the last non-"0" digit in each _ascii8 word, -1 if none:
+    the top set byte of word ^ _ZEROS, a value below 16 times 256^i, which
+    frexp reads off exactly."""
+    return (np.frexp((word ^ _ZEROS).astype(float))[1] - 1) >> 3
+
+
+def _slow_g17(values: np.ndarray) -> np.ndarray:
+    """The "%.17g" text of each value, NUL-padded to three words, from one
+    "%" call: at most 24 characters each."""
+    text = ("%-24.17g" * len(values) % tuple(values.tolist())).encode("ascii")
+    return np.frombuffer(text.replace(b" ", b"\0"), np.uint64).reshape(-1, 3)
+
+
+def _g17(values, out: np.ndarray) -> None:
+    """Write the "%.17g" text of each value into the rows of out, a
+    (values.size, _WORDS) uint64 array, as NUL-padded bytes."""
+    v = np.ravel(values).astype(float, copy=False)
+    a = np.abs(v)
+    zero = a == 0.0
+    fast = np.isfinite(a) & ~zero
+    a[~fast] = 1.0
+    k = np.floor(np.log10(a)).astype(np.int64)
+    fast &= (k >= _K_MIN) & (k <= _K_MAX)
+    a[~fast] = 1.0
+    k[~fast] = 0
+    d, frac = _scaled(a, k)
+    step = _k_step(d, frac)
+    redo = np.flatnonzero(step)
+    if redo.size:  # log10 missed k by one
+        k[redo] += step[redo]
+        d[redo], frac[redo] = _scaled(a[redo], k[redo])
+        fast[redo] &= _k_step(d[redo], frac[redo]) == 0
+    fast &= (frac > _NEAR) & (frac < 1.0 - _NEAR)
+    up = d == _E17  # 9.99...95 rounded up to 10.000...
+    d[up] = _E16
+    k += up
+    d[zero] = 0
+    k[zero] = 0
+
+    _, point, lead, exp = _g17_tables()
+    k -= _K_MIN - 1
+    s = point[k]
+    u = d.view(np.uint64)
+    first = u // _E16
+    u -= first * _E16
+    g1 = u // 100_000_000
+    u -= g1 * 100_000_000
+    g1, g2 = _ascii8(g1), _ascii8(u)
+    first += 0x30
+    # digit i sits at byte 6 + i before the point and 7 + i after it;
+    # keep ends after the last nonzero digit, and never inside the integer
+    z1, z2 = _last_digit(g1), _last_digit(g2)
+    keep = np.where(z2 >= 0, 17 + z2, np.where(z1 >= 0, 9 + z1, 8))
+    np.maximum(keep, s, out=keep)
+    dot = np.where((keep > s + 1) & (s > 6), 0x2E2E2E2E2E2E2E2E, 0).astype(np.uint64)
+    head = lead[k] | (first << 48)
+    head[np.signbit(v)] |= 0x2D
+    words = ((head | (g1 << 56), first << 56),  # digits at 6 + i, at 7 + i
+             ((g1 >> 8) | (g2 << 56), g1),
+             (g2 >> 8, g2))
+    for w, (before, after) in enumerate(words):
+        low = np.take(_LOW, s - 8 * w, mode="clip")
+        low_dot = np.take(_LOW, s + 1 - 8 * w, mode="clip")
+        before &= low
+        after &= ~low_dot
+        low ^= low_dot
+        low &= dot
+        before |= low
+        before |= after
+        before &= np.take(_LOW, keep - 8 * w, mode="clip")
+        out[:, w] = before
+    out[:, 3] = exp[k]
+
+    slow = np.flatnonzero(~(fast | zero))
+    if slow.size:
+        out[slow, :3] = _slow_g17(v[slow])
+        out[slow, 3] = 0
+
+
+def _words(values: np.ndarray, end: np.uint64) -> np.ndarray:
+    """The _g17 words of values, each followed by end, formatted a block at
+    a time."""
+    out = np.empty((len(values), _WORDS), np.uint64)
+    for start in range(0, len(values), _TEXT_CELLS):
+        _g17(values[start:start + _TEXT_CELLS], out[start:start + _TEXT_CELLS])
+    out[:, 3] |= end
+    return out
+
+
+def _text(rows: np.ndarray) -> np.ndarray:
+    """The bytes of a C-contiguous array of _g17 words without the NULs."""
+    b = rows.view(np.uint8)
+    return b[b != 0]
+
 
 def _write_csv(path: str, header: list[str], *columns) -> None:
-    """One row per index of the equal-length columns: one "%.17g" template
-    for all rows, filled from the values in row order as Python floats,
-    which "%.17g" formats as float.__format__ does."""
-    values = np.column_stack([np.ravel(c) for c in columns]).ravel().tolist()
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    body = row * (len(values) // len(columns)) % tuple(values)
-    _write_text(path, ",".join(header) + "\n" + body)
+    """One row per index of the equal-length columns, formatted and written
+    a block of rows at a time, with one _g17 call per block."""
+    columns = [np.ravel(c) for c in columns]
+    n, per = len(columns[0]), max(1, _TEXT_CELLS // len(columns))
+    rows = np.empty((min(n, per), len(columns), _WORDS), np.uint64)
+    ends = np.array([_COMMA] * (len(columns) - 1) + [_NEWLINE])
+    with _open_new(path) as fh:
+        fh.write((",".join(header) + "\n").encode("ascii"))
+        for start in range(0, n, per):
+            block = rows[:min(per, n - start)]
+            _g17(np.column_stack([c[start:start + len(block)] for c in columns]),
+                 block.reshape(-1, _WORDS))
+            block[:, :, 3] |= ends
+            fh.write(_text(block))
 
 
 def _write_scan_csv(path: str, header: list[str], ts, xs, blocks) -> None:
     """Rows t, x, j[k, i] for t = ts[k] and x = xs[i], t slowest, where
     blocks yields the rows of j a block of times at a time: the bytes
     _write_csv gives for np.repeat(ts, len(xs)), np.tile(xs, len(ts)) and
-    the stacked blocks.  Each block's rows are formatted and written when
-    it arrives, so neither j nor the CSV text is held whole, and each t and
-    x is formatted once, not once per row."""
-    x_cells = ["%.17g,%%.17g\n" % x for x in np.ravel(xs).tolist()]
-    t_values = np.ravel(ts).tolist()
+    the stacked blocks.  Each t and x is formatted once; per block of at
+    most _TEXT_CELLS currents only j is, with the t and x words broadcast
+    beside it."""
+    t_words, x_words = _words(np.ravel(ts), _COMMA), _words(np.ravel(xs), _COMMA)
+    per, wide = max(1, _TEXT_CELLS // len(x_words)), min(len(x_words), _TEXT_CELLS)
+    rows = np.empty((per * wide, 3, _WORDS), np.uint64)
     with _open_new(path) as fh:
-        fh.write(",".join(header) + "\n")
-        start = 0
+        fh.write((",".join(header) + "\n").encode("ascii"))
+        t0 = 0
         for block in blocks:
-            fh.write(_scan_rows(t_values[start:start + len(block)], x_cells, block))
-            start += len(block)
-
-
-def _scan_rows(ts: list[float], x_cells: list[str], block: np.ndarray) -> str:
-    """The CSV rows of one block of the scan, t slowest: x_cells holds
-    "x," and a "%.17g" slot for j for each x.  A formatted number holds no
-    "%", so each row is the template t + t.join(x_cells) for t = "t,", and
-    one "%" fills the whole block."""
-    t_texts = ("%.17g," % t for t in ts)
-    template = "".join(t + t.join(x_cells) for t in t_texts)
-    return template % tuple(np.ravel(block).tolist())
+            for k in range(0, len(block), per):
+                for i in range(0, len(x_words), wide):
+                    j = block[k:k + per, i:i + wide]
+                    cells = rows[:j.size]
+                    grid = cells.reshape(*j.shape, 3, _WORDS)
+                    grid[:, :, 0] = t_words[t0 + k:t0 + k + len(j), None]
+                    grid[:, :, 1] = x_words[i:i + j.shape[1]]
+                    _g17(j, cells[:, 2])
+                    cells[:, 2, 3] |= _NEWLINE
+                    fh.write(_text(cells))
+            t0 += len(block)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -87,12 +291,12 @@ def _open_new(path: str):
         os.unlink(path)
     except FileNotFoundError:
         pass
-    return open(path, "w", encoding="utf-8", newline="\n")
+    return open(path, "wb")
 
 
 def _write_text(path: str, text: str) -> None:
     with _open_new(path) as fh:
-        fh.write(text)
+        fh.write(text.encode("utf-8"))
 
 
 def cmd_flow_classify(cfg: dict, out_dir: str, args) -> int:
@@ -145,21 +349,26 @@ def cmd_arrival(cfg: dict, out_dir: str, args) -> int:
 
     dist = arrival_distribution(psi_tilde, grid_T=grid_T, s_grid=s_grid)
     T = dist.grid_T.points
-    _write_csv(os.path.join(out_dir, "arrival_density.csv"),
-               ["T", "total", "plus", "minus", "interference"],
-               T, dist.total, dist.plus, dist.minus, dist.interference)
-
-    summary = {
-        "w_plus": dist.w_plus,
-        "w_minus": dist.w_minus,
-        "norm_defect": abs(float(np.trapezoid(dist.total, T))
-                           - norm_squared(psi_tilde)),
-    }
-    for name, component in (("plus", Component.PLUS), ("minus", Component.MINUS)):
-        if summary[f"w_{name}"] > 1e-6:
-            mover = arrival_moments(dist, component)
-            summary[f"mean_T_{name}"] = mover.mean
-            summary[f"var_T_{name}"] = mover.variance
+    # on a T window too wide for float64 the moments overflow: refused
+    # below, before any file is written
+    with np.errstate(over="ignore", invalid="ignore"):
+        summary = {
+            "w_plus": dist.w_plus,
+            "w_minus": dist.w_minus,
+            "norm_defect": abs(float(np.trapezoid(dist.total, T))
+                               - norm_squared(psi_tilde)),
+        }
+        for name, component in (("plus", Component.PLUS), ("minus", Component.MINUS)):
+            if summary[f"w_{name}"] > 1e-6:
+                mover = arrival_moments(dist, component)
+                summary[f"mean_T_{name}"] = mover.mean
+                summary[f"var_T_{name}"] = mover.variance
+    bad = sorted(key for key, value in summary.items() if not math.isfinite(value))
+    if bad:
+        window = dist.grid_T
+        raise ScenarioError(
+            f"grids.T [{window.origin:g}, {window.origin + window.span:g}] is too "
+            f"wide: {' and '.join(bad)} not finite in float64")
     if "mean_T_minus" in summary:
         # left movers arrive physically at -T
         summary["mean_arrival_minus"] = -summary["mean_T_minus"]
@@ -168,6 +377,9 @@ def cmd_arrival(cfg: dict, out_dir: str, args) -> int:
         scale = float(np.abs(oracle.values).max())
         summary["oracle_l_inf"] = float(
             np.abs(oracle.values - dist.amplitude).max() / scale)
+    _write_csv(os.path.join(out_dir, "arrival_density.csv"),
+               ["T", "total", "plus", "minus", "interference"],
+               T, dist.total, dist.plus, dist.minus, dist.interference)
     _write_json(os.path.join(out_dir, "arrival_summary.json"), summary)
     lead = "plus" if "mean_T_plus" in summary else "minus"
     print(f"w_{lead}={summary[f'w_{lead}']:.6f} "

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -266,6 +267,25 @@ def test_arrival_left_mover_only(tmp_path, capsys):
     assert abs(summary["mean_T_minus"] + 25.0) <= 0.02 * 25.0
     assert summary["mean_arrival_minus"] == -summary["mean_T_minus"]
     assert "mean_T_minus=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("lo, hi", [(-1e160, 1e160), (0.0, 1e200), (-1e150, 1e150)])
+def test_refuses_arrival_window_whose_moments_overflow(tmp_path, capsys, lo, hi):
+    # these windows wrote NaN or Infinity moments, which is not JSON, after
+    # numpy overflow warnings; now one error line and no file
+    cfg = load_scenario(scenario_path("reference_rightmover.json"))
+    cfg["grids"]["T"] = {"min": lo, "max": hi, "count": 64}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = run_cli("arrival", "--config", str(path), "--out", str(out))
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
+    assert "grids.T" in err[0] and "not finite" in err[0]
+    assert not any(out.iterdir())
 
 
 def _refusal(tmp_path, capsys, command, cfg):
