@@ -53,7 +53,7 @@ _TEXT_CELLS = 1 << 13
 # and integer operations (log10 only guesses k, which D then corrects), so
 # the text does not depend on numpy's SIMD dispatch.
 _Q_MIN, _Q_MAX = -283, 300  # |v| < 10^(17 - _Q_MIN) keeps |v| (2^27 + 1) finite
-_K_MIN, _K_MAX = 17 - _Q_MAX, 15 - _Q_MIN  # guesses of k that stay in the table corrected
+_K_MIN, _K_MAX = 17 - _Q_MAX, 15 - _Q_MIN  # guesses of k whose correction stays in the table
 _NEAR = 1e-9
 _E16, _E17 = 10 ** 16, 10 ** 17
 _SPLIT = float(2 ** 27 + 1)  # Veltkamp's constant: 26-bit halves
