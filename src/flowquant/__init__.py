@@ -12,8 +12,8 @@ The package is organized around four layers:
   classification (the self-adjointness criterion), half-density transport,
   the Lie-derivative generator and the phase-ambiguous plugged transport;
 * :mod:`flowquant.arrival` / :mod:`flowquant.classical` — the arrival-time
-  distribution with its mover decomposition, and the classical phase-space
-  ensembles used to cross-check it.
+  distribution with its mover decomposition, and the classical arrival
+  times and phase-space ensembles used to cross-check it.
 
 Everything is 1-D and deterministic; stochastic helpers take explicit seeds.
 
@@ -31,17 +31,16 @@ _EXPORTS = {name: module for module, names in {
         "ArrivalDistribution", "ArrivalMoments", "BackflowSpec",
         "Component", "arrival_amplitude_fast",
         "arrival_amplitude_quadrature", "arrival_distribution",
-        "arrival_moments", "classical_arrival_time",
-        "default_time_grid", "make_backflow_packet",
-        "oriented_arrival_time", "probability_in_interval",
-        "split_movers"),
+        "arrival_moments", "default_time_grid", "make_backflow_packet",
+        "probability_in_interval", "split_movers"),
     "classical": (
         "ArrivalStats", "Histogram", "Marginals", "PhaseSpaceEnsemble",
-        "classical_arrival_oracle", "ensemble_from_packet",
-        "ensemble_momentum_limits", "evolve_ensemble",
-        "exact_momentum_histogram", "gaussian_ensemble", "l1_distance",
-        "marginals", "momentum_from_position_limit",
-        "momentum_histogram", "quantum_momentum_limit"),
+        "classical_arrival_oracle", "classical_arrival_time",
+        "ensemble_from_packet", "ensemble_momentum_limits",
+        "evolve_ensemble", "exact_momentum_histogram",
+        "gaussian_ensemble", "l1_distance", "marginals",
+        "momentum_from_position_limit", "momentum_histogram",
+        "oriented_arrival_time", "quantum_momentum_limit"),
     "errors": (
         "BinRangeTooSmall", "FlowQuantError", "GridMismatch",
         "GridTooSmall", "InconclusiveClassification",
@@ -60,10 +59,9 @@ _EXPORTS = {name: module for module, names in {
         "quadratic_field", "straighten", "straightened_oriented_field",
         "transport"),
     "grids": (
-        "CurrentField", "Grid1D", "PhysicalParams", "Representation",
-        "WaveFunction", "gaussian_packet", "inner_product", "moments",
-        "norm_squared", "packet_fits_box", "probability_current",
-        "spectral_derivative"),
+        "Grid1D", "PhysicalParams", "Representation", "WaveFunction",
+        "gaussian_packet", "inner_product", "moments", "norm_squared",
+        "packet_fits_box", "probability_current", "spectral_derivative"),
     "transforms": (
         "TransformReport", "default_momentum_floor",
         "default_oriented_grid", "evolve_free", "fourier_eval",

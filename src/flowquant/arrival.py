@@ -2,9 +2,10 @@
 
 The classical arrival time at the plane x = 0 is t = -m x / p; its oriented
 variant T = -m x / |p| = sgn(p) t is the observable that survives
-quantization.  In the oriented-energy representation the corresponding
-operator is (hbar/i) d/ds, so its spectral amplitude is the Fourier transform
-of phi~(s) with the -i kernel:
+quantization.  Both classical observables live in :mod:`flowquant.classical`;
+this module holds the quantization.  In the oriented-energy representation
+the corresponding operator is (hbar/i) d/ds, so its spectral amplitude is
+the Fourier transform of phi~(s) with the -i kernel:
 
     phi(T) = (2 pi hbar)^(-1/2) integral phi~(s) exp(-i s T / hbar) ds
            = (2 pi hbar)^(-1/2) integral psi~(p) sqrt(|p|/m)
@@ -32,20 +33,10 @@ from .errors import (IntervalOutOfRange, InvalidParameter, LowMomentumMass,
                      NegativeMomentumLeak, QuadratureNonConvergence,
                      RepMismatch, ZeroWeightComponent)
 from .grids import (Grid1D, PhysicalParams, Representation, WaveFunction,
-                    gauss_panels, moments, norm_squared)
+                    _normalized, gauss_panels, moments, norm_squared)
 from .transforms import (_momentum_floor, default_oriented_grid,
                          to_arrival_time, to_momentum, to_oriented_energy,
                          to_position)
-
-
-def classical_arrival_time(x, p, mass: float = 1.0):
-    """Time -m x / p at which a free classical particle crosses x = 0."""
-    return -mass * np.asarray(x, dtype=float) / np.asarray(p, dtype=float)
-
-
-def oriented_arrival_time(x, p, mass: float = 1.0):
-    """Oriented arrival time T = -m x / |p| = sgn(p) * (-m x / p)."""
-    return -mass * np.asarray(x, dtype=float) / np.abs(np.asarray(p, dtype=float))
 
 
 class Component(enum.Enum):
@@ -363,7 +354,8 @@ class BackflowSpec:
 
 def make_backflow_packet(grid_p: Grid1D, params: PhysicalParams,
                          spec: BackflowSpec = BackflowSpec()) -> WaveFunction:
-    """Normalized superposition of two positive-momentum Gaussians.
+    """Normalized superposition of two positive-momentum Gaussians; one whose
+    norm on grid_p is zero (sigma far below its step) raises GridTooSmall.
 
     Despite containing only positive momenta (up to a checked leak of at most
     1e-10 of mass at p < 0), the packet develops regions of negative
@@ -377,10 +369,8 @@ def make_backflow_packet(grid_p: Grid1D, params: PhysicalParams,
     g1 = np.exp(-((p - spec.p1) ** 2) / (4.0 * spec.sigma**2))
     g2 = np.exp(-((p - spec.p2) ** 2) / (4.0 * spec.sigma**2))
     values = spec.a1 * g1 + spec.a2 * np.exp(1j * spec.rel_phase) * g2
-    nrm = math.sqrt(float(np.sum(np.abs(values) ** 2) * grid_p.step))
-    values = values / nrm
-    psi = WaveFunction(grid_p, values, Representation.MOMENTUM, params)
-    neg_mass = float(np.sum(np.abs(values[p < 0.0]) ** 2) * grid_p.step)
+    psi = _normalized(grid_p, values, Representation.MOMENTUM, params)
+    neg_mass = float(np.sum(np.abs(psi.values[p < 0.0]) ** 2) * grid_p.step)
     if neg_mass > 1e-10:
         raise NegativeMomentumLeak(
             f"negative-momentum mass {neg_mass:.3e} exceeds 1e-10")

@@ -30,12 +30,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrival import oriented_arrival_time
 from .errors import (BinRangeTooSmall, InvalidParameter,
                      MomentumFloorViolated, RepMismatch)
 from .grids import (Grid1D, PhysicalParams, Representation, WaveFunction,
                     moments)
 from .transforms import _SUPPORT_CUT, fourier_eval, to_momentum, to_position
+
+
+def classical_arrival_time(x, p, mass: float = 1.0):
+    """Time -m x / p at which a free classical particle crosses x = 0."""
+    return -mass * np.asarray(x, dtype=float) / np.asarray(p, dtype=float)
+
+
+def oriented_arrival_time(x, p, mass: float = 1.0):
+    """Oriented arrival time T = -m x / |p| = sgn(p) * (-m x / p), the
+    classical observable whose quantization :mod:`flowquant.arrival` holds."""
+    return -mass * np.asarray(x, dtype=float) / np.abs(np.asarray(p, dtype=float))
+
 
 #: Samples per block of the draws, the ensemble check and the binning, so
 #: their temporaries stay small.

@@ -335,15 +335,23 @@ def cmd_flow_classify(cfg: dict, out_dir: str, args) -> int:
     return 0
 
 
+def _momentum_packet(cfg: dict):
+    """The scenario packet in the momentum representation, and its position
+    box: grids.x for a packet built in position, and the conjugate of the
+    packet's momentum grid for a backflow packet, which is built in momentum
+    on the conjugate of grids.x."""
+    from .transforms import to_momentum
+    params = build_params(cfg)
+    packet = build_packet(cfg, params, build_x_grid(cfg))
+    if packet.rep is Representation.MOMENTUM:
+        return packet, packet.grid.conjugate(params.hbar)
+    return to_momentum(packet), packet.grid
+
+
 def cmd_arrival(cfg: dict, out_dir: str, args) -> int:
     from .arrival import (Component, arrival_amplitude_quadrature,
                           arrival_distribution, arrival_moments)
-    from .transforms import to_momentum
-    params = build_params(cfg)
-    x_grid = build_x_grid(cfg)
-    packet = build_packet(cfg, params, x_grid)
-    psi_tilde = packet if packet.rep is Representation.MOMENTUM \
-        else to_momentum(packet)
+    psi_tilde, _ = _momentum_packet(cfg)
     grid_T = build_time_grid(cfg)
     s_grid = build_s_grid(cfg)
 
@@ -432,17 +440,12 @@ def cmd_classical_limit(cfg: dict, out_dir: str, args) -> int:
 
 
 def cmd_backflow(cfg: dict, out_dir: str, args) -> int:
-    from .transforms import free_current, to_momentum
+    from .transforms import free_current
     if "backflow_scan" not in cfg:
         raise ScenarioError("scenario needs a backflow_scan section")
     scan = cfg["backflow_scan"]
-    params = build_params(cfg)
-    x_grid = build_x_grid(cfg)
-    packet = build_packet(cfg, params, x_grid)
-    if packet.rep is Representation.MOMENTUM:  # its position box is the conjugate grid
-        psi_tilde, box = packet, packet.grid.conjugate(params.hbar)
-    else:
-        psi_tilde, box = to_momentum(packet), packet.grid
+    psi_tilde, box = _momentum_packet(cfg)
+    params = psi_tilde.params
 
     p = psi_tilde.points
     neg_mass = float(np.sum(np.abs(psi_tilde.values[p < 0.0]) ** 2)
@@ -531,9 +534,6 @@ def main(argv=None) -> int:
         cfg = load_scenario(args.config)
         os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.command](cfg, args.out, args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (NegativeMomentumLeak, InconclusiveClassification) as exc:
         print(f"diagnostic: {exc}", file=sys.stderr)
         return 2

@@ -608,24 +608,36 @@ def transport(psi: WaveFunction, field: VectorField1D, t: float,
     at x0 ends up at G_t(x0).  Without flow_class, the field is classified
     with the default ProbeSpec.
     """
-    from .resample import interpolate
-    from .transforms import TransformReport
     if flow_class is None:
         flow_class = classify_flow(field)
     if flow_class.verdict is not FlowVerdict.COMPLETE:
         raise NotComplete(
             f"field {field.label!r} classified {flow_class.verdict.value}; "
             "transport would not be unitary")
+    return _drag(psi, t, lambda x: (*_flow_map(field, x, -t)[:2], None))
+
+
+def _drag(psi: WaveFunction, t: float, pull_back, plug_phase: float = 0.0,
+          ) -> "tuple[WaveFunction, TransformReport]":
+    """psi(y) sqrt|jac| at the grid points x, with (y, jac, replug) =
+    pull_back(x), and the norm report: the drag that transport and
+    pluggable_transport share.  At t = 0 it is a copy of psi.  Points whose
+    pull-back y is not finite get 0, and the points of the mask replug (None
+    for none) take the phase exp(i plug_phase)."""
+    from .resample import interpolate
+    from .transforms import TransformReport
     norm_in = math.sqrt(norm_squared(psi))
     if t == 0.0:
         return psi.with_values(psi.values), TransformReport.from_norms(norm_in, norm_in)
 
     x = psi.grid.points
-    pullback, jac, _ = _flow_map(field, x, -t)
+    pullback, jac, replug = pull_back(x)
     vals = np.zeros(len(x), dtype=np.complex128)
     ok = np.isfinite(pullback)
     pulled = interpolate(x, psi.values, pullback[ok])
     vals[ok] = pulled * np.sqrt(np.abs(jac[ok]))
+    if replug is not None:
+        vals = np.where(replug, vals * np.exp(1j * plug_phase), vals)
     out = psi.with_values(vals)
     report = TransformReport.from_norms(norm_in, math.sqrt(norm_squared(out)))
     return out, report
@@ -692,8 +704,6 @@ def pluggable_transport(psi: WaveFunction, field: VectorField1D, t: float,
     Only the quadratic form X = x^2 is supported; the loss/gap matching is
     specific to its single-pole flow.
     """
-    from .resample import interpolate
-    from .transforms import TransformReport
     probe_vals = np.asarray(field(_PLUG_PROBES), dtype=float)
     if not np.allclose(probe_vals, _PLUG_PROBES**2, rtol=1e-9, atol=1e-12):
         raise NotPluggable("plugged transport is implemented for X = x^2 only")
@@ -703,20 +713,9 @@ def pluggable_transport(psi: WaveFunction, field: VectorField1D, t: float,
         raise NotPluggable(
             f"field classified {flow_class.verdict.value}, not PluggableIncomplete")
 
-    norm_in = math.sqrt(norm_squared(psi))
-    x = psi.grid.points
-    if t == 0.0:
-        return psi.with_values(psi.values), TransformReport.from_norms(norm_in, norm_in)
+    def pull_back(x):  # G_{-t}(x) = x / (1 + t x); past the pole it re-enters
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            denom = 1.0 + t * x
+            return x / denom, 1.0 / denom**2, denom < 0.0
 
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        denom = 1.0 + t * x
-        pullback = x / denom
-        jac = 1.0 / denom**2
-    pulled = interpolate(x, psi.values, pullback)
-    with np.errstate(invalid="ignore", over="ignore"):
-        vals = np.where(pulled == 0.0, 0.0, pulled * np.sqrt(np.abs(jac)))
-    replug = denom < 0.0
-    vals = np.where(replug, vals * np.exp(1j * plug_phase), vals)
-    out = psi.with_values(vals)
-    report = TransformReport.from_norms(norm_in, math.sqrt(norm_squared(out)))
-    return out, report
+    return _drag(psi, t, pull_back, plug_phase)

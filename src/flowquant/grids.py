@@ -125,20 +125,6 @@ class WaveFunction:
             raise RepMismatch(f"expected {rep.value} representation, got {self.rep.value}")
 
 
-@dataclass(frozen=True, eq=False)
-class CurrentField:
-    """Probability current j(x) sampled on a position grid at one time, as
-    probability_current returns it."""
-
-    grid: Grid1D
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=np.float64, copy=True)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-
 def _cis(theta: np.ndarray) -> np.ndarray:
     """exp(i theta) for real theta: cos and sin written into the real and
     imaginary parts of one complex array, half the work of a complex exp.
@@ -201,6 +187,18 @@ def packet_fits_box(psi: WaveFunction) -> bool:
     return bool(edge <= 1e-12 * peak)
 
 
+def _normalized(grid: Grid1D, values: np.ndarray, rep: Representation,
+                params: PhysicalParams) -> WaveFunction:
+    """The packet values / ||values|| on grid, the one normalization of every
+    packet builder; a norm that is zero (the packet underflows on this grid)
+    or not finite raises GridTooSmall."""
+    nrm = math.sqrt(float(np.sum(np.abs(values) ** 2) * grid.step))
+    if not (nrm > 0.0 and math.isfinite(nrm)):
+        raise GridTooSmall(
+            f"the packet's norm on this grid is {nrm:g}, so it cannot be normalized")
+    return WaveFunction(grid, values / nrm, rep, params)
+
+
 def gaussian_packet(grid: Grid1D, params: PhysicalParams, center_x: float,
                     center_p: float, sigma_p: float) -> WaveFunction:
     """Normalized minimum-uncertainty packet in the position representation.
@@ -220,10 +218,7 @@ def gaussian_packet(grid: Grid1D, params: PhysicalParams, center_x: float,
     values = _cis_ramp(center_p * (grid.origin - center_x) / params.hbar,
                        center_p * grid.step / params.hbar, grid.count)
     values *= np.exp(-((x - center_x) ** 2) / (4.0 * sigma_x**2))
-    nrm = math.sqrt(float(np.sum(np.abs(values) ** 2) * grid.step))
-    if nrm == 0.0:
-        raise GridTooSmall("packet underflows to zero on this grid")
-    psi = WaveFunction(grid, values / nrm, Representation.POSITION, params)
+    psi = _normalized(grid, values, Representation.POSITION, params)
     if not packet_fits_box(psi):
         raise GridTooSmall(
             "packet does not decay below the edge tolerance inside the grid box")
@@ -277,8 +272,9 @@ def gauss_panels(lo, hi) -> tuple[np.ndarray, np.ndarray]:
     return mid + half * _LEGENDRE_NODES, half * _LEGENDRE_WEIGHTS
 
 
-def probability_current(psi: WaveFunction) -> CurrentField:
-    """Probability current j(x) = (hbar/m) Im(conj(psi) dpsi/dx).
+def probability_current(psi: WaveFunction) -> np.ndarray:
+    """Probability current j(x) = (hbar/m) Im(conj(psi) dpsi/dx) at the
+    points of psi's grid, as a read-only float64 array.
 
     The derivative is spectral, which is accurate for packets that decay at
     the box edges.
@@ -286,4 +282,5 @@ def probability_current(psi: WaveFunction) -> CurrentField:
     psi.require_rep(Representation.POSITION)
     dpsi = spectral_derivative(psi.values, psi.grid.step)
     j = (psi.params.hbar / psi.params.mass) * np.imag(np.conj(psi.values) * dpsi)
-    return CurrentField(psi.grid, j)
+    j.setflags(write=False)
+    return j

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ScenarioError
 from .grids import (Grid1D, PhysicalParams, Representation, WaveFunction,
-                    gaussian_packet)
+                    _normalized, gaussian_packet)
 
 # flows and arrival are imported by the builders that use them, so that only
 # the commands that run them load them.
@@ -208,11 +208,7 @@ def build_packet(cfg: dict, params: PhysicalParams, x_grid: Grid1D) -> WaveFunct
                                    comp["center_p"], comp["sigma_p"])
             amp = comp.get("amplitude", 1.0) * np.exp(1j * comp.get("phase", 0.0))
             total = total + amp * part.values
-        nrm = math.sqrt(float(np.sum(np.abs(total) ** 2) * x_grid.step))
-        if not (nrm > 0.0 and math.isfinite(nrm)):
-            raise ScenarioError(
-                f"superposition components sum to a state of norm {nrm:g}")
-        return WaveFunction(x_grid, total / nrm, Representation.POSITION, params)
+        return _normalized(x_grid, total, Representation.POSITION, params)
     if kind == "backflow":
         from .arrival import BackflowSpec, make_backflow_packet
         # The packet is built in momentum and sits at x = 0 of the conjugate

@@ -314,9 +314,10 @@ def test_criterion_10_backflow():
         psi = fq.make_backflow_packet(grid_p, params, spec)
         worst = math.inf
         for t in np.linspace(0.0, 10.0, 41):
-            j = fq.probability_current(fq.to_position(fq.evolve_free(psi, float(t))))
-            sel = np.abs(j.grid.points) <= 20.0
-            worst = min(worst, float(j.values[sel].min()))
+            psi_t = fq.to_position(fq.evolve_free(psi, float(t)))
+            j = fq.probability_current(psi_t)
+            sel = np.abs(psi_t.points) <= 20.0
+            worst = min(worst, float(j[sel].min()))
         return worst, psi
 
     worst, psi = min_current(fq.BackflowSpec())

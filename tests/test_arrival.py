@@ -87,6 +87,16 @@ def test_one_momentum_floor_refusal(params):
                         "energy map diverges at p = 0"}
 
 
+def test_split_movers_refuses_mass_at_p_zero(reference_momentum):
+    # 1e-8 of mass on the p = 0 sample stays under the floor's 1e-6, but it
+    # belongs to neither mover
+    p = reference_momentum.points
+    values = np.array(reference_momentum.values)
+    values[p == 0.0] = math.sqrt(1e-8 / reference_momentum.grid.step)
+    with pytest.raises(fq.LowMomentumMass, match="the p = 0 sample carries mass 1.000e-08"):
+        fq.split_movers(reference_momentum.with_values(values))
+
+
 def test_split_movers_complementary(reference_momentum):
     plus, minus = fq.split_movers(reference_momentum)
     p = reference_momentum.points
@@ -470,6 +480,14 @@ def test_backflow_packet_leak_detection(params):
         fq.make_backflow_packet(grid_p, params, fq.BackflowSpec(sigma=0.3))
 
 
+def test_backflow_packet_refuses_zero_norm(params):
+    # sigma = 0.001 on the conjugate of a 64-point box of width 16 (step
+    # 0.39): every sample underflows, and the packet was all nan
+    grid_p = fq.Grid1D.from_bounds(-8.0, 8.0, 64).conjugate(params.hbar)
+    with pytest.raises(fq.GridTooSmall, match="norm on this grid is 0"):
+        fq.make_backflow_packet(grid_p, params, fq.BackflowSpec(sigma=0.001))
+
+
 def test_backflow_packet_arrival_weights(params):
     grid_p = fq.Grid1D(-128.0, 256.0 / 4096, 4096).conjugate(params.hbar)
     psi = fq.make_backflow_packet(grid_p, params)
@@ -483,9 +501,10 @@ def test_backflow_control_stays_positive(params):
                                   fq.BackflowSpec(a2=0.0))
     worst = 0.0
     for t in np.linspace(0.0, 10.0, 21):
-        j = fq.probability_current(fq.to_position(fq.evolve_free(psi, float(t))))
-        sel = np.abs(j.grid.points) <= 20.0
-        worst = min(worst, float(j.values[sel].min()))
+        psi_t = fq.to_position(fq.evolve_free(psi, float(t)))
+        j = fq.probability_current(psi_t)
+        sel = np.abs(psi_t.points) <= 20.0
+        worst = min(worst, float(j[sel].min()))
     assert worst >= -1e-12
 
 

@@ -192,6 +192,16 @@ def test_quantum_momentum_limit_refuses_unresolved_time(limit_packet):
         fq.quantum_momentum_limit(limit_packet, 0.0, 0.99 * t_far, far)
 
 
+def test_quantum_momentum_limit_refuses_bins_wider_than_the_period(limit_packet):
+    # bins spanning more than the momentum period 2 pi hbar / dx (214.5 here)
+    # fit in it at no time
+    wide = np.linspace(-120.0, 120.0, 65)
+    centers = 0.5 * (wide[:-1] + wide[1:])
+    assert classical._min_resolved_time(limit_packet, 0.0, centers) == math.inf
+    with pytest.raises(fq.InvalidParameter, match=r"only t >= inf"):
+        fq.quantum_momentum_limit(limit_packet, 0.0, 1e6, wide)
+
+
 def test_spectrum_masses_refuse_uneven_bins(limit_packet):
     # the centers are evaluated as one uniform grid: bin [0.5, 1] used to get
     # 0.242 here, where |psi~|^2 dp at its center is 0.352

@@ -114,14 +114,15 @@ def test_package_import_loads_no_module():
 
 
 _COMMON = ["cli", "errors", "grids", "scenarios"]
-_ARRIVAL = [*_COMMON, "arrival", "resample", "transforms"]
+_TRANSFORMS = [*_COMMON, "resample", "transforms"]
+_ARRIVAL = [*_TRANSFORMS, "arrival"]
 
 
 @pytest.mark.parametrize("command, name, modules", [
     ("flow-classify", "flow_x2.json", [*_COMMON, "flows"]),
     ("arrival", "reference_rightmover.json", _ARRIVAL),
     ("backflow", "backflow_default.json", _ARRIVAL),
-    ("classical-limit", "classical_limit_reference.json", [*_ARRIVAL, "classical"]),
+    ("classical-limit", "classical_limit_reference.json", [*_TRANSFORMS, "classical"]),
 ])
 def test_each_command_loads_only_its_modules(tmp_path, command, name, modules):
     probe = ("import sys\n"
@@ -252,8 +253,7 @@ def test_arrival_mixed_beam_interference(tmp_path):
 
 
 def test_arrival_left_mover_only(tmp_path, capsys):
-    cfg = json.loads(open(scenario_path("reference_rightmover.json"),
-                          encoding="utf-8").read())
+    cfg = read_json(scenario_path("reference_rightmover.json"))
     cfg["packet"].update(center_x=50.0, center_p=-2.0)
     cfg["grids"].pop("T", None)
     path = tmp_path / "left.json"
@@ -344,6 +344,48 @@ def test_refuses_zero_norm_superposition(tmp_path, capsys):
         "grids": {"x": {"min": -200.0, "max": 200.0, "count": 4096}}})
     assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
     assert "norm" in err[0]
+
+
+def test_refuses_backflow_packet_of_zero_norm(tmp_path, capsys):
+    # sigma far below the step of the conjugate grid: both Gaussians
+    # underflow at every sample, which wrote nan currents with exit 0
+    rc, err = _refusal(tmp_path, capsys, "backflow", {
+        "packet": {"type": "backflow", "sigma": 0.001},
+        "grids": {"x": {"min": -8.0, "max": 8.0, "count": 64}},
+        "backflow_scan": {"x_range": [-4.0, 4.0], "x_count": 11,
+                          "t_range": [0.0, 1.0], "t_count": 11}})
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
+    assert "norm" in err[0]
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("command, section", [
+    ("classical-limit", "classical_limit"), ("backflow", "backflow_scan")])
+def test_refuses_scenario_without_the_command_section(tmp_path, capsys, command,
+                                                      section):
+    cfg = read_json(scenario_path("reference_rightmover.json"))
+    rc, err = _refusal(tmp_path, capsys, command, cfg)
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
+    assert f"needs a {section} section" in err[0]
+
+
+def test_backflow_scan_of_a_position_packet(tmp_path):
+    # a Gaussian is built on grids.x, which is then its position box
+    cfg = read_json(scenario_path("reference_rightmover.json"))
+    cfg["backflow_scan"] = {"x_range": [-60.0, -40.0], "x_count": 21,
+                            "t_range": [0.0, 2.0], "t_count": 5}
+    path = tmp_path / "gaussian.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("backflow", "--config", str(path), "--out", str(out)) == 0
+    params = build_params(cfg)
+    psi_tilde = flowquant.to_momentum(build_packet(cfg, params, build_x_grid(cfg)))
+    j = flowquant.free_current(psi_tilde, np.linspace(0.0, 2.0, 5),
+                               np.linspace(-60.0, -40.0, 21))
+    summary = read_json(out / "backflow_summary.json")
+    assert summary["min_current"] == float(j.min())
+    assert summary["negative_momentum_mass"] <= 1e-10
+    assert len((out / "backflow_current.csv").read_text().splitlines()) == 1 + 5 * 21
 
 
 def test_refuses_expression_field(tmp_path, capsys):
@@ -547,8 +589,7 @@ def test_backflow_control_command(tmp_path):
 
 
 def test_backflow_leak_exit_code(tmp_path):
-    cfg = json.loads(open(scenario_path("backflow_default.json"),
-                          encoding="utf-8").read())
+    cfg = read_json(scenario_path("backflow_default.json"))
     cfg["packet"]["sigma"] = 0.24
     path = tmp_path / "leaky.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
@@ -637,8 +678,8 @@ def test_shipped_csvs_match_reference_writer(monkeypatch, run_shipped, shipped_o
 @example(1e308)
 @example(-1e308)
 def test_percent_format_is_float_format(x):
-    # the CSV writers fill "%.17g" templates; the CLI's bytes are those of
-    # "{:.17g}".format
+    # the CSV bytes come from cli._g17, and only its fallback _slow_g17
+    # fills "%-24.17g" templates; the CLI's bytes are those of "{:.17g}".format
     assert "%.17g" % x == "{:.17g}".format(x)
 
 

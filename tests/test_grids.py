@@ -141,15 +141,22 @@ def test_inner_product_mismatches(params, tight_grid, wide_grid):
 
 def test_current_real_wavefunction(centered_packet):
     j = fq.probability_current(centered_packet)
-    assert np.abs(j.values).max() <= 1e-12
+    assert np.abs(j).max() <= 1e-12
 
 
 def test_current_integral_matches_momentum(params, wide_grid):
     psi = fq.gaussian_packet(wide_grid, params, 0.0, 1.5, 0.3)
     j = fq.probability_current(psi)
-    total = np.trapezoid(j.values, wide_grid.points)
+    total = np.trapezoid(j, wide_grid.points)
     expected = 1.5 / params.mass
     assert abs(total - expected) <= 0.01 * abs(expected)
+
+
+def test_current_is_a_read_only_array(centered_packet):
+    j = fq.probability_current(centered_packet)
+    assert j.dtype == np.float64 and j.shape == (centered_packet.grid.count,)
+    with pytest.raises(ValueError):
+        j[0] = 1.0
 
 
 def test_current_rep_mismatch(reference_momentum):
@@ -167,7 +174,7 @@ def test_current_continuity(params):
     rho_m = np.abs(fq.to_position(fq.evolve_free(pt, -dt), grid).values) ** 2
     drho_dt = (rho_p - rho_m) / (2.0 * dt)
     j = fq.probability_current(psi)
-    dj_dx = np.real(fq.spectral_derivative(j.values.astype(complex), grid.step))
+    dj_dx = np.real(fq.spectral_derivative(j.astype(complex), grid.step))
     interior = slice(64, -64)
     resid = drho_dt[interior] + dj_dx[interior]
     assert np.abs(np.trapezoid(resid, grid.points[interior])) <= 1e-8
@@ -180,8 +187,8 @@ def test_backflow_packet_has_negative_current(params):
     psi_tilde = fq.make_backflow_packet(grid_x.conjugate(params.hbar), params)
     psi_t = fq.to_position(fq.evolve_free(psi_tilde, 5.0))
     j = fq.probability_current(psi_t)
-    sel = np.abs(j.grid.points) <= 20.0
-    assert j.values[sel].min() < 0.0
+    sel = np.abs(psi_t.points) <= 20.0
+    assert j[sel].min() < 0.0
 
 
 def test_wavefunction_immutability(centered_packet):

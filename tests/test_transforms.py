@@ -560,7 +560,15 @@ def test_free_current_on_the_grid_is_probability_current():
     for t, row in zip(ts, j):
         step = fq.probability_current(fq.to_position(fq.evolve_free(psi_tilde, float(t)),
                                                      grid))
-        assert np.abs(row - step.values).max() <= 2e-11 * np.abs(step.values).max()
+        assert np.abs(row - step).max() <= 2e-11 * np.abs(step).max()
+
+
+def test_free_current_of_the_zero_packet_is_zero():
+    params = fq.PhysicalParams()
+    grid_p = fq.Grid1D(-4.0, 0.125, 64)
+    zero = fq.WaveFunction(grid_p, np.zeros(64), fq.Representation.MOMENTUM, params)
+    j = fq.free_current(zero, [0.0, 1.0, 2.0], np.linspace(-1.0, 1.0, 5))
+    assert j.shape == (3, 5) and not j.any()
 
 
 @pytest.mark.parametrize("split", [1, 2, 3])
