@@ -3,8 +3,8 @@ oriented arrival-time distribution of a free quantum particle.
 
 The package is organized around four layers:
 
-* :mod:`flowquant.grids` — uniform 1-D grids, wave functions, packets,
-  norms and the probability current;
+* :mod:`flowquant.grids` — uniform 1-D grids, wave functions, the
+  Gaussian and backflow packets, norms and the probability current;
 * :mod:`flowquant.transforms` — unitary changes of representation
   (position/momentum Fourier pair, free evolution, the oriented-energy map
   and the arrival-time spectral transform);
@@ -28,10 +28,9 @@ __version__ = "0.1.0"
 #: Each exported name, grouped by the module that defines it.
 _EXPORTS = {name: module for module, names in {
     "arrival": (
-        "ArrivalDistribution", "ArrivalMoments", "BackflowSpec",
-        "Component", "arrival_amplitude_fast",
-        "arrival_amplitude_quadrature", "arrival_distribution",
-        "arrival_moments", "default_time_grid", "make_backflow_packet",
+        "ArrivalDistribution", "ArrivalMoments", "Component",
+        "arrival_amplitude_fast", "arrival_amplitude_quadrature",
+        "arrival_distribution", "arrival_moments", "default_time_grid",
         "probability_in_interval", "split_movers"),
     "classical": (
         "ArrivalStats", "Histogram", "Marginals", "PhaseSpaceEnsemble",
@@ -59,8 +58,9 @@ _EXPORTS = {name: module for module, names in {
         "quadratic_field", "straighten", "straightened_oriented_field",
         "transport"),
     "grids": (
-        "Grid1D", "PhysicalParams", "Representation", "WaveFunction",
-        "gaussian_packet", "inner_product", "moments", "norm_squared",
+        "BackflowSpec", "Grid1D", "PhysicalParams", "Representation",
+        "WaveFunction", "gaussian_packet", "inner_product",
+        "make_backflow_packet", "moments", "norm_squared",
         "packet_fits_box", "probability_current", "spectral_derivative"),
     "transforms": (
         "TransformReport", "default_momentum_floor",

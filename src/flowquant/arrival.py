@@ -29,11 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (IntervalOutOfRange, InvalidParameter, LowMomentumMass,
-                     NegativeMomentumLeak, QuadratureNonConvergence,
-                     RepMismatch, ZeroWeightComponent)
-from .grids import (Grid1D, PhysicalParams, Representation, WaveFunction,
-                    _normalized, gauss_panels, moments, norm_squared)
+from .errors import (IntervalOutOfRange, LowMomentumMass,
+                     QuadratureNonConvergence, RepMismatch,
+                     ZeroWeightComponent)
+from .grids import (Grid1D, Representation, WaveFunction, gauss_panels,
+                    moments, norm_squared)
 from .transforms import (_momentum_floor, default_oriented_grid,
                          to_arrival_time, to_momentum, to_oriented_energy,
                          to_position)
@@ -338,40 +338,3 @@ def arrival_moments(dist: ArrivalDistribution,
     mean = float(np.trapezoid(T * density, T) / weight)
     var = float(np.trapezoid((T - mean) ** 2 * density, T) / weight)
     return ArrivalMoments(mean, var)
-
-
-@dataclass(frozen=True)
-class BackflowSpec:
-    """Two positive-momentum Gaussians whose interference drives j < 0."""
-
-    p1: float = 1.0
-    p2: float = 3.0
-    a1: float = 1.0
-    a2: float = 1.6
-    rel_phase: float = math.pi
-    sigma: float = 0.1
-
-
-def make_backflow_packet(grid_p: Grid1D, params: PhysicalParams,
-                         spec: BackflowSpec = BackflowSpec()) -> WaveFunction:
-    """Normalized superposition of two positive-momentum Gaussians; one whose
-    norm on grid_p is zero (sigma far below its step) raises GridTooSmall.
-
-    Despite containing only positive momenta (up to a checked leak of at most
-    1e-10 of mass at p < 0), the packet develops regions of negative
-    probability current at later times.
-    """
-    if not (spec.sigma > 0.0 and min(spec.p1, spec.p2) > 4.0 * spec.sigma):
-        raise InvalidParameter(
-            f"backflow packet needs p1, p2 > 4 sigma > 0 to carry positive momenta "
-            f"only, got p1={spec.p1:g}, p2={spec.p2:g}, sigma={spec.sigma:g}")
-    p = grid_p.points
-    g1 = np.exp(-((p - spec.p1) ** 2) / (4.0 * spec.sigma**2))
-    g2 = np.exp(-((p - spec.p2) ** 2) / (4.0 * spec.sigma**2))
-    values = spec.a1 * g1 + spec.a2 * np.exp(1j * spec.rel_phase) * g2
-    psi = _normalized(grid_p, values, Representation.MOMENTUM, params)
-    neg_mass = float(np.sum(np.abs(psi.values[p < 0.0]) ** 2) * grid_p.step)
-    if neg_mass > 1e-10:
-        raise NegativeMomentumLeak(
-            f"negative-momentum mass {neg_mass:.3e} exceeds 1e-10")
-    return psi

@@ -32,9 +32,9 @@ import numpy as np
 
 from .errors import (BinRangeTooSmall, InvalidParameter,
                      MomentumFloorViolated, RepMismatch)
-from .grids import (Grid1D, PhysicalParams, Representation, WaveFunction,
-                    moments)
-from .transforms import _SUPPORT_CUT, fourier_eval, to_momentum, to_position
+from .grids import (_SUPPORT_CUT, Grid1D, PhysicalParams, Representation,
+                    WaveFunction, moments)
+from .transforms import fourier_eval, to_momentum, to_position
 
 
 def classical_arrival_time(x, p, mass: float = 1.0):

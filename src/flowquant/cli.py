@@ -409,28 +409,25 @@ def cmd_classical_limit(cfg: dict, out_dir: str, args) -> int:
     x0 = section.get("x0", 0.0)
     bins = section["p_bins"]
     p_edges = np.linspace(bins["min"], bins["max"], bins["count"] + 1)
-    centers = 0.5 * (p_edges[:-1] + p_edges[1:])
-    widths = np.diff(p_edges)
 
     # one streamed pass over the ensemble, which is never held whole
     mu, limits = ensemble_momentum_limits(packet, samples, seed, x0,
                                           section["times"], p_edges)
-    mu_ens = mu.masses
     exact_q = exact_momentum_histogram(packet, p_edges)
 
     results = []
     for t, h_ens in zip(section["times"], limits):
-        l1_ens = float(np.sum(np.abs(h_ens.masses - mu_ens)))
+        l1_ens = l1_distance(h_ens, mu)
         _write_csv(os.path.join(out_dir, f"classical_limit_ensemble_t{t:g}.csv"),
                    ["p", "mu_exact", "mu_limit", "abs_err"],
-                   centers, mu_ens / widths, h_ens.masses / widths,
-                   np.abs(mu_ens - h_ens.masses) / widths)
+                   mu.centers, mu.density, h_ens.density,
+                   np.abs(mu.masses - h_ens.masses) / mu.widths)
         h_q = quantum_momentum_limit(packet, x0, t, p_edges)
         l1_q = l1_distance(h_q, exact_q)
         _write_csv(os.path.join(out_dir, f"classical_limit_quantum_t{t:g}.csv"),
                    ["p", "mu_exact", "mu_limit", "abs_err"],
-                   centers, exact_q.masses / widths, h_q.masses / widths,
-                   np.abs(exact_q.masses - h_q.masses) / widths)
+                   mu.centers, exact_q.density, h_q.density,
+                   np.abs(exact_q.masses - h_q.masses) / mu.widths)
         results.append({"t": t, "l1_error_ensemble": l1_ens,
                         "l1_error_quantum": l1_q})
         print(f"t={t:g}: L1 ensemble={l1_ens:.5f} quantum={l1_q:.6f}")

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (GridMismatch, GridTooSmall, InvalidParameter,
-                     NonPositiveWidth, RepMismatch)
+                     NegativeMomentumLeak, NonPositiveWidth, RepMismatch)
 
 
 class Representation(enum.Enum):
@@ -125,6 +125,11 @@ class WaveFunction:
             raise RepMismatch(f"expected {rep.value} representation, got {self.rep.value}")
 
 
+#: Amplitudes below this fraction of the peak are treated as numerically zero
+#: when locating the support of a packet (transforms and classical).
+_SUPPORT_CUT = 1e-13
+
+
 def _cis(theta: np.ndarray) -> np.ndarray:
     """exp(i theta) for real theta: cos and sin written into the real and
     imaginary parts of one complex array, half the work of a complex exp.
@@ -222,6 +227,43 @@ def gaussian_packet(grid: Grid1D, params: PhysicalParams, center_x: float,
     if not packet_fits_box(psi):
         raise GridTooSmall(
             "packet does not decay below the edge tolerance inside the grid box")
+    return psi
+
+
+@dataclass(frozen=True)
+class BackflowSpec:
+    """Two positive-momentum Gaussians whose interference drives j < 0."""
+
+    p1: float = 1.0
+    p2: float = 3.0
+    a1: float = 1.0
+    a2: float = 1.6
+    rel_phase: float = math.pi
+    sigma: float = 0.1
+
+
+def make_backflow_packet(grid_p: Grid1D, params: PhysicalParams,
+                         spec: BackflowSpec = BackflowSpec()) -> WaveFunction:
+    """Normalized superposition of two positive-momentum Gaussians; one whose
+    norm on grid_p is zero (sigma far below its step) raises GridTooSmall.
+
+    Despite containing only positive momenta (up to a checked leak of at most
+    1e-10 of mass at p < 0), the packet develops regions of negative
+    probability current at later times.
+    """
+    if not (spec.sigma > 0.0 and min(spec.p1, spec.p2) > 4.0 * spec.sigma):
+        raise InvalidParameter(
+            f"backflow packet needs p1, p2 > 4 sigma > 0 to carry positive momenta "
+            f"only, got p1={spec.p1:g}, p2={spec.p2:g}, sigma={spec.sigma:g}")
+    p = grid_p.points
+    g1 = np.exp(-((p - spec.p1) ** 2) / (4.0 * spec.sigma**2))
+    g2 = np.exp(-((p - spec.p2) ** 2) / (4.0 * spec.sigma**2))
+    values = spec.a1 * g1 + spec.a2 * np.exp(1j * spec.rel_phase) * g2
+    psi = _normalized(grid_p, values, Representation.MOMENTUM, params)
+    neg_mass = float(np.sum(np.abs(psi.values[p < 0.0]) ** 2) * grid_p.step)
+    if neg_mass > 1e-10:
+        raise NegativeMomentumLeak(
+            f"negative-momentum mass {neg_mass:.3e} exceeds 1e-10")
     return psi
 
 

@@ -9,6 +9,7 @@ tests hold it to the jsonschema package.
 
 import json
 import math
+from dataclasses import fields
 from functools import cache
 from importlib import resources
 from typing import TYPE_CHECKING
@@ -16,11 +17,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ScenarioError
-from .grids import (Grid1D, PhysicalParams, Representation, WaveFunction,
-                    _normalized, gaussian_packet)
+from .grids import (BackflowSpec, Grid1D, PhysicalParams, Representation,
+                    WaveFunction, _normalized, gaussian_packet,
+                    make_backflow_packet)
 
-# flows and arrival are imported by the builders that use them, so that only
-# the commands that run them load them.
+# flows is imported by the builders that use it, so that only the commands
+# that run it load it.
 if TYPE_CHECKING:
     from .flows import ProbeSpec, VectorField1D
 
@@ -157,8 +159,7 @@ def list_scenarios() -> list[str]:
 
 
 def build_params(cfg: dict) -> PhysicalParams:
-    section = cfg.get("params", {})
-    return PhysicalParams(section.get("hbar", 1.0), section.get("mass", 1.0))
+    return PhysicalParams(**cfg.get("params", {}))
 
 
 def _axis_grid(section: dict) -> Grid1D:
@@ -210,7 +211,6 @@ def build_packet(cfg: dict, params: PhysicalParams, x_grid: Grid1D) -> WaveFunct
             total = total + amp * part.values
         return _normalized(x_grid, total, Representation.POSITION, params)
     if kind == "backflow":
-        from .arrival import BackflowSpec, make_backflow_packet
         # The packet is built in momentum and sits at x = 0 of the conjugate
         # box, so grids.x sets only the box's span and must be centred on 0.
         centre = x_grid.origin + 0.5 * x_grid.count * x_grid.step
@@ -218,11 +218,9 @@ def build_packet(cfg: dict, params: PhysicalParams, x_grid: Grid1D) -> WaveFunct
             raise ScenarioError(
                 f"a backflow packet sits at x = 0, so grids.x must be centred on 0 "
                 f"to within one grid step; its centre is {centre:g}")
-        spec = BackflowSpec(
-            p1=pk.get("p1", 1.0), p2=pk.get("p2", 3.0),
-            a1=pk.get("a1", 1.0), a2=pk.get("a2", 1.6),
-            rel_phase=pk.get("rel_phase", math.pi),
-            sigma=pk.get("sigma", 0.1))
+        # the packet's own keys; any other (center_x, say) is ignored
+        spec = BackflowSpec(**{f.name: pk[f.name] for f in fields(BackflowSpec)
+                               if f.name in pk})
         return make_backflow_packet(x_grid.conjugate(params.hbar), params, spec)
     raise ScenarioError(f"unknown packet type {kind!r}")
 

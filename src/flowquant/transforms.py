@@ -36,17 +36,15 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidParameter, LowMomentumMass
-from .grids import (Grid1D, Representation, WaveFunction, _cis, _cis_ramp,
-                    norm_squared)
-from .resample import _STENCIL, interpolate
+from .grids import (_SUPPORT_CUT, Grid1D, Representation, WaveFunction, _cis,
+                    _cis_ramp, norm_squared)
+
+# _pull_back imports resample itself, so that only the commands that
+# interpolate load it.
 
 #: Largest mass below the momentum floor (absolute, for unit-norm states)
 #: that the oriented-energy map and the mover split accept.
 _LOW_P_MASS_TOL = 1e-6
-
-#: Amplitudes below this fraction of the peak are treated as numerically zero
-#: when locating the support of a packet.
-_SUPPORT_CUT = 1e-13
 
 #: Default s-grid: the smallest and largest point counts.
 _MIN_S_COUNT = 1024
@@ -346,6 +344,7 @@ def _pull_back(source: WaveFunction, grid: Grid1D, floor: float,
     whole half.  Queries outside the run are exact zeros.  Each half sets its
     own run, so the map of a packet stays the sum of its movers' maps.
     """
+    from .resample import _STENCIL, interpolate
     u, y = source.points, grid.points
     out = np.zeros(grid.count, dtype=np.complex128)
     halves = ((slice(np.searchsorted(u, 0.0, side="right"), None),

@@ -114,14 +114,13 @@ def test_package_import_loads_no_module():
 
 
 _COMMON = ["cli", "errors", "grids", "scenarios"]
-_TRANSFORMS = [*_COMMON, "resample", "transforms"]
-_ARRIVAL = [*_TRANSFORMS, "arrival"]
+_TRANSFORMS = [*_COMMON, "transforms"]
 
 
 @pytest.mark.parametrize("command, name, modules", [
     ("flow-classify", "flow_x2.json", [*_COMMON, "flows"]),
-    ("arrival", "reference_rightmover.json", _ARRIVAL),
-    ("backflow", "backflow_default.json", _ARRIVAL),
+    ("arrival", "reference_rightmover.json", [*_TRANSFORMS, "resample", "arrival"]),
+    ("backflow", "backflow_default.json", _TRANSFORMS),
     ("classical-limit", "classical_limit_reference.json", [*_TRANSFORMS, "classical"]),
 ])
 def test_each_command_loads_only_its_modules(tmp_path, command, name, modules):
@@ -334,6 +333,24 @@ def test_backflow_box_with_odd_count_runs(tmp_path):
     path = tmp_path / "odd.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
     assert run_cli("backflow", "--config", str(path), "--out", str(tmp_path / "out")) == 0
+
+
+def test_backflow_packet_takes_unset_keys_from_backflow_spec(tmp_path):
+    # the schema lets center_x stand on a backflow packet, which ignores it
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps({
+        "name": "partial", "params": {"hbar": 1.0},
+        "packet": {"type": "backflow", "p1": 1.5, "sigma": 0.2, "center_x": 7.0},
+        "grids": {"x": {"min": -128.0, "max": 128.0, "count": 4096}}}),
+        encoding="utf-8")
+    cfg = load_scenario(str(path))
+    params = build_params(cfg)
+    x_grid = build_x_grid(cfg)
+    psi = build_packet(cfg, params, x_grid)
+    want = flowquant.make_backflow_packet(x_grid.conjugate(params.hbar), params,
+                                          flowquant.BackflowSpec(p1=1.5, sigma=0.2))
+    assert psi.grid == want.grid and psi.params == want.params
+    assert psi.values.tobytes() == want.values.tobytes()
 
 
 def test_refuses_zero_norm_superposition(tmp_path, capsys):
