@@ -34,9 +34,9 @@ from .errors import (IntervalOutOfRange, LowMomentumMass,
                      ZeroWeightComponent)
 from .grids import (Grid1D, Representation, WaveFunction, gauss_panels,
                     moments, norm_squared)
-from .transforms import (_momentum_floor, default_oriented_grid,
-                         to_arrival_time, to_momentum, to_oriented_energy,
-                         to_position)
+from .transforms import (_momentum_floor, _refuse_square_overflow,
+                         default_oriented_grid, to_arrival_time, to_momentum,
+                         to_oriented_energy, to_position)
 
 
 class Component(enum.Enum):
@@ -111,6 +111,7 @@ def default_time_grid(psi_tilde: WaveFunction) -> Grid1D:
     w = np.abs(psi_tilde.values) ** 2
     w_total = w.sum()
     p0 = float(np.sum(np.abs(p) * w) / w_total)
+    _refuse_square_overflow(p0, "the packet's mean |p|")
     p_std = float(math.sqrt(np.sum((np.abs(p) - p0) ** 2 * w) / w_total))
     center = -m * x_mean / p0
     span = 8.0 * m * (abs(x_mean) * p_std / p0**2 + x_std / p0)

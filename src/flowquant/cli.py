@@ -401,6 +401,14 @@ def cmd_classical_limit(cfg: dict, out_dir: str, args) -> int:
     if "classical_limit" not in cfg:
         raise ScenarioError("scenario needs a classical_limit section")
     section = cfg["classical_limit"]
+    named = {}  # file tag -> time
+    for t in section["times"]:
+        tag = f"{t:g}"
+        if tag in named:
+            raise ScenarioError(
+                f"classical_limit.times {named[tag]!r} and {t!r} would both write "
+                f"classical_limit_*_t{tag}.csv")
+        named[tag] = t
     params = build_params(cfg)
     x_grid = build_x_grid(cfg)
     packet = build_packet(cfg, params, x_grid)

@@ -163,14 +163,12 @@ def straightened_oriented_field() -> VectorField1D:
 
 @dataclass(frozen=True)
 class FlowResult:
-    """Outcome of integrating dx/dt = X(x) from one initial point."""
+    """Outcome of integrating dx/dt = X(x) from one initial point; an
+    escaped trajectory has no endpoint and reaches its blow-up time."""
 
-    start: float
-    t_requested: float
     t_reached: float
     endpoint: float | None
     escaped: bool
-    escape_time_estimate: float | None = None
 
 
 def _panel_time(field: VectorField1D, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -393,23 +391,24 @@ def integrate_flow(field: VectorField1D, x0: float, t: float) -> FlowResult:
     """The flow from x0 for time t, from travel times (see the module notes).
 
     A trajectory whose travel time to the end of its orbit is at most |t|
-    is flagged escaped, with that time as its exact blow-up time (to
-    rounding); a finite domain edge ends the orbit like +-inf does.  An
-    endpoint beyond the default travel-time table (about 2^200 max(1, |x0|)
-    from x0, or within 2^-200 of an orbit end) is looked up again on a table
-    that runs to the end of the float range, so only an endpoint that
-    float64 cannot hold, or where X is below the normal floats, is refused.
+    is flagged escaped, with that time, signed like t, as t_reached: its
+    exact blow-up time (to rounding).  A finite domain edge ends the orbit
+    like +-inf does.  An endpoint beyond the default travel-time table
+    (about 2^200 max(1, |x0|) from x0, or within 2^-200 of an orbit end) is
+    looked up again on a table that runs to the end of the float range, so
+    only an endpoint that float64 cannot hold, or where X is below the
+    normal floats, is refused.
     """
     field.component_of(x0)
     if t == 0.0:
-        return FlowResult(x0, 0.0, 0.0, x0, False)
+        return FlowResult(0.0, x0, False)
     for segments in (_TAIL_SEGMENTS, _FLOAT_TAIL_SEGMENTS):
         y, _, t_end = _flow_map(field, np.array([float(x0)]), t, segments)
         if t_end[0] <= abs(t):
             tau = math.copysign(float(t_end[0]), t)
-            return FlowResult(x0, t, tau, None, True, tau)
+            return FlowResult(tau, None, True)
         if not math.isnan(y[0]):
-            return FlowResult(x0, t, t, float(y[0]), False)
+            return FlowResult(t, float(y[0]), False)
     raise InvalidParameter(
         f"G_t({x0:g}) for t = {t:g} lies beyond the float64 range or where "
         "X is below the normal floats")
@@ -536,14 +535,11 @@ def classify_flow(field: VectorField1D, probes: ProbeSpec = ProbeSpec()) -> Flow
 @dataclass(frozen=True)
 class StraightenResult:
     """Monotone chart s(x) in which the field becomes d/ds, on the orbit of
-    x_ref: s is the integral of 1/X from x_ref, tabulated as ``table_s`` at
-    the increasing nodes ``table_x``."""
+    x_ref: s is the integral of 1/X from x_ref."""
 
     s_of_x: Callable
     x_of_s: Callable
     global_chart: bool
-    table_x: np.ndarray
-    table_s: np.ndarray
 
 
 def straighten(field: VectorField1D, x_ref: float) -> StraightenResult:
@@ -592,27 +588,25 @@ def straighten(field: VectorField1D, x_ref: float) -> StraightenResult:
         return float(x[0]) if ss.ndim == 0 else x.reshape(ss.shape)
 
     global_chart = not any(_reached(*end) for end in ends)
-    return StraightenResult(s_of_x, x_of_s, global_chart, nodes, table_s)
+    return StraightenResult(s_of_x, x_of_s, global_chart)
 
 
 # --------------------------------------------------------------------------
 # Transport, generator, plugged transport
 
 def transport(psi: WaveFunction, field: VectorField1D, t: float,
-              flow_class: FlowClass | None = None,
               ) -> "tuple[WaveFunction, TransformReport]":
     """Unitary drag of a wave function along the flow of a complete field.
 
     (G_t psi)(x) = psi(G_{-t}(x)) sqrt|G'_{-t}(x)|: the pull-back point
     inverts the travel time, and its Jacobian is X(G_{-t}(x))/X(x).  A bump
-    at x0 ends up at G_t(x0).  Without flow_class, the field is classified
-    with the default ProbeSpec.
+    at x0 ends up at G_t(x0).  The field is classified with the default
+    ProbeSpec, and one that is not Complete raises NotComplete.
     """
-    if flow_class is None:
-        flow_class = classify_flow(field)
-    if flow_class.verdict is not FlowVerdict.COMPLETE:
+    verdict = classify_flow(field).verdict
+    if verdict is not FlowVerdict.COMPLETE:
         raise NotComplete(
-            f"field {field.label!r} classified {flow_class.verdict.value}; "
+            f"field {field.label!r} classified {verdict.value}; "
             "transport would not be unitary")
     return _drag(psi, t, lambda x: (*_flow_map(field, x, -t)[:2], None))
 
@@ -691,7 +685,6 @@ _PLUG_PROBES = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
 
 def pluggable_transport(psi: WaveFunction, field: VectorField1D, t: float,
                         plug_phase: float,
-                        flow_class: FlowClass | None = None,
                         ) -> "tuple[WaveFunction, TransformReport]":
     """Norm-preserving but non-unique transport for the quadratic field.
 
@@ -702,16 +695,15 @@ def pluggable_transport(psi: WaveFunction, field: VectorField1D, t: float,
     extension of the same symmetric generator.
 
     Only the quadratic form X = x^2 is supported; the loss/gap matching is
-    specific to its single-pole flow.
+    specific to its single-pole flow.  The field is classified with the
+    default ProbeSpec, and must be PluggableIncomplete.
     """
     probe_vals = np.asarray(field(_PLUG_PROBES), dtype=float)
     if not np.allclose(probe_vals, _PLUG_PROBES**2, rtol=1e-9, atol=1e-12):
         raise NotPluggable("plugged transport is implemented for X = x^2 only")
-    if flow_class is None:
-        flow_class = classify_flow(field)
-    if flow_class.verdict is not FlowVerdict.PLUGGABLE_INCOMPLETE:
-        raise NotPluggable(
-            f"field classified {flow_class.verdict.value}, not PluggableIncomplete")
+    verdict = classify_flow(field).verdict
+    if verdict is not FlowVerdict.PLUGGABLE_INCOMPLETE:
+        raise NotPluggable(f"field classified {verdict.value}, not PluggableIncomplete")
 
     def pull_back(x):  # G_{-t}(x) = x / (1 + t x); past the pole it re-enters
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

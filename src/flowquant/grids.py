@@ -204,6 +204,19 @@ def _normalized(grid: Grid1D, values: np.ndarray, rep: Representation,
     return WaveFunction(grid, values / nrm, rep, params)
 
 
+def _envelope(u: np.ndarray, center: float, width: float) -> np.ndarray:
+    """exp(-(u - center)^2 / (4 width^2)), the Gaussian envelope of every
+    packet.  A width whose 4 width^2 overflows float64 raises
+    InvalidParameter before the square is taken: width ** 2 of a Python
+    float raises OverflowError.  A (u - center)^2 past float64 is inf, where
+    the envelope is 0."""
+    if not math.isfinite(4.0 * width * width):
+        raise InvalidParameter(
+            f"Gaussian width {width:.3e} is too large: 4 width^2 overflows float64")
+    with np.errstate(over="ignore"):
+        return np.exp(-((u - center) ** 2) / (4.0 * width**2))
+
+
 def gaussian_packet(grid: Grid1D, params: PhysicalParams, center_x: float,
                     center_p: float, sigma_p: float) -> WaveFunction:
     """Normalized minimum-uncertainty packet in the position representation.
@@ -215,14 +228,13 @@ def gaussian_packet(grid: Grid1D, params: PhysicalParams, center_x: float,
     if not (sigma_p > 0.0 and math.isfinite(sigma_p)):
         raise NonPositiveWidth(f"sigma_p must be positive, got {sigma_p}")
     sigma_x = params.hbar / (2.0 * sigma_p)
-    if not sigma_x <= grid.span:  # checked before squaring, which can overflow
+    if not sigma_x <= grid.span:
         raise GridTooSmall(
             f"packet width hbar / (2 sigma_p) = {sigma_x:.3e} exceeds the grid box "
             f"{grid.span:.3e}")
-    x = grid.points
     values = _cis_ramp(center_p * (grid.origin - center_x) / params.hbar,
                        center_p * grid.step / params.hbar, grid.count)
-    values *= np.exp(-((x - center_x) ** 2) / (4.0 * sigma_x**2))
+    values *= _envelope(grid.points, center_x, sigma_x)
     psi = _normalized(grid, values, Representation.POSITION, params)
     if not packet_fits_box(psi):
         raise GridTooSmall(
@@ -256,8 +268,7 @@ def make_backflow_packet(grid_p: Grid1D, params: PhysicalParams,
             f"backflow packet needs p1, p2 > 4 sigma > 0 to carry positive momenta "
             f"only, got p1={spec.p1:g}, p2={spec.p2:g}, sigma={spec.sigma:g}")
     p = grid_p.points
-    g1 = np.exp(-((p - spec.p1) ** 2) / (4.0 * spec.sigma**2))
-    g2 = np.exp(-((p - spec.p2) ** 2) / (4.0 * spec.sigma**2))
+    g1, g2 = _envelope(p, spec.p1, spec.sigma), _envelope(p, spec.p2, spec.sigma)
     values = spec.a1 * g1 + spec.a2 * np.exp(1j * spec.rel_phase) * g2
     psi = _normalized(grid_p, values, Representation.MOMENTUM, params)
     neg_mass = float(np.sum(np.abs(psi.values[p < 0.0]) ** 2) * grid_p.step)

@@ -246,9 +246,7 @@ def build_field(cfg: dict, params: PhysicalParams) -> "VectorField1D":
 
 def build_probe_spec(cfg: dict) -> "ProbeSpec":
     from .flows import ProbeSpec
-    section = cfg.get("probe_spec", {})
-    defaults = ProbeSpec()
-    interval = section.get("interval", list(defaults.interval))
-    return ProbeSpec(interval=(float(interval[0]), float(interval[1])),
-                     count=section.get("count", defaults.count),
-                     t_probe=section.get("t_probe", defaults.t_probe))
+    section = dict(cfg.get("probe_spec", {}))
+    if "interval" in section:
+        section["interval"] = tuple(map(float, section["interval"]))
+    return ProbeSpec(**section)

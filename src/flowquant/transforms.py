@@ -170,26 +170,22 @@ def _trig_sum(values: np.ndarray, u0: float, du: float, w0: float, dw: float,
 
 def fourier_eval(values: np.ndarray, grid_in: Grid1D, grid_out: Grid1D,
                  sign: int, hbar: float) -> np.ndarray:
-    """_trig_sum's Riemann sum of the samples on grid_in at the points of
-    grid_out, along the last axis of values.
+    """_trig_sum's Riemann sum of the 1-D samples on grid_in at the points of
+    grid_out.
 
     The output grid may have any origin, spacing and count; only on the
     conjugate grid is the sum norm-preserving (to rounding).  Runs of exact
-    zeros at either end of the input (of every row, for a stack of rows) add
-    nothing to the sum and are skipped, so the cost scales with the nonzero
-    span: a single mover's oriented-energy samples, zero on the other sign of
-    s, cost half a grid.  Rows that share that span get the bits of one-row
-    calls.
+    zeros at either end of the input add nothing to the sum and are skipped,
+    so the cost scales with the nonzero span: a single mover's
+    oriented-energy samples, zero on the other sign of s, cost half a grid.
     """
     # argmax on the mask finds each end without an index array.
     nonzero = values != 0.0
-    if nonzero.ndim > 1:
-        nonzero = nonzero.reshape(-1, nonzero.shape[-1]).any(axis=0)
     lo = int(nonzero.argmax())
     if not nonzero[lo]:
-        return np.zeros(values.shape[:-1] + (grid_out.count,), dtype=np.complex128)
+        return np.zeros(grid_out.count, dtype=np.complex128)
     hi = len(nonzero) - int(nonzero[::-1].argmax())
-    return _trig_sum(values[..., lo:hi], grid_in.point(lo), grid_in.step,
+    return _trig_sum(values[lo:hi], grid_in.point(lo), grid_in.step,
                      grid_out.origin, grid_out.step, grid_out.count, sign, hbar)
 
 
@@ -277,6 +273,14 @@ def low_momentum_mass(psi_tilde: WaveFunction, p_min: float) -> float:
     return float(np.sum(np.abs(psi_tilde.values[low]) ** 2) * psi_tilde.grid.step)
 
 
+def _refuse_square_overflow(p: float, what: str) -> None:
+    """Refuse a momentum whose square overflows float64 with one line,
+    before p ** 2 of the Python float raises OverflowError."""
+    if not math.isfinite(p * p):
+        raise InvalidParameter(
+            f"{what} {p:.3e} is too large: its square overflows float64")
+
+
 def _momentum_floor(psi_tilde: WaveFunction) -> float:
     """default_momentum_floor(psi_tilde.grid), after refusing a wave function
     with more than _LOW_P_MASS_TOL of mass below it."""
@@ -314,14 +318,15 @@ def default_oriented_grid(psi_tilde: WaveFunction, p_min: float | None = None) -
     p = psi_tilde.points
     amp = np.abs(psi_tilde.values)
     peak = amp.max()
-    if peak == 0.0:  # nothing to resolve: the minimum grid over the box
-        s_max, count = float(np.abs(p).max()) ** 2 / (2.0 * m), _MIN_S_COUNT
-    else:
+    p_sup = np.abs(p[amp >= _SUPPORT_CUT * peak])  # the whole box if peak is 0
+    p_hi = float(p_sup.max())
+    _refuse_square_overflow(p_hi, "the packet's largest momentum")
+    s_max = p_hi ** 2 / (2.0 * m)
+    count = _MIN_S_COUNT  # nothing to resolve in a zero packet
+    if peak > 0.0:
         if p_min is None:
             p_min = default_momentum_floor(psi_tilde.grid)
-        p_sup = np.abs(p[amp >= _SUPPORT_CUT * peak])
         p_lo = max(float(p_sup.min()), p_min)
-        s_max = float(p_sup.max()) ** 2 / (2.0 * m)
         ds_target = p_lo * psi_tilde.grid.step / m
         need = min(math.ceil(2.0 * s_max / ds_target), _MAX_S_COUNT)
         count = max(_fft_size(need), _MIN_S_COUNT)  # 2^22 is 5-smooth: no overshoot
@@ -378,6 +383,7 @@ def to_oriented_energy(psi_tilde: WaveFunction, s_grid: Grid1D | None = None,
     p_min = _momentum_floor(psi_tilde)
     if s_grid is None:
         s_grid = default_oriented_grid(psi_tilde, p_min)
+    _refuse_square_overflow(p_min, "the momentum floor")
     out = _pull_back(psi_tilde, s_grid, p_min**2 / (2.0 * m),
                      lambda s: np.sqrt(2.0 * m * s), lambda s: (m / (2.0 * s)) ** 0.25)
     phi = WaveFunction(s_grid, out, Representation.ORIENTED_ENERGY, psi_tilde.params)

@@ -64,7 +64,7 @@ def test_criterion_02_closed_form_flows():
     esc_errs = []
     for x0 in (0.25, 0.5, 2.0):  # blow-up time 1/x0
         r = fq.integrate_flow(fq.quadratic_field(), x0, 3.0 / x0 + 1.0)
-        esc_errs.append(abs(r.escape_time_estimate - 1.0 / x0))
+        esc_errs.append(abs(r.t_reached - 1.0 / x0))
     esc_err = max(esc_errs)
     report(2, flow_err <= 1e-8 and esc_err <= 1e-6 and len(pairs) + 10 == 20,
            "closed-form flows exp(t)x and x/(1-tx) at 20 probe pairs",
@@ -116,9 +116,8 @@ def test_criterion_04_generator():
     fd_err = 0.0
     eps = 1e-4
     for field in (fq.constant_field(), fq.linear_field()):
-        fc = fq.classify_flow(field)
-        fwd, _ = fq.transport(packet, field, +eps, flow_class=fc)
-        bwd, _ = fq.transport(packet, field, -eps, flow_class=fc)
+        fwd, _ = fq.transport(packet, field, +eps)
+        bwd, _ = fq.transport(packet, field, -eps)
         # transport drags forward: its t-derivative is minus the Lie derivative
         quotient = (bwd.values - fwd.values) / (2.0 * eps)
         lie = fq.lie_derivative(packet, field)
@@ -290,9 +289,8 @@ def test_criterion_09_plugged_extensions():
     psi = fq.WaveFunction(grid, vals, fq.Representation.POSITION, params)
 
     field = fq.quadratic_field()
-    fc = fq.classify_flow(field)
-    out1, rep1 = fq.pluggable_transport(psi, field, 0.5, 0.0, flow_class=fc)
-    out2, rep2 = fq.pluggable_transport(psi, field, 0.5, 2.0, flow_class=fc)
+    out1, rep1 = fq.pluggable_transport(psi, field, 0.5, 0.0)
+    out2, rep2 = fq.pluggable_transport(psi, field, 0.5, 2.0)
     chi = fq.gaussian_packet(grid, params, -5.0, 0.0, 0.5)
     diff = abs(fq.inner_product(chi, out1) - fq.inner_product(chi, out2))
     ok = (diff > 1e-3 and rep1.unitarity_defect <= 1e-5

@@ -483,6 +483,16 @@ def test_refuses_unresolved_classical_limit_time(tmp_path, capsys):
     assert "only t >= 0.107" in err[0]
 
 
+def test_refuses_classical_limit_times_that_share_a_file_name(tmp_path, capsys):
+    # "%g" makes both "20": one CSV pair would overwrite the other
+    cfg = load_scenario(scenario_path("classical_limit_reference.json"))
+    cfg["classical_limit"]["times"] = [20.0, 20.0000001]
+    rc, err = _refusal(tmp_path, capsys, "classical-limit", cfg)
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
+    assert "20.0 and 20.0000001" in err[0] and "_t20.csv" in err[0]
+    assert not any((tmp_path / "out").iterdir())
+
+
 @pytest.mark.parametrize("key,value,names", [
     ("p_bins", {"min": 1.0, "max": 1.0, "count": 96}, "momentum bin edges"),
     ("p_bins", {"min": 4.0, "max": -2.0, "count": 96}, "momentum bin edges"),
@@ -560,6 +570,40 @@ def test_refuses_packet_wider_than_the_box(tmp_path, capsys, command, scenario):
     rc, err = _refusal(tmp_path, capsys, command, cfg)
     assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
     assert "exceeds the grid box" in err[0] and "Traceback" not in err[0]
+
+
+_SCAN = {"x_range": [-1.0, 1.0], "x_count": 3, "t_range": [0.0, 1.0], "t_count": 3}
+_HUGE_HBAR = {"params": {"hbar": 1e200},
+              "packet": {"type": "gaussian", "center_x": -2.0, "center_p": 8e200,
+                         "sigma_p": 1e200}}
+_SMALL_BOX = {"min": -8.0, "max": 8.0, "count": 256}
+
+
+@pytest.mark.parametrize("command, cfg, named", [
+    ("arrival", {"packet": {"type": "gaussian", "center_x": 0.0, "center_p": 1.0,
+                            "sigma_p": 1e-156},
+                 "grids": {"x": {"min": -1e158, "max": 1e158, "count": 4096}}},
+     "Gaussian width 5.000e+155"),
+    ("backflow", {"packet": {"type": "backflow", "p1": 1e200, "p2": 2e200,
+                             "sigma": 1e199},
+                  "grids": {"x": {"min": -8.0, "max": 8.0, "count": 64}},
+                  "backflow_scan": _SCAN},
+     "Gaussian width 1.000e+199"),
+    ("arrival", {**_HUGE_HBAR, "grids": {"x": _SMALL_BOX}}, "largest momentum"),
+    ("arrival", {**_HUGE_HBAR, "grids": {"x": _SMALL_BOX, "s": {"max": 1e300,
+                                                                 "count": 1024}}},
+     "mean |p|"),
+    ("arrival", {**_HUGE_HBAR, "grids": {"x": _SMALL_BOX,
+                                         "s": {"max": 1e300, "count": 1024},
+                                         "T": {"min": 0.0, "max": 1.0, "count": 64}}},
+     "momentum floor"),
+], ids=["packet-width", "backflow-sigma", "s-grid", "T-grid", "floor"])
+def test_refuses_a_square_beyond_float64(tmp_path, capsys, command, cfg, named):
+    # x ** 2 of a Python float raises OverflowError where numpy gives inf
+    rc, err = _refusal(tmp_path, capsys, command, cfg)
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
+    assert named in err[0] and "overflows float64" in err[0]
+    assert not any((tmp_path / "out").iterdir())
 
 
 @pytest.mark.parametrize("literal", ["-Infinity", "1e400"])

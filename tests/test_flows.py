@@ -56,7 +56,7 @@ def test_quadratic_flow_escape():
     assert r.escaped
     assert r.endpoint is None
     assert r.t_reached < 3.0
-    assert abs(r.escape_time_estimate - 2.0) <= 1e-6
+    assert abs(r.t_reached - 2.0) <= 1e-6
 
 
 def test_flow_backward_time():
@@ -310,7 +310,7 @@ def test_power_field_indices_match_escape_times(k):
     assert (fc.n_plus, fc.n_minus) == (int(forward.escaped), int(backward.escaped))
     assert forward.escaped == (k > 1.0) and not backward.escaped
     if forward.escaped:
-        assert math.isclose(forward.escape_time_estimate, 1.0 / (k - 1.0), rel_tol=1e-9)
+        assert math.isclose(forward.t_reached, 1.0 / (k - 1.0), rel_tol=1e-9)
     expected = fq.FlowVerdict.INCURABLE if k > 1.0 else fq.FlowVerdict.COMPLETE
     assert fc.verdict is expected
 
@@ -493,16 +493,17 @@ def test_transport_norm_preservation(centered_packet):
 
 def test_transport_group_law(centered_packet):
     field = fq.linear_field()
-    fc = fq.classify_flow(field)
-    one, _ = fq.transport(centered_packet, field, 0.3, flow_class=fc)
-    two, _ = fq.transport(one, field, 0.4, flow_class=fc)
-    direct, _ = fq.transport(centered_packet, field, 0.7, flow_class=fc)
+    one, _ = fq.transport(centered_packet, field, 0.3)
+    two, _ = fq.transport(one, field, 0.4)
+    direct, _ = fq.transport(centered_packet, field, 0.7)
     assert np.abs(two.values - direct.values).max() <= 1e-7
 
 
 def test_transport_rejects_incomplete(centered_packet):
-    with pytest.raises(fq.NotComplete):
-        fq.transport(centered_packet, fq.quadratic_field(), 0.1)
+    # the verdict is always that of the dragged field
+    for field, t in ((fq.quadratic_field(), 0.1), (fq.cubic_field(), 0.3)):
+        with pytest.raises(fq.NotComplete):
+            fq.transport(centered_packet, field, t)
 
 
 # -------------------------------------------------------------- generator
@@ -537,10 +538,9 @@ def test_generator_matches_transport_derivative(centered_packet, factory):
     # transport drags the packet forward, so its t-derivative at zero is the
     # negative Lie derivative; compare against the reversed difference quotient
     field = factory()
-    fc = fq.classify_flow(field)
     eps = 1e-4
-    fwd, _ = fq.transport(centered_packet, field, +eps, flow_class=fc)
-    bwd, _ = fq.transport(centered_packet, field, -eps, flow_class=fc)
+    fwd, _ = fq.transport(centered_packet, field, +eps)
+    bwd, _ = fq.transport(centered_packet, field, -eps)
     quotient = (bwd.values - fwd.values) / (2.0 * eps)
     lie = fq.lie_derivative(centered_packet, field)
     assert np.abs(quotient - lie.values).max() <= 1e-3
@@ -595,20 +595,17 @@ def straddling_packet(params):
 
 
 def test_pluggable_norm_preserved(straddling_packet):
-    fc = fq.classify_flow(fq.quadratic_field())
     for phase in (0.0, 1.3):
         _, report = fq.pluggable_transport(straddling_packet,
-                                           fq.quadratic_field(), 0.5, phase,
-                                           flow_class=fc)
+                                           fq.quadratic_field(), 0.5, phase)
         assert report.unitarity_defect <= 1e-5
 
 
 def test_pluggable_inequivalent_extensions(params, straddling_packet):
-    fc = fq.classify_flow(fq.quadratic_field())
     out0, _ = fq.pluggable_transport(straddling_packet, fq.quadratic_field(),
-                                     0.5, 0.0, flow_class=fc)
+                                     0.5, 0.0)
     out1, _ = fq.pluggable_transport(straddling_packet, fq.quadratic_field(),
-                                     0.5, 1.0, flow_class=fc)
+                                     0.5, 1.0)
     chi = fq.gaussian_packet(straddling_packet.grid, params, -5.0, 0.0, 0.5)
     diff = abs(fq.inner_product(chi, out0) - fq.inner_product(chi, out1))
     assert diff > 1e-3
@@ -621,9 +618,8 @@ def test_pluggable_phase_inert_when_nothing_escapes(params):
     vals = np.where(np.abs(u) < 1.0, np.exp(-1.0 / np.maximum(1.0 - u**2, 1e-300)), 0.0)
     vals /= math.sqrt(np.sum(vals**2) * grid.step)
     psi = fq.WaveFunction(grid, vals, fq.Representation.POSITION, params)
-    fc = fq.classify_flow(fq.quadratic_field())
-    a, _ = fq.pluggable_transport(psi, fq.quadratic_field(), 0.5, 0.0, flow_class=fc)
-    b, _ = fq.pluggable_transport(psi, fq.quadratic_field(), 0.5, 2.0, flow_class=fc)
+    a, _ = fq.pluggable_transport(psi, fq.quadratic_field(), 0.5, 0.0)
+    b, _ = fq.pluggable_transport(psi, fq.quadratic_field(), 0.5, 2.0)
     assert np.abs(a.values - b.values).max() <= 1e-10
 
 

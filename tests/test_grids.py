@@ -71,6 +71,15 @@ def test_gaussian_packet_refuses_a_width_beyond_the_box(params):
             fq.gaussian_packet(grid, params, 0.0, 1.0, sigma_p)
 
 
+def test_envelope_past_float64_is_zero(params):
+    # (p - p1)^2 overflows to inf, where the envelope is 0: the packet is
+    # refused for its zero norm, with no overflow warning before
+    grid_p = fq.Grid1D(-12.5, 25.0 / 64, 64)
+    spec = fq.BackflowSpec(p1=1e200, p2=2e200, sigma=1e150)
+    with pytest.raises(fq.GridTooSmall, match="norm on this grid is 0"):
+        fq.make_backflow_packet(grid_p, params, spec)
+
+
 @pytest.mark.parametrize("hbar,count,cx,p0,sigma_p", [
     (0.7, 3000, -7.3, 2.9, 0.45),
     (1.0, 4096, -50.0, 2.2, 0.35),
