@@ -25,16 +25,16 @@ term integrates to zero while remaining visible pointwise.
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import (IntervalOutOfRange, LowMomentumMass,
                      QuadratureNonConvergence, RepMismatch,
                      ZeroWeightComponent)
-from .grids import (Grid1D, Representation, WaveFunction, gauss_panels,
-                    moments, norm_squared)
-from .transforms import (_momentum_floor, _refuse_square_overflow,
+from .grids import Grid1D, Representation, WaveFunction, gauss_panels, moments
+from .transforms import (_energy_map, _momentum_floor, _pull_back_half,
+                         _refuse_square_overflow, _trimmed_trig_sum,
                          default_oriented_grid, to_arrival_time, to_momentum,
                          to_oriented_energy, to_position)
 
@@ -64,12 +64,20 @@ class ArrivalDistribution:
     w_minus: float
     amplitude: np.ndarray
 
-    def __post_init__(self):
+    def __post_init__(self, copy: bool | None = True):
         for name in ("total", "plus", "minus", "interference", "amplitude"):
             dtype = np.complex128 if name == "amplitude" else np.float64
-            arr = np.array(getattr(self, name), dtype=dtype, copy=True)
+            arr = np.array(getattr(self, name), dtype=dtype, copy=copy)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @classmethod
+    def _owning(cls, *values) -> "ArrivalDistribution":
+        """An instance that keeps the fresh arrays it is given, uncopied."""
+        d = object.__new__(cls)
+        d.__dict__.update(zip((f.name for f in fields(cls)), values, strict=True))
+        d.__post_init__(copy=None)  # copies only an array of another dtype
+        return d
 
     def component(self, which: Component) -> np.ndarray:
         return {Component.TOTAL: self.total, Component.PLUS: self.plus,
@@ -85,16 +93,21 @@ def split_movers(psi_tilde: WaveFunction) -> tuple[WaveFunction, WaveFunction]:
     map downstream), with the same refusal.
     """
     psi_tilde.require_rep(Representation.MOMENTUM)
-    _momentum_floor(psi_tilde)
+    _split_floor(psi_tilde)
     p = psi_tilde.points
-    zero = p == 0.0
-    zero_mass = float(np.sum(np.abs(psi_tilde.values[zero]) ** 2) * psi_tilde.grid.step)
-    if zero_mass > 1e-10:
-        raise LowMomentumMass(
-            f"the p = 0 sample carries mass {zero_mass:.3e} > 1e-10")
     plus = psi_tilde.with_values(np.where(p > 0.0, psi_tilde.values, 0.0))
     minus = psi_tilde.with_values(np.where(p < 0.0, psi_tilde.values, 0.0))
     return plus, minus
+
+
+def _split_floor(psi_tilde: WaveFunction) -> float:
+    """_momentum_floor(psi_tilde), then refuse more than 1e-10 of mass at p = 0."""
+    p_min = _momentum_floor(psi_tilde)
+    zero = psi_tilde.points == 0.0
+    zero_mass = float(np.sum(np.abs(psi_tilde.values[zero]) ** 2) * psi_tilde.grid.step)
+    if zero_mass > 1e-10:
+        raise LowMomentumMass(f"the p = 0 sample carries mass {zero_mass:.3e} > 1e-10")
+    return p_min
 
 
 def default_time_grid(psi_tilde: WaveFunction) -> Grid1D:
@@ -268,6 +281,12 @@ def arrival_distribution(psi: WaveFunction, grid_T: Grid1D | None = None,
     first); any other representation raises RepMismatch.  Both mover
     amplitudes are computed on a common s-grid and T-grid so the
     decomposition identities hold exactly.
+
+    Every field and refusal is, bit for bit, that of the per-mover chain:
+    split_movers, then for each part norm_squared (w_plus, w_minus) and
+    to_oriented_energy(part, s_grid=s_grid) -> to_arrival_time(., grid_T).
+    It is one pass over the unsplit psi~: a mover's oriented-energy samples
+    are one sign's half of the pull-back of psi~.
     """
     if psi.rep is Representation.POSITION:
         psi_tilde = to_momentum(psi)
@@ -277,29 +296,33 @@ def arrival_distribution(psi: WaveFunction, grid_T: Grid1D | None = None,
         raise RepMismatch(
             f"arrival_distribution needs position or momentum input, got {psi.rep.value}")
 
-    plus, minus = split_movers(psi_tilde)
-    w_plus = norm_squared(plus)
-    w_minus = norm_squared(minus)
+    p_min = _split_floor(psi_tilde)
+    p, params = psi_tilde.points, psi_tilde.params
+    a2 = np.abs(psi_tilde.values) ** 2
+    w_plus = float(np.sum(np.where(p > 0.0, a2, 0.0)) * psi_tilde.grid.step)
+    w_minus = float(np.sum(np.where(p < 0.0, a2, 0.0)) * psi_tilde.grid.step)
     if s_grid is None:
-        s_grid = default_oriented_grid(psi_tilde)
+        s_grid = default_oriented_grid(psi_tilde, p_min)
     if grid_T is None:
         grid_T = default_time_grid(psi_tilde)
 
-    def amplitude(part: WaveFunction, weight: float) -> np.ndarray:
+    def amplitude(positive: bool, weight: float) -> np.ndarray:
         if weight <= 1e-12 * max(w_plus + w_minus, 1e-300):
             return np.zeros(grid_T.count, dtype=np.complex128)
-        return arrival_amplitude_fast(part, grid_T, s_grid=s_grid).values
+        start, phi_s = _pull_back_half(psi_tilde, s_grid, positive,
+                                       *_energy_map(p_min, params.mass))
+        return _trimmed_trig_sum(phi_s, start, s_grid, grid_T, -1, params.hbar)
 
-    phi_plus = amplitude(plus, w_plus)
-    phi_minus = amplitude(minus, w_minus)
+    phi_plus = amplitude(True, w_plus)
+    phi_minus = amplitude(False, w_minus)
 
     plus_d = np.abs(phi_plus) ** 2
     minus_d = np.abs(phi_minus) ** 2
     interference = 2.0 * np.real(phi_plus * np.conj(phi_minus))
     phi = phi_plus + phi_minus
     total = np.abs(phi) ** 2
-    return ArrivalDistribution(grid_T, total, plus_d, minus_d, interference,
-                               w_plus, w_minus, phi)
+    return ArrivalDistribution._owning(grid_T, total, plus_d, minus_d, interference,
+                                       w_plus, w_minus, phi)
 
 
 def probability_in_interval(dist: ArrivalDistribution, a: float, b: float,
@@ -332,10 +355,15 @@ def arrival_moments(dist: ArrivalDistribution,
     of weight at most 1e-6 raises ZeroWeightComponent."""
     density = dist.component(component)
     T = dist.grid_T.points
-    weight = float(np.trapezoid(density, T))
+    dT = np.diff(T)
+
+    def trapezoid(y: np.ndarray) -> np.float64:  # np.trapezoid(y, T), dT taken once
+        return (dT * (y[1:] + y[:-1]) / 2.0).sum()
+
+    weight = float(trapezoid(density))
     if weight <= 1e-6:
         raise ZeroWeightComponent(
             f"component {component.value} carries weight {weight:.3e}")
-    mean = float(np.trapezoid(T * density, T) / weight)
-    var = float(np.trapezoid((T - mean) ** 2 * density, T) / weight)
+    mean = float(trapezoid(T * density) / weight)
+    var = float(trapezoid((T - mean) ** 2 * density) / weight)
     return ArrivalMoments(mean, var)

@@ -66,6 +66,7 @@ class TransformReport:
         return cls(norm_in, norm_out, defect)
 
 
+@functools.lru_cache(maxsize=256)
 def _fft_size(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n.
 
@@ -168,6 +169,19 @@ def _trig_sum(values: np.ndarray, u0: float, du: float, w0: float, dw: float,
     return (du / math.sqrt(2.0 * math.pi * hbar)) * post * core
 
 
+def _trimmed_trig_sum(values: np.ndarray, start: int, grid_in: Grid1D, grid_out: Grid1D,
+                      sign: int, hbar: float) -> np.ndarray:
+    """fourier_eval of values, the samples of grid_in from index start on; the
+    kept run starts at its point on the whole grid_in, which rounds alike."""
+    nonzero = values != 0.0  # argmax on the mask finds each end without an index array
+    if not nonzero.any():
+        return np.zeros(grid_out.count, dtype=np.complex128)
+    lo = int(nonzero.argmax())
+    hi = len(nonzero) - int(nonzero[::-1].argmax())
+    return _trig_sum(values[lo:hi], grid_in.point(start + lo), grid_in.step,
+                     grid_out.origin, grid_out.step, grid_out.count, sign, hbar)
+
+
 def fourier_eval(values: np.ndarray, grid_in: Grid1D, grid_out: Grid1D,
                  sign: int, hbar: float) -> np.ndarray:
     """_trig_sum's Riemann sum of the 1-D samples on grid_in at the points of
@@ -179,14 +193,7 @@ def fourier_eval(values: np.ndarray, grid_in: Grid1D, grid_out: Grid1D,
     so the cost scales with the nonzero span: a single mover's
     oriented-energy samples, zero on the other sign of s, cost half a grid.
     """
-    # argmax on the mask finds each end without an index array.
-    nonzero = values != 0.0
-    lo = int(nonzero.argmax())
-    if not nonzero[lo]:
-        return np.zeros(grid_out.count, dtype=np.complex128)
-    hi = len(nonzero) - int(nonzero[::-1].argmax())
-    return _trig_sum(values[lo:hi], grid_in.point(lo), grid_in.step,
-                     grid_out.origin, grid_out.step, grid_out.count, sign, hbar)
+    return _trimmed_trig_sum(values, 0, grid_in, grid_out, sign, hbar)
 
 
 def to_momentum(psi: WaveFunction) -> WaveFunction:
@@ -334,39 +341,56 @@ def default_oriented_grid(psi_tilde: WaveFunction, p_min: float | None = None) -
     return Grid1D(-(count // 2) * ds, ds, count)
 
 
+def _pull_back_half(source: WaveFunction, grid: Grid1D, positive: bool, floor: float,
+                    node: Callable[[np.ndarray], np.ndarray],
+                    weight: Callable[[np.ndarray], np.ndarray]) -> tuple[int, np.ndarray]:
+    """One half-axis of _pull_back: the index of grid's first point of that
+    sign with |y| >= floor, and the values from there on (none for a zero
+    half).  Only the half's support is interpolated: the run of its nodes at
+    or above _SUPPORT_CUT of its own peak, widened by half a stencil on each
+    side, so every query inside the run reads the stencil windows of the
+    whole half; the other queries are exact zeros."""
+    from .resample import _STENCIL, interpolate
+    u, y = source.points, grid.points
+    if positive:
+        src = slice(np.searchsorted(u, 0.0, side="right"), None)
+        dst = slice(np.searchsorted(y, floor), None)
+    else:
+        src = slice(np.searchsorted(u, 0.0))
+        dst = slice(0, np.searchsorted(y, -floor, side="right"))
+    order = slice(None, None, 1 if positive else -1)  # so that the nodes |u| increase
+    values = source.values[src][order]
+    if not (np.any(values) and y[dst].size):  # a mover leaves the other half zero
+        return dst.start, values[:0]
+    amp = np.abs(values)
+    support = amp >= _SUPPORT_CUT * amp.max()
+    lo = max(int(support.argmax()) - _STENCIL // 2, 0)
+    hi = amp.size - int(support[::-1].argmax()) + _STENCIL // 2
+    abs_y = np.abs(y[dst])
+    interp = interpolate(np.abs(u[src][order][lo:hi]), values[lo:hi], node(abs_y))
+    return dst.start, np.multiply(interp, weight(abs_y), out=interp)
+
+
 def _pull_back(source: WaveFunction, grid: Grid1D, floor: float,
                node: Callable[[np.ndarray], np.ndarray],
                weight: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """source(sgn(y) node(|y|)) * weight(|y|) at the points y of grid, zero
-    where |y| < floor: each half-axis of the source, interpolated at its own
-    sign of y.
-
-    Both grids increase, so each half is one contiguous run of each; the
-    negative source half is reversed, so its nodes |u| increase as well.
-    Only the support of a half is interpolated: the run of its nodes at or
-    above _SUPPORT_CUT of that half's own peak, widened by half a stencil on
-    each side, so every query inside the run reads the stencil windows of the
-    whole half.  Queries outside the run are exact zeros.  Each half sets its
-    own run, so the map of a packet stays the sum of its movers' maps.
-    """
-    from .resample import _STENCIL, interpolate
-    u, y = source.points, grid.points
+    where |y| < floor.  Both grids increase, so each half-axis is one run of
+    each, and _pull_back_half maps each on its own: the map of a packet is
+    the sum of its movers' maps."""
     out = np.zeros(grid.count, dtype=np.complex128)
-    halves = ((slice(np.searchsorted(u, 0.0, side="right"), None),
-               slice(np.searchsorted(y, floor), None), slice(None)),
-              (slice(np.searchsorted(u, 0.0)),
-               slice(np.searchsorted(y, -floor, side="right")), slice(None, None, -1)))
-    for src, dst, order in halves:
-        values = source.values[src][order]
-        if np.any(values) and y[dst].size:  # a mover leaves the other half zero
-            amp = np.abs(values)
-            support = amp >= _SUPPORT_CUT * amp.max()
-            lo = max(int(support.argmax()) - _STENCIL // 2, 0)
-            hi = amp.size - int(support[::-1].argmax()) + _STENCIL // 2
-            abs_y = np.abs(y[dst])
-            interp = interpolate(np.abs(u[src][order][lo:hi]), values[lo:hi], node(abs_y))
-            np.multiply(interp, weight(abs_y), out=out[dst])
+    for positive in (True, False):
+        start, values = _pull_back_half(source, grid, positive, floor, node, weight)
+        out[start:start + values.size] = values
     return out
+
+
+def _energy_map(p_min: float, mass: float) -> tuple:
+    """The floor, node and weight of _pull_back from momentum to oriented
+    energy, after refusing a momentum floor whose square overflows."""
+    _refuse_square_overflow(p_min, "the momentum floor")
+    return (p_min**2 / (2.0 * mass), lambda s: np.sqrt(2.0 * mass * s),
+            lambda s: (mass / (2.0 * s)) ** 0.25)
 
 
 def to_oriented_energy(psi_tilde: WaveFunction, s_grid: Grid1D | None = None,
@@ -383,9 +407,7 @@ def to_oriented_energy(psi_tilde: WaveFunction, s_grid: Grid1D | None = None,
     p_min = _momentum_floor(psi_tilde)
     if s_grid is None:
         s_grid = default_oriented_grid(psi_tilde, p_min)
-    _refuse_square_overflow(p_min, "the momentum floor")
-    out = _pull_back(psi_tilde, s_grid, p_min**2 / (2.0 * m),
-                     lambda s: np.sqrt(2.0 * m * s), lambda s: (m / (2.0 * s)) ** 0.25)
+    out = _pull_back(psi_tilde, s_grid, *_energy_map(p_min, m))
     phi = WaveFunction(s_grid, out, Representation.ORIENTED_ENERGY, psi_tilde.params)
     report = TransformReport.from_norms(
         math.sqrt(norm_squared(psi_tilde)), math.sqrt(norm_squared(phi)))

@@ -307,6 +307,160 @@ def test_distribution_is_the_per_mover_chain(request, packet, arrival_grid, expl
         assert dist.minus.max() > 0.0
 
 
+def _public_chain(psi_tilde, grid_T=None, s_grid=None):
+    """arrival_distribution's fields from the public per-mover chain:
+    split_movers, then norm_squared and to_oriented_energy -> to_arrival_time
+    of each part; a part below 1e-12 of the weight has a zero amplitude."""
+    plus, minus = fq.split_movers(psi_tilde)
+    w_plus, w_minus = fq.norm_squared(plus), fq.norm_squared(minus)
+    s_grid = s_grid or fq.default_oriented_grid(psi_tilde)
+    grid_T = grid_T or fq.default_time_grid(psi_tilde)
+    amps = [fq.to_arrival_time(fq.to_oriented_energy(part, s_grid=s_grid)[0], grid_T).values
+            if w > 1e-12 * max(w_plus + w_minus, 1e-300)
+            else np.zeros(grid_T.count, dtype=np.complex128)
+            for part, w in ((plus, w_plus), (minus, w_minus))]
+    return {"grid_T": grid_T, "amplitude": amps[0] + amps[1],
+            "total": np.abs(amps[0] + amps[1]) ** 2, "plus": np.abs(amps[0]) ** 2,
+            "minus": np.abs(amps[1]) ** 2,
+            "interference": 2.0 * np.real(amps[0] * np.conj(amps[1])),
+            "w_plus": w_plus, "w_minus": w_minus}
+
+
+@st.composite
+def stream_packets(draw, kind):
+    """Packets over the ranges of the arrival_stream benchmark, on the
+    400-wide box: a single mover (p0 / sigma_p from 6.5 to 16), that mover
+    and its mirror in momentum with a relative amplitude and phase, or a
+    broad mover (p0 / sigma_p 6.25 to 6.45, where the p = 0 sample still
+    carries less than 1e-10) whose wrong-way tail weighs between 1e-12 and
+    1e-6; a default or explicit T-grid, and a default or explicit s-grid."""
+    p0 = draw(st.floats(2.0, 2.6) if kind == "broad" else st.floats(0.6, 2.0))
+    sigma_p = p0 / draw(st.floats(6.25, 6.45) if kind == "broad" else st.floats(6.5, 16.0))
+    sign = draw(st.sampled_from([1, -1]))
+    x_far = min(80.0, 170.0 - 10.5 / (2.0 * sigma_p))  # tails inside the box
+    movers = [(-sign * draw(st.floats(20.0, x_far)), sign * p0, 1.0)]
+    if kind == "two":
+        movers.append((sign * draw(st.floats(20.0, x_far)), -sign * p0,
+                       draw(st.floats(0.5, 1.0))
+                       * np.exp(1j * draw(st.floats(0.0, 2 * math.pi)))))
+    T_count = draw(st.sampled_from([None, 700, 2048]))
+    s_scale = draw(st.sampled_from([None, 0.9, 1.2]))
+    return movers, sigma_p, T_count, s_scale
+
+
+@pytest.mark.parametrize("kind", ["single", "two", "broad"])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_distribution_bits_equal_the_public_chain(params, wide_grid, kind, data):
+    # the one pass over the unsplit samples gives every field of the
+    # per-mover chain bit for bit, on default and explicit grids alike
+    movers, sigma_p, T_count, s_scale = data.draw(stream_packets(kind))
+    values = sum(amp * fq.gaussian_packet(wide_grid, params, x0, p0, sigma_p).values
+                 for x0, p0, amp in movers)
+    values /= math.sqrt(np.sum(np.abs(values) ** 2) * wide_grid.step)
+    psi = fq.to_momentum(fq.WaveFunction(wide_grid, values, fq.Representation.POSITION,
+                                         params))
+    grid_T = s_grid = None
+    if T_count:  # 7 classical spreads either side of the arrival epochs
+        ends = [(-x0 / abs(p0), abs(x0) * sigma_p / p0**2 + 0.5 / (sigma_p * abs(p0)))
+                for x0, p0, _ in movers]
+        lo = min(T0 - 7.0 * spread for T0, spread in ends)
+        hi = max(T0 + 7.0 * spread for T0, spread in ends)
+        grid_T = fq.Grid1D(lo, (hi - lo) / (T_count - 1), T_count)
+    if s_scale:  # a narrower or wider s-grid than the default, of another count
+        s_max = -fq.default_oriented_grid(psi).origin * s_scale
+        s_grid = fq.Grid1D(-s_max, 2.0 * s_max / 3000, 3000)
+    dist = fq.arrival_distribution(psi, grid_T=grid_T, s_grid=s_grid)
+    chain = _public_chain(psi, grid_T, s_grid)
+    assert dist.grid_T == chain["grid_T"]
+    for name in ("amplitude", "total", "plus", "minus", "interference"):
+        assert np.array_equal(getattr(dist, name), chain[name]), name
+    assert (dist.w_plus, dist.w_minus) == (chain["w_plus"], chain["w_minus"])
+    if kind == "broad":  # the light wrong-way mover is computed, not dropped
+        assert 1e-12 < min(dist.w_plus, dist.w_minus) < 1e-6
+        assert min(dist.plus.max(), dist.minus.max()) > 0.0
+
+
+def _refusal(call) -> tuple[type, str]:
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def _with_mass_at_p_zero(psi_tilde, mass=1e-8):
+    values = np.array(psi_tilde.values)
+    values[psi_tilde.points == 0.0] = math.sqrt(mass / psi_tilde.grid.step)
+    return psi_tilde.with_values(values)
+
+
+def test_distribution_refuses_mass_at_p_zero_as_the_chain(reference_momentum,
+                                                          arrival_grid):
+    psi = _with_mass_at_p_zero(reference_momentum)
+    refusal = _refusal(lambda: fq.arrival_distribution(psi, grid_T=arrival_grid))
+    assert refusal == _refusal(lambda: _public_chain(psi, arrival_grid))
+    assert refusal == (fq.LowMomentumMass, "the p = 0 sample carries mass 1.000e-08 > 1e-10")
+
+
+def test_distribution_refuses_the_floor_before_the_mass_at_p_zero(params):
+    # the packet of test_one_momentum_floor_refusal, with 1e-8 more at p = 0
+    grid = fq.Grid1D.from_bounds(-128.0, 128.0, 4096)
+    slow = fq.to_momentum(fq.gaussian_packet(grid, params, -40.0, 0.55, 0.1))
+    psi = _with_mass_at_p_zero(slow)
+    refusal = _refusal(lambda: fq.arrival_distribution(psi))
+    assert refusal == _refusal(lambda: _public_chain(psi))
+    assert refusal[0] is fq.LowMomentumMass and refusal[1].startswith("mass ")
+    assert "below |p| <" in refusal[1]
+
+
+def test_distribution_refuses_a_floor_square_overflow_as_the_chain():
+    # dp = 3.9e199 on this box: the 4 dp floor squares beyond float64
+    params = fq.PhysicalParams(hbar=1e200)
+    grid = fq.Grid1D.from_bounds(-8.0, 8.0, 256)
+    psi = fq.to_momentum(fq.gaussian_packet(grid, params, -2.0, 8e200, 1e200))
+    grid_T, s_grid = fq.Grid1D(0.0, 1.0 / 63, 64), fq.Grid1D(-1e300, 2e300 / 1024, 1024)
+    refusal = _refusal(lambda: fq.arrival_distribution(psi, grid_T, s_grid))
+    assert refusal == _refusal(lambda: _public_chain(psi, grid_T, s_grid))
+    assert refusal[0] is fq.InvalidParameter
+    assert refusal[1].startswith("the momentum floor") and "overflows float64" in refusal[1]
+
+
+def test_distribution_refuses_an_arrival_time_input_as_the_chain(reference_momentum,
+                                                                 arrival_grid):
+    # both refuse the representation by name; arrival_distribution's message
+    # names the two it accepts, the chain's first stage the one it needs
+    phi = fq.arrival_amplitude_fast(reference_momentum, arrival_grid)
+    kind, message = _refusal(lambda: fq.arrival_distribution(phi))
+    chain_kind, chain_message = _refusal(lambda: _public_chain(phi))
+    assert kind is chain_kind is fq.RepMismatch
+    assert message.endswith("got arrival_time") and chain_message.endswith("got arrival_time")
+    assert message == ("arrival_distribution needs position or momentum input, "
+                       "got arrival_time")
+
+
+def test_distribution_is_one_pass(monkeypatch, mixed_beam, arrival_grid):
+    # one floor check, and no mover WaveFunctions, per-mover oriented-energy
+    # maps or TransformReports: the pass reads the unsplit samples
+    from flowquant import transforms
+    calls = {}
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner in (arrival, transforms):
+        count(owner, "_momentum_floor")
+        count(owner, "to_oriented_energy")
+    count(arrival, "split_movers")
+    count(transforms.TransformReport, "__init__")
+    dist = fq.arrival_distribution(mixed_beam, grid_T=arrival_grid)
+    assert calls == {"_momentum_floor": 1}
+    assert dist.w_plus > 0.4 and dist.w_minus > 0.4
+
+
 def test_distribution_amplitude_is_read_only(reference_distribution):
     amplitude = reference_distribution.amplitude
     assert amplitude.dtype == np.complex128 and not amplitude.flags.writeable
