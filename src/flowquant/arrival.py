@@ -33,9 +33,9 @@ from .errors import (IntervalOutOfRange, LowMomentumMass,
                      QuadratureNonConvergence, RepMismatch,
                      ZeroWeightComponent)
 from .grids import Grid1D, Representation, WaveFunction, gauss_panels, moments
-from .transforms import (_energy_map, _momentum_floor, _pull_back_half,
-                         _refuse_square_overflow, _trimmed_trig_sum,
-                         default_oriented_grid, to_arrival_time, to_momentum,
+from .transforms import (_energy_map, _momentum_floor, _oriented_grid,
+                         _pull_back_half, _refuse_square_overflow,
+                         _trimmed_trig_sum, to_arrival_time, to_momentum,
                          to_oriented_energy, to_position)
 
 
@@ -103,7 +103,8 @@ def split_movers(psi_tilde: WaveFunction) -> tuple[WaveFunction, WaveFunction]:
 def _split_floor(psi_tilde: WaveFunction) -> float:
     """_momentum_floor(psi_tilde), then refuse more than 1e-10 of mass at p = 0."""
     p_min = _momentum_floor(psi_tilde)
-    zero = psi_tilde.points == 0.0
+    p = psi_tilde.points  # increasing: the p = 0 samples are one run
+    zero = slice(np.searchsorted(p, 0.0), np.searchsorted(p, 0.0, side="right"))
     zero_mass = float(np.sum(np.abs(psi_tilde.values[zero]) ** 2) * psi_tilde.grid.step)
     if zero_mass > 1e-10:
         raise LowMomentumMass(f"the p = 0 sample carries mass {zero_mass:.3e} > 1e-10")
@@ -118,10 +119,14 @@ def default_time_grid(psi_tilde: WaveFunction) -> Grid1D:
     least 16 m sigma_x / p0.
     """
     psi_tilde.require_rep(Representation.MOMENTUM)
+    return _time_grid(psi_tilde, np.abs(psi_tilde.values) ** 2)
+
+
+def _time_grid(psi_tilde: WaveFunction, w: np.ndarray) -> Grid1D:
+    """default_time_grid, given the momentum density w = |psi~|^2."""
     m = psi_tilde.params.mass
     x_mean, x_std = moments(to_position(psi_tilde))
     p = psi_tilde.points
-    w = np.abs(psi_tilde.values) ** 2
     w_total = w.sum()
     p0 = float(np.sum(np.abs(p) * w) / w_total)
     _refuse_square_overflow(p0, "the packet's mean |p|")
@@ -298,18 +303,19 @@ def arrival_distribution(psi: WaveFunction, grid_T: Grid1D | None = None,
 
     p_min = _split_floor(psi_tilde)
     p, params = psi_tilde.points, psi_tilde.params
-    a2 = np.abs(psi_tilde.values) ** 2
+    amp = np.abs(psi_tilde.values)  # shared by the weights, both grids and the pull-back
+    a2 = amp ** 2
     w_plus = float(np.sum(np.where(p > 0.0, a2, 0.0)) * psi_tilde.grid.step)
     w_minus = float(np.sum(np.where(p < 0.0, a2, 0.0)) * psi_tilde.grid.step)
     if s_grid is None:
-        s_grid = default_oriented_grid(psi_tilde, p_min)
+        s_grid = _oriented_grid(psi_tilde, amp, p_min)
     if grid_T is None:
-        grid_T = default_time_grid(psi_tilde)
+        grid_T = _time_grid(psi_tilde, a2)
 
     def amplitude(positive: bool, weight: float) -> np.ndarray:
         if weight <= 1e-12 * max(w_plus + w_minus, 1e-300):
             return np.zeros(grid_T.count, dtype=np.complex128)
-        start, phi_s = _pull_back_half(psi_tilde, s_grid, positive,
+        start, phi_s = _pull_back_half(psi_tilde, amp, s_grid, positive,
                                        *_energy_map(p_min, params.mass))
         return _trimmed_trig_sum(phi_s, start, s_grid, grid_T, -1, params.hbar)
 
@@ -355,7 +361,7 @@ def arrival_moments(dist: ArrivalDistribution,
     of weight at most 1e-6 raises ZeroWeightComponent."""
     density = dist.component(component)
     T = dist.grid_T.points
-    dT = np.diff(T)
+    dT = T[1:] - T[:-1]
 
     def trapezoid(y: np.ndarray) -> np.float64:  # np.trapezoid(y, T), dT taken once
         return (dT * (y[1:] + y[:-1]) / 2.0).sum()

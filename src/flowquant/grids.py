@@ -14,7 +14,7 @@ Conventions used throughout the package (natural units unless stated):
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -65,8 +65,7 @@ class Grid1D:
 
     def conjugate(self, hbar: float) -> "Grid1D":
         """Fourier-conjugate grid: step 2*pi*hbar/span, centered on zero."""
-        dk = 2.0 * math.pi * hbar / self.span
-        return Grid1D(-(self.count // 2) * dk, dk, self.count)
+        return _conjugate(self.step, self.count, hbar)
 
     @classmethod
     def from_bounds(cls, lo: float, hi: float, count: int) -> "Grid1D":
@@ -75,6 +74,14 @@ class Grid1D:
             raise InvalidParameter(
                 f"grid bounds must increase, got min {lo:g}, max {hi:g}")
         return cls(lo, (hi - lo) / count, count)
+
+
+@lru_cache(maxsize=4)
+def _conjugate(step: float, count: int, hbar: float) -> Grid1D:
+    """Grid1D.conjugate, kept with its points for the next call: the
+    transforms of one box ask for the same two conjugate grids each time."""
+    dk = 2.0 * math.pi * hbar / (count * step)
+    return Grid1D(-(count // 2) * dk, dk, count)
 
 
 @dataclass(frozen=True)
@@ -104,14 +111,23 @@ class WaveFunction:
     rep: Representation
     params: PhysicalParams = field(default_factory=PhysicalParams)
 
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=np.complex128, copy=True)
+    def __post_init__(self, copy: bool | None = True):
+        vals = np.array(self.values, dtype=np.complex128, copy=copy)
         if vals.shape != (self.grid.count,):
             raise ValueError(
                 f"values shape {vals.shape} does not match grid count {self.grid.count}"
             )
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def _owning(cls, grid: Grid1D, values: np.ndarray, rep: Representation,
+                params: PhysicalParams) -> "WaveFunction":
+        """An instance that keeps the fresh array it is given, uncopied."""
+        psi = object.__new__(cls)
+        psi.__dict__.update(grid=grid, values=values, rep=rep, params=params)
+        psi.__post_init__(copy=None)  # copies only an array of another dtype
+        return psi
 
     @property
     def points(self) -> np.ndarray:
@@ -147,11 +163,26 @@ def _cis_ramp(a: float, b: float, n: int) -> np.ndarray:
     phases: with k = q L + r, the outer product of exp(i (a + q L b)) and
     exp(i r b), so cos and sin run on 2 sqrt(n) points instead of n.  Each
     table phase rounds like _cis of its own argument, and the product adds a
-    few ulps of unit modulus."""
+    few ulps of unit modulus.  The tables are cached; the result is a fresh
+    array, the caller's to overwrite (gaussian_packet multiplies it in
+    place)."""
+    # The signs tell a zero from a negative zero, which the key's == does not.
+    coarse, fine = _ramp_tables(a, b, n, math.copysign(1.0, a), math.copysign(1.0, b))
+    return np.multiply.outer(coarse, fine).ravel()[:n]
+
+
+# A packet's way from position to arrival time asks for five to ten ramps;
+# to_momentum's two, and to_position's two, are the same on every call.
+@lru_cache(maxsize=32)
+def _ramp_tables(a: float, b: float, n: int, *signs: float) -> tuple[np.ndarray, np.ndarray]:
+    """_cis_ramp's two tables, read-only, as they are shared between callers;
+    signs, those of a and b, only key the cache."""
     size = math.isqrt(max(n - 1, 0)) + 1  # ceil(sqrt(n)), at least 1
     coarse = _cis(a + b * np.arange(0, n, size, dtype=np.float64))
     fine = _cis(b * np.arange(size, dtype=np.float64))
-    return np.multiply.outer(coarse, fine).ravel()[:n]
+    for table in (coarse, fine):
+        table.setflags(write=False)
+    return coarse, fine
 
 
 def norm_squared(psi: WaveFunction) -> float:
@@ -201,7 +232,7 @@ def _normalized(grid: Grid1D, values: np.ndarray, rep: Representation,
     if not (nrm > 0.0 and math.isfinite(nrm)):
         raise GridTooSmall(
             f"the packet's norm on this grid is {nrm:g}, so it cannot be normalized")
-    return WaveFunction(grid, values / nrm, rep, params)
+    return WaveFunction._owning(grid, values / nrm, rep, params)
 
 
 def _envelope(u: np.ndarray, center: float, width: float) -> np.ndarray:

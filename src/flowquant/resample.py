@@ -38,10 +38,13 @@ def _stencil(values: np.ndarray, t: np.ndarray) -> np.ndarray:
     Needs at least six samples.
     """
     windows = len(values) - _STENCIL + 1
-    shifted = np.stack([values[j:j + windows] for j in range(_STENCIL)])
+    shifted = np.empty((_STENCIL, windows), dtype=np.complex128)
+    for j, row in enumerate(shifted):
+        row[:] = values[j:j + windows]
     # A real matrix on the float view: one BLAS product for Re and Im.
     coeffs = (_TO_QUINTIC @ shifted.view(np.float64)).view(np.complex128)
-    start = np.clip(np.floor(t).astype(np.intp) - 2, 0, len(values) - _STENCIL)
+    start = np.floor(t).astype(np.intp) - 2  # clipped to the windows in place
+    np.minimum(np.maximum(start, 0, out=start), windows - 1, out=start)
     v = t - start - 2.5
     window = coeffs.take(start, axis=1)  # one gather: a fresh array, safe to overwrite
     acc = window[0]
@@ -53,8 +56,20 @@ def _stencil(values: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _amp_phase(values: np.ndarray) -> np.ndarray:
     """Modulus and unwrapped phase packed as amp + 1j * phase, so one real
-    stencil pass interpolates both."""
-    return np.abs(values) + 1j * np.unwrap(np.angle(values))
+    stencil pass interpolates both.  The phase is np.unwrap(np.angle(values))
+    by unwrap's own expressions, formed in place in the imaginary parts."""
+    packed = np.empty(values.shape, dtype=np.complex128)
+    np.abs(values, out=packed.real)
+    phase = np.arctan2(values.imag, values.real, out=packed.imag)
+    dd = phase[1:] - phase[:-1]
+    correct = np.mod(dd + np.pi, 2.0 * np.pi)
+    correct -= np.pi
+    np.copyto(correct, np.pi, where=(correct == -np.pi) & (dd > 0.0))
+    correct -= dd
+    np.copyto(correct, 0.0, where=np.abs(dd) < np.pi)
+    phase[1:] += np.cumsum(correct, out=correct)
+    phase[:1] += 0.0  # a -0.0 phase reads +0.0, as it did after the sum amp + 1j * phase
+    return packed
 
 
 def _from_amp_phase(packed: np.ndarray) -> np.ndarray:
@@ -93,9 +108,11 @@ def interpolate(nodes: np.ndarray, values: np.ndarray,
     # Intervals where the unwrapped phase jumps too fast are untrustworthy;
     # they occur at near-zeros of the amplitude, where linear Re/Im parts are
     # the safer choice.
-    jumps = np.abs(np.diff(packed.imag)) >= _PHASE_JUMP_LIMIT
-    if np.any(jumps):
-        bad = jumps[np.clip(np.floor(t).astype(np.intp), 0, len(nodes) - 2)]
+    steps = packed.imag[1:] - packed.imag[:-1]
+    jumps = np.abs(steps, out=steps) >= _PHASE_JUMP_LIMIT
+    if jumps.any():
+        cell = np.floor(t).astype(np.intp)
+        bad = jumps[np.minimum(np.maximum(cell, 0, out=cell), len(nodes) - 2, out=cell)]
         q_bad = q[bad]
         interp[bad] = np.interp(q_bad, nodes, values.real) + \
             1j * np.interp(q_bad, nodes, values.imag)

@@ -66,12 +66,14 @@ def _walk(node, defs: dict) -> None:
         _walk(sub, defs)
 
 
+_SCHEMA = "schema/scenario.schema.json"  # in the package
+
+
 @cache
 def _schema() -> dict:
     """The published schema, walked once so a keyword this module does not
     interpret fails loudly instead of being ignored."""
-    text = resources.files("flowquant").joinpath(
-        "schema/scenario.schema.json").read_text(encoding="utf-8")
+    text = resources.files("flowquant").joinpath(_SCHEMA).read_text(encoding="utf-8")
     schema = json.loads(text)
     _walk(schema, schema.get("$defs", {}))
     return schema
@@ -143,7 +145,12 @@ def load_scenario(path: str) -> dict:
     except (OSError, ValueError) as exc:
         raise ScenarioError(f"cannot read scenario {path!r}: {exc}") from exc
     try:
-        return _check(cfg, _schema())
+        schema = _schema()
+    except OSError as exc:
+        raise ScenarioError(f"cannot read the scenario schema flowquant/{_SCHEMA}: "
+                            f"{exc}") from exc
+    try:
+        return _check(cfg, schema)
     except ScenarioError as exc:
         raise ScenarioError(f"scenario {path!r} is invalid: {exc}") from None
 

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidParameter, LowMomentumMass
 from .grids import (_SUPPORT_CUT, Grid1D, Representation, WaveFunction, _cis,
@@ -109,7 +108,8 @@ def _cis_chirp(theta: float, j0: int, n: int) -> np.ndarray:
     fine = _cis(half * (2 * j0 * r - (size - 1) * r * r).astype(np.float64))
     diagonal = _cis(half * (size * s * s).astype(np.float64))
     chirp = np.multiply.outer(coarse, fine)
-    chirp *= sliding_window_view(diagonal, size)  # [q, r] reads q + r
+    # [q, r] reads diagonal[q + r]: a strided view, no index array
+    chirp *= np.ndarray((rows, size), np.complex128, diagonal, strides=diagonal.strides * 2)
     return chirp.ravel()[:n]
 
 
@@ -124,7 +124,10 @@ def _chirp_plan(size: int, m: int, theta: float) -> tuple[np.ndarray, np.ndarray
     arrays are read-only, as they are shared between callers.
     """
     chirp = _cis_chirp(theta, m - size, size)
-    kernel_fft = np.fft.fft(np.roll(chirp.conj(), m - size))
+    kernel = np.empty_like(chirp)
+    np.conjugate(chirp[size - m:], out=kernel[:m])  # j = 0 .. m - 1
+    np.conjugate(chirp[:size - m], out=kernel[m:])  # j = m - size .. -1
+    kernel_fft = np.fft.fft(kernel)
     for a in (chirp, kernel_fft):
         a.setflags(write=False)
     return chirp, kernel_fft
@@ -203,7 +206,7 @@ def to_momentum(psi: WaveFunction) -> WaveFunction:
     # Not fourier_eval: trimming the envelope's zero ends would leave the FFT.
     out = _trig_sum(psi.values, x.origin, x.step, grid.origin, grid.step, grid.count,
                     -1, psi.params.hbar)
-    return WaveFunction(grid, out, Representation.MOMENTUM, psi.params)
+    return WaveFunction._owning(grid, out, Representation.MOMENTUM, psi.params)
 
 
 def to_position(psi_tilde: WaveFunction, x_grid: Grid1D | None = None) -> WaveFunction:
@@ -213,7 +216,7 @@ def to_position(psi_tilde: WaveFunction, x_grid: Grid1D | None = None) -> WaveFu
     p, grid = psi_tilde.grid, x_grid or psi_tilde.grid.conjugate(psi_tilde.params.hbar)
     out = _trig_sum(psi_tilde.values, p.origin, p.step, grid.origin, grid.step, grid.count,
                     +1, psi_tilde.params.hbar)
-    return WaveFunction(grid, out, Representation.POSITION, psi_tilde.params)
+    return WaveFunction._owning(grid, out, Representation.POSITION, psi_tilde.params)
 
 
 def evolve_free(psi_tilde: WaveFunction, t: float) -> WaveFunction:
@@ -321,9 +324,13 @@ def default_oriented_grid(psi_tilde: WaveFunction, p_min: float | None = None) -
     the default grid unchanged.  An all-zero input has no support and gets
     the 1024-point minimum grid over the momentum box.
     """
+    return _oriented_grid(psi_tilde, np.abs(psi_tilde.values), p_min)
+
+
+def _oriented_grid(psi_tilde: WaveFunction, amp: np.ndarray, p_min: float | None) -> Grid1D:
+    """default_oriented_grid, given amp = |psi_tilde.values|."""
     m = psi_tilde.params.mass
     p = psi_tilde.points
-    amp = np.abs(psi_tilde.values)
     peak = amp.max()
     p_sup = np.abs(p[amp >= _SUPPORT_CUT * peak])  # the whole box if peak is 0
     p_hi = float(p_sup.max())
@@ -341,15 +348,15 @@ def default_oriented_grid(psi_tilde: WaveFunction, p_min: float | None = None) -
     return Grid1D(-(count // 2) * ds, ds, count)
 
 
-def _pull_back_half(source: WaveFunction, grid: Grid1D, positive: bool, floor: float,
-                    node: Callable[[np.ndarray], np.ndarray],
+def _pull_back_half(source: WaveFunction, amp: np.ndarray, grid: Grid1D, positive: bool,
+                    floor: float, node: Callable[[np.ndarray], np.ndarray],
                     weight: Callable[[np.ndarray], np.ndarray]) -> tuple[int, np.ndarray]:
     """One half-axis of _pull_back: the index of grid's first point of that
     sign with |y| >= floor, and the values from there on (none for a zero
-    half).  Only the half's support is interpolated: the run of its nodes at
-    or above _SUPPORT_CUT of its own peak, widened by half a stencil on each
-    side, so every query inside the run reads the stencil windows of the
-    whole half; the other queries are exact zeros."""
+    half); amp is |source.values|.  Only the half's support is interpolated:
+    the run of its nodes at or above _SUPPORT_CUT of its own peak, widened
+    by half a stencil on each side, so every query inside the run reads the
+    stencil windows of the whole half; the other queries are exact zeros."""
     from .resample import _STENCIL, interpolate
     u, y = source.points, grid.points
     if positive:
@@ -362,7 +369,7 @@ def _pull_back_half(source: WaveFunction, grid: Grid1D, positive: bool, floor: f
     values = source.values[src][order]
     if not (np.any(values) and y[dst].size):  # a mover leaves the other half zero
         return dst.start, values[:0]
-    amp = np.abs(values)
+    amp = amp[src][order]
     support = amp >= _SUPPORT_CUT * amp.max()
     lo = max(int(support.argmax()) - _STENCIL // 2, 0)
     hi = amp.size - int(support[::-1].argmax()) + _STENCIL // 2
@@ -379,8 +386,9 @@ def _pull_back(source: WaveFunction, grid: Grid1D, floor: float,
     each, and _pull_back_half maps each on its own: the map of a packet is
     the sum of its movers' maps."""
     out = np.zeros(grid.count, dtype=np.complex128)
+    amp = np.abs(source.values)
     for positive in (True, False):
-        start, values = _pull_back_half(source, grid, positive, floor, node, weight)
+        start, values = _pull_back_half(source, amp, grid, positive, floor, node, weight)
         out[start:start + values.size] = values
     return out
 

@@ -8,6 +8,7 @@ import tracemalloc
 import warnings
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flowquant
-from flowquant import cli
+from flowquant import cli, scenarios
 from flowquant.cli import main
 from flowquant.scenarios import (_FIELD_BUILDERS, build_packet, build_params,
                                  build_x_grid, list_scenarios, load_scenario,
@@ -949,6 +950,36 @@ def test_refuses_axis_counts_below_the_grid_floor(tmp_path, capsys, command,
     rc, err = _refusal(tmp_path, capsys, command, cfg)
     assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
     assert f"{count} is less than the minimum of 8 (at {path[0]}/{path[1]}/count)" in err[0]
+
+
+class _MissingSchema:
+    """The package's files with the schema gone: every read fails as a
+    missing file would."""
+
+    def joinpath(self, name):
+        self.name = name
+        return self
+
+    def read_text(self, encoding):
+        raise FileNotFoundError(2, "No such file or directory", f"flowquant/{self.name}")
+
+
+def test_unreadable_schema_is_a_scenario_error_not_an_output_failure(
+        tmp_path, capsys, monkeypatch):
+    config = scenario_path("reference_rightmover.json")
+    monkeypatch.setattr(scenarios, "resources",
+                        SimpleNamespace(files=lambda package: _MissingSchema()))
+    scenarios._schema.cache_clear()
+    try:
+        capsys.readouterr()
+        rc = run_cli("arrival", "--config", config, "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err.strip().splitlines()
+    finally:
+        scenarios._schema.cache_clear()
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
+    assert "cannot read the scenario schema flowquant/schema/scenario.schema.json" in err[0]
+    assert "cannot write output" not in err[0]
+    assert not (tmp_path / "out").exists()
 
 
 def test_parser_is_built_once_and_reads_flowquant_out_per_call(tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 import flowquant as fq
-from flowquant.grids import gauss_panels
+from flowquant.grids import _cis_ramp, _conjugate, _ramp_tables, gauss_panels
 
 
 def test_grid_validation():
@@ -203,6 +203,69 @@ def test_backflow_packet_has_negative_current(params):
 def test_wavefunction_immutability(centered_packet):
     with pytest.raises(ValueError):
         centered_packet.values[0] = 1.0
+
+
+def test_cis_ramp_returns_a_fresh_array_over_read_only_tables():
+    first, second = _cis_ramp(0.25, 0.01, 100), _cis_ramp(0.25, 0.01, 100)
+    assert first.flags.writeable and second.flags.writeable
+    assert not np.shares_memory(first, second)
+    for table in _ramp_tables(0.25, 0.01, 100, 1.0, 1.0):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+
+
+def test_cis_ramp_in_place_product_leaves_the_next_call_unchanged():
+    before = _cis_ramp(-3.5, 0.2, 300).view(np.uint64).copy()
+    result = _cis_ramp(-3.5, 0.2, 300)
+    result *= np.linspace(0.0, 2.0, 300)  # as gaussian_packet does
+    assert np.array_equal(_cis_ramp(-3.5, 0.2, 300).view(np.uint64), before)
+
+
+def test_cis_ramp_tells_signed_zeros_apart():
+    # the pairs of each group are == to one another, so a cache keyed on
+    # (a, b, n) alone would hand each one the tables of another
+    groups = ([(0.0, -0.5), (-0.0, -0.5)],
+              [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)])
+    for pairs in groups:
+        expected = [np.multiply.outer(*_ramp_tables.__wrapped__(a, b, 10)).ravel()[:10]
+                    for a, b in pairs]
+        bits = {e.view(np.uint64).tobytes() for e in expected}
+        assert len(bits) > 1  # the zeros' signs do reach the bits
+        for _ in range(2):  # the second pass reads the cache
+            for (a, b), e in zip(pairs, expected):
+                assert np.array_equal(_cis_ramp(a, b, 10).view(np.uint64),
+                                      e.view(np.uint64))
+
+
+def test_cis_ramp_cache_is_bounded():
+    size = _ramp_tables.cache_info().maxsize
+    assert size == 32
+    for k in range(3 * size):
+        _cis_ramp(0.1 * k, 0.01, 50)
+    assert _ramp_tables.cache_info().currsize == size
+
+
+def test_conjugate_grid_is_the_formula_and_its_cache_is_bounded():
+    for k in range(3 * _conjugate.cache_info().maxsize):
+        grid = fq.Grid1D(-1.0, 0.01 * (k + 1), 64)
+        dk = 2.0 * math.pi * 0.7 / grid.span
+        assert grid.conjugate(0.7) == fq.Grid1D(-32 * dk, dk, 64)
+    assert grid.conjugate(0.7) is grid.conjugate(0.7)  # with its points
+    info = _conjugate.cache_info()
+    assert info.maxsize == 4 and info.currsize == 4
+
+
+def test_owning_wave_function_is_read_only(params, tight_grid):
+    values = np.ones(tight_grid.count, dtype=np.complex128)
+    psi = fq.WaveFunction._owning(tight_grid, values, fq.Representation.POSITION, params)
+    assert psi.values is values  # kept, not copied
+    assert not psi.values.flags.writeable
+    with pytest.raises(ValueError):
+        psi.values[0] = 2.0
+    momentum = fq.to_momentum(fq.gaussian_packet(tight_grid, params, 0.0, 1.0, 0.5))
+    for made in (momentum, fq.to_position(momentum)):
+        assert not made.values.flags.writeable
 
 
 def test_legendre_table_is_leggauss():

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flowquant.resample import interpolate, resample_complex
+from flowquant.resample import (_PHASE_JUMP_LIMIT, _STENCIL, _TO_QUINTIC,
+                                _amp_phase, _from_amp_phase, interpolate,
+                                resample_complex)
 
 NODES = np.linspace(0.3, 2.2, 20)
 STEP = NODES[1] - NODES[0]
@@ -86,3 +90,122 @@ PHASE_JUMP = np.exp(1j * np.where(np.arange(20) < 9, 0.0, 0.95 * np.pi)) * (1.0 
 def test_resample_complex_is_the_interpolation(nodes, values, queries):
     out, _ = resample_complex(nodes, values, queries)
     assert np.array_equal(out, interpolate(nodes, values, queries))
+
+
+# Bit parity of the rewritten helpers with the numpy expressions they
+# replace.  Arrays are compared as their uint64 bit patterns, so a signed
+# zero or a one-ulp difference counts.
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.complex128).view(np.uint64)
+
+
+def _numpy_amp_phase(values):
+    return np.abs(values) + 1j * np.unwrap(np.angle(values))
+
+
+def _numpy_stencil(values, t):
+    windows = len(values) - _STENCIL + 1
+    shifted = np.stack([values[j:j + windows] for j in range(_STENCIL)])
+    coeffs = (_TO_QUINTIC @ shifted.view(np.float64)).view(np.complex128)
+    start = np.clip(np.floor(t).astype(np.intp) - 2, 0, len(values) - _STENCIL)
+    v = t - start - 2.5
+    window = coeffs.take(start, axis=1)
+    acc = window[0]
+    for row in window[1:]:
+        acc *= v
+        acc += row
+    return acc
+
+
+def _numpy_interpolate(nodes, values, queries):
+    """interpolate as it read before its numpy calls were inlined."""
+    nodes = np.asarray(nodes, dtype=float)
+    values = np.asarray(values, dtype=np.complex128)
+    queries = np.asarray(queries, dtype=float)
+    out = np.zeros(queries.shape, dtype=np.complex128)
+    if len(nodes) < 2:
+        return out
+    inside = (queries >= nodes[0]) & (queries <= nodes[-1])
+    q = queries[inside]
+    if len(nodes) < _STENCIL:
+        out[inside] = np.interp(q, nodes, values.real) + \
+            1j * np.interp(q, nodes, values.imag)
+        return out
+    packed = _numpy_amp_phase(values)
+    if packed.real.max() == 0.0 or not np.any(inside):
+        return out
+    t = (q - nodes[0]) * ((len(nodes) - 1) / (nodes[-1] - nodes[0]))
+    interp = _from_amp_phase(_numpy_stencil(packed, t))
+    jumps = np.abs(np.diff(packed.imag)) >= _PHASE_JUMP_LIMIT
+    if np.any(jumps):
+        bad = jumps[np.clip(np.floor(t).astype(np.intp), 0, len(nodes) - 2)]
+        q_bad = q[bad]
+        interp[bad] = np.interp(q_bad, nodes, values.real) + \
+            1j * np.interp(q_bad, nodes, values.imag)
+    out[inside] = interp
+    return out
+
+
+# Phase steps: small ones, those at and above the 0.9 pi jump limit, and the
+# +-pi steps where unwrapping breaks its tie.
+_STEPS = st.one_of(st.floats(-0.5, 0.5),
+                   st.sampled_from([0.9 * np.pi, -0.9 * np.pi, np.pi, -np.pi,
+                                    1.5 * np.pi, 3.0, -4.0]),
+                   st.floats(-4.0, 4.0))
+# A sample is kept, or replaced by an exact zero or by one with a -0.0 part.
+_SPECIALS = [None, 0.0, complex(0.0, -0.0), complex(-0.0, -0.0), complex(-0.0, 0.0),
+             complex(1.0, -0.0), complex(-1.0, -0.0), complex(-1.0, 0.0), complex(2.0, 0.0)]
+
+
+@st.composite
+def _samples(draw, min_size=1, max_size=40):
+    n = draw(st.integers(min_size, max_size))
+    steps = draw(st.lists(_STEPS, min_size=n, max_size=n))
+    amps = draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))
+    values = np.array(amps) * np.exp(1j * np.cumsum(steps))
+    for i, special in enumerate(draw(st.lists(st.sampled_from(_SPECIALS),
+                                              min_size=n, max_size=n))):
+        if special is not None:
+            values[i] = special
+    return values
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_samples())
+def test_amp_phase_bits_are_numpys(values):
+    assert np.array_equal(_bits(_amp_phase(values)), _bits(_numpy_amp_phase(values)))
+
+
+def test_amp_phase_turns_a_negative_zero_phase_positive():
+    # angle(1 - 0j) is -0.0; the sum amp + 1j * phase made it +0.0
+    packed = _amp_phase(np.array([complex(1.0, -0.0), 1.0]))
+    assert _bits(packed).tolist() == _bits(np.array([1.0, 1.0])).tolist()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_samples(min_size=0, max_size=30), st.floats(-5.0, 5.0), st.floats(0.01, 2.0),
+       st.lists(st.floats(-0.2, 1.2), max_size=60), st.booleans())
+def test_interpolate_bits_are_the_numpy_forms(values, origin, step, fractions, at_nodes):
+    nodes = origin + step * np.arange(len(values))
+    span = nodes[-1] - nodes[0] if len(nodes) else 1.0
+    queries = origin + span * np.array(fractions)  # some outside the node range
+    if at_nodes:
+        queries = np.concatenate((queries, nodes))
+    got = interpolate(nodes, values, queries)
+    assert np.array_equal(_bits(got), _bits(_numpy_interpolate(nodes, values, queries)))
+
+
+@pytest.mark.parametrize("ulps", [-1, 0, 1])
+def test_interpolate_bits_at_the_phase_jump_limit(ulps):
+    # one unwrapped phase step a few ulps from the limit: at and above it the
+    # interval falls back to linear interpolation, below it it does not
+    step = _PHASE_JUMP_LIMIT
+    for _ in range(abs(ulps)):
+        step = np.nextafter(step, ulps * np.inf)
+    values = np.where(np.arange(12) < 6, 1.0 + 0j, complex(np.cos(step), np.sin(step)))
+    assert np.diff(_amp_phase(values).imag)[5] == step
+    nodes = np.linspace(0.0, 1.1, 12)
+    queries = np.linspace(-0.05, 1.15, 97)
+    got = interpolate(nodes, values, queries)
+    assert np.array_equal(_bits(got), _bits(_numpy_interpolate(nodes, values, queries)))

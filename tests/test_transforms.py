@@ -446,6 +446,34 @@ def test_cis_chirp_matches_long_double(n):
         assert error(got) <= 1.2 * error(direct) + 4.0 * np.finfo(float).eps
 
 
+def _numpy_chirp_plan(size, m, theta):
+    """_chirp_plan as it read with np.roll and sliding_window_view."""
+    from numpy.lib.stride_tricks import sliding_window_view
+    j0, n = m - size, size
+    L = math.isqrt(max(n - 1, 0)) + 1
+    rows = -(-n // L)
+    q, r = np.arange(rows, dtype=np.int64), np.arange(L, dtype=np.int64)
+    s = np.arange(rows + L - 1, dtype=np.int64)
+    half = 0.5 * theta
+    coarse = _cis(half * ((j0 + q * L) ** 2 - L * q * q).astype(np.float64))
+    fine = _cis(half * (2 * j0 * r - (L - 1) * r * r).astype(np.float64))
+    diagonal = _cis(half * (L * s * s).astype(np.float64))
+    chirp = np.multiply.outer(coarse, fine)
+    chirp *= sliding_window_view(diagonal, L)
+    chirp = chirp.ravel()[:n]
+    return chirp, np.fft.fft(np.roll(chirp.conj(), m - size))
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 8), (17, 40), (40, 17), (40, 25),
+                                 (2048, 512), (6000, 2048)])
+def test_chirp_plan_bits_are_the_numpy_forms(n, m):
+    size = _fft_size(n + m - 1)
+    for theta in (0.3, -1.7e-3, 0.0, -0.0, 2.5, 2.0 * math.pi * 0.37 / size):
+        got = _chirp_plan.__wrapped__(size, m, theta)
+        for a, b in zip(got, _numpy_chirp_plan(size, m, theta)):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 @pytest.mark.parametrize("zeros", [
     {"start": 30},
     {"end": 25},
