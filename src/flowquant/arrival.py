@@ -15,8 +15,9 @@ This sign anchors T to the classical observable: a quasiclassical
 right-mover started at <x> = -50 with p0 = 2 has its density centered at
 T = +25, and free evolution acts as the argument substitution T -> T + t.
 
-Two independent evaluations of this amplitude are provided: a fast
-transform-chain path (momentum -> oriented energy -> arrival time) and a
+Two independent evaluations of this amplitude are provided: the fast
+transform chain (momentum -> oriented energy -> arrival time) of
+arrival_distribution, whose amplitude arrival_amplitude_fast returns, and a
 direct oscillatory-quadrature oracle working from the momentum samples.  The
 probability density |phi(T)|^2 splits into right-mover, left-mover and
 interference parts; the movers' s-supports are disjoint, so the interference
@@ -25,18 +26,17 @@ term integrates to zero while remaining visible pointwise.
 
 import enum
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (IntervalOutOfRange, LowMomentumMass,
                      QuadratureNonConvergence, RepMismatch,
                      ZeroWeightComponent)
-from .grids import Grid1D, Representation, WaveFunction, gauss_panels, moments
-from .transforms import (_energy_map, _momentum_floor, _oriented_grid,
-                         _pull_back_half, _refuse_square_overflow,
-                         _trimmed_trig_sum, to_arrival_time, to_momentum,
-                         to_oriented_energy, to_position)
+from .grids import Grid1D, Representation, WaveFunction, _owning, gauss_panels, moments
+from .transforms import (_energy_map, _momentum_floor, _pull_back_half,
+                         _refuse_square_overflow, _trimmed_trig_sum,
+                         default_oriented_grid, to_momentum, to_position)
 
 
 class Component(enum.Enum):
@@ -51,8 +51,9 @@ class ArrivalDistribution:
 
     total = plus + minus + interference holds pointwise by construction
     (total is the density of the summed amplitude, which is kept as
-    ``amplitude``).  w_plus and w_minus are the momentum-space mover weights;
-    a mover below 1e-12 of the total weight contributes a zero amplitude.
+    ``amplitude``).  w_plus and w_minus are the momentum-space mover weights.
+    A mover of at most 1e-12 of the total weight is gated out: it contributes
+    a zero amplitude, and its density is zero.
     """
 
     grid_T: Grid1D
@@ -70,14 +71,6 @@ class ArrivalDistribution:
             arr = np.array(getattr(self, name), dtype=dtype, copy=copy)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @classmethod
-    def _owning(cls, *values) -> "ArrivalDistribution":
-        """An instance that keeps the fresh arrays it is given, uncopied."""
-        d = object.__new__(cls)
-        d.__dict__.update(zip((f.name for f in fields(cls)), values, strict=True))
-        d.__post_init__(copy=None)  # copies only an array of another dtype
-        return d
 
     def component(self, which: Component) -> np.ndarray:
         return {Component.TOTAL: self.total, Component.PLUS: self.plus,
@@ -105,7 +98,7 @@ def _split_floor(psi_tilde: WaveFunction) -> float:
     p_min = _momentum_floor(psi_tilde)
     p = psi_tilde.points  # increasing: the p = 0 samples are one run
     zero = slice(np.searchsorted(p, 0.0), np.searchsorted(p, 0.0, side="right"))
-    zero_mass = float(np.sum(np.abs(psi_tilde.values[zero]) ** 2) * psi_tilde.grid.step)
+    zero_mass = float(np.sum(psi_tilde._amp[zero] ** 2) * psi_tilde.grid.step)
     if zero_mass > 1e-10:
         raise LowMomentumMass(f"the p = 0 sample carries mass {zero_mass:.3e} > 1e-10")
     return p_min
@@ -119,14 +112,9 @@ def default_time_grid(psi_tilde: WaveFunction) -> Grid1D:
     least 16 m sigma_x / p0.
     """
     psi_tilde.require_rep(Representation.MOMENTUM)
-    return _time_grid(psi_tilde, np.abs(psi_tilde.values) ** 2)
-
-
-def _time_grid(psi_tilde: WaveFunction, w: np.ndarray) -> Grid1D:
-    """default_time_grid, given the momentum density w = |psi~|^2."""
     m = psi_tilde.params.mass
     x_mean, x_std = moments(to_position(psi_tilde))
-    p = psi_tilde.points
+    p, w = psi_tilde.points, psi_tilde._amp ** 2
     w_total = w.sum()
     p0 = float(np.sum(np.abs(p) * w) / w_total)
     _refuse_square_overflow(p0, "the packet's mean |p|")
@@ -139,9 +127,11 @@ def _time_grid(psi_tilde: WaveFunction, w: np.ndarray) -> Grid1D:
 
 def arrival_amplitude_fast(psi_tilde: WaveFunction, grid_T: Grid1D | None = None,
                            s_grid: Grid1D | None = None) -> WaveFunction:
-    """Arrival amplitude via the transform chain (the production path)."""
-    phi_s, _ = to_oriented_energy(psi_tilde, s_grid=s_grid)
-    return to_arrival_time(phi_s, grid_T)
+    """arrival_distribution(...).amplitude, on its grid_T, as an arrival-time
+    wave function: the fast path that the quadrature oracle checks."""
+    dist = arrival_distribution(psi_tilde, grid_T, s_grid)
+    return _owning(WaveFunction, dist.grid_T, dist.amplitude, Representation.ARRIVAL_TIME,
+                   psi_tilde.params)
 
 
 # Each chunk of nodes forms two phase tables and one product of about this
@@ -233,7 +223,7 @@ def arrival_amplitude_quadrature(psi_tilde: WaveFunction, grid_T: Grid1D) -> Wav
     hbar = psi_tilde.params.hbar
     psi_x = to_position(psi_tilde)
     p = psi_tilde.points
-    amp = np.abs(psi_tilde.values)
+    amp = psi_tilde._amp
     peak = amp.max()
 
     branches = []
@@ -303,19 +293,18 @@ def arrival_distribution(psi: WaveFunction, grid_T: Grid1D | None = None,
 
     p_min = _split_floor(psi_tilde)
     p, params = psi_tilde.points, psi_tilde.params
-    amp = np.abs(psi_tilde.values)  # shared by the weights, both grids and the pull-back
-    a2 = amp ** 2
+    a2 = psi_tilde._amp ** 2
     w_plus = float(np.sum(np.where(p > 0.0, a2, 0.0)) * psi_tilde.grid.step)
     w_minus = float(np.sum(np.where(p < 0.0, a2, 0.0)) * psi_tilde.grid.step)
     if s_grid is None:
-        s_grid = _oriented_grid(psi_tilde, amp, p_min)
+        s_grid = default_oriented_grid(psi_tilde, p_min)
     if grid_T is None:
-        grid_T = _time_grid(psi_tilde, a2)
+        grid_T = default_time_grid(psi_tilde)
 
     def amplitude(positive: bool, weight: float) -> np.ndarray:
         if weight <= 1e-12 * max(w_plus + w_minus, 1e-300):
             return np.zeros(grid_T.count, dtype=np.complex128)
-        start, phi_s = _pull_back_half(psi_tilde, amp, s_grid, positive,
+        start, phi_s = _pull_back_half(psi_tilde, s_grid, positive,
                                        *_energy_map(p_min, params.mass))
         return _trimmed_trig_sum(phi_s, start, s_grid, grid_T, -1, params.hbar)
 
@@ -327,8 +316,8 @@ def arrival_distribution(psi: WaveFunction, grid_T: Grid1D | None = None,
     interference = 2.0 * np.real(phi_plus * np.conj(phi_minus))
     phi = phi_plus + phi_minus
     total = np.abs(phi) ** 2
-    return ArrivalDistribution._owning(grid_T, total, plus_d, minus_d, interference,
-                                       w_plus, w_minus, phi)
+    return _owning(ArrivalDistribution, grid_T, total, plus_d, minus_d, interference,
+                   w_plus, w_minus, phi)
 
 
 def probability_in_interval(dist: ArrivalDistribution, a: float, b: float,

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import (BinRangeTooSmall, InvalidParameter,
                      MomentumFloorViolated, RepMismatch)
 from .grids import (_SUPPORT_CUT, Grid1D, PhysicalParams, Representation,
-                    WaveFunction, moments)
+                    WaveFunction, _owning, moments)
 from .transforms import fourier_eval, to_momentum, to_position
 
 
@@ -65,10 +65,9 @@ class PhaseSpaceEnsemble:
     w: np.ndarray
     params: PhysicalParams
 
-    def __post_init__(self, copy: bool = True):
+    def __post_init__(self, copy: bool | None = True):
         for name in ("x", "p", "w"):
-            arr = getattr(self, name)
-            arr = np.array(arr, dtype=np.float64, copy=True) if copy else arr
+            arr = np.array(getattr(self, name), dtype=np.float64, copy=copy)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if not (len(self.x) == len(self.p) == len(self.w)):
@@ -84,14 +83,6 @@ class PhaseSpaceEnsemble:
             second += _second_moment(self.x[block], self.p[block], self.w[block],
                                      buffers)
         _require_finite(second)
-
-    @classmethod
-    def _owning(cls, x, p, w, params: PhysicalParams) -> "PhaseSpaceEnsemble":
-        e = object.__new__(cls)
-        for name, value in (("x", x), ("p", p), ("w", w), ("params", params)):
-            object.__setattr__(e, name, value)
-        e.__post_init__(copy=False)
-        return e
 
     @property
     def size(self) -> int:
@@ -110,7 +101,7 @@ def _second_moment(x: np.ndarray, p: np.ndarray, w, buffers: tuple) -> float:
 
 def _require_finite(second: float) -> None:
     if not math.isfinite(second):
-        raise ValueError("ensemble must have finite second moments")
+        raise InvalidParameter("ensemble must have finite second moments")
 
 
 def _gaussian_blocks(mean_x: float, sigma_x: float, mean_p: float,
@@ -181,7 +172,7 @@ def gaussian_ensemble(params: PhysicalParams, mean_x: float, sigma_x: float,
         x[start:start + len(xb)], p[start:start + len(pb)] = xb, pb
         start += len(xb)
     w = np.broadcast_to(np.float64(1.0 / count), (count,))
-    return PhaseSpaceEnsemble._owning(x, p, w, params)
+    return _owning(PhaseSpaceEnsemble, x, p, w, params)
 
 
 def _packet_moments(psi: WaveFunction) -> tuple[float, float, float, float]:
@@ -204,7 +195,7 @@ def ensemble_from_packet(psi: WaveFunction, count: int,
 
 def evolve_ensemble(e: PhaseSpaceEnsemble, t: float) -> PhaseSpaceEnsemble:
     """Free motion: positions advance by (t/m) p, momenta are constants."""
-    return PhaseSpaceEnsemble._owning(e.x + (t / e.params.mass) * e.p, e.p, e.w, e.params)
+    return _owning(PhaseSpaceEnsemble, e.x + (t / e.params.mass) * e.p, e.p, e.w, e.params)
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,7 +379,7 @@ def ensemble_momentum_limits(psi: WaveFunction, count: int, seed: int, x0: float
         raise ValueError("the limit formula needs t > 0")
     p_edges = np.asarray(p_edges, dtype=float)
     speeds = [t / psi.params.mass for t in times]
-    with np.errstate(over="ignore"):  # an overflowing window is refused
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite window is refused
         tables = [_Bins.of(p_edges, "momentum bin edges")] + [
             _Bins.of(x0 + s * p_edges, f"position bin edges x0 + (t/m) p at t = {t:g}")
             for t, s in zip(times, speeds)]
@@ -470,7 +461,7 @@ def _min_resolved_time(psi: WaveFunction, x0: float, centers: np.ndarray) -> flo
     window centers + u x0 fit in one momentum period; inf if none."""
     ends = []
     for wave in (psi, to_momentum(psi)):
-        amp = np.abs(wave.values)
+        amp = wave._amp
         ends += wave.points[amp >= _SUPPORT_CUT * amp.max()][[0, -1]].tolist()
     y_lo, y_hi, p_lo, p_hi = ends
     period = 2.0 * math.pi * psi.params.hbar / psi.grid.step

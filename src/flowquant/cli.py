@@ -382,7 +382,7 @@ def cmd_arrival(cfg: dict, out_dir: str, args) -> int:
         summary["mean_arrival_minus"] = -summary["mean_T_minus"]
     if args.oracle:
         oracle = arrival_amplitude_quadrature(psi_tilde, dist.grid_T)
-        scale = float(np.abs(oracle.values).max())
+        scale = float(oracle._amp.max())
         summary["oracle_l_inf"] = float(
             np.abs(oracle.values - dist.amplitude).max() / scale)
     _write_csv(os.path.join(out_dir, "arrival_density.csv"),
@@ -453,8 +453,7 @@ def cmd_backflow(cfg: dict, out_dir: str, args) -> int:
     params = psi_tilde.params
 
     p = psi_tilde.points
-    neg_mass = float(np.sum(np.abs(psi_tilde.values[p < 0.0]) ** 2)
-                     * psi_tilde.grid.step)
+    neg_mass = float(np.sum(psi_tilde._amp[p < 0.0] ** 2) * psi_tilde.grid.step)
     ts = np.linspace(scan["t_range"][0], scan["t_range"][1], scan["t_count"])
     xs = np.linspace(scan["x_range"][0], scan["x_range"][1], scan["x_count"])
     # The exact sums are periodic: outside the box they give an image.

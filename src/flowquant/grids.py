@@ -120,18 +120,16 @@ class WaveFunction:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def _owning(cls, grid: Grid1D, values: np.ndarray, rep: Representation,
-                params: PhysicalParams) -> "WaveFunction":
-        """An instance that keeps the fresh array it is given, uncopied."""
-        psi = object.__new__(cls)
-        psi.__dict__.update(grid=grid, values=values, rep=rep, params=params)
-        psi.__post_init__(copy=None)  # copies only an array of another dtype
-        return psi
-
     @property
     def points(self) -> np.ndarray:
         return self.grid.points
+
+    @cached_property
+    def _amp(self) -> np.ndarray:
+        """|values|, read-only, taken once and kept like Grid1D.points."""
+        amp = np.abs(self.values)
+        amp.setflags(write=False)
+        return amp
 
     def with_values(self, values: np.ndarray) -> "WaveFunction":
         return WaveFunction(self.grid, values, self.rep, self.params)
@@ -139,6 +137,16 @@ class WaveFunction:
     def require_rep(self, rep: Representation) -> None:
         if self.rep is not rep:
             raise RepMismatch(f"expected {rep.value} representation, got {self.rep.value}")
+
+
+def _owning(cls, *values):
+    """The dataclass cls of these field values, keeping the fresh arrays among
+    them uncopied and read-only: its __post_init__(copy=None) copies only an
+    array of another dtype.  The public constructors copy."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values, strict=True))
+    obj.__post_init__(copy=None)
+    return obj
 
 
 #: Amplitudes below this fraction of the peak are treated as numerically zero
@@ -187,7 +195,7 @@ def _ramp_tables(a: float, b: float, n: int, *signs: float) -> tuple[np.ndarray,
 
 def norm_squared(psi: WaveFunction) -> float:
     """Squared L2 norm, sum |psi_i|^2 * step."""
-    return float(np.sum(np.abs(psi.values) ** 2) * psi.grid.step)
+    return float(np.sum(psi._amp ** 2) * psi.grid.step)
 
 
 def inner_product(phi: WaveFunction, psi: WaveFunction) -> complex:
@@ -200,14 +208,16 @@ def inner_product(phi: WaveFunction, psi: WaveFunction) -> complex:
 
 
 def moments(psi: WaveFunction) -> tuple[float, float]:
-    """Mean and standard deviation of the wave function's own coordinate."""
-    w = np.abs(psi.values) ** 2
+    """Mean and standard deviation of the wave function's own coordinate; a
+    spread past float64 is inf or nan, which the callers refuse."""
+    w = psi._amp ** 2
     total = np.sum(w)
     if total <= 0.0:
         raise ValueError("cannot compute moments of the zero function")
     u = psi.points
     mean = float(np.sum(u * w) / total)
-    var = float(np.sum((u - mean) ** 2 * w) / total)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf * 0 where w is 0
+        var = float(np.sum((u - mean) ** 2 * w) / total)
     return mean, math.sqrt(max(var, 0.0))
 
 
@@ -215,7 +225,7 @@ def packet_fits_box(psi: WaveFunction) -> bool:
     """True when |values| fall below 1e-12 * max|values| in the outer 5 % of
     the grid at both edges."""
     n_edge = max(1, int(0.05 * psi.grid.count))
-    amp = np.abs(psi.values)
+    amp = psi._amp
     peak = amp.max()
     if peak == 0.0:
         return True
@@ -228,22 +238,24 @@ def _normalized(grid: Grid1D, values: np.ndarray, rep: Representation,
     """The packet values / ||values|| on grid, the one normalization of every
     packet builder; a norm that is zero (the packet underflows on this grid)
     or not finite raises GridTooSmall."""
-    nrm = math.sqrt(float(np.sum(np.abs(values) ** 2) * grid.step))
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        nrm = math.sqrt(float(np.sum(np.abs(values) ** 2) * grid.step))
     if not (nrm > 0.0 and math.isfinite(nrm)):
         raise GridTooSmall(
             f"the packet's norm on this grid is {nrm:g}, so it cannot be normalized")
-    return WaveFunction._owning(grid, values / nrm, rep, params)
+    return _owning(WaveFunction, grid, values / nrm, rep, params)
 
 
 def _envelope(u: np.ndarray, center: float, width: float) -> np.ndarray:
     """exp(-(u - center)^2 / (4 width^2)), the Gaussian envelope of every
     packet.  A width whose 4 width^2 overflows float64 raises
     InvalidParameter before the square is taken: width ** 2 of a Python
-    float raises OverflowError.  A (u - center)^2 past float64 is inf, where
-    the envelope is 0."""
-    if not math.isfinite(4.0 * width * width):
+    float raises OverflowError; so does one whose 4 width^2 underflows to 0.
+    A (u - center)^2 past float64 is inf, where the envelope is 0."""
+    if not 0.0 < 4.0 * width * width < math.inf:
+        size, fate = ("large", "overflows") if width > 1.0 else ("small", "underflows")
         raise InvalidParameter(
-            f"Gaussian width {width:.3e} is too large: 4 width^2 overflows float64")
+            f"Gaussian width {width:.3e} is too {size}: 4 width^2 {fate} float64")
     with np.errstate(over="ignore"):
         return np.exp(-((u - center) ** 2) / (4.0 * width**2))
 
@@ -263,8 +275,12 @@ def gaussian_packet(grid: Grid1D, params: PhysicalParams, center_x: float,
         raise GridTooSmall(
             f"packet width hbar / (2 sigma_p) = {sigma_x:.3e} exceeds the grid box "
             f"{grid.span:.3e}")
-    values = _cis_ramp(center_p * (grid.origin - center_x) / params.hbar,
-                       center_p * grid.step / params.hbar, grid.count)
+    phase, step = (center_p * (grid.origin - center_x) / params.hbar,
+                   center_p * grid.step / params.hbar)
+    if not (math.isfinite(phase) and math.isfinite(step)):
+        raise InvalidParameter(f"the carrier phase center_p x / hbar is not finite in "
+                               f"float64 (center_p {center_p:.3e}, hbar {params.hbar:.3e})")
+    values = _cis_ramp(phase, step, grid.count)
     values *= _envelope(grid.points, center_x, sigma_x)
     psi = _normalized(grid, values, Representation.POSITION, params)
     if not packet_fits_box(psi):
@@ -302,7 +318,7 @@ def make_backflow_packet(grid_p: Grid1D, params: PhysicalParams,
     g1, g2 = _envelope(p, spec.p1, spec.sigma), _envelope(p, spec.p2, spec.sigma)
     values = spec.a1 * g1 + spec.a2 * np.exp(1j * spec.rel_phase) * g2
     psi = _normalized(grid_p, values, Representation.MOMENTUM, params)
-    neg_mass = float(np.sum(np.abs(psi.values[p < 0.0]) ** 2) * grid_p.step)
+    neg_mass = float(np.sum(psi._amp[p < 0.0] ** 2) * grid_p.step)
     if neg_mass > 1e-10:
         raise NegativeMomentumLeak(
             f"negative-momentum mass {neg_mass:.3e} exceeds 1e-10")

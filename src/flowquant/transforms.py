@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import InvalidParameter, LowMomentumMass
 from .grids import (_SUPPORT_CUT, Grid1D, Representation, WaveFunction, _cis,
-                    _cis_ramp, norm_squared)
+                    _cis_ramp, _owning, norm_squared)
 
 # _pull_back imports resample itself, so that only the commands that
 # interpolate load it.
@@ -206,7 +206,7 @@ def to_momentum(psi: WaveFunction) -> WaveFunction:
     # Not fourier_eval: trimming the envelope's zero ends would leave the FFT.
     out = _trig_sum(psi.values, x.origin, x.step, grid.origin, grid.step, grid.count,
                     -1, psi.params.hbar)
-    return WaveFunction._owning(grid, out, Representation.MOMENTUM, psi.params)
+    return _owning(WaveFunction, grid, out, Representation.MOMENTUM, psi.params)
 
 
 def to_position(psi_tilde: WaveFunction, x_grid: Grid1D | None = None) -> WaveFunction:
@@ -216,7 +216,7 @@ def to_position(psi_tilde: WaveFunction, x_grid: Grid1D | None = None) -> WaveFu
     p, grid = psi_tilde.grid, x_grid or psi_tilde.grid.conjugate(psi_tilde.params.hbar)
     out = _trig_sum(psi_tilde.values, p.origin, p.step, grid.origin, grid.step, grid.count,
                     +1, psi_tilde.params.hbar)
-    return WaveFunction._owning(grid, out, Representation.POSITION, psi_tilde.params)
+    return _owning(WaveFunction, grid, out, Representation.POSITION, psi_tilde.params)
 
 
 def evolve_free(psi_tilde: WaveFunction, t: float) -> WaveFunction:
@@ -250,7 +250,7 @@ def free_current(psi_tilde: WaveFunction, ts, xs) -> np.ndarray:
     hbar, mass = psi_tilde.params.hbar, psi_tilde.params.mass
     ts = np.asarray(ts, dtype=np.float64)
     xs = np.asarray(xs, dtype=np.float64)
-    amp = np.abs(psi_tilde.values)
+    amp = psi_tilde._amp
     support = amp >= _SUPPORT_CUT * amp.max()
     lo = int(support.argmax())
     if amp[lo] == 0.0 or ts.size == 0 or xs.size == 0:
@@ -280,7 +280,7 @@ def low_momentum_mass(psi_tilde: WaveFunction, p_min: float) -> float:
     psi_tilde.require_rep(Representation.MOMENTUM)
     p = psi_tilde.points  # increasing: |p| < p_min is one contiguous run
     low = slice(np.searchsorted(p, -p_min, side="right"), np.searchsorted(p, p_min))
-    return float(np.sum(np.abs(psi_tilde.values[low]) ** 2) * psi_tilde.grid.step)
+    return float(np.sum(psi_tilde._amp[low] ** 2) * psi_tilde.grid.step)
 
 
 def _refuse_square_overflow(p: float, what: str) -> None:
@@ -324,13 +324,8 @@ def default_oriented_grid(psi_tilde: WaveFunction, p_min: float | None = None) -
     the default grid unchanged.  An all-zero input has no support and gets
     the 1024-point minimum grid over the momentum box.
     """
-    return _oriented_grid(psi_tilde, np.abs(psi_tilde.values), p_min)
-
-
-def _oriented_grid(psi_tilde: WaveFunction, amp: np.ndarray, p_min: float | None) -> Grid1D:
-    """default_oriented_grid, given amp = |psi_tilde.values|."""
     m = psi_tilde.params.mass
-    p = psi_tilde.points
+    p, amp = psi_tilde.points, psi_tilde._amp
     peak = amp.max()
     p_sup = np.abs(p[amp >= _SUPPORT_CUT * peak])  # the whole box if peak is 0
     p_hi = float(p_sup.max())
@@ -348,12 +343,12 @@ def _oriented_grid(psi_tilde: WaveFunction, amp: np.ndarray, p_min: float | None
     return Grid1D(-(count // 2) * ds, ds, count)
 
 
-def _pull_back_half(source: WaveFunction, amp: np.ndarray, grid: Grid1D, positive: bool,
-                    floor: float, node: Callable[[np.ndarray], np.ndarray],
+def _pull_back_half(source: WaveFunction, grid: Grid1D, positive: bool, floor: float,
+                    node: Callable[[np.ndarray], np.ndarray],
                     weight: Callable[[np.ndarray], np.ndarray]) -> tuple[int, np.ndarray]:
     """One half-axis of _pull_back: the index of grid's first point of that
     sign with |y| >= floor, and the values from there on (none for a zero
-    half); amp is |source.values|.  Only the half's support is interpolated:
+    half).  Only the half's support is interpolated:
     the run of its nodes at or above _SUPPORT_CUT of its own peak, widened
     by half a stencil on each side, so every query inside the run reads the
     stencil windows of the whole half; the other queries are exact zeros."""
@@ -369,7 +364,7 @@ def _pull_back_half(source: WaveFunction, amp: np.ndarray, grid: Grid1D, positiv
     values = source.values[src][order]
     if not (np.any(values) and y[dst].size):  # a mover leaves the other half zero
         return dst.start, values[:0]
-    amp = amp[src][order]
+    amp = source._amp[src][order]
     support = amp >= _SUPPORT_CUT * amp.max()
     lo = max(int(support.argmax()) - _STENCIL // 2, 0)
     hi = amp.size - int(support[::-1].argmax()) + _STENCIL // 2
@@ -386,19 +381,22 @@ def _pull_back(source: WaveFunction, grid: Grid1D, floor: float,
     each, and _pull_back_half maps each on its own: the map of a packet is
     the sum of its movers' maps."""
     out = np.zeros(grid.count, dtype=np.complex128)
-    amp = np.abs(source.values)
     for positive in (True, False):
-        start, values = _pull_back_half(source, amp, grid, positive, floor, node, weight)
+        start, values = _pull_back_half(source, grid, positive, floor, node, weight)
         out[start:start + values.size] = values
     return out
 
 
 def _energy_map(p_min: float, mass: float) -> tuple:
     """The floor, node and weight of _pull_back from momentum to oriented
-    energy, after refusing a momentum floor whose square overflows."""
+    energy, after refusing a momentum floor whose square overflows and a
+    mass for which the weight (m / 2s)^(1/4), largest at the floor, does."""
     _refuse_square_overflow(p_min, "the momentum floor")
-    return (p_min**2 / (2.0 * mass), lambda s: np.sqrt(2.0 * mass * s),
-            lambda s: (mass / (2.0 * s)) ** 0.25)
+    floor = p_min**2 / (2.0 * mass)
+    if not (floor > 0.0 and math.isfinite(mass / (2.0 * floor))):
+        raise InvalidParameter(f"mass {mass:.3e} is too large for the momentum floor "
+                               f"{p_min:.3e}: the weight (m / 2s)^(1/4) overflows float64")
+    return (floor, lambda s: np.sqrt(2.0 * mass * s), lambda s: (mass / (2.0 * s)) ** 0.25)
 
 
 def to_oriented_energy(psi_tilde: WaveFunction, s_grid: Grid1D | None = None,

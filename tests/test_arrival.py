@@ -137,6 +137,20 @@ def test_fast_path_matches_oracle_mixed_beam(mixed_beam, arrival_grid):
     assert np.abs(fast.values - oracle.values).max() <= 1e-4 * scale
 
 
+def test_fast_path_is_the_reported_amplitude(params):
+    # a wrong-way mover of 8.6e-13 of the weight, which arrival_distribution
+    # gates out: the amplitude the oracle is checked against is the one it
+    # reports, from position or momentum input, on the same default grids
+    psi = fq.gaussian_packet(fq.Grid1D.from_bounds(-200.0, 200.0, 4096), params,
+                             -60.0, 1.05, 0.15)
+    dist = fq.arrival_distribution(psi)
+    assert 0.0 < dist.w_minus < 1e-12
+    for given in (psi, fq.to_momentum(psi)):
+        fast = fq.arrival_amplitude_fast(given)
+        assert fast.rep is fq.Representation.ARRIVAL_TIME and fast.grid == dist.grid_T
+        assert np.array_equal(fast.values, dist.amplitude)
+
+
 def test_fast_path_parseval(reference_momentum, arrival_grid):
     fast = fq.arrival_amplitude_fast(reference_momentum, arrival_grid)
     total = np.trapezoid(np.abs(fast.values) ** 2, arrival_grid.points)
@@ -453,7 +467,7 @@ def test_distribution_is_one_pass(monkeypatch, mixed_beam, arrival_grid):
 
     for owner in (arrival, transforms):
         count(owner, "_momentum_floor")
-        count(owner, "to_oriented_energy")
+    count(transforms, "to_oriented_energy")  # its one binding: arrival does not import it
     count(arrival, "split_movers")
     count(transforms.TransformReport, "__init__")
     dist = fq.arrival_distribution(mixed_beam, grid_T=arrival_grid)

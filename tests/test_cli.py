@@ -221,8 +221,8 @@ def test_arrival_command(tmp_path):
 
 def test_arrival_oracle_compares_the_distribution_amplitude(tmp_path):
     # the summary compares the oracle with the amplitude arrival_distribution
-    # keeps; the whole-packet chain gives the same error up to the dropped
-    # wrong-way mover (weight 5e-24) and the rounding of the mover sum
+    # keeps, which arrival_amplitude_fast returns: the wrong-way mover (weight
+    # 5e-24) is gated out of both
     path = scenario_path("reference_rightmover.json")
     out = tmp_path / "out"
     assert run_cli("arrival", "--config", path, "--out", str(out), "--oracle") == 0
@@ -235,7 +235,7 @@ def test_arrival_oracle_compares_the_distribution_amplitude(tmp_path):
     oracle = flowquant.arrival_amplitude_quadrature(psi_tilde, grid_T).values
     fast = flowquant.arrival_amplitude_fast(psi_tilde, grid_T).values
     expected = float(np.abs(oracle - fast).max() / np.abs(oracle).max())
-    assert abs(reported - expected) <= 1e-12
+    assert reported == expected
 
 
 def test_arrival_mixed_beam_interference(tmp_path):
@@ -605,6 +605,49 @@ def test_refuses_a_square_beyond_float64(tmp_path, capsys, command, cfg, named):
     assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
     assert named in err[0] and "overflows float64" in err[0]
     assert not any((tmp_path / "out").iterdir())
+
+
+def _shipped_with(name, *edits):
+    """The shipped scenario with each (path, value) edit applied."""
+    cfg = read_json(scenario_path(name))
+    for path, value in edits:
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return cfg
+
+
+@pytest.mark.parametrize("command, cfg, named", [
+    ("classical-limit", _shipped_with("classical_limit_reference.json",
+                                      (("grids", "x"), {"min": -1e300, "max": 1e300,
+                                                        "count": 8})),
+     "second moments"),
+    ("arrival", _shipped_with("mixed_beam.json",
+                              (("packet", "components", 0, "amplitude"), 1e154)),
+     "norm on this grid is inf"),
+    ("backflow", _shipped_with("backflow_default.json", (("packet", "a2"), 1e300)),
+     "norm on this grid is inf"),
+    ("arrival", _shipped_with("reference_rightmover.json", (("packet", "sigma_p"), 1e300)),
+     "4 width^2 underflows"),
+    ("arrival", _shipped_with("reference_rightmover.json", (("params", "mass"), 1e154)),
+     "mass 1.000e+154"),
+    ("arrival", _shipped_with("reference_rightmover.json", (("params", "hbar"), 5e-324)),
+     "carrier phase"),
+    ("classical-limit", _shipped_with("classical_limit_reference.json",
+                                      (("params", "mass"), 5e-324)),
+     "position bin edges"),
+], ids=["huge-box", "huge-amplitude", "huge-a2", "huge-sigma-p", "huge-mass",
+        "tiny-hbar", "tiny-mass"])
+def test_schema_valid_extremes_fail_in_one_line(tmp_path, capsys, command, cfg, named):
+    # each printed numpy warnings or a traceback before its error line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, err = _refusal(tmp_path, capsys, command, cfg)
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
+    assert named in err[0] and not caught
+    out = tmp_path / "out"
+    assert not (out.exists() and any(out.iterdir()))
 
 
 @pytest.mark.parametrize("literal", ["-Infinity", "1e400"])

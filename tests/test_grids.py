@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 import flowquant as fq
-from flowquant.grids import _cis_ramp, _conjugate, _ramp_tables, gauss_panels
+from flowquant.grids import _cis_ramp, _conjugate, _owning, _ramp_tables, gauss_panels
 
 
 def test_grid_validation():
@@ -256,16 +257,47 @@ def test_conjugate_grid_is_the_formula_and_its_cache_is_bounded():
     assert info.maxsize == 4 and info.currsize == 4
 
 
-def test_owning_wave_function_is_read_only(params, tight_grid):
-    values = np.ones(tight_grid.count, dtype=np.complex128)
-    psi = fq.WaveFunction._owning(tight_grid, values, fq.Representation.POSITION, params)
-    assert psi.values is values  # kept, not copied
-    assert not psi.values.flags.writeable
-    with pytest.raises(ValueError):
-        psi.values[0] = 2.0
-    momentum = fq.to_momentum(fq.gaussian_packet(tight_grid, params, 0.0, 1.0, 0.5))
+def _owned_inputs(params, grid):
+    """Fresh field values of each result type: a wave function, an arrival
+    distribution, and an ensemble whose equal weights are one zero-stride
+    broadcast value, as gaussian_ensemble's are."""
+    n = grid.count
+    return [(fq.WaveFunction, (grid, np.ones(n, dtype=np.complex128),
+                               fq.Representation.POSITION, params)),
+            (fq.ArrivalDistribution, (grid, *(np.full(n, float(k)) for k in range(4)),
+                                      0.5, 0.5, np.ones(n, dtype=np.complex128))),
+            (fq.PhaseSpaceEnsemble, (np.linspace(-1.0, 1.0, n), np.linspace(0.5, 2.0, n),
+                                     np.broadcast_to(np.float64(1.0 / n), (n,)), params))]
+
+
+def test_owning_wave_function_is_read_only(params):
+    # grids._owning keeps the arrays it is handed and makes them read-only;
+    # the public constructors still copy
+    for cls, given in _owned_inputs(params, fq.Grid1D(-1.0, 0.125, 16)):
+        made, copied = _owning(cls, *given), cls(*given)
+        arrays = [(f.name, value) for f, value in zip(dataclasses.fields(cls), given)
+                  if isinstance(value, np.ndarray)]
+        assert arrays
+        for name, handed in arrays:
+            kept = getattr(made, name)
+            assert kept is handed and np.shares_memory(kept, handed)
+            assert not kept.flags.writeable
+            with pytest.raises(ValueError):
+                kept[0] = 2.0
+            mine = getattr(copied, name)
+            assert not np.shares_memory(mine, kept) and np.array_equal(mine, kept)
+    momentum = fq.to_momentum(fq.gaussian_packet(fq.Grid1D.from_bounds(-30.0, 30.0, 4096),
+                                                 params, 0.0, 1.0, 0.5))
     for made in (momentum, fq.to_position(momentum)):
         assert not made.values.flags.writeable
+
+
+def test_wave_function_modulus_is_cached_and_read_only(reference_momentum):
+    amp = reference_momentum._amp
+    assert amp is reference_momentum._amp  # taken once
+    assert not amp.flags.writeable
+    assert np.array_equal(amp.view(np.uint64),
+                          np.abs(reference_momentum.values).view(np.uint64))
 
 
 def test_legendre_table_is_leggauss():
