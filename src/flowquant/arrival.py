@@ -30,9 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (IntervalOutOfRange, LowMomentumMass,
-                     QuadratureNonConvergence, RepMismatch,
-                     ZeroWeightComponent)
+from .errors import (IntervalOutOfRange, QuadratureNonConvergence,
+                     RepMismatch, ZeroWeightComponent)
 from .grids import Grid1D, Representation, WaveFunction, _owning, gauss_panels, moments
 from .transforms import (_energy_map, _momentum_floor, _pull_back_half,
                          _refuse_square_overflow, _trimmed_trig_sum,
@@ -80,28 +79,18 @@ class ArrivalDistribution:
 def split_movers(psi_tilde: WaveFunction) -> tuple[WaveFunction, WaveFunction]:
     """Right-mover / left-mover decomposition in the momentum representation.
 
-    psi+ keeps the p > 0 samples, psi- the p < 0 samples; an exact p = 0
-    sample belongs to neither and must carry at most 1e-10 of mass.  The
-    momentum floor of the energy map applies here too (the split feeds that
-    map downstream), with the same refusal.
+    psi+ keeps the p > 0 samples, psi- the p < 0 samples.  The split feeds
+    the energy map downstream, so it admits what that map admits, by the
+    same check (transforms._momentum_floor): at most 1e-6 of mass below the
+    momentum floor, and at most 1e-10 on an exact p = 0 sample, which
+    belongs to neither mover.
     """
     psi_tilde.require_rep(Representation.MOMENTUM)
-    _split_floor(psi_tilde)
+    _momentum_floor(psi_tilde)
     p = psi_tilde.points
     plus = psi_tilde.with_values(np.where(p > 0.0, psi_tilde.values, 0.0))
     minus = psi_tilde.with_values(np.where(p < 0.0, psi_tilde.values, 0.0))
     return plus, minus
-
-
-def _split_floor(psi_tilde: WaveFunction) -> float:
-    """_momentum_floor(psi_tilde), then refuse more than 1e-10 of mass at p = 0."""
-    p_min = _momentum_floor(psi_tilde)
-    p = psi_tilde.points  # increasing: the p = 0 samples are one run
-    zero = slice(np.searchsorted(p, 0.0), np.searchsorted(p, 0.0, side="right"))
-    zero_mass = float(np.sum(psi_tilde._amp[zero] ** 2) * psi_tilde.grid.step)
-    if zero_mass > 1e-10:
-        raise LowMomentumMass(f"the p = 0 sample carries mass {zero_mass:.3e} > 1e-10")
-    return p_min
 
 
 def default_time_grid(psi_tilde: WaveFunction) -> Grid1D:
@@ -291,7 +280,7 @@ def arrival_distribution(psi: WaveFunction, grid_T: Grid1D | None = None,
         raise RepMismatch(
             f"arrival_distribution needs position or momentum input, got {psi.rep.value}")
 
-    p_min = _split_floor(psi_tilde)
+    p_min = _momentum_floor(psi_tilde)
     p, params = psi_tilde.points, psi_tilde.params
     a2 = psi_tilde._amp ** 2
     w_plus = float(np.sum(np.where(p > 0.0, a2, 0.0)) * psi_tilde.grid.step)
@@ -300,12 +289,12 @@ def arrival_distribution(psi: WaveFunction, grid_T: Grid1D | None = None,
         s_grid = default_oriented_grid(psi_tilde, p_min)
     if grid_T is None:
         grid_T = default_time_grid(psi_tilde)
+    energy_map = _energy_map(p_min, params.mass)
 
     def amplitude(positive: bool, weight: float) -> np.ndarray:
         if weight <= 1e-12 * max(w_plus + w_minus, 1e-300):
             return np.zeros(grid_T.count, dtype=np.complex128)
-        start, phi_s = _pull_back_half(psi_tilde, s_grid, positive,
-                                       *_energy_map(p_min, params.mass))
+        start, phi_s = _pull_back_half(psi_tilde, s_grid, positive, *energy_map)
         return _trimmed_trig_sum(phi_s, start, s_grid, grid_T, -1, params.hbar)
 
     phi_plus = amplitude(True, w_plus)

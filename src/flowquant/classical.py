@@ -422,9 +422,12 @@ def quantum_momentum_limit(psi: WaveFunction, x0: float, t: float,
     p_edges = np.asarray(p_edges, dtype=float)
     t_min = _min_resolved_time(psi, x0, 0.5 * (p_edges[:-1] + p_edges[1:]))
     if t < t_min:
+        why = "" if math.isfinite(t_min) else (
+            ": even as t -> inf, the packet's spectrum and the bins do not fit in one "
+            f"momentum period 2 pi hbar / step = {2.0 * math.pi * hbar / psi.grid.step:.3g}")
         raise InvalidParameter(
             f"classical limit at t = {t:g}: the x grid (step {psi.grid.step:g}) "
-            f"resolves only t >= {t_min:.3g} for these p bins")
+            f"resolves only t >= {t_min:.3g} for these p bins{why}")
     chirp = np.exp(1j * (m / t) * psi.points**2 / (2.0 * hbar))
     return _spectrum_masses(psi.values * chirp, psi, p_edges, m * x0 / t)
 

@@ -422,15 +422,16 @@ def cmd_classical_limit(cfg: dict, out_dir: str, args) -> int:
     mu, limits = ensemble_momentum_limits(packet, samples, seed, x0,
                                           section["times"], p_edges)
     exact_q = exact_momentum_histogram(packet, p_edges)
+    # every time's refusal comes before the first file
+    quantum = [quantum_momentum_limit(packet, x0, t, p_edges) for t in section["times"]]
 
     results = []
-    for t, h_ens in zip(section["times"], limits):
+    for t, h_ens, h_q in zip(section["times"], limits, quantum):
         l1_ens = l1_distance(h_ens, mu)
         _write_csv(os.path.join(out_dir, f"classical_limit_ensemble_t{t:g}.csv"),
                    ["p", "mu_exact", "mu_limit", "abs_err"],
                    mu.centers, mu.density, h_ens.density,
                    np.abs(mu.masses - h_ens.masses) / mu.widths)
-        h_q = quantum_momentum_limit(packet, x0, t, p_edges)
         l1_q = l1_distance(h_q, exact_q)
         _write_csv(os.path.join(out_dir, f"classical_limit_quantum_t{t:g}.csv"),
                    ["p", "mu_exact", "mu_limit", "abs_err"],

@@ -62,7 +62,10 @@ class VectorField1D:
     vanishes: flows are computed orbit by orbit between these fixed points,
     so a hand-built field must declare all of them (the factories below do).
     ``deriv`` is the closed-form derivative when known, otherwise a central
-    difference is used.
+    difference is used.  ``func`` and ``deriv`` are always called on a float
+    array (0-d for a scalar argument), with numpy's divide, invalid and
+    overflow warnings silenced: a field is its formula, and the callers read
+    inf and nan themselves.
     """
 
     func: Callable
@@ -73,14 +76,14 @@ class VectorField1D:
 
     def __call__(self, x):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return self.func(x)
+            return self.func(np.asarray(x, dtype=float))
 
     def derivative(self, x):
-        if self.deriv is not None:
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                return self.deriv(x)
-        h = 1e-6 * (1.0 + np.abs(x))
+        x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if self.deriv is not None:
+                return self.deriv(x)
+            h = 1e-6 * (1.0 + np.abs(x))
             return (self.func(x + h) - self.func(x - h)) / (2.0 * h)
 
     def component_of(self, x: float) -> tuple[float, float]:
@@ -91,36 +94,24 @@ class VectorField1D:
 
 
 def constant_field() -> VectorField1D:
-    return VectorField1D(lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                         lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                         label="const(1)")
+    return VectorField1D(np.ones_like, np.zeros_like, label="const(1)")
 
 
 def linear_field() -> VectorField1D:
     """X(x) = x, the generator of homotheties."""
-    return VectorField1D(lambda x: np.asarray(x, dtype=float),
-                         lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                         zeros=(0.0,), label="x")
+    return VectorField1D(lambda x: x, np.ones_like, zeros=(0.0,), label="x")
 
 
 def quadratic_field() -> VectorField1D:
     """X(x) = x^2; trajectories blow up in finite time 1/x0."""
-    return VectorField1D(lambda x: np.asarray(x, dtype=float) ** 2,
-                         lambda x: 2.0 * np.asarray(x, dtype=float),
-                         zeros=(0.0,), label="x^2")
-
-
-def _odd_cube(x) -> np.ndarray:
-    """x^3 as |x|^3 with the sign of x: exactly odd, as accurate as x ** 3,
-    and it keeps glibc pow off its slow path for negative bases."""
-    x = np.asarray(x, dtype=float)
-    return np.copysign(np.abs(x) ** 3, x)
+    return VectorField1D(lambda x: x ** 2, lambda x: 2.0 * x, zeros=(0.0,), label="x^2")
 
 
 def cubic_field() -> VectorField1D:
-    """X(x) = x^3; blow-up with no matching starved region."""
-    return VectorField1D(_odd_cube,
-                         lambda x: 3.0 * np.asarray(x, dtype=float) ** 2,
+    """X(x) = x^3; blow-up with no matching starved region.  x^3 is formed
+    as |x|^3 with the sign of x: exactly odd, as accurate as x ** 3, and it
+    keeps glibc pow off its slow path for negative bases."""
+    return VectorField1D(lambda x: np.copysign(np.abs(x) ** 3, x), lambda x: 3.0 * x ** 2,
                          zeros=(0.0,), label="x^3")
 
 
@@ -129,22 +120,14 @@ _HALF_LINES = ((-math.inf, 0.0), (0.0, math.inf))
 
 def arrival_field(mass: float = 1.0) -> VectorField1D:
     """X(p) = m/p on the punctured momentum line (plain arrival time)."""
-    return VectorField1D(lambda p: mass / np.asarray(p, dtype=float),
-                         lambda p: -mass / np.asarray(p, dtype=float) ** 2,
+    return VectorField1D(lambda p: mass / p, lambda p: -mass / p ** 2,
                          domain=_HALF_LINES, label="m/p")
 
 
 def oriented_arrival_field(mass: float = 1.0) -> VectorField1D:
     """X(p) = m/|p| on the punctured momentum line (oriented arrival time)."""
-    def f(p):
-        p = np.asarray(p, dtype=float)
-        return mass / np.abs(p)
-
-    def df(p):
-        p = np.asarray(p, dtype=float)
-        return -mass * np.sign(p) / p**2
-
-    return VectorField1D(f, df, domain=_HALF_LINES, label="m/|p|")
+    return VectorField1D(lambda p: mass / np.abs(p), lambda p: -mass * np.sign(p) / p**2,
+                         domain=_HALF_LINES, label="m/|p|")
 
 
 def straightened_oriented_field() -> VectorField1D:

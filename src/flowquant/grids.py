@@ -209,15 +209,19 @@ def inner_product(phi: WaveFunction, psi: WaveFunction) -> complex:
 
 def moments(psi: WaveFunction) -> tuple[float, float]:
     """Mean and standard deviation of the wave function's own coordinate; a
-    spread past float64 is inf or nan, which the callers refuse."""
+    spread whose square passes float64 is inf or nan, which the callers
+    refuse.  The zero function raises InvalidParameter."""
     w = psi._amp ** 2
     total = np.sum(w)
     if total <= 0.0:
-        raise ValueError("cannot compute moments of the zero function")
+        raise InvalidParameter("cannot compute moments of the zero function")
     u = psi.points
     mean = float(np.sum(u * w) / total)
     with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf * 0 where w is 0
         var = float(np.sum((u - mean) ** 2 * w) / total)
+        if not math.isfinite(var):  # zero-weight terms count as 0, not as nan
+            held = w > 0.0
+            var = float(np.sum((u[held] - mean) ** 2 * w[held]) / total)
     return mean, math.sqrt(max(var, 0.0))
 
 

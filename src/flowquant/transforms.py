@@ -293,13 +293,20 @@ def _refuse_square_overflow(p: float, what: str) -> None:
 
 def _momentum_floor(psi_tilde: WaveFunction) -> float:
     """default_momentum_floor(psi_tilde.grid), after refusing a wave function
-    with more than _LOW_P_MASS_TOL of mass below it."""
+    with more than _LOW_P_MASS_TOL of mass below it, then one with more than
+    1e-10 on the p = 0 sample, which belongs to neither mover: the one
+    admission check of the energy map and the mover split."""
     p_min = default_momentum_floor(psi_tilde.grid)
     leak = low_momentum_mass(psi_tilde, p_min)
     if leak > _LOW_P_MASS_TOL:
         raise LowMomentumMass(
             f"mass {leak:.3e} below |p| < {p_min:.3e} exceeds {_LOW_P_MASS_TOL:g}; "
             "the Jacobian of the energy map diverges at p = 0")
+    p = psi_tilde.points  # increasing: the p = 0 samples are one run
+    zero = slice(np.searchsorted(p, 0.0), np.searchsorted(p, 0.0, side="right"))
+    zero_mass = float(np.sum(psi_tilde._amp[zero] ** 2) * psi_tilde.grid.step)
+    if zero_mass > 1e-10:
+        raise LowMomentumMass(f"the p = 0 sample carries mass {zero_mass:.3e} > 1e-10")
     return p_min
 
 
@@ -406,7 +413,8 @@ def to_oriented_energy(psi_tilde: WaveFunction, s_grid: Grid1D | None = None,
     phi~(s) = psi~(sgn(s) sqrt(2 m |s|)) * (m/(2|s|))^(1/4) on a uniform
     s-grid; the two momentum half-axes map to the two signs of s.  Values with
     |s| below s_min = p_min^2/(2m) are set to zero, p_min = 4 dp being the
-    momentum floor; more than 1e-6 of mass below it raises LowMomentumMass.
+    momentum floor; more than 1e-6 of mass below it, or more than 1e-10 on
+    the p = 0 sample, raises LowMomentumMass.
     """
     psi_tilde.require_rep(Representation.MOMENTUM)
     m = psi_tilde.params.mass

@@ -168,6 +168,18 @@ def test_fast_path_zero_input(reference_momentum, arrival_grid):
     assert np.all(out.values == 0.0)
 
 
+@pytest.mark.parametrize("call", [fq.arrival_distribution, fq.arrival_amplitude_fast],
+                         ids=lambda f: f.__name__)
+def test_zero_input_needs_a_time_grid(reference_momentum, arrival_grid, call):
+    # the default T-grid is centered by the packet's moments, which the zero
+    # function has not: a FlowQuantError, where a T-grid gives zeros
+    zero = reference_momentum.with_values(np.zeros_like(reference_momentum.values))
+    with pytest.raises(fq.InvalidParameter, match="moments of the zero function"):
+        call(zero)
+    dist = fq.arrival_distribution(zero, arrival_grid)
+    assert not np.any(dist.amplitude) and dist.w_plus == dist.w_minus == 0.0
+
+
 def test_oracle_reflection_symmetry(params, wide_grid, arrival_grid):
     mirror = fq.to_momentum(fq.gaussian_packet(wide_grid, params, 50.0, -2.0, 0.2))
     grid_neg = fq.Grid1D(-arrival_grid.last, arrival_grid.step, arrival_grid.count)
@@ -415,6 +427,16 @@ def test_distribution_refuses_mass_at_p_zero_as_the_chain(reference_momentum,
     assert refusal == (fq.LowMomentumMass, "the p = 0 sample carries mass 1.000e-08 > 1e-10")
 
 
+@pytest.mark.parametrize("refuse", [fq.split_movers, fq.to_oriented_energy,
+                                    fq.arrival_amplitude_fast, fq.arrival_distribution],
+                         ids=lambda f: f.__name__)
+def test_one_refusal_of_mass_at_p_zero(reference_momentum, refuse):
+    # every entry to the energy map admits a packet by the same check
+    psi = _with_mass_at_p_zero(reference_momentum)
+    assert _refusal(lambda: refuse(psi)) == (
+        fq.LowMomentumMass, "the p = 0 sample carries mass 1.000e-08 > 1e-10")
+
+
 def test_distribution_refuses_the_floor_before_the_mass_at_p_zero(params):
     # the packet of test_one_momentum_floor_refusal, with 1e-8 more at p = 0
     grid = fq.Grid1D.from_bounds(-128.0, 128.0, 4096)
@@ -467,11 +489,12 @@ def test_distribution_is_one_pass(monkeypatch, mixed_beam, arrival_grid):
 
     for owner in (arrival, transforms):
         count(owner, "_momentum_floor")
+        count(owner, "_energy_map")  # once for both movers
     count(transforms, "to_oriented_energy")  # its one binding: arrival does not import it
     count(arrival, "split_movers")
     count(transforms.TransformReport, "__init__")
     dist = fq.arrival_distribution(mixed_beam, grid_T=arrival_grid)
-    assert calls == {"_momentum_floor": 1}
+    assert calls == {"_momentum_floor": 1, "_energy_map": 1}
     assert dist.w_plus > 0.4 and dist.w_minus > 0.4
 
 

@@ -622,7 +622,7 @@ def _shipped_with(name, *edits):
     ("classical-limit", _shipped_with("classical_limit_reference.json",
                                       (("grids", "x"), {"min": -1e300, "max": 1e300,
                                                         "count": 8})),
-     "second moments"),
+     "the x grid (step 2.5e+299) resolves only t >= inf"),
     ("arrival", _shipped_with("mixed_beam.json",
                               (("packet", "components", 0, "amplitude"), 1e154)),
      "norm on this grid is inf"),
@@ -646,6 +646,19 @@ def test_schema_valid_extremes_fail_in_one_line(tmp_path, capsys, command, cfg, 
         rc, err = _refusal(tmp_path, capsys, command, cfg)
     assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
     assert named in err[0] and not caught
+    out = tmp_path / "out"
+    assert not (out.exists() and any(out.iterdir()))
+
+
+def test_classical_limit_refuses_every_time_before_the_first_file(tmp_path, capsys):
+    # t = 200 is resolved and t = 0.1 is not: the t = 200 files and the
+    # t = 0.1 ensemble file used to be written before the refusal
+    cfg = _shipped_with("classical_limit_reference.json",
+                        (("classical_limit", "times"), [200, 0.1]),
+                        (("classical_limit", "samples"), 1000))
+    rc, err = _refusal(tmp_path, capsys, "classical-limit", cfg)
+    assert rc == 1 and len(err) == 1
+    assert err[0].startswith("error: classical limit at t = 0.1: the x grid")
     out = tmp_path / "out"
     assert not (out.exists() and any(out.iterdir()))
 

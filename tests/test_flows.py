@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -49,6 +50,46 @@ def test_cubic_field_is_odd_and_within_one_ulp():
     for v, f in zip(x.tolist(), fx.tolist()):
         exact = Fraction(v) ** 3
         assert abs(Fraction(f) - exact) <= math.ulp(float(exact))
+
+
+_EDGE_POINTS = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.5, -2.5,
+                         1e300, -1e300, np.inf, -np.inf])
+
+_FORMULAS = [
+    (fq.constant_field(), np.ones_like, np.zeros_like),
+    (fq.linear_field(), lambda x: x, np.ones_like),
+    (fq.quadratic_field(), lambda x: x ** 2, lambda x: 2.0 * x),
+    (fq.cubic_field(), lambda x: np.copysign(np.abs(x) ** 3, x), lambda x: 3.0 * x ** 2),
+    (fq.arrival_field(2.0), lambda p: 2.0 / p, lambda p: -2.0 / p ** 2),
+    (fq.oriented_arrival_field(2.0), lambda p: 2.0 / np.abs(p),
+     lambda p: -2.0 * np.sign(p) / p ** 2),
+    (fq.straightened_oriented_field(), np.ones_like, np.zeros_like),
+]
+
+
+@pytest.mark.parametrize("field, func, deriv", _FORMULAS,
+                         ids=[field.label for field, _, _ in _FORMULAS])
+def test_built_in_fields_are_their_formulas(field, func, deriv):
+    # bit for bit, with no warning, on an array of edge values and on a
+    # Python float, which the field sees as a 0-d float array
+    with np.errstate(all="ignore"):
+        expected = [(func(x), deriv(x)) for x in (_EDGE_POINTS, np.asarray(-2.5))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [(field(x), field.derivative(x)) for x in (_EDGE_POINTS, -2.5)]
+    for pair, want in zip(got, expected):
+        for value, formula in zip(pair, want):
+            assert np.shape(value) == np.shape(formula)
+            assert np.asarray(value).tobytes() == np.asarray(formula).tobytes()
+
+
+def test_hand_built_field_is_called_with_float_arrays():
+    seen = []
+    field = fq.VectorField1D(lambda x: seen.append(x) or 2.0 * x)
+    assert field([1, 2]).tolist() == [2.0, 4.0] and field(3) == 6.0
+    assert field.derivative([1, 2]).tolist() == pytest.approx([2.0, 2.0])
+    assert all(isinstance(x, np.ndarray) and x.dtype == np.float64 for x in seen)
+    assert seen[1].ndim == 0
 
 
 def test_quadratic_flow_escape():

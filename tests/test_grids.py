@@ -300,6 +300,22 @@ def test_wave_function_modulus_is_cached_and_read_only(reference_momentum):
                           np.abs(reference_momentum.values).view(np.uint64))
 
 
+def test_moments_of_one_sample_on_a_huge_grid(params):
+    # (u - mean)^2 overflows where the weight is 0: those terms count as 0,
+    # so the spread of a single sample is 0, not nan
+    grid = fq.Grid1D.from_bounds(-1e300, 1e300, 8)
+    values = np.zeros(grid.count, dtype=np.complex128)
+    values[grid.points == 0.0] = 1.0 / math.sqrt(grid.step)
+    psi = fq.WaveFunction(grid, values, fq.Representation.POSITION, params)
+    assert fq.moments(psi) == (0.0, 0.0)
+
+
+def test_moments_of_the_zero_function_is_invalid_parameter(centered_packet):
+    zero = centered_packet.with_values(np.zeros_like(centered_packet.values))
+    with pytest.raises(fq.InvalidParameter, match="moments of the zero function"):
+        fq.moments(zero)
+
+
 def test_legendre_table_is_leggauss():
     # on [-1, 1] the panel rule is the table itself
     nodes, weights = gauss_panels(-1.0, 1.0)
