@@ -266,6 +266,12 @@ def arrival_distribution(psi: WaveFunction, grid_T: Grid1D | None = None,
     amplitudes are computed on a common s-grid and T-grid so the
     decomposition identities hold exactly.
 
+    The momentum samples see positions only modulo the box length
+    L = 2 pi hbar / dp, and the chain reads them in [-L/2, L/2): a packet
+    must lie in that window, whatever the origin of the position grid it
+    was built on (a packet at x = 350 in the box [0, 400) is read as the
+    packet at x = -50).
+
     Every field and refusal is, bit for bit, that of the per-mover chain:
     split_movers, then for each part norm_squared (w_plus, w_minus) and
     to_oriented_energy(part, s_grid=s_grid) -> to_arrival_time(., grid_T).

@@ -243,19 +243,26 @@ class _Bins:
     upper: np.ndarray
 
     @classmethod
-    def of(cls, edges: np.ndarray, name: str = "bin edges") -> "_Bins":
-        """The tables of the edges.  Raises InvalidParameter, which calls
-        the edges name, unless there are two or more, finite and increasing."""
-        if not (len(edges) > 1 and np.all(np.isfinite(edges))
-                and np.all(edges[:-1] < edges[1:])):
-            span = f", not [{edges[0]:g}, {edges[-1]:g}]" if len(edges) else ""
-            raise InvalidParameter(f"{name} must be finite and increasing{span}")
+    def of(cls, edges: np.ndarray) -> "_Bins":
+        """The tables of the edges, which _admit_edges admits as bin edges."""
+        _admit_edges(edges, "bin edges")
         n_bins = len(edges) - 1
         lo, hi = edges[0], edges[-1]
         above = np.nextafter(hi, np.inf)
         return cls(lo, n_bins / (hi - lo), n_bins,
                    np.concatenate([[-np.inf], edges[:-1], [above]]),
                    np.concatenate([edges[:-1], [above, np.nan]]))
+
+
+def _admit_edges(edges, name: str) -> np.ndarray:
+    """The edges as a float array.  Raises InvalidParameter, which calls the
+    edges name, unless there are two or more, finite and increasing."""
+    edges = np.asarray(edges, dtype=float)
+    if not (len(edges) > 1 and np.all(np.isfinite(edges))
+            and np.all(edges[:-1] < edges[1:])):
+        span = f", not [{edges[0]:g}, {edges[-1]:g}]" if len(edges) else ""
+        raise InvalidParameter(f"{name} must be finite and increasing{span}")
+    return edges
 
 
 def _block_buffers(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -341,7 +348,7 @@ def momentum_histogram(e: PhaseSpaceEnsemble, p_edges: np.ndarray) -> Histogram:
     """Momentum histogram of the samples themselves, the reference that
     momentum_from_position_limit converges to.  Samples outside the edges
     are left out."""
-    return _histogram(e.p, e.w, np.asarray(p_edges, dtype=float), strict=False)
+    return _histogram(e.p, e.w, _admit_edges(p_edges, "momentum bin edges"), strict=False)
 
 
 def l1_distance(h1: Histogram, h2: Histogram) -> float:
@@ -362,10 +369,18 @@ def momentum_from_position_limit(e: PhaseSpaceEnsemble, x0: float, t: float,
     """
     if t <= 0.0:
         raise ValueError("the limit formula needs t > 0")
-    p_edges = np.asarray(p_edges, dtype=float)
-    speed = t / e.params.mass
-    masses = _bin_masses(e.x, e.w, x0 + speed * p_edges, e.p, speed)
+    p_edges = _admit_edges(p_edges, "momentum bin edges")
+    window = _limit_window(x0, t, e.params.mass, p_edges)
+    masses = _bin_masses(e.x, e.w, window, e.p, t / e.params.mass)
     return Histogram(p_edges, masses)
+
+
+def _limit_window(x0: float, t: float, mass: float, p_edges: np.ndarray) -> np.ndarray:
+    """The position bin edges x0 + (t/m) p of the limit at time t, admitted
+    as _admit_edges admits them (a window past float64 is refused)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        window = x0 + (t / mass) * p_edges
+    return _admit_edges(window, f"position bin edges x0 + (t/m) p at t = {t:g}")
 
 
 def ensemble_momentum_limits(psi: WaveFunction, count: int, seed: int, x0: float,
@@ -377,12 +392,10 @@ def ensemble_momentum_limits(psi: WaveFunction, count: int, seed: int, x0: float
     mean_x, sigma_x, mean_p, sigma_p = _packet_moments(psi)
     if any(t <= 0.0 for t in times):
         raise ValueError("the limit formula needs t > 0")
-    p_edges = np.asarray(p_edges, dtype=float)
+    p_edges = _admit_edges(p_edges, "momentum bin edges")
     speeds = [t / psi.params.mass for t in times]
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite window is refused
-        tables = [_Bins.of(p_edges, "momentum bin edges")] + [
-            _Bins.of(x0 + s * p_edges, f"position bin edges x0 + (t/m) p at t = {t:g}")
-            for t, s in zip(times, speeds)]
+    tables = [_Bins.of(p_edges)] + [
+        _Bins.of(_limit_window(x0, t, psi.params.mass, p_edges)) for t in times]
     masses = np.zeros((len(tables), len(p_edges) + 1))
     size = min(count, _BIN_BLOCK)
     buffers = _block_buffers(size)
@@ -413,13 +426,16 @@ def quantum_momentum_limit(psi: WaveFunction, x0: float, t: float,
     (2 hbar t)), the masses are |F[M psi](p + m x0 / t)|^2 dp: one
     fourier_eval on the packet's grid, whose Riemann sum has the momentum
     period 2 pi hbar / dx.  InvalidParameter names the smallest t at which
-    the chirped spectrum and the window fit in one period.
+    the chirped spectrum and the window fit in one period; before that it
+    refuses bin edges, and the window x0 + (t/m) p, that are not finite and
+    increasing, as ensemble_momentum_limits does.
     """
     psi.require_rep(Representation.POSITION)
     if not t > 0.0:
         raise ValueError("the limit formula needs t > 0")
     m, hbar = psi.params.mass, psi.params.hbar
-    p_edges = np.asarray(p_edges, dtype=float)
+    p_edges = _admit_edges(p_edges, "momentum bin edges")
+    _limit_window(x0, t, m, p_edges)  # the window this limit reads psi(t) on
     t_min = _min_resolved_time(psi, x0, 0.5 * (p_edges[:-1] + p_edges[1:]))
     if t < t_min:
         why = "" if math.isfinite(t_min) else (
@@ -435,7 +451,8 @@ def quantum_momentum_limit(psi: WaveFunction, x0: float, t: float,
 def exact_momentum_histogram(psi: WaveFunction, p_edges: np.ndarray) -> Histogram:
     """|psi~(p)|^2 evaluated at bin centers, as bin masses."""
     psi.require_rep(Representation.POSITION)
-    return _spectrum_masses(psi.values, psi, np.asarray(p_edges, dtype=float), 0.0)
+    p_edges = _admit_edges(p_edges, "momentum bin edges")
+    return _spectrum_masses(psi.values, psi, p_edges, 0.0)
 
 
 def _spectrum_masses(values: np.ndarray, psi: WaveFunction, p_edges: np.ndarray,

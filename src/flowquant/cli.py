@@ -15,6 +15,7 @@ ASCII; JSON is sorted and indented.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -26,10 +27,10 @@ import numpy as np
 from . import __version__
 from .errors import (FlowQuantError, InconclusiveClassification,
                      NegativeMomentumLeak, ScenarioError)
-from .grids import Representation, norm_squared
+from .grids import _SUPPORT_CUT, Representation, norm_squared
 from .scenarios import (build_field, build_packet, build_params,
-                        build_probe_spec, build_s_grid, build_time_grid,
-                        build_x_grid, load_scenario)
+                        build_probe_spec, build_time_grid, build_x_grid,
+                        load_scenario)
 
 # Each subcommand imports the modules it runs, so a process loads only those.
 
@@ -316,46 +317,43 @@ def cmd_flow_classify(cfg: dict, out_dir: str, args) -> int:
         })
         print(f"inconclusive classification: {exc}", file=sys.stderr)
         return 2
-    _write_json(path, {
-        "field": field.label,
-        "class": fc.verdict.value,
-        "lost_mass_fraction": fc.lost_mass_fraction,
-        "gap_measure": fc.gap_measure,
-        "invariant_components": fc.invariant_components,
-        "forward_escape_fraction": fc.forward_escape_fraction,
-        "backward_escape_fraction": fc.backward_escape_fraction,
-        "n_plus": fc.n_plus,
-        "n_minus": fc.n_minus,
-        "escape_samples": [
-            {"start": s.start, "direction": s.direction, "t_escape": s.t_escape}
-            for s in fc.escape_samples
-        ],
-    })
+    payload = dataclasses.asdict(fc)
+    payload["class"] = payload.pop("verdict").value
+    _write_json(path, {"field": field.label, **payload})
     print(f"{field.label}: {fc.verdict.value}")
     return 0
 
 
-def _momentum_packet(cfg: dict):
+def _momentum_packet(cfg: dict, centred: bool = False):
     """The scenario packet in the momentum representation, and its position
     box: grids.x for a packet built in position, and the conjugate of the
     packet's momentum grid for a backflow packet, which is built in momentum
-    on the conjugate of grids.x."""
+    on the conjugate of grids.x.  With centred, a packet built in position
+    whose support (the samples at or above _SUPPORT_CUT of the peak) leaves
+    [-span/2, span/2) is refused: its momentum samples see positions modulo
+    the span, and the arrival chain reads them in that window."""
     from .transforms import to_momentum
     params = build_params(cfg)
     packet = build_packet(cfg, params, build_x_grid(cfg))
     if packet.rep is Representation.MOMENTUM:
         return packet, packet.grid.conjugate(params.hbar)
-    return to_momentum(packet), packet.grid
+    box = packet.grid
+    if centred:
+        amp, half = packet._amp, 0.5 * box.span
+        lo, hi = packet.points[amp >= _SUPPORT_CUT * amp.max()][[0, -1]]
+        if not -half <= lo <= hi < half:
+            raise ScenarioError(
+                f"grids.x [{box.origin:g}, {box.origin + box.span:g}] puts the packet's "
+                f"support [{lo:g}, {hi:g}] outside [{-half:g}, {half:g}), the window "
+                f"in which the arrival chain reads positions")
+    return to_momentum(packet), box
 
 
 def cmd_arrival(cfg: dict, out_dir: str, args) -> int:
     from .arrival import (Component, arrival_amplitude_quadrature,
                           arrival_distribution, arrival_moments)
-    psi_tilde, _ = _momentum_packet(cfg)
-    grid_T = build_time_grid(cfg)
-    s_grid = build_s_grid(cfg)
-
-    dist = arrival_distribution(psi_tilde, grid_T=grid_T, s_grid=s_grid)
+    psi_tilde, _ = _momentum_packet(cfg, centred=True)
+    dist = arrival_distribution(psi_tilde, grid_T=build_time_grid(cfg))
     T = dist.grid_T.points
     # on a T window too wide for float64 the moments overflow: refused
     # below, before any file is written
@@ -418,12 +416,12 @@ def cmd_classical_limit(cfg: dict, out_dir: str, args) -> int:
     bins = section["p_bins"]
     p_edges = np.linspace(bins["min"], bins["max"], bins["count"] + 1)
 
+    exact_q = exact_momentum_histogram(packet, p_edges)
+    # every time's refusal comes before the draws and the first file
+    quantum = [quantum_momentum_limit(packet, x0, t, p_edges) for t in section["times"]]
     # one streamed pass over the ensemble, which is never held whole
     mu, limits = ensemble_momentum_limits(packet, samples, seed, x0,
                                           section["times"], p_edges)
-    exact_q = exact_momentum_histogram(packet, p_edges)
-    # every time's refusal comes before the first file
-    quantum = [quantum_momentum_limit(packet, x0, t, p_edges) for t in section["times"]]
 
     results = []
     for t, h_ens, h_q in zip(section["times"], limits, quantum):
@@ -519,8 +517,9 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="scenario JSON file")
         p.add_argument("--out", help="output directory (default: env "
                        "FLOWQUANT_OUT, else out)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the scenario seed")
+        if name == "classical-limit":
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the scenario seed")
         if name == "arrival":
             p.add_argument("--oracle", action="store_true",
                            help="also run the oscillatory-quadrature oracle")
@@ -533,7 +532,7 @@ def main(argv=None) -> int:
         args.out = os.environ.get("FLOWQUANT_OUT", "out")
 
     try:
-        if args.seed is not None and args.seed < 0:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
             # the bound the schema puts on a scenario's seed
             raise ScenarioError(f"--seed {args.seed} is less than the minimum of 0")
         cfg = load_scenario(args.config)

@@ -208,21 +208,27 @@ def inner_product(phi: WaveFunction, psi: WaveFunction) -> complex:
 
 
 def moments(psi: WaveFunction) -> tuple[float, float]:
-    """Mean and standard deviation of the wave function's own coordinate; a
-    spread whose square passes float64 is inf or nan, which the callers
-    refuse.  The zero function raises InvalidParameter."""
+    """Mean and standard deviation of the wave function's own coordinate.
+    Where a plain sum passes float64 they are taken again over the nonzero
+    weights, normalised before the products, with the spread scaled by the
+    largest |u - mean|: finite for any grid.  The zero function raises
+    InvalidParameter."""
     w = psi._amp ** 2
     total = np.sum(w)
     if total <= 0.0:
         raise InvalidParameter("cannot compute moments of the zero function")
     u = psi.points
-    mean = float(np.sum(u * w) / total)
     with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf * 0 where w is 0
+        mean = float(np.sum(u * w) / total)
         var = float(np.sum((u - mean) ** 2 * w) / total)
-        if not math.isfinite(var):  # zero-weight terms count as 0, not as nan
-            held = w > 0.0
-            var = float(np.sum((u[held] - mean) ** 2 * w[held]) / total)
-    return mean, math.sqrt(max(var, 0.0))
+    if math.isfinite(mean) and math.isfinite(var):
+        return mean, math.sqrt(max(var, 0.0))
+    held = w > 0.0  # zero-weight terms count as 0, not as inf * 0
+    u, w = u[held], w[held]
+    mean = float(np.sum(u * (w / total)))
+    d = u - mean
+    scale = float(np.abs(d).max()) or 1.0  # all d zero: the spread is 0
+    return mean, scale * math.sqrt(float(np.sum((d / scale) ** 2 * w) / total))
 
 
 def packet_fits_box(psi: WaveFunction) -> bool:

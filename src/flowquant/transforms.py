@@ -65,7 +65,6 @@ class TransformReport:
         return cls(norm_in, norm_out, defect)
 
 
-@functools.lru_cache(maxsize=256)
 def _fft_size(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n.
 

@@ -460,6 +460,24 @@ def test_distribution_refuses_a_floor_square_overflow_as_the_chain():
     assert refusal[1].startswith("the momentum floor") and "overflows float64" in refusal[1]
 
 
+@pytest.mark.parametrize("grid_T, named", [
+    (None, "the packet's mean |p|"),
+    (fq.Grid1D.from_bounds(0.0, 1.0, 64), "the momentum floor"),
+], ids=["T-grid", "floor"])
+def test_refuses_a_square_beyond_float64_on_an_explicit_s_grid(grid_T, named):
+    # the largest momentum squares beyond float64, so the default s-grid
+    # refuses first; an explicit one reaches the default T-grid's and the
+    # energy map's refusals
+    params = fq.PhysicalParams(hbar=1e200)
+    psi = fq.gaussian_packet(fq.Grid1D.from_bounds(-8.0, 8.0, 256), params,
+                             -2.0, 8e200, 1e200)
+    s_grid = fq.Grid1D(-1e300, 2e300 / 1024, 1024)
+    with pytest.raises(fq.InvalidParameter) as refusal:
+        fq.arrival_distribution(psi, grid_T, s_grid=s_grid)
+    message = str(refusal.value)
+    assert message.startswith(named) and message.endswith("overflows float64")
+
+
 def test_distribution_refuses_an_arrival_time_input_as_the_chain(reference_momentum,
                                                                  arrival_grid):
     # both refuse the representation by name; arrival_distribution's message

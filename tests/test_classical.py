@@ -361,6 +361,34 @@ def test_bin_masses_refuse_unordered_edges():
             classical._bin_masses(np.zeros(3), np.ones(3), np.array(edges))
 
 
+_MOMENTUM_ENTRY_POINTS = {
+    "momentum_histogram": lambda packet, e, edges: fq.momentum_histogram(e, edges),
+    "momentum_from_position_limit":
+        lambda packet, e, edges: fq.momentum_from_position_limit(e, 0.0, 20.0, edges),
+    "ensemble_momentum_limits":
+        lambda packet, e, edges: fq.ensemble_momentum_limits(packet, 100, 1, 0.0, [20.0],
+                                                             edges),
+    "quantum_momentum_limit":
+        lambda packet, e, edges: fq.quantum_momentum_limit(packet, 0.0, 20.0, edges),
+    "exact_momentum_histogram":
+        lambda packet, e, edges: fq.exact_momentum_histogram(packet, edges),
+}
+
+
+@pytest.mark.parametrize("edges", [[1.0], np.linspace(4.0, -2.0, 97),
+                                   [0.0, np.nan, 1.0]],
+                         ids=["one-edge", "decreasing", "nan"])
+@pytest.mark.parametrize("entry", sorted(_MOMENTUM_ENTRY_POINTS))
+def test_momentum_entry_points_admit_bin_edges_alike(limit_packet, params, entry,
+                                                     edges):
+    # one edge was an IndexError, decreasing edges a negative grid step and
+    # NaN edges a non-finite grid origin in the two quantum entry points
+    ensemble = fq.gaussian_ensemble(params, 0.0, 1.0, 1.0, 0.5, 100, seed=7)
+    with pytest.raises(fq.InvalidParameter,
+                       match=r"^momentum bin edges must be finite and increasing"):
+        _MOMENTUM_ENTRY_POINTS[entry](limit_packet, ensemble, np.asarray(edges))
+
+
 def test_momentum_histogram_is_exact(limit_ensemble):
     # unit-weight samples: each mass is its count times the weight, to the
     # roundings of a sum within the bin, not of a cumulative sum

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flowquant
-from flowquant import cli, scenarios
+from flowquant import classical, cli, scenarios
 from flowquant.cli import main
 from flowquant.scenarios import (_FIELD_BUILDERS, build_packet, build_params,
                                  build_x_grid, list_scenarios, load_scenario,
@@ -449,14 +449,17 @@ def test_refuses_probe_tol(tmp_path, capsys):
     assert "tol" in err[0]
 
 
-def test_refuses_s_grid_without_max(tmp_path, capsys):
+def test_refuses_s_grid(tmp_path, capsys):
+    # the arrival chain runs on its default s-grid; the removed s-grid is
+    # refused like any unknown key
     rc, err = _refusal(tmp_path, capsys, "arrival", {
         "packet": {"type": "gaussian", "center_x": -50.0, "center_p": 2.0,
                    "sigma_p": 0.2},
         "grids": {"x": {"min": -200.0, "max": 200.0, "count": 4096},
-                  "s": {"count": 4096}}})
+                  "s": {"count": 4096, "max": 8.0}}})
     assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
-    assert err[0].endswith("'max' is a required property (at grids/s)")
+    assert err[0].endswith("Additional properties are not allowed ('s' was unexpected) "
+                           "(at grids)")
 
 
 def test_refuses_bool_seed(tmp_path, capsys):
@@ -591,14 +594,7 @@ _SMALL_BOX = {"min": -8.0, "max": 8.0, "count": 256}
                   "backflow_scan": _SCAN},
      "Gaussian width 1.000e+199"),
     ("arrival", {**_HUGE_HBAR, "grids": {"x": _SMALL_BOX}}, "largest momentum"),
-    ("arrival", {**_HUGE_HBAR, "grids": {"x": _SMALL_BOX, "s": {"max": 1e300,
-                                                                 "count": 1024}}},
-     "mean |p|"),
-    ("arrival", {**_HUGE_HBAR, "grids": {"x": _SMALL_BOX,
-                                         "s": {"max": 1e300, "count": 1024},
-                                         "T": {"min": 0.0, "max": 1.0, "count": 64}}},
-     "momentum floor"),
-], ids=["packet-width", "backflow-sigma", "s-grid", "T-grid", "floor"])
+], ids=["packet-width", "backflow-sigma", "s-grid"])
 def test_refuses_a_square_beyond_float64(tmp_path, capsys, command, cfg, named):
     # x ** 2 of a Python float raises OverflowError where numpy gives inf
     rc, err = _refusal(tmp_path, capsys, command, cfg)
@@ -661,6 +657,46 @@ def test_classical_limit_refuses_every_time_before_the_first_file(tmp_path, caps
     assert err[0].startswith("error: classical limit at t = 0.1: the x grid")
     out = tmp_path / "out"
     assert not (out.exists() and any(out.iterdir()))
+
+
+def test_classical_limit_refuses_an_unresolved_time_before_any_draw(
+        tmp_path, capsys, monkeypatch):
+    # the refusal used to come after the whole 1,000,000-sample pass
+    def no_draws(*args):
+        raise AssertionError("the ensemble was drawn")
+
+    monkeypatch.setattr(classical, "_gaussian_blocks", no_draws)
+    cfg = _shipped_with("classical_limit_reference.json",
+                        (("classical_limit", "times"), [200, 0.1]))
+    rc, err = _refusal(tmp_path, capsys, "classical-limit", cfg)
+    assert rc == 1 and len(err) == 1
+    assert err[0].startswith("error: classical limit at t = 0.1: the x grid")
+
+
+def _off_centre_arrival(center_x):
+    """reference_rightmover on the box [0, 400) at center_x, default T-grid."""
+    cfg = _shipped_with("reference_rightmover.json",
+                        (("grids", "x"), {"min": 0.0, "max": 400.0, "count": 4096}),
+                        (("packet", "center_x"), center_x))
+    del cfg["grids"]["T"]
+    return cfg
+
+
+def test_arrival_refuses_a_packet_outside_the_centred_window(tmp_path, capsys):
+    # the momentum samples see x = 350 as x = -50: it exited 0 with that
+    # packet's mean_T_plus 25.25 instead of about -175
+    rc, err = _refusal(tmp_path, capsys, "arrival", _off_centre_arrival(350.0))
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error: grids.x [0, 400]")
+    assert "outside [-200, 200)" in err[0]
+    assert not any((tmp_path / "out").iterdir())
+
+
+def test_arrival_runs_a_packet_inside_the_centred_window(tmp_path):
+    path = tmp_path / "inside.json"
+    path.write_text(json.dumps(_off_centre_arrival(150.0)), encoding="utf-8")
+    assert run_cli("arrival", "--config", str(path), "--out", str(tmp_path / "out")) == 0
+    summary = read_json(tmp_path / "out" / "arrival_summary.json")
+    assert summary["mean_T_plus"] == pytest.approx(-75.74, abs=0.01)
 
 
 @pytest.mark.parametrize("literal", ["-Infinity", "1e400"])
@@ -965,6 +1001,22 @@ def test_classical_limit_memory_does_not_grow_with_samples(tmp_path, samples):
         tracemalloc.stop()
     assert rc == 0
     assert peak <= 6e6
+
+
+@pytest.mark.parametrize("command,scenario", [
+    ("arrival", "reference_rightmover.json"),
+    ("backflow", "backflow_default.json"),
+    ("flow-classify", "flow_x2.json"),
+])
+def test_seed_flag_belongs_to_classical_limit(tmp_path, capsys, command, scenario):
+    # it was accepted and changed no byte of the output
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as usage:
+        run_cli(command, "--config", scenario_path(scenario),
+                "--out", str(tmp_path / "out"), "--seed", "7")
+    assert usage.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_refuses_negative_seed_flag(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -308,6 +309,23 @@ def test_moments_of_one_sample_on_a_huge_grid(params):
     values[grid.points == 0.0] = 1.0 / math.sqrt(grid.step)
     psi = fq.WaveFunction(grid, values, fq.Representation.POSITION, params)
     assert fq.moments(psi) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("amplitude", [7.0, 1e100])
+def test_moments_of_one_sample_off_zero_on_a_huge_grid(params, amplitude):
+    # they were (-2.4999999999999998e+299, inf), and (-inf, inf) with an
+    # overflow warning: the mean rounded off the sample, and u * w and
+    # (u - mean)^2 passed float64
+    grid = fq.Grid1D.from_bounds(-1e300, 1e300, 8)
+    values = np.zeros(grid.count, dtype=np.complex128)
+    values[3] = amplitude
+    psi = fq.WaveFunction(grid, values, fq.Representation.POSITION, params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean, spread = fq.moments(psi)
+    sample = grid.points[3]
+    assert abs(mean - sample) <= math.ulp(sample)
+    assert math.isfinite(spread) and spread <= 4 * math.ulp(abs(mean))
 
 
 def test_moments_of_the_zero_function_is_invalid_parameter(centered_packet):

@@ -102,7 +102,8 @@ def mutated_scenarios(draw):
 @example(cfg={"name": "one item too many", "probe_spec": {"interval": [0.0, 1.0, 2.0]}})
 @example(cfg={"name": "bool for a number", "params": {"hbar": True}})
 @example(cfg={"name": "whole-number float", "probe_spec": {"count": 16.0}})
-@example(cfg={"name": "above the maximum", "grids": {"s": {"count": 4194305.0, "max": 1}}})
+@example(cfg={"name": "above the maximum",
+              "grids": {"x": {"min": -1.0, "max": 1.0, "count": 4194305.0}}})
 def test_checker_agrees_with_jsonschema(cfg):
     expected = {f"{e.message} (at {'/'.join(map(str, e.absolute_path)) or '<root>'})"
                 for e in REFERENCE.iter_errors(cfg)}
