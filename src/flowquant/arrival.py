@@ -30,9 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (IntervalOutOfRange, QuadratureNonConvergence,
-                     RepMismatch, ZeroWeightComponent)
-from .grids import Grid1D, Representation, WaveFunction, _owning, gauss_panels, moments
+from .errors import (IntervalOutOfRange, InvalidParameter,
+                     QuadratureNonConvergence, RepMismatch, ZeroWeightComponent)
+from .grids import (_SUPPORT_CUT, Grid1D, Representation, WaveFunction,
+                    _freeze, _owning, gauss_panels, moments)
 from .transforms import (_energy_map, _momentum_floor, _pull_back_half,
                          _refuse_square_overflow, _trimmed_trig_sum,
                          default_oriented_grid, to_momentum, to_position)
@@ -65,11 +66,8 @@ class ArrivalDistribution:
     amplitude: np.ndarray
 
     def __post_init__(self, copy: bool | None = True):
-        for name in ("total", "plus", "minus", "interference", "amplitude"):
-            dtype = np.complex128 if name == "amplitude" else np.float64
-            arr = np.array(getattr(self, name), dtype=dtype, copy=copy)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, copy, total=np.float64, plus=np.float64, minus=np.float64,
+                interference=np.float64, amplitude=np.complex128)
 
     def component(self, which: Component) -> np.ndarray:
         return {Component.TOTAL: self.total, Component.PLUS: self.plus,
@@ -117,7 +115,8 @@ def default_time_grid(psi_tilde: WaveFunction) -> Grid1D:
 def arrival_amplitude_fast(psi_tilde: WaveFunction, grid_T: Grid1D | None = None,
                            s_grid: Grid1D | None = None) -> WaveFunction:
     """arrival_distribution(...).amplitude, on its grid_T, as an arrival-time
-    wave function: the fast path that the quadrature oracle checks."""
+    wave function: the fast path that the quadrature oracle checks.  It takes
+    and refuses what arrival_distribution does."""
     dist = arrival_distribution(psi_tilde, grid_T, s_grid)
     return _owning(WaveFunction, dist.grid_T, dist.amplitude, Representation.ARRIVAL_TIME,
                    psi_tilde.params)
@@ -206,6 +205,10 @@ def arrival_amplitude_quadrature(psi_tilde: WaveFunction, grid_T: Grid1D) -> Wav
     ``to_position`` forms its pre- and post-phases with it, and the chain's
     chirp-z forms its phase ramps with it.  They share no interpolation,
     energy map, s-grid or chirp-z.
+
+    Like a momentum input of arrival_distribution, psi_tilde carries no
+    position box, so nothing here can refuse a packet built off the window
+    [-L/2, L/2), L = 2 pi hbar / dp: it is read as its image in that window.
     """
     psi_tilde.require_rep(Representation.MOMENTUM)
     m = psi_tilde.params.mass
@@ -257,6 +260,25 @@ def arrival_amplitude_quadrature(psi_tilde: WaveFunction, grid_T: Grid1D) -> Wav
         prev = cur
 
 
+def _momentum_input(psi: WaveFunction) -> WaveFunction:
+    """psi in the momentum representation, as arrival_distribution takes it,
+    with its refusals: a position packet outside the window [-L/2, L/2) of
+    its box, and any representation but position and momentum."""
+    if psi.rep is Representation.MOMENTUM:
+        return psi
+    if psi.rep is not Representation.POSITION:
+        raise RepMismatch(
+            f"arrival_distribution needs position or momentum input, got {psi.rep.value}")
+    box, half, amp = psi.grid, 0.5 * psi.grid.span, psi._amp
+    lo, hi = psi.points[amp >= _SUPPORT_CUT * amp.max()][[0, -1]]
+    if not -half <= lo <= hi < half:
+        raise InvalidParameter(
+            f"the position box [{box.origin:g}, {box.origin + box.span:g}] puts the "
+            f"packet's support [{lo:g}, {hi:g}] outside [{-half:g}, {half:g}), the "
+            f"window in which the arrival chain reads positions")
+    return to_momentum(psi)
+
+
 def arrival_distribution(psi: WaveFunction, grid_T: Grid1D | None = None,
                          s_grid: Grid1D | None = None) -> ArrivalDistribution:
     """Arrival-time distribution with right/left-mover decomposition.
@@ -267,10 +289,13 @@ def arrival_distribution(psi: WaveFunction, grid_T: Grid1D | None = None,
     decomposition identities hold exactly.
 
     The momentum samples see positions only modulo the box length
-    L = 2 pi hbar / dp, and the chain reads them in [-L/2, L/2): a packet
-    must lie in that window, whatever the origin of the position grid it
-    was built on (a packet at x = 350 in the box [0, 400) is read as the
-    packet at x = -50).
+    L = 2 pi hbar / dp, and the chain reads them in [-L/2, L/2), whatever
+    the origin of the position grid the packet was built on (a packet at
+    x = 350 in the box [0, 400) is read as the packet at x = -50).  So a
+    position packet whose support (its samples at or above _SUPPORT_CUT of
+    the peak) leaves that window of its box raises InvalidParameter.  A
+    momentum packet carries no box: its caller has to know that the packet
+    lies in the window.
 
     Every field and refusal is, bit for bit, that of the per-mover chain:
     split_movers, then for each part norm_squared (w_plus, w_minus) and
@@ -278,14 +303,7 @@ def arrival_distribution(psi: WaveFunction, grid_T: Grid1D | None = None,
     It is one pass over the unsplit psi~: a mover's oriented-energy samples
     are one sign's half of the pull-back of psi~.
     """
-    if psi.rep is Representation.POSITION:
-        psi_tilde = to_momentum(psi)
-    elif psi.rep is Representation.MOMENTUM:
-        psi_tilde = psi
-    else:
-        raise RepMismatch(
-            f"arrival_distribution needs position or momentum input, got {psi.rep.value}")
-
+    psi_tilde = _momentum_input(psi)
     p_min = _momentum_floor(psi_tilde)
     p, params = psi_tilde.points, psi_tilde.params
     a2 = psi_tilde._amp ** 2

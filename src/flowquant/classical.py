@@ -33,7 +33,7 @@ import numpy as np
 from .errors import (BinRangeTooSmall, InvalidParameter,
                      MomentumFloorViolated, RepMismatch)
 from .grids import (_SUPPORT_CUT, Grid1D, PhysicalParams, Representation,
-                    WaveFunction, _owning, moments)
+                    WaveFunction, _freeze, _owning, moments)
 from .transforms import fourier_eval, to_momentum, to_position
 
 
@@ -66,10 +66,7 @@ class PhaseSpaceEnsemble:
     params: PhysicalParams
 
     def __post_init__(self, copy: bool | None = True):
-        for name in ("x", "p", "w"):
-            arr = np.array(getattr(self, name), dtype=np.float64, copy=copy)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, copy, x=np.float64, p=np.float64, w=np.float64)
         if not (len(self.x) == len(self.p) == len(self.w)):
             raise ValueError("sample arrays must have equal lengths")
         if self.w.min(initial=0.0) < 0.0:
@@ -206,10 +203,8 @@ class Histogram:
     masses: np.ndarray
 
     def __post_init__(self):
-        for name in ("edges", "masses"):
-            arr = np.array(getattr(self, name), dtype=np.float64, copy=True)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        # always a copy: the edges are the caller's
+        _freeze(self, True, edges=np.float64, masses=np.float64)
 
     @property
     def centers(self) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .errors import (FlowQuantError, InconclusiveClassification,
                      NegativeMomentumLeak, ScenarioError)
-from .grids import _SUPPORT_CUT, Representation, norm_squared
+from .grids import Representation, norm_squared
 from .scenarios import (build_field, build_packet, build_params,
                         build_probe_spec, build_time_grid, build_x_grid,
                         load_scenario)
@@ -38,6 +38,10 @@ from .scenarios import (build_field, build_packet, build_params,
 #: written and searched for its minimum one block at a time, so no array or
 #: text grows with t_count.
 _SCAN_CELLS = 1 << 15
+
+#: The most rows a backflow scan may write, x_count * t_count: at about 60
+#: bytes a row, 2^24 rows are about 1 GB of CSV.
+_SCAN_ROWS = 1 << 24
 
 #: Values per block of CSV text: each block is formatted, compressed and
 #: written before the next, so no text grows with the row count.
@@ -281,7 +285,8 @@ def _write_scan_csv(path: str, header: list[str], ts, xs, blocks) -> None:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with _open_new(path) as fh:
+        fh.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def _open_new(path: str):
@@ -293,11 +298,6 @@ def _open_new(path: str):
     except FileNotFoundError:
         pass
     return open(path, "wb")
-
-
-def _write_text(path: str, text: str) -> None:
-    with _open_new(path) as fh:
-        fh.write(text.encode("utf-8"))
 
 
 def cmd_flow_classify(cfg: dict, out_dir: str, args) -> int:
@@ -324,35 +324,24 @@ def cmd_flow_classify(cfg: dict, out_dir: str, args) -> int:
     return 0
 
 
-def _momentum_packet(cfg: dict, centred: bool = False):
+def _momentum_packet(cfg: dict):
     """The scenario packet in the momentum representation, and its position
     box: grids.x for a packet built in position, and the conjugate of the
     packet's momentum grid for a backflow packet, which is built in momentum
-    on the conjugate of grids.x.  With centred, a packet built in position
-    whose support (the samples at or above _SUPPORT_CUT of the peak) leaves
-    [-span/2, span/2) is refused: its momentum samples see positions modulo
-    the span, and the arrival chain reads them in that window."""
+    on the conjugate of grids.x."""
     from .transforms import to_momentum
     params = build_params(cfg)
     packet = build_packet(cfg, params, build_x_grid(cfg))
     if packet.rep is Representation.MOMENTUM:
         return packet, packet.grid.conjugate(params.hbar)
-    box = packet.grid
-    if centred:
-        amp, half = packet._amp, 0.5 * box.span
-        lo, hi = packet.points[amp >= _SUPPORT_CUT * amp.max()][[0, -1]]
-        if not -half <= lo <= hi < half:
-            raise ScenarioError(
-                f"grids.x [{box.origin:g}, {box.origin + box.span:g}] puts the packet's "
-                f"support [{lo:g}, {hi:g}] outside [{-half:g}, {half:g}), the window "
-                f"in which the arrival chain reads positions")
-    return to_momentum(packet), box
+    return to_momentum(packet), packet.grid
 
 
 def cmd_arrival(cfg: dict, out_dir: str, args) -> int:
-    from .arrival import (Component, arrival_amplitude_quadrature,
+    from .arrival import (Component, _momentum_input, arrival_amplitude_quadrature,
                           arrival_distribution, arrival_moments)
-    psi_tilde, _ = _momentum_packet(cfg, centred=True)
+    # the packet in momentum, or arrival_distribution's refusal of its box
+    psi_tilde = _momentum_input(build_packet(cfg, build_params(cfg), build_x_grid(cfg)))
     dist = arrival_distribution(psi_tilde, grid_T=build_time_grid(cfg))
     T = dist.grid_T.points
     # on a T window too wide for float64 the moments overflow: refused
@@ -425,19 +414,16 @@ def cmd_classical_limit(cfg: dict, out_dir: str, args) -> int:
 
     results = []
     for t, h_ens, h_q in zip(section["times"], limits, quantum):
-        l1_ens = l1_distance(h_ens, mu)
-        _write_csv(os.path.join(out_dir, f"classical_limit_ensemble_t{t:g}.csv"),
-                   ["p", "mu_exact", "mu_limit", "abs_err"],
-                   mu.centers, mu.density, h_ens.density,
-                   np.abs(mu.masses - h_ens.masses) / mu.widths)
-        l1_q = l1_distance(h_q, exact_q)
-        _write_csv(os.path.join(out_dir, f"classical_limit_quantum_t{t:g}.csv"),
-                   ["p", "mu_exact", "mu_limit", "abs_err"],
-                   mu.centers, exact_q.density, h_q.density,
-                   np.abs(exact_q.masses - h_q.masses) / mu.widths)
-        results.append({"t": t, "l1_error_ensemble": l1_ens,
-                        "l1_error_quantum": l1_q})
-        print(f"t={t:g}: L1 ensemble={l1_ens:.5f} quantum={l1_q:.6f}")
+        run = {"t": t}
+        for kind, exact, limit in (("ensemble", mu, h_ens), ("quantum", exact_q, h_q)):
+            run[f"l1_error_{kind}"] = l1_distance(limit, exact)
+            _write_csv(os.path.join(out_dir, f"classical_limit_{kind}_t{t:g}.csv"),
+                       ["p", "mu_exact", "mu_limit", "abs_err"],
+                       mu.centers, exact.density, limit.density,
+                       np.abs(exact.masses - limit.masses) / mu.widths)
+        results.append(run)
+        print(f"t={t:g}: L1 ensemble={run['l1_error_ensemble']:.5f} "
+              f"quantum={run['l1_error_quantum']:.6f}")
     _write_json(os.path.join(out_dir, "classical_limit_summary.json"),
                 {"samples": samples, "seed": seed, "x0": x0, "runs": results})
     return 0
@@ -448,6 +434,11 @@ def cmd_backflow(cfg: dict, out_dir: str, args) -> int:
     if "backflow_scan" not in cfg:
         raise ScenarioError("scenario needs a backflow_scan section")
     scan = cfg["backflow_scan"]
+    cells = scan["x_count"] * scan["t_count"]
+    if cells > _SCAN_ROWS:
+        raise ScenarioError(
+            f"backflow_scan.x_count * t_count = {cells} rows, more than the "
+            f"{_SCAN_ROWS} a scan may write")
     psi_tilde, box = _momentum_packet(cfg)
     params = psi_tilde.params
 
@@ -505,8 +496,7 @@ _COMMANDS = {
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; --out has no default
-    here, so FLOWQUANT_OUT is read when the arguments are parsed."""
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="flowquant",
         description="Flow quantization and arrival-time distributions on 1-D grids.")
@@ -515,8 +505,7 @@ def _parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="scenario JSON file")
-        p.add_argument("--out", help="output directory (default: env "
-                       "FLOWQUANT_OUT, else out)")
+        p.add_argument("--out", default="out", help="output directory (default: out)")
         if name == "classical-limit":
             p.add_argument("--seed", type=int, default=None,
                            help="override the scenario seed")
@@ -528,9 +517,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.out is None:
-        args.out = os.environ.get("FLOWQUANT_OUT", "out")
-
     try:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             # the bound the schema puts on a scenario's seed

@@ -112,13 +112,10 @@ class WaveFunction:
     params: PhysicalParams = field(default_factory=PhysicalParams)
 
     def __post_init__(self, copy: bool | None = True):
-        vals = np.array(self.values, dtype=np.complex128, copy=copy)
-        if vals.shape != (self.grid.count,):
-            raise ValueError(
-                f"values shape {vals.shape} does not match grid count {self.grid.count}"
-            )
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        _freeze(self, copy, values=np.complex128)
+        if self.values.shape != (self.grid.count,):
+            raise ValueError(f"values shape {self.values.shape} does not match "
+                             f"grid count {self.grid.count}")
 
     @property
     def points(self) -> np.ndarray:
@@ -149,8 +146,18 @@ def _owning(cls, *values):
     return obj
 
 
+def _freeze(obj, copy: bool | None, **dtypes) -> None:
+    """Set each named array field of the frozen dataclass obj to a read-only
+    array of its dtype: a copy, or with copy=None (from _owning) the array
+    itself where its dtype already matches."""
+    for name, dtype in dtypes.items():
+        arr = np.array(getattr(obj, name), dtype=dtype, copy=copy)
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+
+
 #: Amplitudes below this fraction of the peak are treated as numerically zero
-#: when locating the support of a packet (transforms and classical).
+#: when locating the support of a packet (transforms, classical and arrival).
 _SUPPORT_CUT = 1e-13
 
 

@@ -186,12 +186,8 @@ def build_time_grid(cfg: dict) -> Grid1D | None:
 
 
 def build_s_grid(cfg: dict) -> Grid1D | None:
-    grids = cfg.get("grids", {})
-    if "s" not in grids:
-        return None
-    count, s_max = grids["s"]["count"], grids["s"]["max"]
-    ds = 2.0 * s_max / count
-    return Grid1D(-(count // 2) * ds, ds, count)
+    """None: the schema has no grids.s, so arrivals run on default_oriented_grid."""
+    return None
 
 
 def build_packet(cfg: dict, params: PhysicalParams, x_grid: Grid1D) -> WaveFunction:

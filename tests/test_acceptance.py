@@ -20,6 +20,44 @@ def report(num, ok, desc, detail):
     assert ok, line
 
 
+# The accuracy ledger: each error figure the criteria compute, with its value
+# as measured (Python 3.11, numpy 2.4, x86-64) and the size of the quantity it
+# is an error of.  A figure may reach ten times its measured value, or four
+# ulps of its quantity where that is more.  The criteria's bounds are
+# release requirements, some orders of magnitude looser, so this ledger is
+# what catches a loss of accuracy that they let pass.
+LEDGER = {
+    # name: (measured, quantity)
+    "c02_flow_endpoint": (3.55e-15, 9.0),           # largest endpoint
+    "c02_escape_time": (1.78e-15, 4.0),             # latest escape time
+    "c03_fourier": (1.00e-15, 1.0),                 # the norm
+    "c03_evolve": (7.77e-16, 1.0),
+    "c03_energy_map": (1.73e-10, 1.0),
+    "c03_transport": (7.59e-14, 1.0),
+    "c04_finite_difference": (4.90e-9, 0.456),      # max |Lie derivative|
+    "c04_symmetry": (3.58e-15, 24.8),               # max |<phi, A psi>|
+    "c05_norm": (6.30e-9, 1.0),                     # the norm
+    "c05_oracle": (9.81e-10, 1.0),                  # a relative error
+    "c06_plus": (2.50e-16, 0.0724),                 # density peak
+    "c06_minus": (1.33e-15, 0.0724),
+    "c07_identity": (5.55e-17, 0.289),              # max total density
+    "c07_integral": (1.42e-9, 1.0),                 # the total mass
+    "c08_closed_form": (6.25e-17, 0.0498),          # largest bin mass
+    "c08_ensemble_l1": (1.66e-3, 1.0),              # the total mass
+    "c08_quantum_l1": (4.85e-5, 1.0),
+    "c09_unitarity": (8.30e-8, 1.0),                # the norm
+    "c10_negative_mass": (4.80e-25, 4.80e-25),      # a leak, its own size
+}
+
+
+def ledger(**figures):
+    """Assert each figure within its LEDGER pin."""
+    for name, value in figures.items():
+        measured, quantity = LEDGER[name]
+        pin = max(10.0 * measured, 4.0 * math.ulp(quantity))
+        assert value <= pin, f"accuracy ledger: {name} = {value:.3e} > {pin:.3e}"
+
+
 # ---------------------------------------------------------------------------
 # 1. classification table
 
@@ -70,6 +108,7 @@ def test_criterion_02_closed_form_flows():
            "closed-form flows exp(t)x and x/(1-tx) at 20 probe pairs",
            f"max endpoint err={flow_err:.2e} <= 1e-8, "
            f"max escape-time err={esc_err:.2e} <= 1e-6")
+    ledger(c02_flow_endpoint=flow_err, c02_escape_time=esc_err)
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +142,8 @@ def test_criterion_03_unitarity():
     report(3, ok, "norm preservation across every unitary operation",
            f"fourier={fourier_defect:.1e} <= 1e-10, evolve={evolve_defect:.1e} <= 1e-10, "
            f"energy-map={u_defect:.1e} <= 1e-5, transport={transport_defect:.1e} <= 1e-8")
+    ledger(c03_fourier=fourier_defect, c03_evolve=evolve_defect,
+           c03_energy_map=u_defect, c03_transport=transport_defect)
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +190,7 @@ def test_criterion_04_generator():
            "generator matches transport derivative; symmetric on all six fields",
            f"finite-difference err={fd_err:.2e} <= 1e-3 at eps=1e-4, "
            f"symmetry defect={sym_err:.2e} <= 1e-8")
+    ledger(c04_finite_difference=fd_err, c04_symmetry=sym_err)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +223,7 @@ def test_criterion_05_arrival_distribution():
     report(5, ok, "arrival distribution: normalization, oracle match, MC mean",
            f"norm err={norm_err:.1e} <= 1e-6, fast-vs-oracle={rel_linf:.1e} <= 1e-4, "
            f"mean={mean_q:.3f} vs MC {mean_mc:.3f} (25 +- 2%), runtime={elapsed:.1f}s < 30s")
+    ledger(c05_norm=norm_err, c05_oracle=rel_linf)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +252,7 @@ def test_criterion_06_time_translation():
     report(6, plus_err <= 1e-8 and minus_err <= 1e-8,
            "free evolution translates mover densities by -/+ t (T -> T +- t)",
            f"plus err={plus_err:.2e} <= 1e-8, minus err={minus_err:.2e} <= 1e-8")
+    ledger(c06_plus=plus_err, c06_minus=minus_err)
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +276,7 @@ def test_criterion_07_interference():
     report(7, ok, "interference: exact pointwise split, zero integral, visible",
            f"identity err={identity_err:.1e} <= 1e-12, |integral|={integral:.1e} <= 1e-8, "
            f"max|interference|/max(total)={visibility:.3f} > 0.01")
+    ledger(c07_identity=identity_err, c07_integral=integral)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +312,8 @@ def test_criterion_08_classical_limit(evolved_gaussian_density):
            f"quantum L1={['%.5f' % e for e in q_errors]}, "
            f"final <= 0.02, monotone={monotone}, "
            f"max|quantum - closed form|={max(closed_errors):.1e} <= 1e-12")
+    ledger(c08_closed_form=max(closed_errors), c08_ensemble_l1=ens_errors[-1],
+           c08_quantum_l1=q_errors[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +345,7 @@ def test_criterion_09_plugged_extensions():
     report(9, ok, "two plug phases give inequivalent norm-preserving transports",
            f"matrix-element diff={diff:.3e} > 1e-3, "
            f"defects={rep1.unitarity_defect:.1e},{rep2.unitarity_defect:.1e} <= 1e-5")
+    ledger(c09_unitarity=max(rep1.unitarity_defect, rep2.unitarity_defect))
 
 
 # ---------------------------------------------------------------------------
@@ -327,3 +375,4 @@ def test_criterion_10_backflow():
     report(10, ok, "positive-momentum packet shows backflow; control does not",
            f"min j={worst:.2e} < 0, p<0 mass={neg_mass:.1e} <= 1e-10, "
            f"control min j={worst_control:.1e} >= -1e-12")
+    ledger(c10_negative_mass=neg_mass)

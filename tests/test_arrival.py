@@ -296,6 +296,35 @@ def test_distribution_accepts_position_rep(reference_packet, arrival_grid,
     assert np.abs(dist.total - reference_distribution.total).max() <= 1e-12
 
 
+def _off_centre_packet(params, center_x):
+    """The reference packet on the box [0, 400), whose momentum samples read
+    positions in [-200, 200)."""
+    return fq.gaussian_packet(fq.Grid1D.from_bounds(0.0, 400.0, 4096), params,
+                              center_x, 2.0, 0.2)
+
+
+def test_distribution_refuses_a_position_packet_outside_the_window(params):
+    # x = 350 is read as x = -50: mean_T_plus came out 25.25, not about -175
+    psi = _off_centre_packet(params, 350.0)
+    for run in (fq.arrival_distribution, fq.arrival_amplitude_fast):
+        with pytest.raises(fq.InvalidParameter) as info:
+            run(psi)
+        assert str(info.value).startswith("the position box [0, 400] puts the packet's")
+        assert "outside [-200, 200)" in str(info.value)
+
+
+def test_distribution_of_a_position_packet_inside_the_window_is_its_momentum_one(params):
+    psi = _off_centre_packet(params, 150.0)
+    by_position = fq.arrival_distribution(psi)
+    by_momentum = fq.arrival_distribution(fq.to_momentum(psi))
+    assert by_position.grid_T == by_momentum.grid_T
+    for name in ("total", "plus", "minus", "interference", "amplitude"):
+        assert (getattr(by_position, name).tobytes()
+                == getattr(by_momentum, name).tobytes()), name
+    assert (by_position.w_plus, by_position.w_minus) == (by_momentum.w_plus,
+                                                         by_momentum.w_minus)
+
+
 def test_distribution_rejects_arrival_rep(reference_momentum, arrival_grid):
     phi = fq.arrival_amplitude_fast(reference_momentum, arrival_grid)
     with pytest.raises(fq.RepMismatch):

@@ -327,6 +327,21 @@ def test_refuses_off_centre_backflow_box(tmp_path, capsys):
     assert "centred on 0" in err[0]
 
 
+def test_refuses_a_backflow_scan_of_too_many_rows(tmp_path, capsys, monkeypatch):
+    # a schema-valid 65536 x 65536 scan would write 4.3e9 rows, about 250 GB
+    monkeypatch.setattr(cli, "_SCAN_ROWS", 120)
+    cfg = _shipped_with("backflow_default.json",
+                        (("backflow_scan", "x_count"), 11),
+                        (("backflow_scan", "t_count"), 11))
+    rc, err = _refusal(tmp_path, capsys, "backflow", cfg)
+    assert rc == 1 and err == ["error: backflow_scan.x_count * t_count = 121 rows, "
+                               "more than the 120 a scan may write"]
+    assert list((tmp_path / "out").iterdir()) == []
+    monkeypatch.setattr(cli, "_SCAN_ROWS", 121)
+    assert run_cli("backflow", "--config", str(tmp_path / "refused.json"),
+                   "--out", str(tmp_path / "out")) == 0
+
+
 def test_backflow_box_with_odd_count_runs(tmp_path):
     cfg = load_scenario(scenario_path("backflow_default.json"))
     cfg["grids"]["x"]["count"] = 4095
@@ -686,7 +701,8 @@ def test_arrival_refuses_a_packet_outside_the_centred_window(tmp_path, capsys):
     # the momentum samples see x = 350 as x = -50: it exited 0 with that
     # packet's mean_T_plus 25.25 instead of about -175
     rc, err = _refusal(tmp_path, capsys, "arrival", _off_centre_arrival(350.0))
-    assert rc == 1 and len(err) == 1 and err[0].startswith("error: grids.x [0, 400]")
+    assert rc == 1 and len(err) == 1
+    assert err[0].startswith("error: the position box [0, 400] puts the packet's")
     assert "outside [-200, 200)" in err[0]
     assert not any((tmp_path / "out").iterdir())
 
@@ -1090,11 +1106,10 @@ def test_unreadable_schema_is_a_scenario_error_not_an_output_failure(
     assert not (tmp_path / "out").exists()
 
 
-def test_parser_is_built_once_and_reads_flowquant_out_per_call(tmp_path, monkeypatch):
-    for name in ("first", "second"):
-        monkeypatch.setenv("FLOWQUANT_OUT", str(tmp_path / name))
-        assert run_cli("flow-classify", "--config", scenario_path("flow_const.json")) == 0
-        assert (tmp_path / name / "flow_classification.json").exists()
+def test_parser_is_built_once_and_out_defaults_to_out(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("flow-classify", "--config", scenario_path("flow_const.json")) == 0
+    assert (tmp_path / "out" / "flow_classification.json").exists()
     assert cli._parser() is cli._parser()
 
 
