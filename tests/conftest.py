@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import flowquant as fq
+from shipped_pin import read_trees, write_trees
 
 
 @pytest.fixture(scope="session")
@@ -91,34 +92,15 @@ def evolved_gaussian_density():
     return _evolved_gaussian_density
 
 
-def _shipped_command(cfg: dict) -> str:
-    if "field" in cfg:
-        return "flow-classify"
-    if "backflow_scan" in cfg:
-        return "backflow"
-    if "classical_limit" in cfg:
-        return "classical-limit"
-    return "arrival"
-
-
 @pytest.fixture(scope="session")
 def run_shipped(tmp_path_factory):
     """run_shipped() runs every shipped scenario under its subcommand, the
     arrival ones also with --oracle, in a fresh directory and returns
-    {"<scenario>[ --oracle]/<file>": bytes} over all files written."""
-    from flowquant.cli import main
-    from flowquant.scenarios import list_scenarios, load_scenario, scenario_path
-
+    {"<scenario>[_oracle]/<file>": bytes} over all files written."""
     def run() -> dict[str, bytes]:
         root = tmp_path_factory.mktemp("shipped")
-        for name in list_scenarios():
-            path = scenario_path(name)
-            command = _shipped_command(load_scenario(path))
-            for extra in ([], ["--oracle"]) if command == "arrival" else ([],):
-                out = root / " ".join([name, *extra])
-                assert main([command, "--config", path, "--out", str(out), *extra]) == 0
-        return {f"{p.parent.name}/{p.name}": p.read_bytes()
-                for p in sorted(root.glob("*/*"))}
+        write_trees(root)
+        return read_trees(root)
     return run
 
 
