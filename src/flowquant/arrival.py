@@ -26,14 +26,13 @@ term integrates to zero while remaining visible pointwise.
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (IntervalOutOfRange, InvalidParameter,
                      QuadratureNonConvergence, RepMismatch, ZeroWeightComponent)
 from .grids import (_SUPPORT_CUT, Grid1D, Representation, WaveFunction,
-                    _freeze, _owning, gauss_panels, moments)
+                    _freeze, _owning, _Record, gauss_panels, moments)
 from .transforms import (_energy_map, _momentum_floor, _pull_back_half,
                          _refuse_square_overflow, _trimmed_trig_sum,
                          default_oriented_grid, to_momentum, to_position)
@@ -45,8 +44,7 @@ class Component(enum.Enum):
     MINUS = "minus"
 
 
-@dataclass(frozen=True, eq=False)
-class ArrivalDistribution:
+class ArrivalDistribution(_Record, eq=False):
     """Arrival-time density and its mover decomposition.
 
     total = plus + minus + interference holds pointwise by construction
@@ -351,8 +349,7 @@ def probability_in_interval(dist: ArrivalDistribution, a: float, b: float,
     return float(np.clip(val, 0.0, 1.0 + 1e-6))
 
 
-@dataclass(frozen=True)
-class ArrivalMoments:
+class ArrivalMoments(_Record):
     mean: float
     variance: float
 

@@ -26,14 +26,13 @@ histogram is binned in block order on the caller's thread.
 
 import math
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (BinRangeTooSmall, InvalidParameter,
                      MomentumFloorViolated, RepMismatch)
 from .grids import (_SUPPORT_CUT, Grid1D, PhysicalParams, Representation,
-                    WaveFunction, _freeze, _owning, moments)
+                    WaveFunction, _freeze, _owning, _Record, moments)
 from .transforms import fourier_eval, to_momentum, to_position
 
 
@@ -53,8 +52,7 @@ def oriented_arrival_time(x, p, mass: float = 1.0):
 _BIN_BLOCK = 1 << 16
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseSpaceEnsemble:
+class PhaseSpaceEnsemble(_Record, eq=False):
     """Weighted samples (x_i, p_i, w_i) of a classical phase-space density,
     kept as read-only float64 copies of the caller's arrays.  The module's
     constructors hand over what they have just built, uncopied: possibly
@@ -195,8 +193,7 @@ def evolve_ensemble(e: PhaseSpaceEnsemble, t: float) -> PhaseSpaceEnsemble:
     return _owning(PhaseSpaceEnsemble, e.x + (t / e.params.mass) * e.p, e.p, e.w, e.params)
 
 
-@dataclass(frozen=True, eq=False)
-class Histogram:
+class Histogram(_Record, eq=False):
     """Weighted histogram: masses per bin (not densities)."""
 
     edges: np.ndarray
@@ -219,14 +216,12 @@ class Histogram:
         return self.masses / self.widths
 
 
-@dataclass(frozen=True)
-class Marginals:
+class Marginals(_Record):
     rho: Histogram
     mu: Histogram
 
 
-@dataclass(frozen=True, eq=False)
-class _Bins:
+class _Bins(_Record, eq=False):
     """The tables _bin_block bins against.  Bin i holds lower[i] <= v <
     upper[i]: 0 is the underflow bin, 1..n_bins the edges' bins, n_bins + 1
     the overflow bin (v >= nan never holds, so it has no top)."""
@@ -488,8 +483,7 @@ def _min_resolved_time(psi: WaveFunction, x0: float, centers: np.ndarray) -> flo
     return psi.params.mass * max(0.0, *(slope / room for room, slope in rooms))
 
 
-@dataclass(frozen=True)
-class ArrivalStats:
+class ArrivalStats(_Record):
     mean: float
     variance: float
     histogram: Histogram | None = None

@@ -15,7 +15,6 @@ ASCII; JSON is sorted and indented.
 """
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -78,39 +77,58 @@ def _word(text: bytes) -> int:
     return int.from_bytes(text.ljust(8, b"\0"), "little")
 
 
-@functools.cache
-def _g17_tables():
-    """(hi, hi's 26-bit head and tail, lo) for each q as a (4, q) array,
-    and per k from _K_MIN - 1 to _K_MAX + 2 the byte where the fraction's
-    point goes, the "0.000" word and the exponent word.  Python's int true
+#: 10^q for q in [_Q_MIN, _Q_MAX] as the columns (hi, hi's 26-bit head and
+#: tail, lo) of one table; _powers fills a decade's column on first use, as a
+#: run writes numbers of a few dozen decades, and leaves the rest nan.
+_POWERS = np.full((4, _Q_MAX - _Q_MIN + 1), np.nan)
+
+
+def _power(q: int) -> tuple[float, float, float, float]:
+    """hi, hi's 26-bit head and tail, and lo of 10^q.  Python's int true
     division and int-to-float conversion round correctly, so hi is 10^q
     rounded and lo the rest rounded."""
-    powers = []
-    for q in range(_Q_MIN, _Q_MAX + 1):
-        if q >= 0:
-            hi = float(10 ** q)
-            lo = float(10 ** q - int(hi))
-        else:
-            hi = 1 / 10 ** -q
-            num, den = hi.as_integer_ratio()
-            lo = (den - num * 10 ** -q) / (den * 10 ** -q)
-        c = hi * _SPLIT
-        head = c - (c - hi)
-        powers.append((hi, head, hi - head, lo))
+    if q >= 0:
+        hi = float(10 ** q)
+        lo = float(10 ** q - int(hi))
+    else:
+        hi = 1 / 10 ** -q
+        num, den = hi.as_integer_ratio()
+        lo = (den - num * 10 ** -q) / (den * 10 ** -q)
+    c = hi * _SPLIT
+    head = c - (c - hi)
+    return hi, head, hi - head, lo
+
+
+def _powers(q: np.ndarray) -> np.ndarray:
+    """The (4, q.size) columns of _POWERS for the decades q, building each
+    decade not yet in the table."""
+    columns = np.take(_POWERS, q - _Q_MIN, axis=1)
+    new = np.isnan(columns[0])
+    if new.any():
+        for decade in set(q[new].tolist()):  # np.unique would import numpy.ma
+            _POWERS[:, decade - _Q_MIN] = _power(decade)
+        columns = np.take(_POWERS, q - _Q_MIN, axis=1)
+    return columns
+
+
+@functools.cache
+def _g17_tables():
+    """Per k from _K_MIN - 1 to _K_MAX + 2 the byte where the fraction's
+    point goes, the "0.000" word and the exponent word."""
     ks = range(_K_MIN - 1, _K_MAX + 3)
     fixed = [-4 <= k <= 16 for k in ks]
     point = [(7 + k if k >= 0 else 6) if f else 7 for k, f in zip(ks, fixed)]
     lead = [_word(b"\0" + b"0." + b"0" * (-1 - k)) if f and k < 0 else 0
             for k, f in zip(ks, fixed)]
     exp = [0 if f else _word(b"e%+03d" % k) for k, f in zip(ks, fixed)]
-    return (np.array(powers).T.copy(), np.array(point),
-            np.array(lead, dtype=np.uint64), np.array(exp, dtype=np.uint64))
+    return (np.array(point), np.array(lead, dtype=np.uint64),
+            np.array(exp, dtype=np.uint64))
 
 
 def _scaled(a, k):
     """D = round(a 10^(16-k)) as int64, and a 10^(16-k) - D + 1/2 in
     [0, 1): near 0 or 1 at a near-tie, below 1/2 where a 10^(16-k) < D."""
-    hi, head, tail, lo = np.take(_g17_tables()[0], 16 - _Q_MIN - k, axis=1)
+    hi, head, tail, lo = _powers(16 - k)
     p = a * hi
     c = a * _SPLIT
     ah = c - (c - a)
@@ -184,7 +202,7 @@ def _g17(values, out: np.ndarray) -> None:
     d[zero] = 0
     k[zero] = 0
 
-    _, point, lead, exp = _g17_tables()
+    point, lead, exp = _g17_tables()
     k -= _K_MIN - 1
     s = point[k]
     u = d.view(np.uint64)
@@ -317,8 +335,10 @@ def cmd_flow_classify(cfg: dict, out_dir: str, args) -> int:
         })
         print(f"inconclusive classification: {exc}", file=sys.stderr)
         return 2
-    payload = dataclasses.asdict(fc)
+    payload = {name: getattr(fc, name) for name in fc._fields}
     payload["class"] = payload.pop("verdict").value
+    payload["escape_samples"] = [{name: getattr(sample, name) for name in sample._fields}
+                                 for sample in fc.escape_samples]
     _write_json(path, {"field": field.label, **payload})
     print(f"{field.label}: {fc.verdict.value}")
     return 0

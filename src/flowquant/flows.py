@@ -34,7 +34,6 @@ travel time from x is t, found by Newton steps.
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -42,7 +41,7 @@ import numpy as np
 from .errors import (InconclusiveClassification, InvalidParameter,
                      NotComplete, NotPluggable, OutOfDomain, RoughInput,
                      ZeroFieldValue)
-from .grids import (WaveFunction, gauss_panels, norm_squared,
+from .grids import (WaveFunction, _Record, gauss_panels, norm_squared,
                     spectral_derivative)
 
 # transport and pluggable_transport import resample and transforms
@@ -53,8 +52,7 @@ if TYPE_CHECKING:
 _FULL_LINE = ((-math.inf, math.inf),)
 
 
-@dataclass(frozen=True)
-class VectorField1D:
+class VectorField1D(_Record):
     """Scalar field X over one coordinate, the object being quantized.
 
     ``domain`` is a tuple of open intervals; trajectories cannot cross the
@@ -144,8 +142,7 @@ def straightened_oriented_field() -> VectorField1D:
 # --------------------------------------------------------------------------
 # Travel times and the flow map
 
-@dataclass(frozen=True)
-class FlowResult:
+class FlowResult(_Record):
     """Outcome of integrating dx/dt = X(x) from one initial point; an
     escaped trajectory has no endpoint and reaches its blow-up time."""
 
@@ -407,8 +404,7 @@ class FlowVerdict(enum.Enum):
     HALF_LINE_INCOMPLETE = "HalfLineIncomplete"
 
 
-@dataclass(frozen=True)
-class ProbeSpec:
+class ProbeSpec(_Record):
     """Probe ensemble for the escape diagnostics of a classification."""
 
     interval: tuple[float, float] = (-10.0, 10.0)
@@ -416,15 +412,13 @@ class ProbeSpec:
     t_probe: float = 4.0
 
 
-@dataclass(frozen=True)
-class EscapeSample:
+class EscapeSample(_Record):
     start: float
     direction: int
     t_escape: float
 
 
-@dataclass(frozen=True)
-class FlowClass:
+class FlowClass(_Record):
     """Completeness verdict with its deficiency indices and probe diagnostics.
 
     ``n_plus`` and ``n_minus`` count the orbit ends of the domain reached in
@@ -515,8 +509,7 @@ def classify_flow(field: VectorField1D, probes: ProbeSpec = ProbeSpec()) -> Flow
 # --------------------------------------------------------------------------
 # Straightening coordinate
 
-@dataclass(frozen=True)
-class StraightenResult:
+class StraightenResult(_Record):
     """Monotone chart s(x) in which the field becomes d/ds, on the orbit of
     x_ref: s is the integral of 1/X from x_ref."""
 

@@ -13,13 +13,91 @@ Conventions used throughout the package (natural units unless stated):
 
 import enum
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import (GridMismatch, GridTooSmall, InvalidParameter,
                      NegativeMomentumLeak, NonPositiveWidth, RepMismatch)
+
+
+class _Signature:
+    """inspect.signature of a record class: its fields, in order, with their
+    defaults, built when it is asked for (an instance has none of its own)."""
+
+    def __get__(self, record, cls):
+        if record is not None:
+            return None
+        from inspect import Parameter, Signature
+        return Signature([Parameter(name, Parameter.POSITIONAL_OR_KEYWORD,
+                                    default=cls._defaults.get(name, Parameter.empty),
+                                    annotation=cls.__annotations__[name])
+                          for name in cls._fields], return_annotation=None)
+
+
+class _Record:
+    """Base of the package's frozen records, what @dataclass(frozen=True)
+    gave them without generating code for each class: the fields are the
+    class's annotations, in order, and a class attribute of a field's name
+    is its default.  The constructor takes the fields by position or keyword
+    and then calls __post_init__; a field is never assigned or deleted
+    afterwards (__post_init__ and _owning set them through __dict__ or
+    object.__setattr__).  Records compare and hash by their fields, or by
+    identity for a class declared with eq=False."""
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+    __signature__ = _Signature()
+
+    def __init_subclass__(cls, eq: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls.__match_args__ = tuple(cls.__annotations__)
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields
+                         if name in cls.__dict__}
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(self._fields, args))
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The value of each field from the constructor's arguments."""
+        names = cls._fields
+        values = {**cls._defaults, **dict(zip(names, args)), **kwargs}
+        if (len(args) > len(names) or values.keys() != set(names)
+                or not kwargs.keys().isdisjoint(names[:len(args)])):
+            raise TypeError(f"{cls.__qualname__}() takes the fields {', '.join(names)}, "
+                            f"not {len(args)} positional arguments and the keywords "
+                            f"{sorted(kwargs)}")
+        return [values[name] for name in names]
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}("
+                + ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields) + ")")
 
 
 class Representation(enum.Enum):
@@ -29,8 +107,7 @@ class Representation(enum.Enum):
     ARRIVAL_TIME = "arrival_time"
 
 
-@dataclass(frozen=True)
-class Grid1D:
+class Grid1D(_Record):
     """Uniform grid: point(i) = origin + i * step for 0 <= i < count."""
 
     origin: float
@@ -84,8 +161,7 @@ def _conjugate(step: float, count: int, hbar: float) -> Grid1D:
     return Grid1D(-(count // 2) * dk, dk, count)
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
+class PhysicalParams(_Record):
     """Planck constant and particle mass, both strictly positive."""
 
     hbar: float = 1.0
@@ -98,8 +174,7 @@ class PhysicalParams:
             raise InvalidParameter("mass must be positive")
 
 
-@dataclass(frozen=True, eq=False)
-class WaveFunction:
+class WaveFunction(_Record, eq=False):
     """Sampled wave function tagged with its representation.
 
     Values are stored as an immutable complex128 copy; operations on wave
@@ -109,7 +184,7 @@ class WaveFunction:
     grid: Grid1D
     values: np.ndarray
     rep: Representation
-    params: PhysicalParams = field(default_factory=PhysicalParams)
+    params: PhysicalParams = PhysicalParams()
 
     def __post_init__(self, copy: bool | None = True):
         _freeze(self, copy, values=np.complex128)
@@ -137,17 +212,17 @@ class WaveFunction:
 
 
 def _owning(cls, *values):
-    """The dataclass cls of these field values, keeping the fresh arrays among
+    """The record cls of these field values, keeping the fresh arrays among
     them uncopied and read-only: its __post_init__(copy=None) copies only an
     array of another dtype.  The public constructors copy."""
     obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls.__dataclass_fields__, values, strict=True))
+    obj.__dict__.update(zip(cls._fields, values, strict=True))
     obj.__post_init__(copy=None)
     return obj
 
 
 def _freeze(obj, copy: bool | None, **dtypes) -> None:
-    """Set each named array field of the frozen dataclass obj to a read-only
+    """Set each named array field of the frozen record obj to a read-only
     array of its dtype: a copy, or with copy=None (from _owning) the array
     itself where its dtype already matches."""
     for name, dtype in dtypes.items():
@@ -306,8 +381,7 @@ def gaussian_packet(grid: Grid1D, params: PhysicalParams, center_x: float,
     return psi
 
 
-@dataclass(frozen=True)
-class BackflowSpec:
+class BackflowSpec(_Record):
     """Two positive-momentum Gaussians whose interference drives j < 0."""
 
     p1: float = 1.0

@@ -9,7 +9,6 @@ tests hold it to the jsonschema package.
 
 import json
 import math
-from dataclasses import fields
 from functools import cache
 from importlib import resources
 from typing import TYPE_CHECKING
@@ -222,8 +221,8 @@ def build_packet(cfg: dict, params: PhysicalParams, x_grid: Grid1D) -> WaveFunct
                 f"a backflow packet sits at x = 0, so grids.x must be centred on 0 "
                 f"to within one grid step; its centre is {centre:g}")
         # the packet's own keys; any other (center_x, say) is ignored
-        spec = BackflowSpec(**{f.name: pk[f.name] for f in fields(BackflowSpec)
-                               if f.name in pk})
+        spec = BackflowSpec(**{name: pk[name] for name in BackflowSpec._fields
+                               if name in pk})
         return make_backflow_packet(x_grid.conjugate(params.hbar), params, spec)
     raise ScenarioError(f"unknown packet type {kind!r}")
 

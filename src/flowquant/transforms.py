@@ -29,14 +29,13 @@ momentum floor fixed at four momentum-grid steps.
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidParameter, LowMomentumMass
 from .grids import (_SUPPORT_CUT, Grid1D, Representation, WaveFunction, _cis,
-                    _cis_ramp, _owning, norm_squared)
+                    _cis_ramp, _owning, _Record, norm_squared)
 
 # _pull_back imports resample itself, so that only the commands that
 # interpolate load it.
@@ -50,8 +49,7 @@ _MIN_S_COUNT = 1024
 _MAX_S_COUNT = 2**22
 
 
-@dataclass(frozen=True)
-class TransformReport:
+class TransformReport(_Record):
     """Norms before and after a change of representation, and the relative
     unitarity defect |norm_out - norm_in| / norm_in (0 for a zero input)."""
 

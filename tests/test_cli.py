@@ -102,7 +102,9 @@ def test_cli_runs_without_jsonschema(tmp_path):
     assert _python(probe).splitlines()[-1] == "blocked"
 
 
-_LOADED = ("print(sorted(m.partition('.')[2] for m in sys.modules\n"
+# the records are built without dataclasses, which nothing else loads
+_LOADED = ("assert 'dataclasses' not in sys.modules\n"
+           "print(sorted(m.partition('.')[2] for m in sys.modules\n"
            "             if m.startswith('flowquant.')))")
 
 

@@ -77,7 +77,7 @@ def test_g17_on_seeded_families():
 
 def test_g17_table_is_exact():
     # hi is 10^q rounded, lo the rest rounded, head + tail == hi in 26 bits each
-    hi, head, tail, lo = cli._g17_tables()[0]
+    hi, head, tail, lo = cli._powers(np.arange(cli._Q_MIN, cli._Q_MAX + 1))
     for i, q in enumerate(range(cli._Q_MIN, cli._Q_MAX + 1)):
         exact = Fraction(10) ** q
         assert hi[i] == float(exact)

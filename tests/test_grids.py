@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -276,7 +275,7 @@ def test_owning_wave_function_is_read_only(params):
     # the public constructors still copy
     for cls, given in _owned_inputs(params, fq.Grid1D(-1.0, 0.125, 16)):
         made, copied = _owning(cls, *given), cls(*given)
-        arrays = [(f.name, value) for f, value in zip(dataclasses.fields(cls), given)
+        arrays = [(name, value) for name, value in zip(cls._fields, given)
                   if isinstance(value, np.ndarray)]
         assert arrays
         for name, handed in arrays:
