@@ -23,7 +23,8 @@ from .errors import (GridMismatch, GridTooSmall, InvalidParameter,
 
 class _Signature:
     """inspect.signature of a record class: its fields, in order, with their
-    defaults, built when it is asked for (an instance has none of its own)."""
+    defaults.  It is built when asked for, so that making a record class
+    needs no inspect; an instance has none of its own."""
 
     def __get__(self, record, cls):
         if record is not None:
@@ -36,10 +37,10 @@ class _Signature:
 
 
 class _Record:
-    """Base of the package's frozen records, what @dataclass(frozen=True)
-    gave them without generating code for each class: the fields are the
-    class's annotations, in order, and a class attribute of a field's name
-    is its default.  The constructor takes the fields by position or keyword
+    """Base of the package's frozen records, which generates no code for a
+    class, so a process pays next to nothing for each record class it
+    loads: the fields are the class's annotations, in order, and a class
+    attribute of a field's name is its default.  The constructor takes the fields by position or keyword
     and then calls __post_init__; a field is never assigned or deleted
     afterwards (__post_init__ and _owning set them through __dict__ or
     object.__setattr__).  Records compare and hash by their fields, or by
@@ -70,8 +71,8 @@ class _Record:
         values = {**cls._defaults, **dict(zip(names, args)), **kwargs}
         if (len(args) > len(names) or values.keys() != set(names)
                 or not kwargs.keys().isdisjoint(names[:len(args)])):
-            raise TypeError(f"{cls.__qualname__}() takes the fields {', '.join(names)}, "
-                            f"not {len(args)} positional arguments and the keywords "
+            raise TypeError(f"{cls.__qualname__}() takes the fields ({', '.join(names)}), "
+                            f"got {len(args)} positional arguments and the keywords "
                             f"{sorted(kwargs)}")
         return [values[name] for name in names]
 
