@@ -331,16 +331,15 @@ def arrival_distribution(psi: WaveFunction, grid_T: Grid1D | None = None,
                    w_plus, w_minus, phi)
 
 
-def probability_in_interval(dist: ArrivalDistribution, a: float, b: float,
-                            component: Component = Component.TOTAL) -> float:
-    """P(T in [a, b]) by trapezoidal integration of the selected density."""
+def probability_in_interval(dist: ArrivalDistribution, a: float, b: float) -> float:
+    """P(T in [a, b]) by trapezoidal integration of the total density."""
     T = dist.grid_T.points
     if not (a < b):
         raise IntervalOutOfRange(f"need a < b, got [{a}, {b}]")
     if a < T[0] or b > T[-1]:
         raise IntervalOutOfRange(
             f"[{a}, {b}] is not inside the tabulated span [{T[0]}, {T[-1]}]")
-    density = dist.component(component)
+    density = dist.total
     inner = (T > a) & (T < b)
     ts = np.concatenate(([a], T[inner], [b]))
     vs = np.concatenate(([np.interp(a, T, density)], density[inner],

@@ -486,11 +486,9 @@ def _min_resolved_time(psi: WaveFunction, x0: float, centers: np.ndarray) -> flo
 class ArrivalStats(_Record):
     mean: float
     variance: float
-    histogram: Histogram | None = None
 
 
-def classical_arrival_oracle(e: PhaseSpaceEnsemble,
-                             bins: np.ndarray | None = None) -> ArrivalStats:
+def classical_arrival_oracle(e: PhaseSpaceEnsemble) -> ArrivalStats:
     """Weighted statistics of the per-sample oriented arrival time -m x / |p|;
     an ensemble with a sample at |p| < 1e-6 raises MomentumFloorViolated."""
     if float(np.min(np.abs(e.p))) < 1e-6:
@@ -499,7 +497,4 @@ def classical_arrival_oracle(e: PhaseSpaceEnsemble,
     T = oriented_arrival_time(e.x, e.p, e.params.mass)
     mean = float(np.sum(e.w * T))
     var = float(np.sum(e.w * (T - mean) ** 2))
-    hist = None
-    if bins is not None:
-        hist = _histogram(T, e.w, np.asarray(bins, dtype=float), strict=False)
-    return ArrivalStats(mean, var, hist)
+    return ArrivalStats(mean, var)

@@ -41,8 +41,7 @@ import numpy as np
 from .errors import (InconclusiveClassification, InvalidParameter,
                      NotComplete, NotPluggable, OutOfDomain, RoughInput,
                      ZeroFieldValue)
-from .grids import (WaveFunction, _Record, gauss_panels, norm_squared,
-                    spectral_derivative)
+from .grids import WaveFunction, _Record, gauss_panels, spectral_derivative
 
 # transport and pluggable_transport import resample and transforms
 # themselves, so that classification loads neither.
@@ -213,15 +212,16 @@ def _tail(field: VectorField1D, x_from: float, target: float,
     max(1, |x_from|), until the edges overflow, and halve toward a finite
     one until the gap to it is no longer a normal float (a panel there would
     be split to the panel limit on rounding noise); at most ``segments`` of
-    them, and past the default _TAIL_SEGMENTS only while X at the edges is
-    at least the smallest normal float.  Returns the edges after x_from and
-    the integral of 1/X from x_from to each, as far as it is finite; that
-    integral's limit at the target, the reach; and the last segments if the
-    reach is undecided, else None.  The reach is settled, the total once a
-    segment no longer adds to it (the end is reached in finite time), or
-    diverged, +-inf, when the target is a zero of X, a segment is not
-    finite or the last _STALLED_SEGMENTS segments do not decrease.  Else it
-    is undecided, and also +-inf, which is how the flow maps read it.
+    them, only while X at the edges is finite, and past the default
+    _TAIL_SEGMENTS only while it is at least the smallest normal float.
+    Returns the edges after x_from and the integral of 1/X from x_from to
+    each, as far as it is finite; that integral's limit at the target, the
+    reach; and the last segments if the reach is undecided, else None.  The
+    reach is settled, the total once a segment no longer adds to it (the end
+    is reached in finite time), or diverged, +-inf, when the target is a
+    zero of X, a segment is not finite or the last _STALLED_SEGMENTS
+    segments do not decrease.  Else it is undecided, and also +-inf, which
+    is how the flow maps read it.
     """
     k = np.arange(segments + 1)
     with np.errstate(over="ignore"):
@@ -232,11 +232,15 @@ def _tail(field: VectorField1D, x_from: float, target: float,
             gap = (x_from - target) * 0.5**k
             edges = target + gap
             kept = np.abs(gap) >= _TINY
-    # Past the default segments, which decide escape times, the edges also
-    # stop where X leaves the normal floats: there 1/X is rounding noise, and
-    # each panel would be split to the panel limit.
+    # The edges stop where X is not finite: a segment past an overflow of X
+    # would count as zero time, and the clock would settle there.  Past the
+    # default segments, which decide escape times, they also stop where X
+    # leaves the normal floats: there 1/X is rounding noise, and each panel
+    # would be split to the panel limit.
+    magnitude = np.abs(field(edges))
+    kept &= np.isfinite(magnitude)
     beyond = k > _TAIL_SEGMENTS
-    kept[beyond] &= np.abs(field(edges[beyond])) >= _TINY
+    kept[beyond] &= magnitude[beyond] >= _TINY
     kept = np.logical_and.accumulate(kept)
     # A prefix; one segment at least, as before.
     edges = edges[:max(2, np.count_nonzero(kept))]
@@ -376,8 +380,8 @@ def integrate_flow(field: VectorField1D, x0: float, t: float) -> FlowResult:
     like +-inf does.  An endpoint beyond the default travel-time table
     (about 2^200 max(1, |x0|) from x0, or within 2^-200 of an orbit end) is
     looked up again on a table that runs to the end of the float range, so
-    only an endpoint that float64 cannot hold, or where X is below the
-    normal floats, is refused.
+    only an endpoint that float64 cannot hold, or where X overflows or is
+    below the normal floats, is refused.
     """
     field.component_of(x0)
     if t == 0.0:
@@ -391,7 +395,7 @@ def integrate_flow(field: VectorField1D, x0: float, t: float) -> FlowResult:
             return FlowResult(t, float(y[0]), False)
     raise InvalidParameter(
         f"G_t({x0:g}) for t = {t:g} lies beyond the float64 range or where "
-        "X is below the normal floats")
+        "X overflows or is below the normal floats")
 
 
 # --------------------------------------------------------------------------
@@ -596,21 +600,18 @@ def _drag(psi: WaveFunction, t: float, pull_back, plug_phase: float = 0.0,
     for none) take the phase exp(i plug_phase)."""
     from .resample import interpolate
     from .transforms import TransformReport
-    norm_in = math.sqrt(norm_squared(psi))
-    if t == 0.0:
-        return psi.with_values(psi.values), TransformReport.from_norms(norm_in, norm_in)
-
-    x = psi.grid.points
-    pullback, jac, replug = pull_back(x)
-    vals = np.zeros(len(x), dtype=np.complex128)
-    ok = np.isfinite(pullback)
-    pulled = interpolate(x, psi.values, pullback[ok])
-    vals[ok] = pulled * np.sqrt(np.abs(jac[ok]))
-    if replug is not None:
-        vals = np.where(replug, vals * np.exp(1j * plug_phase), vals)
+    vals = psi.values
+    if t != 0.0:
+        x = psi.grid.points
+        pullback, jac, replug = pull_back(x)
+        vals = np.zeros(len(x), dtype=np.complex128)
+        ok = np.isfinite(pullback)
+        pulled = interpolate(x, psi.values, pullback[ok])
+        vals[ok] = pulled * np.sqrt(np.abs(jac[ok]))
+        if replug is not None:
+            vals = np.where(replug, vals * np.exp(1j * plug_phase), vals)
     out = psi.with_values(vals)
-    report = TransformReport.from_norms(norm_in, math.sqrt(norm_squared(out)))
-    return out, report
+    return out, TransformReport.between(psi, out)
 
 
 _TAIL_BAND = 0.10  # outermost fraction of spectral bins checked for roughness

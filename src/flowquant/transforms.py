@@ -58,7 +58,9 @@ class TransformReport(_Record):
     unitarity_defect: float
 
     @classmethod
-    def from_norms(cls, norm_in: float, norm_out: float) -> "TransformReport":
+    def between(cls, before: WaveFunction, after: WaveFunction) -> "TransformReport":
+        """The report of the change of representation from before to after."""
+        norm_in, norm_out = math.sqrt(norm_squared(before)), math.sqrt(norm_squared(after))
         defect = abs(norm_out - norm_in) / norm_in if norm_in > 0.0 else 0.0
         return cls(norm_in, norm_out, defect)
 
@@ -377,18 +379,20 @@ def _pull_back_half(source: WaveFunction, grid: Grid1D, positive: bool, floor: f
     return dst.start, np.multiply(interp, weight(abs_y), out=interp)
 
 
-def _pull_back(source: WaveFunction, grid: Grid1D, floor: float,
+def _pull_back(source: WaveFunction, grid: Grid1D, rep: Representation, floor: float,
                node: Callable[[np.ndarray], np.ndarray],
-               weight: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+               weight: Callable[[np.ndarray], np.ndarray],
+               ) -> tuple[WaveFunction, TransformReport]:
     """source(sgn(y) node(|y|)) * weight(|y|) at the points y of grid, zero
-    where |y| < floor.  Both grids increase, so each half-axis is one run of
-    each, and _pull_back_half maps each on its own: the map of a packet is
-    the sum of its movers' maps."""
+    where |y| < floor, as a wave function in rep, and its norm report.  Both
+    grids increase, so each half-axis is one run of each, and _pull_back_half
+    maps each on its own: the map of a packet is the sum of its movers' maps."""
     out = np.zeros(grid.count, dtype=np.complex128)
     for positive in (True, False):
         start, values = _pull_back_half(source, grid, positive, floor, node, weight)
         out[start:start + values.size] = values
-    return out
+    pulled = _owning(WaveFunction, grid, out, rep, source.params)
+    return pulled, TransformReport.between(source, pulled)
 
 
 def _energy_map(p_min: float, mass: float) -> tuple:
@@ -418,11 +422,8 @@ def to_oriented_energy(psi_tilde: WaveFunction, s_grid: Grid1D | None = None,
     p_min = _momentum_floor(psi_tilde)
     if s_grid is None:
         s_grid = default_oriented_grid(psi_tilde, p_min)
-    out = _pull_back(psi_tilde, s_grid, *_energy_map(p_min, m))
-    phi = WaveFunction(s_grid, out, Representation.ORIENTED_ENERGY, psi_tilde.params)
-    report = TransformReport.from_norms(
-        math.sqrt(norm_squared(psi_tilde)), math.sqrt(norm_squared(phi)))
-    return phi, report
+    return _pull_back(psi_tilde, s_grid, Representation.ORIENTED_ENERGY,
+                      *_energy_map(p_min, m))
 
 
 def from_oriented_energy(phi_tilde: WaveFunction, p_grid: Grid1D,
@@ -434,12 +435,9 @@ def from_oriented_energy(phi_tilde: WaveFunction, p_grid: Grid1D,
     """
     phi_tilde.require_rep(Representation.ORIENTED_ENERGY)
     m = phi_tilde.params.mass
-    out = _pull_back(phi_tilde, p_grid, default_momentum_floor(p_grid),
-                     lambda p: p ** 2 / (2.0 * m), lambda p: np.sqrt(p / m))
-    psi = WaveFunction(p_grid, out, Representation.MOMENTUM, phi_tilde.params)
-    report = TransformReport.from_norms(
-        math.sqrt(norm_squared(phi_tilde)), math.sqrt(norm_squared(psi)))
-    return psi, report
+    return _pull_back(phi_tilde, p_grid, Representation.MOMENTUM,
+                      default_momentum_floor(p_grid),
+                      lambda p: p ** 2 / (2.0 * m), lambda p: np.sqrt(p / m))
 
 
 def to_arrival_time(phi_tilde: WaveFunction, grid_T: Grid1D | None = None) -> WaveFunction:

@@ -38,6 +38,17 @@ LEDGER = {
     "c04_symmetry": (3.58e-15, 24.8),               # max |<phi, A psi>|
     "c05_norm": (6.30e-9, 1.0),                     # the norm
     "c05_oracle": (9.81e-10, 1.0),                  # a relative error
+    # the right-mover's density against <phi~, U_tau phi~>, x0 = -50, p0 = 2,
+    # sigma_p = 0.2 (test_arrival_spectral.py)
+    "c05_spectral_measure": (4.70e-10, 1.0),        # |C(tau)| <= the norm
+    # the right-mover's amplitude against its closed form, relative to its
+    # peak (test_arrival_closed_form.py)
+    "c05_closed_form_chain_reference": (9.87e-10, 1.0),
+    "c05_closed_form_chain_broad": (1.02e-6, 1.0),
+    "c05_closed_form_chain_broad_slow": (4.15e-6, 1.0),
+    "c05_closed_form_oracle_reference": (9.69e-13, 1.0),
+    "c05_closed_form_oracle_broad": (3.17e-8, 1.0),
+    "c05_closed_form_oracle_broad_slow": (3.56e-8, 1.0),
     "c06_plus": (2.50e-16, 0.0724),                 # density peak
     "c06_minus": (1.33e-15, 0.0724),
     "c07_identity": (5.55e-17, 0.289),              # max total density

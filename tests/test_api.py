@@ -5,23 +5,25 @@ import pytest
 import flowquant as fq
 
 
-def test_exported_functions_take_at_most_17_defaulted_parameters():
+def test_exported_functions_take_at_most_15_defaulted_parameters():
     # Every defaulted parameter is a setting that tests and benchmarks must
-    # cover; 17 remain since the unset ones became fixed values, the p-grid
+    # cover; 15 remain since the unset ones became fixed values, the p-grid
     # of from_oriented_energy, which every caller passes, became required,
     # straighten's chart became its orbit's travel-time table, with no
-    # span or table size, and transport and pluggable_transport classify
-    # the field they drag instead of taking a verdict.  A new one needs a
-    # caller that sets it and a reason to raise this bound.  The package is
-    # lazy, so the exports are walked through __all__, not vars(fq), which
-    # holds only those already looked up.
+    # span or table size, transport and pluggable_transport classify
+    # the field they drag instead of taking a verdict, and
+    # probability_in_interval and classical_arrival_oracle lost the
+    # component and bins that no caller set.  A new one needs a caller that
+    # sets it and a reason to raise this bound.  The package is lazy, so the
+    # exports are walked through __all__, not vars(fq), which holds only
+    # those already looked up.
     functions = [(name, obj) for name in fq.__all__
                  if inspect.isfunction(obj := getattr(fq, name))]
     assert len(functions) == 53
     defaulted = [f"{name}({p.name})" for name, obj in functions
                  for p in inspect.signature(obj).parameters.values()
                  if p.default is not inspect.Parameter.empty]
-    assert len(defaulted) <= 17, defaulted
+    assert len(defaulted) <= 15, defaulted
 
 
 def test_every_export_resolves_from_its_module():

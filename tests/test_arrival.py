@@ -660,8 +660,8 @@ def test_probability_mirror_convention(params, wide_grid):
     grid_T_neg = fq.Grid1D(-60.0 + 60.0 / 1024, 60.0 / 1024, 1024)
     d_left = fq.arrival_distribution(left, grid_T=grid_T_neg)
     d_right = fq.arrival_distribution(right, grid_T=grid_T)
-    p_left = fq.probability_in_interval(d_left, -30.0, -20.0, Component.TOTAL)
-    p_right = fq.probability_in_interval(d_right, 20.0, 30.0, Component.TOTAL)
+    p_left = fq.probability_in_interval(d_left, -30.0, -20.0)
+    p_right = fq.probability_in_interval(d_right, 20.0, 30.0)
     assert abs(p_left - p_right) <= 1e-8
 
 

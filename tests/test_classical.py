@@ -293,13 +293,6 @@ def test_oracle_joint_flip(params):
     assert np.array_equal(plain_a, plain_b)
 
 
-def test_oracle_histogram(params):
-    e = fq.gaussian_ensemble(params, -50.0, 2.5, 2.0, 0.2, 10_000, seed=3)
-    stats = fq.classical_arrival_oracle(e, bins=np.linspace(0.0, 60.0, 61))
-    assert stats.histogram is not None
-    assert stats.histogram.masses.sum() <= 1.0 + 1e-12
-
-
 def test_ensemble_from_packet_matches_moments(limit_packet, params):
     e = fq.ensemble_from_packet(limit_packet, 400_000, seed=11)
     assert abs(np.mean(e.x)) <= 3.0 / np.sqrt(400_000) * 1.0

@@ -338,6 +338,26 @@ def test_classification_undecided_tail_is_inconclusive():
         fq.straighten(undecided_field(), 1.0)
 
 
+def test_tail_table_ends_where_x_overflows():
+    # X = x sqrt(1 + x^2) / (1 + |x|) is about x at large |x|, so +-inf is
+    # never reached, but X overflows near 1e308 while the edges do not; a
+    # segment past that overflow would count as no time and settle the clock
+    def f(x):
+        return x * np.sqrt(1.0 + x * x) / (1.0 + np.abs(x))
+    field = fq.VectorField1D(f, zeros=(0.0,), label="x sqrt(1+x^2)/(1+|x|)")
+    far = fq.classify_flow(field, fq.ProbeSpec(interval=(1e140, 2e140)))
+    assert far.verdict is fq.FlowVerdict.COMPLETE
+    # the exact endpoint 1e140 e^400 overflows: a refusal, not an escape
+    with pytest.raises(fq.InvalidParameter, match="float64"):
+        fq.integrate_flow(field, 1e140, 400.0)
+    r = fq.integrate_flow(field, 1e140, 20.0)
+    assert not r.escaped
+    assert abs(r.endpoint / (1e140 * math.exp(20.0)) - 1.0) <= 1e-14
+    # a field that underflows far out, with no overflow, still decides
+    bump = fq.VectorField1D(lambda x: np.exp(-x * x), label="exp(-x^2)")
+    assert fq.classify_flow(bump).verdict is fq.FlowVerdict.COMPLETE
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(k=st.one_of(st.just(1.0), st.floats(1.5, 3.0)))
 def test_power_field_indices_match_escape_times(k):

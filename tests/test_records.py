@@ -58,7 +58,7 @@ RECORDS = [
     (fq.Marginals, (_HIST, _HIST), {}, True, _OTHER_HIST),
     (_Bins, (0.0, 0.5, 2, np.array([-np.inf, 0.0, 1.0]), np.array([0.0, 1.0, np.nan])),
      {}, False, None),
-    (fq.ArrivalStats, (1.0, 0.5, _HIST), {"histogram": None}, True, None),
+    (fq.ArrivalStats, (1.0, 0.5), {}, True, 0.25),
     (fq.ArrivalDistribution,
      (_GRID, _floats(1.0), _floats(0.5), _floats(0.25), _floats(0.25), 0.75, 0.25,
       np.ones(8, dtype=np.complex128)),

@@ -4,7 +4,15 @@ pin's numpy build and SIMD features, the column digests within tolerance
 elsewhere."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
+import pytest
+from numpy._core._multiarray_umath import __cpu_features__
+
+import flowquant
 import shipped_pin
 
 
@@ -58,3 +66,36 @@ def test_pin_holds_bytes_on_its_build_and_digests_elsewhere(shipped_outputs):
     del missing[flow]
     assert shipped_pin.compare(here, shipped_pin.digest(missing)) == [
         f"files missing [{flow!r}], not pinned []"]
+
+
+# numpy reads NPY_DISABLE_CPU_FEATURES once, at import, so the trees are
+# written and digested in a child process that has it set: the digest then
+# records the child's SIMD features, and compare takes its column-digest
+# branch, as it would for trees written on another machine.
+_CHILD = """
+import json, pathlib, sys
+import shipped_pin
+shipped_pin.write_trees(sys.argv[1])
+got = shipped_pin.digest(shipped_pin.read_trees(sys.argv[1]))
+pathlib.Path(sys.argv[2]).write_text(json.dumps(got), encoding="utf-8")
+"""
+
+
+@pytest.mark.skipif(not __cpu_features__.get("AVX512F"),
+                    reason="no AVX-512 dispatch to disable on this CPU")
+def test_pin_holds_with_avx512_dispatch_disabled(tmp_path):
+    path = [str(pathlib.Path(flowquant.__file__).parent.parent),
+            str(pathlib.Path(shipped_pin.__file__).parent)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path),
+           "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    digest = tmp_path / "digest.json"
+    # a numpy warning fails the child, as the in-process runs fail on one
+    subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", _CHILD,
+                    str(tmp_path / "trees"), str(digest)],
+                   env=env, check=True, stdout=subprocess.DEVNULL)
+    got = json.loads(digest.read_text(encoding="utf-8"))
+    pin = _pin()
+    assert shipped_pin.compare(pin, got) == []
+    # the setting took: some bytes moved, within the digests' tolerance
+    assert any(got["files"][key]["sha256"] != entry["sha256"]
+               for key, entry in pin["files"].items())
