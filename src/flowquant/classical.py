@@ -1,7 +1,8 @@
 """Classical statistical-ensemble counterpart of the quantum constructions.
 
-A phase-space density of free particles is represented by weighted Monte
-Carlo samples.  Free evolution moves positions along straight lines,
+A phase-space density of free particles is represented by equally likely
+Monte Carlo samples, so a histogram's mass in a bin is the number of samples
+in it over the number of samples.  Free evolution moves positions along straight lines,
 phi(t; x, p) = phi(0; x - (t/m) p, p); position and momentum densities are
 the marginals.  For large t the rescaled position density recovers the
 momentum density,
@@ -17,11 +18,11 @@ period 2 pi hbar / dx.  The module also provides the Monte Carlo
 oriented-arrival-time oracle used to validate the quantum distribution's
 quasiclassical mean.
 
-All stochastic constructors take explicit seeds; reductions are plain numpy
-(pairwise) sums, so results are reproducible bit-for-bit.  That holds with
-the helper thread that draws the ensemble's next block of pairs while the
-current one is binned: the draws keep the stream's order, and every
-histogram is binned in block order on the caller's thread.
+All stochastic constructors take explicit seeds; counts are integers and
+other reductions plain numpy (pairwise) sums, so results are reproducible
+bit-for-bit.  That holds with the helper thread that draws the ensemble's
+next block of pairs while the current one is counted: the draws keep the
+stream's order.
 """
 
 import math
@@ -47,36 +48,30 @@ def oriented_arrival_time(x, p, mass: float = 1.0):
     return -mass * np.asarray(x, dtype=float) / np.abs(np.asarray(p, dtype=float))
 
 
-#: Samples per block of the draws, the ensemble check and the binning, so
-#: their temporaries stay small.
+#: Samples per block of the draws, the ensemble check and the evolved
+#: positions, so their temporaries stay small.
 _BIN_BLOCK = 1 << 16
 
 
 class PhaseSpaceEnsemble(_Record, eq=False):
-    """Weighted samples (x_i, p_i, w_i) of a classical phase-space density,
+    """Equally likely samples (x_i, p_i) of a classical phase-space density,
     kept as read-only float64 copies of the caller's arrays.  The module's
     constructors hand over what they have just built, uncopied: possibly
-    read-only views, and equal weights as one zero-stride broadcast value."""
+    read-only views."""
 
     x: np.ndarray
     p: np.ndarray
-    w: np.ndarray
     params: PhysicalParams
 
     def __post_init__(self, copy: bool | None = True):
-        _freeze(self, copy, x=np.float64, p=np.float64, w=np.float64)
-        if not (len(self.x) == len(self.p) == len(self.w)):
-            raise ValueError("sample arrays must have equal lengths")
-        if self.w.min(initial=0.0) < 0.0:
-            raise ValueError("weights must be nonnegative")
-        if abs(float(np.sum(self.w)) - 1.0) > 1e-12:
-            raise ValueError("weights must sum to one")
-        second = 0.0  # sum of w (x^2 + p^2), one block of buffers at a time
+        _freeze(self, copy, x=np.float64, p=np.float64)
+        if not 0 < len(self.x) == len(self.p):
+            raise ValueError("sample arrays must be nonempty, of equal lengths")
+        share, second = 1.0 / self.size, 0.0  # second: sum of share (x^2 + p^2)
         buffers = _block_buffers(min(self.size, _BIN_BLOCK))
         for start in range(0, self.size, _BIN_BLOCK):
             block = slice(start, start + _BIN_BLOCK)
-            second += _second_moment(self.x[block], self.p[block], self.w[block],
-                                     buffers)
+            second += _second_moment(self.x[block], self.p[block], share, buffers)
         _require_finite(second)
 
     @property
@@ -84,13 +79,14 @@ class PhaseSpaceEnsemble(_Record, eq=False):
         return len(self.x)
 
 
-def _second_moment(x: np.ndarray, p: np.ndarray, w, buffers: tuple) -> float:
-    """The sum of w (x^2 + p^2) over one block of samples, formed in the
-    work and moved buffers of _block_buffers."""
-    work, _, moved = buffers
+def _second_moment(x: np.ndarray, p: np.ndarray, share: float,
+                   buffers: tuple) -> float:
+    """The sum of share (x^2 + p^2) over one block of samples, formed in the
+    two buffers of _block_buffers."""
+    work, moved = buffers
     term = np.square(x, out=work[:len(x)])
     term += np.square(p, out=moved[:len(p)])
-    term *= w
+    term *= share
     return float(np.sum(term))
 
 
@@ -166,8 +162,7 @@ def gaussian_ensemble(params: PhysicalParams, mean_x: float, sigma_x: float,
     for xb, pb in _gaussian_blocks(mean_x, sigma_x, mean_p, sigma_p, count, seed):
         x[start:start + len(xb)], p[start:start + len(pb)] = xb, pb
         start += len(xb)
-    w = np.broadcast_to(np.float64(1.0 / count), (count,))
-    return _owning(PhaseSpaceEnsemble, x, p, w, params)
+    return _owning(PhaseSpaceEnsemble, x, p, params)
 
 
 def _packet_moments(psi: WaveFunction) -> tuple[float, float, float, float]:
@@ -190,11 +185,13 @@ def ensemble_from_packet(psi: WaveFunction, count: int,
 
 def evolve_ensemble(e: PhaseSpaceEnsemble, t: float) -> PhaseSpaceEnsemble:
     """Free motion: positions advance by (t/m) p, momenta are constants."""
-    return _owning(PhaseSpaceEnsemble, e.x + (t / e.params.mass) * e.p, e.p, e.w, e.params)
+    return _owning(PhaseSpaceEnsemble, e.x + (t / e.params.mass) * e.p, e.p, e.params)
 
 
 class Histogram(_Record, eq=False):
-    """Weighted histogram: masses per bin (not densities)."""
+    """Masses per bin (not densities).  The classical ones are the counts of
+    np.histogram over the sample count: bins [edges[i], edges[i+1]), the
+    last one closed, with samples outside the edges left out."""
 
     edges: np.ndarray
     masses: np.ndarray
@@ -221,29 +218,6 @@ class Marginals(_Record):
     mu: Histogram
 
 
-class _Bins(_Record, eq=False):
-    """The tables _bin_block bins against.  Bin i holds lower[i] <= v <
-    upper[i]: 0 is the underflow bin, 1..n_bins the edges' bins, n_bins + 1
-    the overflow bin (v >= nan never holds, so it has no top)."""
-
-    lo: float
-    scale: float
-    n_bins: int
-    lower: np.ndarray
-    upper: np.ndarray
-
-    @classmethod
-    def of(cls, edges: np.ndarray) -> "_Bins":
-        """The tables of the edges, which _admit_edges admits as bin edges."""
-        _admit_edges(edges, "bin edges")
-        n_bins = len(edges) - 1
-        lo, hi = edges[0], edges[-1]
-        above = np.nextafter(hi, np.inf)
-        return cls(lo, n_bins / (hi - lo), n_bins,
-                   np.concatenate([[-np.inf], edges[:-1], [above]]),
-                   np.concatenate([edges[:-1], [above, np.nan]]))
-
-
 def _admit_edges(edges, name: str) -> np.ndarray:
     """The edges as a float array.  Raises InvalidParameter, which calls the
     edges name, unless there are two or more, finite and increasing."""
@@ -255,94 +229,48 @@ def _admit_edges(edges, name: str) -> np.ndarray:
     return edges
 
 
-def _block_buffers(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The work, index and moved buffers of _bin_block for blocks of up to
-    size values, shared by the blocks and the histograms: sample-sized
-    temporaries made afresh for each block would be handed back to the
-    system and faulted in again."""
-    return np.empty(size), np.empty(size, dtype=np.intp), np.empty(size)
+def _block_buffers(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two buffers for blocks of up to size values, shared by the blocks:
+    sample-sized temporaries made afresh for each block would be handed back
+    to the system and faulted in again."""
+    return np.empty(size), np.empty(size)
 
 
-def _bin_block(values: np.ndarray, weights: np.ndarray, bins: _Bins,
-               masses: np.ndarray, buffers: tuple, drift: np.ndarray | None = None,
-               speed: float = 0.0) -> None:
-    """Adds the weights of one block of values, or of values + speed * drift,
-    to masses, n_bins + 2 long with the underflow and overflow bins at its
-    ends.
-
-    Each value's bin is first guessed from the uniform-edge formula, then
-    stepped until the bin's actual edges hold the value, so non-uniform
-    edges are exact too, only slower.  NaN is guessed into the underflow bin.
-    """
-    work, index, moved = buffers
-    n = len(values)
-    # values far outside the edges, or edges wider than the float range
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = values
-        if drift is not None:
-            v = np.multiply(drift, speed, out=moved[:n])
-            v += values
-        guess = np.subtract(v, bins.lo, out=work[:n])
-        guess *= bins.scale
-        guess += 1.0
-        np.fmax(guess, 0.0, out=guess)  # also takes NaN to the underflow bin
-        np.fmin(guess, bins.n_bins + 1, out=guess)
-        i = index[:n]
-        np.copyto(i, guess, casting="unsafe")  # truncates, as astype does
-        lower, upper = bins.lower, bins.upper
-        # the indices are in range; "clip" lets take write into out unbuffered
-        wrong = v < np.take(lower, i, out=guess, mode="clip")
-        wrong |= v >= np.take(upper, i, out=guess, mode="clip")
-        wrong = np.flatnonzero(wrong)
-        while wrong.size:
-            vw, iw = v[wrong], i[wrong]
-            iw = iw + (vw >= upper[iw]) - (vw < lower[iw])
-            i[wrong] = iw
-            wrong = wrong[(vw < lower[iw]) | (vw >= upper[iw])]
-    masses += np.bincount(i, weights, minlength=bins.n_bins + 2)
-
-
-def _bin_masses(values: np.ndarray, weights: np.ndarray, edges: np.ndarray,
-                drift: np.ndarray | None = None, speed: float = 0.0) -> np.ndarray:
-    """Weight of the values in each bin [edges[i], edges[i+1]), the last bin
-    closed: the bins np.histogram gives for explicit edges, without sorting.
-    With a drift, the values binned are values + speed * drift, formed one
-    block at a time.  Values outside the edges, and NaN, are left out."""
-    bins = _Bins.of(edges)
-    masses = np.zeros(bins.n_bins + 2)
-    buffers = _block_buffers(min(len(values), _BIN_BLOCK))
-    for start in range(0, len(values), _BIN_BLOCK):
-        block = slice(start, start + _BIN_BLOCK)
-        _bin_block(values[block], weights[block], bins, masses, buffers,
-                   None if drift is None else drift[block], speed)
-    return masses[1:-1]
-
-
-def _histogram(values: np.ndarray, weights: np.ndarray, edges: np.ndarray,
-               strict: bool = True) -> Histogram:
-    if strict and (values.min() < edges[0] or values.max() > edges[-1]):
-        raise BinRangeTooSmall(
-            f"samples span [{values.min():g}, {values.max():g}] but bins cover "
-            f"[{edges[0]:g}, {edges[-1]:g}]")
-    return Histogram(edges, _bin_masses(values, weights, edges))
+def _moved_counts(x: np.ndarray, p: np.ndarray, speed: float, window: np.ndarray,
+                  moved: np.ndarray) -> np.ndarray:
+    """Counts of one block of evolved positions x + speed p in the window's
+    bins, formed in the buffer moved as p * speed, then += x: the bits
+    evolve_ensemble gives."""
+    with np.errstate(over="ignore"):  # far outside the window
+        v = np.multiply(p, speed, out=moved[:len(p)])
+        v += x
+    return np.histogram(v, window)[0]
 
 
 def marginals(e: PhaseSpaceEnsemble, x_edges: np.ndarray,
               p_edges: np.ndarray) -> Marginals:
-    """Position and momentum histograms; each sums to the total weight (one)."""
-    return Marginals(_histogram(e.x, e.w, np.asarray(x_edges, dtype=float)),
-                     _histogram(e.p, e.w, np.asarray(p_edges, dtype=float)))
+    """Position and momentum histograms, each summing to one."""
+    hists = []
+    for values, edges in ((e.x, x_edges), (e.p, p_edges)):
+        edges = _admit_edges(edges, "bin edges")
+        if values.min() < edges[0] or values.max() > edges[-1]:
+            raise BinRangeTooSmall(
+                f"samples span [{values.min():g}, {values.max():g}] but bins cover "
+                f"[{edges[0]:g}, {edges[-1]:g}]")
+        hists.append(Histogram(edges, np.histogram(values, edges)[0] / e.size))
+    return Marginals(*hists)
 
 
 def momentum_histogram(e: PhaseSpaceEnsemble, p_edges: np.ndarray) -> Histogram:
     """Momentum histogram of the samples themselves, the reference that
     momentum_from_position_limit converges to.  Samples outside the edges
     are left out."""
-    return _histogram(e.p, e.w, _admit_edges(p_edges, "momentum bin edges"), strict=False)
+    p_edges = _admit_edges(p_edges, "momentum bin edges")
+    return Histogram(p_edges, np.histogram(e.p, p_edges)[0] / e.size)
 
 
 def l1_distance(h1: Histogram, h2: Histogram) -> float:
-    if h1.edges.shape != h2.edges.shape or not np.allclose(h1.edges, h2.edges):
+    if not np.array_equal(h1.edges, h2.edges):
         raise ValueError("histograms must share bin edges")
     return float(np.sum(np.abs(h1.masses - h2.masses)))
 
@@ -351,9 +279,9 @@ def momentum_from_position_limit(e: PhaseSpaceEnsemble, x0: float, t: float,
                                  p_edges: np.ndarray) -> Histogram:
     """Momentum density recovered from the position density at time t.
 
-    Bins the evolved positions x + (t/m) p and reads (t/m) rho(t, x0 + (t/m) p)
-    as bin masses: the mass in the p-bin is the evolved-position mass in the
-    mapped x-bin.  Comparing against the direct momentum histogram of the
+    Counts the evolved positions x + (t/m) p and reads (t/m) rho(t, x0 + (t/m) p)
+    as bin masses: the mass in the p-bin is the share of the evolved positions
+    in the mapped x-bin.  Comparing against the direct momentum histogram of the
     same samples isolates the finite-t systematic error.  Samples drifting
     outside the mapped window are excluded (part of that error).
     """
@@ -361,8 +289,13 @@ def momentum_from_position_limit(e: PhaseSpaceEnsemble, x0: float, t: float,
         raise ValueError("the limit formula needs t > 0")
     p_edges = _admit_edges(p_edges, "momentum bin edges")
     window = _limit_window(x0, t, e.params.mass, p_edges)
-    masses = _bin_masses(e.x, e.w, window, e.p, t / e.params.mass)
-    return Histogram(p_edges, masses)
+    speed = t / e.params.mass
+    counts = np.zeros(len(window) - 1, dtype=np.int64)
+    moved = np.empty(min(e.size, _BIN_BLOCK))
+    for start in range(0, e.size, _BIN_BLOCK):
+        block = slice(start, start + _BIN_BLOCK)
+        counts += _moved_counts(e.x[block], e.p[block], speed, window, moved)
+    return Histogram(p_edges, counts / e.size)
 
 
 def _limit_window(x0: float, t: float, mass: float, p_edges: np.ndarray) -> np.ndarray:
@@ -377,34 +310,29 @@ def ensemble_momentum_limits(psi: WaveFunction, count: int, seed: int, x0: float
                              times, p_edges: np.ndarray) -> tuple[Histogram, list[Histogram]]:
     """momentum_histogram and momentum_from_position_limit at each of the
     times, over ensemble_from_packet(psi, count, seed), bit for bit, in one
-    pass: each block of pairs is drawn, checked and binned into every
+    pass: each block of pairs is drawn, checked and counted into every
     histogram before the next, so nothing sample-sized is held."""
     mean_x, sigma_x, mean_p, sigma_p = _packet_moments(psi)
     if any(t <= 0.0 for t in times):
         raise ValueError("the limit formula needs t > 0")
     p_edges = _admit_edges(p_edges, "momentum bin edges")
     speeds = [t / psi.params.mass for t in times]
-    tables = [_Bins.of(p_edges)] + [
-        _Bins.of(_limit_window(x0, t, psi.params.mass, p_edges)) for t in times]
-    masses = np.zeros((len(tables), len(p_edges) + 1))
-    size = min(count, _BIN_BLOCK)
-    buffers = _block_buffers(size)
-    w = np.float64(1.0 / count)
-    weights = np.full(size, w)  # contiguous, so np.bincount takes it uncopied
-    second = 0.0
+    windows = [_limit_window(x0, t, psi.params.mass, p_edges) for t in times]
+    counts = np.zeros((1 + len(times), len(p_edges) - 1), dtype=np.int64)
+    buffers = _block_buffers(min(count, _BIN_BLOCK))
+    share, second = 1.0 / count, 0.0
     blocks = _gaussian_blocks(mean_x, sigma_x, mean_p, sigma_p, count, seed)
     try:
         for x, p in blocks:
-            second += _second_moment(x, p, w, buffers)
+            second += _second_moment(x, p, share, buffers)
             _require_finite(second)
-            n = len(x)
-            _bin_block(p, weights[:n], tables[0], masses[0], buffers)
-            for speed, bins, row in zip(speeds, tables[1:], masses[1:]):
-                _bin_block(x, weights[:n], bins, row, buffers, p, speed)
+            counts[0] += np.histogram(p, p_edges)[0]
+            for speed, window, row in zip(speeds, windows, counts[1:]):
+                row += _moved_counts(x, p, speed, window, buffers[1])
     finally:
         blocks.close()  # joins the helper drawing the next block
-    return (Histogram(p_edges, masses[0, 1:-1]),
-            [Histogram(p_edges, row[1:-1]) for row in masses[1:]])
+    masses = counts / count
+    return Histogram(p_edges, masses[0]), [Histogram(p_edges, row) for row in masses[1:]]
 
 
 def quantum_momentum_limit(psi: WaveFunction, x0: float, t: float,
@@ -489,12 +417,10 @@ class ArrivalStats(_Record):
 
 
 def classical_arrival_oracle(e: PhaseSpaceEnsemble) -> ArrivalStats:
-    """Weighted statistics of the per-sample oriented arrival time -m x / |p|;
+    """Mean and variance of the per-sample oriented arrival time -m x / |p|;
     an ensemble with a sample at |p| < 1e-6 raises MomentumFloorViolated."""
     if float(np.min(np.abs(e.p))) < 1e-6:
         raise MomentumFloorViolated(
             "ensemble contains |p| < 1e-06; arrival times diverge")
     T = oriented_arrival_time(e.x, e.p, e.params.mass)
-    mean = float(np.sum(e.w * T))
-    var = float(np.sum(e.w * (T - mean) ** 2))
-    return ArrivalStats(mean, var)
+    return ArrivalStats(float(np.mean(T)), float(np.var(T)))

@@ -4,8 +4,10 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 report.  Every tolerance is pinned here; nothing is deferred to calibration.
 """
 
+import importlib
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +60,14 @@ LEDGER = {
     "c08_quantum_l1": (4.85e-5, 1.0),
     "c09_unitarity": (8.30e-8, 1.0),                # the norm
     "c10_negative_mass": (4.80e-25, 4.80e-25),      # a leak, its own size
+    # the accuracy panels of the benchmark's workloads (perfbench/worker.py)
+    "panel_cli_batch_oracle": (2.315e-7, 1.0),      # a relative error
+    "panel_cli_batch_norm": (4.094e-4, 1.0),        # the norm
+    "panel_cli_batch_energy_map": (9.566e-9, 1.0),
+    "panel_cli_batch_classical_l1": (2.265e-2, 1.0),  # the total mass
+    "panel_arrival_stream_oracle": (7.353e-7, 1.0),
+    "panel_arrival_stream_norm": (2.434e-3, 1.0),
+    "panel_arrival_stream_energy_map": (2.165e-7, 1.0),
 }
 
 
@@ -301,7 +311,7 @@ def test_criterion_08_classical_limit(evolved_gaussian_density):
                                     seed=20240601)
     p_edges = np.linspace(-2.0, 4.0, 97)
     centers = 0.5 * (p_edges[:-1] + p_edges[1:])
-    mu = np.histogram(ensemble.p, bins=p_edges, weights=ensemble.w)[0]
+    mu = np.histogram(ensemble.p, bins=p_edges)[0] / ensemble.size
     exact = fq.exact_momentum_histogram(psi, p_edges)
 
     ens_errors, q_errors, closed_errors = [], [], []
@@ -387,3 +397,28 @@ def test_criterion_10_backflow():
            f"min j={worst:.2e} < 0, p<0 mass={neg_mass:.1e} <= 1e-10, "
            f"control min j={worst_control:.1e} >= -1e-12")
     ledger(c10_negative_mass=neg_mass)
+
+
+# ---------------------------------------------------------------------------
+# The benchmark's accuracy panels
+
+_PANEL_FIGURES = {"oracle": "oracle_err_max", "norm": "norm_defect_max",
+                  "energy_map": "energy_map_defect_max", "classical_l1": "classical_l1_max"}
+
+
+def test_benchmark_accuracy_panels(monkeypatch):
+    """The figures of the cli_batch and arrival_stream panels, computed by
+    the benchmark's own panel code on its fixed inputs.  arrival_stream runs
+    no classical operation: its classical figure is the shipped reference's,
+    c08_quantum_l1.  cli_cold's four figures are those of c05_oracle,
+    c05_norm, c03_energy_map and c08_quantum_l1."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    panel = importlib.import_module("worker").panel
+    figures = {}
+    for workload in ("cli_batch", "arrival_stream"):
+        got = panel(workload)
+        print(f"[panel {workload}] " + ", ".join(f"{k}={v:.3e}" for k, v in got.items()))
+        figures.update({f"panel_{workload}_{name}": got[key]
+                        for name, key in _PANEL_FIGURES.items()})
+    figures["c08_quantum_l1"] = figures.pop("panel_arrival_stream_classical_l1")
+    ledger(**figures)

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import flowquant as fq
@@ -30,49 +30,46 @@ P_EDGES = np.linspace(-2.0, 4.0, 97)
 
 
 def test_ensemble_validation(params):
-    with pytest.raises(ValueError):
-        fq.PhaseSpaceEnsemble(np.zeros(4), np.zeros(4), np.full(4, 0.3), params)
-    with pytest.raises(ValueError):
-        fq.PhaseSpaceEnsemble(np.zeros(4), np.zeros(3), np.full(4, 0.25), params)
+    with pytest.raises(ValueError, match="equal lengths"):
+        fq.PhaseSpaceEnsemble(np.zeros(3), np.zeros(4), params)
+    with pytest.raises(ValueError, match="equal lengths"):
+        fq.PhaseSpaceEnsemble(np.zeros(4), np.zeros(3), params)
 
 
 def test_ensemble_keeps_its_own_copies(params):
-    x, p, w = np.zeros(4), np.ones(4), np.full(4, 0.25)
-    e = fq.PhaseSpaceEnsemble(x, p, w, params)
-    x[0], p[0], w[:] = 5.0, -5.0, 0.0
+    x, p = np.zeros(4), np.ones(4)
+    e = fq.PhaseSpaceEnsemble(x, p, params)
+    x[0], p[0] = 5.0, -5.0
     assert np.array_equal(e.x, np.zeros(4))
     assert np.array_equal(e.p, np.ones(4))
-    assert np.array_equal(e.w, np.full(4, 0.25))
-    assert not (e.x.flags.writeable or e.p.flags.writeable or e.w.flags.writeable)
+    assert not (e.x.flags.writeable or e.p.flags.writeable)
 
 
 def test_gaussian_ensemble_draws_unchanged(params):
-    # the draws and weights of the seeded generator, bit for bit: the pairs
+    # the draws of the seeded generator, bit for bit: the pairs
     # (x_i, p_i) = (mean_x + sigma_x z_2i, mean_p + sigma_p z_2i+1)
     z = np.random.default_rng(11).standard_normal(20_000)
     e = fq.gaussian_ensemble(params, 0.5, 1.5, -1.0, 0.25, 10_000, seed=11)
     assert np.array_equal(e.x, 0.5 + 1.5 * z[0::2])
     assert np.array_equal(e.p, -1.0 + 0.25 * z[1::2])
-    assert np.array_equal(e.w, np.full(10_000, 1e-4))
+    assert not (e.x.flags.writeable or e.p.flags.writeable)
     moved = fq.evolve_ensemble(e, 3.0)
     assert np.array_equal(moved.x, e.x + 3.0 * e.p)
     assert not moved.x.flags.writeable
 
 
-@pytest.mark.parametrize("x,p,w", [
-    ([1e155, 0.0], [0.0, 0.0], [0.5, 0.5]),   # x^2 overflows
-    ([0.0, np.nan], [0.0, 0.0], [0.5, 0.5]),
-    ([0.0, 0.0], [0.0, 0.0], [1.5, -0.5]),
-    ([0.0, 0.0], [0.0, 0.0], [np.nan, 0.5]),
-    ([], [], []),
+@pytest.mark.parametrize("x,p", [
+    ([1e155, 0.0], [0.0, 0.0]),   # x^2 overflows
+    ([0.0, np.nan], [0.0, 0.0]),
+    ([], []),
 ])
-def test_ensemble_refusals(params, x, p, w):
+def test_ensemble_refusals(params, x, p):
     with pytest.raises(ValueError), np.errstate(over="ignore"):
-        fq.PhaseSpaceEnsemble(np.array(x), np.array(p), np.array(w), params)
+        fq.PhaseSpaceEnsemble(np.array(x), np.array(p), params)
 
 
 def test_evolve_ensemble_refuses_overflow(params):
-    e = fq.PhaseSpaceEnsemble(np.zeros(2), np.ones(2), np.full(2, 0.5), params)
+    e = fq.PhaseSpaceEnsemble(np.zeros(2), np.ones(2), params)
     with pytest.raises(ValueError, match="second moments"), np.errstate(over="ignore"):
         fq.evolve_ensemble(e, 1e200)
 
@@ -84,8 +81,7 @@ def test_evolve_identity(limit_ensemble):
 
 
 def test_evolve_single_sample(params):
-    e = fq.PhaseSpaceEnsemble(np.array([1.0]), np.array([2.0]), np.array([1.0]),
-                              params)
+    e = fq.PhaseSpaceEnsemble(np.array([1.0]), np.array([2.0]), params)
     moved = fq.evolve_ensemble(e, 3.0)
     assert moved.x[0] == 7.0
     assert moved.p[0] == 2.0
@@ -119,8 +115,7 @@ def test_marginals_product_gaussian(params):
 
 
 def test_marginals_point_ensemble(params):
-    e = fq.PhaseSpaceEnsemble(np.full(8, 0.5), np.full(8, 1.5),
-                              np.full(8, 0.125), params)
+    e = fq.PhaseSpaceEnsemble(np.full(8, 0.5), np.full(8, 1.5), params)
     m = fq.marginals(e, np.linspace(0.0, 1.0, 11), np.linspace(1.0, 2.0, 11))
     assert np.count_nonzero(m.rho.masses) == 1
     assert np.count_nonzero(m.mu.masses) == 1
@@ -135,13 +130,13 @@ def test_marginals_range_check(params):
 # -------------------------------------------------- classical limit formula
 
 def test_momentum_from_position_limit_reference(limit_ensemble):
-    mu = np.histogram(limit_ensemble.p, bins=P_EDGES, weights=limit_ensemble.w)[0]
+    mu = np.histogram(limit_ensemble.p, bins=P_EDGES)[0] / limit_ensemble.size
     h = fq.momentum_from_position_limit(limit_ensemble, 0.0, 200.0, P_EDGES)
     assert float(np.sum(np.abs(h.masses - mu))) <= 0.02
 
 
 def test_momentum_from_position_limit_monotone(limit_ensemble):
-    mu = np.histogram(limit_ensemble.p, bins=P_EDGES, weights=limit_ensemble.w)[0]
+    mu = np.histogram(limit_ensemble.p, bins=P_EDGES)[0] / limit_ensemble.size
     errors = []
     for t in (20.0, 50.0, 100.0, 200.0):
         h = fq.momentum_from_position_limit(limit_ensemble, 0.0, t, P_EDGES)
@@ -150,8 +145,7 @@ def test_momentum_from_position_limit_monotone(limit_ensemble):
 
 
 def test_momentum_from_position_limit_point(params):
-    e = fq.PhaseSpaceEnsemble(np.zeros(16), np.full(16, 1.0),
-                              np.full(16, 1.0 / 16.0), params)
+    e = fq.PhaseSpaceEnsemble(np.zeros(16), np.full(16, 1.0), params)
     h = fq.momentum_from_position_limit(e, 0.0, 50.0, P_EDGES)
     assert np.count_nonzero(h.masses) == 1
     k = int(np.argmax(h.masses))
@@ -256,11 +250,22 @@ def test_quantum_momentum_limit_closed_form(params, evolved_gaussian_density,
     assert np.abs(h.masses - exact).max() <= 1e-12 * peak
 
 
+def test_l1_distance_requires_equal_edges():
+    # each pair is equal within np.allclose's default tolerances, yet its
+    # bins differ: the first pair read 1.0 and the second 0.0
+    masses = np.array([1.0, 0.0])
+    for edges, other in (([0.0, 1e-9, 2e-9], [0.0, 2e-9, 4e-9]),
+                         ([1000.0, 1000.005, 1000.01], [1000.0, 1000.009, 1000.018])):
+        h = fq.Histogram(np.array(edges), masses)
+        with pytest.raises(ValueError, match="share bin edges"):
+            fq.l1_distance(h, fq.Histogram(np.array(other), masses[::-1]))
+        assert fq.l1_distance(h, fq.Histogram(np.array(edges), masses[::-1])) == 2.0
+
+
 # ----------------------------------------------------- arrival-time oracle
 
 def test_oracle_point_ensemble(params):
-    e = fq.PhaseSpaceEnsemble(np.full(4, -50.0), np.full(4, 2.0),
-                              np.full(4, 0.25), params)
+    e = fq.PhaseSpaceEnsemble(np.full(4, -50.0), np.full(4, 2.0), params)
     stats = fq.classical_arrival_oracle(e)
     assert stats.mean == 25.0
     assert stats.variance == 0.0
@@ -274,8 +279,7 @@ def test_oracle_reference_mean(params):
 
 
 def test_oracle_momentum_floor(params):
-    e = fq.PhaseSpaceEnsemble(np.array([1.0, 2.0]), np.array([1e-9, 1.0]),
-                              np.array([0.5, 0.5]), params)
+    e = fq.PhaseSpaceEnsemble(np.array([1.0, 2.0]), np.array([1e-9, 1.0]), params)
     with pytest.raises(fq.MomentumFloorViolated):
         fq.classical_arrival_oracle(e)
 
@@ -284,7 +288,7 @@ def test_oracle_joint_flip(params):
     """The oriented arrival time is odd under (x, p) -> (-x, -p): the plain
     arrival time -m x / p is the even one."""
     e = fq.gaussian_ensemble(params, -50.0, 2.5, 2.0, 0.2, 100_000, seed=9)
-    flipped = fq.PhaseSpaceEnsemble(-e.x, -e.p, e.w, params)
+    flipped = fq.PhaseSpaceEnsemble(-e.x, -e.p, params)
     a = fq.classical_arrival_oracle(e)
     b = fq.classical_arrival_oracle(flipped)
     assert abs(a.mean + b.mean) <= 1e-12 * abs(a.mean)
@@ -301,12 +305,12 @@ def test_ensemble_from_packet_matches_moments(limit_packet, params):
     assert abs(np.std(e.p) - 0.5) <= 0.01
 
 
-# ------------------------------------------------------- sort-free binning
+# ------------------------------------------------------- counted bin masses
 
 @st.composite
 def binning_inputs(draw):
-    """Increasing edges, uniform or not, and values on the edges, one ulp
-    beside them, inside and outside the range, with positive weights."""
+    """Increasing edges, uniform or not, and one or more values on the
+    edges, one ulp beside them, inside and outside the range."""
     n_bins = draw(st.integers(1, 24))
     lo = draw(st.floats(-1e3, 1e3))
     width = draw(st.floats(1e-3, 1e3))
@@ -320,38 +324,42 @@ def binning_inputs(draw):
     value = (edge | edge.map(lambda e: np.nextafter(e, -np.inf))
              | edge.map(lambda e: np.nextafter(e, np.inf))
              | st.floats(lo - width, lo + 2.0 * width))
-    values = np.array(draw(st.lists(value, max_size=60)), dtype=float)
-    weights = np.array(draw(st.lists(st.floats(1e-6, 1.0), min_size=len(values),
-                                     max_size=len(values))))
-    return values, weights / max(weights.sum(), 1.0), edges
+    values = np.array(draw(st.lists(value, min_size=1, max_size=60)), dtype=float)
+    return values, edges
+
+
+def _bin_counts(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The number of values in each bin [edges[i], edges[i+1]), the last bin
+    closed, by a search of the edges rather than np.histogram's sort."""
+    k = np.searchsorted(edges, values, side="right") - 1
+    k[values == edges[-1]] = len(edges) - 2
+    inside = (k >= 0) & (k < len(edges) - 1)
+    return np.bincount(k[inside], minlength=len(edges) - 1)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(case=binning_inputs(), block=st.sampled_from([3, 7, classical._BIN_BLOCK]))
-@example(case=(np.array([0.0, 0.25, 0.5, 1.0, 1.0, -1e-300, 1.0 + 1e-16, np.nan]),
-               np.full(8, 0.125), np.array([0.0, 0.25, 0.5, 1.0])),
-         block=classical._BIN_BLOCK)
-@example(case=(np.array([1e-9, 2.5e-9, 3.0, 999.0, 1000.0]), np.full(5, 0.2),
-               np.array([0.0, 1e-9, 2e-9, 3e-9, 1.0, 1000.0])), block=2)
-def test_bin_masses_match_np_histogram(case, block):
-    values, weights, edges = case
-    with mock.patch.object(classical, "_BIN_BLOCK", block):
-        counts = classical._bin_masses(values, np.ones(len(values)), edges)
-        masses = classical._bin_masses(values, weights, edges)
-    assert np.array_equal(counts, np.histogram(values, bins=edges)[0])
-    reference = np.histogram(values, bins=edges, weights=weights)[0]
-    assert np.abs(masses - reference).max() <= 1e-13
-    # each mass is its bin's weights summed, to a few roundings
-    bins = np.searchsorted(edges, values, side="right") - 1
-    bins[values == edges[-1]] = len(edges) - 2
-    for k, mass in enumerate(masses):
-        assert abs(mass - math.fsum(weights[bins == k])) <= 1e-15
+@given(case=binning_inputs())
+@example(case=(np.array([0.0, 0.25, 0.5, 1.0, 1.0, -1e-300, 1.0 + 1e-16, 2.0]),
+               np.array([0.0, 0.25, 0.5, 1.0])))
+@example(case=(np.array([1e-9, 2.5e-9, 3.0, 999.0, 1000.0]),
+               np.array([0.0, 1e-9, 2e-9, 3e-9, 1.0, 1000.0])))
+def test_bin_masses_match_np_histogram(params, case):
+    # each mass is its bin's count over the sample count, rounded once
+    values, edges = case
+    e = fq.PhaseSpaceEnsemble(np.zeros(len(values)), values, params)
+    masses = fq.momentum_histogram(e, edges).masses
+    assert np.array_equal(masses, np.histogram(values, bins=edges)[0] / len(values))
+    assert np.array_equal(masses, _bin_counts(values, edges) / len(values))
 
 
-def test_bin_masses_refuse_unordered_edges():
+def test_bin_masses_refuse_unordered_edges(params):
+    e = fq.PhaseSpaceEnsemble(np.zeros(3), np.zeros(3), params)
     for edges in ([0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [0.0, np.nan], [0.0]):
-        with pytest.raises(ValueError, match="edges"):
-            classical._bin_masses(np.zeros(3), np.ones(3), np.array(edges))
+        for x_edges, p_edges in ((edges, P_EDGES), (P_EDGES, edges)):
+            with pytest.raises(ValueError, match="^bin edges"):
+                fq.marginals(e, np.array(x_edges), np.array(p_edges))
+        with pytest.raises(ValueError, match="^momentum bin edges"):
+            fq.momentum_histogram(e, np.array(edges))
 
 
 _MOMENTUM_ENTRY_POINTS = {
@@ -383,42 +391,62 @@ def test_momentum_entry_points_admit_bin_edges_alike(limit_packet, params, entry
 
 
 def test_momentum_histogram_is_exact(limit_ensemble):
-    # unit-weight samples: each mass is its count times the weight, to the
-    # roundings of a sum within the bin, not of a cumulative sum
+    # each mass is its count over the sample count, rounded once
     h = fq.momentum_histogram(limit_ensemble, P_EDGES)
-    counts = np.histogram(limit_ensemble.p, bins=P_EDGES)[0]
-    w = limit_ensemble.w[0]
-    assert np.abs(h.masses - counts * w).max() <= 1e-14
-    assert np.abs(h.masses - counts * w).max() < \
-        np.abs(np.histogram(limit_ensemble.p, bins=P_EDGES,
-                            weights=limit_ensemble.w)[0] - counts * w).max()
+    counts = _bin_counts(limit_ensemble.p, P_EDGES)
+    assert np.array_equal(h.masses, counts / limit_ensemble.size)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(case=binning_inputs(), block=st.sampled_from([3, 7, classical._BIN_BLOCK]),
        drift=st.lists(st.floats(-1e3, 1e3), min_size=60, max_size=60),
-       speed=st.sampled_from([0.0, 1e-3, 0.5, 3.0, 1e3]))
-def test_bin_masses_drift_matches_materialized_values(case, block, drift, speed):
-    # the fused drift bins exactly the samples that x + speed * p would hold
-    values, weights, edges = case
+       speed=st.sampled_from([1e-3, 0.5, 3.0, 1e3]))
+def test_bin_masses_drift_matches_materialized_values(params, case, block, drift,
+                                                      speed):
+    # the limit counts exactly the positions that x + speed * p would hold:
+    # with x0 = 0 and m = 1 its window is speed * edges
+    values, edges = case
+    assume(np.all(speed * edges[:-1] < speed * edges[1:]))  # a window of bins
     drift = np.array(drift[:len(values)])
+    e = fq.PhaseSpaceEnsemble(values, drift, params)
     with mock.patch.object(classical, "_BIN_BLOCK", block):
-        fused = classical._bin_masses(values, weights, edges, drift, speed)
-        moved = classical._bin_masses(values + speed * drift, weights, edges)
-    assert np.array_equal(fused, moved)
-    reference = np.histogram(values + speed * drift, bins=edges, weights=weights)[0]
-    assert np.abs(fused - reference).max(initial=0.0) <= 1e-13
+        masses = fq.momentum_from_position_limit(e, 0.0, speed, edges).masses
+    assert np.array_equal(masses,
+                          _bin_counts(values + speed * drift, speed * edges) / len(values))
 
 
-def test_bin_masses_leave_out_values_one_ulp_beyond_the_edges():
-    # with these edges the uniform guess for the value one ulp above the top
-    # edge rounds into the last bin; the check against the actual edges must
-    # move it on to the overflow bin
-    edges = np.linspace(-1.3, -1.3 + 3.3, 8)  # top edge 2 - 2^-52
+def test_bin_masses_leave_out_values_one_ulp_beyond_the_edges(params):
+    # the top bin is closed: the value on the top edge (2 - 2^-52 here) is
+    # in it, the value one ulp above it is not
+    edges = np.linspace(-1.3, -1.3 + 3.3, 8)
     values = np.array([np.nextafter(edges[-1], np.inf), edges[-1],
                        np.nextafter(edges[0], -np.inf), edges[0]])
-    masses = classical._bin_masses(values, np.full(4, 0.25), edges)
+    e = fq.PhaseSpaceEnsemble(np.zeros(4), values, params)
+    masses = fq.momentum_histogram(e, edges).masses
     assert np.array_equal(masses, [0.25, 0, 0, 0, 0, 0, 0.25])
+
+
+@pytest.mark.parametrize("block,count", [(3, 2_000), (7, 2_001),
+                                         (classical._BIN_BLOCK, 1_000_000)])
+def test_every_classical_histogram_is_a_count_over_the_sample_count(
+        limit_packet, block, count):
+    # np.histogram(...)[0] / N, bit for bit: of the momenta, of the evolved
+    # positions in the limit's window, and of the streamed pass
+    times = [20.0, 200.0]
+    e = fq.ensemble_from_packet(limit_packet, count, 5)
+    with mock.patch.object(classical, "_BIN_BLOCK", block):
+        mu = fq.momentum_histogram(e, P_EDGES)
+        limits = [fq.momentum_from_position_limit(e, 0.5, t, P_EDGES) for t in times]
+        streamed_mu, streamed = fq.ensemble_momentum_limits(limit_packet, count, 5, 0.5,
+                                                            times, P_EDGES)
+    direct = np.histogram(e.p, P_EDGES)[0] / count
+    assert np.array_equal(mu.masses, direct)
+    assert np.array_equal(streamed_mu.masses, direct)
+    for t, h, h_streamed in zip(times, limits, streamed):
+        window = 0.5 + t * P_EDGES
+        direct = np.histogram(fq.evolve_ensemble(e, t).x, window)[0] / count
+        assert np.array_equal(h.masses, direct)
+        assert np.array_equal(h_streamed.masses, direct)
 
 
 @pytest.mark.parametrize("block,count", [(3, 2_000), (7, 2_000),
@@ -427,12 +455,10 @@ def test_momentum_from_position_limit_bins_the_evolved_positions(params, block, 
     e = fq.gaussian_ensemble(params, 0.0, 1.0, 1.0, 0.5, count, seed=7)
     with mock.patch.object(classical, "_BIN_BLOCK", block):
         for t in (20.0, 200.0):
-            edges = 0.5 + t * P_EDGES
             h = fq.momentum_from_position_limit(e, 0.5, t, P_EDGES)
             moved = fq.evolve_ensemble(e, t)
-            assert np.array_equal(h.masses, classical._bin_masses(moved.x, e.w, edges))
-            direct = np.histogram(moved.x, bins=edges, weights=moved.w)[0]
-            assert np.abs(h.masses - direct).max() <= 1e-13
+            assert np.array_equal(h.masses,
+                                  _bin_counts(moved.x, 0.5 + t * P_EDGES) / count)
 
 
 @pytest.mark.parametrize("block", [3, 7, classical._BIN_BLOCK])
@@ -572,20 +598,13 @@ def test_ensemble_refuses_overflow_in_the_last_block(params, block):
     with mock.patch.object(classical, "_BIN_BLOCK", block), \
             pytest.raises(ValueError, match="second moments"), \
             np.errstate(over="ignore"):
-        fq.PhaseSpaceEnsemble(x, np.zeros(size), np.full(size, 1.0 / size), params)
-
-
-def test_gaussian_ensemble_shares_one_read_only_weight(params):
-    e = fq.gaussian_ensemble(params, 0.5, 1.5, -1.0, 0.25, 10_000, seed=11)
-    assert e.w.strides == (0,) and not e.w.flags.writeable
-    assert np.array_equal(e.w, np.full(10_000, 1 / 10_000))
-    assert not (e.x.flags.writeable or e.p.flags.writeable)
+        fq.PhaseSpaceEnsemble(x, np.zeros(size), params)
 
 
 def test_public_constructor_still_owns_contiguous_copies(params):
     e = fq.gaussian_ensemble(params, 0.5, 1.5, -1.0, 0.25, 10_000, seed=11)
-    copied = fq.PhaseSpaceEnsemble(e.x, e.p, e.w, params)
-    for name in ("x", "p", "w"):
+    copied = fq.PhaseSpaceEnsemble(e.x, e.p, params)
+    for name in ("x", "p"):
         mine, theirs = getattr(copied, name), getattr(e, name)
         assert mine.flags.c_contiguous and mine.flags.owndata
         assert not mine.flags.writeable and not np.shares_memory(mine, theirs)

@@ -259,15 +259,14 @@ def test_conjugate_grid_is_the_formula_and_its_cache_is_bounded():
 
 def _owned_inputs(params, grid):
     """Fresh field values of each result type: a wave function, an arrival
-    distribution, and an ensemble whose equal weights are one zero-stride
-    broadcast value, as gaussian_ensemble's are."""
+    distribution and an ensemble."""
     n = grid.count
     return [(fq.WaveFunction, (grid, np.ones(n, dtype=np.complex128),
                                fq.Representation.POSITION, params)),
             (fq.ArrivalDistribution, (grid, *(np.full(n, float(k)) for k in range(4)),
                                       0.5, 0.5, np.ones(n, dtype=np.complex128))),
             (fq.PhaseSpaceEnsemble, (np.linspace(-1.0, 1.0, n), np.linspace(0.5, 2.0, n),
-                                     np.broadcast_to(np.float64(1.0 / n), (n,)), params))]
+                                     params))]
 
 
 def test_owning_wave_function_is_read_only(params):

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 import flowquant as fq
-from flowquant.classical import _Bins
 from flowquant.flows import StraightenResult
 
 _GRID = fq.Grid1D(-1.0, 0.25, 8)
@@ -52,12 +51,10 @@ RECORDS = [
      {"escape_samples": ()}, True, ()),
     (StraightenResult, (np.sin, np.arcsin, True), {}, True, False),
     (fq.PhaseSpaceEnsemble,
-     (np.array([0.0, 1.0]), np.array([1.0, 2.0]), np.array([0.5, 0.5]), _PARAMS),
+     (np.array([0.0, 1.0]), np.array([1.0, 2.0]), _PARAMS),
      {}, False, None),
     (fq.Histogram, (np.array([0.0, 1.0, 2.0]), np.array([0.25, 0.75])), {}, False, None),
     (fq.Marginals, (_HIST, _HIST), {}, True, _OTHER_HIST),
-    (_Bins, (0.0, 0.5, 2, np.array([-np.inf, 0.0, 1.0]), np.array([0.0, 1.0, np.nan])),
-     {}, False, None),
     (fq.ArrivalStats, (1.0, 0.5), {}, True, 0.25),
     (fq.ArrivalDistribution,
      (_GRID, _floats(1.0), _floats(0.5), _floats(0.25), _floats(0.25), 0.75, 0.25,
@@ -90,7 +87,7 @@ def _holds(record, names, values) -> bool:
 
 
 def test_every_record_is_listed():
-    assert len(RECORDS) == len(_KINDS) == 18
+    assert len(RECORDS) == len(_KINDS) == 17
 
 
 @pytest.mark.parametrize("cls, values, defaults, by_fields, other", RECORDS,
