@@ -35,8 +35,8 @@ _EXPORTS = {name: module for module, names in {
     "classical": (
         "ArrivalStats", "Histogram", "Marginals", "PhaseSpaceEnsemble",
         "classical_arrival_oracle", "classical_arrival_time",
-        "ensemble_from_packet", "ensemble_momentum_limits",
-        "evolve_ensemble", "exact_momentum_histogram",
+        "ensemble_from_packet", "evolve_ensemble",
+        "exact_momentum_histogram",
         "gaussian_ensemble", "l1_distance", "marginals",
         "momentum_from_position_limit", "momentum_histogram",
         "oriented_arrival_time", "quantum_momentum_limit"),

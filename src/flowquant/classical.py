@@ -20,13 +20,12 @@ quasiclassical mean.
 
 All stochastic constructors take explicit seeds; counts are integers and
 other reductions plain numpy (pairwise) sums, so results are reproducible
-bit-for-bit.  That holds with the helper thread that draws the ensemble's
-next block of pairs while the current one is counted: the draws keep the
-stream's order.
+bit-for-bit.  The product-Gaussian ensemble that ensemble_from_packet samples
+also has its histograms in closed form (_gaussian_limits): differences of
+normal tails, which the CLI writes instead of drawing.
 """
 
 import math
-import threading
 
 import numpy as np
 
@@ -48,8 +47,8 @@ def oriented_arrival_time(x, p, mass: float = 1.0):
     return -mass * np.asarray(x, dtype=float) / np.abs(np.asarray(p, dtype=float))
 
 
-#: Samples per block of the draws, the ensemble check and the evolved
-#: positions, so their temporaries stay small.
+#: Samples per block of the ensemble check and the evolved positions, so
+#: their temporaries stay small.
 _BIN_BLOCK = 1 << 16
 
 
@@ -95,73 +94,16 @@ def _require_finite(second: float) -> None:
         raise InvalidParameter("ensemble must have finite second moments")
 
 
-def _gaussian_blocks(mean_x: float, sigma_x: float, mean_p: float,
-                     sigma_p: float, count: int, seed: int):
-    """The pairs (x_i, p_i) = (mean_x + sigma_x z_2i, mean_p + sigma_p z_2i+1)
-    of one seeded standard-normal stream z, yielded as (x, p) blocks of
-    _BIN_BLOCK pairs.  numpy's Generator continues one stream across calls,
-    so the pairs do not depend on the block size.
-
-    While the caller works on block k, a helper thread draws block k + 1
-    (the Generator releases the GIL while it fills an array).  The draws
-    stay in stream order, one thread at a time, into one standard-normal
-    buffer that only the drawing thread touches, so the bits are those of
-    drawing on the caller's thread.  A block is a slice of one of two
-    alternating buffer sets: it stays valid until the next block is asked
-    for, and the one after it overwrites it.  An exception raised by a
-    draw is raised here, in the caller; closing the generator early joins
-    the helper, so no thread outlives the iteration."""
-    rng = np.random.default_rng(seed)
-    size = min(count, _BIN_BLOCK)
-    z = np.empty(2 * size)
-    sets = [(np.empty(size), np.empty(size)) for _ in range(2)]
-    blocks = []  # (x, p) views of the buffer sets, in stream order
-    for k, start in enumerate(range(0, count, _BIN_BLOCK)):
-        n = min(_BIN_BLOCK, count - start)
-        blocks.append(tuple(buf[:n] for buf in sets[k % 2]))
-    failures = []
-
-    def draw(xb: np.ndarray, pb: np.ndarray) -> None:
-        try:
-            pair = rng.standard_normal(2 * len(xb), out=z[:2 * len(xb)])
-            np.multiply(pair[0::2], sigma_x, out=xb)
-            xb += mean_x
-            np.multiply(pair[1::2], sigma_p, out=pb)
-            pb += mean_p
-        except BaseException as exc:  # raised again on the caller's thread
-            failures.append(exc)
-
-    def helper_for(k: int) -> threading.Thread | None:
-        if k == len(blocks):
-            return None
-        helper = threading.Thread(target=draw, args=blocks[k])
-        helper.start()
-        return helper
-
-    helper = helper_for(0)
-    try:
-        for k, block in enumerate(blocks):
-            helper.join()
-            if failures:
-                raise failures[0]
-            helper = helper_for(k + 1)
-            yield block
-    finally:
-        if helper is not None:
-            helper.join()
-
-
 def gaussian_ensemble(params: PhysicalParams, mean_x: float, sigma_x: float,
                       mean_p: float, sigma_p: float, count: int,
                       seed: int) -> PhaseSpaceEnsemble:
     """Product-Gaussian ensemble with independent x and p marginals: the
-    pairs of _gaussian_blocks, which the streamed ensemble_momentum_limits
-    draws too."""
-    x, p = np.empty(count), np.empty(count)
-    start = 0
-    for xb, pb in _gaussian_blocks(mean_x, sigma_x, mean_p, sigma_p, count, seed):
-        x[start:start + len(xb)], p[start:start + len(pb)] = xb, pb
-        start += len(xb)
+    pairs (x_i, p_i) = (mean_x + sigma_x z_2i, mean_p + sigma_p z_2i+1) of
+    one seeded standard-normal draw z."""
+    z = np.random.default_rng(seed).standard_normal(2 * count)
+    x, p = z[0::2] * sigma_x, z[1::2] * sigma_p
+    x += mean_x
+    p += mean_p
     return _owning(PhaseSpaceEnsemble, x, p, params)
 
 
@@ -306,33 +248,51 @@ def _limit_window(x0: float, t: float, mass: float, p_edges: np.ndarray) -> np.n
     return _admit_edges(window, f"position bin edges x0 + (t/m) p at t = {t:g}")
 
 
-def ensemble_momentum_limits(psi: WaveFunction, count: int, seed: int, x0: float,
-                             times, p_edges: np.ndarray) -> tuple[Histogram, list[Histogram]]:
-    """momentum_histogram and momentum_from_position_limit at each of the
-    times, over ensemble_from_packet(psi, count, seed), bit for bit, in one
-    pass: each block of pairs is drawn, checked and counted into every
-    histogram before the next, so nothing sample-sized is held."""
+def _gaussian_limits(psi: WaveFunction, x0: float, times,
+                     p_edges: np.ndarray) -> tuple[Histogram, list[Histogram]]:
+    """The histograms momentum_histogram and momentum_from_position_limit
+    converge to over ensemble_from_packet(psi, ...) as its size grows: the
+    masses of N(mean_p, sigma_p^2) over p_edges, and at each t those of the
+    evolved positions N(mean_x + (t/m) mean_p, sigma_x^2 + (t/m)^2 sigma_p^2)
+    over the window x0 + (t/m) p_edges.  InvalidParameter where a mean or
+    spread is not finite in float64."""
     mean_x, sigma_x, mean_p, sigma_p = _packet_moments(psi)
-    if any(t <= 0.0 for t in times):
+    if any(not t > 0.0 for t in times):
         raise ValueError("the limit formula needs t > 0")
+    m = psi.params.mass
     p_edges = _admit_edges(p_edges, "momentum bin edges")
-    speeds = [t / psi.params.mass for t in times]
-    windows = [_limit_window(x0, t, psi.params.mass, p_edges) for t in times]
-    counts = np.zeros((1 + len(times), len(p_edges) - 1), dtype=np.int64)
-    buffers = _block_buffers(min(count, _BIN_BLOCK))
-    share, second = 1.0 / count, 0.0
-    blocks = _gaussian_blocks(mean_x, sigma_x, mean_p, sigma_p, count, seed)
-    try:
-        for x, p in blocks:
-            second += _second_moment(x, p, share, buffers)
-            _require_finite(second)
-            counts[0] += np.histogram(p, p_edges)[0]
-            for speed, window, row in zip(speeds, windows, counts[1:]):
-                row += _moved_counts(x, p, speed, window, buffers[1])
-    finally:
-        blocks.close()  # joins the helper drawing the next block
-    masses = counts / count
-    return Histogram(p_edges, masses[0]), [Histogram(p_edges, row) for row in masses[1:]]
+    mu = Histogram(p_edges, _normal_masses(mean_p, sigma_p, p_edges, "the momentum"))
+    limits = []
+    for t in times:
+        window = _limit_window(x0, t, m, p_edges)
+        speed = t / m  # Python floats: an overflow is inf, refused below
+        limits.append(Histogram(p_edges, _normal_masses(
+            mean_x + speed * mean_p, math.hypot(sigma_x, speed * sigma_p), window,
+            f"the evolved position at t = {t:g}")))
+    return mu, limits
+
+
+def _normal_masses(mean: float, spread: float, edges: np.ndarray,
+                   what: str) -> np.ndarray:
+    """The masses of N(mean, spread^2) over the bins of edges, from one
+    erfc tail per edge, the tail beyond the edge away from the mean: the
+    difference of two tails for a bin on one side of the mean, 1 minus both
+    for a bin across it.  No mass is a difference of two numbers near 1, so
+    far-tail masses keep their relative precision.  A spread of 0 is a step
+    at the mean (split half and half on an edge).  InvalidParameter, which
+    names what is distributed, where the mean or spread is not finite."""
+    if not (math.isfinite(mean) and math.isfinite(spread)):
+        raise InvalidParameter(
+            f"classical limit: {what} has mean {mean:g} and spread {spread:g}, "
+            "not finite in float64")
+    scale = spread * math.sqrt(2.0)
+    with np.errstate(over="ignore"):  # a gap past float64 is an erfc of inf
+        gaps = np.abs(edges - mean)
+        z = gaps / scale if scale else np.where(gaps > 0.0, math.inf, 0.0)
+    tails = 0.5 * np.fromiter(map(math.erfc, z.tolist()), float, len(z))
+    a, b = tails[:-1], tails[1:]
+    return np.where(edges[1:] <= mean, b - a,
+                    np.where(edges[:-1] >= mean, a - b, 1.0 - a - b))
 
 
 def quantum_momentum_limit(psi: WaveFunction, x0: float, t: float,
@@ -346,7 +306,7 @@ def quantum_momentum_limit(psi: WaveFunction, x0: float, t: float,
     period 2 pi hbar / dx.  InvalidParameter names the smallest t at which
     the chirped spectrum and the window fit in one period; before that it
     refuses bin edges, and the window x0 + (t/m) p, that are not finite and
-    increasing, as ensemble_momentum_limits does.
+    increasing, as _gaussian_limits does.
     """
     psi.require_rep(Representation.POSITION)
     if not t > 0.0:

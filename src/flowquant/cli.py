@@ -9,9 +9,10 @@ Subcommands (one scenario JSON in, CSV/JSON files out):
 
 Exit codes: 0 success, 1 configuration or validation error, 2 diagnostic
 outcome (inconclusive classification, negative-momentum leak).  Outputs are
-byte-stable for identical configs and seeds on one numpy build and SIMD
-dispatch level: CSV uses '.' decimals, 17 significant digits, LF endings,
-ASCII; JSON is sorted and indented.
+byte-stable for identical configs on one numpy build, SIMD dispatch level
+and C math library (the classical-limit tables use math.erfc): CSV uses '.'
+decimals, 17 significant digits, LF endings, ASCII; JSON is sorted and
+indented.
 """
 
 import argparse
@@ -403,7 +404,7 @@ def cmd_arrival(cfg: dict, out_dir: str, args) -> int:
 
 
 def cmd_classical_limit(cfg: dict, out_dir: str, args) -> int:
-    from .classical import (ensemble_momentum_limits, exact_momentum_histogram,
+    from .classical import (_gaussian_limits, exact_momentum_histogram,
                             l1_distance, quantum_momentum_limit)
     if "classical_limit" not in cfg:
         raise ScenarioError("scenario needs a classical_limit section")
@@ -419,18 +420,17 @@ def cmd_classical_limit(cfg: dict, out_dir: str, args) -> int:
     params = build_params(cfg)
     x_grid = build_x_grid(cfg)
     packet = build_packet(cfg, params, x_grid)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    samples = section.get("samples", 1_000_000)
+    # classical_limit.samples, the scenario seed and --seed are accepted and
+    # change nothing: the ensemble tables are the exact histograms of the
+    # product Gaussian that ensemble_from_packet samples
     x0 = section.get("x0", 0.0)
     bins = section["p_bins"]
     p_edges = np.linspace(bins["min"], bins["max"], bins["count"] + 1)
 
     exact_q = exact_momentum_histogram(packet, p_edges)
-    # every time's refusal comes before the draws and the first file
+    # every time's refusal comes before the classical tables and the first file
     quantum = [quantum_momentum_limit(packet, x0, t, p_edges) for t in section["times"]]
-    # one streamed pass over the ensemble, which is never held whole
-    mu, limits = ensemble_momentum_limits(packet, samples, seed, x0,
-                                          section["times"], p_edges)
+    mu, limits = _gaussian_limits(packet, x0, section["times"], p_edges)
 
     results = []
     for t, h_ens, h_q in zip(section["times"], limits, quantum):
@@ -442,10 +442,10 @@ def cmd_classical_limit(cfg: dict, out_dir: str, args) -> int:
                        mu.centers, exact.density, limit.density,
                        np.abs(exact.masses - limit.masses) / mu.widths)
         results.append(run)
-        print(f"t={t:g}: L1 ensemble={run['l1_error_ensemble']:.5f} "
+        print(f"t={t:g}: L1 ensemble={run['l1_error_ensemble']:.6f} "
               f"quantum={run['l1_error_quantum']:.6f}")
     _write_json(os.path.join(out_dir, "classical_limit_summary.json"),
-                {"samples": samples, "seed": seed, "x0": x0, "runs": results})
+                {"x0": x0, "runs": results})
     return 0
 
 
@@ -528,7 +528,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory (default: out)")
         if name == "classical-limit":
             p.add_argument("--seed", type=int, default=None,
-                           help="override the scenario seed")
+                           help="accepted and unused: the tables are exact")
         if name == "arrival":
             p.add_argument("--oracle", action="store_true",
                            help="also run the oscillatory-quadrature oracle")

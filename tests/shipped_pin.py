@@ -6,7 +6,9 @@ pinned by the SHA-256 of every file and, per CSV column and per JSON number,
 a digest that survives numpy's dispatch differences: count, min, max, sum
 and sum of squares (JSON strings, booleans and nulls are kept as they are).
 The pin records the numpy version and the SIMD features of the machine that
-wrote it.  Where both match, a check requires equal bytes; elsewhere every
+wrote it, and its C library and Python version: the classical-limit ensemble
+tables go through math.erfc, whose bits come from the interpreter's C math
+library.  Where all four match, a check requires equal bytes; elsewhere every
 column must digest as one whose values each moved by at most 1e-11 of its
 largest magnitude (of 1 for a column smaller than that, such as a norm
 defect, which is a residual of unit-norm quantities).
@@ -24,6 +26,7 @@ import io
 import json
 import math
 import pathlib
+import platform
 import sys
 import tempfile
 
@@ -73,7 +76,9 @@ def read_trees(root) -> dict[str, bytes]:
 
 def _build() -> dict:
     from numpy._core._multiarray_umath import __cpu_features__
-    return {"numpy": np.__version__, "cpu_features": dict(sorted(__cpu_features__.items()))}
+    return {"numpy": np.__version__, "cpu_features": dict(sorted(__cpu_features__.items())),
+            "libc": list(platform.libc_ver()),
+            "python": "%d.%d" % sys.version_info[:2]}
 
 
 def _columns_of_csv(data: bytes) -> dict[str, list[float]]:
@@ -136,7 +141,8 @@ def _column_problems(where: str, pin: list[float], got: list[float]) -> list[str
 
 def compare(pin: dict, got: dict) -> list[str]:
     """What in the digest got departs from the pin: bytes on the pin's numpy
-    build and SIMD features, the column digests and JSON text elsewhere."""
+    build, SIMD features, C library and Python version, the column digests
+    and JSON text elsewhere."""
     problems = []
     if pin["files"].keys() != got["files"].keys():
         missing = sorted(pin["files"].keys() - got["files"].keys())

@@ -58,6 +58,10 @@ LEDGER = {
     "c08_closed_form": (6.25e-17, 0.0498),          # largest bin mass
     "c08_ensemble_l1": (1.66e-3, 1.0),              # the total mass
     "c08_quantum_l1": (4.85e-5, 1.0),
+    # the classical limit tables of the shipped reference against
+    # quantum_momentum_limit, both as density at the bin centre x width
+    # (test_classical_closed_form.py)
+    "c08_same_rule": (9.44e-16, 0.0498),
     "c09_unitarity": (8.30e-8, 1.0),                # the norm
     "c10_negative_mass": (4.80e-25, 4.80e-25),      # a leak, its own size
     # the accuracy panels of the benchmark's workloads (perfbench/worker.py)

@@ -14,12 +14,13 @@ def test_exported_functions_take_at_most_15_defaulted_parameters():
     # the field they drag instead of taking a verdict, and
     # probability_in_interval and classical_arrival_oracle lost the
     # component and bins that no caller set.  A new one needs a caller that
-    # sets it and a reason to raise this bound.  The package is lazy, so the
-    # exports are walked through __all__, not vars(fq), which holds only
-    # those already looked up.
+    # sets it and a reason to raise this bound.  There are 52 functions since
+    # the streamed ensemble_momentum_limits gave way to the CLI's exact
+    # tables.  The package is lazy, so the exports are walked through
+    # __all__, not vars(fq), which holds only those already looked up.
     functions = [(name, obj) for name in fq.__all__
                  if inspect.isfunction(obj := getattr(fq, name))]
-    assert len(functions) == 53
+    assert len(functions) == 52
     defaulted = [f"{name}({p.name})" for name, obj in functions
                  for p in inspect.signature(obj).parameters.values()
                  if p.default is not inspect.Parameter.empty]

@@ -1,8 +1,4 @@
 import math
-import sys
-import threading
-import time
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -366,9 +362,8 @@ _MOMENTUM_ENTRY_POINTS = {
     "momentum_histogram": lambda packet, e, edges: fq.momentum_histogram(e, edges),
     "momentum_from_position_limit":
         lambda packet, e, edges: fq.momentum_from_position_limit(e, 0.0, 20.0, edges),
-    "ensemble_momentum_limits":
-        lambda packet, e, edges: fq.ensemble_momentum_limits(packet, 100, 1, 0.0, [20.0],
-                                                             edges),
+    "_gaussian_limits":
+        lambda packet, e, edges: classical._gaussian_limits(packet, 0.0, [20.0], edges),
     "quantum_momentum_limit":
         lambda packet, e, edges: fq.quantum_momentum_limit(packet, 0.0, 20.0, edges),
     "exact_momentum_histogram":
@@ -430,23 +425,18 @@ def test_bin_masses_leave_out_values_one_ulp_beyond_the_edges(params):
                                          (classical._BIN_BLOCK, 1_000_000)])
 def test_every_classical_histogram_is_a_count_over_the_sample_count(
         limit_packet, block, count):
-    # np.histogram(...)[0] / N, bit for bit: of the momenta, of the evolved
-    # positions in the limit's window, and of the streamed pass
+    # np.histogram(...)[0] / N, bit for bit: of the momenta, and of the
+    # evolved positions in the limit's window
     times = [20.0, 200.0]
     e = fq.ensemble_from_packet(limit_packet, count, 5)
     with mock.patch.object(classical, "_BIN_BLOCK", block):
         mu = fq.momentum_histogram(e, P_EDGES)
         limits = [fq.momentum_from_position_limit(e, 0.5, t, P_EDGES) for t in times]
-        streamed_mu, streamed = fq.ensemble_momentum_limits(limit_packet, count, 5, 0.5,
-                                                            times, P_EDGES)
-    direct = np.histogram(e.p, P_EDGES)[0] / count
-    assert np.array_equal(mu.masses, direct)
-    assert np.array_equal(streamed_mu.masses, direct)
-    for t, h, h_streamed in zip(times, limits, streamed):
+    assert np.array_equal(mu.masses, np.histogram(e.p, P_EDGES)[0] / count)
+    for t, h in zip(times, limits):
         window = 0.5 + t * P_EDGES
         direct = np.histogram(fq.evolve_ensemble(e, t).x, window)[0] / count
         assert np.array_equal(h.masses, direct)
-        assert np.array_equal(h_streamed.masses, direct)
 
 
 @pytest.mark.parametrize("block,count", [(3, 2_000), (7, 2_000),
@@ -463,131 +453,69 @@ def test_momentum_from_position_limit_bins_the_evolved_positions(params, block, 
 
 @pytest.mark.parametrize("block", [3, 7, classical._BIN_BLOCK])
 def test_gaussian_pairs_do_not_depend_on_the_block(params, block):
+    # one draw of 2 count normals, whatever the block of the ensemble's check
     count = 2 * block + 1  # two whole blocks and one short one
     z = np.random.default_rng(3).standard_normal(2 * count)
-    x, p = 2.0 + 0.5 * z[0::2], -1.0 + 3.0 * z[1::2]
     with mock.patch.object(classical, "_BIN_BLOCK", block):
         e = fq.gaussian_ensemble(params, 2.0, 0.5, -1.0, 3.0, count, seed=3)
-        # the streamed blocks share buffers: each is copied as it comes
-        blocks = [(xb.copy(), pb.copy()) for xb, pb in
-                  classical._gaussian_blocks(2.0, 0.5, -1.0, 3.0, count, 3)]
-    assert np.array_equal(e.x, x) and np.array_equal(e.p, p)
-    assert [len(xb) for xb, _ in blocks] == [block, block, 1]
-    assert np.array_equal(np.concatenate([xb for xb, _ in blocks]), x)
-    assert np.array_equal(np.concatenate([pb for _, pb in blocks]), p)
+    assert np.array_equal(e.x, 2.0 + 0.5 * z[0::2])
+    assert np.array_equal(e.p, -1.0 + 3.0 * z[1::2])
 
 
 @pytest.mark.parametrize("block,count", [(3, 2_000), (7, 2_001),
                                          (classical._BIN_BLOCK, 1_000_000)])
-def test_streamed_limits_equal_the_ensemble_histograms(limit_packet, block, count):
-    # one pass over blocks of pairs gives the bits of the library functions
-    # over the ensemble held whole
+def test_ensemble_histograms_scatter_about_the_gaussian_limits(limit_packet, block,
+                                                               count):
+    # the closed form the CLI writes is what the sampled histograms of
+    # ensemble_from_packet converge to: each count lies within 5 binomial
+    # standard deviations (and one count) of N times its mass
     times = [20.0, 50.0, 200.0]
+    mu, limits = classical._gaussian_limits(limit_packet, 0.5, times, P_EDGES)
+    e = fq.ensemble_from_packet(limit_packet, count, 5)
     with mock.patch.object(classical, "_BIN_BLOCK", block):
-        mu, limits = fq.ensemble_momentum_limits(limit_packet, count, 5, 0.5,
-                                                 times, P_EDGES)
-        e = fq.ensemble_from_packet(limit_packet, count, 5)
-        assert np.array_equal(mu.masses, fq.momentum_histogram(e, P_EDGES).masses)
-        assert len(limits) == len(times)
-        for t, h in zip(times, limits):
-            assert np.array_equal(h.edges, P_EDGES)
-            assert np.array_equal(
-                h.masses, fq.momentum_from_position_limit(e, 0.5, t, P_EDGES).masses)
+        sampled = [fq.momentum_histogram(e, P_EDGES)] + [
+            fq.momentum_from_position_limit(e, 0.5, t, P_EDGES) for t in times]
+    for exact, h in zip([mu, *limits], sampled):
+        assert np.array_equal(exact.edges, P_EDGES)
+        spread = np.sqrt(count * exact.masses * (1.0 - exact.masses))
+        assert np.all(np.abs(h.masses - exact.masses) * count <= 5.0 * spread + 1.0)
 
 
-def test_streamed_limits_keep_the_ensemble_checks(params):
+def test_gaussian_limits_keep_the_checks(params):
     grid = fq.Grid1D(-30.0, 60.0 / 256, 256)
     packet = fq.gaussian_packet(grid, params, 0.0, 1.0, 0.5)
     with pytest.raises(ValueError, match="t > 0"):
-        fq.ensemble_momentum_limits(packet, 100, 1, 0.0, [10.0, 0.0], P_EDGES)
+        classical._gaussian_limits(packet, 0.0, [10.0, 0.0], P_EDGES)
     with pytest.raises(ValueError, match="edges"):
-        fq.ensemble_momentum_limits(packet, 100, 1, 0.0, [10.0], P_EDGES[::-1])
+        classical._gaussian_limits(packet, 0.0, [10.0], P_EDGES[::-1])
+    with pytest.raises(fq.InvalidParameter, match="position bin edges"):
+        classical._gaussian_limits(packet, 0.0, [1e308], P_EDGES)
+
+
+@pytest.mark.parametrize("moments,named", [
+    ((0.0, 1.0, 1e307, 1.0), "mean inf and spread 100"),     # (t/m) mean_p
+    ((0.0, 1.0, 0.0, 1e307), "mean 0 and spread inf"),       # (t/m) sigma_p
+    ((0.0, 1.0, 0.0, math.inf), "the momentum has mean 0 and spread inf"),
+])
+def test_gaussian_limits_refuse_a_mean_or_spread_past_float64(limit_packet, moments,
+                                                              named):
+    # an overflow gave inf or NaN masses, written as such
+    with mock.patch.object(classical, "_packet_moments", return_value=moments), \
+            pytest.raises(fq.InvalidParameter, match="not finite in float64") as refused:
+        classical._gaussian_limits(limit_packet, 0.0, [100.0], np.linspace(-1.0, 1.0, 9))
+    assert named in str(refused.value)
+
+
+def test_gaussian_limits_of_a_zero_spread_are_a_step(limit_packet):
+    # a spread of 0 divided by zero; the whole mass sits in the mean's bin,
+    # half and half where the mean is an edge
+    edges = np.linspace(-1.0, 1.0, 9)  # edges at multiples of 0.25
     with mock.patch.object(classical, "_packet_moments",
-                           return_value=(1e155, 1.0, 0.0, 1.0)), \
-            pytest.raises(ValueError, match="second moments"), \
-            np.errstate(over="ignore"):
-        fq.ensemble_momentum_limits(packet, 100, 1, 0.0, [10.0], P_EDGES)
-
-
-def _rng_whose_second_draw(act):
-    """A stand-in for np.random.default_rng: each generator it makes calls
-    act() at the start of its second draw, and draws the real stream."""
-    real = np.random.default_rng
-
-    def make(seed):
-        rng, draws = real(seed), []
-
-        def standard_normal(*args, **kwargs):
-            draws.append(None)
-            if len(draws) == 2:
-                act()
-            return rng.standard_normal(*args, **kwargs)
-        return SimpleNamespace(standard_normal=standard_normal)
-    return make
-
-
-def _fail():
-    raise RuntimeError("the second draw failed")
-
-
-@pytest.mark.parametrize("block", [3, classical._BIN_BLOCK])
-def test_a_failing_draw_raises_in_the_caller(limit_packet, block):
-    # the second block is drawn on the helper thread while the first is binned
-    before = threading.active_count()
-    with mock.patch.object(classical, "_BIN_BLOCK", block), \
-            mock.patch.object(np.random, "default_rng", _rng_whose_second_draw(_fail)), \
-            pytest.raises(RuntimeError, match="second draw failed"):
-        fq.ensemble_momentum_limits(limit_packet, 2 * block + 1, 5, 0.5, [20.0],
-                                    P_EDGES)
-    assert threading.active_count() == before
-
-
-@pytest.mark.parametrize("block", [3, classical._BIN_BLOCK])
-def test_an_early_stop_joins_the_helper(limit_packet, block):
-    # the helper is still drawing the second block (a slow one) when the
-    # caller stops after the first: by the finite check, or by closing
-    slow = _rng_whose_second_draw(lambda: time.sleep(0.2))
-    before = threading.active_count()
-    with mock.patch.object(classical, "_BIN_BLOCK", block), \
-            mock.patch.object(np.random, "default_rng", slow):
-        with mock.patch.object(classical, "_packet_moments",
-                               return_value=(1e155, 1.0, 0.0, 1.0)), \
-                pytest.raises(ValueError, match="second moments") as stopped, \
-                np.errstate(over="ignore"):
-            fq.ensemble_momentum_limits(limit_packet, 2 * block + 1, 5, 0.0, [10.0],
-                                        P_EDGES)
-        # the kept traceback holds the caller's frame, and the generator in it
-        assert stopped.traceback and threading.active_count() == before
-        blocks = classical._gaussian_blocks(0.0, 1.0, 0.0, 1.0, 2 * block + 1, 5)
-        next(blocks)
-        blocks.close()
-        assert threading.active_count() == before
-
-
-def test_concurrent_streams_keep_their_bits(limit_packet):
-    # three callers, each with its helper, on few cores and switching often:
-    # a block read while a helper writes it would change the histograms
-    args = (limit_packet, 600, 5, 0.5, [20.0, 200.0], P_EDGES)
-    results = {}
-    with mock.patch.object(classical, "_BIN_BLOCK", 3):
-        mu, limits = fq.ensemble_momentum_limits(*args)
-        callers = [threading.Thread(
-            target=lambda k=k: results.setdefault(k, fq.ensemble_momentum_limits(*args)))
-            for k in range(3)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for caller in callers:
-                caller.start()
-            for caller in callers:
-                caller.join(timeout=60.0)
-        finally:
-            sys.setswitchinterval(interval)
-    assert not any(caller.is_alive() for caller in callers)
-    assert sorted(results) == [0, 1, 2]
-    for mu_k, limits_k in results.values():
-        assert np.array_equal(mu_k.masses, mu.masses)
-        assert all(np.array_equal(a.masses, b.masses) for a, b in zip(limits_k, limits))
+                           return_value=(0.1, 0.0, 0.25, 0.0)):
+        mu, (limit,) = classical._gaussian_limits(limit_packet, 0.0, [2.0], edges)
+    assert mu.masses.tolist() == [0, 0, 0, 0, 0.5, 0.5, 0, 0]
+    # the evolved position 0.1 + 2 * 0.25 = 0.6 in the window 2 * edges
+    assert limit.masses.tolist() == [0, 0, 0, 0, 0, 1, 0, 0]
 
 
 @pytest.mark.parametrize("block", [3, 7, classical._BIN_BLOCK])

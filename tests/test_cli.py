@@ -127,11 +127,14 @@ _TRANSFORMS = [*_COMMON, "transforms"]
     ("classical-limit", "classical_limit_reference.json", [*_TRANSFORMS, "classical"]),
 ])
 def test_each_command_loads_only_its_modules(tmp_path, command, name, modules):
+    # no subcommand draws, so none loads numpy.random: about 6 MB of a cold
+    # classical-limit process, whose tables are exact
     probe = ("import sys\n"
              "from flowquant.cli import main\n"
              "from flowquant.scenarios import scenario_path\n"
              f"assert main([{command!r}, '--config', scenario_path({name!r}),\n"
-             f"             '--out', {str(tmp_path)!r}]) == 0\n" + _LOADED)
+             f"             '--out', {str(tmp_path)!r}]) == 0\n"
+             "assert 'numpy.random' not in sys.modules\n" + _LOADED)
     assert _python(probe).splitlines()[-1] == repr(sorted(modules))
 
 
@@ -650,8 +653,14 @@ def _shipped_with(name, *edits):
     ("classical-limit", _shipped_with("classical_limit_reference.json",
                                       (("params", "mass"), 5e-324)),
      "position bin edges"),
+    ("classical-limit", _shipped_with("classical_limit_reference.json",
+                                      (("packet", "center_p"), 2.0),
+                                      (("classical_limit", "times"), [1e308]),
+                                      (("classical_limit", "p_bins"),
+                                       {"min": -1.0, "max": 1.0, "count": 96})),
+     "at t = 1e+308 has mean inf and spread 5e+307, not finite"),
 ], ids=["huge-box", "huge-amplitude", "huge-a2", "huge-sigma-p", "huge-mass",
-        "tiny-hbar", "tiny-mass"])
+        "tiny-hbar", "tiny-mass", "huge-classical-mean"])
 def test_schema_valid_extremes_fail_in_one_line(tmp_path, capsys, command, cfg, named):
     # each printed numpy warnings or a traceback before its error line
     with warnings.catch_warnings(record=True) as caught:
@@ -678,11 +687,12 @@ def test_classical_limit_refuses_every_time_before_the_first_file(tmp_path, caps
 
 def test_classical_limit_refuses_an_unresolved_time_before_any_draw(
         tmp_path, capsys, monkeypatch):
-    # the refusal used to come after the whole 1,000,000-sample pass
-    def no_draws(*args):
-        raise AssertionError("the ensemble was drawn")
+    # the refusal used to come after the whole 1,000,000-sample pass; the
+    # closed-form tables now come after every time's refusal
+    def no_tables(*args):
+        raise AssertionError("the classical tables were computed")
 
-    monkeypatch.setattr(classical, "_gaussian_blocks", no_draws)
+    monkeypatch.setattr(classical, "_gaussian_limits", no_tables)
     cfg = _shipped_with("classical_limit_reference.json",
                         (("classical_limit", "times"), [200, 0.1]))
     rc, err = _refusal(tmp_path, capsys, "classical-limit", cfg)
@@ -1003,8 +1013,8 @@ def test_backflow_memory_does_not_grow_with_t_count(tmp_path):
 
 @pytest.mark.parametrize("samples", [1_000_000, 4_000_000])
 def test_classical_limit_memory_does_not_grow_with_samples(tmp_path, samples):
-    # the ensemble is drawn, checked and binned a block of pairs at a time,
-    # so no array grows with the sample count
+    # the tables are exact, so nothing grows with the sample count, which
+    # changes nothing
     cfg = load_scenario(scenario_path("classical_limit_reference.json"))
     cfg["classical_limit"]["samples"] = samples
     path = tmp_path / "scenario.json"
@@ -1035,6 +1045,24 @@ def test_seed_flag_belongs_to_classical_limit(tmp_path, capsys, command, scenari
     assert usage.value.code == 2
     assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_classical_limit_samples_and_seeds_change_no_byte(tmp_path):
+    # the tables are the exact histograms of the sampled ensemble: samples,
+    # the scenario seed and --seed are accepted within their bounds and
+    # change nothing
+    cfg = read_json(scenario_path("classical_limit_reference.json"))
+    trees = []
+    for samples, seed, flag in ((1_000_000, 20240601, []), (100, 0, ["--seed", "7"]),
+                                (10_000_000, 3, ["--seed", "0"])):
+        cfg["classical_limit"]["samples"], cfg["seed"] = samples, seed
+        path = tmp_path / f"{samples}.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / f"out-{samples}"
+        assert run_cli("classical-limit", "--config", str(path), "--out", str(out),
+                       *flag) == 0
+        trees.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(trees[0]) == 9 and trees[0] == trees[1] == trees[2]
 
 
 def test_refuses_negative_seed_flag(tmp_path, capsys):
