@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import (IntervalOutOfRange, InvalidParameter,
                      QuadratureNonConvergence, RepMismatch, ZeroWeightComponent)
-from .grids import (_SUPPORT_CUT, Grid1D, Representation, WaveFunction,
-                    _freeze, _owning, _Record, gauss_panels, moments)
+from .grids import (Grid1D, Representation, WaveFunction, _freeze, _owning,
+                    _Record, _support, gauss_panels, moments)
 from .transforms import (_energy_map, _momentum_floor, _pull_back_half,
                          _refuse_square_overflow, _trimmed_trig_sum,
                          default_oriented_grid, to_momentum, to_position)
@@ -267,8 +267,8 @@ def _momentum_input(psi: WaveFunction) -> WaveFunction:
     if psi.rep is not Representation.POSITION:
         raise RepMismatch(
             f"arrival_distribution needs position or momentum input, got {psi.rep.value}")
-    box, half, amp = psi.grid, 0.5 * psi.grid.span, psi._amp
-    lo, hi = psi.points[amp >= _SUPPORT_CUT * amp.max()][[0, -1]]
+    box, half = psi.grid, 0.5 * psi.grid.span
+    lo, hi = psi.points[list(_support(psi._amp))]
     if not -half <= lo <= hi < half:
         raise InvalidParameter(
             f"the position box [{box.origin:g}, {box.origin + box.span:g}] puts the "

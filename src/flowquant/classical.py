@@ -18,8 +18,9 @@ period 2 pi hbar / dx.  The module also provides the Monte Carlo
 oriented-arrival-time oracle used to validate the quantum distribution's
 quasiclassical mean.
 
-All stochastic constructors take explicit seeds; counts are integers and
-other reductions plain numpy (pairwise) sums, so results are reproducible
+All stochastic constructors take explicit seeds; an ensemble is checked and
+binned as the whole arrays it holds, its counts are integers and other
+reductions plain numpy (pairwise) sums, so results are reproducible
 bit-for-bit.  The product-Gaussian ensemble that ensemble_from_packet samples
 also has its histograms in closed form (_gaussian_limits): differences of
 normal tails, which the CLI writes instead of drawing.
@@ -31,8 +32,8 @@ import numpy as np
 
 from .errors import (BinRangeTooSmall, InvalidParameter,
                      MomentumFloorViolated, RepMismatch)
-from .grids import (_SUPPORT_CUT, Grid1D, PhysicalParams, Representation,
-                    WaveFunction, _freeze, _owning, _Record, moments)
+from .grids import (Grid1D, PhysicalParams, Representation, WaveFunction,
+                    _freeze, _owning, _Record, _support, moments)
 from .transforms import fourier_eval, to_momentum, to_position
 
 
@@ -45,11 +46,6 @@ def oriented_arrival_time(x, p, mass: float = 1.0):
     """Oriented arrival time T = -m x / |p| = sgn(p) * (-m x / p), the
     classical observable whose quantization :mod:`flowquant.arrival` holds."""
     return -mass * np.asarray(x, dtype=float) / np.abs(np.asarray(p, dtype=float))
-
-
-#: Samples per block of the ensemble check and the evolved positions, so
-#: their temporaries stay small.
-_BIN_BLOCK = 1 << 16
 
 
 class PhaseSpaceEnsemble(_Record, eq=False):
@@ -66,32 +62,14 @@ class PhaseSpaceEnsemble(_Record, eq=False):
         _freeze(self, copy, x=np.float64, p=np.float64)
         if not 0 < len(self.x) == len(self.p):
             raise ValueError("sample arrays must be nonempty, of equal lengths")
-        share, second = 1.0 / self.size, 0.0  # second: sum of share (x^2 + p^2)
-        buffers = _block_buffers(min(self.size, _BIN_BLOCK))
-        for start in range(0, self.size, _BIN_BLOCK):
-            block = slice(start, start + _BIN_BLOCK)
-            second += _second_moment(self.x[block], self.p[block], share, buffers)
-        _require_finite(second)
+        with np.errstate(over="ignore"):  # a sum past float64 is inf, refused
+            second = self.x @ self.x + self.p @ self.p
+        if not math.isfinite(second):
+            raise InvalidParameter("ensemble must have finite second moments")
 
     @property
     def size(self) -> int:
         return len(self.x)
-
-
-def _second_moment(x: np.ndarray, p: np.ndarray, share: float,
-                   buffers: tuple) -> float:
-    """The sum of share (x^2 + p^2) over one block of samples, formed in the
-    two buffers of _block_buffers."""
-    work, moved = buffers
-    term = np.square(x, out=work[:len(x)])
-    term += np.square(p, out=moved[:len(p)])
-    term *= share
-    return float(np.sum(term))
-
-
-def _require_finite(second: float) -> None:
-    if not math.isfinite(second):
-        raise InvalidParameter("ensemble must have finite second moments")
 
 
 def gaussian_ensemble(params: PhysicalParams, mean_x: float, sigma_x: float,
@@ -127,7 +105,13 @@ def ensemble_from_packet(psi: WaveFunction, count: int,
 
 def evolve_ensemble(e: PhaseSpaceEnsemble, t: float) -> PhaseSpaceEnsemble:
     """Free motion: positions advance by (t/m) p, momenta are constants."""
-    return _owning(PhaseSpaceEnsemble, e.x + (t / e.params.mass) * e.p, e.p, e.params)
+    return _owning(PhaseSpaceEnsemble, _moved(e, t), e.p, e.params)
+
+
+def _moved(e: PhaseSpaceEnsemble, t: float) -> np.ndarray:
+    """The positions x + (t/m) p at time t, inf where they pass float64."""
+    with np.errstate(over="ignore"):
+        return e.x + (t / e.params.mass) * e.p
 
 
 class Histogram(_Record, eq=False):
@@ -169,24 +153,6 @@ def _admit_edges(edges, name: str) -> np.ndarray:
         span = f", not [{edges[0]:g}, {edges[-1]:g}]" if len(edges) else ""
         raise InvalidParameter(f"{name} must be finite and increasing{span}")
     return edges
-
-
-def _block_buffers(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two buffers for blocks of up to size values, shared by the blocks:
-    sample-sized temporaries made afresh for each block would be handed back
-    to the system and faulted in again."""
-    return np.empty(size), np.empty(size)
-
-
-def _moved_counts(x: np.ndarray, p: np.ndarray, speed: float, window: np.ndarray,
-                  moved: np.ndarray) -> np.ndarray:
-    """Counts of one block of evolved positions x + speed p in the window's
-    bins, formed in the buffer moved as p * speed, then += x: the bits
-    evolve_ensemble gives."""
-    with np.errstate(over="ignore"):  # far outside the window
-        v = np.multiply(p, speed, out=moved[:len(p)])
-        v += x
-    return np.histogram(v, window)[0]
 
 
 def marginals(e: PhaseSpaceEnsemble, x_edges: np.ndarray,
@@ -231,13 +197,7 @@ def momentum_from_position_limit(e: PhaseSpaceEnsemble, x0: float, t: float,
         raise ValueError("the limit formula needs t > 0")
     p_edges = _admit_edges(p_edges, "momentum bin edges")
     window = _limit_window(x0, t, e.params.mass, p_edges)
-    speed = t / e.params.mass
-    counts = np.zeros(len(window) - 1, dtype=np.int64)
-    moved = np.empty(min(e.size, _BIN_BLOCK))
-    for start in range(0, e.size, _BIN_BLOCK):
-        block = slice(start, start + _BIN_BLOCK)
-        counts += _moved_counts(e.x[block], e.p[block], speed, window, moved)
-    return Histogram(p_edges, counts / e.size)
+    return Histogram(p_edges, np.histogram(_moved(e, t), window)[0] / e.size)
 
 
 def _limit_window(x0: float, t: float, mass: float, p_edges: np.ndarray) -> np.ndarray:
@@ -359,8 +319,7 @@ def _min_resolved_time(psi: WaveFunction, x0: float, centers: np.ndarray) -> flo
     window centers + u x0 fit in one momentum period; inf if none."""
     ends = []
     for wave in (psi, to_momentum(psi)):
-        amp = wave._amp
-        ends += wave.points[amp >= _SUPPORT_CUT * amp.max()][[0, -1]].tolist()
+        ends += wave.points[list(_support(wave._amp))].tolist()
     y_lo, y_hi, p_lo, p_hi = ends
     period = 2.0 * math.pi * psi.params.hbar / psi.grid.step
     rooms = [(period - (top - bottom), top_slope - bottom_slope)
@@ -378,9 +337,17 @@ class ArrivalStats(_Record):
 
 def classical_arrival_oracle(e: PhaseSpaceEnsemble) -> ArrivalStats:
     """Mean and variance of the per-sample oriented arrival time -m x / |p|;
-    an ensemble with a sample at |p| < 1e-6 raises MomentumFloorViolated."""
+    an ensemble with a sample at |p| < 1e-6 raises MomentumFloorViolated,
+    and one whose mean or variance passes float64 InvalidParameter."""
     if float(np.min(np.abs(e.p))) < 1e-6:
         raise MomentumFloorViolated(
             "ensemble contains |p| < 1e-06; arrival times diverge")
-    T = oriented_arrival_time(e.x, e.p, e.params.mass)
-    return ArrivalStats(float(np.mean(T)), float(np.var(T)))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN, refused below
+        T = oriented_arrival_time(e.x, e.p, e.params.mass)
+        stats = ArrivalStats(float(np.mean(T)), float(np.var(T)))
+    for name, value in (("mean", stats.mean), ("variance", stats.variance)):
+        if not math.isfinite(value):
+            raise InvalidParameter(
+                f"classical arrival oracle: the arrival-time {name} is {value:g}, "
+                "not finite in float64")
+    return stats

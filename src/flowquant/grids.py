@@ -233,8 +233,15 @@ def _freeze(obj, copy: bool | None, **dtypes) -> None:
 
 
 #: Amplitudes below this fraction of the peak are treated as numerically zero
-#: when locating the support of a packet (transforms, classical and arrival).
+#: when locating the support of a packet (_support, default_oriented_grid).
 _SUPPORT_CUT = 1e-13
+
+
+def _support(amp: np.ndarray) -> tuple[int, int]:
+    """The first and last index of amp at or above _SUPPORT_CUT of its peak:
+    0 and the last index when amp is all zero."""
+    support = amp >= _SUPPORT_CUT * amp.max()
+    return int(support.argmax()), amp.size - 1 - int(support[::-1].argmax())
 
 
 def _cis(theta: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import InvalidParameter, LowMomentumMass
 from .grids import (_SUPPORT_CUT, Grid1D, Representation, WaveFunction, _cis,
-                    _cis_ramp, _owning, _Record, norm_squared)
+                    _cis_ramp, _owning, _Record, _support, norm_squared)
 
 # _pull_back imports resample itself, so that only the commands that
 # interpolate load it.
@@ -250,20 +250,18 @@ def free_current(psi_tilde: WaveFunction, ts, xs) -> np.ndarray:
     ts = np.asarray(ts, dtype=np.float64)
     xs = np.asarray(xs, dtype=np.float64)
     amp = psi_tilde._amp
-    support = amp >= _SUPPORT_CUT * amp.max()
-    lo = int(support.argmax())
+    lo, hi = _support(amp)
     if amp[lo] == 0.0 or ts.size == 0 or xs.size == 0:
         return np.zeros((ts.size, xs.size))  # an all-zero packet carries no current
-    hi = amp.size - int(support[::-1].argmax())
     dx = (xs[-1] - xs[0]) / (xs.size - 1) if xs.size > 1 else 0.0
     scale = max(float(np.abs(xs).max()), np.finfo(np.float64).tiny)
     if np.abs(xs - (xs[0] + dx * np.arange(xs.size))).max() > 1e-12 * scale:
         raise InvalidParameter("free_current needs uniformly spaced points xs")
-    p = psi_tilde.points[lo:hi]
+    p = psi_tilde.points[lo:hi + 1]
     # [0] the amplitudes of psi at (t, p), [1] those of dpsi/dx
     rows = np.empty((2, ts.size, p.size), dtype=np.complex128)
     rows[0] = _cis(np.multiply.outer(ts, p**2 * (-0.5 / (mass * hbar))))
-    rows[0] *= psi_tilde.values[lo:hi]
+    rows[0] *= psi_tilde.values[lo:hi + 1]
     np.multiply(rows[0], 1j * p / hbar, out=rows[1])
     psi, dpsi = _trig_sum(rows, p[0], psi_tilde.grid.step, xs[0], dx, xs.size, +1, hbar)
     return (hbar / mass) * np.imag(np.conj(psi) * dpsi)
@@ -370,10 +368,9 @@ def _pull_back_half(source: WaveFunction, grid: Grid1D, positive: bool, floor: f
     values = source.values[src][order]
     if not (np.any(values) and y[dst].size):  # a mover leaves the other half zero
         return dst.start, values[:0]
-    amp = source._amp[src][order]
-    support = amp >= _SUPPORT_CUT * amp.max()
-    lo = max(int(support.argmax()) - _STENCIL // 2, 0)
-    hi = amp.size - int(support[::-1].argmax()) + _STENCIL // 2
+    first, last = _support(source._amp[src][order])
+    lo = max(first - _STENCIL // 2, 0)
+    hi = last + 1 + _STENCIL // 2
     abs_y = np.abs(y[dst])
     interp = interpolate(np.abs(u[src][order][lo:hi]), values[lo:hi], node(abs_y))
     return dst.start, np.multiply(interp, weight(abs_y), out=interp)
