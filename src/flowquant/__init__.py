@@ -13,9 +13,10 @@ The package is organized around four layers:
   the Lie-derivative generator and the phase-ambiguous plugged transport;
 * :mod:`flowquant.arrival` / :mod:`flowquant.classical` — the arrival-time
   distribution with its mover decomposition, and the classical arrival
-  times and phase-space ensembles used to cross-check it.
+  times and momentum limits used to cross-check it.
 
-Everything is 1-D and deterministic; stochastic helpers take explicit seeds.
+Everything is 1-D and deterministic; the one sampler, ensemble_from_packet,
+takes an explicit seed.
 
 Importing the package loads none of these modules.  Each name in
 ``__all__`` is imported from its module on first access (PEP 562), so
@@ -33,18 +34,14 @@ _EXPORTS = {name: module for module, names in {
         "arrival_distribution", "arrival_moments", "default_time_grid",
         "probability_in_interval", "split_movers"),
     "classical": (
-        "ArrivalStats", "Histogram", "Marginals", "PhaseSpaceEnsemble",
-        "classical_arrival_oracle", "classical_arrival_time",
-        "ensemble_from_packet", "evolve_ensemble",
-        "exact_momentum_histogram",
-        "gaussian_ensemble", "l1_distance", "marginals",
-        "momentum_from_position_limit", "momentum_histogram",
-        "oriented_arrival_time", "quantum_momentum_limit"),
+        "Histogram", "PhaseSpaceEnsemble", "classical_arrival_time",
+        "ensemble_from_packet", "exact_momentum_histogram", "l1_distance",
+        "momentum_from_position_limit", "oriented_arrival_time",
+        "quantum_momentum_limit"),
     "errors": (
-        "BinRangeTooSmall", "FlowQuantError", "GridMismatch",
-        "GridTooSmall", "InconclusiveClassification",
-        "IntervalOutOfRange", "InvalidParameter", "LowMomentumMass",
-        "MomentumFloorViolated", "NegativeMomentumLeak",
+        "FlowQuantError", "GridMismatch", "GridTooSmall",
+        "InconclusiveClassification", "IntervalOutOfRange",
+        "InvalidParameter", "LowMomentumMass", "NegativeMomentumLeak",
         "NonPositiveWidth", "NotComplete", "NotPluggable",
         "OutOfDomain", "QuadratureNonConvergence", "RepMismatch",
         "RoughInput", "ScenarioError", "ZeroFieldValue",

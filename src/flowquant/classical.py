@@ -1,11 +1,10 @@
-"""Classical statistical-ensemble counterpart of the quantum constructions.
+"""Classical counterpart of the quantum constructions.
 
-A phase-space density of free particles is represented by equally likely
-Monte Carlo samples, so a histogram's mass in a bin is the number of samples
-in it over the number of samples.  Free evolution moves positions along straight lines,
-phi(t; x, p) = phi(0; x - (t/m) p, p); position and momentum densities are
-the marginals.  For large t the rescaled position density recovers the
-momentum density,
+The classical observables are the arrival time -m x / p of a free particle
+and its oriented form -m x / |p|.  A phase-space density of free particles
+moves along straight lines, phi(t; x, p) = phi(0; x - (t/m) p, p); position
+and momentum densities are the marginals.  For large t the rescaled
+position density recovers the momentum density,
 
     mu(p) = lim (t/m) rho(t, x0 + (t/m) p)            (1-D exponent),
 
@@ -14,24 +13,22 @@ fixes the quantum momentum density as |psi~(p)|^2.  For a packet, exactly,
 (t/m) |psi(t, x)|^2 = |F[psi(y) exp(i m y^2 / (2 hbar t))](m x / t)|^2 with F
 the position -> momentum transform (Dollard 1964), which the packet's grid
 resolves while the chirped spectrum and the window fit in one momentum
-period 2 pi hbar / dx.  The module also provides the Monte Carlo
-oriented-arrival-time oracle used to validate the quantum distribution's
-quasiclassical mean.
+period 2 pi hbar / dx.
 
-All stochastic constructors take explicit seeds; an ensemble is checked and
-binned as the whole arrays it holds, its counts are integers and other
-reductions plain numpy (pairwise) sums, so results are reproducible
-bit-for-bit.  The product-Gaussian ensemble that ensemble_from_packet samples
-also has its histograms in closed form (_gaussian_limits): differences of
-normal tails, which the CLI writes instead of drawing.
+The classical stand-in for a packet is the product Gaussian with the
+packet's position and momentum moments.  Its histograms have a closed form
+(_gaussian_limits): differences of normal tails, which the CLI writes.
+ensemble_from_packet still draws it as equally likely seeded samples, and
+momentum_from_position_limit counts the drawn positions at time t, each
+mass an integer count over the sample count, so results are reproducible
+bit-for-bit.
 """
 
 import math
 
 import numpy as np
 
-from .errors import (BinRangeTooSmall, InvalidParameter,
-                     MomentumFloorViolated, RepMismatch)
+from .errors import InvalidParameter, RepMismatch
 from .grids import (Grid1D, PhysicalParams, Representation, WaveFunction,
                     _freeze, _owning, _Record, _support, moments)
 from .transforms import fourier_eval, to_momentum, to_position
@@ -50,9 +47,8 @@ def oriented_arrival_time(x, p, mass: float = 1.0):
 
 class PhaseSpaceEnsemble(_Record, eq=False):
     """Equally likely samples (x_i, p_i) of a classical phase-space density,
-    kept as read-only float64 copies of the caller's arrays.  The module's
-    constructors hand over what they have just built, uncopied: possibly
-    read-only views."""
+    kept as read-only float64 copies of the caller's arrays;
+    ensemble_from_packet hands over the arrays it has just drawn, uncopied."""
 
     x: np.ndarray
     p: np.ndarray
@@ -61,7 +57,7 @@ class PhaseSpaceEnsemble(_Record, eq=False):
     def __post_init__(self, copy: bool | None = True):
         _freeze(self, copy, x=np.float64, p=np.float64)
         if not 0 < len(self.x) == len(self.p):
-            raise ValueError("sample arrays must be nonempty, of equal lengths")
+            raise InvalidParameter("sample arrays must be nonempty, of equal lengths")
         with np.errstate(over="ignore"):  # a sum past float64 is inf, refused
             second = self.x @ self.x + self.p @ self.p
         if not math.isfinite(second):
@@ -70,19 +66,6 @@ class PhaseSpaceEnsemble(_Record, eq=False):
     @property
     def size(self) -> int:
         return len(self.x)
-
-
-def gaussian_ensemble(params: PhysicalParams, mean_x: float, sigma_x: float,
-                      mean_p: float, sigma_p: float, count: int,
-                      seed: int) -> PhaseSpaceEnsemble:
-    """Product-Gaussian ensemble with independent x and p marginals: the
-    pairs (x_i, p_i) = (mean_x + sigma_x z_2i, mean_p + sigma_p z_2i+1) of
-    one seeded standard-normal draw z."""
-    z = np.random.default_rng(seed).standard_normal(2 * count)
-    x, p = z[0::2] * sigma_x, z[1::2] * sigma_p
-    x += mean_x
-    p += mean_p
-    return _owning(PhaseSpaceEnsemble, x, p, params)
 
 
 def _packet_moments(psi: WaveFunction) -> tuple[float, float, float, float]:
@@ -98,25 +81,21 @@ def _packet_moments(psi: WaveFunction) -> tuple[float, float, float, float]:
 
 def ensemble_from_packet(psi: WaveFunction, count: int,
                          seed: int) -> PhaseSpaceEnsemble:
-    """Classical stand-in for a quantum packet: independent Gaussian marginals
-    matching the packet's position and momentum moments."""
-    return gaussian_ensemble(psi.params, *_packet_moments(psi), count, seed)
-
-
-def evolve_ensemble(e: PhaseSpaceEnsemble, t: float) -> PhaseSpaceEnsemble:
-    """Free motion: positions advance by (t/m) p, momenta are constants."""
-    return _owning(PhaseSpaceEnsemble, _moved(e, t), e.p, e.params)
-
-
-def _moved(e: PhaseSpaceEnsemble, t: float) -> np.ndarray:
-    """The positions x + (t/m) p at time t, inf where they pass float64."""
-    with np.errstate(over="ignore"):
-        return e.x + (t / e.params.mass) * e.p
+    """Classical stand-in for a quantum packet: the product Gaussian whose
+    independent x and p marginals have the packet's position and momentum
+    means and widths, as the pairs (x_i, p_i) = (mean_x + sigma_x z_2i,
+    mean_p + sigma_p z_2i+1) of one seeded standard-normal draw z."""
+    mean_x, sigma_x, mean_p, sigma_p = _packet_moments(psi)
+    z = np.random.default_rng(seed).standard_normal(2 * count)
+    x, p = z[0::2] * sigma_x, z[1::2] * sigma_p
+    x += mean_x
+    p += mean_p
+    return _owning(PhaseSpaceEnsemble, x, p, psi.params)
 
 
 class Histogram(_Record, eq=False):
-    """Masses per bin (not densities).  The classical ones are the counts of
-    np.histogram over the sample count: bins [edges[i], edges[i+1]), the
+    """Masses per bin (not densities).  Those of an ensemble are the counts
+    of np.histogram over the sample count: bins [edges[i], edges[i+1]), the
     last one closed, with samples outside the edges left out."""
 
     edges: np.ndarray
@@ -139,11 +118,6 @@ class Histogram(_Record, eq=False):
         return self.masses / self.widths
 
 
-class Marginals(_Record):
-    rho: Histogram
-    mu: Histogram
-
-
 def _admit_edges(edges, name: str) -> np.ndarray:
     """The edges as a float array.  Raises InvalidParameter, which calls the
     edges name, unless there are two or more, finite and increasing."""
@@ -155,31 +129,9 @@ def _admit_edges(edges, name: str) -> np.ndarray:
     return edges
 
 
-def marginals(e: PhaseSpaceEnsemble, x_edges: np.ndarray,
-              p_edges: np.ndarray) -> Marginals:
-    """Position and momentum histograms, each summing to one."""
-    hists = []
-    for values, edges in ((e.x, x_edges), (e.p, p_edges)):
-        edges = _admit_edges(edges, "bin edges")
-        if values.min() < edges[0] or values.max() > edges[-1]:
-            raise BinRangeTooSmall(
-                f"samples span [{values.min():g}, {values.max():g}] but bins cover "
-                f"[{edges[0]:g}, {edges[-1]:g}]")
-        hists.append(Histogram(edges, np.histogram(values, edges)[0] / e.size))
-    return Marginals(*hists)
-
-
-def momentum_histogram(e: PhaseSpaceEnsemble, p_edges: np.ndarray) -> Histogram:
-    """Momentum histogram of the samples themselves, the reference that
-    momentum_from_position_limit converges to.  Samples outside the edges
-    are left out."""
-    p_edges = _admit_edges(p_edges, "momentum bin edges")
-    return Histogram(p_edges, np.histogram(e.p, p_edges)[0] / e.size)
-
-
 def l1_distance(h1: Histogram, h2: Histogram) -> float:
     if not np.array_equal(h1.edges, h2.edges):
-        raise ValueError("histograms must share bin edges")
+        raise InvalidParameter("histograms must share bin edges")
     return float(np.sum(np.abs(h1.masses - h2.masses)))
 
 
@@ -194,10 +146,12 @@ def momentum_from_position_limit(e: PhaseSpaceEnsemble, x0: float, t: float,
     outside the mapped window are excluded (part of that error).
     """
     if t <= 0.0:
-        raise ValueError("the limit formula needs t > 0")
+        raise InvalidParameter("the limit formula needs t > 0")
     p_edges = _admit_edges(p_edges, "momentum bin edges")
     window = _limit_window(x0, t, e.params.mass, p_edges)
-    return Histogram(p_edges, np.histogram(_moved(e, t), window)[0] / e.size)
+    with np.errstate(over="ignore"):  # a position past float64 is inf, left out
+        moved = e.x + (t / e.params.mass) * e.p
+    return Histogram(p_edges, np.histogram(moved, window)[0] / e.size)
 
 
 def _limit_window(x0: float, t: float, mass: float, p_edges: np.ndarray) -> np.ndarray:
@@ -210,15 +164,15 @@ def _limit_window(x0: float, t: float, mass: float, p_edges: np.ndarray) -> np.n
 
 def _gaussian_limits(psi: WaveFunction, x0: float, times,
                      p_edges: np.ndarray) -> tuple[Histogram, list[Histogram]]:
-    """The histograms momentum_histogram and momentum_from_position_limit
-    converge to over ensemble_from_packet(psi, ...) as its size grows: the
+    """The histograms that the momenta of ensemble_from_packet(psi, ...) and
+    momentum_from_position_limit over it converge to as its size grows: the
     masses of N(mean_p, sigma_p^2) over p_edges, and at each t those of the
     evolved positions N(mean_x + (t/m) mean_p, sigma_x^2 + (t/m)^2 sigma_p^2)
     over the window x0 + (t/m) p_edges.  InvalidParameter where a mean or
     spread is not finite in float64."""
     mean_x, sigma_x, mean_p, sigma_p = _packet_moments(psi)
     if any(not t > 0.0 for t in times):
-        raise ValueError("the limit formula needs t > 0")
+        raise InvalidParameter("the limit formula needs t > 0")
     m = psi.params.mass
     p_edges = _admit_edges(p_edges, "momentum bin edges")
     mu = Histogram(p_edges, _normal_masses(mean_p, sigma_p, p_edges, "the momentum"))
@@ -270,7 +224,7 @@ def quantum_momentum_limit(psi: WaveFunction, x0: float, t: float,
     """
     psi.require_rep(Representation.POSITION)
     if not t > 0.0:
-        raise ValueError("the limit formula needs t > 0")
+        raise InvalidParameter("the limit formula needs t > 0")
     m, hbar = psi.params.mass, psi.params.hbar
     p_edges = _admit_edges(p_edges, "momentum bin edges")
     _limit_window(x0, t, m, p_edges)  # the window this limit reads psi(t) on
@@ -329,25 +283,3 @@ def _min_resolved_time(psi: WaveFunction, x0: float, centers: np.ndarray) -> flo
         return math.inf
     return psi.params.mass * max(0.0, *(slope / room for room, slope in rooms))
 
-
-class ArrivalStats(_Record):
-    mean: float
-    variance: float
-
-
-def classical_arrival_oracle(e: PhaseSpaceEnsemble) -> ArrivalStats:
-    """Mean and variance of the per-sample oriented arrival time -m x / |p|;
-    an ensemble with a sample at |p| < 1e-6 raises MomentumFloorViolated,
-    and one whose mean or variance passes float64 InvalidParameter."""
-    if float(np.min(np.abs(e.p))) < 1e-6:
-        raise MomentumFloorViolated(
-            "ensemble contains |p| < 1e-06; arrival times diverge")
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN, refused below
-        T = oriented_arrival_time(e.x, e.p, e.params.mass)
-        stats = ArrivalStats(float(np.mean(T)), float(np.var(T)))
-    for name, value in (("mean", stats.mean), ("variance", stats.variance)):
-        if not math.isfinite(value):
-            raise InvalidParameter(
-                f"classical arrival oracle: the arrival-time {name} is {value:g}, "
-                "not finite in float64")
-    return stats

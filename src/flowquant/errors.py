@@ -77,13 +77,5 @@ class IntervalOutOfRange(FlowQuantError):
     """Probability requested over an interval outside the tabulated grid."""
 
 
-class BinRangeTooSmall(FlowQuantError):
-    """Histogram bins do not cover the sample range."""
-
-
-class MomentumFloorViolated(FlowQuantError):
-    """Ensemble contains samples with |p| below the arrival-time floor."""
-
-
 class ScenarioError(FlowQuantError):
     """Scenario configuration file is invalid."""

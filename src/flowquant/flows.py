@@ -551,7 +551,7 @@ def straighten(field: VectorField1D, x_ref: float) -> StraightenResult:
         xs = np.asarray(x, dtype=float)
         outside = (xs < span[0]) | (xs > span[1])
         if np.any(outside):
-            raise ValueError(f"{xs[outside][0]} outside the tabulated span {span}")
+            raise InvalidParameter(f"{xs[outside][0]} outside the tabulated span {span}")
         j = np.clip(np.searchsorted(nodes, xs) - 1, 0, nodes.size - 2)
         s = table_s[j] + _travel_time(field, nodes[j], xs)
         return float(s) if s.ndim == 0 else s
@@ -563,7 +563,7 @@ def straighten(field: VectorField1D, x_ref: float) -> StraightenResult:
         flat = ss.ravel()
         outside = (flat < s_min) | (flat > s_max)
         if np.any(outside):
-            raise ValueError(f"{flat[outside][0]} outside the tabulated chart range")
+            raise InvalidParameter(f"{flat[outside][0]} outside the tabulated chart range")
         x = _invert(field, nodes, table_s, flat)
         return float(x[0]) if ss.ndim == 0 else x.reshape(ss.shape)
 

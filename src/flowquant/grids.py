@@ -190,8 +190,10 @@ class WaveFunction(_Record, eq=False):
     def __post_init__(self, copy: bool | None = True):
         _freeze(self, copy, values=np.complex128)
         if self.values.shape != (self.grid.count,):
-            raise ValueError(f"values shape {self.values.shape} does not match "
-                             f"grid count {self.grid.count}")
+            raise InvalidParameter(f"values shape {self.values.shape} does not match "
+                                   f"grid count {self.grid.count}")
+        if not np.isfinite(self.values).all():
+            raise InvalidParameter("wave function values must be finite")
 
     @property
     def points(self) -> np.ndarray:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -27,6 +28,19 @@ def reference_packet(params, wide_grid):
 @pytest.fixture(scope="session")
 def reference_momentum(reference_packet):
     return fq.to_momentum(reference_packet)
+
+
+@pytest.fixture(scope="session")
+def classical_mean(params):
+    """Exact mean of the classical arrival time -m x / p over the reference
+    packet's product Gaussian, x ~ N(-50, 2.5^2) and p ~ N(2, 0.2^2)
+    independent: -m x0 E[1/P] = 25.2579039, E[1/P] by mpmath quadrature.
+    1/p is not integrable at p = 0, so the quadrature runs over
+    [p0 - 9.5 sigma_p, inf), which leaves out 1e-21 of the momentum mass."""
+    x0, p0, sigma_p = -50.0, 2.0, 0.2
+    inverse = mpmath.quad(lambda p: mpmath.npdf(p, p0, sigma_p) / p,
+                          [p0 - 9.5 * sigma_p, p0, mpmath.inf])
+    return float(-params.mass * x0 * inverse)
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,10 @@
 import inspect
 
+import numpy as np
 import pytest
 
 import flowquant as fq
+from flowquant import classical
 
 
 def test_exported_functions_take_at_most_15_defaulted_parameters():
@@ -12,15 +14,17 @@ def test_exported_functions_take_at_most_15_defaulted_parameters():
     # straighten's chart became its orbit's travel-time table, with no
     # span or table size, transport and pluggable_transport classify
     # the field they drag instead of taking a verdict, and
-    # probability_in_interval and classical_arrival_oracle lost the
-    # component and bins that no caller set.  A new one needs a caller that
-    # sets it and a reason to raise this bound.  There are 52 functions since
-    # the streamed ensemble_momentum_limits gave way to the CLI's exact
-    # tables.  The package is lazy, so the exports are walked through
-    # __all__, not vars(fq), which holds only those already looked up.
+    # probability_in_interval lost the component that no caller set.  A new
+    # one needs a caller that sets it and a reason to raise this bound.
+    # There are 82 names and 47 functions since the sampled ensemble kept
+    # only what the benchmark's replay calls: PhaseSpaceEnsemble,
+    # ensemble_from_packet and momentum_from_position_limit.  The package is
+    # lazy, so the exports are walked through __all__, not vars(fq), which
+    # holds only those already looked up.
+    assert len(fq.__all__) == 82
     functions = [(name, obj) for name in fq.__all__
                  if inspect.isfunction(obj := getattr(fq, name))]
-    assert len(functions) == 52
+    assert len(functions) == 47
     defaulted = [f"{name}({p.name})" for name, obj in functions
                  for p in inspect.signature(obj).parameters.values()
                  if p.default is not inspect.Parameter.empty]
@@ -32,3 +36,33 @@ def test_every_export_resolves_from_its_module():
         assert getattr(fq, name).__module__ == f"flowquant.{fq._EXPORTS[name]}", name
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         fq.no_such_name
+
+
+_PARAMS = fq.PhysicalParams()
+_PACKET = fq.gaussian_packet(fq.Grid1D(-30.0, 60.0 / 256, 256), _PARAMS, 0.0, 1.0, 0.5)
+_EDGES = np.linspace(-2.0, 4.0, 17)
+
+
+def _uneven_l1():
+    h = fq.Histogram(np.array([0.0, 1.0, 2.0]), np.array([0.5, 0.5]))
+    return fq.l1_distance(h, fq.Histogram(np.array([0.0, 1.5, 2.0]), h.masses))
+
+
+# each refusal that was a bare ValueError: a FlowQuantError, still a ValueError
+@pytest.mark.parametrize("refused", [
+    lambda: fq.WaveFunction(_PACKET.grid, np.ones(255), fq.Representation.POSITION),
+    lambda: fq.PhaseSpaceEnsemble(np.zeros(3), np.zeros(4), _PARAMS),
+    _uneven_l1,
+    lambda: fq.momentum_from_position_limit(
+        fq.ensemble_from_packet(_PACKET, 8, seed=1), 0.0, 0.0, _EDGES),
+    lambda: classical._gaussian_limits(_PACKET, 0.0, [0.0], _EDGES),
+    lambda: fq.quantum_momentum_limit(_PACKET, 0.0, 0.0, _EDGES),
+    lambda: fq.straighten(fq.quadratic_field(), -1.0).s_of_x(0.5),
+    lambda: fq.straighten(fq.quadratic_field(), -1.0).x_of_s(-2.0),
+], ids=["WaveFunction-shape", "PhaseSpaceEnsemble-lengths", "l1_distance-edges",
+        "momentum_from_position_limit-t", "_gaussian_limits-t",
+        "quantum_momentum_limit-t", "s_of_x-span", "x_of_s-range"])
+def test_refusals_are_flowquant_errors(refused):
+    with pytest.raises(fq.FlowQuantError) as raised:
+        refused()
+    assert isinstance(raised.value, ValueError)

@@ -206,6 +206,23 @@ def test_wavefunction_immutability(centered_packet):
         centered_packet.values[0] = 1.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)],
+                         ids=["nan", "inf", "imaginary-inf"])
+def test_wave_function_refuses_non_finite_values(params, bad):
+    # a NaN or inf sample used to pass, and each consumer then failed its own
+    # way: a bare ValueError, a wrong reason or a NaN current
+    packet = fq.gaussian_packet(fq.Grid1D(-30.0, 60.0 / 256, 256), params, 0.0, 1.0, 0.5)
+    values = packet.values.copy()
+    values[100] = bad
+    with pytest.raises(fq.InvalidParameter, match="values must be finite"):
+        fq.WaveFunction(packet.grid, values, packet.rep, params)
+    with pytest.raises(fq.InvalidParameter, match="values must be finite"):
+        packet.with_values(values)
+    # finite values whose squares pass float64 are still admitted
+    values[100] = 1e200
+    assert packet.with_values(values).values[100] == 1e200
+
+
 def test_cis_ramp_returns_a_fresh_array_over_read_only_tables():
     first, second = _cis_ramp(0.25, 0.01, 100), _cis_ramp(0.25, 0.01, 100)
     assert first.flags.writeable and second.flags.writeable

@@ -17,8 +17,6 @@ from flowquant.flows import StraightenResult
 
 _GRID = fq.Grid1D(-1.0, 0.25, 8)
 _PARAMS = fq.PhysicalParams(0.5, 2.0)
-_HIST = fq.Histogram(np.array([0.0, 1.0, 2.0]), np.array([0.25, 0.75]))
-_OTHER_HIST = fq.Histogram(np.array([0.0, 1.0]), np.array([1.0]))
 _SAMPLE = fq.EscapeSample(0.25, -1, 3.5)
 
 
@@ -54,8 +52,6 @@ RECORDS = [
      (np.array([0.0, 1.0]), np.array([1.0, 2.0]), _PARAMS),
      {}, False, None),
     (fq.Histogram, (np.array([0.0, 1.0, 2.0]), np.array([0.25, 0.75])), {}, False, None),
-    (fq.Marginals, (_HIST, _HIST), {}, True, _OTHER_HIST),
-    (fq.ArrivalStats, (1.0, 0.5), {}, True, 0.25),
     (fq.ArrivalDistribution,
      (_GRID, _floats(1.0), _floats(0.5), _floats(0.25), _floats(0.25), 0.75, 0.25,
       np.ones(8, dtype=np.complex128)),
@@ -87,7 +83,7 @@ def _holds(record, names, values) -> bool:
 
 
 def test_every_record_is_listed():
-    assert len(RECORDS) == len(_KINDS) == 17
+    assert len(RECORDS) == len(_KINDS) == 15
 
 
 @pytest.mark.parametrize("cls, values, defaults, by_fields, other", RECORDS,
