@@ -229,6 +229,28 @@ def test_oracle_reference_mean(reference_packet, classical_mean):
     assert abs(np.mean(T) - classical_mean) <= 5.0 * np.std(T) / math.sqrt(e.size)
 
 
+def test_oracle_joint_flip(reference_packet, params):
+    """The oriented arrival time is odd under (x, p) -> (-x, -p): the plain
+    arrival time -m x / p is the even one. Checked pointwise and in the mean
+    on the reference packet's ensemble, and pointwise on momenta of both
+    signs."""
+    e = fq.ensemble_from_packet(reference_packet, 100_000, seed=9)
+    flipped = fq.PhaseSpaceEnsemble(-e.x, -e.p, params)
+    a = fq.oriented_arrival_time(e.x, e.p, params.mass)
+    b = fq.oriented_arrival_time(flipped.x, flipped.p, params.mass)
+    assert np.array_equal(b, -a)
+    assert abs(np.mean(a) + np.mean(b)) <= 1e-12 * abs(np.mean(a))
+    plain_a = fq.classical_arrival_time(e.x, e.p, params.mass)
+    plain_b = fq.classical_arrival_time(flipped.x, flipped.p, params.mass)
+    assert np.array_equal(plain_a, plain_b)
+    rng = np.random.default_rng(5)
+    x, p = rng.normal(size=64), 3.0 * rng.normal(size=64)
+    assert np.array_equal(fq.oriented_arrival_time(-x, -p, 2.0),
+                          -fq.oriented_arrival_time(x, p, 2.0))
+    assert np.array_equal(fq.classical_arrival_time(-x, -p, 2.0),
+                          fq.classical_arrival_time(x, p, 2.0))
+
+
 def test_ensemble_from_packet_matches_moments(limit_packet, params):
     e = fq.ensemble_from_packet(limit_packet, 400_000, seed=11)
     assert abs(np.mean(e.x)) <= 3.0 / np.sqrt(400_000) * 1.0
