@@ -253,10 +253,9 @@ def _words(values: np.ndarray, end: np.uint64) -> np.ndarray:
     return out
 
 
-def _text(rows: np.ndarray) -> np.ndarray:
-    """The bytes of a C-contiguous array of _g17 words without the NULs."""
-    b = rows.view(np.uint8)
-    return b[b != 0]
+def _text(rows: np.ndarray) -> bytes:
+    """The bytes of an array of _g17 words without the NULs."""
+    return rows.tobytes().translate(None, b"\0")
 
 
 def _write_csv(path: str, header: list[str], *columns) -> None:
@@ -274,6 +273,41 @@ def _write_csv(path: str, header: list[str], *columns) -> None:
                  block.reshape(-1, _WORDS))
             block[:, :, 3] |= ends
             fh.write(_text(block))
+
+
+def _write_tables(tables) -> None:
+    """Each (path, header, columns) of the iterable tables written, in
+    order, as _write_csv writes it.  Consecutive tables of at most
+    _TEXT_CELLS values in all are formatted by one _g17 call, whose fixed
+    cost would dominate each small table's; a larger table is streamed."""
+    group, cells = [], 0
+    for path, header, columns in tables:
+        size = len(columns) * np.size(columns[0])
+        if group and cells + size > _TEXT_CELLS:
+            _write_small_tables(group)
+            group, cells = [], 0
+        if size > _TEXT_CELLS:
+            _write_csv(path, header, *columns)
+        else:
+            group.append((path, header, columns))
+            cells += size
+    if group:
+        _write_small_tables(group)
+
+
+def _write_small_tables(tables) -> None:
+    """The tables of _write_tables, formatted by one _g17 call."""
+    stacked = [np.column_stack([np.ravel(c) for c in columns]) for _, _, columns in tables]
+    words = np.empty((sum(block.size for block in stacked), _WORDS), np.uint64)
+    _g17(np.concatenate([block.ravel() for block in stacked]), words)
+    start = 0
+    for (path, header, _), block in zip(tables, stacked):
+        rows = words[start:start + block.size].reshape(*block.shape, _WORDS)
+        start += block.size
+        rows[:, :, 3] |= np.array([_COMMA] * (block.shape[1] - 1) + [_NEWLINE])
+        with _open_new(path) as fh:
+            fh.write((",".join(header) + "\n").encode("ascii"))
+            fh.write(_text(rows))
 
 
 def _write_scan_csv(path: str, header: list[str], ts, xs, blocks) -> None:
@@ -432,17 +466,17 @@ def cmd_classical_limit(cfg: dict, out_dir: str, args) -> int:
     quantum = [quantum_momentum_limit(packet, x0, t, p_edges) for t in section["times"]]
     mu, limits = _gaussian_limits(packet, x0, section["times"], p_edges)
 
-    results = []
-    for t, h_ens, h_q in zip(section["times"], limits, quantum):
-        run = {"t": t}
-        for kind, exact, limit in (("ensemble", mu, h_ens), ("quantum", exact_q, h_q)):
-            run[f"l1_error_{kind}"] = l1_distance(limit, exact)
-            _write_csv(os.path.join(out_dir, f"classical_limit_{kind}_t{t:g}.csv"),
-                       ["p", "mu_exact", "mu_limit", "abs_err"],
-                       mu.centers, exact.density, limit.density,
-                       np.abs(exact.masses - limit.masses) / mu.widths)
-        results.append(run)
-        print(f"t={t:g}: L1 ensemble={run['l1_error_ensemble']:.6f} "
+    runs = list(zip(section["times"], limits, quantum))
+    results = [{"t": t, "l1_error_ensemble": l1_distance(h_ens, mu),
+                "l1_error_quantum": l1_distance(h_q, exact_q)} for t, h_ens, h_q in runs]
+    _write_tables((os.path.join(out_dir, f"classical_limit_{kind}_t{t:g}.csv"),
+                   ["p", "mu_exact", "mu_limit", "abs_err"],
+                   (mu.centers, exact.density, limit.density,
+                    np.abs(exact.masses - limit.masses) / mu.widths))
+                  for t, h_ens, h_q in runs
+                  for kind, exact, limit in (("ensemble", mu, h_ens), ("quantum", exact_q, h_q)))
+    for run in results:
+        print(f"t={run['t']:g}: L1 ensemble={run['l1_error_ensemble']:.6f} "
               f"quantum={run['l1_error_quantum']:.6f}")
     _write_json(os.path.join(out_dir, "classical_limit_summary.json"),
                 {"x0": x0, "runs": results})

@@ -159,7 +159,7 @@ def _panel_time(field: VectorField1D, lo: np.ndarray, hi: np.ndarray) -> np.ndar
 
 _SPLIT_TOL = 1e-14   # relative agreement of a panel with its two halves
 _MAX_PANELS = 256    # live panels per integral before they are taken as is
-_TRAVEL_CHUNK = 4096  # integrals per pass, to bound the memory
+_TRAVEL_CHUNK = 1024  # integrals per pass: their panels stay in cache
 
 
 def _travel_time(field: VectorField1D, a, b) -> np.ndarray:
@@ -280,21 +280,17 @@ def _interior(lo: float, hi: float) -> float:
     return hi - max(1.0, abs(hi)) if math.isinf(lo) else 0.5 * lo + 0.5 * hi
 
 
-def _orbit_tables(field: VectorField1D, x: np.ndarray,
-                  segments: int = _TAIL_SEGMENTS, every_orbit: bool = False):
-    """Travel-time tables of the orbits holding some of the increasing points x.
+def _orbits(field: VectorField1D, x: np.ndarray, segments: int = _TAIL_SEGMENTS,
+            every_orbit: bool = False):
+    """The orbits holding some of the increasing points x, with their ends.
 
     The orbits are the open intervals between consecutive domain edges and
     zeros of X; on each, X keeps one sign.  Per orbit this yields its domain
-    component, the indices of its points, increasing table nodes (tail edges
-    toward the lower end, the points, tail edges toward the upper end), the
-    clock at the nodes and at the points (the integral of 1/X from the first
-    point, which the flow advances at unit rate), each point's travel time
-    to the end of its orbit forward and backward in time, inf when that end
-    is never reached, and those two ends as (end, reach, last) from _tail.
-    Each travel time is a sum of terms of one sign, so it is accurate to
-    rounding relative to itself.  With ``every_orbit``, an orbit that holds
-    no point is tabulated from one interior point and has no indices.
+    component, the indices of its points, the points, and the _tail from the
+    first point to the lower end and from the last point to the upper end,
+    each as (end, edges, clock, reach, last).  With ``every_orbit``, an
+    orbit that holds no point is read from one interior point and has no
+    indices.
     """
     for component, (a, b) in enumerate(field.domain):
         cuts = [a, *sorted(z for z in field.zeros if a < z < b), b]
@@ -303,19 +299,71 @@ def _orbit_tables(field: VectorField1D, x: np.ndarray,
             if idx.size == 0 and not every_orbit:
                 continue
             p = x[idx] if idx.size else np.array([_interior(lo, hi)])
-            left, clock_lo, reach_lo, last_lo = _tail(field, p[0], lo, segments)
-            right, clock_hi, reach_hi, last_hi = _tail(field, p[-1], hi, segments)
-            gaps = _travel_time(field, p[:-1], p[1:])
-            s = np.concatenate([[0.0], np.cumsum(gaps)])
-            to_lo = abs(reach_lo) + np.abs(s)
-            to_hi = abs(reach_hi) + np.abs(np.append(np.cumsum(gaps[::-1])[::-1], 0.0))
-            nodes = np.concatenate([left[::-1], p, right])
-            clock = np.concatenate([clock_lo[::-1], s, s[-1] + clock_hi])
-            ends = (lo, reach_lo, last_lo), (hi, reach_hi, last_hi)
-            if field(p[0]) > 0:
-                yield component, idx, nodes, clock, s, to_hi, to_lo, ends[::-1]
-            else:
-                yield component, idx, nodes, clock, s, to_lo, to_hi, ends
+            yield (component, idx, p, (lo, *_tail(field, p[0], lo, segments)),
+                   (hi, *_tail(field, p[-1], hi, segments)))
+
+
+def _orbit_tables(field: VectorField1D, x: np.ndarray, segments: int = _TAIL_SEGMENTS):
+    """Travel-time tables of the orbits holding some of the increasing points x.
+
+    Per orbit of _orbits this yields its domain component, the indices of
+    its points, increasing table nodes (tail edges toward the lower end, the
+    points, tail edges toward the upper end), the clock at the nodes and at
+    the points (the integral of 1/X from the first point, which the flow
+    advances at unit rate), each point's travel time to the end of its orbit
+    forward and backward in time, inf when that end is never reached, and
+    those two ends as (end, reach, last) from _tail.  Each travel time is a
+    sum of terms of one sign, so it is accurate to rounding relative to
+    itself.
+    """
+    for component, idx, p, lower, upper in _orbits(field, x, segments):
+        lo, left, clock_lo, reach_lo, last_lo = lower
+        hi, right, clock_hi, reach_hi, last_hi = upper
+        gaps = _travel_time(field, p[:-1], p[1:])
+        s = np.concatenate([[0.0], np.cumsum(gaps)])
+        to_lo = abs(reach_lo) + np.abs(s)
+        to_hi = abs(reach_hi) + np.abs(np.append(np.cumsum(gaps[::-1])[::-1], 0.0))
+        nodes = np.concatenate([left[::-1], p, right])
+        clock = np.concatenate([clock_lo[::-1], s, s[-1] + clock_hi])
+        ends = (lo, reach_lo, last_lo), (hi, reach_hi, last_hi)
+        if field(p[0]) > 0:
+            yield component, idx, nodes, clock, s, to_hi, to_lo, ends[::-1]
+        else:
+            yield component, idx, nodes, clock, s, to_lo, to_hi, ends
+
+
+def _times_below(field: VectorField1D, a: np.ndarray, b: np.ndarray, reach: float,
+                 limit: float) -> np.ndarray:
+    """Travel times from the points of one orbit to one of its ends, where
+    they are below limit, and inf where they are not.
+
+    The points are numbered from that end inward, the gap between the
+    points j and j + 1 runs from a[j] to b[j], and reach is the end's from
+    _tail.  A time is |reach| plus the magnitude of the running sum of the
+    gaps, bit for bit as _orbit_tables forms it.  The gaps are integrated
+    from the end inward a _TRAVEL_CHUNK at a time, and the scan stops at the
+    first time that is not below limit: 1/X keeps one sign on an orbit, so
+    the times grow inward.  Toward an end that is never reached no gap is
+    integrated.
+    """
+    times = np.full(a.size + 1, math.inf)
+    reach = abs(reach)
+    if not reach < limit:
+        return times
+    times[0], carry = reach, 0.0
+    for start in range(0, a.size, _TRAVEL_CHUNK):
+        stop = min(start + _TRAVEL_CHUNK, a.size)
+        gaps = _travel_time(field, a[start:stop], b[start:stop])
+        s = np.cumsum(np.concatenate([[carry], gaps]))
+        block = reach + np.abs(s[1:])
+        below = block < limit
+        if not below.all():
+            first = int(np.argmin(below))
+            times[start + 1:start + 1 + first] = block[:first]
+            break
+        times[start + 1:stop + 1] = block
+        carry = s[-1]
+    return times
 
 
 def _invert(field: VectorField1D, nodes: np.ndarray, clock: np.ndarray,
@@ -456,8 +504,12 @@ def classify_flow(field: VectorField1D, probes: ProbeSpec = ProbeSpec()) -> Flow
     PluggableIncomplete otherwise.  An undecided end raises
     InconclusiveClassification.  The probes, a midpoint grid over the probe
     interval, are diagnostics only: a probe escapes in a direction of time
-    when its travel time to the end of its orbit is below t_probe.
-    Deterministic for a fixed ProbeSpec.
+    when its travel time to the end of its orbit is below t_probe.  Only
+    those times are computed (see _times_below): none toward an end that is
+    never reached, and toward a reached end the gaps between probes only
+    until a probe's time is no longer below t_probe.  The results are bit
+    for bit those of the whole travel-time tables.  Deterministic for a
+    fixed ProbeSpec.
     """
     a, b = sorted(probes.interval)
     step = (b - a) / probes.count
@@ -486,9 +538,17 @@ def classify_flow(field: VectorField1D, probes: ProbeSpec = ProbeSpec()) -> Flow
 
     t_esc = np.full((2, grid.size), math.inf)   # [direction, probe]
     reached = [[0, 0] for _ in field.domain]   # [component][direction]
-    for comp, idx, _, _, _, t_fwd, t_bwd, ends in _orbit_tables(field, grid,
-                                                                  every_orbit=True):
-        t_esc[:, idx] = t_fwd[:idx.size], t_bwd[:idx.size]
+    for comp, idx, p, *tails in _orbits(field, grid, every_orbit=True):
+        ends = [(end, reach, last) for end, _, _, reach, last in tails]
+        # X of one sign on the probes makes their times grow inward; with an
+        # undeclared zero among them every gap is integrated.
+        limit = probes.t_probe if np.all(xv[idx] > 0) or np.all(xv[idx] < 0) else math.inf
+        times = [_times_below(field, p[:-1], p[1:], ends[0][1], limit),
+                 _times_below(field, p[-2::-1], p[:0:-1], ends[1][1], limit)[::-1]]
+        if field(p[0]) > 0:  # forward in time is toward the upper end
+            ends, times = ends[::-1], times[::-1]
+        if idx.size:
+            t_esc[:, idx] = times
         for direction, end in enumerate(ends):
             reached[comp][direction] += _reached(*end)
     esc = t_esc < probes.t_probe

@@ -468,9 +468,10 @@ def gauss_panels(lo, hi) -> tuple[np.ndarray, np.ndarray]:
     ``weights * f(nodes)`` over it integrates f over each panel."""
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
                                  np.asarray(hi, dtype=float))
-    mid = (0.5 * (lo + hi))[..., None]
-    half = (0.5 * (hi - lo))[..., None]
-    return mid + half * _LEGENDRE_NODES, half * _LEGENDRE_WEIGHTS
+    half = 0.5 * (hi - lo)
+    nodes = np.multiply.outer(half, _LEGENDRE_NODES)
+    nodes += (0.5 * (lo + hi))[..., None]
+    return nodes, np.multiply.outer(half, _LEGENDRE_WEIGHTS)
 
 
 def probability_current(psi: WaveFunction) -> np.ndarray:

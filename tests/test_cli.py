@@ -843,9 +843,26 @@ def test_write_csv_matches_per_value_writer(tmp_path):
 
 def test_shipped_csvs_match_reference_writer(monkeypatch, run_shipped, shipped_outputs):
     monkeypatch.setattr(cli, "_write_csv", _reference_write_csv)
+    monkeypatch.setattr(cli, "_write_small_tables", lambda tables: [
+        _reference_write_csv(path, header, *columns) for path, header, columns in tables])
     reference = run_shipped()
     assert sum(key.endswith(".csv") for key in reference) >= 10
     assert reference == shipped_outputs
+
+
+def test_write_tables_matches_one_file_at_a_time(tmp_path):
+    # small tables share one _g17 call and a table above _TEXT_CELLS values
+    # is streamed; each file has the bytes _write_csv gives it alone
+    rng = np.random.default_rng(6)
+    rows = [3, 1, 500, cli._TEXT_CELLS // 4 + 1, 0, 128, 128, cli._TEXT_CELLS // 8]
+    tables = [[rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n) for _ in range(4)]
+              for n in rows]
+    header = ["p", "mu_exact", "mu_limit", "abs_err"]
+    cli._write_tables((tmp_path / f"new{i}.csv", header, columns)
+                      for i, columns in enumerate(tables))
+    for i, columns in enumerate(tables):
+        cli._write_csv(tmp_path / f"old{i}.csv", header, *columns)
+        assert (tmp_path / f"new{i}.csv").read_bytes() == (tmp_path / f"old{i}.csv").read_bytes()
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)

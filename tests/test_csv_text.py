@@ -16,7 +16,7 @@ from flowquant import cli
 
 def _text(values) -> bytes:
     values = np.asarray(values, dtype=float)
-    return cli._text(cli._words(np.ravel(values), cli._NEWLINE)).tobytes()
+    return cli._text(cli._words(np.ravel(values), cli._NEWLINE))
 
 
 def _oracle(values) -> bytes:

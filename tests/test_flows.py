@@ -392,6 +392,130 @@ def test_classification_reads_each_orbit_end_once(monkeypatch):
     assert len(calls) == 4
 
 
+
+BUILT_IN_FIELDS = [fq.constant_field, fq.linear_field, fq.quadratic_field, fq.cubic_field,
+                   fq.arrival_field, fq.oriented_arrival_field, fq.straightened_oriented_field]
+
+
+def _whole_table_class(field, probes, fc):
+    """fc with its escape diagnostics rebuilt from every probe's travel
+    times, as _orbit_tables tabulates them: every gap between the probes
+    integrated and summed toward both orbit ends."""
+    from flowquant import flows
+    a, b = sorted(probes.interval)
+    grid = a + (b - a) / probes.count * (np.arange(probes.count) + 0.5)
+    lo, hi = np.array(field.domain, dtype=float).T
+    slack = 4.0 * np.spacing(max(abs(a), abs(b)))
+    grid = grid[((grid[:, None] > lo + slack) & (grid[:, None] < hi - slack)).any(axis=1)]
+    t_esc = np.full((2, grid.size), math.inf)
+    for _, idx, _, _, _, t_fwd, t_bwd, _ in flows._orbit_tables(field, grid):
+        t_esc[:, idx] = t_fwd, t_bwd
+    esc = t_esc < probes.t_probe
+    esc_f, esc_b = (float(np.count_nonzero(e) / grid.size) for e in esc)
+    samples = tuple(fq.EscapeSample(float(grid[i]), direction, float(t_esc[di, i]))
+                    for di, direction in enumerate((+1, -1))
+                    for i in np.flatnonzero(esc[di])[:8])
+    return fq.FlowClass(fc.verdict, max(esc_f, esc_b), min(esc_f, esc_b),
+                        fc.invariant_components, esc_f, esc_b, fc.n_plus, fc.n_minus,
+                        samples)
+
+
+def _bits(fc):
+    """The fields of a FlowClass, with every float as its exact hex form."""
+    floats = (fc.lost_mass_fraction, fc.gap_measure, fc.forward_escape_fraction,
+              fc.backward_escape_fraction)
+    return (fc.verdict, fc.invariant_components, fc.n_plus, fc.n_minus,
+            *(x.hex() for x in floats),
+            tuple((s.start.hex(), s.direction, s.t_escape.hex()) for s in fc.escape_samples))
+
+
+# Windows of every size, from ones that straddle the orbit ends at 0 to ones
+# whose edge lies within rounding of 0.
+_EDGES = st.one_of(st.floats(-50.0, 50.0),
+                   st.sampled_from([0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-12, -1e-12]))
+_WIDTHS = st.floats(-3.0, 2.0).map(lambda e: 10.0 ** e)
+
+
+@pytest.mark.parametrize("factory", BUILT_IN_FIELDS, ids=[f.__name__ for f in BUILT_IN_FIELDS])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(edge=_EDGES, width=_WIDTHS, toward_edge=st.booleans(),
+       count=st.integers(16, 4096), t_probe=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e))
+def test_classification_equals_whole_travel_time_tables(factory, edge, width, toward_edge,
+                                                         count, t_probe):
+    # only the escape times below t_probe are integrated, and none toward an
+    # end never reached; the result keeps every bit of the whole tables'
+    interval = (edge - width, edge) if toward_edge else (edge, edge + width)
+    field, probes = factory(), fq.ProbeSpec(interval=interval, count=count, t_probe=t_probe)
+    try:
+        fc = fq.classify_flow(field, probes)
+    except (fq.OutOfDomain, fq.InvalidParameter, fq.InconclusiveClassification):
+        return
+    assert _bits(fc) == _bits(_whole_table_class(field, probes, fc))
+
+
+@pytest.mark.parametrize("factory", BUILT_IN_FIELDS, ids=[f.__name__ for f in BUILT_IN_FIELDS])
+@pytest.mark.parametrize("count", [2047, 4096])
+def test_classification_equals_whole_tables_on_the_default_window(factory, count):
+    field = factory()
+    for t_probe in (1e-3, 4.0, 18.0, 1e3):  # at 18, scans stop in their second chunk
+        probes = fq.ProbeSpec(count=count, t_probe=t_probe)
+        fc = fq.classify_flow(field, probes)
+        assert _bits(fc) == _bits(_whole_table_class(field, probes, fc))
+
+
+@pytest.mark.parametrize("factory", [fq.constant_field, fq.linear_field,
+                                     fq.straightened_oriented_field])
+def test_complete_classification_integrates_only_the_tails(monkeypatch, factory):
+    # no orbit end of a complete field is reached, so no probe can escape
+    # and no gap between probes is integrated: each _travel_time call is a
+    # _tail's
+    from flowquant import flows
+    calls = {"tail": 0, "travel": 0}
+    tail, travel = flows._tail, flows._travel_time
+
+    def counted_tail(*args, **kwargs):
+        calls["tail"] += 1
+        return tail(*args, **kwargs)
+
+    def counted_travel(*args, **kwargs):
+        calls["travel"] += 1
+        return travel(*args, **kwargs)
+
+    monkeypatch.setattr(flows, "_tail", counted_tail)
+    monkeypatch.setattr(flows, "_travel_time", counted_travel)
+    fc = fq.classify_flow(factory(), fq.ProbeSpec(count=4096))
+    assert fc.verdict is fq.FlowVerdict.COMPLETE
+    assert calls["travel"] == calls["tail"] > 0
+
+
+_GAP_CASES = [
+    (fq.quadratic_field, np.geomspace(1e-8, 1e8, 301)),
+    (fq.cubic_field, np.linspace(-3.0, -1e-3, 257)),
+    (fq.arrival_field, np.concatenate([np.geomspace(1e-300, 1e-6, 40),
+                                       np.linspace(1e-5, 40.0, 160)])),
+    (fq.oriented_arrival_field, np.geomspace(1e-12, 1e12, 97)),
+]
+
+
+@pytest.mark.parametrize("factory,x", _GAP_CASES, ids=[f[0].__name__ for f in _GAP_CASES])
+def test_travel_time_bits_do_not_depend_on_the_chunk(monkeypatch, factory, x):
+    # each integral is split on its own, so neither the chunk size nor the
+    # sub-range a gap is integrated in changes its bits: classification
+    # integrates the probe gaps a chunk at a time, from either end
+    from flowquant import flows
+    field, a, b = factory(), x[:-1], x[1:]
+    want = flows._travel_time(field, a, b)
+    for chunk in (1, 7, 1024, 4096):
+        monkeypatch.setattr(flows, "_TRAVEL_CHUNK", chunk)
+        assert flows._travel_time(field, a, b).tobytes() == want.tobytes()
+    monkeypatch.setattr(flows, "_TRAVEL_CHUNK", 1024)
+    cuts = [0, 1, 2, 30, 31, a.size // 2, a.size - 1, a.size]
+    parts = [flows._travel_time(field, a[i:j], b[i:j]) for i, j in zip(cuts[:-1], cuts[1:])]
+    assert np.concatenate(parts).tobytes() == want.tobytes()
+    backward = flows._travel_time(field, a[::-1], b[::-1])
+    assert backward[::-1].tobytes() == want.tobytes()
+
+
 # ------------------------------------------------------------ straighten
 
 def test_straighten_homothety_half_line():
