@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .errors import (FlowQuantError, InconclusiveClassification,
-                     NegativeMomentumLeak, ScenarioError)
+                     NegativeMomentumLeak, ScenarioError, ZeroWeightComponent)
 from .grids import Representation, norm_squared
 from .scenarios import (build_field, build_packet, build_params,
                         build_probe_spec, build_time_grid, build_x_grid,
@@ -34,17 +34,14 @@ from .scenarios import (build_field, build_packet, build_params,
 
 # Each subcommand imports the modules it runs, so a process loads only those.
 
-#: Current values per block of scan times: the backflow scan is computed,
-#: written and searched for its minimum one block at a time, so no array or
-#: text grows with t_count.
-_SCAN_CELLS = 1 << 15
-
 #: The most rows a backflow scan may write, x_count * t_count: at about 60
 #: bytes a row, 2^24 rows are about 1 GB of CSV.
 _SCAN_ROWS = 1 << 24
 
-#: Values per block of CSV text: each block is formatted, compressed and
-#: written before the next, so no text grows with the row count.
+#: Values per block of CSV text, or one backflow scan row if that is more:
+#: each block is formatted, compressed and written before the next, so no
+#: text grows with the row count, and the scan computes its currents in the
+#: same blocks.
 _TEXT_CELLS = 1 << 13
 
 # The CSV numbers are the bytes of "%.17g": D = round(|v| 10^(16-k)) with
@@ -68,8 +65,8 @@ _LOW = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)  # low n 
 # A value's text is four uint64 words, NUL-padded: bytes 0-5 the sign and
 # the "0.000" of 1e-4 <= |v| < 1, bytes 6-23 the digits with the point
 # after the integer digits (after the first in exponent form, none after
-# "0.000"), bytes 24-28 the exponent and byte 31 the separator, which the
-# writers set.  Dropping the NULs gives the row.
+# "0.000"), bytes 24-28 the exponent and byte 31 the separator, which
+# _text sets.  Dropping the NULs gives the row.
 _WORDS = 4
 _COMMA, _NEWLINE = np.uint64(ord(",") << 56), np.uint64(ord("\n") << 56)
 
@@ -243,98 +240,74 @@ def _g17(values, out: np.ndarray) -> None:
         out[slow, 3] = 0
 
 
-def _words(values: np.ndarray, end: np.uint64) -> np.ndarray:
-    """The _g17 words of values, each followed by end, formatted a block at
-    a time."""
-    out = np.empty((len(values), _WORDS), np.uint64)
-    for start in range(0, len(values), _TEXT_CELLS):
-        _g17(values[start:start + _TEXT_CELLS], out[start:start + _TEXT_CELLS])
-    out[:, 3] |= end
-    return out
-
-
 def _text(rows: np.ndarray) -> bytes:
-    """The bytes of an array of _g17 words without the NULs."""
+    """The bytes of a (rows, columns, _WORDS) array of _g17 words, each value
+    followed by a comma and each row's last by a newline, without the NULs."""
+    rows[:, :-1, 3] |= _COMMA
+    rows[:, -1, 3] |= _NEWLINE
     return rows.tobytes().translate(None, b"\0")
 
 
-def _write_csv(path: str, header: list[str], *columns) -> None:
-    """One row per index of the equal-length columns, formatted and written
-    a block of rows at a time, with one _g17 call per block."""
-    columns = [np.ravel(c) for c in columns]
-    n, per = len(columns[0]), max(1, _TEXT_CELLS // len(columns))
-    rows = np.empty((min(n, per), len(columns), _WORDS), np.uint64)
-    ends = np.array([_COMMA] * (len(columns) - 1) + [_NEWLINE])
+def _write_csv(path: str, header: list[str], blocks) -> None:
+    """The header, then the rows of each (rows, columns, _WORDS) array of
+    _g17 words that blocks yields, written before the next is made."""
     with _open_new(path) as fh:
         fh.write((",".join(header) + "\n").encode("ascii"))
-        for start in range(0, n, per):
-            block = rows[:min(per, n - start)]
-            _g17(np.column_stack([c[start:start + len(block)] for c in columns]),
-                 block.reshape(-1, _WORDS))
-            block[:, :, 3] |= ends
-            fh.write(_text(block))
-
-
-def _write_tables(tables) -> None:
-    """Each (path, header, columns) of the iterable tables written, in
-    order, as _write_csv writes it.  Consecutive tables of at most
-    _TEXT_CELLS values in all are formatted by one _g17 call, whose fixed
-    cost would dominate each small table's; a larger table is streamed."""
-    group, cells = [], 0
-    for path, header, columns in tables:
-        size = len(columns) * np.size(columns[0])
-        if group and cells + size > _TEXT_CELLS:
-            _write_small_tables(group)
-            group, cells = [], 0
-        if size > _TEXT_CELLS:
-            _write_csv(path, header, *columns)
-        else:
-            group.append((path, header, columns))
-            cells += size
-    if group:
-        _write_small_tables(group)
-
-
-def _write_small_tables(tables) -> None:
-    """The tables of _write_tables, formatted by one _g17 call."""
-    stacked = [np.column_stack([np.ravel(c) for c in columns]) for _, _, columns in tables]
-    words = np.empty((sum(block.size for block in stacked), _WORDS), np.uint64)
-    _g17(np.concatenate([block.ravel() for block in stacked]), words)
-    start = 0
-    for (path, header, _), block in zip(tables, stacked):
-        rows = words[start:start + block.size].reshape(*block.shape, _WORDS)
-        start += block.size
-        rows[:, :, 3] |= np.array([_COMMA] * (block.shape[1] - 1) + [_NEWLINE])
-        with _open_new(path) as fh:
-            fh.write((",".join(header) + "\n").encode("ascii"))
+        for rows in blocks:
             fh.write(_text(rows))
 
 
-def _write_scan_csv(path: str, header: list[str], ts, xs, blocks) -> None:
-    """Rows t, x, j[k, i] for t = ts[k] and x = xs[i], t slowest, where
-    blocks yields the rows of j a block of times at a time: the bytes
-    _write_csv gives for np.repeat(ts, len(xs)), np.tile(xs, len(ts)) and
-    the stacked blocks.  Each t and x is formatted once; per block of at
-    most _TEXT_CELLS currents only j is, with the t and x words broadcast
-    beside it."""
-    t_words, x_words = _words(np.ravel(ts), _COMMA), _words(np.ravel(xs), _COMMA)
-    per, wide = max(1, _TEXT_CELLS // len(x_words)), min(len(x_words), _TEXT_CELLS)
-    rows = np.empty((per * wide, 3, _WORDS), np.uint64)
-    with _open_new(path) as fh:
-        fh.write((",".join(header) + "\n").encode("ascii"))
-        t0 = 0
-        for block in blocks:
-            for k in range(0, len(block), per):
-                for i in range(0, len(x_words), wide):
-                    j = block[k:k + per, i:i + wide]
-                    cells = rows[:j.size]
-                    grid = cells.reshape(*j.shape, 3, _WORDS)
-                    grid[:, :, 0] = t_words[t0 + k:t0 + k + len(j), None]
-                    grid[:, :, 1] = x_words[i:i + j.shape[1]]
-                    _g17(j, cells[:, 2])
-                    cells[:, 2, 3] |= _NEWLINE
-                    fh.write(_text(cells))
-            t0 += len(block)
+def _table(*columns):
+    """The _g17 words of one row per index of the equal-length columns, one
+    _g17 call per block of max(1, _TEXT_CELLS // len(columns)) rows.  Each
+    block reuses the last one's array."""
+    columns = [np.ravel(c) for c in columns]
+    n, per = len(columns[0]), max(1, _TEXT_CELLS // len(columns))
+    rows = np.empty((min(n, per), len(columns), _WORDS), np.uint64)
+    for start in range(0, n, per):
+        block = rows[:min(per, n - start)]
+        _g17(np.column_stack([c[start:start + len(block)] for c in columns]),
+             block.reshape(-1, _WORDS))
+        yield block
+
+
+def _write_tables(header: list[str], tables) -> None:
+    """Each (path, columns) of tables written as _write_csv(path, header,
+    _table(*columns)) writes it.  Tables of at most _TEXT_CELLS values in
+    all are formatted by one _g17 call, whose fixed cost would dominate
+    each small table's."""
+    tables = [(path, [np.ravel(c) for c in columns]) for path, columns in tables]
+    cells = sum(len(columns) * len(columns[0]) for _, columns in tables)
+    if cells > _TEXT_CELLS:
+        for path, columns in tables:
+            _write_csv(path, header, _table(*columns))
+        return
+    words = np.empty((cells, _WORDS), np.uint64)
+    _g17(np.concatenate([np.column_stack(columns).ravel() for _, columns in tables]), words)
+    start = 0
+    for path, columns in tables:
+        size = len(columns) * len(columns[0])
+        _write_csv(path, header, [words[start:start + size].reshape(-1, len(columns), _WORDS)])
+        start += size
+
+
+def _scan(ts, xs, currents):
+    """The _g17 words of rows t, x, j[k, i] for t = ts[k] and x = xs[i], t
+    slowest, where currents yields the rows of j a block of times at a time.
+    Each t and x is formatted once; each block's currents by one _g17 call,
+    with the t and x words broadcast beside them."""
+    t_words, x_words = (np.empty((len(v), _WORDS), np.uint64) for v in (ts, xs))
+    _g17(ts, t_words)
+    _g17(xs, x_words)
+    start = 0
+    for j in currents:
+        rows = np.empty((*j.shape, 3, _WORDS), np.uint64)
+        rows[:, :, 0] = t_words[start:start + len(j), None]
+        rows[:, :, 1] = x_words
+        rows = rows.reshape(-1, 3, _WORDS)
+        _g17(j, rows[:, 2])
+        start += len(j)
+        yield rows
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -410,7 +383,16 @@ def cmd_arrival(cfg: dict, out_dir: str, args) -> int:
         }
         for name, component in (("plus", Component.PLUS), ("minus", Component.MINUS)):
             if summary[f"w_{name}"] > 1e-6:
-                mover = arrival_moments(dist, component)
+                try:
+                    mover = arrival_moments(dist, component)
+                except ZeroWeightComponent:
+                    window = dist.grid_T
+                    held = float(np.trapezoid(dist.component(component), T))
+                    raise ScenarioError(
+                        f"grids.T [{window.origin:g}, {window.origin + window.span:g}] "
+                        f"misses the {name} mover: it carries weight "
+                        f"{summary[f'w_{name}']:.3e}, but the window holds "
+                        f"{held:.3e} of its arrival density") from None
                 summary[f"mean_T_{name}"] = mover.mean
                 summary[f"var_T_{name}"] = mover.variance
     bad = sorted(key for key, value in summary.items() if not math.isfinite(value))
@@ -429,7 +411,7 @@ def cmd_arrival(cfg: dict, out_dir: str, args) -> int:
             np.abs(oracle.values - dist.amplitude).max() / scale)
     _write_csv(os.path.join(out_dir, "arrival_density.csv"),
                ["T", "total", "plus", "minus", "interference"],
-               T, dist.total, dist.plus, dist.minus, dist.interference)
+               _table(T, dist.total, dist.plus, dist.minus, dist.interference))
     _write_json(os.path.join(out_dir, "arrival_summary.json"), summary)
     lead = "plus" if "mean_T_plus" in summary else "minus"
     print(f"w_{lead}={summary[f'w_{lead}']:.6f} "
@@ -469,12 +451,12 @@ def cmd_classical_limit(cfg: dict, out_dir: str, args) -> int:
     runs = list(zip(section["times"], limits, quantum))
     results = [{"t": t, "l1_error_ensemble": l1_distance(h_ens, mu),
                 "l1_error_quantum": l1_distance(h_q, exact_q)} for t, h_ens, h_q in runs]
-    _write_tables((os.path.join(out_dir, f"classical_limit_{kind}_t{t:g}.csv"),
-                   ["p", "mu_exact", "mu_limit", "abs_err"],
-                   (mu.centers, exact.density, limit.density,
-                    np.abs(exact.masses - limit.masses) / mu.widths))
-                  for t, h_ens, h_q in runs
-                  for kind, exact, limit in (("ensemble", mu, h_ens), ("quantum", exact_q, h_q)))
+    _write_tables(["p", "mu_exact", "mu_limit", "abs_err"],
+                  ((os.path.join(out_dir, f"classical_limit_{kind}_t{t:g}.csv"),
+                    (mu.centers, exact.density, limit.density,
+                     np.abs(exact.masses - limit.masses) / mu.widths))
+                   for t, h_ens, h_q in runs
+                   for kind, exact, limit in (("ensemble", mu, h_ens), ("quantum", exact_q, h_q))))
     for run in results:
         print(f"t={run['t']:g}: L1 ensemble={run['l1_error_ensemble']:.6f} "
               f"quantum={run['l1_error_quantum']:.6f}")
@@ -514,7 +496,8 @@ def cmd_backflow(cfg: dict, out_dir: str, args) -> int:
             f"backflow_scan.t_range reaches |t| = {t_far:g}, where the "
             f"free-evolution phase t p^2 / (2 m hbar) at |p| = {p_far:g} is not finite")
 
-    rows = max(1, _SCAN_CELLS // len(xs))
+    # computed, written and searched for the minimum a CSV block at a time
+    rows = max(1, _TEXT_CELLS // len(xs))
     low = None  # (j, t index, x index): the running minimum, first occurrence
 
     def currents():
@@ -526,8 +509,8 @@ def cmd_backflow(cfg: dict, out_dir: str, args) -> int:
                 low = (float(j[k_t, k_x]), start + int(k_t), int(k_x))
             yield j
 
-    _write_scan_csv(os.path.join(out_dir, "backflow_current.csv"), ["t", "x", "j"],
-                    ts, xs, currents())
+    _write_csv(os.path.join(out_dir, "backflow_current.csv"), ["t", "x", "j"],
+               _scan(ts, xs, currents()))
     min_current, k_t, k_x = low
     argmin = (float(xs[k_x]), float(ts[k_t]))
     _write_json(os.path.join(out_dir, "backflow_summary.json"), {

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -17,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flowquant
-from flowquant import classical, cli, scenarios
+from flowquant import classical, cli, scenarios, transforms
 from flowquant.cli import main
 from flowquant.scenarios import (_FIELD_BUILDERS, build_packet, build_params,
                                  build_x_grid, list_scenarios, load_scenario,
@@ -290,6 +291,33 @@ def test_refuses_arrival_window_whose_moments_overflow(tmp_path, capsys, lo, hi)
     err = capsys.readouterr().err.strip().splitlines()
     assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
     assert "grids.T" in err[0] and "not finite" in err[0]
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("lo, hi, mover, weight", [(0.0, 60.0, "minus", 1e-4 / 1.0001),
+                                                   (200.0, 260.0, "plus", 1.0 / 1.0001)],
+                         ids=["T0-60", "T200-260"])
+def test_refuses_arrival_window_that_misses_a_mover(tmp_path, capsys, lo, hi, mover,
+                                                    weight):
+    # a mover of more than 1e-6 of the mass with no arrivals in grids.T was
+    # refused as "component minus carries weight 1.940e-27"; amplitudes 1
+    # and 0.01 give the movers weights 1 and 1e-4 over 1.0001
+    cfg = load_scenario(scenario_path("mixed_beam.json"))
+    cfg["packet"]["components"][1].update(center_x=50.0, amplitude=0.01)
+    cfg["grids"]["T"] = {"min": lo, "max": hi, "count": 1024}
+    path = tmp_path / "miss.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = run_cli("arrival", "--config", str(path), "--out", str(out))
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 1 and len(err) == 1
+    named = re.fullmatch(
+        rf"error: grids\.T \[{lo:g}, {hi:g}\] misses the {mover} mover: it carries "
+        r"weight (\S+), but the window holds (\S+) of its arrival density", err[0])
+    assert named, err[0]
+    assert abs(float(named[1]) - weight) <= 1e-3 * weight
+    assert float(named[2]) <= 1e-6
     assert not any(out.iterdir())
 
 
@@ -836,33 +864,54 @@ def test_write_csv_matches_per_value_writer(tmp_path):
     columns[1] = columns[1][::-1]
     for count in (1, 3):
         header = ["a", "b", "c"][:count]
-        cli._write_csv(tmp_path / "new.csv", header, *columns[:count])
+        cli._write_csv(tmp_path / "new.csv", header, cli._table(*columns[:count]))
         _reference_write_csv(tmp_path / "old.csv", header, *columns[:count])
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
-def test_shipped_csvs_match_reference_writer(monkeypatch, run_shipped, shipped_outputs):
-    monkeypatch.setattr(cli, "_write_csv", _reference_write_csv)
-    monkeypatch.setattr(cli, "_write_small_tables", lambda tables: [
-        _reference_write_csv(path, header, *columns) for path, header, columns in tables])
-    reference = run_shipped()
-    assert sum(key.endswith(".csv") for key in reference) >= 10
-    assert reference == shipped_outputs
+def test_shipped_csvs_match_reference_writer(tmp_path, shipped_outputs):
+    # every shipped CSV has the bytes the per-value writer gives its numbers
+    csvs = {key: data for key, data in shipped_outputs.items() if key.endswith(".csv")}
+    assert len(csvs) >= 10
+    for i, (key, data) in enumerate(csvs.items()):
+        header, *lines = data.decode("ascii").splitlines()
+        columns = zip(*([float(v) for v in line.split(",")] for line in lines))
+        _reference_write_csv(tmp_path / f"{i}.csv", header.split(","), *columns)
+        assert (tmp_path / f"{i}.csv").read_bytes() == data, key
 
 
-def test_write_tables_matches_one_file_at_a_time(tmp_path):
-    # small tables share one _g17 call and a table above _TEXT_CELLS values
-    # is streamed; each file has the bytes _write_csv gives it alone
+def _check_write_tables(tmp_path, monkeypatch, rows) -> int:
+    """Write tables of 4 columns and the given row counts with _write_tables;
+    check that each file has the bytes _write_csv gives it alone, and return
+    the number of _g17 calls _write_tables made."""
     rng = np.random.default_rng(6)
-    rows = [3, 1, 500, cli._TEXT_CELLS // 4 + 1, 0, 128, 128, cli._TEXT_CELLS // 8]
     tables = [[rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n) for _ in range(4)]
               for n in rows]
     header = ["p", "mu_exact", "mu_limit", "abs_err"]
-    cli._write_tables((tmp_path / f"new{i}.csv", header, columns)
-                      for i, columns in enumerate(tables))
+    calls, g17 = [], cli._g17
+    monkeypatch.setattr(cli, "_g17", lambda values, out: calls.append(g17(values, out)))
+    cli._write_tables(header, ((tmp_path / f"new{i}.csv", columns)
+                               for i, columns in enumerate(tables)))
+    monkeypatch.undo()
     for i, columns in enumerate(tables):
-        cli._write_csv(tmp_path / f"old{i}.csv", header, *columns)
+        cli._write_csv(tmp_path / f"old{i}.csv", header, cli._table(*columns))
         assert (tmp_path / f"new{i}.csv").read_bytes() == (tmp_path / f"old{i}.csv").read_bytes()
+    return len(calls)
+
+
+def test_write_tables_matches_one_file_at_a_time(tmp_path, monkeypatch):
+    # more than _TEXT_CELLS values: each table is streamed through _table,
+    # one larger than a block in several calls
+    rows = [3, 1, 500, cli._TEXT_CELLS // 4 + 1, 0, 128, 128, cli._TEXT_CELLS // 8]
+    assert _check_write_tables(tmp_path, monkeypatch, rows) == 8
+
+
+@pytest.mark.parametrize("extra, calls", [(0, 1), (1, 7)])
+def test_write_tables_formats_small_tables_in_one_call(tmp_path, monkeypatch, extra, calls):
+    # 2,048 rows of 4 columns are _TEXT_CELLS values: at most that take one
+    # _g17 call, one row more streams each nonempty table through _table
+    rows = [3, 1, 500, 0, 128, 128, cli._TEXT_CELLS // 4 - 760, extra]
+    assert _check_write_tables(tmp_path, monkeypatch, rows) == calls
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
@@ -898,7 +947,7 @@ def test_scan_csv_matches_the_reference_writer(tmp_path, nt, nx):
                          np.repeat(ts, nx), np.tile(xs, nt), j)
     for rows in sorted({1, 3, nt}):
         blocks = (j[k:k + rows] for k in range(0, nt, rows))
-        cli._write_scan_csv(tmp_path / "new.csv", ["t", "x", "j"], ts, xs, blocks)
+        cli._write_csv(tmp_path / "new.csv", ["t", "x", "j"], cli._scan(ts, xs, blocks))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
@@ -990,20 +1039,30 @@ def test_refuses_backflow_scan_whose_phase_overflows(tmp_path, capsys):
     assert not (out / "backflow_current.csv").exists()
 
 
-@pytest.mark.parametrize("extra", [-1, 0, 1])
-def test_backflow_blocks_give_the_bits_of_one_call(tmp_path, extra):
-    # t_count one below, at and one above a block of times: the streamed
-    # rows, minimum and file are those of one free_current call over all
-    x_count = 4096
-    rows = cli._SCAN_CELLS // x_count
+@pytest.mark.parametrize("x_count, extra", [
+    (cli._TEXT_CELLS // 4, -1), (cli._TEXT_CELLS // 4, 0), (cli._TEXT_CELLS // 4, 1),
+    (cli._TEXT_CELLS + 1, 2)], ids=["-1", "0", "1", "wide"])
+def test_backflow_blocks_give_the_bits_of_one_call(tmp_path, monkeypatch, x_count, extra):
+    # t_count one below, at and one above a block of 4 times, and a row
+    # wider than a CSV block, which takes a block alone: the streamed rows,
+    # minimum and file are those of one free_current call over all
+    rows = max(1, cli._TEXT_CELLS // x_count)
+    blocks, free_current = [], transforms.free_current
+
+    def counted(psi_tilde, ts, xs):
+        blocks.append(len(ts))
+        return free_current(psi_tilde, ts, xs)
+
+    monkeypatch.setattr(transforms, "free_current", counted)
     rc, out, cfg = _backflow_scan(tmp_path, "blocks", {"x_count": x_count,
                                                        "t_count": rows + extra})
     assert rc == 0
+    assert blocks[:-1] == [rows] * (len(blocks) - 1) and 0 < blocks[-1] <= rows
     scan = cfg["backflow_scan"]
     ts = np.linspace(*scan["t_range"], scan["t_count"])
     xs = np.linspace(*scan["x_range"], scan["x_count"])
     params = build_params(cfg)
-    j = flowquant.free_current(build_packet(cfg, params, build_x_grid(cfg)), ts, xs)
+    j = free_current(build_packet(cfg, params, build_x_grid(cfg)), ts, xs)
     _reference_write_csv(tmp_path / "one.csv", ["t", "x", "j"],
                          np.repeat(ts, xs.size), np.tile(xs, ts.size), j)
     assert (out / "backflow_current.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
@@ -1014,8 +1073,8 @@ def test_backflow_blocks_give_the_bits_of_one_call(tmp_path, extra):
 
 
 def test_backflow_memory_does_not_grow_with_t_count(tmp_path):
-    # computed, written and searched a block of times at a time: 163 times
-    # of 201 points, so 256 times take two blocks and 2,048 take thirteen
+    # computed, written and searched a block of times at a time: 40 times
+    # of 201 points, so 256 times take seven blocks and 2,048 take 52
     peaks = []
     for t_count in (256, 256, 2048):  # a first run keeps lazy imports out
         tracemalloc.start()

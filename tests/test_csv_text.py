@@ -15,8 +15,7 @@ from flowquant import cli
 
 
 def _text(values) -> bytes:
-    values = np.asarray(values, dtype=float)
-    return cli._text(cli._words(np.ravel(values), cli._NEWLINE))
+    return b"".join(map(cli._text, cli._table(np.asarray(values, dtype=float))))
 
 
 def _oracle(values) -> bytes:
@@ -143,7 +142,7 @@ def test_write_csv_in_many_blocks(tmp_path, count):
     columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
                for _ in range(count)]
     header = list("abcde")[:count]
-    cli._write_csv(tmp_path / "t.csv", header, *columns)
+    cli._write_csv(tmp_path / "t.csv", header, cli._table(*columns))
     assert (tmp_path / "t.csv").read_bytes() == _reference_csv(header, *columns)
 
 
@@ -156,7 +155,7 @@ def test_scan_csv_in_many_blocks(tmp_path, nt, nx, rows):
     ts, xs = np.linspace(0.0, 3.0, nt), np.linspace(-5.0, 5.0, nx)
     j = rng.standard_normal((nt, nx))
     blocks = (j[k:k + rows] for k in range(0, nt, rows))
-    cli._write_scan_csv(tmp_path / "s.csv", ["t", "x", "j"], ts, xs, blocks)
+    cli._write_csv(tmp_path / "s.csv", ["t", "x", "j"], cli._scan(ts, xs, blocks))
     assert (tmp_path / "s.csv").read_bytes() == _reference_csv(
         ["t", "x", "j"], np.repeat(ts, nx), np.tile(xs, nt), j)
 
@@ -173,7 +172,7 @@ def _traced_peak(write) -> int:
 def test_scan_csv_memory_does_not_grow_with_rows(tmp_path):
     rng = np.random.default_rng(3)
     xs = np.linspace(-20.0, 20.0, 201)
-    per = cli._SCAN_CELLS // xs.size
+    per = max(1, cli._TEXT_CELLS // xs.size)  # the block backflow uses
     peaks = []
     for nt in (101, 101, 2020):  # a first run fills the tables
         ts = np.linspace(0.0, 10.0, nt)
@@ -181,7 +180,7 @@ def test_scan_csv_memory_does_not_grow_with_rows(tmp_path):
         blocks = (j[k:k + per] for k in range(0, nt, per))
         path = os.path.join(tmp_path, f"scan{nt}.csv")
         peaks.append(_traced_peak(
-            lambda: cli._write_scan_csv(path, ["t", "x", "j"], ts, xs, blocks)))
+            lambda: cli._write_csv(path, ["t", "x", "j"], cli._scan(ts, xs, blocks))))
     assert peaks[2] <= 1.2 * peaks[1]
 
 
@@ -191,5 +190,6 @@ def test_write_csv_memory_does_not_grow_with_rows(tmp_path):
     for n in (2048, 2048, 131_072):
         columns = [rng.standard_normal(n) for _ in range(5)]
         path = os.path.join(tmp_path, f"table{n}.csv")
-        peaks.append(_traced_peak(lambda: cli._write_csv(path, list("abcde"), *columns)))
+        peaks.append(_traced_peak(
+            lambda: cli._write_csv(path, list("abcde"), cli._table(*columns))))
     assert peaks[2] <= 1.2 * peaks[1]
