@@ -46,14 +46,14 @@ _TEXT_CELLS = 1 << 13
 
 # The CSV numbers are the bytes of "%.17g": D = round(|v| 10^(16-k)) with
 # 10^k <= |v| < 10^(k+1) holds the 17 significant digits.  10^(16-k) comes
-# from a table of exact double-doubles hi + lo for q = 16 - k in [_Q_MIN,
-# _Q_MAX]; Dekker's TwoProduct gives |v| hi = p + e exactly, so D = p +
-# floor(e + |v| lo + 0.5) with an error below 1e-14 of a unit in that sum.
-# Values whose sum lies within _NEAR of a half unit (near-ties, and exact
-# ties that "%.17g" rounds half-even), non-finite values and |v| outside
-# the table go to Python's "%.17g".  The decisions use only +, -, *, floor
-# and integer operations (log10 only guesses k, which D then corrects), so
-# the text does not depend on numpy's SIMD dispatch.
+# from the exact double-doubles hi + lo of _DECADES, for q = 16 - k in
+# [_Q_MIN, _Q_MAX]; Dekker's TwoProduct gives |v| hi = p + e exactly, so
+# D = p + floor(e + |v| lo + 0.5) with an error below 1e-14 of a unit in
+# that sum.  Values whose sum lies within _NEAR of a half unit (near-ties,
+# and exact ties that "%.17g" rounds half-even), non-finite values and |v|
+# outside the table go to Python's "%.17g".  The decisions use only +, -,
+# *, floor and integer operations (log10 only guesses k, which D then
+# corrects), so the text does not depend on numpy's SIMD dispatch.
 _Q_MIN, _Q_MAX = -283, 300  # |v| < 10^(17 - _Q_MIN) keeps |v| (2^27 + 1) finite
 _K_MIN, _K_MAX = 17 - _Q_MAX, 15 - _Q_MIN  # guesses of k whose correction stays in the table
 _NEAR = 1e-9
@@ -75,16 +75,19 @@ def _word(text: bytes) -> int:
     return int.from_bytes(text.ljust(8, b"\0"), "little")
 
 
-#: 10^q for q in [_Q_MIN, _Q_MAX] as the columns (hi, hi's 26-bit head and
-#: tail, lo) of one table; _powers fills a decade's column on first use, as a
-#: run writes numbers of a few dozen decades, and leaves the rest nan.
-_POWERS = np.full((4, _Q_MAX - _Q_MIN + 1), np.nan)
+#: Per exponent k in [_K_MIN - 1, _K_MAX + 2], the decade 10^k <= |v| <
+#: 10^(k+1), a column of words: the float bits of hi, hi's 26-bit head and
+#: tail, and lo of 10^(16-k), then the byte where the fraction's point goes,
+#: the "0.000" word and the exponent word.  _decade fills a column on first
+#: use, as a run writes numbers of a few dozen decades; until then it is 0.
+_DECADES = np.zeros((7, _K_MAX - _K_MIN + 4), np.uint64)
 
 
-def _power(q: int) -> tuple[float, float, float, float]:
-    """hi, hi's 26-bit head and tail, and lo of 10^q.  Python's int true
+def _decade(k: int) -> None:
+    """Build the column of _DECADES for the exponent k.  Python's int true
     division and int-to-float conversion round correctly, so hi is 10^q
     rounded and lo the rest rounded."""
+    q = 16 - k
     if q >= 0:
         hi = float(10 ** q)
         lo = float(10 ** q - int(hi))
@@ -94,39 +97,30 @@ def _power(q: int) -> tuple[float, float, float, float]:
         lo = (den - num * 10 ** -q) / (den * 10 ** -q)
     c = hi * _SPLIT
     head = c - (c - hi)
-    return hi, head, hi - head, lo
+    fixed = -4 <= k <= 16
+    column = _DECADES[:, k - (_K_MIN - 1)]
+    column[:4] = np.array([hi, head, hi - head, lo]).view(np.uint64)
+    column[4] = (7 + k if k >= 0 else 6) if fixed else 7
+    column[5] = _word(b"\0" + b"0." + b"0" * (-1 - k)) if fixed and k < 0 else 0
+    column[6] = 0 if fixed else _word(b"e%+03d" % k)
 
 
-def _powers(q: np.ndarray) -> np.ndarray:
-    """The (4, q.size) columns of _POWERS for the decades q, building each
-    decade not yet in the table."""
-    columns = np.take(_POWERS, q - _Q_MIN, axis=1)
-    new = np.isnan(columns[0])
+def _powers(k: np.ndarray) -> np.ndarray:
+    """The (4, k.size) float rows of the _DECADES columns of the exponents
+    k, building each decade not yet in the table."""
+    columns = np.take(_DECADES[:4], k - (_K_MIN - 1), axis=1).view(float)
+    new = columns[0] == 0.0
     if new.any():
-        for decade in set(q[new].tolist()):  # np.unique would import numpy.ma
-            _POWERS[:, decade - _Q_MIN] = _power(decade)
-        columns = np.take(_POWERS, q - _Q_MIN, axis=1)
+        for decade in set(k[new].tolist()):  # np.unique would import numpy.ma
+            _decade(decade)
+        columns = np.take(_DECADES[:4], k - (_K_MIN - 1), axis=1).view(float)
     return columns
-
-
-@functools.cache
-def _g17_tables():
-    """Per k from _K_MIN - 1 to _K_MAX + 2 the byte where the fraction's
-    point goes, the "0.000" word and the exponent word."""
-    ks = range(_K_MIN - 1, _K_MAX + 3)
-    fixed = [-4 <= k <= 16 for k in ks]
-    point = [(7 + k if k >= 0 else 6) if f else 7 for k, f in zip(ks, fixed)]
-    lead = [_word(b"\0" + b"0." + b"0" * (-1 - k)) if f and k < 0 else 0
-            for k, f in zip(ks, fixed)]
-    exp = [0 if f else _word(b"e%+03d" % k) for k, f in zip(ks, fixed)]
-    return (np.array(point), np.array(lead, dtype=np.uint64),
-            np.array(exp, dtype=np.uint64))
 
 
 def _scaled(a, k):
     """D = round(a 10^(16-k)) as int64, and a 10^(16-k) - D + 1/2 in
     [0, 1): near 0 or 1 at a near-tie, below 1/2 where a 10^(16-k) < D."""
-    hi, head, tail, lo = _powers(16 - k)
+    hi, head, tail, lo = _powers(k)
     p = a * hi
     c = a * _SPLIT
     ah = c - (c - a)
@@ -194,15 +188,15 @@ def _g17(values, out: np.ndarray) -> None:
         d[redo], frac[redo] = _scaled(a[redo], k[redo])
         fast[redo] &= _k_step(d[redo], frac[redo]) == 0
     fast &= (frac > _NEAR) & (frac < 1.0 - _NEAR)
-    up = d == _E17  # 9.99...95 rounded up to 10.000...
-    d[up] = _E16
-    k += up
+    up = np.flatnonzero(d == _E17)  # 9.99...95 rounded up to 10.000...
+    if up.size:
+        d[up] = _E16
+        k[up] += 1
+        _powers(k[up])  # builds the decades the rounding moved to
     d[zero] = 0
-    k[zero] = 0
 
-    point, lead, exp = _g17_tables()
     k -= _K_MIN - 1
-    s = point[k]
+    s = np.take(_DECADES[4], k).view(np.int64)
     u = d.view(np.uint64)
     first = u // _E16
     u -= first * _E16
@@ -216,7 +210,7 @@ def _g17(values, out: np.ndarray) -> None:
     keep = np.where(z2 >= 0, 17 + z2, np.where(z1 >= 0, 9 + z1, 8))
     np.maximum(keep, s, out=keep)
     dot = np.where((keep > s + 1) & (s > 6), 0x2E2E2E2E2E2E2E2E, 0).astype(np.uint64)
-    head = lead[k] | (first << 48)
+    head = np.take(_DECADES[5], k) | (first << 48)
     head[np.signbit(v)] |= 0x2D
     words = ((head | (g1 << 56), first << 56),  # digits at 6 + i, at 7 + i
              ((g1 >> 8) | (g2 << 56), g1),
@@ -232,7 +226,7 @@ def _g17(values, out: np.ndarray) -> None:
         before |= after
         before &= np.take(_LOW, keep - 8 * w, mode="clip")
         out[:, w] = before
-    out[:, 3] = exp[k]
+    out[:, 3] = np.take(_DECADES[6], k)
 
     slow = np.flatnonzero(~(fast | zero))
     if slow.size:
@@ -248,13 +242,19 @@ def _text(rows: np.ndarray) -> bytes:
     return rows.tobytes().translate(None, b"\0")
 
 
-def _write_csv(path: str, header: list[str], blocks) -> None:
-    """The header, then the rows of each (rows, columns, _WORDS) array of
-    _g17 words that blocks yields, written before the next is made."""
-    with _open_new(path) as fh:
-        fh.write((",".join(header) + "\n").encode("ascii"))
-        for rows in blocks:
-            fh.write(_text(rows))
+def _write_csv(files, header: list[str], blocks) -> None:
+    """Each (path, rows) of files in turn: the header, then its rows, taken
+    in order from the (rows, columns, _WORDS) arrays of _g17 words that
+    blocks yields, each written before the next is made."""
+    blocks, rows = iter(blocks), ()
+    for path, n in files:
+        with _open_new(path) as fh:
+            fh.write((",".join(header) + "\n").encode("ascii"))
+            while n:
+                if not len(rows):
+                    rows = next(blocks)
+                fh.write(_text(rows[:n]))
+                rows, n = rows[n:], max(0, n - len(rows))
 
 
 def _table(*columns):
@@ -271,42 +271,23 @@ def _table(*columns):
         yield block
 
 
-def _write_tables(header: list[str], tables) -> None:
-    """Each (path, columns) of tables written as _write_csv(path, header,
-    _table(*columns)) writes it.  Tables of at most _TEXT_CELLS values in
-    all are formatted by one _g17 call, whose fixed cost would dominate
-    each small table's."""
-    tables = [(path, [np.ravel(c) for c in columns]) for path, columns in tables]
-    cells = sum(len(columns) * len(columns[0]) for _, columns in tables)
-    if cells > _TEXT_CELLS:
-        for path, columns in tables:
-            _write_csv(path, header, _table(*columns))
-        return
-    words = np.empty((cells, _WORDS), np.uint64)
-    _g17(np.concatenate([np.column_stack(columns).ravel() for _, columns in tables]), words)
-    start = 0
-    for path, columns in tables:
-        size = len(columns) * len(columns[0])
-        _write_csv(path, header, [words[start:start + size].reshape(-1, len(columns), _WORDS)])
-        start += size
-
-
-def _scan(ts, xs, currents):
+def _scan(ts, xs, current):
     """The _g17 words of rows t, x, j[k, i] for t = ts[k] and x = xs[i], t
-    slowest, where currents yields the rows of j a block of times at a time.
-    Each t and x is formatted once; each block's currents by one _g17 call,
-    with the t and x words broadcast beside them."""
+    slowest, where current(start, times) gives the rows of j for the block
+    of times ts[start:start + len(times)]: max(1, _TEXT_CELLS // len(xs))
+    times a block.  Each t and x is formatted once; each block's currents
+    by one _g17 call, with the t and x words broadcast beside them."""
     t_words, x_words = (np.empty((len(v), _WORDS), np.uint64) for v in (ts, xs))
     _g17(ts, t_words)
     _g17(xs, x_words)
-    start = 0
-    for j in currents:
+    per = max(1, _TEXT_CELLS // len(xs))
+    for start in range(0, len(ts), per):
+        j = current(start, ts[start:start + per])
         rows = np.empty((*j.shape, 3, _WORDS), np.uint64)
         rows[:, :, 0] = t_words[start:start + len(j), None]
         rows[:, :, 1] = x_words
         rows = rows.reshape(-1, 3, _WORDS)
         _g17(j, rows[:, 2])
-        start += len(j)
         yield rows
 
 
@@ -409,7 +390,7 @@ def cmd_arrival(cfg: dict, out_dir: str, args) -> int:
         scale = float(oracle._amp.max())
         summary["oracle_l_inf"] = float(
             np.abs(oracle.values - dist.amplitude).max() / scale)
-    _write_csv(os.path.join(out_dir, "arrival_density.csv"),
+    _write_csv([(os.path.join(out_dir, "arrival_density.csv"), len(T))],
                ["T", "total", "plus", "minus", "interference"],
                _table(T, dist.total, dist.plus, dist.minus, dist.interference))
     _write_json(os.path.join(out_dir, "arrival_summary.json"), summary)
@@ -451,12 +432,16 @@ def cmd_classical_limit(cfg: dict, out_dir: str, args) -> int:
     runs = list(zip(section["times"], limits, quantum))
     results = [{"t": t, "l1_error_ensemble": l1_distance(h_ens, mu),
                 "l1_error_quantum": l1_distance(h_q, exact_q)} for t, h_ens, h_q in runs]
-    _write_tables(["p", "mu_exact", "mu_limit", "abs_err"],
-                  ((os.path.join(out_dir, f"classical_limit_{kind}_t{t:g}.csv"),
-                    (mu.centers, exact.density, limit.density,
-                     np.abs(exact.masses - limit.masses) / mu.widths))
-                   for t, h_ens, h_q in runs
-                   for kind, exact, limit in (("ensemble", mu, h_ens), ("quantum", exact_q, h_q))))
+    # every table's rows in one stream: one _g17 call for up to _TEXT_CELLS values
+    files, columns = [], []
+    for t, h_ens, h_q in runs:
+        for kind, exact, limit in (("ensemble", mu, h_ens), ("quantum", exact_q, h_q)):
+            files.append((os.path.join(out_dir, f"classical_limit_{kind}_t{t:g}.csv"),
+                          len(mu.centers)))
+            columns.append((mu.centers, exact.density, limit.density,
+                            np.abs(exact.masses - limit.masses) / mu.widths))
+    _write_csv(files, ["p", "mu_exact", "mu_limit", "abs_err"],
+               _table(*map(np.concatenate, zip(*columns))))
     for run in results:
         print(f"t={run['t']:g}: L1 ensemble={run['l1_error_ensemble']:.6f} "
               f"quantum={run['l1_error_quantum']:.6f}")
@@ -496,22 +481,18 @@ def cmd_backflow(cfg: dict, out_dir: str, args) -> int:
             f"backflow_scan.t_range reaches |t| = {t_far:g}, where the "
             f"free-evolution phase t p^2 / (2 m hbar) at |p| = {p_far:g} is not finite")
 
+    lows = []  # per block of times, its first minimum (j, t index, x index)
+
+    def current(start, times):
+        j = free_current(psi_tilde, times, xs)
+        k_t, k_x = np.unravel_index(np.argmin(j), j.shape)
+        lows.append((float(j[k_t, k_x]), start + int(k_t), int(k_x)))
+        return j
+
     # computed, written and searched for the minimum a CSV block at a time
-    rows = max(1, _TEXT_CELLS // len(xs))
-    low = None  # (j, t index, x index): the running minimum, first occurrence
-
-    def currents():
-        nonlocal low
-        for start in range(0, len(ts), rows):
-            j = free_current(psi_tilde, ts[start:start + rows], xs)
-            k_t, k_x = np.unravel_index(np.argmin(j), j.shape)
-            if low is None or j[k_t, k_x] < low[0]:
-                low = (float(j[k_t, k_x]), start + int(k_t), int(k_x))
-            yield j
-
-    _write_csv(os.path.join(out_dir, "backflow_current.csv"), ["t", "x", "j"],
-               _scan(ts, xs, currents()))
-    min_current, k_t, k_x = low
+    _write_csv([(os.path.join(out_dir, "backflow_current.csv"), len(ts) * len(xs))],
+               ["t", "x", "j"], _scan(ts, xs, current))
+    min_current, k_t, k_x = min(lows)  # the first occurrence in (t, x) order
     argmin = (float(xs[k_x]), float(ts[k_t]))
     _write_json(os.path.join(out_dir, "backflow_summary.json"), {
         "min_current": min_current,

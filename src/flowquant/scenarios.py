@@ -141,7 +141,7 @@ def load_scenario(path: str) -> dict:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh, parse_float=_finite_number,
                             parse_constant=_finite_number)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # json gives up at depth 1,000
         raise ScenarioError(f"cannot read scenario {path!r}: {exc}") from exc
     try:
         schema = _schema()

@@ -114,6 +114,14 @@ def test_quadrature_oracle_non_convergence(monkeypatch, reference_momentum,
         fq.arrival_amplitude_quadrature(reference_momentum, arrival_grid)
 
 
+def test_quadrature_oracle_of_a_zero_packet_is_zero(params, arrival_grid):
+    zero = fq.WaveFunction(fq.Grid1D(-4.0, 8.0 / 64, 64), np.zeros(64),
+                           fq.Representation.MOMENTUM, params)
+    phi = fq.arrival_amplitude_quadrature(zero, arrival_grid)
+    assert phi.rep is fq.Representation.ARRIVAL_TIME and phi.grid == arrival_grid
+    assert np.array_equal(phi.values, np.zeros(arrival_grid.count))
+
+
 def test_fast_path_matches_oracle(reference_momentum, arrival_grid):
     fast = fq.arrival_amplitude_fast(reference_momentum, arrival_grid)
     oracle = fq.arrival_amplitude_quadrature(reference_momentum, arrival_grid)

@@ -418,6 +418,20 @@ def test_gaussian_limits_keep_the_checks(params):
         classical._gaussian_limits(packet, 0.0, [1e308], P_EDGES)
 
 
+def test_gaussian_limits_take_either_representation(limit_packet, arrival_grid, params):
+    # the packet's moments are read in position and in momentum from either
+    times = [20.0, 200.0]
+    mu, limits = classical._gaussian_limits(limit_packet, 0.0, times, P_EDGES)
+    mu_p, limits_p = classical._gaussian_limits(fq.to_momentum(limit_packet), 0.0, times,
+                                                P_EDGES)
+    for a, b in zip([mu, *limits], [mu_p, *limits_p]):
+        assert np.abs(a.masses - b.masses).max() <= 1e-14
+    arriving = fq.WaveFunction(arrival_grid, np.ones(arrival_grid.count),
+                               fq.Representation.ARRIVAL_TIME, params)
+    with pytest.raises(fq.RepMismatch):
+        classical._gaussian_limits(arriving, 0.0, times, P_EDGES)
+
+
 @pytest.mark.parametrize("moments,named", [
     ((0.0, 1.0, 1e307, 1.0), "mean inf and spread 100"),     # (t/m) mean_p
     ((0.0, 1.0, 0.0, 1e307), "mean 0 and spread inf"),       # (t/m) sigma_p

@@ -162,6 +162,41 @@ def test_scenario_rejects_broken_json(tmp_path):
                    "--out", str(tmp_path / "out")) == 1
 
 
+@pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000,
+                                  '{"name": ' + "[" * 100_000 + "]" * 100_000 + "}"],
+                         ids=["nested", "nested_name"])
+def test_refuses_deeply_nested_scenario_in_one_line(tmp_path, capsys, text):
+    # json gives up at depth 1,000 with a RecursionError, not a ValueError
+    bad = tmp_path / "deep.json"
+    bad.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    rc = run_cli("arrival", "--config", str(bad), "--out", str(tmp_path / "out"))
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error: cannot read scenario")
+    assert not (tmp_path / "out").exists()
+
+
+_BOX = {"x": {"min": -200.0, "max": 200.0, "count": 4096}}
+_GAUSSIAN = {"type": "gaussian", "center_x": -50.0, "center_p": 2.0, "sigma_p": 0.2}
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("arrival", {"grids": _BOX}, "needs a packet section"),
+    ("arrival", {"packet": _GAUSSIAN}, "needs grids.x"),
+    ("flow-classify", {}, "needs a field section"),
+    ("arrival", {"packet": {k: v for k, v in _GAUSSIAN.items() if k != "sigma_p"},
+                 "grids": _BOX}, "gaussian packet needs sigma_p"),
+    ("arrival", {"packet": {"type": "superposition"}, "grids": _BOX},
+     "superposition packet needs components")],
+    ids=["packet", "grids_x", "field", "sigma_p", "components"])
+def test_refuses_scenario_without_what_the_command_builds(tmp_path, capsys, command, cfg,
+                                                         message):
+    rc, err = _refusal(tmp_path, capsys, command, cfg)
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
+    assert message in err[0]
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 @pytest.mark.parametrize("scenario,expected", [
     ("flow_x2.json", "PluggableIncomplete"),
     ("flow_x.json", "Complete"),
@@ -864,7 +899,8 @@ def test_write_csv_matches_per_value_writer(tmp_path):
     columns[1] = columns[1][::-1]
     for count in (1, 3):
         header = ["a", "b", "c"][:count]
-        cli._write_csv(tmp_path / "new.csv", header, cli._table(*columns[:count]))
+        cli._write_csv([(tmp_path / "new.csv", len(columns[0]))], header,
+                       cli._table(*columns[:count]))
         _reference_write_csv(tmp_path / "old.csv", header, *columns[:count])
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
@@ -881,37 +917,56 @@ def test_shipped_csvs_match_reference_writer(tmp_path, shipped_outputs):
 
 
 def _check_write_tables(tmp_path, monkeypatch, rows) -> int:
-    """Write tables of 4 columns and the given row counts with _write_tables;
-    check that each file has the bytes _write_csv gives it alone, and return
-    the number of _g17 calls _write_tables made."""
+    """Write tables of 4 columns and the given row counts with one
+    _write_csv call over one _table stream of all their rows; check that
+    each file has the bytes _write_csv gives it alone, and return the number
+    of _g17 calls the stream made."""
     rng = np.random.default_rng(6)
     tables = [[rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n) for _ in range(4)]
               for n in rows]
     header = ["p", "mu_exact", "mu_limit", "abs_err"]
     calls, g17 = [], cli._g17
     monkeypatch.setattr(cli, "_g17", lambda values, out: calls.append(g17(values, out)))
-    cli._write_tables(header, ((tmp_path / f"new{i}.csv", columns)
-                               for i, columns in enumerate(tables)))
+    cli._write_csv([(tmp_path / f"new{i}.csv", n) for i, n in enumerate(rows)], header,
+                   cli._table(*map(np.concatenate, zip(*tables))))
     monkeypatch.undo()
     for i, columns in enumerate(tables):
-        cli._write_csv(tmp_path / f"old{i}.csv", header, cli._table(*columns))
+        cli._write_csv([(tmp_path / f"old{i}.csv", rows[i])], header, cli._table(*columns))
         assert (tmp_path / f"new{i}.csv").read_bytes() == (tmp_path / f"old{i}.csv").read_bytes()
     return len(calls)
 
 
 def test_write_tables_matches_one_file_at_a_time(tmp_path, monkeypatch):
-    # more than _TEXT_CELLS values: each table is streamed through _table,
-    # one larger than a block in several calls
+    # 3,833 rows: blocks of 2,048 rows end inside a table, a table is longer
+    # than a block, and an empty table takes only its header
     rows = [3, 1, 500, cli._TEXT_CELLS // 4 + 1, 0, 128, 128, cli._TEXT_CELLS // 8]
-    assert _check_write_tables(tmp_path, monkeypatch, rows) == 8
+    assert _check_write_tables(tmp_path, monkeypatch, rows) == 2
 
 
-@pytest.mark.parametrize("extra, calls", [(0, 1), (1, 7)])
+@pytest.mark.parametrize("extra, calls", [(0, 1), (1, 2)])
 def test_write_tables_formats_small_tables_in_one_call(tmp_path, monkeypatch, extra, calls):
     # 2,048 rows of 4 columns are _TEXT_CELLS values: at most that take one
-    # _g17 call, one row more streams each nonempty table through _table
+    # _g17 call, one row more takes a second for the last row
     rows = [3, 1, 500, 0, 128, 128, cli._TEXT_CELLS // 4 - 760, extra]
     assert _check_write_tables(tmp_path, monkeypatch, rows) == calls
+
+
+def test_classical_limit_formats_all_its_tables_in_one_stream(tmp_path, monkeypatch):
+    # 40 times of two 100-row tables are 32,000 values: four _g17 calls over
+    # the stream, not one per table
+    cfg = load_scenario(scenario_path("classical_limit_reference.json"))
+    cfg["classical_limit"]["times"] = [200.0 + t for t in range(40)]
+    cfg["classical_limit"]["p_bins"]["count"] = 100
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    calls, g17 = [], cli._g17
+    monkeypatch.setattr(cli, "_g17", lambda values, out: calls.append(g17(values, out)))
+    assert run_cli("classical-limit", "--config", str(path), "--out", str(tmp_path / "out")) == 0
+    assert len(calls) == 4
+    files = sorted((tmp_path / "out").glob("classical_limit_*_t*.csv"))
+    assert len(files) == 80
+    for csv in files:
+        assert csv.read_bytes().count(b"\n") == 101
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
@@ -932,9 +987,10 @@ def test_percent_format_is_float_format(x):
 
 
 @pytest.mark.parametrize("nt,nx", [(1, 1), (1, 6), (4, 1), (101, 201)])
-def test_scan_csv_matches_the_reference_writer(tmp_path, nt, nx):
+def test_scan_csv_matches_the_reference_writer(tmp_path, monkeypatch, nt, nx):
     # backflow's t, x, j rows: each t and x formatted once, the same bytes,
-    # whole or streamed in blocks of times of any size
+    # whole or streamed in blocks of times of any size, each block's
+    # currents asked for with its start and times
     rng = np.random.default_rng(nt * nx)
     ts = np.linspace(-1.5, 2.0, nt)
     xs = np.linspace(-3.0, 0.1, nx)
@@ -946,8 +1002,17 @@ def test_scan_csv_matches_the_reference_writer(tmp_path, nt, nx):
     _reference_write_csv(tmp_path / "old.csv", ["t", "x", "j"],
                          np.repeat(ts, nx), np.tile(xs, nt), j)
     for rows in sorted({1, 3, nt}):
-        blocks = (j[k:k + rows] for k in range(0, nt, rows))
-        cli._write_csv(tmp_path / "new.csv", ["t", "x", "j"], cli._scan(ts, xs, blocks))
+        monkeypatch.setattr(cli, "_TEXT_CELLS", rows * nx)  # blocks of rows times
+        asked = []
+
+        def current(start, times):
+            asked.append(start)
+            assert np.array_equal(times, ts[start:start + rows])
+            return j[start:start + len(times)]
+
+        cli._write_csv([(tmp_path / "new.csv", nt * nx)], ["t", "x", "j"],
+                       cli._scan(ts, xs, current))
+        assert asked == list(range(0, nt, rows))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 

@@ -75,10 +75,12 @@ def test_g17_on_seeded_families():
 
 
 def test_g17_table_is_exact():
-    # hi is 10^q rounded, lo the rest rounded, head + tail == hi in 26 bits each
-    hi, head, tail, lo = cli._powers(np.arange(cli._Q_MIN, cli._Q_MAX + 1))
-    for i, q in enumerate(range(cli._Q_MIN, cli._Q_MAX + 1)):
-        exact = Fraction(10) ** q
+    # hi is 10^q rounded, lo the rest rounded, head + tail == hi in 26 bits
+    # each, for q = 16 - k over every decade k of the table
+    ks = np.arange(cli._K_MIN - 1, cli._K_MAX + 3)
+    hi, head, tail, lo = cli._powers(ks)
+    for i, k in enumerate(ks.tolist()):
+        exact = Fraction(10) ** (16 - k)
         assert hi[i] == float(exact)
         assert lo[i] == float(exact - Fraction(hi[i]))
         assert head[i] + tail[i] == hi[i]
@@ -87,6 +89,16 @@ def test_g17_table_is_exact():
             assert mantissa.denominator == 1
     # the largest value on the fast path splits without overflow
     assert math.isfinite(float(10 ** (cli._K_MAX + 2)) * cli._SPLIT)
+
+
+def test_g17_builds_the_decade_a_rounding_moves_to(monkeypatch):
+    # with log10 one ulp low, 1e-243 (a float just below 10^-243) is first
+    # scaled in decade -244 and rounds up to 10^17 there: its text is read
+    # from decade -243, which nothing else has built in a fresh table
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), -np.inf))
+    monkeypatch.setattr(cli, "_DECADES", np.zeros_like(cli._DECADES))
+    _assert_oracle([1e-243, -1e-176, 1e-175])
 
 
 @pytest.fixture
@@ -142,20 +154,22 @@ def test_write_csv_in_many_blocks(tmp_path, count):
     columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
                for _ in range(count)]
     header = list("abcde")[:count]
-    cli._write_csv(tmp_path / "t.csv", header, cli._table(*columns))
+    cli._write_csv([(tmp_path / "t.csv", n)], header, cli._table(*columns))
     assert (tmp_path / "t.csv").read_bytes() == _reference_csv(header, *columns)
 
 
 @pytest.mark.parametrize("nt, nx, rows", [(3, cli._TEXT_CELLS + 5, 1), (3, cli._TEXT_CELLS + 5, 2),
                                           (40, 700, 7), (40, 700, 40)])
-def test_scan_csv_in_many_blocks(tmp_path, nt, nx, rows):
+def test_scan_csv_in_many_blocks(tmp_path, monkeypatch, nt, nx, rows):
     # more currents per block of times than one text block holds, and a
     # time row wider than a text block
+    if rows != max(1, cli._TEXT_CELLS // nx):
+        monkeypatch.setattr(cli, "_TEXT_CELLS", rows * nx)  # blocks of rows times
     rng = np.random.default_rng(nx)
     ts, xs = np.linspace(0.0, 3.0, nt), np.linspace(-5.0, 5.0, nx)
     j = rng.standard_normal((nt, nx))
-    blocks = (j[k:k + rows] for k in range(0, nt, rows))
-    cli._write_csv(tmp_path / "s.csv", ["t", "x", "j"], cli._scan(ts, xs, blocks))
+    cli._write_csv([(tmp_path / "s.csv", nt * nx)], ["t", "x", "j"],
+                   cli._scan(ts, xs, lambda start, times: j[start:start + len(times)]))
     assert (tmp_path / "s.csv").read_bytes() == _reference_csv(
         ["t", "x", "j"], np.repeat(ts, nx), np.tile(xs, nt), j)
 
@@ -172,15 +186,14 @@ def _traced_peak(write) -> int:
 def test_scan_csv_memory_does_not_grow_with_rows(tmp_path):
     rng = np.random.default_rng(3)
     xs = np.linspace(-20.0, 20.0, 201)
-    per = max(1, cli._TEXT_CELLS // xs.size)  # the block backflow uses
     peaks = []
     for nt in (101, 101, 2020):  # a first run fills the tables
         ts = np.linspace(0.0, 10.0, nt)
         j = rng.standard_normal((nt, xs.size))
-        blocks = (j[k:k + per] for k in range(0, nt, per))
         path = os.path.join(tmp_path, f"scan{nt}.csv")
+        scan = cli._scan(ts, xs, lambda start, times: j[start:start + len(times)])
         peaks.append(_traced_peak(
-            lambda: cli._write_csv(path, ["t", "x", "j"], cli._scan(ts, xs, blocks))))
+            lambda: cli._write_csv([(path, j.size)], ["t", "x", "j"], scan)))
     assert peaks[2] <= 1.2 * peaks[1]
 
 
@@ -191,5 +204,5 @@ def test_write_csv_memory_does_not_grow_with_rows(tmp_path):
         columns = [rng.standard_normal(n) for _ in range(5)]
         path = os.path.join(tmp_path, f"table{n}.csv")
         peaks.append(_traced_peak(
-            lambda: cli._write_csv(path, list("abcde"), cli._table(*columns))))
+            lambda: cli._write_csv([(path, n)], list("abcde"), cli._table(*columns))))
     assert peaks[2] <= 1.2 * peaks[1]

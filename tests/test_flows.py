@@ -2,12 +2,14 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import flowquant as fq
+from test_acceptance import ledger
 
 
 def bump_packet(grid, params, center, width, rep=fq.Representation.POSITION):
@@ -102,6 +104,16 @@ def test_quadratic_flow_escape():
 def test_flow_backward_time():
     r = fq.integrate_flow(fq.linear_field(), 1.0, -1.0)
     assert abs(r.endpoint - math.exp(-1.0)) <= 1e-9
+
+
+def test_flow_over_no_time_stays_put():
+    assert fq.integrate_flow(fq.linear_field(), 2.5, 0.0) == fq.FlowResult(0.0, 2.5, False)
+
+
+def test_classification_refuses_probes_outside_the_domain():
+    field = fq.VectorField1D(np.ones_like, domain=((5.0, 6.0),), label="1 on (5, 6)")
+    with pytest.raises(fq.OutOfDomain, match="no probe points"):
+        fq.classify_flow(field, fq.ProbeSpec(interval=(-10.0, -1.0)))
 
 
 def test_flow_endpoint_beyond_the_default_table():
@@ -368,6 +380,79 @@ def test_power_field_indices_match_escape_times(k):
         assert math.isclose(forward.t_reached, 1.0 / (k - 1.0), rel_tol=1e-9)
     expected = fq.FlowVerdict.INCURABLE if k > 1.0 else fq.FlowVerdict.COMPLETE
     assert fc.verdict is expected
+
+
+# X = c x^k on x > 0 reaches +inf in finite time iff k > 1 and 0 iff k < 1:
+# the verdict is Incurable with (n+, n-) = (1, 0) or (0, 1).  The orbit of
+# x0 is (x0^(1-k) + c (1-k) t)^(1/(1-k)), which reaches its end at
+# |t| = x0^(1-k) / (c |1-k|).
+
+_POWER_PROBES = fq.ProbeSpec(interval=(0.5, 2.0), count=256, t_probe=4.0)
+
+
+def power_field(c: float, k: float) -> fq.VectorField1D:
+    return fq.VectorField1D(lambda x: c * np.abs(x) ** k, domain=((0.0, math.inf),),
+                            label=f"{c} x^{k}")
+
+
+def power_escape_time(c: float, k: float, x0: float) -> float:
+    """x0^(1-k) / (c |1-k|), correctly rounded."""
+    with mpmath.workdps(40):
+        k = mpmath.mpf(k)
+        return float(mpmath.mpf(x0) ** (1 - k) / (c * abs(1 - k)))
+
+
+def power_endpoint(c: float, k: float, x0: float, t: float) -> float:
+    """(x0^(1-k) + c (1-k) t)^(1/(1-k)), correctly rounded."""
+    with mpmath.workdps(40):
+        k = mpmath.mpf(k)
+        return float((mpmath.mpf(x0) ** (1 - k) + c * (1 - k) * mpmath.mpf(t)) ** (1 / (1 - k)))
+
+
+def check_power_field(c: float, k: float, x0: float, toward: float, away: float):
+    """Classify c x^k, then integrate from x0 past its end, for the fraction
+    toward of its escape time toward that end, and for the time away from
+    it.  Returns the largest relative errors of the escape times (probes'
+    and x0's) and of the two endpoints."""
+    field = power_field(c, k)
+    fc = fq.classify_flow(field, _POWER_PROBES)
+    assert fc.verdict is fq.FlowVerdict.INCURABLE
+    assert (fc.n_plus, fc.n_minus) == ((1, 0) if k > 1.0 else (0, 1))
+    direction = 1 if k > 1.0 else -1
+    escape = []
+    for sample in fc.escape_samples:
+        assert sample.direction == direction
+        escape.append(abs(sample.t_escape / power_escape_time(c, k, sample.start) - 1.0))
+    tau = power_escape_time(c, k, x0)
+    reached = fq.integrate_flow(field, x0, 2.0 * direction * tau)
+    assert reached.escaped
+    escape.append(abs(abs(reached.t_reached) / tau - 1.0))
+    endpoint = []
+    for t in (toward * direction * tau, -away * direction):
+        r = fq.integrate_flow(field, x0, t)
+        assert not r.escaped
+        endpoint.append(abs(r.endpoint / power_endpoint(c, k, x0, t) - 1.0))
+    return max(escape), max(endpoint)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(c=st.sampled_from([0.5, 1.0, 2.0]),
+       k=st.one_of(st.floats(0.1, 0.7), st.floats(1.3, 3.0)),
+       x0=st.floats(0.5, 2.0), toward=st.floats(0.0, 0.5), away=st.floats(0.0, 4.0))
+def test_power_field_decides_with_exact_escape_times(c, k, x0, toward, away):
+    escape, endpoint = check_power_field(c, k, x0, toward, away)
+    ledger(flow_power_escape_time=escape, flow_power_endpoint=endpoint)
+
+
+@pytest.mark.parametrize("k", [
+    pytest.param(k, id=f"k={k}", marks=pytest.mark.xfail(
+        raises=fq.InconclusiveClassification, strict=True,
+        reason="power tails near k = 1 neither settle nor stall in the tail table "
+               "(ROADMAP item 8, Finding 1)"))
+    for k in (0.75, 0.9, 1.05, 1.2, 1.25)])
+def test_power_field_near_k_1_decides(k):
+    for c in (0.5, 1.0, 2.0):
+        check_power_field(c, k, 1.0, 0.5, 4.0)
 
 
 def test_classification_reads_each_orbit_end_once(monkeypatch):
@@ -807,3 +892,7 @@ def test_pluggable_rejects_other_fields(straddling_packet):
         fq.pluggable_transport(straddling_packet, fq.cubic_field(), 0.5, 0.0)
     with pytest.raises(fq.NotPluggable):
         fq.pluggable_transport(straddling_packet, fq.linear_field(), 0.5, 0.0)
+    # x^2 itself, but on x > 0 alone: +inf is reached and 0 never, Incurable
+    half = fq.VectorField1D(lambda x: x ** 2, domain=((0.0, math.inf),), label="x^2, x > 0")
+    with pytest.raises(fq.NotPluggable, match="classified Incurable"):
+        fq.pluggable_transport(straddling_packet, half, 0.5, 0.0)

@@ -14,6 +14,8 @@ def test_grid_validation():
         fq.Grid1D(0.0, -1.0, 64)
     with pytest.raises(ValueError):
         fq.Grid1D(0.0, 1.0, 4)
+    with pytest.raises(fq.InvalidParameter, match="finite"):
+        fq.Grid1D(0.0, math.inf, 8)
     g = fq.Grid1D(-1.0, 0.25, 16)
     assert g.point(3) == -0.25
     assert g.points[3] == -0.25
@@ -61,6 +63,16 @@ def test_gaussian_packet_errors(params):
     small = fq.Grid1D(-2.0, 4.0 / 64, 64)
     with pytest.raises(fq.GridTooSmall):
         fq.gaussian_packet(small, params, 0.0, 0.0, 0.1)  # sigma_x = 5 >> box
+    # sigma_x = 0.5 fits the box, but the packet at x = 19 runs past its edge
+    box = fq.Grid1D.from_bounds(-20.0, 20.0, 512)
+    with pytest.raises(fq.GridTooSmall, match="does not decay"):
+        fq.gaussian_packet(box, params, 19.0, 0.0, 1.0)
+
+
+def test_zero_packet_fits_any_box(params):
+    grid = fq.Grid1D(-30.0, 60.0 / 64, 64)
+    assert fq.packet_fits_box(fq.WaveFunction(grid, np.zeros(64), fq.Representation.POSITION,
+                                              params))
 
 
 def test_gaussian_packet_refuses_a_width_beyond_the_box(params):
