@@ -46,16 +46,17 @@ _TEXT_CELLS = 1 << 13
 
 # The CSV numbers are the bytes of "%.17g": D = round(|v| 10^(16-k)) with
 # 10^k <= |v| < 10^(k+1) holds the 17 significant digits.  10^(16-k) comes
-# from the exact double-doubles hi + lo of _DECADES, for q = 16 - k in
-# [_Q_MIN, _Q_MAX]; Dekker's TwoProduct gives |v| hi = p + e exactly, so
-# D = p + floor(e + |v| lo + 0.5) with an error below 1e-14 of a unit in
-# that sum.  Values whose sum lies within _NEAR of a half unit (near-ties,
-# and exact ties that "%.17g" rounds half-even), non-finite values and |v|
-# outside the table go to Python's "%.17g".  The decisions use only +, -,
-# *, floor and integer operations (log10 only guesses k, which D then
-# corrects), so the text does not depend on numpy's SIMD dispatch.
-_Q_MIN, _Q_MAX = -283, 300  # |v| < 10^(17 - _Q_MIN) keeps |v| (2^27 + 1) finite
-_K_MIN, _K_MAX = 17 - _Q_MAX, 15 - _Q_MIN  # guesses of k whose correction stays in the table
+# from the exact double-doubles hi + lo of _DECADES, for k in [_K_MIN,
+# _K_MAX]; Dekker's TwoProduct gives |v| hi = p + e exactly, so D = p +
+# floor(e + |v| lo + 0.5) with an error below 1e-14 of a unit in that sum.
+# log10 guesses k, and the fast path keeps a value only where D confirms
+# it: 10^16 <= |v| 10^(16-k) and D < 10^17.  Values whose guess D refutes
+# or that round up to 10^(k+1), values whose sum lies within _NEAR of a
+# half unit (near-ties, and exact ties that "%.17g" rounds half-even),
+# non-finite values and |v| outside the table go to Python's "%.17g".
+# The decisions use only +, -, *, floor and integer operations, so the
+# text does not depend on numpy's SIMD dispatch.
+_K_MIN, _K_MAX = -284, 299  # hi <= 10^300 and |v| < 10^300 split without overflow
 _NEAR = 1e-9
 _E16, _E17 = 10 ** 16, 10 ** 17
 _SPLIT = float(2 ** 27 + 1)  # Veltkamp's constant: 26-bit halves
@@ -75,30 +76,26 @@ def _word(text: bytes) -> int:
     return int.from_bytes(text.ljust(8, b"\0"), "little")
 
 
-#: Per exponent k in [_K_MIN - 1, _K_MAX + 2], the decade 10^k <= |v| <
+#: Per exponent k in [_K_MIN, _K_MAX], the decade 10^k <= |v| <
 #: 10^(k+1), a column of words: the float bits of hi, hi's 26-bit head and
 #: tail, and lo of 10^(16-k), then the byte where the fraction's point goes,
 #: the "0.000" word and the exponent word.  _decade fills a column on first
 #: use, as a run writes numbers of a few dozen decades; until then it is 0.
-_DECADES = np.zeros((7, _K_MAX - _K_MIN + 4), np.uint64)
+_DECADES = np.zeros((7, _K_MAX - _K_MIN + 1), np.uint64)
 
 
 def _decade(k: int) -> None:
     """Build the column of _DECADES for the exponent k.  Python's int true
-    division and int-to-float conversion round correctly, so hi is 10^q
-    rounded and lo the rest rounded."""
-    q = 16 - k
-    if q >= 0:
-        hi = float(10 ** q)
-        lo = float(10 ** q - int(hi))
-    else:
-        hi = 1 / 10 ** -q
-        num, den = hi.as_integer_ratio()
-        lo = (den - num * 10 ** -q) / (den * 10 ** -q)
+    division rounds correctly, so hi is 10^(16-k) = top / bottom rounded and
+    lo the rest rounded."""
+    top, bottom = 10 ** max(16 - k, 0), 10 ** max(k - 16, 0)
+    hi = top / bottom
+    num, den = hi.as_integer_ratio()
+    lo = (top * den - num * bottom) / (bottom * den)
     c = hi * _SPLIT
     head = c - (c - hi)
     fixed = -4 <= k <= 16
-    column = _DECADES[:, k - (_K_MIN - 1)]
+    column = _DECADES[:, k - _K_MIN]
     column[:4] = np.array([hi, head, hi - head, lo]).view(np.uint64)
     column[4] = (7 + k if k >= 0 else 6) if fixed else 7
     column[5] = _word(b"\0" + b"0." + b"0" * (-1 - k)) if fixed and k < 0 else 0
@@ -108,12 +105,12 @@ def _decade(k: int) -> None:
 def _powers(k: np.ndarray) -> np.ndarray:
     """The (4, k.size) float rows of the _DECADES columns of the exponents
     k, building each decade not yet in the table."""
-    columns = np.take(_DECADES[:4], k - (_K_MIN - 1), axis=1).view(float)
+    columns = np.take(_DECADES[:4], k - _K_MIN, axis=1).view(float)
     new = columns[0] == 0.0
     if new.any():
         for decade in set(k[new].tolist()):  # np.unique would import numpy.ma
             _decade(decade)
-        columns = np.take(_DECADES[:4], k - (_K_MIN - 1), axis=1).view(float)
+        columns = np.take(_DECADES[:4], k - _K_MIN, axis=1).view(float)
     return columns
 
 
@@ -135,12 +132,6 @@ def _scaled(a, k):
     floor = np.floor(f)
     f -= floor
     return p.astype(np.int64) + floor.astype(np.int64), f
-
-
-def _k_step(d, frac):
-    """+1 where a 10^(16-k) >= 10^17, -1 where it is < 10^16, else 0."""
-    return (((d > _E17) | ((d == _E17) & (frac >= 0.5))).astype(np.int64)
-            - ((d < _E16) | ((d == _E16) & (frac < 0.5))))
 
 
 def _ascii8(x):
@@ -181,21 +172,11 @@ def _g17(values, out: np.ndarray) -> None:
     a[~fast] = 1.0
     k[~fast] = 0
     d, frac = _scaled(a, k)
-    step = _k_step(d, frac)
-    redo = np.flatnonzero(step)
-    if redo.size:  # log10 missed k by one
-        k[redo] += step[redo]
-        d[redo], frac[redo] = _scaled(a[redo], k[redo])
-        fast[redo] &= _k_step(d[redo], frac[redo]) == 0
-    fast &= (frac > _NEAR) & (frac < 1.0 - _NEAR)
-    up = np.flatnonzero(d == _E17)  # 9.99...95 rounded up to 10.000...
-    if up.size:
-        d[up] = _E16
-        k[up] += 1
-        _powers(k[up])  # builds the decades the rounding moved to
+    fast &= (d > _E16) | (d == _E16) & (frac >= 0.5)  # a 10^(16-k) >= 10^16
+    fast &= (d < _E17) & (frac > _NEAR) & (frac < 1.0 - _NEAR)  # no round-up
     d[zero] = 0
 
-    k -= _K_MIN - 1
+    k -= _K_MIN
     s = np.take(_DECADES[4], k).view(np.int64)
     u = d.view(np.uint64)
     first = u // _E16
@@ -542,7 +523,7 @@ def main(argv=None) -> int:
         cfg = load_scenario(args.config)
         os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.command](cfg, args.out, args)
-    except (NegativeMomentumLeak, InconclusiveClassification) as exc:
+    except NegativeMomentumLeak as exc:
         print(f"diagnostic: {exc}", file=sys.stderr)
         return 2
     except FlowQuantError as exc:

@@ -78,6 +78,16 @@ def _schema() -> dict:
     return schema
 
 
+def _quoted(value) -> str:
+    """repr(value), cut to 80 characters with its length told, so that one
+    refusal line stays short whatever the scenario file holds."""
+    text = repr(value)
+    if len(text) <= 80:
+        return text
+    tail = f"... ({len(text)} characters)"
+    return text[:80 - len(tail)] + tail
+
+
 def _check(value, node: dict, at: tuple = ()):
     """Check value against a schema node; the first violation raises
     ScenarioError.  A node's own keywords are checked before its members,
@@ -91,24 +101,24 @@ def _check(value, node: dict, at: tuple = ()):
 
     kind = node.get("type")
     if kind is not None and not _TYPES[kind](value):
-        fail(f"{value!r} is not of type {kind!r}")
+        fail(f"{_quoted(value)} is not of type {kind!r}")
     if "enum" in node and value not in node["enum"]:
-        fail(f"{value!r} is not one of {node['enum']!r}")
+        fail(f"{_quoted(value)} is not one of {node['enum']!r}")
     if _TYPES["number"](value):
         if value < node.get("minimum", -math.inf):
-            fail(f"{value!r} is less than the minimum of {node['minimum']!r}")
+            fail(f"{_quoted(value)} is less than the minimum of {node['minimum']!r}")
         if value <= node.get("exclusiveMinimum", -math.inf):
-            fail(f"{value!r} is less than or equal to the minimum of "
+            fail(f"{_quoted(value)} is less than or equal to the minimum of "
                  f"{node['exclusiveMinimum']!r}")
         if value > node.get("maximum", math.inf):
-            fail(f"{value!r} is greater than the maximum of {node['maximum']!r}")
+            fail(f"{_quoted(value)} is greater than the maximum of {node['maximum']!r}")
         return int(value) if kind == "integer" else value
     least = node.get("minLength" if isinstance(value, str) else "minItems", 0)
     if isinstance(value, (str, list)) and len(value) < least:
-        fail(f"{value!r} " + ("should be non-empty" if least == 1 else "is too short"))
+        fail(f"{_quoted(value)} " + ("should be non-empty" if least == 1 else "is too short"))
     if isinstance(value, list):
         if len(value) > node.get("maxItems", math.inf):
-            fail(f"{value!r} is too long")
+            fail(f"{_quoted(value)} is too long")
         if "items" in node:
             value[:] = [_check(v, node["items"], (*at, i)) for i, v in enumerate(value)]
     if isinstance(value, dict):
@@ -118,7 +128,7 @@ def _check(value, node: dict, at: tuple = ()):
                 fail(f"{key!r} is a required property")
         extra = sorted(key for key in value if key not in props)
         if extra and node.get("additionalProperties") is False:
-            fail(f"Additional properties are not allowed ({', '.join(map(repr, extra))} "
+            fail(f"Additional properties are not allowed ({', '.join(map(_quoted, extra))} "
                  f"{'was' if len(extra) == 1 else 'were'} unexpected)")
         for key in value:
             if key in props:

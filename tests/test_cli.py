@@ -176,6 +176,16 @@ def test_refuses_deeply_nested_scenario_in_one_line(tmp_path, capsys, text):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("cfg", [{"params": {"hbar": "a" * 100_000}},
+                                 {"grids": {"x": {"min": -1, "max": 1, "count": [1] * 20_000}}}],
+                         ids=["long_string", "long_list"])
+def test_refusal_quotes_a_long_value_cut(tmp_path, capsys, cfg):
+    rc, err = _refusal(tmp_path, capsys, "arrival", cfg)
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error:")
+    assert len(err[0].encode()) < 300 and "characters)" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
 _BOX = {"x": {"min": -200.0, "max": 200.0, "count": 4096}}
 _GAUSSIAN = {"type": "gaussian", "center_x": -50.0, "center_p": 2.0, "sigma_p": 0.2}
 

@@ -58,9 +58,9 @@ def _families(rng) -> np.ndarray:
     ulps = np.concatenate([tens] + [np.nextafter(tens, d) for d in (0.0, np.inf)])
     for _ in range(2):
         ulps = np.concatenate([ulps, np.nextafter(ulps, 0.0), np.nextafter(ulps, np.inf)])
-    # the exponents at the ends of the table, and where the fast path stops
-    ends = [cli._K_MIN - 2, cli._K_MIN - 1, cli._K_MIN, cli._K_MAX, cli._K_MAX + 1,
-            cli._K_MAX + 2, 16 - cli._Q_MIN, 16 - cli._Q_MAX]
+    # the decades at each end of the fast path, and one past it
+    ends = [cli._K_MIN - 1, cli._K_MIN, cli._K_MIN + 1,
+            cli._K_MAX - 1, cli._K_MAX, cli._K_MAX + 1]
     edge = (rng.uniform(1.0, 10.0, (len(ends), 4096))
             * np.array([10.0 ** k for k in ends])[:, None]).ravel()
     values = np.concatenate([uniform, dyadic, ties, near, ulps, edge])
@@ -77,7 +77,7 @@ def test_g17_on_seeded_families():
 def test_g17_table_is_exact():
     # hi is 10^q rounded, lo the rest rounded, head + tail == hi in 26 bits
     # each, for q = 16 - k over every decade k of the table
-    ks = np.arange(cli._K_MIN - 1, cli._K_MAX + 3)
+    ks = np.arange(cli._K_MIN, cli._K_MAX + 1)
     hi, head, tail, lo = cli._powers(ks)
     for i, k in enumerate(ks.tolist()):
         exact = Fraction(10) ** (16 - k)
@@ -88,17 +88,7 @@ def test_g17_table_is_exact():
             mantissa = Fraction(abs(half)) / Fraction(2) ** (math.frexp(half)[1] - 26)
             assert mantissa.denominator == 1
     # the largest value on the fast path splits without overflow
-    assert math.isfinite(float(10 ** (cli._K_MAX + 2)) * cli._SPLIT)
-
-
-def test_g17_builds_the_decade_a_rounding_moves_to(monkeypatch):
-    # with log10 one ulp low, 1e-243 (a float just below 10^-243) is first
-    # scaled in decade -244 and rounds up to 10^17 there: its text is read
-    # from decade -243, which nothing else has built in a fresh table
-    log10 = np.log10
-    monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), -np.inf))
-    monkeypatch.setattr(cli, "_DECADES", np.zeros_like(cli._DECADES))
-    _assert_oracle([1e-243, -1e-176, 1e-175])
+    assert math.isfinite(float(10 ** (cli._K_MAX + 1)) * cli._SPLIT)
 
 
 @pytest.fixture
@@ -118,6 +108,26 @@ def fallback_share(monkeypatch):
     monkeypatch.setattr(cli, "_g17", counted_g17)
     monkeypatch.setattr(cli, "_slow_g17", counted_slow)
     return lambda: tuple(counts)
+
+
+def test_g17_sends_what_log10_misses_to_float_format(fallback_share, monkeypatch):
+    # with log10 one ulp low, then one ulp high, the guessed decade misses
+    # the exact powers 1.0, 10.0 and 1e22, or 1e-243 (a float just below
+    # 10^-243) and the float below 10.0; or the guess is right and 1e-243
+    # rounds up to 10^17 in it.  Each goes to "%.17g", from a fresh table.
+    values = np.array([1e-243, 1.0, 10.0, 1e22, math.nextafter(10.0, 0.0)])
+    log10 = np.log10
+    for toward in (-math.inf, math.inf):
+        monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), toward))
+        monkeypatch.setattr(cli, "_DECADES", np.zeros_like(cli._DECADES))
+        guesses = np.floor(np.log10(values)).astype(int).tolist()
+        # the fast path keeps 10^16 <= v 10^(16-k) < 10^17 - 1/2
+        missed = sum(not 10 ** 16 <= Fraction(v) * Fraction(10) ** (16 - k)
+                     < 10 ** 17 - Fraction(1, 2) for v, k in zip(values.tolist(), guesses))
+        assert missed >= 2
+        total, slow = fallback_share()
+        assert _text(values) == _oracle(values)
+        assert fallback_share() == (total + values.size, slow + missed)
 
 
 def test_fast_path_serves_the_shipped_csvs(fallback_share, run_shipped, shipped_outputs):

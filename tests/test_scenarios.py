@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowquant import ScenarioError
-from flowquant.scenarios import (_check, _schema, _walk, list_scenarios,
+from flowquant.scenarios import (_check, _quoted, _schema, _walk, list_scenarios,
                                  scenario_path)
 
 REFERENCE = jsonschema.Draft202012Validator(_schema())
@@ -105,7 +105,9 @@ def mutated_scenarios(draw):
 @example(cfg={"name": "above the maximum",
               "grids": {"x": {"min": -1.0, "max": 1.0, "count": 4194305.0}}})
 def test_checker_agrees_with_jsonschema(cfg):
-    expected = {f"{e.message} (at {'/'.join(map(str, e.absolute_path)) or '<root>'})"
+    # the checker quotes a value's repr cut to 80 characters
+    expected = {f"{e.message.replace(repr(e.instance), _quoted(e.instance))} "
+                f"(at {'/'.join(map(str, e.absolute_path)) or '<root>'})"
                 for e in REFERENCE.iter_errors(cfg)}
     try:
         _check(copy.deepcopy(cfg), _schema())
